@@ -36,7 +36,7 @@ impl Network {
     pub fn new(model: Model) -> Self {
         Network {
             model,
-            log: RoundLog::new(),
+            log: RoundLog::new(model.n(), model.width_bits()),
         }
     }
 
@@ -52,7 +52,7 @@ impl Network {
 
     /// Total bits broadcast so far (all processors, all rounds).
     pub fn bits_used(&self) -> usize {
-        self.log.total_bits(self.model.width_bits())
+        self.log.total_bits()
     }
 
     /// The full broadcast log.
@@ -61,13 +61,14 @@ impl Network {
     }
 
     /// Executes one synchronous round: every processor broadcasts one
-    /// message; returns the messages everyone now knows.
+    /// message; returns the messages everyone now knows (in a broadcast
+    /// round, exactly the messages sent).
     ///
     /// # Panics
     ///
     /// Panics if `messages.len() != n` or any message exceeds the model
     /// width.
-    pub fn broadcast_round(&mut self, messages: &[u64]) -> &[u64] {
+    pub fn broadcast_round<'m>(&mut self, messages: &'m [u64]) -> &'m [u64] {
         assert_eq!(
             messages.len(),
             self.model.n(),
@@ -80,14 +81,15 @@ impl Network {
                 self.model.width_bits()
             );
         }
-        self.log.push_round(messages.to_vec());
-        self.log.round(self.log.rounds() - 1)
+        self.log.push_round(messages);
+        messages
     }
 
     /// Ships one equal-length bit payload per processor, `width_bits` bits
     /// per round, over `⌈payload_bits / width⌉` rounds. Processors with
     /// nothing to say must still pass a payload (of zeros) — in a broadcast
-    /// round everyone speaks.
+    /// round everyone speaks. Each round is accounted exactly; the log
+    /// stores the payloads packed, one word-level append per processor.
     ///
     /// Returns the number of rounds consumed.
     ///
@@ -96,48 +98,31 @@ impl Network {
     /// Panics if payload lengths differ or `payloads.len() != n`.
     pub fn broadcast_bits(&mut self, payloads: &[BitVec]) -> usize {
         assert_eq!(payloads.len(), self.model.n(), "one payload per processor");
-        let len = payloads.first().map_or(0, BitVec::len);
-        for p in payloads {
-            assert_eq!(p.len(), len, "payloads must have equal length");
-        }
-        let width = self.model.width_bits() as usize;
-        let rounds = self.model.rounds_for_bits(len);
-        for r in 0..rounds {
-            let mut messages = Vec::with_capacity(self.model.n());
-            for p in payloads {
-                let mut m = 0u64;
-                for b in 0..width {
-                    let idx = r * width + b;
-                    if idx < len && p.get(idx) {
-                        m |= 1 << b;
-                    }
-                }
-                messages.push(m);
-            }
-            self.broadcast_round(&messages);
-        }
-        rounds
+        self.log.push_bits(payloads)
     }
 
     /// Recovers the payloads sent by [`Network::broadcast_bits`] from the
     /// last `rounds` rounds of the log, truncated to `payload_bits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds` exceeds the rounds logged, or `payload_bits`
+    /// exceeds what `rounds` rounds carry (`rounds × width`).
     pub fn collect_bits(&self, rounds: usize, payload_bits: usize) -> Vec<BitVec> {
         let width = self.model.width_bits() as usize;
-        let start = self.log.rounds() - rounds;
+        assert!(
+            rounds <= self.log.rounds(),
+            "collect_bits asks for {rounds} rounds but only {} were logged",
+            self.log.rounds()
+        );
+        assert!(
+            payload_bits <= rounds * width,
+            "collect_bits asks for {payload_bits} payload bits but {rounds} rounds carry {}",
+            rounds * width
+        );
+        let lo = (self.log.rounds() - rounds) * width;
         (0..self.model.n())
-            .map(|i| {
-                let mut out = BitVec::zeros(payload_bits);
-                for r in 0..rounds {
-                    let msg = self.log.message(start + r, i);
-                    for b in 0..width {
-                        let idx = r * width + b;
-                        if idx < payload_bits && (msg >> b) & 1 == 1 {
-                            out.set(idx, true);
-                        }
-                    }
-                }
-                out
-            })
+            .map(|i| self.log.bits_by_processor(i).slice(lo, lo + payload_bits))
             .collect()
     }
 }
@@ -258,6 +243,22 @@ mod tests {
         let rounds = net.broadcast_bits(&[BitVec::zeros(0), BitVec::zeros(0)]);
         assert_eq!(rounds, 0);
         assert_eq!(net.rounds_used(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "only 2 were logged")]
+    fn collect_bits_refuses_more_rounds_than_logged() {
+        let mut net = Network::new(Model::bcast1(2));
+        let rounds = net.broadcast_bits(&[BitVec::ones(2), BitVec::zeros(2)]);
+        net.collect_bits(rounds + 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 rounds carry 12")]
+    fn collect_bits_refuses_more_bits_than_the_rounds_carry() {
+        let mut net = Network::new(Model::new(2, 4));
+        let rounds = net.broadcast_bits(&[BitVec::ones(10), BitVec::zeros(10)]);
+        net.collect_bits(rounds, 13);
     }
 
     #[test]

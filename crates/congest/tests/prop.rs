@@ -76,21 +76,89 @@ proptest! {
     #[test]
     fn broadcast_bits_roundtrip(
         payload_len in 1usize..40,
-        width in 1u32..8,
+        width in 1u32..=8,
         n in 1usize..5,
         seed in any::<u64>(),
+        schedule in proptest::collection::vec((any::<bool>(), 1usize..40), 0..10),
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let payloads: Vec<BitVec> = (0..n)
-            .map(|_| {
-                (0..payload_len).map(|_| rng.gen::<bool>()).collect()
-            })
-            .collect();
+        let mut random_payloads = |len: usize| -> Vec<BitVec> {
+            (0..n)
+                .map(|_| (0..len).map(|_| rng.gen::<bool>()).collect())
+                .collect()
+        };
+        let payloads = random_payloads(payload_len);
         let mut net = Network::new(Model::new(n, width));
         let rounds = net.broadcast_bits(&payloads);
         prop_assert_eq!(rounds, payload_len.div_ceil(width as usize));
         prop_assert_eq!(net.collect_bits(rounds, payload_len), payloads);
+
+        // Random interleavings of single rounds and bulk payloads, checked
+        // against a per-round reference model: `model[r][i]` is the
+        // message processor i sent in round r.
+        let w = width as usize;
+        let mut net = Network::new(Model::new(n, width));
+        let mut model: Vec<Vec<u64>> = Vec::new();
+        let mut message_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for &(bulk, len) in &schedule {
+            if bulk {
+                // Leave the last round part-filled whenever the width allows.
+                let len = if w > 1 && len % w == 0 { len + 1 } else { len };
+                let payloads = random_payloads(len);
+                let rounds = net.broadcast_bits(&payloads);
+                prop_assert_eq!(rounds, len.div_ceil(w));
+                for r in 0..rounds {
+                    model.push(
+                        payloads
+                            .iter()
+                            .map(|p| {
+                                (0..w)
+                                    .filter(|&b| r * w + b < len && p.get(r * w + b))
+                                    .map(|b| 1u64 << b)
+                                    .sum()
+                            })
+                            .collect(),
+                    );
+                }
+                prop_assert_eq!(net.collect_bits(rounds, len), payloads);
+            } else {
+                let messages: Vec<u64> = (0..n)
+                    .map(|_| message_rng.gen::<u64>() & ((1u64 << width) - 1))
+                    .collect();
+                prop_assert_eq!(net.broadcast_round(&messages), &messages[..]);
+                model.push(messages);
+            }
+            prop_assert_eq!(net.rounds_used(), model.len());
+            prop_assert_eq!(net.bits_used(), model.len() * n * w);
+        }
+        let log = net.log();
+        for (r, round) in model.iter().enumerate() {
+            prop_assert_eq!(&log.round(r), round);
+            for (i, &m) in round.iter().enumerate() {
+                prop_assert_eq!(log.message(r, i), m);
+            }
+        }
+        let model_bits = |i: usize, from: usize| -> BitVec {
+            model[from..]
+                .iter()
+                .flat_map(|round| (0..w).map(move |b| (round[i] >> b) & 1 == 1))
+                .collect()
+        };
+        for i in 0..n {
+            let sent: Vec<u64> = model.iter().map(|round| round[i]).collect();
+            prop_assert_eq!(log.by_processor(i), sent);
+            prop_assert_eq!(log.bits_by_processor(i), &model_bits(i, 0));
+        }
+        // collect_bits over every suffix of the log, full and truncated.
+        for suffix in 0..=model.len() {
+            for bits in [suffix * w, (suffix * w).saturating_sub(w - 1)] {
+                let expected: Vec<BitVec> = (0..n)
+                    .map(|i| model_bits(i, model.len() - suffix).slice(0, bits))
+                    .collect();
+                prop_assert_eq!(net.collect_bits(suffix, bits), expected);
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@ use crate::kernel::{self, WordKernel};
 
 const WORD_BITS: usize = 64;
 
-/// A fixed-length vector over F₂, packed 64 coordinates per word.
+/// A fixed-length vector over F₂, packed 64 coordinates per word. Only
+/// the explicit appends ([`BitVec::push_word`], [`BitVec::append`]) grow
+/// it.
 ///
 /// Coordinate `0` is the least-significant bit of the first word. Trailing
 /// bits of the last word beyond `len` are kept zero (an internal invariant
@@ -94,6 +96,23 @@ impl BitVec {
         self.words.first().copied().unwrap_or(0)
     }
 
+    /// Creates a vector of length `len` from packed words (coordinate `i`
+    /// is bit `i % 64` of word `i / 64`). Bits beyond `len` are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words.len() == len.div_ceil(64)`.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WORD_BITS),
+            "word count does not match the length"
+        );
+        let mut v = BitVec { words, len };
+        v.mask_tail();
+        v
+    }
+
     /// Samples a uniformly random vector of length `len`.
     pub fn random<R: Rng + ?Sized>(rng: &mut R, len: usize) -> Self {
         let mut v = BitVec::zeros(len);
@@ -152,6 +171,78 @@ impl BitVec {
     /// The number of coordinates equal to one (Hamming weight).
     pub fn count_ones(&self) -> usize {
         kernel::active().count_ones(&self.words)
+    }
+
+    /// `popcount(self AND other)` — the size of the intersection of the one
+    /// sets, without materializing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn and_count(&self, other: &BitVec) -> usize {
+        assert_eq!(self.len, other.len, "and_count of mismatched lengths");
+        kernel::active().filter_count(&self.words, &other.words, true)
+    }
+
+    /// The `count ≤ 64` coordinates starting at `lo`, packed into a word
+    /// (coordinate `lo + b` is bit `b`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 64` or `lo + count > len`.
+    pub fn word_at(&self, lo: usize, count: usize) -> u64 {
+        assert!(count <= WORD_BITS, "word_at reads at most 64 coordinates");
+        assert!(
+            lo + count <= self.len,
+            "word_at [{lo},{}) out of range {}",
+            lo + count,
+            self.len
+        );
+        if count == 0 {
+            return 0;
+        }
+        let (wi, s) = (lo / WORD_BITS, lo % WORD_BITS);
+        let mut w = self.words[wi] >> s;
+        if s != 0 && s + count > WORD_BITS {
+            w |= self.words[wi + 1] << (WORD_BITS - s);
+        }
+        if count < WORD_BITS {
+            w &= (1u64 << count) - 1;
+        }
+        w
+    }
+
+    /// Appends the low `count ≤ 64` bits of `value` (bit `b` becomes
+    /// coordinate `len + b`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 64` or `value` has a set bit at or above `count`.
+    pub fn push_word(&mut self, value: u64, count: usize) {
+        assert!(count <= WORD_BITS, "push_word appends at most 64 bits");
+        assert!(
+            count == WORD_BITS || value >> count == 0,
+            "value {value:#x} has bits at or above {count}"
+        );
+        let (wi, s) = (self.len / WORD_BITS, self.len % WORD_BITS);
+        self.len += count;
+        self.words.resize(self.len.div_ceil(WORD_BITS), 0);
+        if count == 0 {
+            return;
+        }
+        self.words[wi] |= value << s;
+        if s != 0 && s + count > WORD_BITS {
+            self.words[wi + 1] |= value >> (WORD_BITS - s);
+        }
+    }
+
+    /// Appends `other` in place (`self ← self ∥ other`), word-at-a-time
+    /// like [`BitVec::concat`].
+    pub fn append(&mut self, other: &BitVec) {
+        let offset = self.len;
+        self.len += other.len;
+        self.words.resize(self.len.div_ceil(WORD_BITS), 0);
+        kernel::active().or_shifted_into(&other.words, offset, &mut self.words);
     }
 
     /// Whether every coordinate is zero.
@@ -473,6 +564,61 @@ mod tests {
         }
         // Partition identity: (a AND b) + (a AND NOT b) = a.
         assert_eq!((&a & &b).count_ones() + diff.count_ones(), a.count_ones());
+    }
+
+    #[test]
+    fn and_count_is_popcount_of_and() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let a = BitVec::random(&mut rng, len);
+            let b = BitVec::random(&mut rng, len);
+            assert_eq!(a.and_count(&b), (&a & &b).count_ones(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn appends_match_concat_and_word_at_reads_them_back() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut grown = BitVec::zeros(0);
+        let mut reference = BitVec::zeros(0);
+        for step in 0..60 {
+            let lo = grown.len();
+            if step % 3 == 0 {
+                let piece = BitVec::random(&mut rng, step * 7 % 131);
+                grown.append(&piece);
+                reference = reference.concat(&piece);
+                assert_eq!(grown.slice(lo, grown.len()), piece);
+            } else {
+                let count = step * 5 % 65;
+                let value = BitVec::random(&mut rng, count).as_words().first().copied();
+                let value = value.unwrap_or(0);
+                grown.push_word(value, count);
+                reference = reference.concat(&BitVec::from_words(
+                    vec![value; usize::from(count > 0)],
+                    count,
+                ));
+                assert_eq!(grown.word_at(lo, count), value, "step {step}");
+            }
+            assert_eq!(grown, reference, "step {step}");
+        }
+    }
+
+    #[test]
+    fn from_words_masks_the_tail() {
+        let v = BitVec::from_words(vec![u64::MAX, u64::MAX], 70);
+        assert_eq!(v, BitVec::ones(70));
+    }
+
+    #[test]
+    #[should_panic(expected = "bits at or above")]
+    fn push_word_rejects_wide_values() {
+        BitVec::zeros(3).push_word(0b100, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn word_at_past_the_end_panics() {
+        BitVec::zeros(10).word_at(4, 7);
     }
 
     #[test]

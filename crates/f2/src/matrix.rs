@@ -216,15 +216,29 @@ impl BitMatrix {
         BitMatrix::from_rows(rows, rhs.ncols)
     }
 
-    /// The transpose.
+    /// The transpose, one 64×64 word block at a time.
     pub fn transpose(&self) -> BitMatrix {
-        let mut t = BitMatrix::zeros(self.ncols, self.nrows());
-        for (i, row) in self.rows.iter().enumerate() {
-            for j in row.iter_ones() {
-                t.set(j, i, true);
+        let nrows = self.nrows();
+        let mut out = vec![vec![0u64; nrows.div_ceil(64)]; self.ncols];
+        let mut block = [0u64; 64];
+        for bi in 0..nrows.div_ceil(64) {
+            for bj in 0..self.ncols.div_ceil(64) {
+                for (k, w) in block.iter_mut().enumerate() {
+                    *w = self.rows.get(bi * 64 + k).map_or(0, |r| r.as_words()[bj]);
+                }
+                transpose64(&mut block);
+                for (row, &w) in out[bj * 64..].iter_mut().zip(&block) {
+                    row[bi] = w;
+                }
             }
         }
-        t
+        BitMatrix {
+            rows: out
+                .into_iter()
+                .map(|words| BitVec::from_words(words, nrows))
+                .collect(),
+            ncols: nrows,
+        }
     }
 
     /// The top-left `r × c` submatrix.
@@ -255,6 +269,25 @@ impl BitMatrix {
             .map(|(a, b)| a.concat(b))
             .collect();
         BitMatrix::from_rows(rows, self.ncols + rhs.ncols)
+    }
+}
+
+/// Transposes a 64×64 bit block in place (`block[k]` bit `j` ↔
+/// `block[j]` bit `k`) by swapping ever smaller off-diagonal sub-blocks:
+/// 32×32, then 16×16, down to single bits.
+fn transpose64(block: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((block[k] >> j) ^ block[k + j]) & mask;
+            block[k] ^= t << j;
+            block[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
@@ -309,6 +342,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = BitMatrix::random(&mut rng, 7, 4);
         assert_eq!(a.transpose().transpose(), a);
+    }
+
+    #[test]
+    fn transpose_swaps_every_entry_across_block_edges() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for (r, c) in [(0, 5), (5, 0), (1, 1), (63, 65), (64, 64), (130, 70)] {
+            let a = BitMatrix::random(&mut rng, r, c);
+            let t = a.transpose();
+            assert_eq!((t.nrows(), t.ncols()), (c, r));
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(t.get(j, i), a.get(i, j), "({i},{j}) of {r}x{c}");
+                }
+            }
+        }
     }
 
     #[test]

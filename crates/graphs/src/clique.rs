@@ -71,10 +71,10 @@ fn bron_kerbosch_max(
         return;
     }
     for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v).clone();
+        let nv = g.neighbors(v);
         r.push(v);
-        let mut p2 = &*p & &nv;
-        let mut x2 = &*x & &nv;
+        let mut p2 = &*p & nv;
+        let mut x2 = &*x & nv;
         bron_kerbosch_max(g, r, &mut p2, &mut x2, best);
         r.pop();
         p.set(v, false);
@@ -114,10 +114,10 @@ fn bron_kerbosch_all(
         return;
     }
     for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v).clone();
+        let nv = g.neighbors(v);
         r.push(v);
-        let mut p2 = &*p & &nv;
-        let mut x2 = &*x & &nv;
+        let mut p2 = &*p & nv;
+        let mut x2 = &*x & nv;
         bron_kerbosch_all(g, r, &mut p2, &mut x2, min_size, out);
         r.pop();
         p.set(v, false);
@@ -127,13 +127,15 @@ fn bron_kerbosch_all(
 
 /// `P \ N(pivot)` where the pivot maximizes `|N(pivot) ∩ P|` over `P ∪ X`
 /// (Tomita-style pivoting; the pivot itself stays a candidate when in `P`).
+/// Ties go to the last maximizer in `P`-then-`X` ascending order, and the
+/// candidates come out ascending.
 fn pivot_candidates(g: &UGraph, p: &BitVec, x: &BitVec) -> Vec<usize> {
     let pivot = p
         .iter_ones()
         .chain(x.iter_ones())
-        .max_by_key(|&u| (g.neighbors(u) & p).count_ones())
+        .max_by_key(|&u| g.neighbors(u).and_count(p))
         .expect("P ∪ X is non-empty here");
-    p.iter_ones().filter(|&v| !g.has_edge(pivot, v)).collect()
+    p.and_not(g.neighbors(pivot)).iter_ones().collect()
 }
 
 /// Greedily extends `seed` to a maximal clique containing it.
@@ -156,11 +158,101 @@ pub fn greedy_extend(g: &UGraph, seed: &[usize]) -> Vec<usize> {
     clique
 }
 
+/// The original Bron–Kerbosch search, kept verbatim as the oracle the
+/// word-level [`max_clique`] is pinned against.
+#[cfg(test)]
+pub(crate) mod seed {
+    use bcc_f2::BitVec;
+
+    use crate::digraph::UGraph;
+
+    pub(crate) fn max_clique(g: &UGraph) -> Vec<usize> {
+        let n = g.n();
+        let mut best: Vec<usize> = Vec::new();
+        let mut r: Vec<usize> = Vec::new();
+        let mut p = BitVec::ones(n);
+        let mut x = BitVec::zeros(n);
+        bron_kerbosch_max(g, &mut r, &mut p, &mut x, &mut best);
+        best.sort_unstable();
+        best
+    }
+
+    fn bron_kerbosch_max(
+        g: &UGraph,
+        r: &mut Vec<usize>,
+        p: &mut BitVec,
+        x: &mut BitVec,
+        best: &mut Vec<usize>,
+    ) {
+        if p.is_zero() && x.is_zero() {
+            if r.len() > best.len() {
+                *best = r.clone();
+            }
+            return;
+        }
+        if r.len() + p.count_ones() <= best.len() {
+            return;
+        }
+        for v in pivot_candidates(g, p, x) {
+            let nv = g.neighbors(v).clone();
+            r.push(v);
+            let mut p2 = &*p & &nv;
+            let mut x2 = &*x & &nv;
+            bron_kerbosch_max(g, r, &mut p2, &mut x2, best);
+            r.pop();
+            p.set(v, false);
+            x.set(v, true);
+        }
+    }
+
+    fn pivot_candidates(g: &UGraph, p: &BitVec, x: &BitVec) -> Vec<usize> {
+        let pivot = p
+            .iter_ones()
+            .chain(x.iter_ones())
+            .max_by_key(|&u| (g.neighbors(u) & p).count_ones())
+            .expect("P ∪ X is non-empty here");
+        p.iter_ones().filter(|&v| !g.has_edge(pivot, v)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `G(n, q)` with `cliques` disjoint planted cliques of `size` each:
+    /// equal sizes make tied maxima, which only the tie-break separates.
+    fn planted_ugraph(seed: u64, n: usize, q: f64, cliques: usize, size: usize) -> UGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = UGraph::random(&mut rng, n, q);
+        let members = rand::seq::index::sample(&mut rng, n, (cliques * size).min(n)).into_vec();
+        for clique in members.chunks(size) {
+            for (a, &u) in clique.iter().enumerate() {
+                for &v in &clique[a + 1..] {
+                    g.set_edge(u, v, true);
+                }
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn max_clique_is_the_seed_search_vertex_for_vertex(
+            seed in any::<u64>(),
+            n in 1usize..90,
+            q in 0.0f64..0.8,
+            cliques in 0usize..4,
+            size in 2usize..9,
+        ) {
+            let g = planted_ugraph(seed, n, q, cliques, size);
+            prop_assert_eq!(max_clique(&g), seed::max_clique(&g));
+        }
+    }
 
     fn path_graph(n: usize) -> UGraph {
         let mut g = UGraph::empty(n);
@@ -237,6 +329,17 @@ mod tests {
         let c = max_clique(&g);
         assert!(is_clique(&g, &c));
         assert!((2..=9).contains(&c.len()), "size {}", c.len());
+    }
+
+    #[test]
+    fn tied_maxima_resolve_like_the_seed_search() {
+        // Two disjoint triangles: the clique returned, not just its size,
+        // must be the seed search's.
+        let mut g = UGraph::empty(6);
+        for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+            g.set_edge(u, v, true);
+        }
+        assert_eq!(max_clique(&g), seed::max_clique(&g));
     }
 
     #[test]

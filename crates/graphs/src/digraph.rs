@@ -126,16 +126,7 @@ impl DiGraph {
     /// `u → v` and `v → u`. A set is a directed clique iff it is a clique
     /// of the mutual graph.
     pub fn mutual_graph(&self) -> UGraph {
-        let n = self.n();
-        let mut g = UGraph::empty(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if self.has_edge(u, v) && self.has_edge(v, u) {
-                    g.set_edge(u, v, true);
-                }
-            }
-        }
-        g
+        UGraph::mutual(&self.adj)
     }
 
     /// The induced subgraph on `vertices` (in the given order), together
@@ -166,6 +157,26 @@ impl UGraph {
         UGraph {
             adj: vec![BitVec::zeros(n); n],
         }
+    }
+
+    /// The mutual graph of a square adjacency matrix `A`: `{u, v}` is an
+    /// edge iff `A[u][v]` and `A[v][u]` — the rows of `A ∧ Aᵀ`, computed
+    /// word by word. The diagonal is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adj` is not square.
+    pub fn mutual(adj: &BitMatrix) -> Self {
+        assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
+        let mut rows: Vec<BitVec> = adj
+            .iter_rows()
+            .zip(adj.transpose().iter_rows())
+            .map(|(row, col)| row & col)
+            .collect();
+        for (u, row) in rows.iter_mut().enumerate() {
+            row.set(u, false);
+        }
+        UGraph { adj: rows }
     }
 
     /// A `G(n, p)` Erdős–Rényi graph.
@@ -309,6 +320,21 @@ mod tests {
         let m = g.mutual_graph();
         assert!(m.has_edge(0, 1));
         assert!(!m.has_edge(1, 2));
+    }
+
+    #[test]
+    fn mutual_graph_matches_the_pairwise_definition() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for n in [1usize, 2, 63, 64, 65, 130] {
+            let g = DiGraph::random(&mut rng, n);
+            let m = g.mutual_graph();
+            for u in 0..n {
+                for v in 0..n {
+                    let both = u != v && g.has_edge(u, v) && g.has_edge(v, u);
+                    assert_eq!(m.has_edge(u, v), both, "{{{u},{v}}} of n = {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! grow the budget (at least doubling) until the half-width meets the
 //! scenario's tolerance or the hard cap binds. Distance workloads
 //! delegate that loop to [`bcc_core::AdaptiveEstimator`]; the others use
-//! the same restart-doubling locally. Because batches share one seed
-//! root, growing the budget replays the earlier draws and extends them,
-//! so the final record is exactly the one-shot run at the final budget —
-//! which is what makes interrupted sweeps resumable bit-for-bit (timing
-//! workloads excepted: wall clocks are not replayable). The exact
-//! workload ([`Workload::WideMessages`]) short-circuits the discipline:
-//! its noise floor is 0, so one batch always meets the tolerance, and its
-//! recorded budget is the walk's reachable-node bound.
+//! the same doubling locally. Because batches share one seed root,
+//! growing the budget reproduces the earlier draws and extends them (the
+//! planted-clique finder continues one trial stream rather than
+//! re-running it), so the final record is exactly the one-shot run at the
+//! final budget — which is what makes interrupted sweeps resumable
+//! bit-for-bit (timing workloads excepted: wall clocks are not
+//! replayable). The exact workload ([`Workload::WideMessages`])
+//! short-circuits the discipline: its noise floor is 0, so one batch
+//! always meets the tolerance, and its recorded budget is the walk's
+//! reachable-node bound.
 
 // bcc-lint: allow(no-wall-clock-in-work-paths, reason = "wall_ms is a reporting-only record field; estimates never depend on it")
 use std::time::Instant;
@@ -24,7 +26,7 @@ use bcc_core::{
     derive_seed, wide_walk_nodes, AdaptiveEstimator, WideExactEstimator, MAX_WIDE_NODES,
 };
 use bcc_f2::{BitMatrix, BitVec};
-use bcc_planted::find::{activation_probability, measure_find};
+use bcc_planted::find::{activation_probability, FindTally};
 use bcc_prg::toy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -393,20 +395,22 @@ fn find_clique(point: &ScenarioPoint, precision: &Precision) -> Outcome {
     let n = point.n;
     let k = point.k as usize;
     let p = activation_probability(n, k);
-    let seed = derive_seed(point.stream_root(), 3);
+    // One stream for every budget: a larger budget extends the smaller
+    // one's tally with the next trials of the stream instead of replaying
+    // it, so no trial is drawn twice and the final result is the one-shot
+    // run at the final budget.
+    let mut rng = StdRng::seed_from_u64(derive_seed(point.stream_root(), 3));
+    let mut tally = FindTally::default();
     let mut trials = precision.initial_samples.min(precision.max_samples);
     loop {
-        // One seed for every budget: a larger run replays the smaller
-        // run's instances and extends them, so the loop is deterministic
-        // and the final result is the one-shot run at the final budget.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stats = measure_find(n, k, p, trials, &mut rng);
-        let successes = (stats.success_rate * trials as f64).round();
+        tally.extend(n, k, p, trials - tally.trials(), &mut rng);
+        let successes = tally.successes() as f64;
         let smoothed = (successes + 1.0) / (trials as f64 + 2.0);
         let half_width = (smoothed * (1.0 - smoothed) / trials as f64).sqrt();
         let met = half_width <= precision.tolerance;
         if met || trials >= precision.max_samples {
-            return Outcome::flat(stats.success_rate, half_width, trials as u64, met);
+            let success_rate = tally.stats().success_rate;
+            return Outcome::flat(success_rate, half_width, trials as u64, met);
         }
         trials = trials.saturating_mul(2).min(precision.max_samples);
     }
@@ -757,6 +761,52 @@ mod tests {
         assert_eq!(a.samples, b.samples);
         assert!(a.estimate > 0.5, "success rate {} too low", a.estimate);
         assert!(a.samples <= 8);
+    }
+
+    #[test]
+    fn find_clique_record_is_the_from_scratch_replay() {
+        // The replaying loop the extended tally replaced: every budget
+        // restarts the stream and re-runs all earlier trials.
+        fn replay(point: &ScenarioPoint, precision: &Precision) -> (f64, f64, u64, bool) {
+            let (n, k) = (point.n, point.k as usize);
+            let p = activation_probability(n, k);
+            let seed = derive_seed(point.stream_root(), 3);
+            let mut trials = precision.initial_samples.min(precision.max_samples);
+            loop {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let stats = bcc_planted::find::measure_find(n, k, p, trials, &mut rng);
+                let successes = (stats.success_rate * trials as f64).round();
+                let smoothed = (successes + 1.0) / (trials as f64 + 2.0);
+                let half_width = (smoothed * (1.0 - smoothed) / trials as f64).sqrt();
+                let met = half_width <= precision.tolerance;
+                if met || trials >= precision.max_samples {
+                    return (stats.success_rate, half_width, trials as u64, met);
+                }
+                trials = trials.saturating_mul(2).min(precision.max_samples);
+            }
+        }
+        // A budget that grows through several doublings (tolerance too
+        // tight to stop early) and one that stops before the cap.
+        for (k, tolerance) in [(40u32, 0.01), (80, 0.2)] {
+            let scenario = Scenario::builder("t")
+                .workload(Workload::FindClique)
+                .n(&[128])
+                .k(&[k])
+                .tolerance(tolerance)
+                .initial_samples(2)
+                .max_samples(16)
+                .build();
+            let p = point(128, k, 1, 5);
+            let record = run_point(&scenario, 0, &p);
+            let (estimate, floor, samples, met) = replay(&p, &scenario.precision());
+            assert_eq!(record.estimate.to_bits(), estimate.to_bits(), "k {k}");
+            assert_eq!(record.noise_floor.to_bits(), floor.to_bits(), "k {k}");
+            assert_eq!(
+                (record.samples, record.met_tolerance),
+                (samples, met),
+                "k {k}"
+            );
+        }
     }
 
     #[test]
