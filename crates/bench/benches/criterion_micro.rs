@@ -4,7 +4,7 @@
 //! of the sampled estimator (comparison sort vs the LSD radix sort).
 
 use bcc_bench::walk_fixtures::{intersect_fixture, shared_family};
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
     exact_comparison, exact_mixture_comparison_mode, exact_mixture_comparison_reference,
     radix_sort_u64, ExecMode, ProductInput,
@@ -51,7 +51,7 @@ fn bench_engine_walk(c: &mut Criterion) {
     let a = ProductInput::uniform(4, 6);
     let b = ProductInput::uniform(4, 6);
     c.bench_function("engine_walk_4proc_8turns", |bch| {
-        bch.iter(|| exact_comparison(&proto, std::hint::black_box(&a), &b))
+        bch.iter(|| exact_comparison(&proto.as_wide(), std::hint::black_box(&a), &b))
     });
 }
 
@@ -72,7 +72,7 @@ fn bench_walk_partition(c: &mut Criterion) {
     group.bench_function("seed/6members_10turns", |b| {
         b.iter(|| {
             exact_mixture_comparison_reference(
-                &proto,
+                &proto.as_wide(),
                 std::hint::black_box(&members),
                 &baseline,
                 ExecMode::Sequential,
@@ -82,7 +82,7 @@ fn bench_walk_partition(c: &mut Criterion) {
     group.bench_function("label_planes/6members_10turns", |b| {
         b.iter(|| {
             exact_mixture_comparison_mode(
-                &proto,
+                &proto.as_wide(),
                 std::hint::black_box(&members),
                 &baseline,
                 ExecMode::Sequential,

@@ -7,6 +7,7 @@
 //! Claim 2 says `|D_p| ≥ 2^{n−j}/n³` except with probability `1/n²`.
 
 use bcc_bench::{banner, check, f, print_table, sci};
+use bcc_congest::TurnProtocol;
 use bcc_core::engine::exact_comparison;
 use bcc_planted::lemmas::{lemma_4_3_sampled, lemma_4_4_mean, random_domain};
 use bcc_planted::{bounds, rand_input};
@@ -84,7 +85,7 @@ fn main() {
         ((input >> bit) ^ twist) & 1 == 1
     });
     let baseline = rand_input(n);
-    let cmp = exact_comparison(&proto, &baseline, &baseline);
+    let cmp = exact_comparison(&proto.as_wide(), &baseline, &baseline);
     let mut rows = Vec::new();
     for round in 0..j {
         // Processor 0's turn at the start of each round: it has spoken

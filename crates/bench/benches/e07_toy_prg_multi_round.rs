@@ -10,7 +10,7 @@
 //! Part 3: Claim 5 — the coset balance `N_b/N_D ≈ ½`.
 
 use bcc_bench::{banner, check, f, print_table, sci};
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{Estimator, ExactEstimator};
 use bcc_planted::bounds;
 use bcc_prg::toy::{claim_5_deviations, family, lemma_6_1_mean, uniform_input};
@@ -42,7 +42,8 @@ fn main() {
             });
             let members = family(n, k);
             let baseline = uniform_input(n, k);
-            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+            let cmp =
+                ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
             let bound = bounds::theorem_5_3(n, k, j as usize);
             rows.push(vec![
                 n.to_string(),

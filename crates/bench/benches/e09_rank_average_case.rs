@@ -12,7 +12,7 @@
 //! bound that contradicts it.
 
 use bcc_bench::{banner, check, f, print_table, rate, sci};
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{Estimator, ExactEstimator};
 use bcc_f2::rank_dist::{empirical_rank_pmf, limit_q, rank_probability};
 use bcc_lab::{Scenario, Workload};
@@ -61,7 +61,8 @@ fn main() {
             });
             let members = toy::family(n, k);
             let baseline = toy::uniform_input(n, k);
-            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+            let cmp =
+                ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
             rows.push(vec![
                 n.to_string(),
                 j.to_string(),

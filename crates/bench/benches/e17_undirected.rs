@@ -9,6 +9,7 @@
 //! predicts the same smallness, which is what we see.
 
 use bcc_bench::{banner, f, print_table};
+use bcc_congest::TurnProtocol;
 use bcc_core::sample::{sampled_comparison_with_in, TranscriptArena};
 use bcc_planted::protocols::{degree_threshold, suspect_intersection};
 use bcc_planted::undirected::{row_dependence, sample_rows_rand, sampled_experiment};
@@ -61,7 +62,7 @@ fn main() {
         let und = sampled_experiment(&p1, n, k, samples, &mut rng);
         let dir = sampled_comparison_with_in(
             &mut arena,
-            &p1,
+            &p1.as_wide(),
             |r| {
                 let g = bcc_graphs::planted::sample_rand(r, n);
                 rows_of_digraph(&g)

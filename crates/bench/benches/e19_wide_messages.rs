@@ -12,7 +12,7 @@
 use bcc_bench::{banner, check, f, print_table, rate, sci};
 use bcc_congest::wide::{FnWideProtocol, PackedAdapter};
 use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
-use bcc_core::{exact_wide_comparison, Estimator, ExactEstimator};
+use bcc_core::{exact_mixture_comparison, Estimator, ExactEstimator};
 use bcc_lab::{Scenario, Workload};
 use bcc_prg::toy;
 use criterion::Throughput;
@@ -60,8 +60,8 @@ fn main() {
             bcc_core::RowSupport::uniform(4),
         ])];
         let baseline = bcc_core::ProductInput::uniform(2, 4);
-        let bit = ExactEstimator::default().estimate_full(&make(w), &members, &baseline);
-        let wide = exact_wide_comparison(&PackedAdapter::new(make(w), w), &members, &baseline);
+        let bit = ExactEstimator::default().estimate_full(&make(w).as_wide(), &members, &baseline);
+        let wide = exact_mixture_comparison(&PackedAdapter::new(make(w), w), &members, &baseline);
         rows.push(vec![
             w.to_string(),
             bit.horizon.to_string(),
@@ -108,7 +108,7 @@ fn main() {
             }
             msg
         });
-        let cmp = exact_wide_comparison(&proto, &members, &baseline);
+        let cmp = exact_mixture_comparison(&proto, &members, &baseline);
         let p = cmp.progress();
         let factor = base_progress.map_or(1.0, |b: f64| p / b);
         if w == 1 {

@@ -6,7 +6,11 @@
 //!
 //! * **partition**: a decomposition-family walk whose members share
 //!   every unplanted row's `Arc` with the baseline, seed walk vs label
-//!   planes (both engines);
+//!   planes (a bit protocol through its width-1 view, and a width-2
+//!   protocol);
+//! * **view cost**: the same bit walk with its decision written natively
+//!   at `w = 1` (`bit_walk/native_w1`), so the width-1 view's overhead
+//!   is on record (`view_vs_native_w1` in the notes);
 //! * **intersect**: one consistent-set split at 2^17-point support with
 //!   512 live points, dense mask vs sparse index list;
 //! * **huge-support**: the 2^18-support/16-live-point walk only the
@@ -28,10 +32,10 @@ use std::time::Instant;
 use bcc_bench::walk_fixtures::{intersect_fixture, shared_family};
 use bcc_bench::{banner, f, print_table};
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    exact_mixture_comparison_mode, exact_mixture_comparison_reference, exact_wide_comparison_mode,
-    exact_wide_comparison_reference, radix_sort_u64_with, ExecMode, ProductInput, RowSupport,
+    exact_mixture_comparison_mode, exact_mixture_comparison_reference, radix_sort_u64_with,
+    ExecMode, ProductInput, RowSupport,
 };
 use bcc_f2::kernel::{Kernel, WordKernel};
 use bcc_f2::ConsistentSet;
@@ -64,6 +68,48 @@ fn measure<T>(
         ns_per_iter: start.elapsed().as_secs_f64() * 1e9 / iters as f64,
         iters,
     }
+}
+
+/// Times `a` and `b` in `rounds` alternating rounds of ~`budget_ms / rounds`
+/// each, so host drift hits both alike. Returns both totals and the
+/// median of the per-round `a / b` time ratios.
+fn measure_paired<T, U>(
+    names: (&'static str, &'static str),
+    rounds: u32,
+    budget_ms: u64,
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> U,
+) -> (Measurement, Measurement, f64) {
+    let slice = budget_ms / u64::from(rounds);
+    let mut rows = Vec::new();
+    for _ in 0..rounds {
+        rows.push((
+            measure(names.0, 1, slice, &mut a),
+            measure(names.1, 1, slice, &mut b),
+        ));
+    }
+    let mut ratios: Vec<f64> = rows
+        .iter()
+        .map(|(x, y)| x.ns_per_iter / y.ns_per_iter)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let total = |name, pick: fn(&(Measurement, Measurement)) -> &Measurement| {
+        let iters: u64 = rows.iter().map(|r| pick(r).iters).sum();
+        let ns: f64 = rows
+            .iter()
+            .map(|r| pick(r).ns_per_iter * pick(r).iters as f64)
+            .sum();
+        Measurement {
+            name,
+            ns_per_iter: ns / iters as f64,
+            iters,
+        }
+    };
+    (
+        total(names.0, |r| &r.0),
+        total(names.1, |r| &r.1),
+        ratios[ratios.len() / 2],
+    )
 }
 
 fn json_escape_free(s: &str) -> &str {
@@ -130,40 +176,56 @@ fn main() {
     let mut measurements: Vec<Measurement> = Vec::new();
     let budget: u64 = if smoke { 40 } else { 400 };
 
-    // -- partition: bit engine, Arc-sharing decomposition family --------
+    // -- partition: width 1, Arc-sharing decomposition family -----------
     let (members, baseline) = shared_family(4, 8, if smoke { 3 } else { 6 });
     let horizon = if smoke { 8 } else { 10 };
     let proto = FnProtocol::new(4, 8, horizon, |proc, input, tr| {
         let mask = 0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2);
         (input & mask).count_ones() % 2 == 1
     });
+    // The same decision written natively at w = 1: what the view costs.
+    let native = FnWideProtocol::new(4, 8, 1, horizon, |proc, input, tr| {
+        let mask = 0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2);
+        u64::from((input & mask).count_ones() % 2 == 1)
+    });
+    let view = proto.as_wide();
     let seed_bit = measure("bit_walk/seed", 3, budget, || {
-        exact_mixture_comparison_reference(&proto, &members, &baseline, ExecMode::Sequential)
+        exact_mixture_comparison_reference(&view, &members, &baseline, ExecMode::Sequential)
     });
-    let new_bit = measure("bit_walk/overhauled", 3, budget, || {
-        exact_mixture_comparison_mode(&proto, &members, &baseline, ExecMode::Sequential)
-    });
-    // Sanity: the two walks must agree exactly before their times mean
+    let (new_bit, native_bit, view_vs_native) = measure_paired(
+        ("bit_walk/overhauled", "bit_walk/native_w1"),
+        5,
+        budget,
+        || exact_mixture_comparison_mode(&view, &members, &baseline, ExecMode::Sequential),
+        || exact_mixture_comparison_mode(&native, &members, &baseline, ExecMode::Sequential),
+    );
+    // Sanity: the walks must agree exactly before their times mean
     // anything.
     {
         let a =
-            exact_mixture_comparison_reference(&proto, &members, &baseline, ExecMode::Sequential);
-        let b = exact_mixture_comparison_mode(&proto, &members, &baseline, ExecMode::Sequential);
+            exact_mixture_comparison_reference(&view, &members, &baseline, ExecMode::Sequential);
+        let b = exact_mixture_comparison_mode(&view, &members, &baseline, ExecMode::Sequential);
+        let c = exact_mixture_comparison_mode(&native, &members, &baseline, ExecMode::Sequential);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
+        assert_eq!(
+            b.tv().to_bits(),
+            c.tv().to_bits(),
+            "view and native disagree"
+        );
     }
     let partition_speedup = seed_bit.ns_per_iter / new_bit.ns_per_iter;
 
-    // -- partition: wide engine ----------------------------------------
+    // -- partition: width 2 ----------------------------------------------
     let (wmembers, wbaseline) = shared_family(3, 8, if smoke { 2 } else { 4 });
     let wproto = FnWideProtocol::new(3, 8, 2, if smoke { 4 } else { 5 }, |proc, input, tr| {
         let mask = 0x6Du64 ^ tr.as_u64() ^ (proc as u64);
         ((input & mask).count_ones() % 2) as u64 * 2 + ((input >> tr.len()) & 1)
     });
     let seed_wide = measure("wide_walk/seed", 3, budget, || {
-        exact_wide_comparison_reference(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
+        exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
     });
     let new_wide = measure("wide_walk/overhauled", 3, budget, || {
-        exact_wide_comparison_mode(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
+        exact_mixture_comparison_mode(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
     });
     let wide_speedup = seed_wide.ns_per_iter / new_wide.ns_per_iter;
 
@@ -256,7 +318,7 @@ fn main() {
     let hbase = ProductInput::uniform(1, hbits);
     let huge = measure("huge_support/overhauled_only", 1, budget, || {
         exact_mixture_comparison_mode(
-            &hproto,
+            &hproto.as_wide(),
             std::slice::from_ref(&ha),
             &hbase,
             ExecMode::Sequential,
@@ -269,6 +331,7 @@ fn main() {
     for m in [
         seed_bit,
         new_bit,
+        native_bit,
         seed_wide,
         new_wide,
         dense_time,
@@ -302,8 +365,9 @@ fn main() {
     );
     println!();
     let mut speedup_rows = vec![
-        vec!["partition (bit engine)".into(), f(partition_speedup)],
-        vec!["partition (wide engine)".into(), f(wide_speedup)],
+        vec!["partition (w = 1 view)".into(), f(partition_speedup)],
+        vec!["partition (w = 2)".into(), f(wide_speedup)],
+        vec!["view vs native (w = 1)".into(), f(view_vs_native)],
         vec!["intersect (dense vs sparse)".into(), f(intersect_speedup)],
     ];
     for (label, x) in [
@@ -331,7 +395,7 @@ fn main() {
     let work_registry = bcc_obs::Registry::new();
     {
         let _scope = work_registry.install();
-        let _ = exact_mixture_comparison_mode(&proto, &members, &baseline, ExecMode::Sequential);
+        let _ = exact_mixture_comparison_mode(&view, &members, &baseline, ExecMode::Sequential);
         let mut keys = radix_keys.clone();
         radix_sort_u64_with(&scalar, &mut keys);
         std::hint::black_box(keys);
@@ -368,6 +432,12 @@ fn main() {
         &measurements,
         &speedups,
         &[
+            (
+                "view_vs_native_w1",
+                format!(
+                    "{view_vs_native:.3} (median of 5 alternating rounds of bit_walk/overhauled over bit_walk/native_w1; 1.0 = free view)"
+                ),
+            ),
             (
                 "huge_support_case",
                 format!(

@@ -12,9 +12,11 @@
 //!   principle the processors are deterministic, and the paper strengthens
 //!   the model so processors speak *in turns*, one bit at a time
 //!   (§1.3, §3: "on the tth turn, processor `(t−1) mod n + 1` gets to send a
-//!   single bit"), which is what the exact transcript-distribution engine in
-//!   `bcc-core` analyzes. A protocol is a pure function
-//!   `fᵢ(input, transcript) → bit`.
+//!   single bit"). A protocol is a pure function
+//!   `fᵢ(input, transcript) → bit`. The exact transcript-distribution
+//!   engine in `bcc-core` analyzes the `BCAST(w)` generalization
+//!   ([`wide`]); a bit protocol enters it as its width-1 view
+//!   [`TurnProtocol::as_wide`].
 //! * **Algorithm protocols** ([`network`]) — the upper-bound side
 //!   (Appendix B clique finding, the PRG construction rounds, Newman
 //!   simulation). Code drives a [`network::Network`] that enforces the

@@ -50,6 +50,14 @@ impl TurnTranscript {
         TurnTranscript { bits, len }
     }
 
+    /// [`TurnTranscript::from_bits`] for callers that already hold its
+    /// invariant (checked in debug builds only).
+    #[inline]
+    pub(crate) fn from_bits_unchecked(bits: u64, len: u32) -> Self {
+        debug_assert!(len <= 64 && (len == 64 || bits >> len == 0));
+        TurnTranscript { bits, len }
+    }
+
     /// The number of turns recorded.
     pub fn len(&self) -> u32 {
         self.len

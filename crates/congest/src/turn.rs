@@ -5,9 +5,11 @@
 //! here: `t mod n`) broadcasts a single bit that may depend on its input
 //! and everything broadcast before. Lower bounds in this stronger model
 //! imply lower bounds for `BCAST(1)`, and any synchronous protocol embeds
-//! into it, so the exact engine in `bcc-core` only ever needs this trait.
+//! into it. The exact engine in `bcc-core` analyzes `BCAST(w)` protocols;
+//! a bit protocol reaches it as the width-1 view [`TurnProtocol::as_wide`].
 
 use crate::transcript::TurnTranscript;
+use crate::wide::AsWide;
 
 /// A deterministic turn-based `BCAST(1)` protocol on packed inputs.
 ///
@@ -40,6 +42,12 @@ pub trait TurnProtocol {
     /// The number of full rounds, `⌈horizon / n⌉`.
     fn rounds(&self) -> u32 {
         (self.horizon() as usize).div_ceil(self.n()) as u32
+    }
+
+    /// This protocol as a width-1 `BCAST(w)` protocol — how bit
+    /// protocols reach the exact engine and the samplers of `bcc-core`.
+    fn as_wide(&self) -> AsWide<'_, Self> {
+        AsWide(self)
     }
 }
 

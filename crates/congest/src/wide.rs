@@ -2,11 +2,14 @@
 //!
 //! Footnotes 1–2 of the paper: lower bounds proven for `BCAST(1)` extend
 //! to `BCAST(log n)` with a `log n` factor in the round count, and all
-//! results generalize to logarithmic message sizes. This module makes the
-//! wide model a first-class object on the lower-bound side, so the exact
-//! engine (in `bcc-core::wide`) can compute transcript distributions with
-//! `w`-bit broadcasts and experiments can compare the two models at equal
-//! information budgets.
+//! results generalize to logarithmic message sizes; `BCAST(1)` is simply
+//! `BCAST(w)` at `w = 1`. This module is the one transcript model the
+//! exact engine and the samplers in `bcc-core` analyze. Bit protocols are
+//! still written as [`TurnProtocol`]s and enter through
+//! [`TurnProtocol::as_wide`], a zero-cost width-1 view ([`AsWide`]): at
+//! `w = 1` a [`WideTranscript`] and a [`TurnTranscript`] share one
+//! packing (bit `t` = turn `t`), so [`WideTranscript::as_bits`] converts
+//! in `O(1)`.
 
 use crate::transcript::TurnTranscript;
 use crate::turn::TurnProtocol;
@@ -120,6 +123,26 @@ impl WideTranscript {
     pub fn as_u64(&self) -> u64 {
         self.bits
     }
+
+    /// This width-1 transcript as a [`TurnTranscript`], in `O(1)`: at
+    /// `w = 1` both packings put turn `t` at bit `t`, and [`push`] has
+    /// already enforced the zero bits beyond the length.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `width == 1`.
+    ///
+    /// [`push`]: WideTranscript::push
+    // Inlined across crates: the exact walk calls this once per live
+    // point per node (through `AsWide::message`).
+    #[inline]
+    pub fn as_bits(&self) -> TurnTranscript {
+        assert_eq!(
+            self.width, 1,
+            "only width-1 transcripts are bit transcripts"
+        );
+        TurnTranscript::from_bits_unchecked(self.bits, self.len)
+    }
 }
 
 /// A deterministic turn-based `BCAST(w)` protocol on packed inputs.
@@ -208,6 +231,39 @@ where
         let m = (self.f)(proc, input, transcript);
         assert!(m < (1u64 << self.width), "message exceeds width");
         m
+    }
+}
+
+/// A [`TurnProtocol`] seen as a width-1 [`WideTurnProtocol`] (built by
+/// [`TurnProtocol::as_wide`]): each message is the bit the protocol
+/// broadcasts, read against the transcript's [`WideTranscript::as_bits`]
+/// view. Runs, walks and samples of the view are bitwise those of the bit
+/// protocol.
+pub struct AsWide<'a, P: ?Sized>(pub(crate) &'a P);
+
+impl<P: TurnProtocol + ?Sized> WideTurnProtocol for AsWide<'_, P> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn input_bits(&self) -> u32 {
+        self.0.input_bits()
+    }
+
+    fn width(&self) -> u32 {
+        1
+    }
+
+    fn horizon(&self) -> u32 {
+        self.0.horizon()
+    }
+
+    fn speaker(&self, t: u32) -> usize {
+        self.0.speaker(t)
+    }
+
+    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
+        u64::from(self.0.bit(proc, input, &transcript.as_bits()))
     }
 }
 

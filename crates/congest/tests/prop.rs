@@ -1,10 +1,43 @@
 //! Property-based tests for the congested-clique model.
 
-use bcc_congest::{is_consistent, run_turn_protocol, FnProtocol, Model, Network, TurnTranscript};
+use bcc_congest::wide::run_wide_protocol;
+use bcc_congest::{
+    is_consistent, run_turn_protocol, FnProtocol, Model, Network, TurnProtocol, TurnTranscript,
+};
+use bcc_core::wide_prefix_key;
 use bcc_f2::BitVec;
 use proptest::prelude::*;
 
 proptest! {
+    #[test]
+    fn width_one_view_runs_bitwise_as_the_bit_protocol(
+        n in 1usize..5,
+        bits in 1u32..8,
+        horizon in 0u32..=64,
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(any::<u64>(), 4),
+    ) {
+        // A random bit protocol: each turn's bit hashes everything the
+        // speaker may look at.
+        let p = FnProtocol::new(n, bits, horizon, move |proc, input, tr| {
+            let h = (seed
+                ^ input
+                ^ ((proc as u64) << 32)
+                ^ (u64::from(tr.len()) << 40)
+                ^ tr.as_u64().rotate_left(7))
+            .wrapping_mul(0x9E3779B97F4A7C15);
+            (h >> 40) & 1 == 1
+        });
+        let inputs: Vec<u64> = raw[..n].iter().map(|x| x & ((1 << bits) - 1)).collect();
+        let bit = run_turn_protocol(&p, &inputs);
+        let wide = run_wide_protocol(&p.as_wide(), &inputs);
+        prop_assert_eq!(wide.as_u64(), bit.as_u64());
+        prop_assert_eq!(wide.len(), bit.len());
+        prop_assert_eq!(wide.as_bits(), bit);
+        // The samplers' key of the view is the bit model's bit reversal.
+        prop_assert_eq!(wide_prefix_key(&wide), bit.as_u64().reverse_bits());
+    }
+
     #[test]
     fn transcript_push_then_read(bits in proptest::collection::vec(any::<bool>(), 0..64)) {
         let mut t = TurnTranscript::empty();

@@ -12,37 +12,41 @@
 //!   (Claims 2, 4 and 6 assert it is rarely much smaller than
 //!   `2^{-j}·|support|` after `j` of the speaker's turns).
 //!
-//! Cost is `O(2^T · Σ_I Σ_i |support|)` for horizon `T` — exponential by
-//! nature (the object itself has `2^T` states), so exact runs are for small
-//! `T`; [`crate::sample`] covers the rest.
+//! There is one engine, over `BCAST(w)` turn protocols
+//! ([`WideTurnProtocol`]); `BCAST(1)` is its width-1 case, and a bit
+//! protocol enters as its zero-cost view
+//! [`as_wide`](bcc_congest::TurnProtocol::as_wide). Cost is
+//! `O(2^{wT} · Σ_I Σ_i |support|)` for horizon `T` — exponential by
+//! nature, so exact runs are for small trees: a walk whose complete turn
+//! tree could exceed [`crate::wide::MAX_WIDE_NODES`] nodes is refused up
+//! front, and [`crate::sample`] covers the rest.
 //!
 //! # Execution strategy
 //!
 //! The walk keeps each processor's *consistent set* `D_p^{(t)}` as a
 //! hybrid dense/sparse [`bcc_f2::ConsistentSet`] over that row's support
-//! points: a word-parallel mask while the set is dense — splitting on a
-//! broadcast bit is two `AND`s against a per-node label plane — demoting
-//! to a sorted index list once few points survive, after which every
-//! operation costs `O(live)`. The protocol's bit function is evaluated
-//! once per `(speaker, support row)` per node, shared across every
-//! distribution whose row points at the same `Arc` allocation.
+//! points and splits the speaker's set on the broadcast message at each
+//! node — at width 1 by two word-parallel `AND`s against a per-node
+//! label plane. The protocol's message function is evaluated once per
+//! `(speaker, support row)` per node, shared across every distribution
+//! whose row points at the same `Arc` allocation.
 //!
 //! The walk itself — alive-set state, label planes, the pooled
 //! zero-allocation workspace, the frontier cut at the adaptive
 //! [`crate::walk::adaptive_split_depth`], the deterministic
 //! in-frontier-order reduction that makes [`ExecMode::Parallel`] bitwise
-//! identical to [`ExecMode::Sequential`] — lives in [`crate::walk`] and
-//! is shared with the `BCAST(w)` engine ([`crate::wide`]); this module
-//! instantiates it at branching factor 2. The [`ExecMode`]-taking entry
-//! point is what [`crate::exec::ExactEstimator`] wraps. The seed
-//! implementation is retained behind
-//! [`exact_mixture_comparison_reference`] as a differential-testing
-//! oracle.
+//! identical to [`ExecMode::Sequential`] — lives in [`crate::walk`]; the
+//! `2^w`-message alphabet it branches over lives in [`crate::wide`]. The
+//! [`ExecMode`]-taking entry point is what
+//! [`crate::exec::ExactEstimator`] wraps. The seed implementation is
+//! retained behind [`exact_mixture_comparison_reference`] as a
+//! differential-testing oracle.
 
-use bcc_congest::{TurnProtocol, TurnTranscript};
+use bcc_congest::wide::WideTurnProtocol;
 
 use crate::input::ProductInput;
-use crate::walk::{adaptive_split_depth, exact_walk, reference, Branching, WalkOutcome};
+use crate::walk::{exact_walk, reference, WalkOutcome};
+use crate::wide::{validate_budget, WideBranching};
 
 pub use crate::walk::{ExecMode, FRACTION_THRESHOLDS, SPLIT_DEPTH};
 
@@ -129,9 +133,8 @@ impl ExactComparison {
 ///
 /// # Panics
 ///
-/// Panics on dimension mismatches or a horizon above 26 turns (the walk is
-/// `Θ(2^T)`).
-pub fn exact_comparison<P: TurnProtocol + Sync + ?Sized>(
+/// As [`exact_mixture_comparison`].
+pub fn exact_comparison<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     a: &ProductInput,
     b: &ProductInput,
@@ -158,8 +161,11 @@ pub fn exact_comparison<P: TurnProtocol + Sync + ?Sized>(
 /// # Panics
 ///
 /// Panics if `members` is empty, the processor counts or input widths
-/// disagree with the protocol, or the horizon exceeds 26 turns.
-pub fn exact_mixture_comparison<P: TurnProtocol + Sync + ?Sized>(
+/// disagree with the protocol, the protocol's width is outside `1..=16`,
+/// or the complete `2^w`-ary turn tree to its horizon could exceed
+/// [`crate::wide::MAX_WIDE_NODES`] (`2^26`) nodes — at width 1, a
+/// horizon above 25 turns.
+pub fn exact_mixture_comparison<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
@@ -174,25 +180,15 @@ pub fn exact_mixture_comparison<P: TurnProtocol + Sync + ?Sized>(
 /// # Panics
 ///
 /// As [`exact_mixture_comparison`].
-pub fn exact_mixture_comparison_mode<P: TurnProtocol + Sync + ?Sized>(
+pub fn exact_mixture_comparison_mode<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
     mode: ExecMode,
 ) -> MixtureComparison {
-    assert!(!members.is_empty(), "need at least one family member");
-    let n = protocol.n();
-    let horizon = protocol.horizon();
-    assert!(horizon <= 26, "exact walk limited to 26 turns (2^T nodes)");
-    for input in members.iter().chain(std::iter::once(baseline)) {
-        assert_eq!(input.n(), n, "processor count mismatch");
-        for row in input.iter_rows() {
-            assert_eq!(row.bits(), protocol.input_bits(), "input width mismatch");
-        }
-    }
-
-    let acc = exact_walk(&BitBranching { protocol }, members, baseline, mode);
-    assemble(protocol, horizon, acc)
+    validate_budget(protocol);
+    let acc = exact_walk(&WideBranching { protocol }, members, baseline, mode);
+    assemble(protocol, acc)
 }
 
 /// [`exact_mixture_comparison_mode`] computed by the retained **seed**
@@ -205,30 +201,25 @@ pub fn exact_mixture_comparison_mode<P: TurnProtocol + Sync + ?Sized>(
 /// # Panics
 ///
 /// As [`exact_mixture_comparison`].
-pub fn exact_mixture_comparison_reference<P: TurnProtocol + Sync + ?Sized>(
+pub fn exact_mixture_comparison_reference<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
     mode: ExecMode,
 ) -> MixtureComparison {
-    let horizon = protocol.horizon();
-    assert!(horizon <= 26, "exact walk limited to 26 turns (2^T nodes)");
-    let acc = reference::exact_walk(&BitBranching { protocol }, members, baseline, mode);
-    assemble(protocol, horizon, acc)
+    validate_budget(protocol);
+    let acc = reference::exact_walk(&WideBranching { protocol }, members, baseline, mode);
+    assemble(protocol, acc)
 }
 
-fn assemble<P: TurnProtocol + ?Sized>(
-    protocol: &P,
-    horizon: u32,
-    acc: WalkOutcome,
-) -> MixtureComparison {
-    let t_len = horizon as usize;
+fn assemble<P: WideTurnProtocol + ?Sized>(protocol: &P, acc: WalkOutcome) -> MixtureComparison {
+    let horizon = protocol.horizon();
     MixtureComparison {
         horizon,
         mixture_tv_by_depth: acc.mixture_tv_by_depth,
         progress_by_depth: acc.progress_by_depth,
         per_member_tv: acc.per_member_tv,
-        speaker_stats: (0..t_len)
+        speaker_stats: (0..horizon as usize)
             .map(|t| SpeakerStats {
                 speaker: protocol.speaker(t as u32),
                 mean_fraction: acc.mean_fraction[t],
@@ -238,66 +229,11 @@ fn assemble<P: TurnProtocol + ?Sized>(
     }
 }
 
-/// The bit model as a [`Branching`] process: two labels per turn, the
-/// speaker's live points labelled by the broadcast bit in one table scan.
-struct BitBranching<'a, P: ?Sized> {
-    protocol: &'a P,
-}
-
-impl<P: TurnProtocol + Sync + ?Sized> Branching for BitBranching<'_, P> {
-    type Prefix = TurnTranscript;
-
-    fn n(&self) -> usize {
-        self.protocol.n()
-    }
-
-    fn input_bits(&self) -> u32 {
-        self.protocol.input_bits()
-    }
-
-    fn horizon(&self) -> u32 {
-        self.protocol.horizon()
-    }
-
-    fn speaker(&self, t: u32) -> usize {
-        self.protocol.speaker(t)
-    }
-
-    fn split_depth(&self) -> u32 {
-        adaptive_split_depth(1)
-    }
-
-    fn binary(&self) -> bool {
-        true
-    }
-
-    fn root(&self) -> TurnTranscript {
-        TurnTranscript::empty()
-    }
-
-    fn extend(&self, prefix: &TurnTranscript, label: u64) -> TurnTranscript {
-        prefix.child(label == 1)
-    }
-
-    fn eval_labels(
-        &self,
-        speaker: usize,
-        points: &[u64],
-        live: &[u32],
-        prefix: &TurnTranscript,
-        out: &mut Vec<u64>,
-    ) {
-        out.extend(
-            live.iter()
-                .map(|&idx| u64::from(self.protocol.bit(speaker, points[idx as usize], prefix))),
-        );
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::input::RowSupport;
-    use bcc_congest::FnProtocol;
+    use bcc_congest::{FnProtocol, TurnProtocol};
 
     fn uniform(n: usize, bits: u32) -> ProductInput {
         ProductInput::uniform(n, bits)
@@ -314,7 +250,7 @@ mod tests {
             RowSupport::explicit(4, vec![1, 2]),
             RowSupport::explicit(4, vec![3, 7, 11]),
         ]);
-        let cmp = exact_comparison(&p, &a, &b);
+        let cmp = exact_comparison(&p.as_wide(), &a, &b);
         for (t, tv) in cmp.tv_by_depth.iter().enumerate() {
             assert!(tv.abs() < 1e-12, "depth {t}: tv {tv}");
         }
@@ -327,7 +263,7 @@ mod tests {
         let p = FnProtocol::new(1, 1, 1, |_, input, _| input == 1);
         let a = uniform(1, 1);
         let b = ProductInput::new(vec![RowSupport::explicit(1, vec![1])]);
-        let cmp = exact_comparison(&p, &a, &b);
+        let cmp = exact_comparison(&p.as_wide(), &a, &b);
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
         assert!(cmp.tv_by_depth[0].abs() < 1e-12);
     }
@@ -344,7 +280,7 @@ mod tests {
             RowSupport::explicit(1, vec![1]),
             RowSupport::explicit(1, vec![0, 1]),
         ]);
-        let cmp = exact_comparison(&p, &a, &b);
+        let cmp = exact_comparison(&p.as_wide(), &a, &b);
         // Input TV: first coordinate differs (1/2 vs 1), second identical:
         // product TV = 1/2.
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
@@ -361,7 +297,7 @@ mod tests {
             RowSupport::explicit(3, vec![0, 3, 5]),
             RowSupport::explicit(3, vec![1, 2, 6, 7]),
         ]);
-        let cmp = exact_comparison(&p, &a, &b);
+        let cmp = exact_comparison(&p.as_wide(), &a, &b);
         for w in cmp.tv_by_depth.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
@@ -375,7 +311,7 @@ mod tests {
         let member0 = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let member1 = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
         let baseline = uniform(1, 2);
-        let cmp = exact_mixture_comparison(&p, &[member0, member1], &baseline);
+        let cmp = exact_mixture_comparison(&p.as_wide(), &[member0, member1], &baseline);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(
                 cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12,
@@ -402,9 +338,9 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 2);
-        let mix = exact_mixture_comparison(&p, &members, &baseline);
+        let mix = exact_mixture_comparison(&p.as_wide(), &members, &baseline);
         for (i, member) in members.iter().enumerate() {
-            let single = exact_comparison(&p, member, &baseline);
+            let single = exact_comparison(&p.as_wide(), member, &baseline);
             assert!(
                 (mix.per_member_tv[i] - single.tv()).abs() < 1e-12,
                 "member {i}"
@@ -418,7 +354,7 @@ mod tests {
         // turns: before its (j+1)-th turn the consistent fraction is 2^-j.
         let p = FnProtocol::new(2, 4, 8, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let a = uniform(2, 4);
-        let cmp = exact_comparison(&p, &a, &a);
+        let cmp = exact_comparison(&p.as_wide(), &a, &a);
         // Turns 0,2,4,6 are processor 0's; before turn 2t it has spoken t
         // bits.
         for (idx, turn) in [0usize, 2, 4, 6].iter().enumerate() {
@@ -439,7 +375,7 @@ mod tests {
         // 2^0 and 2^-1 but not below 2^-2.
         let p = FnProtocol::new(1, 3, 3, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = uniform(1, 3);
-        let cmp = exact_comparison(&p, &a, &a);
+        let cmp = exact_comparison(&p.as_wide(), &a, &a);
         let s = &cmp.speaker_stats[2];
         assert!((s.mass_below[0] - 1.0).abs() < 1e-12);
         assert!((s.mass_below[1] - 1.0).abs() < 1e-12);
@@ -451,7 +387,7 @@ mod tests {
         let p = FnProtocol::new(1, 2, 2, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let b = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
-        let cmp = exact_comparison(&p, &a, &b);
+        let cmp = exact_comparison(&p.as_wide(), &a, &b);
         assert!((cmp.tv() - 1.0).abs() < 1e-12);
     }
 
@@ -471,7 +407,7 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 3);
-        let mix = exact_mixture_comparison(&p, &members, &baseline);
+        let mix = exact_mixture_comparison(&p.as_wide(), &members, &baseline);
         for (t, inc) in mix.progress_increments().iter().enumerate() {
             assert!(*inc >= -1e-12, "turn {t}: negative increment {inc}");
         }
@@ -483,6 +419,6 @@ mod tests {
         let p = FnProtocol::new(1, 2, 1, |_, _, _| false);
         let a = uniform(1, 3);
         let b = uniform(1, 3);
-        let _ = exact_comparison(&p, &a, &b);
+        let _ = exact_comparison(&p.as_wide(), &a, &b);
     }
 }

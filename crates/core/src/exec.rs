@@ -2,32 +2,31 @@
 //!
 //! Every experiment in this workspace ultimately estimates the same
 //! object: the depth profile of `‖P_family^{(t)} − P_baseline^{(t)}‖` for
-//! a turn protocol, a decomposition family `{A_I}` and a baseline. Before
-//! this module existed the callers in `bcc-prg`, `bcc-planted` and
-//! `bcc-bench` each chose by hand among the exact walk
+//! a turn protocol, a decomposition family `{A_I}` and a baseline. Callers
+//! in `bcc-prg`, `bcc-planted`, `bcc-lab` and `bcc-bench` ask an
+//! [`Estimator`] instead of choosing among the exact walk
 //! ([`crate::engine`]), the Monte-Carlo sampler ([`crate::sample`]) and
-//! ad-hoc replay loops. Now they ask an [`Estimator`]:
+//! ad-hoc replay loops by hand:
 //!
 //! * [`ExactEstimator`] — the engine's exact walk, parallel by default
-//!   (subtree fan-out over rayon, deterministic reduction);
-//! * [`SampledEstimator`] — seeded Monte-Carlo over the packed-`u64`
-//!   histogram arena, with the whole depth profile from one sort per
-//!   side.
+//!   (subtree fan-out over rayon, deterministic reduction), refused past
+//!   the node budget [`crate::wide::MAX_WIDE_NODES`];
+//! * [`SampledEstimator`] — seeded Monte-Carlo over packed-`u64` prefix
+//!   keys (`w` bits per turn), with the whole depth profile from one sort
+//!   per side;
+//! * [`AdaptiveEstimator`] — the sampler with a budget that grows until
+//!   the noise floor meets a tolerance
+//!   ([`AdaptiveEstimator::estimate_with_report`] says how it grew).
 //!
-//! Both return a [`DepthProfile`], which carries its [`Provenance`] so
-//! downstream code can ask for the [`DepthProfile::noise_floor`] without
-//! knowing how the numbers were produced. `BCAST(w)` protocols route
-//! through [`WideExactEstimator`] — the wide engine behind the same
-//! `DepthProfile` — or, past the exact engine's node budget, through
-//! [`WideSampledEstimator`] (Monte-Carlo over `w`-bit-per-turn packed
-//! keys), so wide experiments reuse all downstream machinery either way.
-//! [`AdaptiveEstimator`] grows a sampled budget until the noise floor
-//! meets a tolerance, for bit protocols
-//! ([`AdaptiveEstimator::estimate_with_report`]) and wide ones
-//! ([`AdaptiveEstimator::estimate_wide_with_report`]) alike.
+//! All three speak one transcript model, `BCAST(w)` turn protocols
+//! ([`WideTurnProtocol`]), and return a [`DepthProfile`] over turns that
+//! carries its [`Provenance`], so downstream code can ask for the
+//! [`DepthProfile::noise_floor`] without knowing how the numbers were
+//! produced. A `BCAST(1)` protocol is the width-1 case and enters through
+//! its zero-cost view [`as_wide`](bcc_congest::TurnProtocol::as_wide):
 //!
 //! ```
-//! use bcc_congest::FnProtocol;
+//! use bcc_congest::{FnProtocol, TurnProtocol};
 //! use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
 //! use bcc_core::ProductInput;
 //!
@@ -35,13 +34,12 @@
 //! let family = vec![ProductInput::uniform(2, 3)];
 //! let baseline = ProductInput::uniform(2, 3);
 //!
-//! let exact = ExactEstimator::default().estimate_full(&p, &family, &baseline);
-//! let sampled = SampledEstimator::new(4_000, 1).estimate_full(&p, &family, &baseline);
+//! let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &family, &baseline);
+//! let sampled = SampledEstimator::new(4_000, 1).estimate_full(&p.as_wide(), &family, &baseline);
 //! assert!((exact.tv() - sampled.tv()).abs() <= sampled.noise_floor());
 //! ```
 
 use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
-use bcc_congest::{TurnProtocol, TurnTranscript};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
@@ -52,10 +50,9 @@ use bcc_stats::smoothing;
 use crate::engine::{exact_mixture_comparison_mode, SpeakerStats};
 use crate::input::ProductInput;
 use crate::sample::{
-    collect_sorted_keys, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
+    check_key_packing, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
     radix_sort_u64, sorted_depth_stats, sorted_support_union, sorted_tv_at_depth,
 };
-use crate::wide::exact_wide_comparison_mode;
 
 pub use crate::engine::ExecMode;
 pub use bcc_stats::smoothing::TvEstimator;
@@ -298,8 +295,10 @@ pub trait Estimator {
     /// # Panics
     ///
     /// Panics if `members` is empty, dimensions disagree with the
-    /// protocol, or `horizon > protocol.horizon()`.
-    fn estimate<P: TurnProtocol + Sync + ?Sized>(
+    /// protocol, or `horizon > protocol.horizon()`, plus each
+    /// implementation's own limits (the exact walk's node budget, the
+    /// samplers' 64-bit key packing).
+    fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
@@ -308,7 +307,7 @@ pub trait Estimator {
     ) -> DepthProfile;
 
     /// [`estimate`](Estimator::estimate) over the protocol's full horizon.
-    fn estimate_full<P: TurnProtocol + Sync + ?Sized>(
+    fn estimate_full<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
@@ -318,7 +317,7 @@ pub trait Estimator {
     }
 
     /// Convenience for the two-distribution case (`{A}` vs `B`).
-    fn estimate_pair<P: TurnProtocol + Sync + ?Sized>(
+    fn estimate_pair<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         a: &ProductInput,
@@ -329,19 +328,23 @@ pub trait Estimator {
 }
 
 /// A protocol truncated to a shorter horizon (prefixes are protocols too:
-/// the bit functions never look past the transcript they are given).
+/// message functions never look past the transcript they are given).
 struct Truncated<'a, P: ?Sized> {
     inner: &'a P,
     horizon: u32,
 }
 
-impl<P: TurnProtocol + ?Sized> TurnProtocol for Truncated<'_, P> {
+impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for Truncated<'_, P> {
     fn n(&self) -> usize {
         self.inner.n()
     }
 
     fn input_bits(&self) -> u32 {
         self.inner.input_bits()
+    }
+
+    fn width(&self) -> u32 {
+        self.inner.width()
     }
 
     fn horizon(&self) -> u32 {
@@ -352,12 +355,15 @@ impl<P: TurnProtocol + ?Sized> TurnProtocol for Truncated<'_, P> {
         self.inner.speaker(t)
     }
 
-    fn bit(&self, proc: usize, input: u64, transcript: &TurnTranscript) -> bool {
-        self.inner.bit(proc, input, transcript)
+    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
+        self.inner.message(proc, input, transcript)
     }
 }
 
-/// The exact engine as an [`Estimator`].
+/// The exact engine ([`crate::engine`]) as an [`Estimator`]: a
+/// [`DepthProfile`] with [`Provenance::Exact`], refused (panics) when the
+/// complete turn tree to `horizon` exceeds
+/// [`crate::wide::MAX_WIDE_NODES`] nodes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactEstimator {
     /// How subtree tasks execute; [`ExecMode::Parallel`] by default.
@@ -382,7 +388,7 @@ impl ExactEstimator {
 }
 
 impl Estimator for ExactEstimator {
-    fn estimate<P: TurnProtocol + Sync + ?Sized>(
+    fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
@@ -410,123 +416,19 @@ impl Estimator for ExactEstimator {
     }
 }
 
-/// A wide protocol truncated to a shorter horizon (prefixes are protocols
-/// too — message functions never look past the transcript they are
-/// given).
-struct WideTruncated<'a, P: ?Sized> {
-    inner: &'a P,
-    horizon: u32,
-}
-
-impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for WideTruncated<'_, P> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn input_bits(&self) -> u32 {
-        self.inner.input_bits()
-    }
-
-    fn width(&self) -> u32 {
-        self.inner.width()
-    }
-
-    fn horizon(&self) -> u32 {
-        self.horizon
-    }
-
-    fn speaker(&self, t: u32) -> usize {
-        self.inner.speaker(t)
-    }
-
-    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
-        self.inner.message(proc, input, transcript)
-    }
-}
-
-/// The exact `BCAST(w)` engine ([`crate::wide`]) as an estimator.
-///
-/// The [`Estimator`] trait speaks [`TurnProtocol`], so wide protocols get
-/// this sibling type instead of a trait impl — but it returns the same
-/// [`DepthProfile`] (with [`Provenance::Exact`]), so everything
-/// downstream of a profile — `noise_floor()`, provenance checks, lab
-/// records — works unchanged whichever engine produced it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WideExactEstimator {
-    /// How subtree tasks execute; [`ExecMode::Parallel`] by default.
-    pub mode: ExecMode,
-}
-
-impl WideExactEstimator {
-    /// An estimator running subtree tasks on the rayon pool.
-    pub fn parallel() -> Self {
-        WideExactEstimator {
-            mode: ExecMode::Parallel,
-        }
-    }
-
-    /// An estimator running everything on the calling thread. Bitwise
-    /// equal to [`WideExactEstimator::parallel`] results, only slower.
-    pub fn sequential() -> Self {
-        WideExactEstimator {
-            mode: ExecMode::Sequential,
-        }
-    }
-
-    /// Estimates (exactly) the depth profile of the family-vs-baseline
-    /// comparison under `protocol`, up to prefix length `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty, dimensions disagree with the
-    /// protocol, `horizon > protocol.horizon()`, the width is outside
-    /// `1..=16`, or the walk's node budget is exceeded (see
-    /// [`crate::wide::exact_wide_comparison`]).
-    pub fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-        horizon: u32,
-    ) -> DepthProfile {
-        assert!(
-            horizon <= protocol.horizon(),
-            "horizon {horizon} beyond the protocol's {}",
-            protocol.horizon()
-        );
-        let truncated = WideTruncated {
-            inner: protocol,
-            horizon,
-        };
-        let cmp = exact_wide_comparison_mode(&truncated, members, baseline, self.mode);
-        DepthProfile {
-            horizon: cmp.horizon,
-            mixture_tv_by_depth: cmp.mixture_tv_by_depth,
-            progress_by_depth: cmp.progress_by_depth,
-            per_member_tv: cmp.per_member_tv,
-            speaker_stats: cmp.speaker_stats,
-            provenance: Provenance::Exact,
-        }
-    }
-
-    /// [`WideExactEstimator::estimate`] over the protocol's full horizon.
-    pub fn estimate_full<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-    ) -> DepthProfile {
-        self.estimate(protocol, members, baseline, protocol.horizon())
-    }
-}
-
 /// Seeded Monte-Carlo estimation as an [`Estimator`].
 ///
 /// Draws `samples_per_side` transcripts from every family member and from
 /// the baseline, batches them into sorted packed-`u64` histograms (no
-/// per-sample hashing) and reads the whole depth profile off the sorted
-/// keys. The estimator owns its randomness: side `i` of the comparison
-/// (the baseline is side 0, member `i` is side `i + 1`) draws from the
+/// per-sample hashing; keys pack `w` bits per turn,
+/// [`crate::sample::wide_prefix_key`]) and reads the whole depth profile
+/// off the sorted keys. The sampler has no node budget — it is the
+/// backend past the exact walk's — only the key packing limit
+/// `horizon × w ≤ 64`. The profile has `horizon + 1` entries over turns
+/// (depth `t` is the TV after `t` messages, `t·w` bits).
+///
+/// The estimator owns its randomness: side `i` of the comparison (the
+/// baseline is side 0, member `i` is side `i + 1`) draws from the
 /// independent ChaCha stream seeded by [`derive_seed`]`(seed, i)`, so
 /// sides can be sampled in any order — which is what lets
 /// [`ExecMode::Parallel`] fan the family out over rayon while staying
@@ -571,7 +473,7 @@ impl SampledEstimator {
 }
 
 impl Estimator for SampledEstimator {
-    fn estimate<P: TurnProtocol + Sync + ?Sized>(
+    fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
@@ -591,6 +493,8 @@ impl Estimator for SampledEstimator {
             self.samples_per_side > 0,
             "need at least one sample per side"
         );
+        let width = protocol.width();
+        check_key_packing(horizon, width);
         let truncated = Truncated {
             inner: protocol,
             horizon,
@@ -602,146 +506,6 @@ impl Estimator for SampledEstimator {
         // arrays depend only on (side, seed), never on execution order,
         // so the parallel map is bitwise identical to the sequential one
         // (the vendored rayon's collect preserves input order).
-        let sample_side = |side: usize| -> Vec<u64> {
-            let input = if side == 0 {
-                baseline
-            } else {
-                &members[side - 1]
-            };
-            let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(self.seed, side as u64));
-            let mut keys = Vec::new();
-            collect_sorted_keys(
-                &truncated,
-                |r| input.sample(r),
-                samples,
-                &mut rng,
-                &mut keys,
-            );
-            keys
-        };
-        let side_keys: Vec<Vec<u64>> = match self.mode {
-            ExecMode::Parallel => (0..=m)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(sample_side)
-                .collect(),
-            ExecMode::Sequential => (0..=m).map(sample_side).collect(),
-        };
-        let member_refs: Vec<&[u64]> = side_keys[1..].iter().map(Vec::as_slice).collect();
-        let mixture = sorted_mixture(&member_refs);
-        flush_sampled_work(&side_keys, mixture.len());
-        profile_from_sorted_sides(horizon, 1, samples, &side_keys[0], &member_refs, &mixture)
-    }
-}
-
-/// Reports a one-shot sampled run's work into the scope installed on
-/// the calling thread (resolved here, *after* the parallel side
-/// sampling — the counts are slice lengths gathered run-locally, so
-/// they are identical whichever thread drew which side).
-fn flush_sampled_work(side_keys: &[Vec<u64>], mixture_len: usize) {
-    if let Some(obs) = bcc_obs::current() {
-        let side_total: u64 = side_keys.iter().map(|k| k.len() as u64).sum();
-        obs.add("exec.runs", Class::Work, 1);
-        obs.add("exec.samples_drawn", Class::Work, side_total);
-        // Each side's collect sorted its own keys once; the mixture
-        // concatenation is radix-sorted once on top.
-        obs.add(
-            "exec.keys_sorted",
-            Class::Work,
-            side_total + mixture_len as u64,
-        );
-    }
-}
-
-/// Seeded Monte-Carlo estimation for `BCAST(w)` protocols — the sampled
-/// sibling of [`WideExactEstimator`], and the only backend once
-/// `wide_walk_nodes(w, T)` exceeds [`crate::wide::MAX_WIDE_NODES`].
-///
-/// Identical in discipline to [`SampledEstimator`]: side `i` draws
-/// `samples_per_side` transcripts from the ChaCha stream
-/// [`derive_seed`]`(seed, i)` (baseline is side 0), keys pack `w` bits
-/// per turn ([`crate::sample::wide_prefix_key`]), one radix sort per side
-/// yields the whole depth profile, and [`ExecMode::Parallel`] fans sides
-/// out over rayon while staying bitwise identical to the sequential run.
-/// The returned [`DepthProfile`] has `horizon + 1` entries over *wide
-/// turns* (depth `t` is the TV after `t` messages = `t·w` bits) and
-/// carries [`Provenance::Sampled`], so `noise_floor()` reports the
-/// histogram resolution exactly as in the bit model.
-#[derive(Debug, Clone, Copy)]
-pub struct WideSampledEstimator {
-    /// Samples drawn per family member and for the baseline.
-    pub samples_per_side: usize,
-    /// The root seed of the estimator's private randomness.
-    pub seed: u64,
-    /// How the per-side sampling executes; [`ExecMode::Parallel`] by
-    /// default. Both modes produce bitwise-identical profiles.
-    pub mode: ExecMode,
-}
-
-impl WideSampledEstimator {
-    /// An estimator drawing `samples_per_side` transcripts per side from
-    /// ChaCha streams derived from `seed`, sampling sides in parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples_per_side == 0`.
-    pub fn new(samples_per_side: usize, seed: u64) -> Self {
-        assert!(samples_per_side > 0, "need at least one sample per side");
-        WideSampledEstimator {
-            samples_per_side,
-            seed,
-            mode: ExecMode::Parallel,
-        }
-    }
-
-    /// The same estimator forced onto the calling thread. Bitwise equal
-    /// to the parallel results, only slower.
-    pub fn sequential(samples_per_side: usize, seed: u64) -> Self {
-        WideSampledEstimator {
-            mode: ExecMode::Sequential,
-            ..WideSampledEstimator::new(samples_per_side, seed)
-        }
-    }
-
-    /// Estimates the depth profile of the family-vs-baseline comparison
-    /// under `protocol`, up to prefix length `horizon` wide turns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty, `samples_per_side == 0`,
-    /// `horizon > protocol.horizon()`, or `horizon × width` exceeds the
-    /// 64-bit key packing.
-    pub fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-        horizon: u32,
-    ) -> DepthProfile {
-        let _span = bcc_obs::span("exec.sampled");
-        assert!(!members.is_empty(), "need at least one family member");
-        assert!(
-            horizon <= protocol.horizon(),
-            "horizon {horizon} beyond the protocol's {}",
-            protocol.horizon()
-        );
-        // Re-checked here because the fields are public.
-        assert!(
-            self.samples_per_side > 0,
-            "need at least one sample per side"
-        );
-        let width = protocol.width();
-        assert!(
-            u64::from(horizon) * u64::from(width) <= 64,
-            "horizon {horizon} at width {width} exceeds the u64 key packing"
-        );
-        let truncated = WideTruncated {
-            inner: protocol,
-            horizon,
-        };
-        let samples = self.samples_per_side;
-        let m = members.len();
-
         let sample_side = |side: usize| -> Vec<u64> {
             let input = if side == 0 {
                 baseline
@@ -779,22 +543,30 @@ impl WideSampledEstimator {
             &mixture,
         )
     }
+}
 
-    /// [`WideSampledEstimator::estimate`] over the protocol's full
-    /// horizon.
-    pub fn estimate_full<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-    ) -> DepthProfile {
-        self.estimate(protocol, members, baseline, protocol.horizon())
+/// Reports a one-shot sampled run's work into the scope installed on
+/// the calling thread (resolved here, *after* the parallel side
+/// sampling — the counts are slice lengths gathered run-locally, so
+/// they are identical whichever thread drew which side).
+fn flush_sampled_work(side_keys: &[Vec<u64>], mixture_len: usize) {
+    if let Some(obs) = bcc_obs::current() {
+        let side_total: u64 = side_keys.iter().map(|k| k.len() as u64).sum();
+        obs.add("exec.runs", Class::Work, 1);
+        obs.add("exec.samples_drawn", Class::Work, side_total);
+        // Each side's collect sorted its own keys once; the mixture
+        // concatenation is radix-sorted once on top.
+        obs.add(
+            "exec.keys_sorted",
+            Class::Work,
+            side_total + mixture_len as u64,
+        );
     }
 }
 
 /// Reads a whole [`DepthProfile`] off per-side *sorted* prefix-key
-/// arrays — the shared back half of the sampled estimators (bit and
-/// wide: a turn at width `w` spans `bits_per_turn = w` key bits). The
+/// arrays — the shared back half of the sampled estimators (a turn at
+/// width `w` spans `bits_per_turn = w` key bits). The
 /// caller supplies the sorted mixture histogram (the multiset union of
 /// every member's keys): the one-shot estimators sort the concatenation
 /// once, while [`AdaptiveEstimator`] maintains it incrementally across
@@ -1011,43 +783,17 @@ impl AdaptiveEstimator {
     }
 
     /// [`Estimator::estimate`] plus the [`AdaptiveReport`] saying how the
-    /// budget grew and whether the tolerance was met.
-    pub fn estimate_with_report<P: TurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-        horizon: u32,
-    ) -> (DepthProfile, AdaptiveReport) {
-        self.validate(members.len(), horizon, protocol.horizon());
-        let truncated = Truncated {
-            inner: protocol,
-            horizon,
-        };
-        self.run_adaptive(horizon, 1, members.len(), |side, sampler, delta| {
-            let input = if side == 0 {
-                baseline
-            } else {
-                &members[side - 1]
-            };
-            sampler.extend_with(delta, |rng, delta, chunk| {
-                collect_sorted_keys(&truncated, |r| input.sample(r), delta, rng, chunk);
-            });
-        })
-    }
-
-    /// The `BCAST(w)` twin of [`AdaptiveEstimator::estimate_with_report`]:
-    /// the same incremental batch discipline over wide-transcript keys
-    /// (`w` bits per turn), returning a depth profile over *wide turns*.
-    /// Bitwise identical to a one-shot [`WideSampledEstimator`] at the
-    /// final budget, which is what keeps `bcc-lab`'s sampled wide sweeps
-    /// resumable bit-for-bit.
+    /// budget grew and whether the tolerance was met. The profile is
+    /// bitwise a one-shot [`SampledEstimator`]'s at the final budget,
+    /// which is what keeps `bcc-lab`'s sampled sweeps resumable
+    /// bit-for-bit.
     ///
     /// # Panics
     ///
-    /// As [`AdaptiveEstimator::estimate_with_report`], plus if
-    /// `horizon × width` exceeds the 64-bit key packing.
-    pub fn estimate_wide_with_report<P: WideTurnProtocol + Sync + ?Sized>(
+    /// Panics if `members` is empty, `horizon > protocol.horizon()`, the
+    /// budget fields are inconsistent, or `horizon × width` exceeds the
+    /// 64-bit key packing.
+    pub fn estimate_with_report<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
@@ -1056,11 +802,8 @@ impl AdaptiveEstimator {
     ) -> (DepthProfile, AdaptiveReport) {
         self.validate(members.len(), horizon, protocol.horizon());
         let width = protocol.width();
-        assert!(
-            u64::from(horizon) * u64::from(width) <= 64,
-            "horizon {horizon} at width {width} exceeds the u64 key packing"
-        );
-        let truncated = WideTruncated {
+        check_key_packing(horizon, width);
+        let truncated = Truncated {
             inner: protocol,
             horizon,
         };
@@ -1307,7 +1050,7 @@ impl SideSampler {
 }
 
 impl Estimator for AdaptiveEstimator {
-    fn estimate<P: TurnProtocol + Sync + ?Sized>(
+    fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
@@ -1324,7 +1067,7 @@ mod tests {
     use super::*;
     use crate::engine::exact_mixture_comparison;
     use crate::input::RowSupport;
-    use bcc_congest::FnProtocol;
+    use bcc_congest::{FnProtocol, TurnProtocol};
 
     fn reveal_protocol(n: usize, bits: u32, horizon: u32) -> impl TurnProtocol {
         FnProtocol::new(n, bits, horizon, |_, input, tr| {
@@ -1350,8 +1093,8 @@ mod tests {
     fn exact_estimator_matches_engine() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let engine = exact_mixture_comparison(&p, &members, &baseline);
-        let profile = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let engine = exact_mixture_comparison(&p.as_wide(), &members, &baseline);
+        let profile = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
         assert!(profile.is_exact());
         assert_eq!(profile.noise_floor(), 0.0);
         assert_eq!(
@@ -1366,8 +1109,8 @@ mod tests {
     fn truncated_horizon_prefixes_the_full_profile() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let full = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        let half = ExactEstimator::default().estimate(&p, &members, &baseline, 3);
+        let full = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let half = ExactEstimator::default().estimate(&p.as_wide(), &members, &baseline, 3);
         assert_eq!(half.horizon, 3);
         assert_eq!(half.mixture_tv_by_depth.len(), 4);
         for t in 0..=3 {
@@ -1382,10 +1125,10 @@ mod tests {
     fn sampled_estimator_is_reproducible_and_close_to_exact() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
         let est = SampledEstimator::new(20_000, 0x5EED);
-        let a = est.estimate_full(&p, &members, &baseline);
-        let b = est.estimate_full(&p, &members, &baseline);
+        let a = est.estimate_full(&p.as_wide(), &members, &baseline);
+        let b = est.estimate_full(&p.as_wide(), &members, &baseline);
         assert_eq!(
             a.tv().to_bits(),
             b.tv().to_bits(),
@@ -1411,7 +1154,8 @@ mod tests {
     fn sampled_profile_shape_matches_request() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(2_000, 1).estimate(&p, &members, &baseline, 4);
+        let profile =
+            SampledEstimator::new(2_000, 1).estimate(&p.as_wide(), &members, &baseline, 4);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -1439,15 +1183,16 @@ mod tests {
             seed: 1,
             mode: ExecMode::Parallel,
         };
-        let _ = est.estimate_full(&p, &members, &baseline);
+        let _ = est.estimate_full(&p.as_wide(), &members, &baseline);
     }
 
     #[test]
     fn sampled_parallel_matches_sequential_bitwise() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let par = SampledEstimator::new(4_000, 9).estimate_full(&p, &members, &baseline);
-        let seq = SampledEstimator::sequential(4_000, 9).estimate_full(&p, &members, &baseline);
+        let par = SampledEstimator::new(4_000, 9).estimate_full(&p.as_wide(), &members, &baseline);
+        let seq =
+            SampledEstimator::sequential(4_000, 9).estimate_full(&p.as_wide(), &members, &baseline);
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1484,14 +1229,17 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.2, 100, 1 << 20, 0x5EED);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
         assert!(report.met_tolerance, "report: {report:?}");
         assert!(profile.noise_floor() <= 0.2);
         assert!(report.samples_per_side < 1 << 20, "cap should not bind");
         // The adaptive result is bitwise the one-shot estimate at the
         // final budget — the property sweep resumption relies on.
-        let one_shot = SampledEstimator::new(report.samples_per_side, 0x5EED)
-            .estimate_full(&p, &members, &baseline);
+        let one_shot = SampledEstimator::new(report.samples_per_side, 0x5EED).estimate_full(
+            &p.as_wide(),
+            &members,
+            &baseline,
+        );
         assert_eq!(profile.tv().to_bits(), one_shot.tv().to_bits());
         assert_eq!(profile.progress().to_bits(), one_shot.progress().to_bits());
     }
@@ -1501,8 +1249,8 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.15, 64, 1 << 18, 42);
-        let (a, ra) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
-        let (b, rb) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (a, ra) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (b, rb) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
         assert_eq!(ra, rb);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits());
     }
@@ -1513,7 +1261,7 @@ mod tests {
         let (members, baseline) = family();
         // Tolerance no sampled run can meet: the cap must stop the growth.
         let adaptive = AdaptiveEstimator::new(1e-6, 50, 400, 3);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
         assert!(!report.met_tolerance);
         assert_eq!(report.samples_per_side, 400);
         assert!(profile.noise_floor() > 1e-6);
@@ -1533,7 +1281,8 @@ mod tests {
         // samples each exceeds the per-side budget, so the unclamped
         // plug-in scale sqrt(support / 8) would sit above 1 — vacuous
         // for a distance bounded by 1.
-        let profile = SampledEstimator::new(8, 0xC1A).estimate_full(&p, &members, &baseline);
+        let profile =
+            SampledEstimator::new(8, 0xC1A).estimate_full(&p.as_wide(), &members, &baseline);
         let Provenance::Sampled {
             samples_per_side,
             support_seen,
@@ -1581,7 +1330,8 @@ mod tests {
     fn depth_floors_are_monotone_and_bound_the_headline_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(2_000, 0x0DD).estimate_full(&p, &members, &baseline);
+        let profile =
+            SampledEstimator::new(2_000, 0x0DD).estimate_full(&p.as_wide(), &members, &baseline);
         for t in 1..=profile.horizon {
             assert!(
                 profile.noise_floor_at(t) >= profile.noise_floor_at(t - 1),
@@ -1601,7 +1351,8 @@ mod tests {
     fn resolved_horizon_is_the_deepest_depth_meeting_the_tolerance() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(64, 0xFAB).estimate_full(&p, &members, &baseline);
+        let profile =
+            SampledEstimator::new(64, 0xFAB).estimate_full(&p.as_wide(), &members, &baseline);
         // Pick a tolerance strictly between the shallowest and deepest
         // floors so the resolved horizon is a proper prefix.
         let tol = (profile.noise_floor_at(0) + profile.noise_floor()) / 2.0;
@@ -1612,7 +1363,7 @@ mod tests {
         }
         assert!(profile.noise_floor_at(resolved + 1) > tol);
         // Exact profiles resolve everything.
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
         assert_eq!(exact.resolved_horizon(0.0), exact.horizon);
     }
 
@@ -1620,7 +1371,8 @@ mod tests {
     fn smoothed_profiles_subtract_singletons_and_never_raise_the_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let plugin = SampledEstimator::new(64, 0x6007).estimate_full(&p, &members, &baseline);
+        let plugin =
+            SampledEstimator::new(64, 0x6007).estimate_full(&p.as_wide(), &members, &baseline);
         let smoothed = plugin.smoothed();
         let Provenance::Sampled { estimator, .. } = smoothed.provenance else {
             panic!("sampled run");
@@ -1647,7 +1399,7 @@ mod tests {
         // sharper than the plug-in one, not just no worse.
         assert!(smoothed.noise_floor() < plugin.noise_floor());
         // Exact profiles need no smoothing.
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
         assert_eq!(
             exact.smoothed().mixture_tv_by_depth,
             exact.mixture_tv_by_depth
@@ -1663,8 +1415,8 @@ mod tests {
         // unmet, the truncated rule stops early and met.
         let legacy = AdaptiveEstimator::new(0.3, 32, 512, 0x77);
         let truncated = legacy.with_truncated_target();
-        let (lp, lr) = legacy.estimate_with_report(&p, &members, &baseline, 6);
-        let (tp, tr) = truncated.estimate_with_report(&p, &members, &baseline, 6);
+        let (lp, lr) = legacy.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (tp, tr) = truncated.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
         assert!(!lr.met_tolerance, "full-horizon target is unreachable here");
         assert_eq!(lr.samples_per_side, 512, "legacy spends the whole cap");
         assert!(lp.noise_floor() > 0.3);
@@ -1679,8 +1431,11 @@ mod tests {
         assert!(tp.resolved_horizon(0.3) >= 1, "a nonempty prefix resolved");
         // The truncated run is still bitwise the one-shot at its final
         // budget — truncation changes when to stop, never the numbers.
-        let one_shot =
-            SampledEstimator::new(tr.samples_per_side, 0x77).estimate_full(&p, &members, &baseline);
+        let one_shot = SampledEstimator::new(tr.samples_per_side, 0x77).estimate_full(
+            &p.as_wide(),
+            &members,
+            &baseline,
+        );
         for t in 0..tp.mixture_tv_by_depth.len() {
             assert_eq!(
                 tp.mixture_tv_by_depth[t].to_bits(),
@@ -1707,7 +1462,7 @@ mod tests {
             let growths_of = |est: &AdaptiveEstimator| {
                 let registry = bcc_obs::Registry::new();
                 let scope = registry.install();
-                let (_, report) = est.estimate_with_report(&p, &members, &baseline, 6);
+                let (_, report) = est.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
                 drop(scope);
                 (
                     registry
@@ -1740,7 +1495,7 @@ mod tests {
         let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.0, 32, 128, 5);
-        let (_, report) = adaptive.estimate_with_report(&p, &members, &baseline, 4);
+        let (_, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 4);
         assert_eq!(report.samples_per_side, 128);
         assert!(!report.met_tolerance);
         // Growth is geometric (with projection jumps), so the batch count
@@ -1758,14 +1513,15 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
         assert!(report.batches > 1, "want a multi-batch run: {report:?}");
         assert_eq!(report.samples_per_side, 2048);
         assert_eq!(
             report.samples_drawn, report.samples_per_side,
             "incremental batches must not re-simulate earlier samples"
         );
-        let one_shot = SampledEstimator::new(2048, 0xFEED).estimate_full(&p, &members, &baseline);
+        let one_shot =
+            SampledEstimator::new(2048, 0xFEED).estimate_full(&p.as_wide(), &members, &baseline);
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
                 profile.mixture_tv_by_depth[t].to_bits(),
@@ -1791,8 +1547,8 @@ mod tests {
             mode: ExecMode::Sequential,
             ..par
         };
-        let (pp, rp) = par.estimate_with_report(&p, &members, &baseline, 6);
-        let (sp, rs) = seq.estimate_with_report(&p, &members, &baseline, 6);
+        let (pp, rp) = par.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (sp, rs) = seq.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -1815,8 +1571,8 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let exact = WideExactEstimator::default().estimate_full(&p, &members, &baseline);
-        let est = WideSampledEstimator::new(20_000, 0x5EED);
+        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let est = SampledEstimator::new(20_000, 0x5EED);
         let a = est.estimate_full(&p, &members, &baseline);
         let b = est.estimate_full(&p, &members, &baseline);
         assert_eq!(
@@ -1844,7 +1600,7 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let profile = WideSampledEstimator::new(2_000, 1).estimate(&p, &members, &baseline, 4);
+        let profile = SampledEstimator::new(2_000, 1).estimate(&p, &members, &baseline, 4);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -1859,8 +1615,8 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 3, 5, |_, input, tr| (input >> (tr.len() % 2)) & 0b111);
         let (members, baseline) = family();
-        let par = WideSampledEstimator::new(4_000, 9).estimate_full(&p, &members, &baseline);
-        let seq = WideSampledEstimator::sequential(4_000, 9).estimate_full(&p, &members, &baseline);
+        let par = SampledEstimator::new(4_000, 9).estimate_full(&p, &members, &baseline);
+        let seq = SampledEstimator::sequential(4_000, 9).estimate_full(&p, &members, &baseline);
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1886,7 +1642,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_sample_wide_estimator_rejected() {
-        let _ = WideSampledEstimator::new(0, 1);
+        let _ = SampledEstimator::new(0, 1);
     }
 
     #[test]
@@ -1897,15 +1653,14 @@ mod tests {
         // Unreachable tolerance, cap binds: forces a multi-batch run, the
         // regime where incremental merging could diverge from one-shot.
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
-        let (profile, report) = adaptive.estimate_wide_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
         assert!(report.batches > 1, "want a multi-batch run: {report:?}");
         assert_eq!(report.samples_per_side, 2048);
         assert_eq!(
             report.samples_drawn, report.samples_per_side,
             "incremental batches must not re-simulate earlier samples"
         );
-        let one_shot =
-            WideSampledEstimator::new(2048, 0xFEED).estimate_full(&p, &members, &baseline);
+        let one_shot = SampledEstimator::new(2048, 0xFEED).estimate_full(&p, &members, &baseline);
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
                 profile.mixture_tv_by_depth[t].to_bits(),
@@ -1928,7 +1683,7 @@ mod tests {
         let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.2, 100, 1 << 20, 0x5EED);
-        let (profile, report) = adaptive.estimate_wide_with_report(&p, &members, &baseline, 4);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 4);
         assert!(report.met_tolerance, "report: {report:?}");
         assert!(profile.noise_floor() <= 0.2);
         assert!(report.samples_per_side < 1 << 20, "cap should not bind");
@@ -1944,8 +1699,8 @@ mod tests {
             mode: ExecMode::Sequential,
             ..par
         };
-        let (pp, rp) = par.estimate_wide_with_report(&p, &members, &baseline, 6);
-        let (sp, rs) = seq.estimate_wide_with_report(&p, &members, &baseline, 6);
+        let (pp, rp) = par.estimate_with_report(&p, &members, &baseline, 6);
+        let (sp, rs) = seq.estimate_with_report(&p, &members, &baseline, 6);
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -1980,26 +1735,22 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let _ = WideSampledEstimator::new(10, 1).estimate_full(
-            &Overflowing,
-            std::slice::from_ref(&a),
-            &a,
-        );
+        let _ =
+            SampledEstimator::new(10, 1).estimate_full(&Overflowing, std::slice::from_ref(&a), &a);
     }
 
     #[test]
     fn wide_estimator_matches_the_wide_engine_and_is_exact() {
-        use crate::wide::exact_wide_comparison;
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let engine = exact_wide_comparison(&p, &members, &baseline);
-        let profile = WideExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let engine = exact_mixture_comparison(&p, &members, &baseline);
+        let profile = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         assert!(profile.is_exact());
         assert_eq!(profile.noise_floor(), 0.0);
         assert_eq!(
             profile.mixture_tv_by_depth, engine.mixture_tv_by_depth,
-            "estimator must be a thin wrapper over the wide engine"
+            "estimator must be a thin wrapper over the engine"
         );
         assert_eq!(profile.per_member_tv, engine.per_member_tv);
         assert_eq!(profile.speaker_stats.len(), engine.speaker_stats.len());
@@ -2010,8 +1761,8 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let full = WideExactEstimator::default().estimate_full(&p, &members, &baseline);
-        let half = WideExactEstimator::default().estimate(&p, &members, &baseline, 3);
+        let full = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let half = ExactEstimator::default().estimate(&p, &members, &baseline, 3);
         assert_eq!(half.horizon, 3);
         assert_eq!(half.mixture_tv_by_depth.len(), 4);
         for t in 0..=3 {
@@ -2028,7 +1779,7 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, _| input & 0b11);
         let (members, baseline) = family();
-        let _ = WideExactEstimator::default().estimate(&p, &members, &baseline, 5);
+        let _ = ExactEstimator::default().estimate(&p, &members, &baseline, 5);
     }
 
     #[test]
@@ -2036,6 +1787,29 @@ mod tests {
     fn over_long_horizon_rejected() {
         let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
-        let _ = ExactEstimator::default().estimate(&p, &members, &baseline, 5);
+        let _ = ExactEstimator::default().estimate(&p.as_wide(), &members, &baseline, 5);
+    }
+
+    #[test]
+    fn exact_estimator_accepts_a_bit_protocol_at_the_node_budget() {
+        // Width 1, horizon 25: 2^26 - 1 potential nodes, the deepest bit
+        // walk the budget admits. The single input bit pins after one
+        // turn, so the live tree is tiny.
+        let p = FnProtocol::new(1, 1, 25, |_, input, _| input == 1);
+        let a = ProductInput::uniform(1, 1);
+        let profile =
+            ExactEstimator::default().estimate_full(&p.as_wide(), std::slice::from_ref(&a), &a);
+        assert_eq!(profile.horizon, 25);
+        assert!(profile.tv().abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 67108864-node budget")]
+    fn exact_estimator_refuses_a_bit_protocol_past_the_node_budget() {
+        // Horizon 26 prices 2^27 - 1 potential nodes: refused by the same
+        // guard as every width, before any walking.
+        let p = FnProtocol::new(1, 1, 26, |_, input, _| input == 1);
+        let a = ProductInput::uniform(1, 1);
+        let _ = ExactEstimator::default().estimate_full(&p.as_wide(), std::slice::from_ref(&a), &a);
     }
 }

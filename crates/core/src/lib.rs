@@ -24,14 +24,22 @@
 //! Claims 2/4/6, all in one pass. [`sample`] provides the Monte-Carlo
 //! estimator used beyond exact reach.
 //!
+//! There is one transcript model: the engine, the samplers and the
+//! estimators all take `BCAST(w)` turn protocols
+//! ([`bcc_congest::wide::WideTurnProtocol`]), and `BCAST(1)` is the
+//! width-1 case (footnote 2 of the paper). Bit protocols are still
+//! written as [`bcc_congest::TurnProtocol`]s and enter through the
+//! zero-cost width-1 view [`as_wide`](bcc_congest::TurnProtocol::as_wide).
+//!
 //! Input distributions enter as [`input::ProductInput`] — one uniform
 //! support per processor ([`input::RowSupport`]); `bcc-planted` and
 //! `bcc-prg` build these for the planted-clique and PRG families.
 //!
 //! Callers normally go through the unified execution backend in [`exec`]:
-//! an [`exec::Estimator`] (exact or sampled) turns a `(protocol, family,
-//! baseline, horizon)` query into a [`exec::DepthProfile`], so experiment
-//! code never chooses between the engine and the sampler by hand.
+//! an [`exec::Estimator`] (exact, sampled or adaptive) turns a
+//! `(protocol, family, baseline, horizon)` query into a
+//! [`exec::DepthProfile`], so experiment code never chooses between the
+//! engine and the sampler by hand.
 
 #![forbid(unsafe_code)]
 
@@ -49,15 +57,12 @@ pub use engine::{
 };
 pub use exec::{
     derive_seed, AdaptiveEstimator, AdaptiveReport, DepthProfile, Estimator, ExactEstimator,
-    Provenance, SampledEstimator, WideExactEstimator, WideSampledEstimator,
+    Provenance, SampledEstimator,
 };
 pub use input::{ProductInput, RowSupport};
 pub use sample::{
     keys_merged_total, keys_sorted_total, radix_sort_u64, radix_sort_u64_with, sampled_comparison,
-    sampled_comparison_with, sampled_wide_comparison, wide_prefix_key, TranscriptArena,
+    sampled_comparison_with, wide_prefix_key, TranscriptArena,
 };
 pub use walk::{adaptive_split_depth, split_depth_for_threads, MAX_SPLIT_DEPTH, SPLIT_DEPTH};
-pub use wide::{
-    exact_wide_comparison, exact_wide_comparison_mode, exact_wide_comparison_reference,
-    wide_walk_nodes, WideComparison, MAX_WIDE_NODES,
-};
+pub use wide::{wide_walk_nodes, MAX_WIDE_NODES};

@@ -1,32 +1,27 @@
 //! Monte-Carlo transcript-distance estimation for instances beyond exact
 //! reach.
 //!
-//! With `T ≤ 64` turns a transcript packs into a `u64`, so the empirical
-//! transcript histograms are exact objects and the only error is sampling
-//! noise (`≈ sqrt(|support| / samples)` upward bias on TV). Every estimate
-//! reports a Hoeffding-style radius through the returned sample counts.
+//! With `T·w ≤ 64` transcript bits a transcript packs into a `u64`, so
+//! the empirical transcript histograms are exact objects and the only
+//! error is sampling noise (`≈ sqrt(|support| / samples)` upward bias on
+//! TV). Every estimate reports a Hoeffding-style radius through the
+//! returned sample counts.
 //!
 //! # Histogram representation
 //!
 //! Transcripts are batched into a reusable [`TranscriptArena`] of packed
-//! `u64` keys and *sorted* — no per-sample hashing. A key stores turn `t`
-//! at bit `63 − t` (the bit-reversed packing), so the keys of any prefix
-//! length group contiguously under the full-key sort order: one sort pays
+//! `u64` keys and *sorted* — no per-sample hashing. [`wide_prefix_key`]
+//! stores turn `t`'s `w`-bit message in bits `[64 − (t+1)·w, 64 − t·w)`
+//! — turn-major from the top of the key — so the keys of any prefix
+//! length group contiguously under the full-key sort order, and a TV
+//! merge at turn depth `t` is a merge at *bit* depth `t·w`: one sort pays
 //! for TV merges at every depth, which is what
 //! [`crate::exec::SampledEstimator`] exploits for whole depth profiles.
-//! The sort itself is [`radix_sort_u64`], an LSD radix sort that skips
-//! the constant low bytes the bit-reversed packing produces.
-//!
-//! # Wide transcripts
-//!
-//! `BCAST(w)` transcripts get the same treatment at `w` bits per turn:
-//! [`wide_prefix_key`] stores turn `t`'s message in bits
-//! `[64 − (t+1)·w, 64 − t·w)` — turn-major from the top of the key — so
-//! `t`-turn prefixes again group contiguously and a TV merge at turn
-//! depth `t` is a merge at *bit* depth `t·w`. At `w = 1` this packing is
-//! exactly [`prefix_key`]'s bit-reversal, which is what pins the width-1
-//! wide sampler to the bit sampler bit for bit
-//! (`crates/core/tests/differential.rs`).
+//! At `w = 1` the key is the transcript's bit reversal (turn `t` at bit
+//! `63 − t`), so a bit protocol's width-1 view
+//! ([`as_wide`](bcc_congest::TurnProtocol::as_wide)) samples exactly as
+//! the bit model would. The sort itself is [`radix_sort_u64`], an LSD
+//! radix sort that skips the constant low bytes this packing produces.
 
 use bcc_congest::turn::run_turn_protocol;
 use bcc_congest::wide::{run_wide_protocol, WideTranscript, WideTurnProtocol};
@@ -52,18 +47,11 @@ impl TranscriptArena {
     }
 }
 
-/// Packs a transcript's bits with turn `t` at bit `63 − t`, so prefixes
-/// order contiguously (see the module docs).
-#[inline]
-pub(crate) fn prefix_key(packed_transcript: u64) -> u64 {
-    packed_transcript.reverse_bits()
-}
-
 /// Packs a wide transcript with turn `t`'s `w`-bit message at bits
 /// `[64 − (t+1)·w, 64 − t·w)` (turn-major from the top), so `t`-turn
 /// prefixes group contiguously under the full-key sort order at bit depth
-/// `t·w`. The width-1 packing coincides with [`prefix_key`] of the
-/// single-bit transcript.
+/// `t·w`. At width 1 this is the bit reversal of
+/// [`WideTranscript::as_u64`].
 #[inline]
 pub fn wide_prefix_key(transcript: &WideTranscript) -> u64 {
     let width = transcript.width();
@@ -74,49 +62,10 @@ pub fn wide_prefix_key(transcript: &WideTranscript) -> u64 {
     key
 }
 
-/// Fills `out` with `samples` sorted keys drawn by `draw` — the generic
-/// core of [`collect_sorted_keys`] and [`collect_sorted_wide_keys`], and
-/// the per-batch chunk collector of the adaptive estimators.
-pub(crate) fn collect_sorted_keys_with<R, F>(
-    mut draw: F,
-    samples: usize,
-    rng: &mut R,
-    out: &mut Vec<u64>,
-) where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R) -> u64,
-{
-    out.clear();
-    out.reserve(samples);
-    for _ in 0..samples {
-        out.push(draw(rng));
-    }
-    radix_sort_u64(out);
-}
-
-/// Fills `out` with `samples` sorted prefix keys of `protocol` run on
-/// inputs drawn from `sampler`.
-pub(crate) fn collect_sorted_keys<P, R, F>(
-    protocol: &P,
-    mut sampler: F,
-    samples: usize,
-    rng: &mut R,
-    out: &mut Vec<u64>,
-) where
-    P: TurnProtocol + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&mut R) -> Vec<u64>,
-{
-    collect_sorted_keys_with(
-        |rng| prefix_key(run_turn_protocol(protocol, &sampler(rng)).as_u64()),
-        samples,
-        rng,
-        out,
-    );
-}
-
-/// The wide sibling of [`collect_sorted_keys`]: sorted [`wide_prefix_key`]s
-/// of `protocol` run on inputs drawn from `sampler`.
+/// Fills `out` with `samples` sorted [`wide_prefix_key`]s of `protocol`
+/// run on inputs drawn from `sampler` — the one key collector of every
+/// sampler, including the per-batch chunks of the adaptive estimator.
+/// The caller checks the key packing ([`check_key_packing`]).
 pub(crate) fn collect_sorted_wide_keys<P, R, F>(
     protocol: &P,
     mut sampler: F,
@@ -128,11 +77,20 @@ pub(crate) fn collect_sorted_wide_keys<P, R, F>(
     R: Rng + ?Sized,
     F: FnMut(&mut R) -> Vec<u64>,
 {
-    collect_sorted_keys_with(
-        |rng| wide_prefix_key(&run_wide_protocol(protocol, &sampler(rng))),
-        samples,
-        rng,
-        out,
+    out.clear();
+    out.reserve(samples);
+    for _ in 0..samples {
+        out.push(wide_prefix_key(&run_wide_protocol(protocol, &sampler(rng))));
+    }
+    radix_sort_u64(out);
+}
+
+/// Refuses a horizon whose `horizon × width` transcript bits overflow the
+/// 64-bit key packing.
+pub(crate) fn check_key_packing(horizon: u32, width: u32) {
+    assert!(
+        u64::from(horizon) * u64::from(width) <= 64,
+        "horizon {horizon} at width {width} exceeds the u64 key packing"
     );
 }
 
@@ -246,13 +204,13 @@ pub fn keys_sorted_total() -> u64 {
 /// `sort_unstable` would.
 ///
 /// The win over a comparison sort comes from the key shape: a prefix key
-/// stores turn `t` at bit `63 − t` (see [`prefix_key`]), so a horizon-`T`
-/// protocol leaves the low `64 − T` bits zero and only `⌈T/8⌉` of the 8
-/// counting passes touch varying bytes. A cheap OR/AND pre-scan finds the
-/// bytes that are constant across the whole array, and their passes are
-/// skipped outright — a 12-turn workload sorts in two counting passes
-/// over the data. Shapes radix handles badly (short arrays, or more than
-/// [`RADIX_MAX_VARYING_BYTES`] varying bytes, where scattered writes
+/// packs turns from the top (see [`wide_prefix_key`]), so a protocol with
+/// `T` transcript bits leaves the low `64 − T` bits zero and only
+/// `⌈T/8⌉` of the 8 counting passes touch varying bytes. A cheap OR/AND
+/// pre-scan finds the bytes that are constant across the whole array,
+/// and their passes are skipped outright — a 12-turn workload sorts in
+/// two counting passes over the data. Shapes radix handles badly (short
+/// arrays, or more than four varying bytes, where scattered writes
 /// outweigh the comparison sort) fall back to `sort_unstable`.
 pub fn radix_sort_u64(keys: &mut Vec<u64>) {
     radix_sort_u64_with(&kernel::active(), keys);
@@ -454,8 +412,10 @@ pub struct SampledComparison {
 
 impl SampledComparison {
     /// A crude upper bound on the sampling bias of the TV estimate:
-    /// `sqrt(support_seen / samples_per_side)` — the usual plug-in
-    /// histogram-TV error scale. Treat estimates below this as zero.
+    /// `min(1, sqrt(support_seen / samples_per_side))` — the usual plug-in
+    /// histogram-TV error scale, clamped to the TV bound 1 (all-distinct
+    /// draws would otherwise read up to `√2`). Treat estimates below this
+    /// as zero.
     ///
     /// With zero samples there is no information at all, so the floor is
     /// [`f64::INFINITY`] (rather than the `NaN` a bare division would
@@ -464,12 +424,19 @@ impl SampledComparison {
         if self.samples_per_side == 0 {
             return f64::INFINITY;
         }
-        (self.support_seen as f64 / self.samples_per_side as f64).sqrt()
+        (self.support_seen as f64 / self.samples_per_side as f64)
+            .sqrt()
+            .min(1.0)
     }
 }
 
 /// Estimates `‖P(Π, A) − P(Π, B)‖` by running the protocol `samples` times
 /// per side and comparing transcript histograms.
+///
+/// # Panics
+///
+/// Panics if `samples == 0` or if the protocol's `horizon × width`
+/// exceeds the 64-bit key packing.
 pub fn sampled_comparison<P, R>(
     protocol: &P,
     a: &ProductInput,
@@ -478,7 +445,7 @@ pub fn sampled_comparison<P, R>(
     rng: &mut R,
 ) -> SampledComparison
 where
-    P: TurnProtocol + ?Sized,
+    P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
 {
     sampled_comparison_with(
@@ -494,6 +461,10 @@ where
 /// the tool for distributions with *dependent* rows, where no product
 /// decomposition exists (e.g. the undirected planted clique of the
 /// paper's §9 discussion).
+///
+/// # Panics
+///
+/// As [`sampled_comparison`].
 pub fn sampled_comparison_with<P, R, FA, FB>(
     protocol: &P,
     sample_a: FA,
@@ -502,7 +473,7 @@ pub fn sampled_comparison_with<P, R, FA, FB>(
     rng: &mut R,
 ) -> SampledComparison
 where
-    P: TurnProtocol + ?Sized,
+    P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
     FA: FnMut(&mut R) -> Vec<u64>,
     FB: FnMut(&mut R) -> Vec<u64>,
@@ -513,6 +484,10 @@ where
 
 /// [`sampled_comparison_with`] writing through a caller-held
 /// [`TranscriptArena`], for sweeps that run many comparisons.
+///
+/// # Panics
+///
+/// As [`sampled_comparison`].
 pub fn sampled_comparison_with_in<P, R, FA, FB>(
     arena: &mut TranscriptArena,
     protocol: &P,
@@ -522,74 +497,16 @@ pub fn sampled_comparison_with_in<P, R, FA, FB>(
     rng: &mut R,
 ) -> SampledComparison
 where
-    P: TurnProtocol + ?Sized,
+    P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
     FA: FnMut(&mut R) -> Vec<u64>,
     FB: FnMut(&mut R) -> Vec<u64>,
 {
     assert!(samples > 0, "need at least one sample");
-    collect_sorted_keys(protocol, sample_a, samples, rng, &mut arena.side_a);
-    collect_sorted_keys(protocol, sample_b, samples, rng, &mut arena.side_b);
-    let weight = 1.0 / samples as f64;
-    SampledComparison {
-        tv: sorted_tv_at_depth(
-            &arena.side_a,
-            &arena.side_b,
-            weight,
-            weight,
-            protocol.horizon(),
-        ),
-        samples_per_side: samples,
-        support_seen: sorted_support_union(&arena.side_a, &arena.side_b),
-    }
-}
-
-/// Estimates `‖P(Π, A) − P(Π, B)‖` for a `BCAST(w)` protocol by running
-/// it `samples` times per side and comparing wide-transcript histograms —
-/// the Monte-Carlo path past the exact wide engine's
-/// [`crate::wide::MAX_WIDE_NODES`] budget.
-///
-/// # Panics
-///
-/// Panics if `samples == 0` or if the protocol's `horizon × width`
-/// exceeds the 64-bit key packing.
-pub fn sampled_wide_comparison<P, R>(
-    protocol: &P,
-    a: &ProductInput,
-    b: &ProductInput,
-    samples: usize,
-    rng: &mut R,
-) -> SampledComparison
-where
-    P: WideTurnProtocol + ?Sized,
-    R: Rng + ?Sized,
-{
-    let mut arena = TranscriptArena::new();
-    sampled_wide_comparison_in(&mut arena, protocol, a, b, samples, rng)
-}
-
-/// [`sampled_wide_comparison`] writing through a caller-held
-/// [`TranscriptArena`], for sweeps that run many comparisons.
-pub fn sampled_wide_comparison_in<P, R>(
-    arena: &mut TranscriptArena,
-    protocol: &P,
-    a: &ProductInput,
-    b: &ProductInput,
-    samples: usize,
-    rng: &mut R,
-) -> SampledComparison
-where
-    P: WideTurnProtocol + ?Sized,
-    R: Rng + ?Sized,
-{
-    assert!(samples > 0, "need at least one sample");
     let (width, horizon) = (protocol.width(), protocol.horizon());
-    assert!(
-        u64::from(horizon) * u64::from(width) <= 64,
-        "horizon {horizon} at width {width} exceeds the u64 key packing"
-    );
-    collect_sorted_wide_keys(protocol, |r| a.sample(r), samples, rng, &mut arena.side_a);
-    collect_sorted_wide_keys(protocol, |r| b.sample(r), samples, rng, &mut arena.side_b);
+    check_key_packing(horizon, width);
+    collect_sorted_wide_keys(protocol, sample_a, samples, rng, &mut arena.side_a);
+    collect_sorted_wide_keys(protocol, sample_b, samples, rng, &mut arena.side_b);
     let weight = 1.0 / samples as f64;
     SampledComparison {
         tv: sorted_tv_at_depth(
@@ -644,9 +561,9 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = exact_comparison(&p, &a, &b).tv();
+        let exact = exact_comparison(&p.as_wide(), &a, &b).tv();
         let mut rng = StdRng::seed_from_u64(1);
-        let sampled = sampled_comparison(&p, &a, &b, 40_000, &mut rng);
+        let sampled = sampled_comparison(&p.as_wide(), &a, &b, 40_000, &mut rng);
         assert!(
             (sampled.tv - exact).abs() < 0.02,
             "sampled {} vs exact {exact}",
@@ -659,7 +576,7 @@ mod tests {
         let p = FnProtocol::new(2, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 1 == 1);
         let a = ProductInput::uniform(2, 2);
         let mut rng = StdRng::seed_from_u64(2);
-        let s = sampled_comparison(&p, &a, &a, 20_000, &mut rng);
+        let s = sampled_comparison(&p.as_wide(), &a, &a, 20_000, &mut rng);
         assert!(
             s.tv <= s.noise_floor(),
             "tv {} floor {}",
@@ -719,6 +636,18 @@ mod tests {
     }
 
     #[test]
+    fn noise_floor_is_clamped_to_the_tv_bound_on_all_distinct_draws() {
+        // Every draw distinct on both sides: support_seen = 2·samples, so
+        // the raw scale sqrt(2) would overstate the TV bound.
+        let p = FnProtocol::new(1, 16, 16, |_, input, tr| (input >> tr.len()) & 1 == 1);
+        let a = ProductInput::uniform(1, 16);
+        let mut rng = StdRng::seed_from_u64(5);
+        let s = sampled_comparison(&p.as_wide(), &a, &a, 8, &mut rng);
+        assert_eq!(s.support_seen, 16, "draws collided; pick another seed");
+        assert_eq!(s.noise_floor(), 1.0);
+    }
+
+    #[test]
     fn arena_reuse_reproduces_one_shot_results() {
         let p = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let a = ProductInput::uniform(2, 3);
@@ -728,7 +657,7 @@ mod tests {
         ]);
         let one_shot = {
             let mut rng = StdRng::seed_from_u64(7);
-            sampled_comparison(&p, &a, &b, 5_000, &mut rng)
+            sampled_comparison(&p.as_wide(), &a, &b, 5_000, &mut rng)
         };
         let mut arena = TranscriptArena::new();
         let mut rng = StdRng::seed_from_u64(7);
@@ -736,7 +665,7 @@ mod tests {
         // unaffected by leftover buffer contents.
         let first = sampled_comparison_with_in(
             &mut arena,
-            &p,
+            &p.as_wide(),
             |r| a.sample(r),
             |r| b.sample(r),
             5_000,
@@ -745,7 +674,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let second = sampled_comparison_with_in(
             &mut arena,
-            &p,
+            &p.as_wide(),
             |r| a.sample(r),
             |r| b.sample(r),
             5_000,
@@ -758,8 +687,8 @@ mod tests {
 
     #[test]
     fn sorted_tv_handles_disjoint_and_identical_histograms() {
-        let a = vec![prefix_key(0b00), prefix_key(0b01)];
-        let b = vec![prefix_key(0b10), prefix_key(0b11)];
+        let a = vec![0b00u64.reverse_bits(), 0b01u64.reverse_bits()];
+        let b = vec![0b10u64.reverse_bits(), 0b11u64.reverse_bits()];
         let mut a = a;
         let mut b = b;
         a.sort_unstable();
@@ -835,7 +764,7 @@ mod tests {
             for shape in 0..3u32 {
                 let keys: Vec<u64> = (0..len)
                     .map(|_| match shape {
-                        0 => prefix_key(rng.gen::<u64>() & 0xFFF),
+                        0 => (rng.gen::<u64>() & 0xFFF).reverse_bits(),
                         1 => rng.gen::<u64>() & 0xFF_FFFF,
                         _ => rng.gen::<u64>() % 7,
                     })
@@ -858,10 +787,10 @@ mod tests {
             for shape in 0..4u32 {
                 let mut keys: Vec<u64> = (0..len)
                     .map(|_| match shape {
-                        0 => rng.gen::<u64>(),                     // 8 varying bytes: fallback path
-                        1 => prefix_key(rng.gen::<u64>() & 0xFFF), // 2 bytes, reversed
-                        2 => rng.gen::<u64>() & 0xFF_FFFF,         // 3 low bytes: 3 passes
-                        _ => rng.gen::<u64>() % 7,                 // heavy duplication, 1 pass
+                        0 => rng.gen::<u64>(), // 8 varying bytes: fallback path
+                        1 => (rng.gen::<u64>() & 0xFFF).reverse_bits(), // 2 bytes, reversed
+                        2 => rng.gen::<u64>() & 0xFF_FFFF, // 3 low bytes: 3 passes
+                        _ => rng.gen::<u64>() % 7, // heavy duplication, 1 pass
                     })
                     .collect();
                 let mut expected = keys.clone();
@@ -893,13 +822,17 @@ mod tests {
             for i in 0..len {
                 t.push((bits >> i) & 1);
             }
-            assert_eq!(wide_prefix_key(&t), prefix_key(t.as_u64()), "bits {bits:b}");
+            assert_eq!(
+                wide_prefix_key(&t),
+                t.as_u64().reverse_bits(),
+                "bits {bits:b}"
+            );
         }
     }
 
     #[test]
     fn sampled_wide_matches_exact_on_small_instance() {
-        use crate::wide::exact_wide_comparison;
+        use crate::engine::exact_mixture_comparison;
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let a = ProductInput::uniform(2, 3);
@@ -907,9 +840,9 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = exact_wide_comparison(&p, std::slice::from_ref(&a), &b).tv();
+        let exact = exact_mixture_comparison(&p, std::slice::from_ref(&a), &b).tv();
         let mut rng = StdRng::seed_from_u64(17);
-        let sampled = sampled_wide_comparison(&p, &a, &b, 40_000, &mut rng);
+        let sampled = sampled_comparison(&p, &a, &b, 40_000, &mut rng);
         assert!(
             (sampled.tv - exact).abs() < sampled.noise_floor() + 0.02,
             "sampled {} vs exact {exact} (floor {})",
@@ -924,7 +857,7 @@ mod tests {
         let p = FnWideProtocol::new(2, 2, 3, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b111);
         let a = ProductInput::uniform(2, 2);
         let mut rng = StdRng::seed_from_u64(23);
-        let s = sampled_wide_comparison(&p, &a, &a, 20_000, &mut rng);
+        let s = sampled_comparison(&p, &a, &a, 20_000, &mut rng);
         assert!(
             s.tv <= s.noise_floor(),
             "tv {} floor {}",
@@ -959,7 +892,7 @@ mod tests {
         }
         let a = ProductInput::uniform(1, 1);
         let mut rng = StdRng::seed_from_u64(1);
-        let _ = sampled_wide_comparison(&Overflowing, &a, &a, 10, &mut rng);
+        let _ = sampled_comparison(&Overflowing, &a, &a, 10, &mut rng);
     }
 
     #[test]

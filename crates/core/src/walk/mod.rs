@@ -1,14 +1,14 @@
 //! The shared skeleton of the exact transcript walks.
 //!
-//! [`crate::engine`] (the `BCAST(1)` bit engine) and [`crate::wide`] (the
-//! `BCAST(w)` engine) run the *same* algorithm: a depth-first walk of the
-//! turn tree that keeps every processor's consistent set `D_p^{(t)}` as a
-//! hybrid dense/sparse [`bcc_f2::ConsistentSet`] over that row's support
-//! points, splits the speaker's set on the broadcast label at each node,
-//! and weights each child by the surviving fraction. The only per-model
-//! ingredient is how a support point maps to the label it broadcasts —
-//! the [`Branching`] trait — and [`exact_walk`] is the walk itself,
-//! written once.
+//! [`crate::engine`] runs one algorithm for every message width (its
+//! `2^w`-message alphabet lives in [`crate::wide`]): a depth-first walk
+//! of the turn tree that keeps every processor's consistent set
+//! `D_p^{(t)}` as a hybrid dense/sparse [`bcc_f2::ConsistentSet`] over
+//! that row's support points, splits the speaker's set on the broadcast
+//! label at each node, and weights each child by the surviving fraction.
+//! The only protocol-specific ingredient is how a support point maps to
+//! the label it broadcasts — the [`Branching`] trait — and
+//! [`exact_walk`] is the walk itself, written once.
 //!
 //! # The hot path, layer by layer
 //!
@@ -21,10 +21,10 @@
 //!    shared rows), the protocol is queried over the *union* of the
 //!    group's live points via [`Branching::eval_labels`], and the
 //!    resulting label table is shared by every distribution in the
-//!    group. For the bit model the table becomes a packed bit plane and
-//!    each distribution's split is two word-parallel `AND`s; for the
-//!    wide model it is a per-point message table and each split is one
-//!    bucketing pass over the live set.
+//!    group. At width 1 ([`Branching::binary`]) the table becomes a
+//!    packed bit plane and each distribution's split is two
+//!    word-parallel `AND`s; at wider widths it is a per-point message
+//!    table and each split is one bucketing pass over the live set.
 //! 2. **Pooled mask workspace.** Child sets live in per-depth slot
 //!    pools that are reused across sibling nodes, the walk swaps them
 //!    into the alive state for the duration of a subtree (one
@@ -40,7 +40,7 @@
 //!    what is alive.
 //!
 //! The walk is bitwise identical to the seed implementation, which is
-//! retained verbatim in [`reference`] as the differential-testing
+//! retained verbatim in [`mod@reference`] as the differential-testing
 //! oracle (see `crates/core/tests/prop.rs`).
 //!
 //! # Execution strategy
@@ -58,7 +58,7 @@
 //! of thread scheduling: [`ExecMode::Parallel`] and
 //! [`ExecMode::Sequential`] runs of the same walk return
 //! bitwise-identical results, a property pinned by the workspace's
-//! property tests for both engines.
+//! property tests at width 1 and above.
 //!
 //! The frontier depth itself adapts to the rayon pool (see
 //! [`adaptive_split_depth`]): on a single-core machine it is exactly the
@@ -119,9 +119,8 @@ pub fn split_depth_for_threads(threads: usize, width: u32) -> u32 {
 /// The frontier depth adapted to the current rayon pool:
 /// [`split_depth_for_threads`] at [`rayon::current_num_threads`].
 ///
-/// Both engines derive their [`Branching::split_depth`] from this, so a
-/// width-1 wide walk and a bit walk still cut identical frontiers (the
-/// cross-engine bitwise property relies on that). Parallel and
+/// The engine derives its [`Branching::split_depth`] from this at the
+/// protocol's width. Parallel and
 /// sequential runs inside one process always agree bitwise; to compare
 /// exact outputs across machines with different core counts, pin
 /// `RAYON_NUM_THREADS`.
@@ -201,9 +200,8 @@ pub trait Branching: Sync {
     );
 }
 
-/// The raw accumulators of one exact walk, before the per-model result
-/// types ([`crate::engine::MixtureComparison`],
-/// [`crate::wide::WideComparison`]) are assembled around them.
+/// The raw accumulators of one exact walk, before the engine's result
+/// type ([`crate::engine::MixtureComparison`]) is assembled around them.
 #[derive(Debug, Clone)]
 pub struct WalkOutcome {
     /// `‖ avg_I P_I^{(t)} − P_base^{(t)} ‖` for `t = 0 ..= horizon`.
@@ -250,7 +248,7 @@ impl WalkOutcome {
 }
 
 /// Exact mixture-vs-baseline walk of `branching`: the full §3 framework
-/// computation, shared by both engines.
+/// computation.
 ///
 /// # Panics
 ///
@@ -556,8 +554,7 @@ struct NodeScratch {
 
 /// Labels below this get a direct-indexed rank table; wider labels fall
 /// back to binary search over the group's distinct list. `BCAST(w)`
-/// messages have `w <= 16`, so the wide engine always takes the direct
-/// path.
+/// messages have `w <= 16`, so the engine always takes the direct path.
 const RANK_DIRECT_MAX: u64 = 1 << 16;
 
 /// The rank of `label` among the group's distinct labels.

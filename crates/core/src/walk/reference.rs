@@ -9,8 +9,8 @@
 //! node for *every* distribution, even when rows share a support
 //! allocation. It is deliberately kept simple and obviously correct;
 //! `crates/core/tests/prop.rs` pins [`super::exact_walk`] to be
-//! **bitwise identical** to [`exact_walk`](self::exact_walk) on random
-//! protocols and families, for both engines and both execution modes.
+//! **bitwise identical** to [`exact_walk`] on random protocols and
+//! families, at width 1 and above and in both execution modes.
 //!
 //! The only change from the seed source is mechanical: the per-model
 //! `partition` method was folded into [`Branching::eval_labels`], so

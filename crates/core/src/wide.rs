@@ -1,37 +1,28 @@
-//! The exact engine for `BCAST(w)` turn protocols.
+//! The `BCAST(w)` alphabet of the exact engine.
 //!
-//! Identical in algorithm to [`crate::engine`] but branching over the
-//! `2^w`-message alphabet per turn, so footnote 2 of the paper ("all of
-//! our results generalize to the setting of logarithmic sized messages")
-//! can be checked *exactly*: a packed `BCAST(w)` protocol extracts the
-//! same statistical distance as its `BCAST(1)` unpacking, in `1/w` as
-//! many turns.
+//! [`crate::engine`] walks one kind of turn tree: each turn branches over
+//! the `2^w`-message alphabet of a [`WideTurnProtocol`], so footnote 2 of
+//! the paper ("all of our results generalize to the setting of
+//! logarithmic sized messages") is checked *exactly*, and `BCAST(1)` is
+//! the width-1 case. This module holds the two width-dependent pieces:
+//! the node budget every exact walk is priced against
+//! ([`wide_walk_nodes`] ≤ [`MAX_WIDE_NODES`]) and the
+//! [`Branching`] process the shared walk core in [`crate::walk`] runs.
 //!
-//! Both engines are instantiations of the shared walk core in
-//! [`crate::walk`]: consistent sets live as hybrid dense/sparse
-//! [`bcc_f2::ConsistentSet`]s, the turn tree is cut at a frontier depth
-//! into independent subtree tasks fanned out over rayon, and task results
-//! reduce in frontier order — so [`ExecMode::Parallel`] and
-//! [`ExecMode::Sequential`] wide walks are bitwise identical (see the
-//! property tests in `crates/core/tests/prop.rs`). The per-turn split
-//! buckets the speaker's *live* points by the message they broadcast —
-//! evaluated once per shared support row per node into a per-point
-//! message table — so a node costs `O(live points)` plus one pooled set
-//! per message that actually occurs: never `O(2^w)` work for an alphabet
-//! that is mostly dead, and never `O(support)` work for a support that
-//! has mostly died (the sparse regime). The seed implementation is
-//! retained behind [`exact_wide_comparison_reference`] as a
-//! differential-testing oracle.
-//!
-//! The frontier depth adapts to the width and the rayon pool
+//! The per-turn split buckets the speaker's *live* points by the message
+//! they broadcast — evaluated once per shared support row per node into
+//! a per-point message table — so a node costs `O(live points)` plus one
+//! pooled set per message that actually occurs: never `O(2^w)` work for
+//! an alphabet that is mostly dead, and never `O(support)` work for a
+//! support that has mostly died (the sparse regime). At width 1 the
+//! table becomes a packed bit plane and the split two word-parallel
+//! `AND`s. The frontier depth adapts to the width and the rayon pool
 //! ([`crate::walk::adaptive_split_depth`]`(w)` turns), keeping the
 //! fan-out comparable across message widths.
 
 use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 
-use crate::engine::SpeakerStats;
-use crate::input::ProductInput;
-use crate::walk::{adaptive_split_depth, exact_walk, reference, Branching, ExecMode, WalkOutcome};
+use crate::walk::{adaptive_split_depth, Branching};
 
 /// The node-budget cap of the exact wide walk: a walk whose *complete*
 /// turn tree could exceed this many nodes is refused up front.
@@ -40,8 +31,8 @@ pub const MAX_WIDE_NODES: u64 = 1 << 26;
 /// The number of nodes in the complete `2^width`-ary turn tree of depth
 /// `horizon` — `Σ_{t=0}^{horizon} 2^{width·t}` — saturating at
 /// [`u64::MAX`]. This is the upper bound on what
-/// [`exact_wide_comparison`] can visit; dead branches are pruned, so real
-/// walks typically visit far fewer nodes.
+/// [`crate::engine::exact_mixture_comparison`] can visit; dead branches
+/// are pruned, so real walks typically visit far fewer nodes.
 pub fn wide_walk_nodes(width: u32, horizon: u32) -> u64 {
     let fanout = if width >= 64 { u64::MAX } else { 1u64 << width };
     let mut total: u64 = 0;
@@ -53,98 +44,9 @@ pub fn wide_walk_nodes(width: u32, horizon: u32) -> u64 {
     total
 }
 
-/// The result of an exact wide-protocol walk (mirror of
-/// [`crate::engine::MixtureComparison`]).
-#[derive(Debug, Clone)]
-pub struct WideComparison {
-    /// The number of turns walked.
-    pub horizon: u32,
-    /// `‖avg_I P_I^{(t)} − P_base^{(t)}‖` for `t = 0 ..= horizon`.
-    pub mixture_tv_by_depth: Vec<f64>,
-    /// The progress function `E_I ‖P_I^{(t)} − P_base^{(t)}‖`.
-    pub progress_by_depth: Vec<f64>,
-    /// Final per-member distances.
-    pub per_member_tv: Vec<f64>,
-    /// Speaker consistent-set statistics per turn (same semantics as the
-    /// bit engine's; one entry per wide turn).
-    pub speaker_stats: Vec<SpeakerStats>,
-}
-
-impl WideComparison {
-    /// The final mixture distance.
-    pub fn tv(&self) -> f64 {
-        *self
-            .mixture_tv_by_depth
-            .last()
-            .expect("depth profile includes depth 0")
-    }
-
-    /// The final progress value.
-    pub fn progress(&self) -> f64 {
-        *self
-            .progress_by_depth
-            .last()
-            .expect("depth profile includes depth 0")
-    }
-}
-
-/// Exact mixture-vs-baseline walk for a `BCAST(w)` protocol, with subtree
-/// tasks on the rayon pool ([`ExecMode::Parallel`]).
-///
-/// # Panics
-///
-/// Panics on dimension mismatches, if the protocol's width is outside
-/// `1..=16`, or if the complete `2^w`-ary turn tree to the protocol's
-/// horizon could exceed [`MAX_WIDE_NODES`] (`2^26`) reachable nodes —
-/// checked via [`wide_walk_nodes`] in saturating integer arithmetic.
-pub fn exact_wide_comparison<P: WideTurnProtocol + Sync + ?Sized>(
-    protocol: &P,
-    members: &[ProductInput],
-    baseline: &ProductInput,
-) -> WideComparison {
-    exact_wide_comparison_mode(protocol, members, baseline, ExecMode::Parallel)
-}
-
-/// [`exact_wide_comparison`] with an explicit [`ExecMode`]. Both modes
-/// return bitwise-identical results; `Sequential` runs the identical task
-/// list on the calling thread.
-///
-/// # Panics
-///
-/// As [`exact_wide_comparison`].
-pub fn exact_wide_comparison_mode<P: WideTurnProtocol + Sync + ?Sized>(
-    protocol: &P,
-    members: &[ProductInput],
-    baseline: &ProductInput,
-    mode: ExecMode,
-) -> WideComparison {
-    validate_budget(protocol);
-    let acc = exact_walk(&WideBranching { protocol }, members, baseline, mode);
-    assemble(protocol, acc)
-}
-
-/// [`exact_wide_comparison_mode`] computed by the retained **seed** walk
-/// ([`crate::walk::reference`]): per-node message evaluation for every
-/// distribution, per-node mask allocation, no hybrid sets. Exists as the
-/// differential-testing oracle and the before-side of the hot-path
-/// benchmarks; results are bitwise identical to the optimized walk
-/// (property-tested).
-///
-/// # Panics
-///
-/// As [`exact_wide_comparison`].
-pub fn exact_wide_comparison_reference<P: WideTurnProtocol + Sync + ?Sized>(
-    protocol: &P,
-    members: &[ProductInput],
-    baseline: &ProductInput,
-    mode: ExecMode,
-) -> WideComparison {
-    validate_budget(protocol);
-    let acc = reference::exact_walk(&WideBranching { protocol }, members, baseline, mode);
-    assemble(protocol, acc)
-}
-
-fn validate_budget<P: WideTurnProtocol + ?Sized>(protocol: &P) {
+/// Refuses a walk the node budget cannot price: a width outside `1..=16`,
+/// or a complete turn tree beyond [`MAX_WIDE_NODES`] nodes.
+pub(crate) fn validate_budget<P: WideTurnProtocol + ?Sized>(protocol: &P) {
     let width = protocol.width();
     assert!(
         (1..=16).contains(&width),
@@ -154,33 +56,15 @@ fn validate_budget<P: WideTurnProtocol + ?Sized>(protocol: &P) {
     let nodes = wide_walk_nodes(width, horizon);
     assert!(
         nodes <= MAX_WIDE_NODES,
-        "exact wide walk refused: a width-{width} tree to horizon {horizon} reaches up to \
+        "exact walk refused: a width-{width} tree to horizon {horizon} reaches up to \
          {nodes} nodes, beyond the {MAX_WIDE_NODES}-node budget"
     );
 }
 
-fn assemble<P: WideTurnProtocol + ?Sized>(protocol: &P, acc: WalkOutcome) -> WideComparison {
-    let horizon = protocol.horizon();
-    let t_len = horizon as usize;
-    WideComparison {
-        horizon,
-        mixture_tv_by_depth: acc.mixture_tv_by_depth,
-        progress_by_depth: acc.progress_by_depth,
-        per_member_tv: acc.per_member_tv,
-        speaker_stats: (0..t_len)
-            .map(|t| SpeakerStats {
-                speaker: protocol.speaker(t as u32),
-                mean_fraction: acc.mean_fraction[t],
-                mass_below: acc.mass_below[t],
-            })
-            .collect(),
-    }
-}
-
 /// The wide model as a [`Branching`] process: the speaker's live points
 /// bucket by the `w`-bit message they broadcast.
-struct WideBranching<'a, P: ?Sized> {
-    protocol: &'a P,
+pub(crate) struct WideBranching<'a, P: ?Sized> {
+    pub(crate) protocol: &'a P,
 }
 
 impl<P: WideTurnProtocol + Sync + ?Sized> Branching for WideBranching<'_, P> {
@@ -211,9 +95,9 @@ impl<P: WideTurnProtocol + Sync + ?Sized> Branching for WideBranching<'_, P> {
     }
 
     fn binary(&self) -> bool {
-        // A width-1 alphabet is {0, 1}: take the same bit-plane fast
-        // path as the bit engine (the cross-engine bitwise property
-        // holds either way — the sets and counts are identical).
+        // A width-1 alphabet is {0, 1}: split on a packed bit plane
+        // instead of a message table (the sets and counts are identical
+        // either way).
         self.protocol.width() == 1
     }
 
@@ -244,14 +128,14 @@ impl<P: WideTurnProtocol + Sync + ?Sized> Branching for WideBranching<'_, P> {
 mod tests {
     use super::*;
     use crate::engine::exact_mixture_comparison;
-    use crate::input::RowSupport;
+    use crate::input::{ProductInput, RowSupport};
     use bcc_congest::wide::{FnWideProtocol, PackedAdapter};
     use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
 
     #[test]
     fn width_one_matches_bit_engine() {
-        // A BCAST(1) protocol expressed through both engines gives the
-        // same distances.
+        // A BCAST(1) protocol seen through its width-1 view and the same
+        // decision written natively at w = 1 give the same distances.
         let bitp = FnProtocol::new(2, 3, 4, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let widep = FnWideProtocol::new(2, 3, 1, 4, |_, input, tr| (input >> (tr.len() / 2)) & 1);
         let a = ProductInput::new(vec![
@@ -259,8 +143,8 @@ mod tests {
             RowSupport::uniform(3),
         ]);
         let b = ProductInput::uniform(2, 3);
-        let bit = exact_mixture_comparison(&bitp, std::slice::from_ref(&a), &b);
-        let wide = exact_wide_comparison(&widep, std::slice::from_ref(&a), &b);
+        let bit = exact_mixture_comparison(&bitp.as_wide(), std::slice::from_ref(&a), &b);
+        let wide = exact_mixture_comparison(&widep, std::slice::from_ref(&a), &b);
         assert!((bit.tv() - wide.tv()).abs() < 1e-12);
         assert_eq!(
             bit.mixture_tv_by_depth.len(),
@@ -309,9 +193,9 @@ mod tests {
         let b = ProductInput::uniform(2, 4);
 
         let inner = make_inner();
-        let bit = exact_mixture_comparison(&inner, std::slice::from_ref(&a), &b);
+        let bit = exact_mixture_comparison(&inner.as_wide(), std::slice::from_ref(&a), &b);
         let packed = PackedAdapter::new(make_inner(), 2);
-        let wide = exact_wide_comparison(&packed, std::slice::from_ref(&a), &b);
+        let wide = exact_mixture_comparison(&packed, std::slice::from_ref(&a), &b);
         assert_eq!(wide.horizon * 2, bit.horizon);
         assert!(
             (bit.tv() - wide.tv()).abs() < 1e-12,
@@ -328,7 +212,7 @@ mod tests {
         let wide = FnWideProtocol::new(1, 4, 4, 1, |_, input, _| input & 0xF);
         let a = ProductInput::new(vec![RowSupport::explicit(4, vec![0, 1, 2, 3])]);
         let b = ProductInput::uniform(1, 4);
-        let cmp = exact_wide_comparison(&wide, std::slice::from_ref(&a), &b);
+        let cmp = exact_mixture_comparison(&wide, std::slice::from_ref(&a), &b);
         assert!((cmp.tv() - 0.75).abs() < 1e-12);
         assert_eq!(cmp.horizon, 1);
     }
@@ -339,7 +223,7 @@ mod tests {
         let m0 = ProductInput::new(vec![RowSupport::explicit(3, vec![0, 1])]);
         let m1 = ProductInput::new(vec![RowSupport::explicit(3, vec![6, 7])]);
         let base = ProductInput::uniform(1, 3);
-        let cmp = exact_wide_comparison(&wide, &[m0, m1], &base);
+        let cmp = exact_mixture_comparison(&wide, &[m0, m1], &base);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12);
         }
@@ -352,7 +236,7 @@ mod tests {
         // expectation (4 equal parts of the uniform 4-point support).
         let wide = FnWideProtocol::new(1, 2, 2, 2, |_, input, _| input & 0b11);
         let a = ProductInput::uniform(1, 2);
-        let cmp = exact_wide_comparison(&wide, std::slice::from_ref(&a), &a);
+        let cmp = exact_mixture_comparison(&wide, std::slice::from_ref(&a), &a);
         assert_eq!(cmp.speaker_stats.len(), 2);
         assert!((cmp.speaker_stats[0].mean_fraction - 1.0).abs() < 1e-12);
         assert!((cmp.speaker_stats[1].mean_fraction - 0.25).abs() < 1e-12);
@@ -383,7 +267,7 @@ mod tests {
         // bit pins after one turn), so the walk itself is cheap.
         let p = FnWideProtocol::new(1, 1, 1, 25, |_, input, _| input & 1);
         let a = ProductInput::uniform(1, 1);
-        let cmp = exact_wide_comparison(&p, std::slice::from_ref(&a), &a);
+        let cmp = exact_mixture_comparison(&p, std::slice::from_ref(&a), &a);
         assert_eq!(cmp.horizon, 25);
         assert!(cmp.tv().abs() < 1e-12);
     }
@@ -395,7 +279,7 @@ mod tests {
         // deep. The guard must fire before any walking happens.
         let p = FnWideProtocol::new(1, 1, 1, 26, |_, input, _| input & 1);
         let a = ProductInput::uniform(1, 1);
-        let _ = exact_wide_comparison(&p, std::slice::from_ref(&a), &a);
+        let _ = exact_mixture_comparison(&p, std::slice::from_ref(&a), &a);
     }
 
     #[test]
@@ -405,7 +289,7 @@ mod tests {
         // width-2 tree to depth 13 reaches ~2^26.4 nodes and must refuse.
         let p = FnWideProtocol::new(1, 2, 2, 13, |_, input, _| input & 0b11);
         let a = ProductInput::uniform(1, 2);
-        let _ = exact_wide_comparison(&p, std::slice::from_ref(&a), &a);
+        let _ = exact_mixture_comparison(&p, std::slice::from_ref(&a), &a);
     }
 
     #[test]
@@ -432,6 +316,6 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let _ = exact_wide_comparison(&Absurd, std::slice::from_ref(&a), &a);
+        let _ = exact_mixture_comparison(&Absurd, std::slice::from_ref(&a), &a);
     }
 }

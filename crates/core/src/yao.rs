@@ -54,7 +54,7 @@ pub fn yao_reduction<P: TurnProtocol + Sync>(
     assert!((total - 1.0).abs() < 1e-9, "weights must sum to 1");
     let member_tv: Vec<f64> = protocols
         .iter()
-        .map(|p| exact_comparison(p, a, b).tv())
+        .map(|p| exact_comparison(&p.as_wide(), a, b).tv())
         .collect();
     let randomized_tv = member_tv
         .iter()

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
     exact_mixture_comparison_mode, exact_mixture_comparison_reference, ExecMode, ProductInput,
 };
@@ -64,9 +64,9 @@ fn full_tree_walk(horizon: u32, reference: bool) -> f64 {
     // Sequential mode: thread spawning would blur the per-node count.
     let members = std::slice::from_ref(&a);
     if reference {
-        exact_mixture_comparison_reference(&p, members, &b, ExecMode::Sequential).tv()
+        exact_mixture_comparison_reference(&p.as_wide(), members, &b, ExecMode::Sequential).tv()
     } else {
-        exact_mixture_comparison_mode(&p, members, &b, ExecMode::Sequential).tv()
+        exact_mixture_comparison_mode(&p.as_wide(), members, &b, ExecMode::Sequential).tv()
     }
 }
 

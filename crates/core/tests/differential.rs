@@ -1,25 +1,23 @@
-//! The differential suite pinning the **sampled** wide-message estimators
-//! to the **exact** engines everywhere the exact engines can go.
+//! The differential suite pinning the **sampled** estimators to the
+//! **exact** walk everywhere the exact walk can go.
 //!
 //! The sampled path exists to extend `BCAST(w)` coverage past the exact
 //! walk's `2^26` reachable-node budget, where no oracle exists. What
 //! makes the extrapolated regime trustworthy is this suite: inside the
 //! budget — including *at* the budget boundary for each width — the
 //! sampled estimator must agree with the exact walk within its own
-//! reported `noise_floor()`, and at width 1 the wide sampled path must
-//! reproduce the established bit-engine sampler **bit for bit** (the two
-//! key packings coincide at `w = 1`). Property tests add the structural
-//! invariants (parallel == sequential bitwise, arena reuse observationally
-//! pure) over arbitrary supports and `(width, horizon)` shapes, using the
-//! vendored proptest's `prop_filter` to generate exactly the shapes that
-//! pack into a `u64`.
+//! reported `noise_floor()`, and at width 1 a bit protocol's view
+//! (`TurnProtocol::as_wide`) must sample **bit for bit** as the same
+//! decision written natively at `w = 1`. Property tests add the
+//! structural invariants (parallel == sequential bitwise, arena reuse
+//! observationally pure) over arbitrary supports and `(width, horizon)`
+//! shapes, using the vendored proptest's `prop_filter` to generate
+//! exactly the shapes that pack into a `u64`.
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::FnProtocol;
-use bcc_core::exec::{
-    AdaptiveEstimator, Estimator, SampledEstimator, WideExactEstimator, WideSampledEstimator,
-};
-use bcc_core::sample::{sampled_wide_comparison, sampled_wide_comparison_in, TranscriptArena};
+use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
+use bcc_core::sample::{sampled_comparison, sampled_comparison_with_in, TranscriptArena};
 use bcc_core::{wide_walk_nodes, ProductInput, RowSupport, MAX_WIDE_NODES};
 use proptest::prelude::*;
 
@@ -44,9 +42,9 @@ fn sampled_wide_agrees_with_exact_up_to_the_node_budget_boundary() {
                 "grid point (w {w}, T {t}) must be inside the exact budget"
             );
             let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
-            let exact = WideExactEstimator::default().estimate_full(&p, &members, &baseline);
+            let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
             assert!(exact.is_exact());
-            let sampled = WideSampledEstimator::new(16_384, 0x5EED ^ u64::from(w * 31 + t))
+            let sampled = SampledEstimator::new(16_384, 0x5EED ^ u64::from(w * 31 + t))
                 .estimate_full(&p, &members, &baseline);
             let floor = sampled.noise_floor();
             assert!(floor.is_finite() && floor > 0.0);
@@ -93,8 +91,8 @@ fn smoothed_and_plugin_estimates_both_agree_with_exact_within_their_own_floors()
         for &t in horizons {
             for samples in [16_384usize, 96] {
                 let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
-                let exact = WideExactEstimator::default().estimate_full(&p, &members, &baseline);
-                let plugin = WideSampledEstimator::new(samples, 0x5EED ^ u64::from(w * 31 + t))
+                let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+                let plugin = SampledEstimator::new(samples, 0x5EED ^ u64::from(w * 31 + t))
                     .estimate_full(&p, &members, &baseline);
                 let smoothed = plugin.smoothed();
                 for depth in 0..=t {
@@ -142,20 +140,20 @@ fn sampled_wide_continues_past_the_exact_cliff() {
     // budget guard panics here — pinned in crates/core/src/wide.rs).
     assert!(wide_walk_nodes(2, 13) > MAX_WIDE_NODES);
     let p = wide_protocol(2, 3, 2, 13, 0xC11F);
-    let profile = WideSampledEstimator::new(8_192, 7).estimate_full(&p, &members, &baseline);
+    let profile = SampledEstimator::new(8_192, 7).estimate_full(&p, &members, &baseline);
     assert_eq!(profile.horizon, 13);
     assert!(profile.noise_floor().is_finite());
     for &tv in &profile.mixture_tv_by_depth {
         assert!((0.0..=1.0 + 1e-12).contains(&tv));
     }
     // Seeded rerun is bitwise identical (the property lab resume needs).
-    let again = WideSampledEstimator::new(8_192, 7).estimate_full(&p, &members, &baseline);
+    let again = SampledEstimator::new(8_192, 7).estimate_full(&p, &members, &baseline);
     assert_profile_bitwise_eq(&profile, &again, "past-cliff rerun");
 }
 
-/// The width-1 wide sampler and the bit-engine sampler share the same
-/// key packing, seed derivation, and RNG consumption — so on the same
-/// decision function they must produce **bit for bit** the same profile,
+/// A bit protocol's width-1 view and the same decision function written
+/// natively at `w = 1` share the key packing, seed derivation, and RNG
+/// consumption — so they must produce **bit for bit** the same profile,
 /// one-shot and adaptive alike.
 #[test]
 fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
@@ -168,13 +166,14 @@ fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
     });
     let (members, baseline) = small_family();
 
-    let bit = SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline);
-    let wide = WideSampledEstimator::new(6_000, 0xAB).estimate_full(&widep, &members, &baseline);
+    let bit =
+        SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp.as_wide(), &members, &baseline);
+    let wide = SampledEstimator::new(6_000, 0xAB).estimate_full(&widep, &members, &baseline);
     assert_profile_bitwise_eq(&bit, &wide, "one-shot w=1");
 
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_a, bit_r) = est.estimate_with_report(&bitp, &members, &baseline, 9);
-    let (wide_a, wide_r) = est.estimate_wide_with_report(&widep, &members, &baseline, 9);
+    let (bit_a, bit_r) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 9);
+    let (wide_a, wide_r) = est.estimate_with_report(&widep, &members, &baseline, 9);
     assert_eq!(bit_r, wide_r, "adaptive reports must coincide at w = 1");
     assert!(bit_r.batches > 1, "want a multi-batch adaptive run");
     assert_profile_bitwise_eq(&bit_a, &wide_a, "adaptive w=1");
@@ -219,8 +218,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = WideSampledEstimator::new(2_000, seed).estimate_full(&p, &members, &base);
-        let seq = WideSampledEstimator::sequential(2_000, seed).estimate_full(&p, &members, &base);
+        let par = SampledEstimator::new(2_000, seed).estimate_full(&p, &members, &base);
+        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p, &members, &base);
         for depth in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[depth].to_bits(),
@@ -254,8 +253,8 @@ proptest! {
         let p = wide_protocol(2, 3, w, t, seed);
         let members = vec![a];
         let est = AdaptiveEstimator::new(0.3, 64, 1 << 12, seed);
-        let (profile, report) = est.estimate_wide_with_report(&p, &members, &base, t);
-        let one_shot = WideSampledEstimator::new(report.samples_per_side, seed)
+        let (profile, report) = est.estimate_with_report(&p, &members, &base, t);
+        let one_shot = SampledEstimator::new(report.samples_per_side, seed)
             .estimate_full(&p, &members, &base);
         prop_assert_eq!(profile.tv().to_bits(), one_shot.tv().to_bits());
         prop_assert_eq!(profile.progress().to_bits(), one_shot.progress().to_bits());
@@ -274,16 +273,30 @@ proptest! {
         let p = wide_protocol(2, 3, w, t, seed);
         let fresh = {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xA1);
-            sampled_wide_comparison(&p, &a, &b, 2_000, &mut rng)
+            sampled_comparison(&p, &a, &b, 2_000, &mut rng)
         };
         // The same arena runs a *different* comparison first (leaving
         // leftover keys of another shape), then the one under test: the
         // result must be bitwise the fresh-arena run.
         let mut arena = TranscriptArena::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB2);
-        let _ = sampled_wide_comparison_in(&mut arena, &p, &b, &a, 3_000, &mut rng);
+        let _ = sampled_comparison_with_in(
+            &mut arena,
+            &p,
+            |r| b.sample(r),
+            |r| a.sample(r),
+            3_000,
+            &mut rng,
+        );
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA1);
-        let reused = sampled_wide_comparison_in(&mut arena, &p, &a, &b, 2_000, &mut rng);
+        let reused = sampled_comparison_with_in(
+            &mut arena,
+            &p,
+            |r| a.sample(r),
+            |r| b.sample(r),
+            2_000,
+            &mut rng,
+        );
         prop_assert_eq!(fresh.tv.to_bits(), reused.tv.to_bits());
         prop_assert_eq!(fresh.support_seen, reused.support_seen);
         prop_assert_eq!(fresh.samples_per_side, reused.samples_per_side);

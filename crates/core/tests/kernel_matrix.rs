@@ -14,10 +14,8 @@
 //! On hosts without AVX2 (or off `x86_64` entirely) the matrix has one
 //! column and the runner skips with a visible notice.
 
-use bcc_core::exec::{
-    AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator, WideExactEstimator,
-    WideSampledEstimator,
-};
+use bcc_congest::TurnProtocol;
+use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::{wide_walk_nodes, MAX_WIDE_NODES};
 use bcc_f2::kernel::{self, WordKernel};
 
@@ -38,16 +36,16 @@ fn suite_fingerprint() -> u64 {
         for &t in horizons {
             assert!(wide_walk_nodes(w, t) <= MAX_WIDE_NODES);
             let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
-            let exact = WideExactEstimator::default().estimate_full(&p, &members, &baseline);
+            let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
             fold_profile(&mut h, &exact);
-            let sampled = WideSampledEstimator::new(4_096, 0x5EED ^ u64::from(w * 31 + t))
+            let sampled = SampledEstimator::new(4_096, 0x5EED ^ u64::from(w * 31 + t))
                 .estimate_full(&p, &members, &baseline);
             fold_profile(&mut h, &sampled);
         }
     }
 
-    // The bit engine (exact, one-shot sampled, adaptive) plus the wide
-    // adaptive path on the same seeded decision function.
+    // A bit protocol through its width-1 view (exact, one-shot sampled,
+    // adaptive) plus a width-2 adaptive run.
     let seed = 0xB17;
     let bitp = bcc_congest::FnProtocol::new(2, 3, 9, move |proc, input, tr| {
         decision_bit(seed, proc, input, tr.len(), tr.as_u64())
@@ -55,17 +53,17 @@ fn suite_fingerprint() -> u64 {
     let widep = wide_protocol(2, 3, 2, 9, 0xA5A5);
     fold_profile(
         &mut h,
-        &ExactEstimator::default().estimate_full(&bitp, &members, &baseline),
+        &ExactEstimator::default().estimate_full(&bitp.as_wide(), &members, &baseline),
     );
     fold_profile(
         &mut h,
-        &SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline),
+        &SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp.as_wide(), &members, &baseline),
     );
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_a, bit_r) = est.estimate_with_report(&bitp, &members, &baseline, 9);
+    let (bit_a, bit_r) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 9);
     assert!(bit_r.batches > 1, "want a multi-batch adaptive run");
     fold_profile(&mut h, &bit_a);
-    let (wide_a, _) = est.estimate_wide_with_report(&widep, &members, &baseline, 9);
+    let (wide_a, _) = est.estimate_with_report(&widep, &members, &baseline, 9);
     fold_profile(&mut h, &wide_a);
     h
 }

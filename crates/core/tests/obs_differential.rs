@@ -14,10 +14,8 @@
 //!    subprocess per cell (the same pattern as `kernel_matrix.rs`) and
 //!    compares fingerprints of the full sorted counter set.
 
-use bcc_core::exec::{
-    AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator, WideExactEstimator,
-    WideSampledEstimator,
-};
+use bcc_congest::TurnProtocol;
+use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::DepthProfile;
 use bcc_f2::kernel::{self, WordKernel};
 
@@ -35,24 +33,24 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
     });
     let widep = wide_protocol(2, 3, 2, 8, 0xA5A5);
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_adaptive, _) = est.estimate_with_report(&bitp, &members, &baseline, 9);
-    let (wide_adaptive, _) = est.estimate_wide_with_report(&widep, &members, &baseline, 8);
+    let (bit_adaptive, _) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 9);
+    let (wide_adaptive, _) = est.estimate_with_report(&widep, &members, &baseline, 8);
     vec![
         (
             "exact bit",
-            ExactEstimator::default().estimate_full(&bitp, &members, &baseline),
+            ExactEstimator::default().estimate_full(&bitp.as_wide(), &members, &baseline),
         ),
         (
             "exact wide",
-            WideExactEstimator::default().estimate_full(&widep, &members, &baseline),
+            ExactEstimator::default().estimate_full(&widep, &members, &baseline),
         ),
         (
             "sampled bit",
-            SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline),
+            SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp.as_wide(), &members, &baseline),
         ),
         (
             "sampled wide",
-            WideSampledEstimator::new(4_096, 0x5EED).estimate_full(&widep, &members, &baseline),
+            SampledEstimator::new(4_096, 0x5EED).estimate_full(&widep, &members, &baseline),
         ),
         ("adaptive bit", bit_adaptive),
         ("adaptive wide", wide_adaptive),

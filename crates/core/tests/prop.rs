@@ -3,17 +3,15 @@
 //! protocols and input families.
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::{
     exact_comparison, exact_mixture_comparison, exact_mixture_comparison_mode,
-    exact_mixture_comparison_reference, exact_wide_comparison_mode,
-    exact_wide_comparison_reference, ExecMode, MixtureComparison, ProductInput, RowSupport,
-    WideComparison,
+    exact_mixture_comparison_reference, ExecMode, MixtureComparison, ProductInput, RowSupport,
 };
 use proptest::prelude::*;
 
-/// Asserts two bit-engine results are **bitwise** identical — every f64
+/// Asserts two exact-walk results are **bitwise** identical — every f64
 /// of the profile, the per-member distances and the speaker statistics.
 fn assert_mixture_bitwise_eq(a: &MixtureComparison, b: &MixtureComparison, what: &str) {
     assert_eq!(a.horizon, b.horizon, "{what}: horizon");
@@ -54,52 +52,13 @@ fn assert_mixture_bitwise_eq(a: &MixtureComparison, b: &MixtureComparison, what:
     }
 }
 
-/// The wide-engine analogue of [`assert_mixture_bitwise_eq`].
-fn assert_wide_bitwise_eq(a: &WideComparison, b: &WideComparison, what: &str) {
-    assert_eq!(a.horizon, b.horizon, "{what}: horizon");
-    for t in 0..a.mixture_tv_by_depth.len() {
-        assert_eq!(
-            a.mixture_tv_by_depth[t].to_bits(),
-            b.mixture_tv_by_depth[t].to_bits(),
-            "{what}: mixture tv differs at depth {t}"
-        );
-        assert_eq!(
-            a.progress_by_depth[t].to_bits(),
-            b.progress_by_depth[t].to_bits(),
-            "{what}: progress differs at depth {t}"
-        );
-    }
-    for i in 0..a.per_member_tv.len() {
-        assert_eq!(
-            a.per_member_tv[i].to_bits(),
-            b.per_member_tv[i].to_bits(),
-            "{what}: member {i} differs"
-        );
-    }
-    assert_eq!(a.speaker_stats.len(), b.speaker_stats.len());
-    for t in 0..a.speaker_stats.len() {
-        assert_eq!(
-            a.speaker_stats[t].mean_fraction.to_bits(),
-            b.speaker_stats[t].mean_fraction.to_bits(),
-            "{what}: speaker fraction differs at turn {t}"
-        );
-        for j in 0..a.speaker_stats[t].mass_below.len() {
-            assert_eq!(
-                a.speaker_stats[t].mass_below[j].to_bits(),
-                b.speaker_stats[t].mass_below[j].to_bits(),
-                "{what}: mass_below[{j}] differs at turn {t}"
-            );
-        }
-    }
-}
-
-/// The seeded pseudo-random decision both engines share: one bit per
+/// The seeded pseudo-random decision every test protocol shares: one bit per
 /// `(proc, input, transcript length, packed transcript)` query.
 ///
 /// [`bcc_congest::TurnTranscript`] and [`bcc_congest::wide::WideTranscript`]
 /// at width 1 pack turn `t` at bit `t` of the same `u64`, so feeding this
 /// function from either transcript type drives *identical* walks — which
-/// is what lets the width-1 cross-engine property below demand bitwise
+/// is what lets the width-1 view-vs-native property below demand bitwise
 /// equality, not mere closeness.
 fn decision_bit(seed: u64, proc: usize, input: u64, len: u32, packed: u64) -> bool {
     let mut z = seed
@@ -170,8 +129,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 6, seed);
-        let ab = exact_comparison(&p, &a, &b);
-        let ba = exact_comparison(&p, &b, &a);
+        let ab = exact_comparison(&p.as_wide(), &a, &b);
+        let ba = exact_comparison(&p.as_wide(), &b, &a);
         prop_assert!((ab.tv() - ba.tv()).abs() < 1e-12);
         for t in 0..ab.tv_by_depth.len() {
             prop_assert!((0.0..=1.0 + 1e-12).contains(&ab.tv_by_depth[t]));
@@ -181,7 +140,7 @@ proptest! {
     #[test]
     fn identical_inputs_have_zero_distance(a in arb_input(2, 3), seed in any::<u64>()) {
         let p = protocol(2, 3, 6, seed);
-        let cmp = exact_comparison(&p, &a, &a);
+        let cmp = exact_comparison(&p.as_wide(), &a, &a);
         prop_assert!(cmp.tv() < 1e-12);
     }
 
@@ -190,7 +149,7 @@ proptest! {
         // Longer transcripts can only reveal more (data processing in
         // reverse): prefix TV is nondecreasing in t.
         let p = protocol(2, 3, 8, seed);
-        let cmp = exact_comparison(&p, &a, &b);
+        let cmp = exact_comparison(&p.as_wide(), &a, &b);
         for w in cmp.tv_by_depth.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
@@ -207,14 +166,14 @@ proptest! {
         // distances <= max member distance.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a.clone(), b.clone()];
-        let mix = exact_mixture_comparison(&p, &members, &base);
+        let mix = exact_mixture_comparison(&p.as_wide(), &members, &base);
         for t in 0..mix.mixture_tv_by_depth.len() {
             prop_assert!(mix.mixture_tv_by_depth[t] <= mix.progress_by_depth[t] + 1e-12);
         }
         let avg = (mix.per_member_tv[0] + mix.per_member_tv[1]) / 2.0;
         prop_assert!((mix.progress() - avg).abs() < 1e-12);
         // Per-member results agree with standalone walks.
-        let solo_a = exact_comparison(&p, &a, &base).tv();
+        let solo_a = exact_comparison(&p.as_wide(), &a, &base).tv();
         prop_assert!((mix.per_member_tv[0] - solo_a).abs() < 1e-12);
     }
 
@@ -225,7 +184,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 8, seed);
-        let mix = exact_mixture_comparison(&p, &[a], &base);
+        let mix = exact_mixture_comparison(&p.as_wide(), &[a], &base);
         for inc in mix.progress_increments() {
             prop_assert!(inc >= -1e-12);
         }
@@ -239,7 +198,7 @@ proptest! {
         // Under baseline = a itself, processor 0's expected consistent
         // fraction is nonincreasing over its own turns.
         let p = protocol(2, 4, 8, seed);
-        let cmp = exact_comparison(&p, &a, &a);
+        let cmp = exact_comparison(&p.as_wide(), &a, &a);
         let own_turns: Vec<f64> = cmp
             .speaker_stats
             .iter()
@@ -260,9 +219,9 @@ proptest! {
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let p = protocol(2, 3, 4, seed);
-        let exact = exact_comparison(&p, &a, &b).tv();
+        let exact = exact_comparison(&p.as_wide(), &a, &b).tv();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let sampled = bcc_core::sample::sampled_comparison(&p, &a, &b, 20_000, &mut rng);
+        let sampled = bcc_core::sample::sampled_comparison(&p.as_wide(), &a, &b, 20_000, &mut rng);
         prop_assert!(
             (sampled.tv - exact).abs() <= sampled.noise_floor() + 0.05,
             "sampled {} vs exact {exact} (floor {})",
@@ -283,8 +242,8 @@ proptest! {
         // floor (plus Hoeffding slack) of the exact estimator's TV.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &base);
-        let sampled = SampledEstimator::new(20_000, seed).estimate_full(&p, &members, &base);
+        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &base);
+        let sampled = SampledEstimator::new(20_000, seed).estimate_full(&p.as_wide(), &members, &base);
         prop_assert!(
             (sampled.tv() - exact.tv()).abs() <= sampled.noise_floor() + 0.05,
             "sampled {} vs exact {} (floor {})",
@@ -322,8 +281,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = SampledEstimator::new(2_000, seed).estimate_full(&p, &members, &base);
-        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p, &members, &base);
+        let par = SampledEstimator::new(2_000, seed).estimate_full(&p.as_wide(), &members, &base);
+        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p.as_wide(), &members, &base);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -357,7 +316,7 @@ proptest! {
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
         let est = AdaptiveEstimator::new(0.25, 64, 1 << 16, seed);
-        let (profile, report) = est.estimate_with_report(&p, &members, &base, 6);
+        let (profile, report) = est.estimate_with_report(&p.as_wide(), &members, &base, 6);
         prop_assert!(report.samples_per_side <= 1 << 16);
         if report.met_tolerance {
             prop_assert!(profile.noise_floor() <= 0.25);
@@ -365,7 +324,7 @@ proptest! {
             prop_assert_eq!(report.samples_per_side, 1 << 16);
         }
         // Deterministic under the fixed seed.
-        let (again, report_again) = est.estimate_with_report(&p, &members, &base, 6);
+        let (again, report_again) = est.estimate_with_report(&p.as_wide(), &members, &base, 6);
         prop_assert_eq!(report, report_again);
         prop_assert_eq!(profile.tv().to_bits(), again.tv().to_bits());
     }
@@ -375,7 +334,7 @@ proptest! {
         base in arb_input(2, 4),
         seed in any::<u64>(),
     ) {
-        // The wide engine's analogue of the bit-engine property below: a
+        // The width-2 analogue of the width-1 property below: a
         // width-2, 8-turn walk cuts its frontier at depth 3 (SPLIT_DEPTH
         // / w), so subtree tasks genuinely fan out, and the parallel run
         // must be bitwise identical to the forced single-thread run.
@@ -389,8 +348,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = exact_wide_comparison_mode(&p, &members, &base, ExecMode::Parallel);
-        let seq = exact_wide_comparison_mode(&p, &members, &base, ExecMode::Sequential);
+        let par = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Parallel);
+        let seq = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Sequential);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -426,18 +385,17 @@ proptest! {
         base in arb_input(2, 3),
         seed in any::<u64>(),
     ) {
-        // Both engines instantiate the same shared walk core, and the two
-        // transcript types pack identically at width 1, so running the
-        // same decision function through the wide engine must reproduce
-        // the bit engine's profile bit for bit, depth by depth — not just
-        // within tolerance.
+        // The two transcript types pack identically at width 1, so a bit
+        // protocol's view and the same decision function written natively
+        // at w = 1 must walk to the same profile bit for bit, depth by
+        // depth — not just within tolerance.
         let bitp = protocol(2, 3, 8, seed);
         let widep = FnWideProtocol::new(2, 3, 1, 8, move |proc, input, tr| {
             u64::from(decision_bit(seed, proc, input, tr.len(), tr.as_u64()))
         });
         let members = vec![a, b];
-        let bit = exact_mixture_comparison(&bitp, &members, &base);
-        let wide = exact_wide_comparison_mode(&widep, &members, &base, ExecMode::Parallel);
+        let bit = exact_mixture_comparison(&bitp.as_wide(), &members, &base);
+        let wide = exact_mixture_comparison_mode(&widep, &members, &base, ExecMode::Parallel);
         prop_assert_eq!(bit.horizon, wide.horizon);
         for t in 0..bit.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -492,8 +450,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
-        let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
+        let par = ExactEstimator::parallel().estimate_full(&p.as_wide(), &members, &base);
+        let seq = ExactEstimator::sequential().estimate_full(&p.as_wide(), &members, &base);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -543,8 +501,8 @@ proptest! {
         let p = protocol(2, 3, 8, seed);
         let members = vec![a, b];
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = exact_mixture_comparison_mode(&p, &members, &base, mode);
-            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
+            let new = exact_mixture_comparison_mode(&p.as_wide(), &members, &base, mode);
+            let old = exact_mixture_comparison_reference(&p.as_wide(), &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
         }
     }
@@ -558,9 +516,9 @@ proptest! {
         let p = wide_protocol(2, 4, 2, 6, seed);
         let members = vec![a];
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = exact_wide_comparison_mode(&p, &members, &base, mode);
-            let old = exact_wide_comparison_reference(&p, &members, &base, mode);
-            assert_wide_bitwise_eq(&new, &old, &format!("{mode:?}"));
+            let new = exact_mixture_comparison_mode(&p, &members, &base, mode);
+            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
+            assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
         }
     }
 
@@ -580,8 +538,8 @@ proptest! {
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = exact_mixture_comparison_mode(&p, &members, &base, mode);
-            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
+            let new = exact_mixture_comparison_mode(&p.as_wide(), &members, &base, mode);
+            let old = exact_mixture_comparison_reference(&p.as_wide(), &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("shared {mode:?}"));
         }
     }
@@ -600,8 +558,8 @@ fn wide_walk_with_thousands_of_processors_is_bitwise_deterministic() {
         ProductInput::repeated(RowSupport::explicit(3, vec![1, 3, 4, 6, 7]), n),
     ];
     let base = ProductInput::uniform(n, 3);
-    let par = exact_wide_comparison_mode(&p, &members, &base, ExecMode::Parallel);
-    let seq = exact_wide_comparison_mode(&p, &members, &base, ExecMode::Sequential);
+    let par = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Parallel);
+    let seq = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Sequential);
     assert_eq!(par.horizon, 8);
     for t in 0..par.mixture_tv_by_depth.len() {
         assert_eq!(
@@ -640,8 +598,10 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
     )]);
     let base = ProductInput::uniform(1, 10);
     for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-        let new = exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, mode);
-        let old = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &base, mode);
+        let new =
+            exact_mixture_comparison_mode(&p.as_wide(), std::slice::from_ref(&a), &base, mode);
+        let old =
+            exact_mixture_comparison_reference(&p.as_wide(), std::slice::from_ref(&a), &base, mode);
         assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
     }
 }
@@ -660,10 +620,18 @@ fn huge_support_tiny_alive_bit_walk_finishes_and_is_exact() {
     let p = FnProtocol::new(1, 18, 14, |_, input, tr| (input >> tr.len()) & 1 == 1);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par =
-        exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Parallel);
-    let seq =
-        exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Sequential);
+    let par = exact_mixture_comparison_mode(
+        &p.as_wide(),
+        std::slice::from_ref(&a),
+        &base,
+        ExecMode::Parallel,
+    );
+    let seq = exact_mixture_comparison_mode(
+        &p.as_wide(),
+        std::slice::from_ref(&a),
+        &base,
+        ExecMode::Sequential,
+    );
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,
@@ -681,7 +649,7 @@ fn huge_support_tiny_alive_bit_walk_finishes_and_is_exact() {
     }
 }
 
-/// The same huge-support/tiny-alive shape through the wide engine: a
+/// The same huge-support/tiny-alive shape at width 2: a
 /// width-2 walk to depth 7 reveals the same 14 bits inside the
 /// reachable-node budget (`wide_walk_nodes(2, 7) ≤ 2^26`).
 #[test]
@@ -690,13 +658,15 @@ fn huge_support_tiny_alive_wide_walk_finishes_and_is_exact() {
     let p = FnWideProtocol::new(1, 18, 2, 7, |_, input, tr| (input >> (2 * tr.len())) & 0b11);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par = exact_wide_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Parallel);
-    let seq = exact_wide_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Sequential);
+    let par =
+        exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Parallel);
+    let seq =
+        exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Sequential);
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,
         "tv {} vs {expected}",
         par.tv()
     );
-    assert_wide_bitwise_eq(&par, &seq, "huge wide par vs seq");
+    assert_mixture_bitwise_eq(&par, &seq, "huge wide par vs seq");
 }

@@ -22,8 +22,8 @@
 //! running test that sorts anything would corrupt the global deltas.
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::FnProtocol;
-use bcc_core::{AdaptiveEstimator, ProductInput, RowSupport, WideSampledEstimator};
+use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_core::{AdaptiveEstimator, Estimator, ProductInput, RowSupport, SampledEstimator};
 use bcc_obs::{Registry, Snapshot};
 
 /// Runs `f` under a fresh scoped registry and returns its result plus
@@ -71,7 +71,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // The bit path.
     let bitp = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&bitp, &members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 6);
         report
     });
     let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
@@ -100,7 +100,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // The wide path, same contract.
     let widep = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_wide_with_report(&widep, &members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&widep, &members, &baseline, 6);
         report
     });
     let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
@@ -115,9 +115,8 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // once on top of the per-side sorts — (sides + members) × budget —
     // which pins that the counter actually sees mixture sorting (the
     // adaptive numbers above are not an accounting blind spot).
-    let (_, snap) = scoped(|| {
-        WideSampledEstimator::new(cap, 0xFEED).estimate_full(&widep, &members, &baseline)
-    });
+    let (_, snap) =
+        scoped(|| SampledEstimator::new(cap, 0xFEED).estimate_full(&widep, &members, &baseline));
     let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
     assert_eq!(sorted, (sides + members.len() as u64) * cap as u64);
     assert_eq!(
@@ -142,7 +141,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
         .collect();
     let m = wide_members.len() as u64;
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&bitp, &wide_members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&bitp.as_wide(), &wide_members, &baseline, 6);
         report
     });
     let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");

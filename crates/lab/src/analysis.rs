@@ -6,7 +6,7 @@
 //! into a mean estimate with a 95% confidence half-width, and persists
 //! the table as `aggregates.json` next to the raw log (after sweeps, and
 //! after `bcc-shard` merges). The table carries the records'
-//! [`records_fingerprint`](crate::store::records_fingerprint), tying
+//! [`records_fingerprint`], tying
 //! every derived number to the exact raw store it came from — a stale or
 //! hand-edited table is detectable, never authoritative.
 //!

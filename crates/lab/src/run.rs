@@ -21,9 +21,9 @@
 use std::time::Instant;
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::FnProtocol;
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    derive_seed, wide_walk_nodes, AdaptiveEstimator, WideExactEstimator, MAX_WIDE_NODES,
+    derive_seed, wide_walk_nodes, AdaptiveEstimator, Estimator, ExactEstimator, MAX_WIDE_NODES,
 };
 use bcc_f2::{BitMatrix, BitVec};
 use bcc_planted::find::{activation_probability, FindTally};
@@ -228,7 +228,8 @@ fn rank_distance(point: &ScenarioPoint, members: usize, precision: &Precision) -
     if precision.truncated_target {
         estimator = estimator.with_truncated_target();
     }
-    let (profile, report) = estimator.estimate_with_report(&protocol, &family, &baseline, turns);
+    let (profile, report) =
+        estimator.estimate_with_report(&protocol.as_wide(), &family, &baseline, turns);
     let (resolved_horizon, depth_floors) = depth_stats(&profile, precision);
     Outcome {
         estimate: profile.tv(),
@@ -256,7 +257,7 @@ fn draw_secrets(rng: &mut StdRng, members: usize, k: u32) -> Vec<u64> {
 }
 
 /// The toy-PRG coset family vs uniform under a `w`-bit masked-parity
-/// protocol, walked **exactly** by the wide engine.
+/// protocol, walked **exactly** by the engine.
 ///
 /// Each turn the speaker ships `bandwidth` transcript-dependent masked
 /// parities of its `(k+1)`-bit input as one message, so one wide turn is
@@ -272,7 +273,7 @@ fn draw_secrets(rng: &mut StdRng, members: usize, k: u32) -> Vec<u64> {
 /// message masks.
 fn wide_messages(point: &ScenarioPoint, members: usize, precision: &Precision) -> Outcome {
     let (protocol, family, baseline) = wide_setup(point, members);
-    let profile = WideExactEstimator::default().estimate_full(&protocol, &family, &baseline);
+    let profile = ExactEstimator::default().estimate_full(&protocol, &family, &baseline);
     Outcome::flat(
         profile.tv(),
         profile.noise_floor(),
@@ -336,7 +337,7 @@ fn wide_setup(
 /// [`wide_messages`] past the exact cliff: the identical protocol family,
 /// with the backend routed per point — the exact wide walk when the
 /// complete tree fits [`bcc_core::MAX_WIDE_NODES`], the adaptive wide
-/// sampler ([`AdaptiveEstimator::estimate_wide_with_report`], per-side
+/// sampler ([`AdaptiveEstimator::estimate_with_report`], per-side
 /// derived ChaCha streams, incremental batches) exactly when it does not.
 ///
 /// Sampled records report the estimator's honest `noise_floor()` —
@@ -376,7 +377,7 @@ fn wide_messages_sampled(point: &ScenarioPoint, members: usize, precision: &Prec
         estimator = estimator.with_truncated_target();
     }
     let (profile, report) =
-        estimator.estimate_wide_with_report(&protocol, &family, &baseline, point.rounds);
+        estimator.estimate_with_report(&protocol, &family, &baseline, point.rounds);
     let (resolved_horizon, depth_floors) = depth_stats(&profile, precision);
     Outcome {
         estimate: profile.tv(),

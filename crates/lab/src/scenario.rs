@@ -184,8 +184,8 @@ pub enum Workload {
     PrgThroughput,
     /// Footnote 2 at scale: the toy-PRG coset family against uniform
     /// inputs under a `bandwidth`-bit masked-parity protocol, walked
-    /// **exactly** by the wide engine (`bcc_core::wide`) through
-    /// `bcc_core::WideExactEstimator`. The estimate is the exact mixture
+    /// **exactly** by the engine (`bcc_core::engine`) through
+    /// `bcc_core::ExactEstimator`. The estimate is the exact mixture
     /// TV, the noise floor is 0 (so any non-negative tolerance is met),
     /// and the recorded budget is the walk's reachable-node bound.
     ///
@@ -204,10 +204,10 @@ pub enum Workload {
     },
     /// [`Workload::WideMessages`] past the exact cliff: the same coset
     /// family under the same `w`-bit masked-parity protocol, but per
-    /// point the backend is **routed** — the exact wide walk wherever the
+    /// point the backend is **routed** — the exact walk wherever the
     /// complete tree fits the engine's [`bcc_core::MAX_WIDE_NODES`]
     /// budget (`wide_walk_nodes(w, rounds) ≤ 2^26`), and the adaptive
-    /// wide *sampler* ([`bcc_core::AdaptiveEstimator`] over
+    /// *sampler* ([`bcc_core::AdaptiveEstimator`] over
     /// `w`-bit-per-turn packed keys) exactly when it does not. In-budget
     /// records are exact (noise floor 0, budget = the reachable-node
     /// bound); past-budget records carry the sampler's honest
@@ -220,7 +220,7 @@ pub enum Workload {
     /// meet the tolerance at the deepest resolvable depth and say so.
     /// Both routes are deterministic from
     /// the point's coordinate-derived streams, so sweeps still resume
-    /// bit-for-bit; the sampled route is pinned to the exact engines
+    /// bit-for-bit; the sampled route is pinned to the exact walk
     /// inside the budget by `crates/core/tests/differential.rs`.
     ///
     /// Axes: as [`Workload::WideMessages`], except the node budget no
@@ -429,8 +429,8 @@ impl Scenario {
     }
 }
 
-/// Builds a [`Scenario`], validating the combination at [`build`]
-/// ([`ScenarioBuilder::build`]) time.
+/// Builds a [`Scenario`], validating the combination at
+/// [`build`](ScenarioBuilder::build) time.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     name: String,

@@ -53,7 +53,10 @@ where
 {
     let members = clique_family(n, k);
     let baseline = rand_input(n);
-    estimator.estimate_full(protocol, &members, &baseline).tv() / 2.0
+    estimator
+        .estimate_full(&protocol.as_wide(), &members, &baseline)
+        .tv()
+        / 2.0
 }
 
 /// Measured acceptance rates of a concrete rule under both distributions.

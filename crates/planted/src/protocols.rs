@@ -85,7 +85,9 @@ pub fn random_mask_parity(n: u32, rounds: u32, seed: u64) -> impl TurnProtocol {
 /// # Panics
 ///
 /// Panics if the instance is out of the estimator's reach (for the exact
-/// walk: horizon > 26 turns or more than 5000 cliques).
+/// walk: a horizon above 25 turns, past the
+/// [`bcc_core::MAX_WIDE_NODES`] node budget) or the family exceeds 5000
+/// cliques.
 pub fn experiment<P: TurnProtocol + Sync + ?Sized, E: Estimator>(
     protocol: &P,
     n: u32,
@@ -94,7 +96,7 @@ pub fn experiment<P: TurnProtocol + Sync + ?Sized, E: Estimator>(
 ) -> DepthProfile {
     let members = clique_family(n, k);
     let baseline = rand_input(n);
-    estimator.estimate_full(protocol, &members, &baseline)
+    estimator.estimate_full(&protocol.as_wide(), &members, &baseline)
 }
 
 /// [`experiment`] through the default exact estimator (the parallel exact

@@ -92,7 +92,7 @@ where
     R: Rng + ?Sized,
 {
     sampled_comparison_with(
-        protocol,
+        &protocol.as_wide(),
         |rng| sample_rows_rand(rng, n),
         |rng| sample_rows_planted(rng, n, k),
         samples,

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example lower_bound_lab`
 
+use bcc::congest::TurnProtocol;
 use bcc::core::exact_mixture_comparison;
 use bcc::planted::protocols::suspect_intersection;
 use bcc::planted::{bounds, clique_family, rand_input};
@@ -27,7 +28,7 @@ fn main() {
     );
 
     let proto = suspect_intersection(n, rounds);
-    let cmp = exact_mixture_comparison(&proto, &members, &baseline);
+    let cmp = exact_mixture_comparison(&proto.as_wide(), &members, &baseline);
 
     println!("\nturn-by-turn (exact):");
     println!(

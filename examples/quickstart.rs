@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use bcc::congest::{FnProtocol, Model, Network};
+use bcc::congest::{FnProtocol, Model, Network, TurnProtocol};
 use bcc::core::{exact_comparison, ProductInput, RowSupport};
 use bcc::prg::MatrixPrg;
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ fn main() {
         RowSupport::uniform(5),
         RowSupport::uniform(5),
     ]);
-    let cmp = exact_comparison(&protocol, &biased, &uniform);
+    let cmp = exact_comparison(&protocol.as_wide(), &biased, &uniform);
     println!("prefix distance by turn: {:?}", cmp.tv_by_depth);
     println!(
         "optimal distinguisher advantage after 3 turns: {:.4}",

@@ -2,7 +2,7 @@
 //! graph/seed sampling through the congested-clique model to the exact
 //! engine or a protocol outcome.
 
-use bcc::congest::{run_turn_protocol, FnProtocol, Model, Network};
+use bcc::congest::{run_turn_protocol, FnProtocol, Model, Network, TurnProtocol};
 use bcc::core::{exact_comparison, exact_mixture_comparison, ProductInput};
 use bcc::f2::{gauss, BitMatrix, BitVec};
 use bcc::graphs::planted::sample_planted;
@@ -67,7 +67,7 @@ fn prg_fools_protocol_but_attack_breaks_it() {
     });
     let members = bcc::prg::full::family(n, k, m);
     let baseline = bcc::prg::full::uniform_input(n, m);
-    let cmp = exact_mixture_comparison(&proto, &members, &baseline);
+    let cmp = exact_mixture_comparison(&proto.as_wide(), &members, &baseline);
     assert!(cmp.tv() < 0.2, "natural protocol separates: {}", cmp.tv());
 
     let mut rng = StdRng::seed_from_u64(2);
@@ -168,7 +168,7 @@ fn mixture_decomposition_identity() {
     let proto = protocols::degree_threshold(n, 1, 3);
     let family = clique_family(n, k);
     let baseline = rand_input(n);
-    let exact = exact_mixture_comparison(&proto, &family, &baseline);
+    let exact = exact_mixture_comparison(&proto.as_wide(), &family, &baseline);
 
     // Monte-Carlo A_k: sample a clique, then a member input, run.
     let mut est = MeanEstimator::new();
@@ -304,8 +304,8 @@ fn engine_two_sided_symmetry() {
         bcc::core::RowSupport::explicit(3, vec![0, 1, 2]),
         bcc::core::RowSupport::uniform(3),
     ]);
-    let ab = exact_comparison(&proto, &a, &b).tv();
-    let ba = exact_comparison(&proto, &b, &a).tv();
+    let ab = exact_comparison(&proto.as_wide(), &a, &b).tv();
+    let ba = exact_comparison(&proto.as_wide(), &b, &a).tv();
     assert!((ab - ba).abs() < 1e-12);
 }
 
