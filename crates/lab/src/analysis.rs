@@ -204,6 +204,13 @@ mod tests {
     use super::*;
     use crate::scenario::Workload;
 
+    /// `infinite_noise_floors_render_as_lenient_markers`'s document.
+    const GOLDEN_AGGREGATES: &str =
+        "{\"schema\":\"bcc-aggregates/v1\",\"scenario\":\"agg\",\"workload\":\"rank_distance\",\
+     \"records_fingerprint\":\"6e7ae2fb09588d7b\",\"points\":2,\"rows\":[{\"n\":64,\"k\":4,\
+     \"rounds\":8,\"bandwidth\":1,\"seeds\":2,\"mean_estimate\":0.4,\"ci95\":0.19599999999999995,\
+     \"max_noise_floor\":\"inf\",\"met\":2,\"samples\":2048,\"max_resolved_horizon\":0}]}\n";
+
     fn record(point_id: usize, n: usize, seed: u64, estimate: f64) -> PointRecord {
         PointRecord {
             point_id,
@@ -284,8 +291,9 @@ mod tests {
     fn infinite_noise_floors_render_as_lenient_markers() {
         let mut r = record(0, 64, 1, 0.5);
         r.noise_floor = f64::INFINITY;
-        let json = render_json(&scenario(), &[r]);
+        let json = render_json(&scenario(), &[r, record(1, 64, 2, 0.1 + 0.2)]);
         assert!(json.contains("\"max_noise_floor\":\"inf\""));
+        assert_eq!(json, GOLDEN_AGGREGATES);
     }
 
     #[test]

@@ -642,6 +642,18 @@ impl ScenarioBuilder {
 mod tests {
     use super::*;
 
+    /// The manifest `truncated_target_is_fingerprinted_only_when_set`
+    /// pins. The split depth follows the host's core count.
+    fn golden_fingerprint() -> String {
+        format!(
+            "{{\"format\":1,\"name\":\"ws\",\"workload\":\"wide_messages_sampled\",\"members\":2,\
+             \"grid_n\":[1024,4096],\"grid_k\":[4],\"grid_rounds\":[6,14],\"grid_bandwidth\":[2],\
+             \"grid_seeds\":[1,18446744073709551615],\"tolerance\":0.1,\"initial_samples\":1024,\
+             \"max_samples\":131072,\"truncated_target\":true,\"walk_split_depths\":[{}]}}",
+            bcc_core::adaptive_split_depth(2)
+        )
+    }
+
     fn tiny() -> Scenario {
         Scenario::builder("t")
             .workload(Workload::RankDistance { members: 2 })
@@ -906,6 +918,20 @@ mod tests {
             .fingerprint()
             .contains("\"truncated_target\":true"));
         assert_ne!(build(false).fingerprint(), build(true).fingerprint());
+
+        // The full manifest bytes with both optional fields set: a
+        // straddling grid (round 6 routes exact, so the depth is pinned).
+        let both = Scenario::builder("ws")
+            .workload(Workload::WideMessagesSampled { members: 2 })
+            .n(&[1024, 4096])
+            .k(&[4])
+            .rounds(&[6, 14])
+            .bandwidth(&[2])
+            .seeds(&[1, u64::MAX])
+            .tolerance(0.1)
+            .truncated_target(true)
+            .build();
+        assert_eq!(both.fingerprint(), golden_fingerprint());
     }
 
     #[test]

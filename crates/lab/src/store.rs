@@ -282,6 +282,21 @@ fn parse_records(text: &str) -> BTreeMap<usize, PointRecord> {
 mod tests {
     use super::*;
 
+    /// `record_line_bytes_are_pinned`'s lines.
+    const GOLDEN_LEGACY_RECORD: &str =
+        "{\"point_id\":2,\"n\":1024,\"k\":6,\"rounds\":10,\"bandwidth\":1,\"seed\":3,\
+         \"estimate\":2.125,\"noise_floor\":0.06,\"samples\":8192,\"met_tolerance\":true,\
+         \"wall_ms\":12.75}";
+    const GOLDEN_RECORD_DETERMINISTIC: &str =
+        "{\"point_id\":5,\"n\":1024,\"k\":6,\"rounds\":10,\"bandwidth\":1,\
+         \"seed\":18446744073709551615,\"estimate\":0.30000000000000004,\"noise_floor\":\"inf\",\
+         \"samples\":8192,\"met_tolerance\":false,\"resolved_horizon\":4,\
+         \"depth_floors\":\"0000000000000000-3fd0000000000000\"}";
+    const GOLDEN_RECORD: &str = "{\"point_id\":5,\"n\":1024,\"k\":6,\"rounds\":10,\"bandwidth\":1,\
+         \"seed\":18446744073709551615,\"estimate\":0.30000000000000004,\"noise_floor\":\"inf\",\
+         \"samples\":8192,\"met_tolerance\":false,\"resolved_horizon\":4,\
+         \"depth_floors\":\"0000000000000000-3fd0000000000000\",\"wall_ms\":12.75}";
+
     fn record(id: usize) -> PointRecord {
         PointRecord {
             point_id: id,
@@ -362,6 +377,22 @@ mod tests {
         exact_routed.resolved_horizon = 10;
         let decoded = decode_record(&encode_record(&exact_routed)).expect("empty floors decode");
         assert_eq!(decoded, exact_routed);
+    }
+
+    #[test]
+    fn record_line_bytes_are_pinned() {
+        let legacy = record(2);
+        let mut r = record(5);
+        r.seed = u64::MAX;
+        r.estimate = 0.1 + 0.2;
+        r.noise_floor = f64::INFINITY;
+        r.met_tolerance = false;
+        r.resolved_horizon = 4;
+        r.depth_floors = crate::run::encode_depth_floors(&[0.0, 0.25]);
+        assert_eq!(encode_record(&legacy), GOLDEN_LEGACY_RECORD);
+        assert_eq!(encode_record_deterministic(&r), GOLDEN_RECORD_DETERMINISTIC);
+        assert_eq!(encode_record(&r), GOLDEN_RECORD);
+        assert_eq!(records_fingerprint([&legacy, &r]), 0x8184_cffd_a5ff_6408);
     }
 
     #[test]

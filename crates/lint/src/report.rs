@@ -119,6 +119,20 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// `report_json_bytes_are_pinned`'s document.
+    const GOLDEN_REPORT: &str = "{\"schema\":\"bcc-lint/v1\",\"root\":\"C:\\\\ws\\\\\\\"q\\\"\",\"files_scanned\":2,\
+     \"findings_total\":1,\"rules\":[{\"name\":\"no-unsafe-outside-kernel\",\
+     \"summary\":\"unsafe code only in crates/f2/src/kernel.rs; every crate root must carry forbid(unsafe_code) (f2: deny + the kernel's scoped allow)\"},\
+     {\"name\":\"no-unordered-iteration\",\"summary\":\"HashMap/HashSet (nondeterministic iteration order) banned in the deterministic crates; use BTreeMap/BTreeSet or sorted vecs\"},\
+     {\"name\":\"no-wall-clock-in-work-paths\",\"summary\":\"Instant/SystemTime only in bcc-obs wall metrics and bench/example timing code\"},\
+     {\"name\":\"no-global-mutable-state\",\"summary\":\"static mut is banned everywhere; interior-mutable statics (Atomic*/Mutex/RwLock/Cell/RefCell/UnsafeCell) only in bcc-obs\"},\
+     {\"name\":\"no-stray-printing\",\"summary\":\"println!/eprintln! (and friends) banned in library code; binaries, tests, benches, examples and the bench-table crate are exempt\"},\
+     {\"name\":\"rayon-order-audit\",\"summary\":\"par_bridge, and for_each/reduce on parallel iterators, flagged in the deterministic crates unless the allow names the order-restoring mechanism\"},\
+     {\"name\":\"manifest-workspace-lints\",\"summary\":\"every package manifest must opt into the shared lint levels with `[lints] workspace = true`\"},\
+     {\"name\":\"manifest-dependency-drift\",\"summary\":\"dependencies must inherit from [workspace.dependencies] (`name.workspace = true`); inline versions and undeclared names drift from the workspace resolution\"}],\
+     \"findings\":[{\"rule\":\"no-stray-printing\",\"path\":\"crates/core/src/we\\\"ird\\\\path\\t.rs\",\
+     \"line\":7,\"col\":5,\"message\":\"`println!(\\\"{x}\\\")` in library code\\n\"}]}\n";
+
     #[test]
     fn json_escaping() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
@@ -147,5 +161,21 @@ mod tests {
             "rule table is embedded"
         );
         assert!(json.ends_with("]}\n"));
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let report = Report {
+            root: "C:\\ws\\\"q\"".into(),
+            files_scanned: 2,
+            findings: vec![Finding {
+                rule: "no-stray-printing",
+                path: "crates/core/src/we\"ird\\path\t.rs".into(),
+                line: 7,
+                col: 5,
+                message: "`println!(\"{x}\")` in library code\n".into(),
+            }],
+        };
+        assert_eq!(report.to_json(), GOLDEN_REPORT);
     }
 }

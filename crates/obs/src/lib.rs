@@ -673,6 +673,15 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// `metrics_json_bytes_are_pinned`'s document.
+    const GOLDEN_METRICS: &str =
+        "{\"schema\":\"bcc-metrics/v1\",\"work\":{\"global.keys_sorted\":18446744073709551615,\
+     \"walk.nodes\":12},\"wall\":{\"walk.chunks\":3},\"series\":{\"walk.nodes_by_depth\":\
+     {\"class\":\"work\",\"values\":[1,0,4]},\"lab.busy\":{\"class\":\"wall\",\"values\":[]}},\
+     \"spans\":{\"lab.point\":{\"count\":2,\"total_us\":900,\"max_us\":900,\
+     \"buckets\":[[0,1],[10,1]]}},\"notes\":{\"kernel.dispatch\":\"avx2|scalar\",\
+     \"odd \\\"name\\\"\":\"tab\\there\\nback\\\\slash\\u0001\"}}";
+
     #[test]
     fn counters_series_hists_and_notes_round_trip() {
         let r = Registry::new();
@@ -700,6 +709,35 @@ mod tests {
         let text = s.render_text();
         assert!(text.contains("walk.nodes"));
         assert!(text.contains("kernel.dispatch"));
+    }
+
+    #[test]
+    fn metrics_json_bytes_are_pinned() {
+        let s = Snapshot {
+            work: vec![
+                ("global.keys_sorted".into(), u64::MAX),
+                ("walk.nodes".into(), 12),
+            ],
+            wall: vec![("walk.chunks".into(), 3)],
+            series: vec![
+                ("walk.nodes_by_depth".into(), Class::Work, vec![1, 0, 4]),
+                ("lab.busy".into(), Class::Wall, vec![]),
+            ],
+            spans: vec![(
+                "lab.point".into(),
+                HistSummary {
+                    count: 2,
+                    total: 900,
+                    max: 900,
+                    buckets: vec![(0, 1), (10, 1)],
+                },
+            )],
+            notes: vec![
+                ("kernel.dispatch".into(), "avx2|scalar".into()),
+                ("odd \"name\"".into(), "tab\there\nback\\slash\u{1}".into()),
+            ],
+        };
+        assert_eq!(s.to_json(), GOLDEN_METRICS);
     }
 
     #[test]

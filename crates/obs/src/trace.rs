@@ -110,7 +110,13 @@ pub fn event_count() -> usize {
 /// repeatedly; the last flush wins with a superset of earlier ones.
 pub fn flush() -> Option<std::io::Result<PathBuf>> {
     let path = path()?;
-    let events = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
+    let out = render(&EVENTS.lock().unwrap_or_else(|e| e.into_inner()));
+    Some(std::fs::write(&path, out).map(|()| path))
+}
+
+/// The trace document for `events`: one complete (`"ph":"X"`) event
+/// each, in recording order.
+fn render(events: &[Event]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
@@ -122,6 +128,36 @@ pub fn flush() -> Option<std::io::Result<PathBuf>> {
         ));
     }
     out.push_str("]}");
-    drop(events);
-    Some(std::fs::write(&path, out).map(|()| path))
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `trace_bytes_are_pinned`'s document.
+    const GOLDEN_TRACE: &str =
+        "{\"traceEvents\":[{\"name\":\"lab.sweep\",\"cat\":\"bcc\",\"ph\":\"X\",\"ts\":0,\
+     \"dur\":1500,\"pid\":1,\"tid\":1},{\"name\":\"walk.chunk\",\"cat\":\"bcc\",\"ph\":\"X\",\
+     \"ts\":20,\"dur\":18446744073709551615,\"pid\":1,\"tid\":7}]}";
+
+    #[test]
+    fn trace_bytes_are_pinned() {
+        let events = [
+            Event {
+                name: "lab.sweep",
+                ts_us: 0,
+                dur_us: 1_500,
+                tid: 1,
+            },
+            Event {
+                name: "walk.chunk",
+                ts_us: 20,
+                dur_us: u64::MAX,
+                tid: 7,
+            },
+        ];
+        assert_eq!(render(&events), GOLDEN_TRACE);
+        assert_eq!(render(&[]), "{\"traceEvents\":[]}");
+    }
 }
