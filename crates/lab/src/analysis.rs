@@ -18,7 +18,8 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::jsonl::{self, float, float_lenient, num, Value};
+use bcc_obs::json::Value;
+
 use crate::run::PointRecord;
 use crate::scenario::Scenario;
 use crate::store::records_fingerprint;
@@ -107,38 +108,36 @@ pub fn aggregate(records: &[PointRecord]) -> Vec<Aggregate> {
 /// the scenario identity, the raw records' fingerprint, and one row per
 /// grid point.
 pub fn render_json(scenario: &Scenario, records: &[PointRecord]) -> String {
-    let rows: Vec<String> = aggregate(records)
+    let rows = aggregate(records)
         .iter()
         .map(|a| {
-            jsonl::write_object(&[
-                ("n", num(a.n)),
-                ("k", num(a.k)),
-                ("rounds", num(a.rounds)),
-                ("bandwidth", num(a.bandwidth)),
-                ("seeds", num(a.seeds)),
-                ("mean_estimate", float(a.mean_estimate)),
-                ("ci95", float(a.ci95)),
-                ("max_noise_floor", float_lenient(a.max_noise_floor)),
-                ("met", num(a.met)),
-                ("samples", num(a.samples)),
-                ("max_resolved_horizon", num(a.max_resolved_horizon)),
+            Value::object([
+                ("n", a.n.into()),
+                ("k", a.k.into()),
+                ("rounds", a.rounds.into()),
+                ("bandwidth", a.bandwidth.into()),
+                ("seeds", a.seeds.into()),
+                ("mean_estimate", Value::float(a.mean_estimate)),
+                ("ci95", Value::float(a.ci95)),
+                ("max_noise_floor", Value::float_lenient(a.max_noise_floor)),
+                ("met", a.met.into()),
+                ("samples", a.samples.into()),
+                ("max_resolved_horizon", a.max_resolved_horizon.into()),
             ])
         })
         .collect();
-    let header = jsonl::write_object(&[
-        // Raw: the writer's safe-string set excludes '/', which needs no
-        // JSON escaping — the tag is emitted verbatim.
-        ("schema", Value::Raw(format!("\"{AGGREGATES_SCHEMA}\""))),
-        ("scenario", Value::Str(scenario.name().into())),
-        ("workload", Value::Str(scenario.workload().tag().into())),
+    let table = Value::object([
+        ("schema", AGGREGATES_SCHEMA.into()),
+        ("scenario", scenario.name().into()),
+        ("workload", scenario.workload().tag().into()),
         (
             "records_fingerprint",
-            Value::Str(format!("{:016x}", records_fingerprint(records))),
+            format!("{:016x}", records_fingerprint(records)).into(),
         ),
-        ("points", num(records.len())),
-        ("rows", Value::Raw(format!("[{}]", rows.join(",")))),
+        ("points", records.len().into()),
+        ("rows", rows),
     ]);
-    format!("{header}\n")
+    format!("{table}\n")
 }
 
 /// Writes `aggregates.json` into `dir`, via a sibling temp file renamed
@@ -294,6 +293,15 @@ mod tests {
         let json = render_json(&scenario(), &[r, record(1, 64, 2, 0.1 + 0.2)]);
         assert!(json.contains("\"max_noise_floor\":\"inf\""));
         assert_eq!(json, GOLDEN_AGGREGATES);
+    }
+
+    #[test]
+    fn torn_tables_are_refused() {
+        let doc = GOLDEN_AGGREGATES.trim_end();
+        for cut in 0..doc.len() {
+            let kind = bcc_obs::json::parse(&doc[..cut]).unwrap_err().kind;
+            assert_eq!(kind, bcc_obs::json::ErrorKind::UnexpectedEnd, "cut {cut}");
+        }
     }
 
     #[test]

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod jsonl;
 pub mod run;
 pub mod scenario;
 pub mod store;

@@ -114,8 +114,8 @@ impl Outcome {
 }
 
 /// Encodes per-depth noise floors as dash-separated 16-digit hex
-/// `f64::to_bits` — bitwise-exact, and drawn from the store's safe
-/// character set so the string persists as a plain JSONL field.
+/// `f64::to_bits` — bitwise-exact, and persisted as one plain string
+/// field of the record.
 pub fn encode_depth_floors(floors: &[f64]) -> String {
     let cells: Vec<String> = floors
         .iter()

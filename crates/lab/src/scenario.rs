@@ -30,7 +30,7 @@
 
 use bcc_core::{derive_seed, wide_walk_nodes, MAX_WIDE_NODES};
 
-use crate::jsonl::{float, num, write_object, Value};
+use bcc_obs::json::Value;
 
 /// The largest transcript the sampled backend can walk (`u64`-packed
 /// prefix keys: turn `t` lives at bit `63 − t`).
@@ -330,81 +330,44 @@ impl Scenario {
     /// machines. Sampled workloads are frontier-independent and carry
     /// no such pin.
     pub fn fingerprint(&self) -> String {
-        let axis = |v: &[u64]| {
-            let cells: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-            Value::Raw(format!("[{}]", cells.join(",")))
-        };
+        fn axis<T: Copy + Into<Value>>(cells: &[T]) -> Value {
+            cells.iter().map(|&x| x.into()).collect()
+        }
         let members = match self.workload {
             Workload::RankDistance { members }
             | Workload::WideMessages { members }
-            | Workload::WideMessagesSampled { members } => members as u64,
+            | Workload::WideMessagesSampled { members } => members,
             _ => 0,
         };
         let mut fields = vec![
-            ("format", num(1u32)),
-            ("name", Value::Str(self.name.clone())),
-            ("workload", Value::Str(self.workload.tag().into())),
-            ("members", num(members)),
-            (
-                "grid_n",
-                axis(&self.grid.n.iter().map(|&x| x as u64).collect::<Vec<_>>()),
-            ),
-            (
-                "grid_k",
-                axis(
-                    &self
-                        .grid
-                        .k
-                        .iter()
-                        .map(|&x| u64::from(x))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "grid_rounds",
-                axis(
-                    &self
-                        .grid
-                        .rounds
-                        .iter()
-                        .map(|&x| u64::from(x))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "grid_bandwidth",
-                axis(
-                    &self
-                        .grid
-                        .bandwidth
-                        .iter()
-                        .map(|&x| u64::from(x))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
+            ("format", 1u32.into()),
+            ("name", self.name.as_str().into()),
+            ("workload", self.workload.tag().into()),
+            ("members", members.into()),
+            ("grid_n", axis(&self.grid.n)),
+            ("grid_k", axis(&self.grid.k)),
+            ("grid_rounds", axis(&self.grid.rounds)),
+            ("grid_bandwidth", axis(&self.grid.bandwidth)),
             ("grid_seeds", axis(&self.grid.seeds)),
-            ("tolerance", float(self.precision.tolerance)),
-            (
-                "initial_samples",
-                num(self.precision.initial_samples as u64),
-            ),
-            ("max_samples", num(self.precision.max_samples as u64)),
+            ("tolerance", Value::float(self.precision.tolerance)),
+            ("initial_samples", self.precision.initial_samples.into()),
+            ("max_samples", self.precision.max_samples.into()),
         ];
         // Emitted only when set: legacy fingerprints stay byte-identical,
         // so existing run directories resume without a foreign-spec error.
         if self.precision.truncated_target {
-            fields.push(("truncated_target", Value::Bool(true)));
+            fields.push(("truncated_target", true.into()));
         }
         if self.pins_walk_depths() {
-            let depths: Vec<u64> = self
+            let depths: Vec<u32> = self
                 .grid
                 .bandwidth
                 .iter()
-                .map(|&b| u64::from(bcc_core::adaptive_split_depth(b)))
+                .map(|&b| bcc_core::adaptive_split_depth(b))
                 .collect();
             fields.push(("walk_split_depths", axis(&depths)));
         }
-        write_object(&fields)
+        Value::object(fields).to_string()
     }
 
     /// Whether this scenario's records can depend on the exact walk's
@@ -932,6 +895,15 @@ mod tests {
             .truncated_target(true)
             .build();
         assert_eq!(both.fingerprint(), golden_fingerprint());
+    }
+
+    #[test]
+    fn torn_manifests_are_refused() {
+        let doc = golden_fingerprint();
+        for cut in 0..doc.len() {
+            let kind = bcc_obs::json::parse(&doc[..cut]).unwrap_err().kind;
+            assert_eq!(kind, bcc_obs::json::ErrorKind::UnexpectedEnd, "cut {cut}");
+        }
     }
 
     #[test]

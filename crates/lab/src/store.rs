@@ -5,7 +5,7 @@
 //! * `manifest.json` — the scenario's [`Scenario::fingerprint`], written
 //!   once when the directory is created and required to match on every
 //!   reopen, so records from different specs can never mix;
-//! * `records.jsonl` — one flat JSON object per *completed* point,
+//! * `records.jsonl` — one JSON object per *completed* point,
 //!   appended (and flushed) the moment the point finishes, in completion
 //!   order.
 //!
@@ -22,7 +22,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::jsonl::{self, float, float_lenient, num, Value};
+use bcc_obs::json::{self, Value};
+
 use crate::run::PointRecord;
 use crate::scenario::Scenario;
 
@@ -146,22 +147,22 @@ impl RunStore {
 /// fingerprint.
 fn deterministic_fields(r: &PointRecord) -> Vec<(&'static str, Value)> {
     let mut fields = vec![
-        ("point_id", num(r.point_id)),
-        ("n", num(r.n)),
-        ("k", num(r.k)),
-        ("rounds", num(r.rounds)),
-        ("bandwidth", num(r.bandwidth)),
-        ("seed", num(r.seed)),
-        ("estimate", float(r.estimate)),
+        ("point_id", r.point_id.into()),
+        ("n", r.n.into()),
+        ("k", r.k.into()),
+        ("rounds", r.rounds.into()),
+        ("bandwidth", r.bandwidth.into()),
+        ("seed", r.seed.into()),
+        ("estimate", Value::float(r.estimate)),
         // A point can legitimately record infinite uncertainty (e.g. a
         // single-repetition timing has no spread to estimate from).
-        ("noise_floor", float_lenient(r.noise_floor)),
-        ("samples", num(r.samples)),
-        ("met_tolerance", Value::Bool(r.met_tolerance)),
+        ("noise_floor", Value::float_lenient(r.noise_floor)),
+        ("samples", r.samples.into()),
+        ("met_tolerance", r.met_tolerance.into()),
     ];
     if r.resolved_horizon != 0 || !r.depth_floors.is_empty() {
-        fields.push(("resolved_horizon", num(r.resolved_horizon)));
-        fields.push(("depth_floors", Value::Str(r.depth_floors.clone())));
+        fields.push(("resolved_horizon", r.resolved_horizon.into()));
+        fields.push(("depth_floors", r.depth_floors.as_str().into()));
     }
     fields
 }
@@ -169,8 +170,8 @@ fn deterministic_fields(r: &PointRecord) -> Vec<(&'static str, Value)> {
 /// Serializes one record as a JSONL line (no trailing newline).
 pub fn encode_record(r: &PointRecord) -> String {
     let mut fields = deterministic_fields(r);
-    fields.push(("wall_ms", float(r.wall_ms)));
-    jsonl::write_object(&fields)
+    fields.push(("wall_ms", Value::float(r.wall_ms)));
+    Value::object(fields).to_string()
 }
 
 /// Serializes one record *without* its `wall_ms` field — the record's
@@ -179,7 +180,7 @@ pub fn encode_record(r: &PointRecord) -> String {
 /// bit-for-bit (the shard merge's fingerprint-equality proof, resume
 /// drills) compares these lines instead of raw log bytes.
 pub fn encode_record_deterministic(r: &PointRecord) -> String {
-    jsonl::write_object(&deterministic_fields(r))
+    Value::object(deterministic_fields(r)).to_string()
 }
 
 /// FNV-1a (64-bit) over the records' deterministic projections
@@ -235,31 +236,35 @@ pub fn read_run_dir(dir: &Path) -> Option<(String, BTreeMap<usize, PointRecord>)
 }
 
 /// Parses one JSONL line back into a record; `None` for torn or foreign
-/// lines.
+/// lines, and for lines whose integers do not fit their fields.
 pub fn decode_record(line: &str) -> Option<PointRecord> {
-    let fields = jsonl::parse_object(line)?;
+    let record = json::parse(line).ok()?;
+    let field = |key| record.get(key);
+    let int = |key| field(key)?.as_u64();
+    let small = |key| u32::try_from(int(key)?).ok();
+    let float = |key| field(key)?.as_f64();
     Some(PointRecord {
-        point_id: fields.get("point_id")?.as_u64()? as usize,
-        n: fields.get("n")?.as_u64()? as usize,
-        k: fields.get("k")?.as_u64()? as u32,
-        rounds: fields.get("rounds")?.as_u64()? as u32,
-        bandwidth: fields.get("bandwidth")?.as_u64()? as u32,
-        seed: fields.get("seed")?.as_u64()?,
-        estimate: fields.get("estimate")?.as_f64()?,
-        noise_floor: fields.get("noise_floor")?.as_f64()?,
-        samples: fields.get("samples")?.as_u64()?,
-        met_tolerance: fields.get("met_tolerance")?.as_bool()?,
+        point_id: usize::try_from(int("point_id")?).ok()?,
+        n: usize::try_from(int("n")?).ok()?,
+        k: small("k")?,
+        rounds: small("rounds")?,
+        bandwidth: small("bandwidth")?,
+        seed: int("seed")?,
+        estimate: float("estimate")?,
+        noise_floor: float("noise_floor")?,
+        samples: int("samples")?,
+        met_tolerance: field("met_tolerance")?.as_bool()?,
         // Depth-resolved fields are absent from legacy records: default,
         // don't refuse — old logs must keep decoding.
-        resolved_horizon: fields
-            .get("resolved_horizon")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as u32,
-        depth_floors: match fields.get("depth_floors") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => String::new(),
+        resolved_horizon: match field("resolved_horizon") {
+            Some(_) => small("resolved_horizon")?,
+            None => 0,
         },
-        wall_ms: fields.get("wall_ms")?.as_f64()?,
+        depth_floors: match field("depth_floors") {
+            Some(v) => v.as_str()?.to_string(),
+            None => String::new(),
+        },
+        wall_ms: float("wall_ms")?,
     })
 }
 
@@ -427,5 +432,55 @@ mod tests {
         assert_eq!(parsed.len(), 3);
         assert!(parsed.contains_key(&2));
         assert!(!parsed.contains_key(&3));
+
+        // Every cut of a 3-record log keeps exactly its complete lines,
+        // and the torn tail is refused as a torn write.
+        let log = &text[..text.rfind('\n').unwrap() + 1];
+        for cut in 0..log.len() {
+            let prefix = &log[..cut];
+            let tail = &prefix[prefix.rfind('\n').map_or(0, |i| i + 1)..];
+            let complete = prefix.matches('\n').count() + usize::from(tail.ends_with('}'));
+            assert_eq!(parse_records(prefix).len(), complete, "cut {cut}");
+            if !tail.is_empty() && !tail.ends_with('}') {
+                let err = json::parse(tail).expect_err(tail);
+                assert_eq!(err.kind, json::ErrorKind::UnexpectedEnd, "{tail}");
+            }
+        }
+    }
+
+    #[test]
+    fn torn_record_lines_are_refused() {
+        for line in [
+            GOLDEN_LEGACY_RECORD,
+            GOLDEN_RECORD,
+            GOLDEN_RECORD_DETERMINISTIC,
+        ] {
+            for cut in 0..line.len() {
+                let kind = json::parse(&line[..cut]).unwrap_err().kind;
+                assert_eq!(kind, json::ErrorKind::UnexpectedEnd, "cut {cut}");
+                assert_eq!(decode_record(&line[..cut]), None);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_integers_are_refused_not_narrowed() {
+        let line = encode_record(&record(1));
+        for (field, widened) in [
+            ("\"k\":6", "\"k\":4294967302"),
+            ("\"rounds\":10", "\"rounds\":4294967306"),
+            ("\"bandwidth\":1", "\"bandwidth\":4294967297"),
+        ] {
+            let line = line.replace(field, widened);
+            assert_eq!(decode_record(&line), None, "{widened} must not narrow");
+            // The store drops the line as torn and keeps the others.
+            let log = format!("{}\n{line}\n", encode_record(&record(0)));
+            assert_eq!(parse_records(&log).keys().collect::<Vec<_>>(), [&0]);
+        }
+        let mut deep = record(1);
+        deep.resolved_horizon = 4;
+        let line = encode_record(&deep)
+            .replace("\"resolved_horizon\":4", "\"resolved_horizon\":4294967300");
+        assert_eq!(decode_record(&line), None);
     }
 }

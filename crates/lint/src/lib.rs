@@ -7,7 +7,7 @@
 //! *statically*: a `HashMap` iterated in a deterministic crate, an
 //! `unsafe` block outside the kernel module, a wall-clock read in a work
 //! path. This crate makes the invariants structural instead of
-//! statistical: a hand-rolled lexer ([`lexer`]) feeds a rule engine
+//! statistical: a purpose-built lexer ([`lexer`]) feeds a rule engine
 //! ([`rules`]) that walks every workspace `.rs` file and reports named
 //! findings ([`report`]). A sibling pass ([`manifests`]) walks every
 //! `Cargo.toml` so the build configuration — shared lint levels,
@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Reason-less or unused directives are themselves findings, so the
-//! suppression inventory cannot rot. Like the lab's flat-JSON module and
-//! the obs trace validator, the crate is dependency-free and hand-rolled.
+//! suppression inventory cannot rot. The crate's one dependency is
+//! `bcc-obs`, for the workspace JSON codec, and `bcc-obs` has none.
 
 #![forbid(unsafe_code)]
 

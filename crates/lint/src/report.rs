@@ -1,12 +1,10 @@
-//! Report rendering: an aligned text table and a flat-JSON document.
-//!
-//! The JSON dialect matches the lab's flat-JSON discipline (one level of
-//! objects, string/number/bool values), with one extension: the findings
-//! live in a top-level array of flat objects. Strings are escaped here
-//! (unlike the lab writer, which rejects non-manifest-safe characters)
-//! because rule messages quote arbitrary source text.
+//! Report rendering: an aligned text table and a `bcc-lint/v1` JSON
+//! document, written through the workspace codec ([`bcc_obs::json`]).
+//! Rule messages quote arbitrary source text, which the codec escapes.
 
 use std::fmt::Write as _;
+
+use bcc_obs::json::Value;
 
 use crate::manifests::MANIFEST_RULES;
 use crate::rules::{Finding, RULES};
@@ -54,65 +52,36 @@ impl Report {
         out
     }
 
-    /// Serializes the report as JSON (schema `bcc-lint/v1`).
+    /// Serializes the report as JSON (schema `bcc-lint/v1`), one line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"schema\":\"bcc-lint/v1\"");
-        let _ = write!(out, ",\"root\":{}", json_string(&self.root));
-        let _ = write!(out, ",\"files_scanned\":{}", self.files_scanned);
-        let _ = write!(out, ",\"findings_total\":{}", self.findings.len());
-        out.push_str(",\"rules\":[");
-        for (i, r) in RULES.iter().chain(MANIFEST_RULES).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"summary\":{}}}",
-                json_string(r.name),
-                json_string(r.summary)
-            );
-        }
-        out.push_str("],\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{}}}",
-                json_string(f.rule),
-                json_string(&f.path),
-                f.line,
-                f.col,
-                json_string(&f.message)
-            );
-        }
-        out.push_str("]}");
-        out.push('\n');
-        out
+        let rules = RULES
+            .iter()
+            .chain(MANIFEST_RULES)
+            .map(|r| Value::object([("name", r.name.into()), ("summary", r.summary.into())]))
+            .collect();
+        let findings = self
+            .findings
+            .iter()
+            .map(|f| {
+                Value::object([
+                    ("rule", f.rule.into()),
+                    ("path", f.path.as_str().into()),
+                    ("line", f.line.into()),
+                    ("col", f.col.into()),
+                    ("message", f.message.as_str().into()),
+                ])
+            })
+            .collect();
+        let report = Value::object([
+            ("schema", "bcc-lint/v1".into()),
+            ("root", self.root.as_str().into()),
+            ("files_scanned", self.files_scanned.into()),
+            ("findings_total", self.findings.len().into()),
+            ("rules", rules),
+            ("findings", findings),
+        ]);
+        format!("{report}\n")
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -135,8 +104,9 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
+        let string = |s: &str| Value::from(s).to_string();
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("plain"), "\"plain\"");
     }
 
     #[test]
@@ -177,5 +147,14 @@ mod tests {
             }],
         };
         assert_eq!(report.to_json(), GOLDEN_REPORT);
+    }
+
+    #[test]
+    fn torn_reports_are_refused() {
+        let doc = GOLDEN_REPORT.trim_end();
+        for cut in 0..doc.len() {
+            let kind = bcc_obs::json::parse(&doc[..cut]).unwrap_err().kind;
+            assert_eq!(kind, bcc_obs::json::ErrorKind::UnexpectedEnd, "cut {cut}");
+        }
     }
 }

@@ -38,12 +38,15 @@
 //!   scope being active at all, so the per-word-op overhead is a single
 //!   relaxed load when nobody is looking.
 //!
-//! Snapshots render as hand-rolled JSON ([`Snapshot::to_json`], the
-//! `metrics.json` files `bcc-lab` writes next to each sweep's
-//! `records.jsonl`) or as a text table ([`Snapshot::render_text`]).
+//! Snapshots render as JSON ([`Snapshot::to_json`], the `metrics.json`
+//! files `bcc-lab` writes next to each sweep's `records.jsonl`) or as a
+//! text table ([`Snapshot::render_text`]). The crate also holds the
+//! workspace's one JSON codec, [`json`], which every persisted artifact
+//! is written and read through.
 
 #![forbid(unsafe_code)]
 
+pub mod json;
 pub mod merge;
 pub mod trace;
 
@@ -55,6 +58,11 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use json::Value;
+
+/// The schema tag of [`Snapshot::to_json`] documents.
+const METRICS_SCHEMA: &str = "bcc-metrics/v1";
 
 /// Which determinism contract a metric lives under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -503,22 +511,6 @@ pub struct Snapshot {
     pub notes: Vec<(String, String)>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Snapshot {
     /// Value of a work counter, 0 when absent.
     pub fn work_counter(&self, name: &str) -> u64 {
@@ -551,74 +543,51 @@ impl Snapshot {
         out
     }
 
-    /// Render as a hand-rolled JSON document (`bcc-metrics/v1`).
+    /// Render as a `bcc-metrics/v1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"bcc-metrics/v1\"");
-        out.push_str(",\"work\":{");
-        for (i, (name, value)) in self.work.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(name), value));
-        }
-        out.push_str("},\"wall\":{");
-        for (i, (name, value)) in self.wall.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(name), value));
-        }
-        out.push_str("},\"series\":{");
-        for (i, (name, class, values)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"class\":\"{}\",\"values\":[",
-                json_escape(name),
-                class.label()
-            ));
-            for (j, v) in values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&v.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"spans\":{");
-        for (i, (name, h)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_us\":{},\"max_us\":{},\"buckets\":[",
-                json_escape(name),
-                h.count,
-                h.total,
-                h.max
-            ));
-            for (j, (b, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{b},{c}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"notes\":{");
-        for (i, (name, value)) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":\"{}\"",
-                json_escape(name),
-                json_escape(value)
-            ));
-        }
-        out.push_str("}}");
-        out
+        let counters = |pairs: &[(String, u64)]| {
+            Value::object(
+                pairs
+                    .iter()
+                    .map(|(name, v)| (name.as_str(), Value::from(*v))),
+            )
+        };
+        let series = self.series.iter().map(|(name, class, values)| {
+            let values = values.iter().map(|&v| Value::from(v)).collect();
+            (
+                name.as_str(),
+                Value::object([("class", class.label().into()), ("values", values)]),
+            )
+        });
+        let spans = self.spans.iter().map(|(name, h)| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|&(b, c)| [Value::from(b), Value::from(c)].into_iter().collect())
+                .collect();
+            (
+                name.as_str(),
+                Value::object([
+                    ("count", h.count.into()),
+                    ("total_us", h.total.into()),
+                    ("max_us", h.max.into()),
+                    ("buckets", buckets),
+                ]),
+            )
+        });
+        let notes = self
+            .notes
+            .iter()
+            .map(|(name, value)| (name.as_str(), value.as_str().into()));
+        Value::object([
+            ("schema", METRICS_SCHEMA.into()),
+            ("work", counters(&self.work)),
+            ("wall", counters(&self.wall)),
+            ("series", Value::object(series)),
+            ("spans", Value::object(spans)),
+            ("notes", Value::object(notes)),
+        ])
+        .to_string()
     }
 
     /// Render as an aligned text table (the `--report` mode).
@@ -738,6 +707,16 @@ mod tests {
             ],
         };
         assert_eq!(s.to_json(), GOLDEN_METRICS);
+    }
+
+    #[test]
+    fn torn_metrics_documents_are_refused() {
+        for cut in 0..GOLDEN_METRICS.len() {
+            let torn = &GOLDEN_METRICS[..cut];
+            let kind = json::parse(torn).unwrap_err().kind;
+            assert_eq!(kind, json::ErrorKind::UnexpectedEnd, "cut {cut}");
+            assert_eq!(Snapshot::from_json(torn), None);
+        }
     }
 
     #[test]

@@ -10,21 +10,22 @@
 //! placement-independent as the records themselves. Wall-class values
 //! merge by the same rules but stay scheduling-dependent, as always.
 //!
-//! [`Snapshot::from_json`] parses the crate's own `bcc-metrics/v1`
-//! output (hand-rolled, like the writer). It accepts keys in any order
-//! and ignores unknown top-level keys, so the format can grow without
-//! breaking shard merges mid-migration.
+//! [`Snapshot::from_json`] reads the crate's own `bcc-metrics/v1` output
+//! through [`crate::json`]. It accepts keys in any order and ignores
+//! unknown keys, so the format can grow without breaking shard merges
+//! mid-migration.
 
 use std::collections::BTreeMap;
 
-use crate::{Class, HistSummary, Snapshot};
+use crate::json::{self, Value};
+use crate::{Class, HistSummary, Snapshot, METRICS_SCHEMA};
 
 impl Snapshot {
     /// Parses a `bcc-metrics/v1` document produced by
-    /// [`Snapshot::to_json`]. `None` on malformed input or a foreign
-    /// schema tag.
+    /// [`Snapshot::to_json`]. `None` on malformed input, a foreign
+    /// schema tag, or a value out of its field's range.
     pub fn from_json(text: &str) -> Option<Snapshot> {
-        let mut cur = Cursor::new(text);
+        let doc = json::parse(text).ok()?;
         let mut schema_ok = false;
         let mut snapshot = Snapshot {
             work: Vec::new(),
@@ -33,35 +34,65 @@ impl Snapshot {
             spans: Vec::new(),
             notes: Vec::new(),
         };
-        cur.expect(b'{')?;
-        if cur.peek() == Some(b'}') {
-            return None; // an empty object carries no schema tag
-        }
-        loop {
-            let key = cur.string()?;
-            cur.expect(b':')?;
+        for (key, value) in doc.as_object()? {
             match key.as_str() {
-                "schema" => {
-                    schema_ok = cur.string()? == "bcc-metrics/v1";
+                "schema" => schema_ok = value.as_str()? == METRICS_SCHEMA,
+                "work" => snapshot.work = named(value, Value::as_u64)?,
+                "wall" => snapshot.wall = named(value, Value::as_u64)?,
+                "series" => {
+                    let entries = named(value, series)?.into_iter();
+                    snapshot.series = entries.map(|(name, (c, v))| (name, c, v)).collect();
                 }
-                "work" => snapshot.work = cur.counter_map()?,
-                "wall" => snapshot.wall = cur.counter_map()?,
-                "series" => snapshot.series = cur.series_map()?,
-                "spans" => snapshot.spans = cur.span_map()?,
-                "notes" => snapshot.notes = cur.note_map()?,
-                _ => cur.skip_value()?,
-            }
-            match cur.next()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
+                "spans" => snapshot.spans = named(value, hist)?,
+                "notes" => snapshot.notes = named(value, |v| v.as_str().map(str::to_string))?,
+                _ => {}
             }
         }
-        if !schema_ok {
-            return None;
-        }
-        Some(snapshot)
+        schema_ok.then_some(snapshot)
     }
+}
+
+/// `{"name":V,...}` → `(name, read(V))` pairs in document order.
+fn named<T>(map: &Value, read: impl Fn(&Value) -> Option<T>) -> Option<Vec<(String, T)>> {
+    map.as_object()?
+        .iter()
+        .map(|(name, v)| Some((name.clone(), read(v)?)))
+        .collect()
+}
+
+fn u64s(values: &Value) -> Option<Vec<u64>> {
+    values.as_array()?.iter().map(Value::as_u64).collect()
+}
+
+/// `{"class":"work","values":[..]}`.
+fn series(entry: &Value) -> Option<(Class, Vec<u64>)> {
+    let class = match entry.get("class")?.as_str()? {
+        "work" => Class::Work,
+        "wall" => Class::Wall,
+        _ => return None,
+    };
+    Some((class, u64s(entry.get("values")?)?))
+}
+
+/// `{"count":N,"total_us":N,"max_us":N,"buckets":[[b,c],..]}`; a bucket
+/// id must fit the `u32` it is stored as.
+fn hist(entry: &Value) -> Option<HistSummary> {
+    let field = |key| entry.get(key)?.as_u64();
+    let buckets = entry
+        .get("buckets")?
+        .as_array()?
+        .iter()
+        .map(|pair| match u64s(pair)?.as_slice() {
+            &[b, c] => Some((u32::try_from(b).ok()?, c)),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    Some(HistSummary {
+        count: field("count")?,
+        total: field("total_us")?,
+        max: field("max_us")?,
+        buckets,
+    })
 }
 
 /// Folds snapshots into one: counters and series sum name-wise (work
@@ -137,295 +168,6 @@ pub fn merge_snapshots(parts: &[Snapshot]) -> Snapshot {
     }
 }
 
-/// A byte cursor over the JSON text. Whitespace-tolerant even though
-/// the writer emits none, so hand-prettified files still parse.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Cursor<'a> {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Option<()> {
-        (self.next()? == want).then_some(())
-    }
-
-    /// Parses a `"..."` string literal, handling the writer's escapes.
-    fn string(&mut self) -> Option<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match *self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match *self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-
-    /// `{"name":N,...}` → sorted `(name, value)` pairs.
-    fn counter_map(&mut self) -> Option<Vec<(String, u64)>> {
-        let mut out = Vec::new();
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            out.push((name, self.u64()?));
-            match self.next()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
-
-    /// `{"name":{"class":"work","values":[..]},...}`.
-    fn series_map(&mut self) -> Option<Vec<(String, Class, Vec<u64>)>> {
-        let mut out = Vec::new();
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            self.expect(b'{')?;
-            let key = self.string()?;
-            (key == "class").then_some(())?;
-            self.expect(b':')?;
-            let class = match self.string()?.as_str() {
-                "work" => Class::Work,
-                "wall" => Class::Wall,
-                _ => return None,
-            };
-            self.expect(b',')?;
-            let key = self.string()?;
-            (key == "values").then_some(())?;
-            self.expect(b':')?;
-            let values = self.u64_array()?;
-            self.expect(b'}')?;
-            out.push((name, class, values));
-            match self.next()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
-
-    /// `{"name":{"count":N,"total_us":N,"max_us":N,"buckets":[[b,c],..]},...}`.
-    fn span_map(&mut self) -> Option<Vec<(String, HistSummary)>> {
-        let mut out = Vec::new();
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            self.expect(b'{')?;
-            let mut h = HistSummary {
-                count: 0,
-                total: 0,
-                max: 0,
-                buckets: Vec::new(),
-            };
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                match key.as_str() {
-                    "count" => h.count = self.u64()?,
-                    "total_us" => h.total = self.u64()?,
-                    "max_us" => h.max = self.u64()?,
-                    "buckets" => {
-                        self.expect(b'[')?;
-                        if self.peek() == Some(b']') {
-                            self.pos += 1;
-                        } else {
-                            loop {
-                                self.expect(b'[')?;
-                                let b = self.u64()? as u32;
-                                self.expect(b',')?;
-                                let c = self.u64()?;
-                                self.expect(b']')?;
-                                h.buckets.push((b, c));
-                                match self.next()? {
-                                    b',' => continue,
-                                    b']' => break,
-                                    _ => return None,
-                                }
-                            }
-                        }
-                    }
-                    _ => return None,
-                }
-                match self.next()? {
-                    b',' => continue,
-                    b'}' => break,
-                    _ => return None,
-                }
-            }
-            out.push((name, h));
-            match self.next()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
-
-    /// `{"name":"value",...}`.
-    fn note_map(&mut self) -> Option<Vec<(String, String)>> {
-        let mut out = Vec::new();
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            out.push((name, self.string()?));
-            match self.next()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
-
-    fn u64_array(&mut self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        self.expect(b'[')?;
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            out.push(self.u64()?);
-            match self.next()? {
-                b',' => continue,
-                b']' => break,
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
-
-    /// Skips one value of any shape (future top-level keys).
-    fn skip_value(&mut self) -> Option<()> {
-        match self.peek()? {
-            b'"' => {
-                self.string()?;
-            }
-            b'{' | b'[' => {
-                let mut depth = 0usize;
-                loop {
-                    match self.next()? {
-                        b'{' | b'[' => depth += 1,
-                        b'}' | b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        b'"' => {
-                            self.pos -= 1;
-                            self.string()?;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            _ => {
-                self.u64()?;
-            }
-        }
-        Some(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,12 +209,27 @@ mod tests {
         // not comparable.
         let s = sample();
         let json = s.to_json();
-        let extended = format!(
-            "{},\"future\":{{\"nested\":[1,2,{{\"x\":\"y\"}}]}}}}",
-            &json[..json.len() - 1]
-        );
-        let parsed = Snapshot::from_json(&extended).expect("extended document parses");
-        assert_eq!(parsed, s);
+        for future in [
+            "{\"nested\":[1,2,{\"x\":\"y\"}]}",
+            "1.5",
+            "-1",
+            "true",
+            "null",
+        ] {
+            let extended = format!("{},\"future\":{future}}}", &json[..json.len() - 1]);
+            let parsed = Snapshot::from_json(&extended)
+                .unwrap_or_else(|| panic!("document extended by {future} parses"));
+            assert_eq!(parsed, s);
+        }
+    }
+
+    #[test]
+    fn out_of_range_bucket_ids_are_refused() {
+        let json = sample().to_json();
+        assert!(json.contains("\"buckets\":[[0,1],"));
+        // Bucket 2^32 would narrow to bucket 0.
+        let widened = json.replace("\"buckets\":[[0,1],", "\"buckets\":[[4294967296,1],");
+        assert_eq!(Snapshot::from_json(&widened), None);
     }
 
     #[test]

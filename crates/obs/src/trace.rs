@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
+use crate::json::Value;
+
 struct Event {
     name: &'static str,
     ts_us: u64,
@@ -117,18 +119,21 @@ pub fn flush() -> Option<std::io::Result<PathBuf>> {
 /// The trace document for `events`: one complete (`"ph":"X"`) event
 /// each, in recording order.
 fn render(events: &[Event]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"bcc\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-            e.name, e.ts_us, e.dur_us, e.tid
-        ));
-    }
-    out.push_str("]}");
-    out
+    let events = events
+        .iter()
+        .map(|e| {
+            Value::object([
+                ("name", e.name.into()),
+                ("cat", "bcc".into()),
+                ("ph", "X".into()),
+                ("ts", e.ts_us.into()),
+                ("dur", e.dur_us.into()),
+                ("pid", 1u32.into()),
+                ("tid", e.tid.into()),
+            ])
+        })
+        .collect();
+    Value::object([("traceEvents", events)]).to_string()
 }
 
 #[cfg(test)]
@@ -159,5 +164,13 @@ mod tests {
         ];
         assert_eq!(render(&events), GOLDEN_TRACE);
         assert_eq!(render(&[]), "{\"traceEvents\":[]}");
+    }
+
+    #[test]
+    fn torn_traces_are_refused() {
+        for cut in 0..GOLDEN_TRACE.len() {
+            let kind = crate::json::parse(&GOLDEN_TRACE[..cut]).unwrap_err().kind;
+            assert_eq!(kind, crate::json::ErrorKind::UnexpectedEnd, "cut {cut}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Hand-rolled Chrome-trace validator.
+//! Chrome-trace validator, reading through the workspace JSON codec.
 //!
 //! Three consumers:
 //! - unit tests on literal strings pin the validator itself,
@@ -8,9 +8,14 @@
 //! - `validates_external_file` re-checks a trace produced by another
 //!   process when `BCC_TRACE_CHECK=<path>` is set — the CI
 //!   `trace-smoke` step points it at the file `lab_sweep --smoke`
-//!   wrote under `BCC_TRACE`.
+//!   wrote under `BCC_TRACE` — together with the sweep directories
+//!   beside it.
 
 use std::collections::BTreeMap;
+use std::path::Path;
+
+use bcc_obs::json::{self, Value};
+use bcc_obs::Snapshot;
 
 /// One parsed trace event.
 #[derive(Debug, Clone)]
@@ -22,179 +27,37 @@ struct Event {
     tid: u64,
 }
 
-/// Minimal JSON scanner for the Chrome trace shape: a top-level object
-/// holding a `traceEvents` array of flat objects with string / integer
-/// fields. Returns `Err` with a position-tagged message on anything
-/// malformed.
-fn parse_trace(text: &str) -> Result<Vec<Event>, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && (bytes[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if *pos < bytes.len() && bytes[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, pos))
-        }
-    }
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        while *pos < bytes.len() {
-            match bytes[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    let esc = *bytes.get(*pos).ok_or("truncated escape")?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        b'u' => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            *pos += 4;
-                            char::from_u32(code).ok_or("bad \\u code point")?
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    });
-                    *pos += 1;
-                }
-                b => {
-                    // Multi-byte UTF-8 continuation bytes pass through.
-                    out.push_str(
-                        std::str::from_utf8(&bytes[*pos..*pos + utf8_len(b)])
-                            .map_err(|e| e.to_string())?,
-                    );
-                    *pos += utf8_len(b);
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-    fn utf8_len(b: u8) -> usize {
-        match b {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
-        }
-    }
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-        skip_ws(bytes, pos);
-        let start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if start == *pos {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .unwrap()
-            .parse::<u64>()
-            .map_err(|e| e.to_string())
-    }
-
-    expect(bytes, &mut pos, b'{')?;
-    // Scan top-level keys until traceEvents; tolerate (and skip) other
-    // scalar-valued keys so hand-written fixtures can carry metadata.
-    loop {
-        skip_ws(bytes, &mut pos);
-        let key = parse_string(bytes, &mut pos)?;
-        expect(bytes, &mut pos, b':')?;
-        if key == "traceEvents" {
-            break;
-        }
-        skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b'"') => {
-                parse_string(bytes, &mut pos)?;
-            }
-            Some(b'0'..=b'9') => {
-                parse_number(bytes, &mut pos)?;
-            }
-            _ => return Err(format!("unsupported value for key {key}")),
-        }
-        expect(bytes, &mut pos, b',')?;
-    }
-
-    expect(bytes, &mut pos, b'[')?;
-    let mut events = Vec::new();
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) == Some(&b']') {
-        pos += 1;
-    } else {
-        loop {
-            expect(bytes, &mut pos, b'{')?;
-            let mut strings: BTreeMap<String, String> = BTreeMap::new();
-            let mut numbers: BTreeMap<String, u64> = BTreeMap::new();
-            loop {
-                skip_ws(bytes, &mut pos);
-                let key = parse_string(bytes, &mut pos)?;
-                expect(bytes, &mut pos, b':')?;
-                skip_ws(bytes, &mut pos);
-                match bytes.get(pos) {
-                    Some(b'"') => {
-                        let v = parse_string(bytes, &mut pos)?;
-                        strings.insert(key, v);
-                    }
-                    _ => {
-                        let v = parse_number(bytes, &mut pos)?;
-                        numbers.insert(key, v);
-                    }
-                }
-                skip_ws(bytes, &mut pos);
-                match bytes.get(pos) {
-                    Some(b',') => pos += 1,
-                    Some(b'}') => {
-                        pos += 1;
-                        break;
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-            events.push(Event {
-                name: strings.remove("name").ok_or("event missing name")?,
-                ph: strings.remove("ph").ok_or("event missing ph")?,
-                ts: *numbers.get("ts").ok_or("event missing ts")?,
-                dur: *numbers.get("dur").ok_or("event missing dur")?,
-                tid: *numbers.get("tid").ok_or("event missing tid")?,
-            });
-            skip_ws(bytes, &mut pos);
-            match bytes.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b']') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-    expect(bytes, &mut pos, b'}')?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(events)
+/// The `traceEvents` of a Chrome trace document. `Err` names what is
+/// missing or malformed.
+fn trace_events(text: &str) -> Result<Vec<Event>, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .ok_or("no traceEvents array")?;
+    events
+        .iter()
+        .map(|e| {
+            let string = |key| {
+                e.get(key)
+                    .and_then(Value::as_str)
+                    .map(str::to_string)
+                    .ok_or(format!("event missing {key}"))
+            };
+            let number = |key| {
+                e.get(key)
+                    .and_then(Value::as_u64)
+                    .ok_or(format!("event missing {key}"))
+            };
+            Ok(Event {
+                name: string("name")?,
+                ph: string("ph")?,
+                ts: number("ts")?,
+                dur: number("dur")?,
+                tid: number("tid")?,
+            })
+        })
+        .collect()
 }
 
 /// Validate that complete events nest properly per thread: sorted by
@@ -236,7 +99,7 @@ fn check_nesting(events: &[Event]) -> Result<(), String> {
 }
 
 fn validate(text: &str) -> Result<Vec<Event>, String> {
-    let events = parse_trace(text)?;
+    let events = trace_events(text)?;
     check_nesting(&events)?;
     Ok(events)
 }
@@ -323,15 +186,17 @@ fn emitted_trace_parses_and_nests() {
 }
 
 /// CI hook: when `BCC_TRACE_CHECK` names a file (the trace another
-/// process wrote under `BCC_TRACE`), parse and nesting-check it.
+/// process wrote under `BCC_TRACE`), parse and nesting-check it, then
+/// check every sweep directory beside it ([`check_sweep_dir`]).
 #[test]
 fn validates_external_file() {
     let Some(path) = std::env::var_os("BCC_TRACE_CHECK") else {
         eprintln!("SKIP validates_external_file: BCC_TRACE_CHECK not set");
         return;
     };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.to_string_lossy()));
+    let path = Path::new(&path);
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let events = validate(&text).expect("external trace is valid and nested");
     assert!(
         !events.is_empty(),
@@ -345,6 +210,68 @@ fn validates_external_file() {
             .map(|e| e.tid)
             .collect::<std::collections::BTreeSet<_>>()
             .len(),
-        path.to_string_lossy()
+        path.display()
     );
+
+    let base = path.parent().unwrap_or(Path::new("."));
+    let mut sweeps = 0;
+    for entry in std::fs::read_dir(base).expect("list the trace's directory") {
+        let dir = entry.expect("read a directory entry").path();
+        if dir.join("metrics.json").is_file() {
+            check_sweep_dir(&dir);
+            sweeps += 1;
+        }
+    }
+    assert!(sweeps > 0, "no sweep directory beside {}", path.display());
+}
+
+/// Checks one persisted sweep directory from its files alone:
+/// `metrics.json` is `bcc-metrics/v1` and re-renders byte-identically
+/// through [`Snapshot::from_json`], and `aggregates.json` is
+/// `bcc-aggregates/v1` whose `records_fingerprint` and `points` match
+/// the directory's `records.jsonl`.
+fn check_sweep_dir(dir: &Path) {
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).expect(name);
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{}/{name}: {e}", dir.display()));
+        (text, doc)
+    };
+    let (metrics, doc) = read("metrics.json");
+    assert_eq!(doc.get("schema"), Some(&"bcc-metrics/v1".into()));
+    let snapshot = Snapshot::from_json(&metrics).expect("metrics.json is a snapshot");
+    assert_eq!(snapshot.to_json(), metrics, "{}", dir.display());
+
+    let (_, table) = read("aggregates.json");
+    assert_eq!(table.get("schema"), Some(&"bcc-aggregates/v1".into()));
+    // The records fingerprint is FNV-1a over each record's deterministic
+    // projection (every field but `wall_ms`) plus a newline, in point
+    // order.
+    let log = std::fs::read_to_string(dir.join("records.jsonl")).expect("records.jsonl");
+    let mut records: Vec<(u64, String)> = log
+        .lines()
+        .map(|line| {
+            let record = json::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            let id = record.get("point_id").and_then(Value::as_u64).expect(line);
+            let fields = record.as_object().expect(line).iter();
+            let projection = fields
+                .filter(|(key, _)| key != "wall_ms")
+                .cloned()
+                .collect();
+            (id, Value::Object(projection).to_string())
+        })
+        .collect();
+    records.sort();
+    records.dedup_by_key(|(id, _)| *id);
+    assert_eq!(records.len(), log.lines().count(), "duplicate point ids");
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in records
+        .iter()
+        .flat_map(|(_, line)| line.bytes().chain([b'\n']))
+    {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let fingerprint = format!("{hash:016x}");
+    assert_eq!(table.get("records_fingerprint"), Some(&fingerprint.into()));
+    assert_eq!(table.get("points"), Some(&records.len().into()));
+    println!("checked {} ({} records)", dir.display(), records.len());
 }
