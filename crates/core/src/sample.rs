@@ -867,6 +867,26 @@ mod tests {
     }
 
     #[test]
+    fn sampled_pair_bits_are_pinned_on_a_width_two_protocol() {
+        // Golden: the exact bits of one seeded width-2 pair comparison —
+        // TV, noise floor and observed support.
+        use bcc_congest::wide::FnWideProtocol;
+        let p = FnWideProtocol::new(2, 3, 2, 5, |proc, input, tr| {
+            ((input >> (tr.len() % 2)) & 0b11) ^ (proc as u64 & tr.as_u64() & 1)
+        });
+        let a = ProductInput::uniform(2, 3);
+        let b = ProductInput::new(vec![
+            RowSupport::explicit(3, vec![1, 2, 5]),
+            RowSupport::uniform(3),
+        ]);
+        let mut rng = StdRng::seed_from_u64(0x601D);
+        let s = sampled_comparison_with(&p, |r| a.sample(r), |r| b.sample(r), 3_000, &mut rng);
+        assert_eq!(s.tv.to_bits(), 4602660804774137428);
+        assert_eq!(s.noise_floor().to_bits(), 4589926763289047981);
+        assert_eq!(s.support_seen, 16);
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds the u64 key packing")]
     fn sampled_wide_rejects_overflowing_packings() {
         use bcc_congest::wide::WideTurnProtocol;

@@ -201,4 +201,17 @@ mod tests {
         let cmp = sampled_experiment(&proto, n, 8, 30_000, &mut rng);
         assert!(cmp.tv > 0.2, "tv {} should be large for k = 8", cmp.tv);
     }
+
+    #[test]
+    fn sampled_experiment_bits_are_pinned() {
+        // Golden: the exact bits of one seeded experiment — TV, noise
+        // floor and observed support — so a change to the sampler's
+        // result plumbing cannot move a reported number silently.
+        let mut rng = StdRng::seed_from_u64(0x601D);
+        let proto = degree_threshold(8, 1, 4);
+        let cmp = sampled_experiment(&proto, 8, 6, 4_000, &mut rng);
+        assert_eq!(cmp.tv.to_bits(), 4605209842163229122);
+        assert_eq!(cmp.noise_floor().to_bits(), 4598228942315338354);
+        assert_eq!(cmp.support_seen, 256);
+    }
 }
