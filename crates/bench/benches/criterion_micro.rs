@@ -6,8 +6,8 @@
 use bcc_bench::walk_fixtures::{intersect_fixture, shared_family};
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    exact_comparison, exact_mixture_comparison_mode, exact_mixture_comparison_reference,
-    radix_sort_u64, ExecMode, ProductInput,
+    exact_mixture_comparison_reference, radix_sort_u64, Estimator, ExactEstimator, ExecMode,
+    ProductInput,
 };
 use bcc_f2::{gauss, BitMatrix, BitVec, ConsistentSet};
 use bcc_graphs::clique::max_clique;
@@ -51,7 +51,9 @@ fn bench_engine_walk(c: &mut Criterion) {
     let a = ProductInput::uniform(4, 6);
     let b = ProductInput::uniform(4, 6);
     c.bench_function("engine_walk_4proc_8turns", |bch| {
-        bch.iter(|| exact_comparison(&proto.as_wide(), std::hint::black_box(&a), &b))
+        bch.iter(|| {
+            ExactEstimator::default().estimate_pair(&proto.as_wide(), std::hint::black_box(&a), &b)
+        })
     });
 }
 
@@ -81,11 +83,10 @@ fn bench_walk_partition(c: &mut Criterion) {
     });
     group.bench_function("label_planes/6members_10turns", |b| {
         b.iter(|| {
-            exact_mixture_comparison_mode(
+            ExactEstimator::sequential().estimate_full(
                 &proto.as_wide(),
                 std::hint::black_box(&members),
                 &baseline,
-                ExecMode::Sequential,
             )
         })
     });

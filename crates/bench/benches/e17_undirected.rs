@@ -10,7 +10,7 @@
 
 use bcc_bench::{banner, f, print_table};
 use bcc_congest::TurnProtocol;
-use bcc_core::sample::{sampled_comparison_with_in, TranscriptArena};
+use bcc_core::sample::sampled_comparison_with;
 use bcc_planted::protocols::{degree_threshold, suspect_intersection};
 use bcc_planted::undirected::{row_dependence, sample_rows_rand, sampled_experiment};
 use rand::rngs::StdRng;
@@ -53,15 +53,11 @@ fn main() {
 
     println!("\n-- sampled transcript distance, A_rand vs A_k, one round --");
     let samples = 60_000;
-    // One histogram arena across the whole sweep: the per-comparison key
-    // buffers are recycled instead of reallocated.
-    let mut arena = TranscriptArena::new();
     let mut rows = Vec::new();
     for &k in &[2usize, 3, 4, 8] {
         let p1 = suspect_intersection(n as u32, 1);
         let und = sampled_experiment(&p1, n, k, samples, &mut rng);
-        let dir = sampled_comparison_with_in(
-            &mut arena,
+        let dir = sampled_comparison_with(
             &p1.as_wide(),
             |r| {
                 let g = bcc_graphs::planted::sample_rand(r, n);
@@ -77,8 +73,8 @@ fn main() {
         rows.push(vec![
             k.to_string(),
             "suspect-intersect".into(),
-            f(und.tv),
-            f(dir.tv),
+            f(und.tv()),
+            f(dir.tv()),
             f(und.noise_floor()),
         ]);
         let p2 = degree_threshold(n as u32, 1, n as u32 / 2 + 1);
@@ -86,7 +82,7 @@ fn main() {
         rows.push(vec![
             k.to_string(),
             "degree-threshold".into(),
-            f(und.tv),
+            f(und.tv()),
             "-".into(),
             f(und.noise_floor()),
         ]);

@@ -12,7 +12,7 @@
 use bcc_bench::{banner, check, f, print_table, rate, sci};
 use bcc_congest::wide::{FnWideProtocol, PackedAdapter};
 use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
-use bcc_core::{exact_mixture_comparison, Estimator, ExactEstimator};
+use bcc_core::{Estimator, ExactEstimator};
 use bcc_lab::{Scenario, Workload};
 use bcc_prg::toy;
 use criterion::Throughput;
@@ -61,7 +61,11 @@ fn main() {
         ])];
         let baseline = bcc_core::ProductInput::uniform(2, 4);
         let bit = ExactEstimator::default().estimate_full(&make(w).as_wide(), &members, &baseline);
-        let wide = exact_mixture_comparison(&PackedAdapter::new(make(w), w), &members, &baseline);
+        let wide = ExactEstimator::default().estimate_full(
+            &PackedAdapter::new(make(w), w),
+            &members,
+            &baseline,
+        );
         rows.push(vec![
             w.to_string(),
             bit.horizon.to_string(),
@@ -108,7 +112,7 @@ fn main() {
             }
             msg
         });
-        let cmp = exact_mixture_comparison(&proto, &members, &baseline);
+        let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
         let p = cmp.progress();
         let factor = base_progress.map_or(1.0, |b: f64| p / b);
         if w == 1 {

@@ -34,8 +34,8 @@ use bcc_bench::{banner, f, print_table};
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    exact_mixture_comparison_mode, exact_mixture_comparison_reference, radix_sort_u64_with,
-    ExecMode, ProductInput, RowSupport,
+    exact_mixture_comparison_reference, radix_sort_u64_with, Estimator, ExactEstimator, ExecMode,
+    ProductInput, RowSupport,
 };
 use bcc_f2::kernel::{Kernel, WordKernel};
 use bcc_f2::ConsistentSet;
@@ -196,16 +196,16 @@ fn main() {
         ("bit_walk/overhauled", "bit_walk/native_w1"),
         5,
         budget,
-        || exact_mixture_comparison_mode(&view, &members, &baseline, ExecMode::Sequential),
-        || exact_mixture_comparison_mode(&native, &members, &baseline, ExecMode::Sequential),
+        || ExactEstimator::sequential().estimate_full(&view, &members, &baseline),
+        || ExactEstimator::sequential().estimate_full(&native, &members, &baseline),
     );
     // Sanity: the walks must agree exactly before their times mean
     // anything.
     {
         let a =
             exact_mixture_comparison_reference(&view, &members, &baseline, ExecMode::Sequential);
-        let b = exact_mixture_comparison_mode(&view, &members, &baseline, ExecMode::Sequential);
-        let c = exact_mixture_comparison_mode(&native, &members, &baseline, ExecMode::Sequential);
+        let b = ExactEstimator::sequential().estimate_full(&view, &members, &baseline);
+        let c = ExactEstimator::sequential().estimate_full(&native, &members, &baseline);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
         assert_eq!(
             b.tv().to_bits(),
@@ -225,7 +225,7 @@ fn main() {
         exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
     });
     let new_wide = measure("wide_walk/overhauled", 3, budget, || {
-        exact_mixture_comparison_mode(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
+        ExactEstimator::sequential().estimate_full(&wproto, &wmembers, &wbaseline)
     });
     let wide_speedup = seed_wide.ns_per_iter / new_wide.ns_per_iter;
 
@@ -317,12 +317,7 @@ fn main() {
     let ha = ProductInput::new(vec![RowSupport::explicit(hbits, (0..16).collect())]);
     let hbase = ProductInput::uniform(1, hbits);
     let huge = measure("huge_support/overhauled_only", 1, budget, || {
-        exact_mixture_comparison_mode(
-            &hproto.as_wide(),
-            std::slice::from_ref(&ha),
-            &hbase,
-            ExecMode::Sequential,
-        )
+        ExactEstimator::sequential().estimate_pair(&hproto.as_wide(), &ha, &hbase)
     });
     // What the dense representation would pay per node regardless of
     // occupancy: words touched across the full live tree.
@@ -395,7 +390,7 @@ fn main() {
     let work_registry = bcc_obs::Registry::new();
     {
         let _scope = work_registry.install();
-        let _ = exact_mixture_comparison_mode(&view, &members, &baseline, ExecMode::Sequential);
+        let _ = ExactEstimator::sequential().estimate_full(&view, &members, &baseline);
         let mut keys = radix_keys.clone();
         radix_sort_u64_with(&scalar, &mut keys);
         std::hint::black_box(keys);

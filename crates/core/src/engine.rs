@@ -36,16 +36,19 @@
 //! [`crate::walk::adaptive_split_depth`], the deterministic
 //! in-frontier-order reduction that makes [`ExecMode::Parallel`] bitwise
 //! identical to [`ExecMode::Sequential`] — lives in [`crate::walk`]; the
-//! `2^w`-message alphabet it branches over lives in [`crate::wide`]. The
-//! [`ExecMode`]-taking entry point is what
-//! [`crate::exec::ExactEstimator`] wraps. The seed implementation is
-//! retained behind [`exact_mixture_comparison_reference`] as a
+//! `2^w`-message alphabet it branches over lives in [`crate::wide`].
+//! The walk's front door is [`crate::exec::ExactEstimator`], which runs
+//! it in the chosen [`ExecMode`] and returns a [`DepthProfile`] tagged
+//! [`Provenance::Exact`] — built by this module's `assemble`, the one
+//! place a walk becomes a result. The seed implementation is retained
+//! behind [`exact_mixture_comparison_reference`] as a
 //! differential-testing oracle.
 
 use bcc_congest::wide::WideTurnProtocol;
 
+use crate::exec::{DepthProfile, Provenance};
 use crate::input::ProductInput;
-use crate::walk::{exact_walk, reference, WalkOutcome};
+use crate::walk::{reference, WalkOutcome};
 use crate::wide::{validate_budget, WideBranching};
 
 pub use crate::walk::{ExecMode, FRACTION_THRESHOLDS, SPLIT_DEPTH};
@@ -62,101 +65,13 @@ pub struct SpeakerStats {
     pub mass_below: [f64; FRACTION_THRESHOLDS],
 }
 
-/// The result of an exact mixture-vs-baseline walk.
-#[derive(Debug, Clone)]
-pub struct MixtureComparison {
-    /// The number of turns walked.
-    pub horizon: u32,
-    /// `‖ (1/|I|) Σ_I P_I^{(t)} − P_base^{(t)} ‖` for `t = 0 ..= horizon`:
-    /// the *real* distance of the mixture at each prefix length.
-    pub mixture_tv_by_depth: Vec<f64>,
-    /// `L_progress^{(t)} = (1/|I|) Σ_I ‖P_I^{(t)} − P_base^{(t)}‖` — the
-    /// paper's progress function; always ≥ the mixture distance.
-    pub progress_by_depth: Vec<f64>,
-    /// Final distance `‖P_I − P_base‖` per family member.
-    pub per_member_tv: Vec<f64>,
-    /// Speaker consistent-set statistics per turn.
-    pub speaker_stats: Vec<SpeakerStats>,
-}
-
-impl MixtureComparison {
-    /// The final mixture distance `‖P_pseudo − P_base‖`.
-    pub fn tv(&self) -> f64 {
-        *self
-            .mixture_tv_by_depth
-            .last()
-            .expect("depth profile includes depth 0")
-    }
-
-    /// The final progress value `L_progress^{(T)}`.
-    pub fn progress(&self) -> f64 {
-        *self
-            .progress_by_depth
-            .last()
-            .expect("depth profile includes depth 0")
-    }
-
-    /// The per-turn increments of the progress function (length `horizon`).
-    pub fn progress_increments(&self) -> Vec<f64> {
-        self.progress_by_depth
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .collect()
-    }
-}
-
-/// The result of an exact two-distribution walk
-/// (see [`exact_comparison`]).
-#[derive(Debug, Clone)]
-pub struct ExactComparison {
-    /// The number of turns walked.
-    pub horizon: u32,
-    /// `‖P_A^{(t)} − P_B^{(t)}‖` for `t = 0 ..= horizon`.
-    pub tv_by_depth: Vec<f64>,
-    /// Speaker consistent-set statistics per turn (under `B`, the
-    /// baseline).
-    pub speaker_stats: Vec<SpeakerStats>,
-}
-
-impl ExactComparison {
-    /// The final distance `‖P_A − P_B‖`.
-    pub fn tv(&self) -> f64 {
-        *self
-            .tv_by_depth
-            .last()
-            .expect("depth profile includes depth 0")
-    }
-}
-
-/// Exact statistical distance between the transcript distributions of
-/// `protocol` on inputs `a` versus `b`, with the full per-depth profile.
-///
-/// # Panics
-///
-/// As [`exact_mixture_comparison`].
-pub fn exact_comparison<P: WideTurnProtocol + Sync + ?Sized>(
-    protocol: &P,
-    a: &ProductInput,
-    b: &ProductInput,
-) -> ExactComparison {
-    let mix = exact_mixture_comparison(protocol, std::slice::from_ref(a), b);
-    ExactComparison {
-        horizon: mix.horizon,
-        tv_by_depth: mix.mixture_tv_by_depth,
-        speaker_stats: mix.speaker_stats,
-    }
-}
-
-/// Exact walk of a decomposition family `{A_I}` against a baseline:
-/// returns the mixture distance, the progress function, the per-member
-/// distances and the consistent-set statistics, all exactly.
-///
-/// This is the §3 framework as a computation. In particular the result
-/// exhibits `L_real ≤ L_progress` (the triangle-inequality step) and the
-/// per-turn progress increments that Lemma-format inequalities bound.
-///
-/// Subtree tasks run on the rayon pool; see
-/// [`exact_mixture_comparison_mode`] to force sequential execution.
+/// The exact walk of a decomposition family `{A_I}` against a baseline,
+/// computed by the retained **seed** walk ([`crate::walk::reference`]):
+/// per-node protocol evaluation for every distribution, per-node mask
+/// allocation, no hybrid sets. Exists as the differential-testing oracle
+/// and the before-side of the hot-path benchmarks; results are bitwise
+/// identical to [`ExactEstimator`](crate::exec::ExactEstimator)'s
+/// optimized walk (property-tested).
 ///
 /// # Panics
 ///
@@ -165,56 +80,26 @@ pub fn exact_comparison<P: WideTurnProtocol + Sync + ?Sized>(
 /// or the complete `2^w`-ary turn tree to its horizon could exceed
 /// [`crate::wide::MAX_WIDE_NODES`] (`2^26`) nodes — at width 1, a
 /// horizon above 25 turns.
-pub fn exact_mixture_comparison<P: WideTurnProtocol + Sync + ?Sized>(
-    protocol: &P,
-    members: &[ProductInput],
-    baseline: &ProductInput,
-) -> MixtureComparison {
-    exact_mixture_comparison_mode(protocol, members, baseline, ExecMode::Parallel)
-}
-
-/// [`exact_mixture_comparison`] with an explicit [`ExecMode`]. Both modes
-/// return bitwise-identical results; `Sequential` runs the identical task
-/// list on the calling thread.
-///
-/// # Panics
-///
-/// As [`exact_mixture_comparison`].
-pub fn exact_mixture_comparison_mode<P: WideTurnProtocol + Sync + ?Sized>(
-    protocol: &P,
-    members: &[ProductInput],
-    baseline: &ProductInput,
-    mode: ExecMode,
-) -> MixtureComparison {
-    validate_budget(protocol);
-    let acc = exact_walk(&WideBranching { protocol }, members, baseline, mode);
-    assemble(protocol, acc)
-}
-
-/// [`exact_mixture_comparison_mode`] computed by the retained **seed**
-/// walk ([`crate::walk::reference`]): per-node protocol evaluation for
-/// every distribution, per-node mask allocation, no hybrid sets. Exists
-/// as the differential-testing oracle and the before-side of the
-/// hot-path benchmarks; results are bitwise identical to the optimized
-/// walk (property-tested).
-///
-/// # Panics
-///
-/// As [`exact_mixture_comparison`].
 pub fn exact_mixture_comparison_reference<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
     mode: ExecMode,
-) -> MixtureComparison {
+) -> DepthProfile {
     validate_budget(protocol);
     let acc = reference::exact_walk(&WideBranching { protocol }, members, baseline, mode);
     assemble(protocol, acc)
 }
 
-fn assemble<P: WideTurnProtocol + ?Sized>(protocol: &P, acc: WalkOutcome) -> MixtureComparison {
+/// Packs a finished walk into an exact [`DepthProfile`]: the mixture
+/// distance and the progress function by depth, the per-member
+/// distances, and the speaker statistics of every turn.
+pub(crate) fn assemble<P: WideTurnProtocol + ?Sized>(
+    protocol: &P,
+    acc: WalkOutcome,
+) -> DepthProfile {
     let horizon = protocol.horizon();
-    MixtureComparison {
+    DepthProfile {
         horizon,
         mixture_tv_by_depth: acc.mixture_tv_by_depth,
         progress_by_depth: acc.progress_by_depth,
@@ -226,12 +111,14 @@ fn assemble<P: WideTurnProtocol + ?Sized>(protocol: &P, acc: WalkOutcome) -> Mix
                 mass_below: acc.mass_below[t],
             })
             .collect(),
+        provenance: Provenance::Exact,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Estimator, ExactEstimator};
     use crate::input::RowSupport;
     use bcc_congest::{FnProtocol, TurnProtocol};
 
@@ -250,8 +137,8 @@ mod tests {
             RowSupport::explicit(4, vec![1, 2]),
             RowSupport::explicit(4, vec![3, 7, 11]),
         ]);
-        let cmp = exact_comparison(&p.as_wide(), &a, &b);
-        for (t, tv) in cmp.tv_by_depth.iter().enumerate() {
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        for (t, tv) in cmp.mixture_tv_by_depth.iter().enumerate() {
             assert!(tv.abs() < 1e-12, "depth {t}: tv {tv}");
         }
     }
@@ -263,9 +150,9 @@ mod tests {
         let p = FnProtocol::new(1, 1, 1, |_, input, _| input == 1);
         let a = uniform(1, 1);
         let b = ProductInput::new(vec![RowSupport::explicit(1, vec![1])]);
-        let cmp = exact_comparison(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
-        assert!(cmp.tv_by_depth[0].abs() < 1e-12);
+        assert!(cmp.mixture_tv_by_depth[0].abs() < 1e-12);
     }
 
     #[test]
@@ -280,7 +167,7 @@ mod tests {
             RowSupport::explicit(1, vec![1]),
             RowSupport::explicit(1, vec![0, 1]),
         ]);
-        let cmp = exact_comparison(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
         // Input TV: first coordinate differs (1/2 vs 1), second identical:
         // product TV = 1/2.
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
@@ -297,8 +184,8 @@ mod tests {
             RowSupport::explicit(3, vec![0, 3, 5]),
             RowSupport::explicit(3, vec![1, 2, 6, 7]),
         ]);
-        let cmp = exact_comparison(&p.as_wide(), &a, &b);
-        for w in cmp.tv_by_depth.windows(2) {
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        for w in cmp.mixture_tv_by_depth.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
     }
@@ -311,7 +198,8 @@ mod tests {
         let member0 = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let member1 = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
         let baseline = uniform(1, 2);
-        let cmp = exact_mixture_comparison(&p.as_wide(), &[member0, member1], &baseline);
+        let cmp =
+            ExactEstimator::default().estimate_full(&p.as_wide(), &[member0, member1], &baseline);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(
                 cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12,
@@ -338,9 +226,9 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 2);
-        let mix = exact_mixture_comparison(&p.as_wide(), &members, &baseline);
+        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
         for (i, member) in members.iter().enumerate() {
-            let single = exact_comparison(&p.as_wide(), member, &baseline);
+            let single = ExactEstimator::default().estimate_pair(&p.as_wide(), member, &baseline);
             assert!(
                 (mix.per_member_tv[i] - single.tv()).abs() < 1e-12,
                 "member {i}"
@@ -354,7 +242,7 @@ mod tests {
         // turns: before its (j+1)-th turn the consistent fraction is 2^-j.
         let p = FnProtocol::new(2, 4, 8, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let a = uniform(2, 4);
-        let cmp = exact_comparison(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
         // Turns 0,2,4,6 are processor 0's; before turn 2t it has spoken t
         // bits.
         for (idx, turn) in [0usize, 2, 4, 6].iter().enumerate() {
@@ -375,7 +263,7 @@ mod tests {
         // 2^0 and 2^-1 but not below 2^-2.
         let p = FnProtocol::new(1, 3, 3, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = uniform(1, 3);
-        let cmp = exact_comparison(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
         let s = &cmp.speaker_stats[2];
         assert!((s.mass_below[0] - 1.0).abs() < 1e-12);
         assert!((s.mass_below[1] - 1.0).abs() < 1e-12);
@@ -387,7 +275,7 @@ mod tests {
         let p = FnProtocol::new(1, 2, 2, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let b = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
-        let cmp = exact_comparison(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
         assert!((cmp.tv() - 1.0).abs() < 1e-12);
     }
 
@@ -407,10 +295,29 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 3);
-        let mix = exact_mixture_comparison(&p.as_wide(), &members, &baseline);
+        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
         for (t, inc) in mix.progress_increments().iter().enumerate() {
             assert!(*inc >= -1e-12, "turn {t}: negative increment {inc}");
         }
+    }
+
+    #[test]
+    fn reference_oracle_returns_an_exact_profile() {
+        let p = FnProtocol::new(2, 2, 4, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
+        let a = ProductInput::new(vec![
+            RowSupport::explicit(2, vec![1, 3]),
+            RowSupport::uniform(2),
+        ]);
+        let b = uniform(2, 2);
+        let seed = exact_mixture_comparison_reference(
+            &p.as_wide(),
+            std::slice::from_ref(&a),
+            &b,
+            ExecMode::Sequential,
+        );
+        assert!(seed.is_exact());
+        assert_eq!(seed.noise_floor(), 0.0);
+        assert_eq!(seed.speaker_stats.len(), 4);
     }
 
     #[test]
@@ -419,6 +326,6 @@ mod tests {
         let p = FnProtocol::new(1, 2, 1, |_, _, _| false);
         let a = uniform(1, 3);
         let b = uniform(1, 3);
-        let _ = exact_comparison(&p.as_wide(), &a, &b);
+        let _ = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
     }
 }

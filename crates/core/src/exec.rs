@@ -47,12 +47,14 @@ use rayon::prelude::*;
 use bcc_obs::{Class, Span};
 use bcc_stats::smoothing;
 
-use crate::engine::{exact_mixture_comparison_mode, SpeakerStats};
+use crate::engine::{assemble, SpeakerStats};
 use crate::input::ProductInput;
 use crate::sample::{
     check_key_packing, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
     radix_sort_u64, sorted_depth_stats, sorted_support_union, sorted_tv_at_depth,
 };
+use crate::walk::exact_walk;
+use crate::wide::{validate_budget, WideBranching};
 
 pub use crate::engine::ExecMode;
 pub use bcc_stats::smoothing::TvEstimator;
@@ -360,10 +362,23 @@ impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for Truncated<'_, P> {
     }
 }
 
-/// The exact engine ([`crate::engine`]) as an [`Estimator`]: a
-/// [`DepthProfile`] with [`Provenance::Exact`], refused (panics) when the
-/// complete turn tree to `horizon` exceeds
-/// [`crate::wide::MAX_WIDE_NODES`] nodes.
+/// The exact engine ([`crate::engine`]) as an [`Estimator`] — the one
+/// front door to the exact walk: a [`DepthProfile`] with
+/// [`Provenance::Exact`] holding the mixture distance, the progress
+/// function, the per-member distances and the speaker statistics, all
+/// exactly.
+///
+/// This is the §3 framework as a computation. In particular the result
+/// exhibits `L_real ≤ L_progress` (the triangle-inequality step) and the
+/// per-turn progress increments that Lemma-format inequalities bound.
+/// [`Estimator::estimate_pair`] covers the two-distribution case.
+///
+/// # Panics
+///
+/// Besides the [`Estimator::estimate`] conditions, panics if the
+/// protocol's width is outside `1..=16` or the complete `2^w`-ary turn
+/// tree to `horizon` could exceed [`crate::wide::MAX_WIDE_NODES`]
+/// (`2^26`) nodes — at width 1, a horizon above 25 turns.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactEstimator {
     /// How subtree tasks execute; [`ExecMode::Parallel`] by default.
@@ -404,15 +419,14 @@ impl Estimator for ExactEstimator {
             inner: protocol,
             horizon,
         };
-        let cmp = exact_mixture_comparison_mode(&truncated, members, baseline, self.mode);
-        DepthProfile {
-            horizon: cmp.horizon,
-            mixture_tv_by_depth: cmp.mixture_tv_by_depth,
-            progress_by_depth: cmp.progress_by_depth,
-            per_member_tv: cmp.per_member_tv,
-            speaker_stats: cmp.speaker_stats,
-            provenance: Provenance::Exact,
-        }
+        validate_budget(&truncated);
+        let branching = WideBranching {
+            protocol: &truncated,
+        };
+        assemble(
+            &truncated,
+            exact_walk(&branching, members, baseline, self.mode),
+        )
     }
 }
 
@@ -571,8 +585,10 @@ fn flush_sampled_work(side_keys: &[Vec<u64>], mixture_len: usize) {
 /// every member's keys): the one-shot estimators sort the concatenation
 /// once, while [`AdaptiveEstimator`] maintains it incrementally across
 /// batches — a sorted `u64` array is a pure function of its multiset, so
-/// both routes produce bitwise-identical profiles.
-fn profile_from_sorted_sides(
+/// both routes produce bitwise-identical profiles; the pair sampler
+/// [`crate::sample::sampled_comparison_with`] passes its one side as the
+/// single member and as the mixture.
+pub(crate) fn profile_from_sorted_sides(
     horizon: u32,
     bits_per_turn: u32,
     samples: usize,
@@ -850,7 +866,7 @@ impl AdaptiveEstimator {
     /// whole run the mixture costs merges only — the radix-sort work of
     /// the entire estimator is exactly the per-side chunk sorts, 1× the
     /// final budget per side (pinned by `crates/core/tests/work.rs`
-    /// against [`crate::sample::keys_sorted_total`]). The sorted mixture
+    /// against [`bcc_obs::keys_sorted_total`]). The sorted mixture
     /// is a pure function of the key multiset, so the profile stays
     /// bitwise the one-shot estimator's, which re-sorts from scratch.
     fn run_adaptive<C>(
@@ -1065,7 +1081,6 @@ impl Estimator for AdaptiveEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exact_mixture_comparison;
     use crate::input::RowSupport;
     use bcc_congest::{FnProtocol, TurnProtocol};
 
@@ -1090,26 +1105,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_estimator_matches_engine() {
-        let p = reveal_protocol(2, 3, 6);
-        let (members, baseline) = family();
-        let engine = exact_mixture_comparison(&p.as_wide(), &members, &baseline);
-        let profile = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
-        assert!(profile.is_exact());
-        assert_eq!(profile.noise_floor(), 0.0);
-        assert_eq!(
-            profile.mixture_tv_by_depth, engine.mixture_tv_by_depth,
-            "estimator must be a thin wrapper over the engine"
-        );
-        assert_eq!(profile.per_member_tv, engine.per_member_tv);
-        assert_eq!(profile.speaker_stats.len(), engine.speaker_stats.len());
-    }
-
-    #[test]
     fn truncated_horizon_prefixes_the_full_profile() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let full = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        assert!(full.is_exact());
+        assert_eq!(full.noise_floor(), 0.0);
+        assert_eq!(full.speaker_stats.len(), 6, "one speaker entry per turn");
         let half = ExactEstimator::default().estimate(&p.as_wide(), &members, &baseline, 3);
         assert_eq!(half.horizon, 3);
         assert_eq!(half.mixture_tv_by_depth.len(), 4);
@@ -1740,28 +1742,14 @@ mod tests {
     }
 
     #[test]
-    fn wide_estimator_matches_the_wide_engine_and_is_exact() {
-        use bcc_congest::wide::FnWideProtocol;
-        let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
-        let (members, baseline) = family();
-        let engine = exact_mixture_comparison(&p, &members, &baseline);
-        let profile = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        assert!(profile.is_exact());
-        assert_eq!(profile.noise_floor(), 0.0);
-        assert_eq!(
-            profile.mixture_tv_by_depth, engine.mixture_tv_by_depth,
-            "estimator must be a thin wrapper over the engine"
-        );
-        assert_eq!(profile.per_member_tv, engine.per_member_tv);
-        assert_eq!(profile.speaker_stats.len(), engine.speaker_stats.len());
-    }
-
-    #[test]
     fn wide_truncated_horizon_prefixes_the_full_profile() {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
         let full = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        assert!(full.is_exact());
+        assert_eq!(full.noise_floor(), 0.0);
+        assert_eq!(full.speaker_stats.len(), 6, "one speaker entry per turn");
         let half = ExactEstimator::default().estimate(&p, &members, &baseline, 3);
         assert_eq!(half.horizon, 3);
         assert_eq!(half.mixture_tv_by_depth.len(), 4);

@@ -19,10 +19,10 @@
 //! Because row independence makes the transcript probability factorize,
 //! every quantity in that outline is *exactly computable* for small
 //! instances by walking the transcript tree once — that walk is
-//! [`engine::exact_mixture_comparison`]. It returns the exact distance, the
-//! per-turn progress function, and the consistent-set-size statistics of
-//! Claims 2/4/6, all in one pass. [`sample`] provides the Monte-Carlo
-//! estimator used beyond exact reach.
+//! [`engine`]'s, run by [`exec::ExactEstimator`]. It returns the exact
+//! distance, the per-turn progress function, and the consistent-set-size
+//! statistics of Claims 2/4/6, all in one pass. [`sample`] provides the
+//! Monte-Carlo estimators used beyond exact reach.
 //!
 //! There is one transcript model: the engine, the samplers and the
 //! estimators all take `BCAST(w)` turn protocols
@@ -39,7 +39,10 @@
 //! an [`exec::Estimator`] (exact, sampled or adaptive) turns a
 //! `(protocol, family, baseline, horizon)` query into a
 //! [`exec::DepthProfile`], so experiment code never chooses between the
-//! engine and the sampler by hand.
+//! engine and the sampler by hand. Every transcript distance in the crate
+//! is a `DepthProfile` — the pair sampler for dependent-row inputs
+//! ([`sample::sampled_comparison_with`]) and the seed-walk oracle
+//! ([`engine::exact_mixture_comparison_reference`]) return one too.
 
 #![forbid(unsafe_code)]
 
@@ -51,18 +54,12 @@ pub mod walk;
 pub mod wide;
 pub mod yao;
 
-pub use engine::{
-    exact_comparison, exact_mixture_comparison, exact_mixture_comparison_mode,
-    exact_mixture_comparison_reference, ExactComparison, ExecMode, MixtureComparison,
-};
+pub use engine::{exact_mixture_comparison_reference, ExecMode};
 pub use exec::{
     derive_seed, AdaptiveEstimator, AdaptiveReport, DepthProfile, Estimator, ExactEstimator,
     Provenance, SampledEstimator,
 };
 pub use input::{ProductInput, RowSupport};
-pub use sample::{
-    keys_merged_total, keys_sorted_total, radix_sort_u64, radix_sort_u64_with, sampled_comparison,
-    sampled_comparison_with, wide_prefix_key, TranscriptArena,
-};
+pub use sample::{radix_sort_u64, radix_sort_u64_with, sampled_comparison_with, wide_prefix_key};
 pub use walk::{adaptive_split_depth, split_depth_for_threads, MAX_SPLIT_DEPTH, SPLIT_DEPTH};
 pub use wide::{wide_walk_nodes, MAX_WIDE_NODES};

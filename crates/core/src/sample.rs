@@ -4,13 +4,14 @@
 //! With `T·w ≤ 64` transcript bits a transcript packs into a `u64`, so
 //! the empirical transcript histograms are exact objects and the only
 //! error is sampling noise (`≈ sqrt(|support| / samples)` upward bias on
-//! TV). Every estimate reports a Hoeffding-style radius through the
-//! returned sample counts.
+//! TV). Every estimate is a [`DepthProfile`] whose sampled
+//! [`Provenance`](crate::exec::Provenance) carries the sample counts its
+//! noise floor is read from.
 //!
 //! # Histogram representation
 //!
-//! Transcripts are batched into a reusable [`TranscriptArena`] of packed
-//! `u64` keys and *sorted* — no per-sample hashing. [`wide_prefix_key`]
+//! Transcripts are collected as packed `u64` keys and *sorted* — no
+//! per-sample hashing. [`wide_prefix_key`]
 //! stores turn `t`'s `w`-bit message in bits `[64 − (t+1)·w, 64 − t·w)`
 //! — turn-major from the top of the key — so the keys of any prefix
 //! length group contiguously under the full-key sort order, and a TV
@@ -23,29 +24,11 @@
 //! the bit model would. The sort itself is [`radix_sort_u64`], an LSD
 //! radix sort that skips the constant low bytes this packing produces.
 
-use bcc_congest::turn::run_turn_protocol;
 use bcc_congest::wide::{run_wide_protocol, WideTranscript, WideTurnProtocol};
-use bcc_congest::TurnProtocol;
 use bcc_f2::kernel::{self, WordKernel};
-use bcc_stats::sampling::MeanEstimator;
 use rand::Rng;
 
-use crate::input::ProductInput;
-
-/// Reusable buffers of packed transcript keys: hold one across a sweep of
-/// comparisons to amortize allocations.
-#[derive(Debug, Default)]
-pub struct TranscriptArena {
-    side_a: Vec<u64>,
-    side_b: Vec<u64>,
-}
-
-impl TranscriptArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        TranscriptArena::default()
-    }
-}
+use crate::exec::{profile_from_sorted_sides, DepthProfile};
 
 /// Packs a wide transcript with turn `t`'s `w`-bit message at bits
 /// `[64 − (t+1)·w, 64 − t·w)` (turn-major from the top), so `t`-turn
@@ -124,7 +107,7 @@ pub(crate) fn merge_sorted_u64(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
 /// `O(N log m)` comparisons for `N` output keys — where the pairwise
 /// fold it replaces re-copied early chunks at every step (`Σ i·Δ ≈ m²Δ/2`
 /// merge writes per batch). Delegates to [`merge_sorted_u64`] below
-/// three lists, and counts its output into [`keys_merged_total`].
+/// three lists, and counts its output into [`bcc_obs::keys_merged_total`].
 pub(crate) fn merge_sorted_k_u64(lists: &[&[u64]], out: &mut Vec<u64>) {
     match lists {
         [] => out.clear(),
@@ -169,35 +152,6 @@ const RADIX_CUTOFF: usize = 256;
 /// cost more than a comparison sort (measured in
 /// `criterion_micro/transcript_sort`), so the hybrid falls back.
 const RADIX_MAX_VARYING_BYTES: u32 = 4;
-
-/// The cumulative number of keys this process has written through the
-/// sorted-key merges (`merge_sorted_u64` and the k-way heap merge).
-///
-/// The companion of [`keys_sorted_total`] for the *merge* half of the
-/// adaptive layer's work contract: a k-way fold of `m` member chunks
-/// writes each key once per fold level, where the pairwise fold it
-/// replaced re-copied early chunks `O(m)` times. The counter now lives
-/// in `bcc_obs` (this is a delegation kept for compatibility); the
-/// work-counting tests (`crates/core/tests/work.rs`) pin the *scoped*
-/// per-run `exec.keys_merged` counter against the pairwise baseline,
-/// which — unlike this process-wide monotone total — is immune to
-/// concurrent runs.
-pub fn keys_merged_total() -> u64 {
-    bcc_obs::keys_merged_total()
-}
-
-/// The cumulative number of keys this process has fed through
-/// [`radix_sort_u64`], its comparison-sort fallback included.
-///
-/// An incremental estimator that claims "1× final-budget sort work" is
-/// pinned by the work-counting tests (`crates/core/tests/work.rs`)
-/// against the scoped per-run `exec.keys_sorted` counter; this
-/// process-wide monotone total (now hosted by `bcc_obs`, delegation
-/// kept for compatibility) remains the whole-process observable —
-/// meaningful deltas require no concurrent sorts.
-pub fn keys_sorted_total() -> u64 {
-    bcc_obs::keys_sorted_total()
-}
 
 /// Sorts packed transcript keys ascending with an LSD radix sort (byte
 /// digits, stable counting passes), producing exactly the order
@@ -399,103 +353,29 @@ pub(crate) fn sorted_depth_stats(
     stats
 }
 
-/// An estimated transcript distance with its provenance.
-#[derive(Debug, Clone)]
-pub struct SampledComparison {
-    /// Empirical `‖P_A − P_B‖` over full transcripts.
-    pub tv: f64,
-    /// Samples drawn from each side.
-    pub samples_per_side: usize,
-    /// Number of distinct transcripts observed (union of both sides).
-    pub support_seen: usize,
-}
-
-impl SampledComparison {
-    /// A crude upper bound on the sampling bias of the TV estimate:
-    /// `min(1, sqrt(support_seen / samples_per_side))` — the usual plug-in
-    /// histogram-TV error scale, clamped to the TV bound 1 (all-distinct
-    /// draws would otherwise read up to `√2`). Treat estimates below this
-    /// as zero.
-    ///
-    /// With zero samples there is no information at all, so the floor is
-    /// [`f64::INFINITY`] (rather than the `NaN` a bare division would
-    /// produce).
-    pub fn noise_floor(&self) -> f64 {
-        if self.samples_per_side == 0 {
-            return f64::INFINITY;
-        }
-        (self.support_seen as f64 / self.samples_per_side as f64)
-            .sqrt()
-            .min(1.0)
-    }
-}
-
-/// Estimates `‖P(Π, A) − P(Π, B)‖` by running the protocol `samples` times
-/// per side and comparing transcript histograms.
+/// Estimates `‖P(Π, A) − P(Π, B)‖` by running the protocol `samples`
+/// times per side on inputs drawn from arbitrary joint samplers — the
+/// tool for distributions with *dependent* rows, where no product
+/// decomposition exists (e.g. the undirected planted clique of the
+/// paper's §9 discussion). Product inputs pass `|r| a.sample(r)`.
+///
+/// Side `a` draws all its samples from `rng` first, then side `b`. The
+/// result is a sampled [`DepthProfile`] with `a` as its single member and
+/// `b` as the baseline: [`DepthProfile::tv`] is the full-transcript
+/// distance and [`DepthProfile::noise_floor`] the plug-in floor
+/// `min(1, sqrt(support / samples))`.
 ///
 /// # Panics
 ///
 /// Panics if `samples == 0` or if the protocol's `horizon × width`
 /// exceeds the 64-bit key packing.
-pub fn sampled_comparison<P, R>(
-    protocol: &P,
-    a: &ProductInput,
-    b: &ProductInput,
-    samples: usize,
-    rng: &mut R,
-) -> SampledComparison
-where
-    P: WideTurnProtocol + ?Sized,
-    R: Rng + ?Sized,
-{
-    sampled_comparison_with(
-        protocol,
-        |rng| a.sample(rng),
-        |rng| b.sample(rng),
-        samples,
-        rng,
-    )
-}
-
-/// Like [`sampled_comparison`] but with arbitrary joint input samplers —
-/// the tool for distributions with *dependent* rows, where no product
-/// decomposition exists (e.g. the undirected planted clique of the
-/// paper's §9 discussion).
-///
-/// # Panics
-///
-/// As [`sampled_comparison`].
 pub fn sampled_comparison_with<P, R, FA, FB>(
     protocol: &P,
     sample_a: FA,
     sample_b: FB,
     samples: usize,
     rng: &mut R,
-) -> SampledComparison
-where
-    P: WideTurnProtocol + ?Sized,
-    R: Rng + ?Sized,
-    FA: FnMut(&mut R) -> Vec<u64>,
-    FB: FnMut(&mut R) -> Vec<u64>,
-{
-    let mut arena = TranscriptArena::new();
-    sampled_comparison_with_in(&mut arena, protocol, sample_a, sample_b, samples, rng)
-}
-
-/// [`sampled_comparison_with`] writing through a caller-held
-/// [`TranscriptArena`], for sweeps that run many comparisons.
-///
-/// # Panics
-///
-/// As [`sampled_comparison`].
-pub fn sampled_comparison_with_in<P, R, FA, FB>(
-    arena: &mut TranscriptArena,
-    protocol: &P,
-    sample_a: FA,
-    sample_b: FB,
-    samples: usize,
-    rng: &mut R,
-) -> SampledComparison
+) -> DepthProfile
 where
     P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
@@ -505,53 +385,45 @@ where
     assert!(samples > 0, "need at least one sample");
     let (width, horizon) = (protocol.width(), protocol.horizon());
     check_key_packing(horizon, width);
-    collect_sorted_wide_keys(protocol, sample_a, samples, rng, &mut arena.side_a);
-    collect_sorted_wide_keys(protocol, sample_b, samples, rng, &mut arena.side_b);
-    let weight = 1.0 / samples as f64;
-    SampledComparison {
-        tv: sorted_tv_at_depth(
-            &arena.side_a,
-            &arena.side_b,
-            weight,
-            weight,
-            horizon * width,
-        ),
-        samples_per_side: samples,
-        support_seen: sorted_support_union(&arena.side_a, &arena.side_b),
-    }
-}
-
-/// Estimates the acceptance probability of a Boolean test of the
-/// transcript under one input distribution.
-pub fn acceptance_rate<P, R, F>(
-    protocol: &P,
-    input: &ProductInput,
-    accept: F,
-    samples: usize,
-    rng: &mut R,
-) -> MeanEstimator
-where
-    P: TurnProtocol + ?Sized,
-    R: Rng + ?Sized,
-    F: Fn(u64) -> bool,
-{
-    let mut est = MeanEstimator::new();
-    for _ in 0..samples {
-        let x = input.sample(rng);
-        let t = run_turn_protocol(protocol, &x).as_u64();
-        est.push(f64::from(accept(t)));
-    }
-    est
+    let (mut side_a, mut side_b) = (Vec::new(), Vec::new());
+    collect_sorted_wide_keys(protocol, sample_a, samples, rng, &mut side_a);
+    collect_sorted_wide_keys(protocol, sample_b, samples, rng, &mut side_b);
+    profile_from_sorted_sides(horizon, width, samples, &side_b, &[&side_a], &side_a)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exact_comparison;
-    use crate::input::RowSupport;
-    use bcc_congest::FnProtocol;
+    use crate::exec::{Estimator, ExactEstimator, Provenance};
+    use crate::input::{ProductInput, RowSupport};
+    use bcc_congest::{FnProtocol, TurnProtocol};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Runs [`sampled_comparison_with`] on two product inputs.
+    fn sampled_pair<P: WideTurnProtocol + ?Sized>(
+        protocol: &P,
+        a: &ProductInput,
+        b: &ProductInput,
+        samples: usize,
+        seed: u64,
+    ) -> DepthProfile {
+        let mut rng = StdRng::seed_from_u64(seed);
+        sampled_comparison_with(
+            protocol,
+            |r| a.sample(r),
+            |r| b.sample(r),
+            samples,
+            &mut rng,
+        )
+    }
+
+    fn support_seen(profile: &DepthProfile) -> usize {
+        match profile.provenance {
+            Provenance::Sampled { support_seen, .. } => support_seen,
+            Provenance::Exact => panic!("sampled run"),
+        }
+    }
 
     #[test]
     fn sampled_matches_exact_on_small_instance() {
@@ -561,13 +433,14 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = exact_comparison(&p.as_wide(), &a, &b).tv();
-        let mut rng = StdRng::seed_from_u64(1);
-        let sampled = sampled_comparison(&p.as_wide(), &a, &b, 40_000, &mut rng);
+        let exact = ExactEstimator::default()
+            .estimate_pair(&p.as_wide(), &a, &b)
+            .tv();
+        let sampled = sampled_pair(&p.as_wide(), &a, &b, 40_000, 1);
         assert!(
-            (sampled.tv - exact).abs() < 0.02,
+            (sampled.tv() - exact).abs() < 0.02,
             "sampled {} vs exact {exact}",
-            sampled.tv
+            sampled.tv()
         );
     }
 
@@ -575,12 +448,11 @@ mod tests {
     fn identical_inputs_fall_below_noise_floor() {
         let p = FnProtocol::new(2, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 1 == 1);
         let a = ProductInput::uniform(2, 2);
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = sampled_comparison(&p.as_wide(), &a, &a, 20_000, &mut rng);
+        let s = sampled_pair(&p.as_wide(), &a, &a, 20_000, 2);
         assert!(
-            s.tv <= s.noise_floor(),
+            s.tv() <= s.noise_floor(),
             "tv {} floor {}",
-            s.tv,
+            s.tv(),
             s.noise_floor()
         );
     }
@@ -624,13 +496,10 @@ mod tests {
 
     #[test]
     fn noise_floor_of_zero_samples_is_infinite() {
-        // Degenerate provenance (constructed directly; the samplers
-        // reject samples == 0): the floor must be +inf, not NaN.
-        let s = SampledComparison {
-            tv: 0.0,
-            samples_per_side: 0,
-            support_seen: 0,
-        };
+        // The profile builder every sampler shares, fed no samples (the
+        // samplers themselves reject samples == 0): the floor must be
+        // +inf, not NaN.
+        let s = profile_from_sorted_sides(3, 1, 0, &[], &[&[]], &[]);
         assert_eq!(s.noise_floor(), f64::INFINITY);
         assert!(!s.noise_floor().is_nan());
     }
@@ -641,48 +510,9 @@ mod tests {
         // the raw scale sqrt(2) would overstate the TV bound.
         let p = FnProtocol::new(1, 16, 16, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::uniform(1, 16);
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = sampled_comparison(&p.as_wide(), &a, &a, 8, &mut rng);
-        assert_eq!(s.support_seen, 16, "draws collided; pick another seed");
+        let s = sampled_pair(&p.as_wide(), &a, &a, 8, 5);
+        assert_eq!(support_seen(&s), 16, "draws collided; pick another seed");
         assert_eq!(s.noise_floor(), 1.0);
-    }
-
-    #[test]
-    fn arena_reuse_reproduces_one_shot_results() {
-        let p = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
-        let a = ProductInput::uniform(2, 3);
-        let b = ProductInput::new(vec![
-            RowSupport::explicit(3, vec![0, 1, 2]),
-            RowSupport::uniform(3),
-        ]);
-        let one_shot = {
-            let mut rng = StdRng::seed_from_u64(7);
-            sampled_comparison(&p.as_wide(), &a, &b, 5_000, &mut rng)
-        };
-        let mut arena = TranscriptArena::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        // Run twice through the same arena; the second run must be
-        // unaffected by leftover buffer contents.
-        let first = sampled_comparison_with_in(
-            &mut arena,
-            &p.as_wide(),
-            |r| a.sample(r),
-            |r| b.sample(r),
-            5_000,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(7);
-        let second = sampled_comparison_with_in(
-            &mut arena,
-            &p.as_wide(),
-            |r| a.sample(r),
-            |r| b.sample(r),
-            5_000,
-            &mut rng,
-        );
-        assert_eq!(one_shot.tv.to_bits(), first.tv.to_bits());
-        assert_eq!(first.tv.to_bits(), second.tv.to_bits());
-        assert_eq!(first.support_seen, second.support_seen);
     }
 
     #[test]
@@ -741,11 +571,11 @@ mod tests {
             let mut expected: Vec<u64> = lists.concat();
             expected.sort_unstable();
             let mut out = vec![0xDEAD_BEEFu64]; // stale content must be cleared
-            let merged_before = keys_merged_total();
+            let merged_before = bcc_obs::keys_merged_total();
             merge_sorted_k_u64(&refs, &mut out);
             assert_eq!(out, expected, "lens {lens:?}");
             assert_eq!(
-                keys_merged_total() - merged_before,
+                bcc_obs::keys_merged_total() - merged_before,
                 expected.len() as u64,
                 "k-way merge counts each output key once, lens {lens:?}"
             );
@@ -832,7 +662,6 @@ mod tests {
 
     #[test]
     fn sampled_wide_matches_exact_on_small_instance() {
-        use crate::engine::exact_mixture_comparison;
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let a = ProductInput::uniform(2, 3);
@@ -840,13 +669,12 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = exact_mixture_comparison(&p, std::slice::from_ref(&a), &b).tv();
-        let mut rng = StdRng::seed_from_u64(17);
-        let sampled = sampled_comparison(&p, &a, &b, 40_000, &mut rng);
+        let exact = ExactEstimator::default().estimate_pair(&p, &a, &b).tv();
+        let sampled = sampled_pair(&p, &a, &b, 40_000, 17);
         assert!(
-            (sampled.tv - exact).abs() < sampled.noise_floor() + 0.02,
+            (sampled.tv() - exact).abs() < sampled.noise_floor() + 0.02,
             "sampled {} vs exact {exact} (floor {})",
-            sampled.tv,
+            sampled.tv(),
             sampled.noise_floor()
         );
     }
@@ -856,14 +684,31 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 2, 3, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b111);
         let a = ProductInput::uniform(2, 2);
-        let mut rng = StdRng::seed_from_u64(23);
-        let s = sampled_comparison(&p, &a, &a, 20_000, &mut rng);
+        let s = sampled_pair(&p, &a, &a, 20_000, 23);
         assert!(
-            s.tv <= s.noise_floor(),
+            s.tv() <= s.noise_floor(),
             "tv {} floor {}",
-            s.tv,
+            s.tv(),
             s.noise_floor()
         );
+    }
+
+    #[test]
+    fn pair_profile_has_side_a_as_its_single_member() {
+        // With one member the mixture is that member, so the progress
+        // function and the mixture distance coincide bit for bit.
+        let p = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
+        let a = ProductInput::uniform(2, 3);
+        let b = ProductInput::new(vec![
+            RowSupport::explicit(3, vec![0, 1, 2]),
+            RowSupport::uniform(3),
+        ]);
+        let s = sampled_pair(&p.as_wide(), &a, &b, 2_000, 9);
+        assert!(!s.is_exact());
+        assert_eq!(s.horizon, 6);
+        assert!(s.speaker_stats.is_empty());
+        assert_eq!(s.per_member_tv, vec![s.tv()]);
+        assert_eq!(s.progress_by_depth, s.mixture_tv_by_depth);
     }
 
     #[test]
@@ -881,9 +726,9 @@ mod tests {
         ]);
         let mut rng = StdRng::seed_from_u64(0x601D);
         let s = sampled_comparison_with(&p, |r| a.sample(r), |r| b.sample(r), 3_000, &mut rng);
-        assert_eq!(s.tv.to_bits(), 4602660804774137428);
+        assert_eq!(s.tv().to_bits(), 4602660804774137428);
         assert_eq!(s.noise_floor().to_bits(), 4589926763289047981);
-        assert_eq!(s.support_seen, 16);
+        assert_eq!(support_seen(&s), 16);
     }
 
     #[test]
@@ -911,26 +756,6 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = sampled_comparison(&Overflowing, &a, &a, 10, &mut rng);
-    }
-
-    #[test]
-    fn acceptance_rate_of_constant_test() {
-        let p = FnProtocol::new(1, 1, 1, |_, input, _| input == 1);
-        let a = ProductInput::uniform(1, 1);
-        let mut rng = StdRng::seed_from_u64(3);
-        let est = acceptance_rate(&p, &a, |_| true, 500, &mut rng);
-        assert_eq!(est.count(), 500);
-        assert!((est.mean() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn acceptance_rate_tracks_transcript_bit() {
-        let p = FnProtocol::new(1, 1, 1, |_, input, _| input == 1);
-        let a = ProductInput::uniform(1, 1);
-        let mut rng = StdRng::seed_from_u64(4);
-        let est = acceptance_rate(&p, &a, |t| t & 1 == 1, 20_000, &mut rng);
-        assert!((est.mean() - 0.5).abs() < 0.02);
+        let _ = sampled_pair(&Overflowing, &a, &a, 10, 1);
     }
 }

@@ -200,8 +200,8 @@ pub trait Branching: Sync {
     );
 }
 
-/// The raw accumulators of one exact walk, before the engine's result
-/// type ([`crate::engine::MixtureComparison`]) is assembled around them.
+/// The raw accumulators of one exact walk, before the engine assembles
+/// them into an exact [`DepthProfile`](crate::exec::DepthProfile).
 #[derive(Debug, Clone)]
 pub struct WalkOutcome {
     /// `‖ avg_I P_I^{(t)} − P_base^{(t)} ‖` for `t = 0 ..= horizon`.

@@ -31,7 +31,7 @@ pub const MAX_WIDE_NODES: u64 = 1 << 26;
 /// The number of nodes in the complete `2^width`-ary turn tree of depth
 /// `horizon` — `Σ_{t=0}^{horizon} 2^{width·t}` — saturating at
 /// [`u64::MAX`]. This is the upper bound on what
-/// [`crate::engine::exact_mixture_comparison`] can visit; dead branches
+/// [`crate::exec::ExactEstimator`] can visit; dead branches
 /// are pruned, so real walks typically visit far fewer nodes.
 pub fn wide_walk_nodes(width: u32, horizon: u32) -> u64 {
     let fanout = if width >= 64 { u64::MAX } else { 1u64 << width };
@@ -127,7 +127,7 @@ impl<P: WideTurnProtocol + Sync + ?Sized> Branching for WideBranching<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exact_mixture_comparison;
+    use crate::exec::{Estimator, ExactEstimator};
     use crate::input::{ProductInput, RowSupport};
     use bcc_congest::wide::{FnWideProtocol, PackedAdapter};
     use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
@@ -143,8 +143,8 @@ mod tests {
             RowSupport::uniform(3),
         ]);
         let b = ProductInput::uniform(2, 3);
-        let bit = exact_mixture_comparison(&bitp.as_wide(), std::slice::from_ref(&a), &b);
-        let wide = exact_mixture_comparison(&widep, std::slice::from_ref(&a), &b);
+        let bit = ExactEstimator::default().estimate_pair(&bitp.as_wide(), &a, &b);
+        let wide = ExactEstimator::default().estimate_pair(&widep, &a, &b);
         assert!((bit.tv() - wide.tv()).abs() < 1e-12);
         assert_eq!(
             bit.mixture_tv_by_depth.len(),
@@ -193,9 +193,9 @@ mod tests {
         let b = ProductInput::uniform(2, 4);
 
         let inner = make_inner();
-        let bit = exact_mixture_comparison(&inner.as_wide(), std::slice::from_ref(&a), &b);
+        let bit = ExactEstimator::default().estimate_pair(&inner.as_wide(), &a, &b);
         let packed = PackedAdapter::new(make_inner(), 2);
-        let wide = exact_mixture_comparison(&packed, std::slice::from_ref(&a), &b);
+        let wide = ExactEstimator::default().estimate_pair(&packed, &a, &b);
         assert_eq!(wide.horizon * 2, bit.horizon);
         assert!(
             (bit.tv() - wide.tv()).abs() < 1e-12,
@@ -212,7 +212,7 @@ mod tests {
         let wide = FnWideProtocol::new(1, 4, 4, 1, |_, input, _| input & 0xF);
         let a = ProductInput::new(vec![RowSupport::explicit(4, vec![0, 1, 2, 3])]);
         let b = ProductInput::uniform(1, 4);
-        let cmp = exact_mixture_comparison(&wide, std::slice::from_ref(&a), &b);
+        let cmp = ExactEstimator::default().estimate_pair(&wide, &a, &b);
         assert!((cmp.tv() - 0.75).abs() < 1e-12);
         assert_eq!(cmp.horizon, 1);
     }
@@ -223,7 +223,7 @@ mod tests {
         let m0 = ProductInput::new(vec![RowSupport::explicit(3, vec![0, 1])]);
         let m1 = ProductInput::new(vec![RowSupport::explicit(3, vec![6, 7])]);
         let base = ProductInput::uniform(1, 3);
-        let cmp = exact_mixture_comparison(&wide, &[m0, m1], &base);
+        let cmp = ExactEstimator::default().estimate_full(&wide, &[m0, m1], &base);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12);
         }
@@ -236,7 +236,7 @@ mod tests {
         // expectation (4 equal parts of the uniform 4-point support).
         let wide = FnWideProtocol::new(1, 2, 2, 2, |_, input, _| input & 0b11);
         let a = ProductInput::uniform(1, 2);
-        let cmp = exact_mixture_comparison(&wide, std::slice::from_ref(&a), &a);
+        let cmp = ExactEstimator::default().estimate_pair(&wide, &a, &a);
         assert_eq!(cmp.speaker_stats.len(), 2);
         assert!((cmp.speaker_stats[0].mean_fraction - 1.0).abs() < 1e-12);
         assert!((cmp.speaker_stats[1].mean_fraction - 0.25).abs() < 1e-12);
@@ -267,7 +267,7 @@ mod tests {
         // bit pins after one turn), so the walk itself is cheap.
         let p = FnWideProtocol::new(1, 1, 1, 25, |_, input, _| input & 1);
         let a = ProductInput::uniform(1, 1);
-        let cmp = exact_mixture_comparison(&p, std::slice::from_ref(&a), &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
         assert_eq!(cmp.horizon, 25);
         assert!(cmp.tv().abs() < 1e-12);
     }
@@ -279,7 +279,7 @@ mod tests {
         // deep. The guard must fire before any walking happens.
         let p = FnWideProtocol::new(1, 1, 1, 26, |_, input, _| input & 1);
         let a = ProductInput::uniform(1, 1);
-        let _ = exact_mixture_comparison(&p, std::slice::from_ref(&a), &a);
+        let _ = ExactEstimator::default().estimate_pair(&p, &a, &a);
     }
 
     #[test]
@@ -289,7 +289,7 @@ mod tests {
         // width-2 tree to depth 13 reaches ~2^26.4 nodes and must refuse.
         let p = FnWideProtocol::new(1, 2, 2, 13, |_, input, _| input & 0b11);
         let a = ProductInput::uniform(1, 2);
-        let _ = exact_mixture_comparison(&p, std::slice::from_ref(&a), &a);
+        let _ = ExactEstimator::default().estimate_pair(&p, &a, &a);
     }
 
     #[test]
@@ -316,6 +316,6 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let _ = exact_mixture_comparison(&Absurd, std::slice::from_ref(&a), &a);
+        let _ = ExactEstimator::default().estimate_pair(&Absurd, &a, &a);
     }
 }

@@ -13,7 +13,7 @@
 
 use bcc_congest::TurnProtocol;
 
-use crate::engine::exact_comparison;
+use crate::exec::{Estimator, ExactEstimator};
 use crate::input::ProductInput;
 
 /// The exact distances of a randomized protocol (a weighted mixture of
@@ -54,7 +54,11 @@ pub fn yao_reduction<P: TurnProtocol + Sync>(
     assert!((total - 1.0).abs() < 1e-9, "weights must sum to 1");
     let member_tv: Vec<f64> = protocols
         .iter()
-        .map(|p| exact_comparison(&p.as_wide(), a, b).tv())
+        .map(|p| {
+            ExactEstimator::default()
+                .estimate_pair(&p.as_wide(), a, b)
+                .tv()
+        })
         .collect();
     let randomized_tv = member_tv
         .iter()

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    exact_mixture_comparison_mode, exact_mixture_comparison_reference, ExecMode, ProductInput,
+    exact_mixture_comparison_reference, Estimator, ExactEstimator, ExecMode, ProductInput,
 };
 
 struct CountingAlloc;
@@ -66,7 +66,9 @@ fn full_tree_walk(horizon: u32, reference: bool) -> f64 {
     if reference {
         exact_mixture_comparison_reference(&p.as_wide(), members, &b, ExecMode::Sequential).tv()
     } else {
-        exact_mixture_comparison_mode(&p.as_wide(), members, &b, ExecMode::Sequential).tv()
+        ExactEstimator::sequential()
+            .estimate_full(&p.as_wide(), members, &b)
+            .tv()
     }
 }
 

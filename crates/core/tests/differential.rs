@@ -9,15 +9,14 @@
 //! reported `noise_floor()`, and at width 1 a bit protocol's view
 //! (`TurnProtocol::as_wide`) must sample **bit for bit** as the same
 //! decision written natively at `w = 1`. Property tests add the
-//! structural invariants (parallel == sequential bitwise, arena reuse
-//! observationally pure) over arbitrary supports and `(width, horizon)`
+//! structural invariants (parallel == sequential bitwise, adaptive ==
+//! one-shot bitwise) over arbitrary supports and `(width, horizon)`
 //! shapes, using the vendored proptest's `prop_filter` to generate
 //! exactly the shapes that pack into a `u64`.
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
-use bcc_core::sample::{sampled_comparison, sampled_comparison_with_in, TranscriptArena};
 use bcc_core::{wide_walk_nodes, ProductInput, RowSupport, MAX_WIDE_NODES};
 use proptest::prelude::*;
 
@@ -259,46 +258,5 @@ proptest! {
         prop_assert_eq!(profile.tv().to_bits(), one_shot.tv().to_bits());
         prop_assert_eq!(profile.progress().to_bits(), one_shot.progress().to_bits());
         prop_assert_eq!(report.samples_drawn, report.samples_per_side);
-    }
-
-    #[test]
-    fn wide_arena_reuse_is_observationally_pure(
-        a in arb_input(2, 3),
-        b in arb_input(2, 3),
-        shape in arb_wide_shape(),
-        seed in any::<u64>(),
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let (w, t) = shape;
-        let p = wide_protocol(2, 3, w, t, seed);
-        let fresh = {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xA1);
-            sampled_comparison(&p, &a, &b, 2_000, &mut rng)
-        };
-        // The same arena runs a *different* comparison first (leaving
-        // leftover keys of another shape), then the one under test: the
-        // result must be bitwise the fresh-arena run.
-        let mut arena = TranscriptArena::new();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB2);
-        let _ = sampled_comparison_with_in(
-            &mut arena,
-            &p,
-            |r| b.sample(r),
-            |r| a.sample(r),
-            3_000,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA1);
-        let reused = sampled_comparison_with_in(
-            &mut arena,
-            &p,
-            |r| a.sample(r),
-            |r| b.sample(r),
-            2_000,
-            &mut rng,
-        );
-        prop_assert_eq!(fresh.tv.to_bits(), reused.tv.to_bits());
-        prop_assert_eq!(fresh.support_seen, reused.support_seen);
-        prop_assert_eq!(fresh.samples_per_side, reused.samples_per_side);
     }
 }

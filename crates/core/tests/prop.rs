@@ -6,14 +6,13 @@ use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::{
-    exact_comparison, exact_mixture_comparison, exact_mixture_comparison_mode,
-    exact_mixture_comparison_reference, ExecMode, MixtureComparison, ProductInput, RowSupport,
+    exact_mixture_comparison_reference, DepthProfile, ExecMode, ProductInput, RowSupport,
 };
 use proptest::prelude::*;
 
 /// Asserts two exact-walk results are **bitwise** identical — every f64
 /// of the profile, the per-member distances and the speaker statistics.
-fn assert_mixture_bitwise_eq(a: &MixtureComparison, b: &MixtureComparison, what: &str) {
+fn assert_mixture_bitwise_eq(a: &DepthProfile, b: &DepthProfile, what: &str) {
     assert_eq!(a.horizon, b.horizon, "{what}: horizon");
     for t in 0..a.mixture_tv_by_depth.len() {
         assert_eq!(
@@ -129,18 +128,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 6, seed);
-        let ab = exact_comparison(&p.as_wide(), &a, &b);
-        let ba = exact_comparison(&p.as_wide(), &b, &a);
+        let ab = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let ba = ExactEstimator::default().estimate_pair(&p.as_wide(), &b, &a);
         prop_assert!((ab.tv() - ba.tv()).abs() < 1e-12);
-        for t in 0..ab.tv_by_depth.len() {
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&ab.tv_by_depth[t]));
+        for t in 0..ab.mixture_tv_by_depth.len() {
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&ab.mixture_tv_by_depth[t]));
         }
     }
 
     #[test]
     fn identical_inputs_have_zero_distance(a in arb_input(2, 3), seed in any::<u64>()) {
         let p = protocol(2, 3, 6, seed);
-        let cmp = exact_comparison(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
         prop_assert!(cmp.tv() < 1e-12);
     }
 
@@ -149,8 +148,8 @@ proptest! {
         // Longer transcripts can only reveal more (data processing in
         // reverse): prefix TV is nondecreasing in t.
         let p = protocol(2, 3, 8, seed);
-        let cmp = exact_comparison(&p.as_wide(), &a, &b);
-        for w in cmp.tv_by_depth.windows(2) {
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        for w in cmp.mixture_tv_by_depth.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
     }
@@ -166,14 +165,14 @@ proptest! {
         // distances <= max member distance.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a.clone(), b.clone()];
-        let mix = exact_mixture_comparison(&p.as_wide(), &members, &base);
+        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &base);
         for t in 0..mix.mixture_tv_by_depth.len() {
             prop_assert!(mix.mixture_tv_by_depth[t] <= mix.progress_by_depth[t] + 1e-12);
         }
         let avg = (mix.per_member_tv[0] + mix.per_member_tv[1]) / 2.0;
         prop_assert!((mix.progress() - avg).abs() < 1e-12);
         // Per-member results agree with standalone walks.
-        let solo_a = exact_comparison(&p.as_wide(), &a, &base).tv();
+        let solo_a = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &base).tv();
         prop_assert!((mix.per_member_tv[0] - solo_a).abs() < 1e-12);
     }
 
@@ -184,7 +183,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 8, seed);
-        let mix = exact_mixture_comparison(&p.as_wide(), &[a], &base);
+        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &[a], &base);
         for inc in mix.progress_increments() {
             prop_assert!(inc >= -1e-12);
         }
@@ -198,7 +197,7 @@ proptest! {
         // Under baseline = a itself, processor 0's expected consistent
         // fraction is nonincreasing over its own turns.
         let p = protocol(2, 4, 8, seed);
-        let cmp = exact_comparison(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
         let own_turns: Vec<f64> = cmp
             .speaker_stats
             .iter()
@@ -219,13 +218,19 @@ proptest! {
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let p = protocol(2, 3, 4, seed);
-        let exact = exact_comparison(&p.as_wide(), &a, &b).tv();
+        let exact = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b).tv();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let sampled = bcc_core::sample::sampled_comparison(&p.as_wide(), &a, &b, 20_000, &mut rng);
+        let sampled = bcc_core::sampled_comparison_with(
+            &p.as_wide(),
+            |r| a.sample(r),
+            |r| b.sample(r),
+            20_000,
+            &mut rng,
+        );
         prop_assert!(
-            (sampled.tv - exact).abs() <= sampled.noise_floor() + 0.05,
+            (sampled.tv() - exact).abs() <= sampled.noise_floor() + 0.05,
             "sampled {} vs exact {exact} (floor {})",
-            sampled.tv,
+            sampled.tv(),
             sampled.noise_floor()
         );
     }
@@ -348,8 +353,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Parallel);
-        let seq = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Sequential);
+        let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
+        let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -394,8 +399,8 @@ proptest! {
             u64::from(decision_bit(seed, proc, input, tr.len(), tr.as_u64()))
         });
         let members = vec![a, b];
-        let bit = exact_mixture_comparison(&bitp.as_wide(), &members, &base);
-        let wide = exact_mixture_comparison_mode(&widep, &members, &base, ExecMode::Parallel);
+        let bit = ExactEstimator::default().estimate_full(&bitp.as_wide(), &members, &base);
+        let wide = ExactEstimator::parallel().estimate_full(&widep, &members, &base);
         prop_assert_eq!(bit.horizon, wide.horizon);
         for t in 0..bit.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -501,7 +506,7 @@ proptest! {
         let p = protocol(2, 3, 8, seed);
         let members = vec![a, b];
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = exact_mixture_comparison_mode(&p.as_wide(), &members, &base, mode);
+            let new = ExactEstimator { mode }.estimate_full(&p.as_wide(), &members, &base);
             let old = exact_mixture_comparison_reference(&p.as_wide(), &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
         }
@@ -516,7 +521,7 @@ proptest! {
         let p = wide_protocol(2, 4, 2, 6, seed);
         let members = vec![a];
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = exact_mixture_comparison_mode(&p, &members, &base, mode);
+            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
             let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
         }
@@ -538,7 +543,7 @@ proptest! {
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = exact_mixture_comparison_mode(&p.as_wide(), &members, &base, mode);
+            let new = ExactEstimator { mode }.estimate_full(&p.as_wide(), &members, &base);
             let old = exact_mixture_comparison_reference(&p.as_wide(), &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("shared {mode:?}"));
         }
@@ -558,8 +563,8 @@ fn wide_walk_with_thousands_of_processors_is_bitwise_deterministic() {
         ProductInput::repeated(RowSupport::explicit(3, vec![1, 3, 4, 6, 7]), n),
     ];
     let base = ProductInput::uniform(n, 3);
-    let par = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Parallel);
-    let seq = exact_mixture_comparison_mode(&p, &members, &base, ExecMode::Sequential);
+    let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
+    let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
     assert_eq!(par.horizon, 8);
     for t in 0..par.mixture_tv_by_depth.len() {
         assert_eq!(
@@ -598,8 +603,7 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
     )]);
     let base = ProductInput::uniform(1, 10);
     for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-        let new =
-            exact_mixture_comparison_mode(&p.as_wide(), std::slice::from_ref(&a), &base, mode);
+        let new = ExactEstimator { mode }.estimate_pair(&p.as_wide(), &a, &base);
         let old =
             exact_mixture_comparison_reference(&p.as_wide(), std::slice::from_ref(&a), &base, mode);
         assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
@@ -620,18 +624,8 @@ fn huge_support_tiny_alive_bit_walk_finishes_and_is_exact() {
     let p = FnProtocol::new(1, 18, 14, |_, input, tr| (input >> tr.len()) & 1 == 1);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par = exact_mixture_comparison_mode(
-        &p.as_wide(),
-        std::slice::from_ref(&a),
-        &base,
-        ExecMode::Parallel,
-    );
-    let seq = exact_mixture_comparison_mode(
-        &p.as_wide(),
-        std::slice::from_ref(&a),
-        &base,
-        ExecMode::Sequential,
-    );
+    let par = ExactEstimator::parallel().estimate_pair(&p.as_wide(), &a, &base);
+    let seq = ExactEstimator::sequential().estimate_pair(&p.as_wide(), &a, &base);
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,
@@ -658,10 +652,8 @@ fn huge_support_tiny_alive_wide_walk_finishes_and_is_exact() {
     let p = FnWideProtocol::new(1, 18, 2, 7, |_, input, tr| (input >> (2 * tr.len())) & 0b11);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par =
-        exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Parallel);
-    let seq =
-        exact_mixture_comparison_mode(&p, std::slice::from_ref(&a), &base, ExecMode::Sequential);
+    let par = ExactEstimator::parallel().estimate_pair(&p, &a, &base);
+    let seq = ExactEstimator::sequential().estimate_pair(&p, &a, &base);
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,

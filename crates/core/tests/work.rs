@@ -16,8 +16,9 @@
 //! scoped to that run. Every snapshot also carries the process-global
 //! totals as deltas from registry creation (`global.keys_sorted`,
 //! `global.keys_merged`); this file asserts the scoped counters agree
-//! with them, proving the registry migration of the old
-//! [`bcc_core::keys_sorted_total`] statics lost no work. That cross-check
+//! with them, proving the scoped counters lose no work against the
+//! process-wide [`bcc_obs::keys_sorted_total`] and
+//! [`bcc_obs::keys_merged_total`] statics. That cross-check
 //! is why this file must stay a **single-test binary**: a concurrently
 //! running test that sorts anything would corrupt the global deltas.
 

@@ -14,7 +14,8 @@
 //! paper's conjecture.
 
 use bcc_congest::TurnProtocol;
-use bcc_core::sample::{sampled_comparison_with, SampledComparison};
+use bcc_core::exec::DepthProfile;
+use bcc_core::sample::sampled_comparison_with;
 use bcc_graphs::digraph::UGraph;
 use bcc_graphs::planted::sample_subset;
 use rand::Rng;
@@ -79,14 +80,15 @@ where
 }
 
 /// Monte-Carlo transcript distance between undirected `A_rand` and
-/// undirected `A_k` for a given protocol.
+/// undirected `A_k` for a given protocol: a sampled [`DepthProfile`] with
+/// `A_rand` as its single member and `A_k` as the baseline.
 pub fn sampled_experiment<P, R>(
     protocol: &P,
     n: usize,
     k: usize,
     samples: usize,
     rng: &mut R,
-) -> SampledComparison
+) -> DepthProfile
 where
     P: TurnProtocol + ?Sized,
     R: Rng + ?Sized,
@@ -104,6 +106,7 @@ where
 mod tests {
     use super::*;
     use crate::protocols::{degree_threshold, suspect_intersection};
+    use bcc_core::exec::Provenance;
     use bcc_graphs::planted::sample_rand as sample_directed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -184,9 +187,9 @@ mod tests {
         let proto = suspect_intersection(n as u32, 1);
         let cmp = sampled_experiment(&proto, n, 2, 30_000, &mut rng);
         assert!(
-            cmp.tv <= cmp.noise_floor() + 0.05,
+            cmp.tv() <= cmp.noise_floor() + 0.05,
             "tv {} floor {}",
-            cmp.tv,
+            cmp.tv(),
             cmp.noise_floor()
         );
     }
@@ -199,7 +202,7 @@ mod tests {
         let n = 12usize;
         let proto = degree_threshold(n as u32, 1, 7);
         let cmp = sampled_experiment(&proto, n, 8, 30_000, &mut rng);
-        assert!(cmp.tv > 0.2, "tv {} should be large for k = 8", cmp.tv);
+        assert!(cmp.tv() > 0.2, "tv {} should be large for k = 8", cmp.tv());
     }
 
     #[test]
@@ -210,8 +213,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x601D);
         let proto = degree_threshold(8, 1, 4);
         let cmp = sampled_experiment(&proto, 8, 6, 4_000, &mut rng);
-        assert_eq!(cmp.tv.to_bits(), 4605209842163229122);
+        let Provenance::Sampled { support_seen, .. } = cmp.provenance else {
+            panic!("sampled run");
+        };
+        assert_eq!(cmp.tv().to_bits(), 4605209842163229122);
         assert_eq!(cmp.noise_floor().to_bits(), 4598228942315338354);
-        assert_eq!(cmp.support_seen, 256);
+        assert_eq!(support_seen, 256);
     }
 }

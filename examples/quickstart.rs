@@ -2,12 +2,13 @@
 //!
 //! Builds a tiny `BCAST(1)` network, runs a protocol with exact round
 //! accounting, then computes an *exact* transcript-distribution distance
-//! with the engine — the object every theorem in the paper bounds.
+//! with the exact estimator — the object every theorem in the paper
+//! bounds.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use bcc::congest::{FnProtocol, Model, Network, TurnProtocol};
-use bcc::core::{exact_comparison, ProductInput, RowSupport};
+use bcc::core::{Estimator, ExactEstimator, ProductInput, RowSupport};
 use bcc::prg::MatrixPrg;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,8 +37,8 @@ fn main() {
         RowSupport::uniform(5),
         RowSupport::uniform(5),
     ]);
-    let cmp = exact_comparison(&protocol.as_wide(), &biased, &uniform);
-    println!("prefix distance by turn: {:?}", cmp.tv_by_depth);
+    let cmp = ExactEstimator::default().estimate_pair(&protocol.as_wide(), &biased, &uniform);
+    println!("prefix distance by turn: {:?}", cmp.mixture_tv_by_depth);
     println!(
         "optimal distinguisher advantage after 3 turns: {:.4}",
         cmp.tv()

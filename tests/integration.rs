@@ -3,7 +3,7 @@
 //! engine or a protocol outcome.
 
 use bcc::congest::{run_turn_protocol, FnProtocol, Model, Network, TurnProtocol};
-use bcc::core::{exact_comparison, exact_mixture_comparison, ProductInput};
+use bcc::core::{Estimator, ExactEstimator, ProductInput};
 use bcc::f2::{gauss, BitMatrix, BitVec};
 use bcc::graphs::planted::sample_planted;
 use bcc::planted::{bounds, clique_family, exact_experiment, protocols, rand_input};
@@ -67,7 +67,7 @@ fn prg_fools_protocol_but_attack_breaks_it() {
     });
     let members = bcc::prg::full::family(n, k, m);
     let baseline = bcc::prg::full::uniform_input(n, m);
-    let cmp = exact_mixture_comparison(&proto.as_wide(), &members, &baseline);
+    let cmp = ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
     assert!(cmp.tv() < 0.2, "natural protocol separates: {}", cmp.tv());
 
     let mut rng = StdRng::seed_from_u64(2);
@@ -168,7 +168,7 @@ fn mixture_decomposition_identity() {
     let proto = protocols::degree_threshold(n, 1, 3);
     let family = clique_family(n, k);
     let baseline = rand_input(n);
-    let exact = exact_mixture_comparison(&proto.as_wide(), &family, &baseline);
+    let exact = ExactEstimator::default().estimate_full(&proto.as_wide(), &family, &baseline);
 
     // Monte-Carlo A_k: sample a clique, then a member input, run.
     let mut est = MeanEstimator::new();
@@ -304,8 +304,12 @@ fn engine_two_sided_symmetry() {
         bcc::core::RowSupport::explicit(3, vec![0, 1, 2]),
         bcc::core::RowSupport::uniform(3),
     ]);
-    let ab = exact_comparison(&proto.as_wide(), &a, &b).tv();
-    let ba = exact_comparison(&proto.as_wide(), &b, &a).tv();
+    let ab = ExactEstimator::default()
+        .estimate_pair(&proto.as_wide(), &a, &b)
+        .tv();
+    let ba = ExactEstimator::default()
+        .estimate_pair(&proto.as_wide(), &b, &a)
+        .tv();
     assert!((ab - ba).abs() < 1e-12);
 }
 
