@@ -39,6 +39,7 @@ use bcc_core::{
 };
 use bcc_f2::kernel::{Kernel, WordKernel};
 use bcc_f2::ConsistentSet;
+use bcc_obs::json::Value;
 
 /// One measured scenario: mean wall-clock nanoseconds per iteration.
 struct Measurement {
@@ -112,12 +113,10 @@ fn measure_paired<T, U>(
     )
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // Names are static identifiers; just assert they need no escaping.
-    assert!(s
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || "_-./".contains(c)));
-    s
+/// A float rounded to `digits` decimals, so the file stays readable.
+fn rounded(x: f64, digits: i32) -> Value {
+    let scale = 10f64.powi(digits);
+    Value::float_lenient((x * scale).round() / scale)
 }
 
 fn write_json(
@@ -127,41 +126,34 @@ fn write_json(
     speedups: &[(&str, f64)],
     notes: &[(&str, String)],
 ) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bcc-bench-walk/v2\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
-            json_escape_free(m.name),
-            m.ns_per_iter,
-            m.iters,
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedups\": {");
-    for (i, (name, x)) in speedups.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{}\": {:.2}",
-            if i == 0 { "" } else { ", " },
-            json_escape_free(name),
-            x
-        ));
-    }
-    out.push_str("},\n");
-    out.push_str("  \"notes\": {");
-    for (i, (name, value)) in notes.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{}\": \"{}\"",
-            if i == 0 { "" } else { ", " },
-            json_escape_free(name),
-            value
-        ));
-    }
-    out.push_str("}\n}\n");
-    std::fs::write(path, out).expect("write BENCH_walk.json");
+    let scenarios = measurements
+        .iter()
+        .map(|m| {
+            Value::object([
+                ("name", m.name.into()),
+                ("ns_per_iter", rounded(m.ns_per_iter, 1)),
+                ("iters", m.iters.into()),
+            ])
+        })
+        .collect();
+    let doc = Value::object([
+        ("schema", "bcc-bench-walk/v2".into()),
+        ("smoke", smoke.into()),
+        ("scenarios", scenarios),
+        (
+            "speedups",
+            Value::object(speedups.iter().map(|&(name, x)| (name, rounded(x, 2)))),
+        ),
+        (
+            "notes",
+            Value::object(
+                notes
+                    .iter()
+                    .map(|(name, value)| (*name, value.as_str().into())),
+            ),
+        ),
+    ]);
+    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_walk.json");
     println!("\nwrote {path}");
 }
 

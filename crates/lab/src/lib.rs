@@ -21,6 +21,10 @@
 //!    `records.jsonl` under `target/lab/<run-name>/` as they finish;
 //!    re-running a half-written directory recomputes only the missing
 //!    points and reproduces the interrupted run's estimates bit-for-bit.
+//! 5. **Shard and merge**: [`cut_grid`] splits the grid into contiguous
+//!    shards, each runs as an ordinary subset store
+//!    ([`run_sweep_subset`]), and [`merge_shards`] verifies the stores
+//!    and merges them into a run directory bitwise equal to one sweep's.
 //!
 //! ```
 //! use bcc_lab::{Scenario, Workload};
@@ -45,6 +49,7 @@
 pub mod analysis;
 pub mod run;
 pub mod scenario;
+pub mod shard;
 pub mod store;
 pub mod sweep;
 
@@ -53,8 +58,6 @@ pub use run::{decode_depth_floors, encode_depth_floors, run_point, PointRecord};
 pub use scenario::{
     ParamGrid, Precision, Scenario, ScenarioBuilder, ScenarioPoint, Workload, MAX_TRANSCRIPT_TURNS,
 };
-pub use store::{
-    decode_record, encode_record, encode_record_deterministic, read_run_dir, records_fingerprint,
-    RunStore,
-};
+pub use shard::{cut_grid, merge_shards, shard_dir};
+pub use store::{decode_record, encode_record_deterministic, records_fingerprint, RunStore};
 pub use sweep::{run_sweep, run_sweep_subset, SweepResult};

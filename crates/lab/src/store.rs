@@ -80,20 +80,9 @@ impl RunStore {
             // Compact: rewrite exactly the valid records, one per line, in
             // point order. This heals a torn final line (which would
             // otherwise glue onto the next append) and drops duplicates.
-            // Written to a sibling file and renamed over the log so a
-            // crash mid-heal cannot destroy records the original run had
-            // already flushed.
-            let mut compacted = String::with_capacity(text.len());
-            for record in records.values() {
-                compacted.push_str(&encode_record(record));
-                compacted.push('\n');
-            }
+            let compacted = encode_log(records.values());
             if compacted != text {
-                let tmp_path = dir.join("records.jsonl.tmp");
-                std::fs::write(&tmp_path, compacted)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", tmp_path.display()));
-                std::fs::rename(&tmp_path, &log_path)
-                    .unwrap_or_else(|e| panic!("cannot compact {}: {e}", log_path.display()));
+                replace_log(dir, compacted);
             }
             records
         } else {
@@ -168,7 +157,7 @@ fn deterministic_fields(r: &PointRecord) -> Vec<(&'static str, Value)> {
 }
 
 /// Serializes one record as a JSONL line (no trailing newline).
-pub fn encode_record(r: &PointRecord) -> String {
+fn encode_record(r: &PointRecord) -> String {
     let mut fields = deterministic_fields(r);
     fields.push(("wall_ms", Value::float(r.wall_ms)));
     Value::object(fields).to_string()
@@ -177,18 +166,18 @@ pub fn encode_record(r: &PointRecord) -> String {
 /// Serializes one record *without* its `wall_ms` field — the record's
 /// deterministic projection. Wall-clock per-point timing is the one
 /// field resume never reproduces, so anything that must compare runs
-/// bit-for-bit (the shard merge's fingerprint-equality proof, resume
-/// drills) compares these lines instead of raw log bytes.
+/// bit-for-bit (the shard merge's fingerprint check, resume drills)
+/// compares these lines instead of raw log bytes.
 pub fn encode_record_deterministic(r: &PointRecord) -> String {
     Value::object(deterministic_fields(r)).to_string()
 }
 
 /// FNV-1a (64-bit) over the records' deterministic projections
 /// ([`encode_record_deterministic`], newline-terminated) in the order
-/// given. Two runs of the same grid — single-process or sharded, resumed
-/// or one-shot — must produce equal fingerprints over their records in
-/// canonical `point_id` order; that equality is the merge step's proof
-/// obligation.
+/// given. Two runs of the same grid — one sweep or merged shard stores,
+/// resumed or one-shot — must produce equal fingerprints over their
+/// records in canonical `point_id` order; that equality is what
+/// [`crate::merge_shards`] has to preserve.
 pub fn records_fingerprint<'a, I>(records: I) -> u64
 where
     I: IntoIterator<Item = &'a PointRecord>,
@@ -207,13 +196,14 @@ where
 
 /// Reads a run directory without opening it for append: the manifest
 /// fingerprint and every valid record by point id (torn or foreign
-/// lines are skipped, not healed — this is the merge step's read-only
-/// view of a completed shard). `None` if the directory has no manifest.
+/// lines are skipped, not healed — this is [`crate::merge_shards`]'s
+/// read-only view of a completed shard). `None` if the directory has no
+/// manifest.
 ///
 /// # Panics
 ///
 /// Panics on IO errors other than the files not existing.
-pub fn read_run_dir(dir: &Path) -> Option<(String, BTreeMap<usize, PointRecord>)> {
+pub(crate) fn read_run_dir(dir: &Path) -> Option<(String, BTreeMap<usize, PointRecord>)> {
     let manifest_path = dir.join("manifest.json");
     if !manifest_path.exists() {
         return None;
@@ -233,6 +223,41 @@ pub fn read_run_dir(dir: &Path) -> Option<(String, BTreeMap<usize, PointRecord>)
         BTreeMap::new()
     };
     Some((manifest.trim().to_string(), records))
+}
+
+/// Makes `dir` a run directory holding exactly `records`: writes
+/// `manifest.json` and `records.jsonl` in the format [`RunStore`] uses.
+///
+/// # Panics
+///
+/// Panics on IO errors.
+pub(crate) fn write_run_dir(dir: &Path, manifest: &str, records: &[PointRecord]) {
+    let manifest_path = dir.join("manifest.json");
+    std::fs::write(&manifest_path, format!("{manifest}\n"))
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", manifest_path.display()));
+    replace_log(dir, encode_log(records));
+}
+
+/// The record log holding `records`, one line each, in the order given.
+fn encode_log<'a>(records: impl IntoIterator<Item = &'a PointRecord>) -> String {
+    let mut log = String::new();
+    for record in records {
+        log.push_str(&encode_record(record));
+        log.push('\n');
+    }
+    log
+}
+
+/// Replaces `dir/records.jsonl` with `log`. The log is written to a
+/// sibling file and renamed over the old one, so a crash mid-write can
+/// neither leave a half-written log nor destroy records already flushed.
+fn replace_log(dir: &Path, log: String) {
+    let tmp_path = dir.join("records.jsonl.tmp");
+    let log_path = dir.join("records.jsonl");
+    std::fs::write(&tmp_path, log)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", tmp_path.display()));
+    std::fs::rename(&tmp_path, &log_path)
+        .unwrap_or_else(|e| panic!("cannot finalize {}: {e}", log_path.display()));
 }
 
 /// Parses one JSONL line back into a record; `None` for torn or foreign

@@ -103,12 +103,12 @@ pub fn run_sweep(scenario: &Scenario, dir: Option<&Path>) -> SweepResult {
     run_sweep_subset(scenario, dir, &all)
 }
 
-/// Executes only the grid points whose ids appear in `ids` — the shard
-/// primitive behind `bcc-shard`. The full-grid [`run_sweep`] is the
-/// `ids = 0..grid.len()` case; everything else (manifest fingerprint
-/// check, torn-line healing, bit-for-bit resume) is identical, so a
-/// shard directory is just an ordinary run directory that happens to
-/// hold a contiguous slice of the grid. Records come back in canonical
+/// Executes only the grid points whose ids appear in `ids` — how a
+/// shard of [`crate::cut_grid`] runs before [`crate::merge_shards`]. The
+/// full-grid [`run_sweep`] is the `ids = 0..grid.len()` case; everything
+/// else (manifest fingerprint check, torn-line healing, bit-for-bit
+/// resume) is identical, so a shard directory is just an ordinary run
+/// directory that happens to hold a contiguous slice of the grid. Records come back in canonical
 /// `point_id` order restricted to `ids`; duplicate ids collapse.
 ///
 /// # Panics

@@ -17,7 +17,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// The crates whose results must be bitwise reproducible. Sources of
 /// iteration-order or scheduling nondeterminism are banned here outright.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "congest", "core", "f2", "graphs", "lab", "planted", "prg", "shard", "stats",
+    "congest", "core", "f2", "graphs", "lab", "planted", "prg", "stats",
 ];
 
 /// The one file allowed to contain `unsafe` (the AVX2 kernel module).

@@ -1,14 +1,17 @@
 //! Merging per-shard metrics snapshots back into one report.
 //!
-//! A sharded sweep writes one `metrics.json` per shard directory; the
-//! coordinator's merge step folds them into a single [`Snapshot`] with
-//! the same schema. The fold is sound because every work metric is a
-//! commutative integer sum by construction (the property the
-//! thread/kernel invariance tests already rely on): summing per-shard
-//! work counters yields exactly the counters a single-process sweep of
-//! the same grid records, so the merged observability report is as
-//! placement-independent as the records themselves. Wall-class values
-//! merge by the same rules but stay scheduling-dependent, as always.
+//! Each shard store of a sweep holds its own `metrics.json`;
+//! `bcc_lab::merge_shards` folds them into a single [`Snapshot`] with
+//! the same schema and writes it into the merged run directory. The
+//! fold is sound because every work metric is a commutative integer sum
+//! by construction (the property the thread/kernel invariance tests
+//! already rely on): summing per-shard work counters yields exactly the
+//! counters a single-process sweep of the same grid records, so the
+//! merged observability report is as placement-independent as the
+//! records themselves. The process-global deltas (`global.*`,
+//! `kernel.words.*`) are the exception: they reconcile only when nothing
+//! else in the process runs at the same time. Wall-class values merge by
+//! the same rules but stay scheduling-dependent, as always.
 //!
 //! [`Snapshot::from_json`] reads the crate's own `bcc-metrics/v1` output
 //! through [`crate::json`]. It accepts keys in any order and ignores

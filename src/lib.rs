@@ -21,9 +21,6 @@
 //! * [`lab`] — scenario-sweep orchestration: declarative parameter grids,
 //!   adaptive-precision estimation, parallel scheduling and resumable
 //!   JSONL run records.
-//! * [`shard`] — sharded sweep execution: a lease-based coordinator,
-//!   worker processes over a TCP line protocol with work stealing, and a
-//!   bitwise-deterministic merge back into one canonical run directory.
 //! * [`obs`] — observability: per-run registries of deterministic work
 //!   counters and wall-clock spans, Chrome-trace emission (`BCC_TRACE`),
 //!   and the `metrics.json` snapshots `lab` writes per sweep.
@@ -52,5 +49,4 @@ pub use bcc_lab as lab;
 pub use bcc_obs as obs;
 pub use bcc_planted as planted;
 pub use bcc_prg as prg;
-pub use bcc_shard as shard;
 pub use bcc_stats as stats;
