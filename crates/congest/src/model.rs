@@ -58,7 +58,7 @@ impl Model {
     }
 
     /// The number of distinct messages per broadcast, `2^b`.
-    pub fn alphabet_size(&self) -> u64 {
+    fn alphabet_size(&self) -> u64 {
         1u64 << self.width_bits
     }
 

@@ -127,57 +127,6 @@ impl Network {
     }
 }
 
-/// A unicast Congested Clique round (footnote 4 of the paper): each
-/// processor sends a *possibly different* message to each other processor.
-///
-/// Provided for model-contrast ablations only; the paper's results are
-/// about the broadcast model, where lower bounds do not transfer from
-/// unicast.
-#[derive(Debug, Clone)]
-pub struct UnicastNetwork {
-    model: Model,
-    rounds: usize,
-}
-
-impl UnicastNetwork {
-    /// A fresh unicast network.
-    pub fn new(model: Model) -> Self {
-        UnicastNetwork { model, rounds: 0 }
-    }
-
-    /// The model parameters.
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
-    /// Rounds elapsed.
-    pub fn rounds_used(&self) -> usize {
-        self.rounds
-    }
-
-    /// One unicast round: `messages[i][j]` goes from `i` to `j`. Returns
-    /// the inboxes: `inbox[j][i]` = message from `i` to `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `messages` is `n × n` with all entries fitting the
-    /// width (the diagonal is ignored but must be present).
-    pub fn unicast_round(&mut self, messages: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        let n = self.model.n();
-        assert_eq!(messages.len(), n, "one outbox per processor");
-        for row in messages {
-            assert_eq!(row.len(), n, "one message per destination");
-            for &m in row {
-                assert!(self.model.fits(m), "message exceeds width");
-            }
-        }
-        self.rounds += 1;
-        (0..n)
-            .map(|j| (0..n).map(|i| messages[i][j]).collect())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,16 +221,5 @@ mod tests {
         };
         assert_eq!(mk(Model::bcast1(4)), 100);
         assert_eq!(mk(Model::new(4, 10)), 10);
-    }
-
-    #[test]
-    fn unicast_routes_messages() {
-        let mut net = UnicastNetwork::new(Model::bcast1(3));
-        let out = vec![vec![0, 1, 0], vec![1, 0, 1], vec![0, 0, 0]];
-        let inboxes = net.unicast_round(&out);
-        assert_eq!(inboxes[1][0], 1); // 0 -> 1
-        assert_eq!(inboxes[0][1], 1); // 1 -> 0
-        assert_eq!(inboxes[2][1], 1); // 1 -> 2
-        assert_eq!(net.rounds_used(), 1);
     }
 }

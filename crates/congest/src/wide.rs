@@ -66,7 +66,7 @@ impl WideTranscript {
     }
 
     /// The maximum number of messages, `⌊64/width⌋`.
-    pub fn capacity(&self) -> u32 {
+    fn capacity(&self) -> u32 {
         64 / self.width
     }
 
@@ -101,22 +101,6 @@ impl WideTranscript {
         let mut c = *self;
         c.push(message);
         c
-    }
-
-    /// The first `t` messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t > len`.
-    pub fn prefix(&self, t: u32) -> Self {
-        assert!(t <= self.len, "prefix longer than transcript");
-        let kept = t * self.width;
-        let mask = if kept == 64 { !0 } else { (1u64 << kept) - 1 };
-        WideTranscript {
-            bits: self.bits & mask,
-            len: t,
-            width: self.width,
-        }
     }
 
     /// The packed messages.
@@ -387,10 +371,8 @@ mod tests {
         t.push(0xF);
         assert_eq!(t.len(), 3);
         assert_eq!(t.message(0), 0xA);
+        assert_eq!(t.message(1), 0x3);
         assert_eq!(t.message(2), 0xF);
-        let p = t.prefix(2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.message(1), 0x3);
     }
 
     #[test]

@@ -866,7 +866,7 @@ impl AdaptiveEstimator {
     /// whole run the mixture costs merges only — the radix-sort work of
     /// the entire estimator is exactly the per-side chunk sorts, 1× the
     /// final budget per side (pinned by `crates/core/tests/work.rs`
-    /// against [`bcc_obs::keys_sorted_total`]). The sorted mixture
+    /// against the process-wide `global.keys_sorted` total). The sorted mixture
     /// is a pure function of the key multiset, so the profile stays
     /// bitwise the one-shot estimator's, which re-sorts from scratch.
     fn run_adaptive<C>(

@@ -96,7 +96,7 @@ impl RowSupport {
     }
 
     /// Samples a uniform point.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         self.points[rng.gen_range(0..self.points.len())]
     }
 }
@@ -195,11 +195,6 @@ impl ProductInput {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
         self.rows.iter().map(|r| r.sample(rng)).collect()
     }
-
-    /// The log₂ of the number of joint inputs, `Σ_i log₂|support_i|`.
-    pub fn log2_size(&self) -> f64 {
-        self.rows.iter().map(|r| (r.len() as f64).log2()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -270,14 +265,5 @@ mod tests {
         let cloned = input.clone();
         assert!(std::ptr::eq(input.row(0), cloned.row(0)));
         assert_eq!(input, cloned);
-    }
-
-    #[test]
-    fn log2_size_adds() {
-        let input = ProductInput::new(vec![
-            RowSupport::uniform(3),
-            RowSupport::explicit(3, vec![0, 1]),
-        ]);
-        assert!((input.log2_size() - 4.0).abs() < 1e-12);
     }
 }

@@ -52,7 +52,6 @@ pub mod input;
 pub mod sample;
 pub mod walk;
 pub mod wide;
-pub mod yao;
 
 pub use engine::{exact_mixture_comparison_reference, ExecMode};
 pub use exec::{

@@ -17,8 +17,7 @@
 //! totals as deltas from registry creation (`global.keys_sorted`,
 //! `global.keys_merged`); this file asserts the scoped counters agree
 //! with them, proving the scoped counters lose no work against the
-//! process-wide [`bcc_obs::keys_sorted_total`] and
-//! [`bcc_obs::keys_merged_total`] statics. That cross-check
+//! process-wide key totals. That cross-check
 //! is why this file must stay a **single-test binary**: a concurrently
 //! running test that sorts anything would corrupt the global deltas.
 

@@ -336,16 +336,6 @@ impl BitVec {
         &self.words
     }
 
-    /// Index of the lowest set coordinate, if any.
-    pub fn leading_one(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(wi * WORD_BITS + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
     fn mask_tail(&mut self) {
         let used = self.len % WORD_BITS;
         if used != 0 {
@@ -512,16 +502,6 @@ mod tests {
         let v = BitVec::from_bools(&[true, false, true, true, false, true]);
         let s = v.slice(2, 5);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![true, true, false]);
-    }
-
-    #[test]
-    fn leading_one_finds_lowest() {
-        let mut v = BitVec::zeros(150);
-        assert_eq!(v.leading_one(), None);
-        v.set(131, true);
-        assert_eq!(v.leading_one(), Some(131));
-        v.set(64, true);
-        assert_eq!(v.leading_one(), Some(64));
     }
 
     #[test]

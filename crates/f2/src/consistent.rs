@@ -140,11 +140,6 @@ impl ConsistentSet {
         mask
     }
 
-    /// The universe size.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
     /// The number of live points — `O(1)`, cached in both regimes.
     pub fn count(&self) -> usize {
         self.count
@@ -158,11 +153,6 @@ impl ConsistentSet {
     /// The current storage regime.
     pub fn repr(&self) -> SetRepr {
         self.repr
-    }
-
-    /// Whether the set is stored as a dense word mask.
-    pub fn is_dense(&self) -> bool {
-        self.repr == SetRepr::Dense
     }
 
     /// Whether the set is stored as a sorted index list.
@@ -228,7 +218,7 @@ impl ConsistentSet {
     }
 
     /// Re-initializes as the full set over `universe`, reusing buffers.
-    pub fn make_full(&mut self, universe: usize) {
+    fn make_full(&mut self, universe: usize) {
         self.universe = universe;
         self.count = universe;
         if universe <= sparse_budget(universe) {
@@ -495,7 +485,7 @@ mod tests {
         // universe 256, parent dense with 8 live points; a plane keeping
         // 4 of them must produce a sparse child, keeping 5 a dense one.
         let parent = ConsistentSet::from_indices(256, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(parent.is_dense());
+        assert_eq!(parent.repr(), SetRepr::Dense);
         let mut plane = vec![0u64; 4];
         for i in [1usize, 2, 3, 4] {
             plane[i / 64] |= 1 << (i % 64);

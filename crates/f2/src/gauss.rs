@@ -148,28 +148,6 @@ pub fn kernel_basis(a: &BitMatrix) -> Vec<BitVec> {
     basis
 }
 
-/// The inverse of a square invertible matrix.
-///
-/// Returns `None` if `a` is singular.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn invert(a: &BitMatrix) -> Option<BitMatrix> {
-    assert_eq!(a.nrows(), a.ncols(), "invert requires a square matrix");
-    let n = a.nrows();
-    let aug = a.hconcat(&BitMatrix::identity(n));
-    let ech = echelon(&aug);
-    // Invertible iff the pivots are exactly the first n columns.
-    if ech.pivots.len() != n || ech.pivots.iter().enumerate().any(|(i, &p)| p != i) {
-        return None;
-    }
-    let rows = (0..n)
-        .map(|i| ech.matrix.row(i).slice(n, 2 * n))
-        .collect::<Vec<_>>();
-    Some(BitMatrix::from_rows(rows, n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,26 +226,6 @@ mod tests {
         let basis = kernel_basis(&a);
         let m = BitMatrix::from_rows(basis.clone(), 10);
         assert_eq!(rank(&m), basis.len());
-    }
-
-    #[test]
-    fn invert_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut found = 0;
-        while found < 10 {
-            let a = BitMatrix::random(&mut rng, 6, 6);
-            if let Some(inv) = invert(&a) {
-                assert_eq!(a.mul(&inv), BitMatrix::identity(6));
-                assert_eq!(inv.mul(&a), BitMatrix::identity(6));
-                found += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn invert_rejects_singular() {
-        let a = BitMatrix::zeros(3, 3);
-        assert!(invert(&a).is_none());
     }
 
     #[test]

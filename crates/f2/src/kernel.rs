@@ -279,7 +279,7 @@ impl WordKernel for Scalar {
 
 /// The 256-bit lane kernel: four `u64` words per step via stable AVX2
 /// intrinsics, with scalar tails. Constructible only through
-/// [`Avx2::new`], whose `Some` is the proof that the CPU supports the
+/// `Avx2::new`, whose `Some` is the proof that the CPU supports the
 /// feature — every `unsafe` call below relies on that invariant.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -290,7 +290,7 @@ pub struct Avx2 {
 #[cfg(target_arch = "x86_64")]
 impl Avx2 {
     /// The AVX2 kernel, if the running CPU supports the feature.
-    pub fn new() -> Option<Avx2> {
+    fn new() -> Option<Avx2> {
         if std::arch::is_x86_feature_detected!("avx2") {
             Some(Avx2 { _proof: () })
         } else {

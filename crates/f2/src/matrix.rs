@@ -68,40 +68,6 @@ impl BitMatrix {
         }
     }
 
-    /// Samples a uniformly random matrix of rank exactly `r`.
-    ///
-    /// Sampled by rejection on random `r`-dimensional row/column factors
-    /// (`A = L·R` with `L ∈ F₂^{nrows×r}`, `R ∈ F₂^{r×ncols}`, both full
-    /// rank), which yields the uniform distribution over rank-`r` matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r > min(nrows, ncols)`.
-    pub fn random_of_rank<R: Rng + ?Sized>(
-        rng: &mut R,
-        nrows: usize,
-        ncols: usize,
-        r: usize,
-    ) -> Self {
-        assert!(r <= nrows.min(ncols), "rank exceeds dimensions");
-        if r == 0 {
-            return BitMatrix::zeros(nrows, ncols);
-        }
-        let left = loop {
-            let l = BitMatrix::random(rng, nrows, r);
-            if crate::gauss::rank(&l) == r {
-                break l;
-            }
-        };
-        let right = loop {
-            let m = BitMatrix::random(rng, r, ncols);
-            if crate::gauss::rank(&m) == r {
-                break m;
-            }
-        };
-        left.mul(&right)
-    }
-
     /// The number of rows.
     pub fn nrows(&self) -> usize {
         self.rows.len()
@@ -199,21 +165,6 @@ impl BitMatrix {
             acc.xor_in_place(&self.rows[i]);
         }
         acc
-    }
-
-    /// The matrix product `self · rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.ncols != rhs.nrows`.
-    pub fn mul(&self, rhs: &BitMatrix) -> BitMatrix {
-        assert_eq!(self.ncols, rhs.nrows(), "mul dimension mismatch");
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| rhs.left_mul_vec(r))
-            .collect::<Vec<_>>();
-        BitMatrix::from_rows(rows, rhs.ncols)
     }
 
     /// The transpose, one 64×64 word block at a time.
@@ -322,10 +273,10 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let mut rng = StdRng::seed_from_u64(1);
-        let a = BitMatrix::random(&mut rng, 5, 5);
+        let x = BitVec::random(&mut rng, 5);
         let i = BitMatrix::identity(5);
-        assert_eq!(a.mul(&i), a);
-        assert_eq!(i.mul(&a), a);
+        assert_eq!(i.mul_vec(&x), x);
+        assert_eq!(i.left_mul_vec(&x), x);
     }
 
     #[test]
@@ -360,15 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_associative() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = BitMatrix::random(&mut rng, 3, 5);
-        let b = BitMatrix::random(&mut rng, 5, 4);
-        let c = BitMatrix::random(&mut rng, 4, 6);
-        assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
-    }
-
-    #[test]
     fn column_matches_entries() {
         let mut rng = StdRng::seed_from_u64(5);
         let a = BitMatrix::random(&mut rng, 4, 7);
@@ -377,15 +319,6 @@ mod tests {
             for i in 0..4 {
                 assert_eq!(col.get(i), a.get(i, j));
             }
-        }
-    }
-
-    #[test]
-    fn random_of_rank_has_requested_rank() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for r in 0..=4 {
-            let a = BitMatrix::random_of_rank(&mut rng, 6, 5, r);
-            assert_eq!(crate::gauss::rank(&a), r);
         }
     }
 

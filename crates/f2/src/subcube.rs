@@ -108,16 +108,6 @@ impl Subcube64 {
         self.n
     }
 
-    /// The mask of fixed coordinates.
-    pub fn fixed_mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// The fixed values (zero outside the mask).
-    pub fn fixed_values(&self) -> u64 {
-        self.value
-    }
-
     /// The number of free coordinates.
     pub fn free_count(&self) -> u32 {
         self.n - self.mask.count_ones()
@@ -131,11 +121,6 @@ impl Subcube64 {
     pub fn len(&self) -> u64 {
         assert!(self.free_count() < 64, "size overflows u64");
         1u64 << self.free_count()
-    }
-
-    /// Whether the subcube is a single point.
-    pub fn is_point(&self) -> bool {
-        self.free_count() == 0
     }
 
     /// `is_empty` is always false — subcubes are never empty — provided for
@@ -169,7 +154,7 @@ impl Subcube64 {
 
     /// Scatters a free-coordinate counter into the cube: bit `j` of
     /// `counter` lands on the `j`-th free coordinate.
-    pub fn scatter(&self, counter: u64) -> u64 {
+    fn scatter(&self, counter: u64) -> u64 {
         let mut x = self.value;
         let mut c = counter;
         let mut free = !self.mask & domain_mask(self.n);
@@ -330,7 +315,7 @@ mod tests {
         for i in 0..3 {
             c = c.fixed(i, i % 2 == 0).unwrap();
         }
-        assert!(c.is_point());
+        assert_eq!(c.len(), 1);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![0b101]);
     }
 

@@ -12,18 +12,6 @@ use bcc_f2::BitVec;
 
 use crate::digraph::{DiGraph, UGraph};
 
-/// Whether `set` is a clique of the undirected graph.
-pub fn is_clique(g: &UGraph, set: &[usize]) -> bool {
-    for (a, &u) in set.iter().enumerate() {
-        for &v in &set[a + 1..] {
-            if u == v || !g.has_edge(u, v) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Whether `set` is a directed clique (all edges in both directions).
 pub fn is_directed_clique(g: &DiGraph, set: &[usize]) -> bool {
     for (a, &u) in set.iter().enumerate() {
@@ -82,49 +70,6 @@ fn bron_kerbosch_max(
     }
 }
 
-/// All maximal cliques of size at least `min_size`, each sorted.
-pub fn maximal_cliques(g: &UGraph, min_size: usize) -> Vec<Vec<usize>> {
-    let n = g.n();
-    let mut out = Vec::new();
-    let mut r: Vec<usize> = Vec::new();
-    let mut p = BitVec::ones(n);
-    let mut x = BitVec::zeros(n);
-    bron_kerbosch_all(g, &mut r, &mut p, &mut x, min_size, &mut out);
-    for c in &mut out {
-        c.sort_unstable();
-    }
-    out
-}
-
-fn bron_kerbosch_all(
-    g: &UGraph,
-    r: &mut Vec<usize>,
-    p: &mut BitVec,
-    x: &mut BitVec,
-    min_size: usize,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if p.is_zero() && x.is_zero() {
-        if r.len() >= min_size {
-            out.push(r.clone());
-        }
-        return;
-    }
-    if r.len() + p.count_ones() < min_size {
-        return;
-    }
-    for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v);
-        r.push(v);
-        let mut p2 = &*p & nv;
-        let mut x2 = &*x & nv;
-        bron_kerbosch_all(g, r, &mut p2, &mut x2, min_size, out);
-        r.pop();
-        p.set(v, false);
-        x.set(v, true);
-    }
-}
-
 /// `P \ N(pivot)` where the pivot maximizes `|N(pivot) ∩ P|` over `P ∪ X`
 /// (Tomita-style pivoting; the pivot itself stays a candidate when in `P`).
 /// Ties go to the last maximizer in `P`-then-`X` ascending order, and the
@@ -136,26 +81,6 @@ fn pivot_candidates(g: &UGraph, p: &BitVec, x: &BitVec) -> Vec<usize> {
         .max_by_key(|&u| g.neighbors(u).and_count(p))
         .expect("P ∪ X is non-empty here");
     p.and_not(g.neighbors(pivot)).iter_ones().collect()
-}
-
-/// Greedily extends `seed` to a maximal clique containing it.
-///
-/// # Panics
-///
-/// Panics if `seed` is not a clique.
-pub fn greedy_extend(g: &UGraph, seed: &[usize]) -> Vec<usize> {
-    assert!(is_clique(g, seed), "seed must be a clique");
-    let mut clique: Vec<usize> = seed.to_vec();
-    for v in 0..g.n() {
-        if clique.contains(&v) {
-            continue;
-        }
-        if clique.iter().all(|&u| g.has_edge(u, v)) {
-            clique.push(v);
-        }
-    }
-    clique.sort_unstable();
-    clique
 }
 
 /// The original Bron–Kerbosch search, kept verbatim as the oracle the
@@ -221,6 +146,18 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Whether `set` is a clique of the undirected graph.
+    fn is_clique(g: &UGraph, set: &[usize]) -> bool {
+        for (a, &u) in set.iter().enumerate() {
+            for &v in &set[a + 1..] {
+                if u == v || !g.has_edge(u, v) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     /// `G(n, q)` with `cliques` disjoint planted cliques of `size` each:
     /// equal sizes make tied maxima, which only the tie-break separates.
@@ -343,67 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn maximal_cliques_of_triangle_plus_pendant() {
-        let mut g = UGraph::empty(4);
-        g.set_edge(0, 1, true);
-        g.set_edge(1, 2, true);
-        g.set_edge(0, 2, true);
-        g.set_edge(2, 3, true);
-        let mut all = maximal_cliques(&g, 1);
-        all.sort();
-        assert_eq!(all, vec![vec![0, 1, 2], vec![2, 3]]);
-    }
-
-    #[test]
-    fn maximal_cliques_respect_min_size() {
-        let g = path_graph(5);
-        let all = maximal_cliques(&g, 3);
-        assert!(all.is_empty());
-        let edges = maximal_cliques(&g, 2);
-        assert_eq!(edges.len(), 4);
-    }
-
-    #[test]
-    fn maximal_cliques_are_maximal_and_distinct() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = UGraph::random(&mut rng, 18, 0.4);
-        let all = maximal_cliques(&g, 1);
-        let set: std::collections::BTreeSet<_> = all.iter().cloned().collect();
-        assert_eq!(set.len(), all.len(), "no duplicates");
-        for c in &all {
-            assert!(is_clique(&g, c));
-            for v in 0..g.n() {
-                if !c.contains(&v) {
-                    assert!(
-                        !c.iter().all(|&u| g.has_edge(u, v)),
-                        "clique {c:?} not maximal at {v}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_extend_is_maximal() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = UGraph::random(&mut rng, 30, 0.5);
-        let c = greedy_extend(&g, &[]);
-        assert!(is_clique(&g, &c));
-        for v in 0..30 {
-            if !c.contains(&v) {
-                assert!(!c.iter().all(|&u| g.has_edge(u, v)), "not maximal at {v}");
-            }
-        }
-    }
-
-    #[test]
     fn max_clique_agrees_with_enumeration() {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..10 {
             let g = UGraph::random(&mut rng, 14, 0.5);
             let best = max_clique(&g);
-            let all = maximal_cliques(&g, 1);
-            let enumerated_best = all.iter().map(Vec::len).max().unwrap_or(0);
+            let enumerated_best = (0u32..1 << 14)
+                .map(|mask| (0..14).filter(|&v| mask >> v & 1 == 1).collect::<Vec<_>>())
+                .filter(|set| is_clique(&g, set))
+                .map(|set| set.len())
+                .max()
+                .unwrap_or(0);
             assert_eq!(best.len(), enumerated_best);
         }
     }

@@ -1,4 +1,4 @@
-//! Degree statistics: the `k ≳ √n` regime.
+//! Degree ranking: the `k ≳ √n` regime.
 //!
 //! §1.2 of the paper: "Once `k` goes substantially above `√n`, it is
 //! possible to find the clique by considering the vertices with highest
@@ -6,15 +6,6 @@
 //! Binomial(n − k, ¼) base, so their mutual degree is shifted by ≈ `k`
 //! against a `√n`-scale standard deviation. Experiment E15 sweeps `k` and
 //! watches this detector's success cross over.
-
-use crate::digraph::DiGraph;
-
-/// The mutual degree of every vertex: the number of neighbours with edges
-/// in *both* directions.
-pub fn mutual_degrees(g: &DiGraph) -> Vec<usize> {
-    let m = g.mutual_graph();
-    (0..g.n()).map(|v| m.degree(v)).collect()
-}
 
 /// The indices of the `k` largest values (ties broken by lower index),
 /// sorted ascending.
@@ -25,44 +16,6 @@ pub fn top_k_indices(values: &[usize], k: usize) -> Vec<usize> {
     let mut top: Vec<usize> = idx.into_iter().take(k).collect();
     top.sort_unstable();
     top
-}
-
-/// Summary statistics of a degree sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: usize,
-    /// Maximum.
-    pub max: usize,
-}
-
-/// Computes [`DegreeStats`] of a degree sequence.
-///
-/// # Panics
-///
-/// Panics if the sequence is empty.
-pub fn degree_stats(degrees: &[usize]) -> DegreeStats {
-    assert!(!degrees.is_empty(), "empty degree sequence");
-    let n = degrees.len() as f64;
-    let mean = degrees.iter().sum::<usize>() as f64 / n;
-    let var = degrees
-        .iter()
-        .map(|&d| {
-            let diff = d as f64 - mean;
-            diff * diff
-        })
-        .sum::<f64>()
-        / n;
-    DegreeStats {
-        mean,
-        std_dev: var.sqrt(),
-        min: *degrees.iter().min().expect("non-empty"),
-        max: *degrees.iter().max().expect("non-empty"),
-    }
 }
 
 #[cfg(test)]
@@ -86,28 +39,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_of_constant_sequence() {
-        let s = degree_stats(&[3, 3, 3]);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!((s.min, s.max), (3, 3));
-    }
-
-    #[test]
-    fn mutual_degree_mean_near_quarter() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = DiGraph::random(&mut rng, 100);
-        let s = degree_stats(&mutual_degrees(&g));
-        assert!((s.mean - 99.0 * 0.25).abs() < 4.0, "mean {}", s.mean);
-    }
-
-    #[test]
     fn clique_members_have_boosted_mutual_degree() {
         let mut rng = StdRng::seed_from_u64(2);
         let n = 200;
         let k = 60; // far above sqrt(n): degree detection must work
         let inst = sample_planted(&mut rng, n, k);
-        let degs = mutual_degrees(&inst.graph);
+        let m = inst.graph.mutual_graph();
+        let degs: Vec<usize> = (0..n).map(|v| m.degree(v)).collect();
         let top = top_k_indices(&degs, k);
         let hits = top.iter().filter(|v| inst.clique.contains(v)).count();
         assert!(

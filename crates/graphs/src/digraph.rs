@@ -33,20 +33,6 @@ impl DiGraph {
         }
     }
 
-    /// Builds a graph from an adjacency matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or has a non-zero diagonal
-    /// (self-loops are forbidden; the paper fixes `A_{i,i} = 0`).
-    pub fn from_adjacency(adj: BitMatrix) -> Self {
-        assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
-        for i in 0..adj.nrows() {
-            assert!(!adj.get(i, i), "self-loops are forbidden");
-        }
-        DiGraph { adj }
-    }
-
     /// A uniformly random directed graph: each ordered pair an independent
     /// fair coin (`A_rand`).
     pub fn random<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Self {
@@ -91,19 +77,9 @@ impl DiGraph {
         self.adj.row(u)
     }
 
-    /// The whole adjacency matrix.
-    pub fn adjacency(&self) -> &BitMatrix {
-        &self.adj
-    }
-
     /// The out-degree of `u`.
     pub fn out_degree(&self, u: usize) -> usize {
         self.adj.row(u).count_ones()
-    }
-
-    /// The in-degree of `u`.
-    pub fn in_degree(&self, u: usize) -> usize {
-        (0..self.n()).filter(|&v| self.adj.get(v, u)).count()
     }
 
     /// Forces every ordered pair within `set` to be an edge (plants a
@@ -127,21 +103,6 @@ impl DiGraph {
     /// of the mutual graph.
     pub fn mutual_graph(&self) -> UGraph {
         UGraph::mutual(&self.adj)
-    }
-
-    /// The induced subgraph on `vertices` (in the given order), together
-    /// with the mapping back to original vertex ids.
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> (DiGraph, Vec<usize>) {
-        let m = vertices.len();
-        let mut g = DiGraph::empty(m);
-        for (a, &u) in vertices.iter().enumerate() {
-            for (b, &v) in vertices.iter().enumerate() {
-                if a != b && self.has_edge(u, v) {
-                    g.set_edge(a, b, true);
-                }
-            }
-        }
-        (g, vertices.to_vec())
     }
 }
 
@@ -231,7 +192,7 @@ impl UGraph {
     }
 
     /// The number of edges.
-    pub fn edge_count(&self) -> usize {
+    fn edge_count(&self) -> usize {
         self.adj.iter().map(BitVec::count_ones).sum::<usize>() / 2
     }
 }
@@ -289,15 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn degrees_consistent() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = DiGraph::random(&mut rng, 15);
-        let total_out: usize = (0..15).map(|u| g.out_degree(u)).sum();
-        let total_in: usize = (0..15).map(|u| g.in_degree(u)).sum();
-        assert_eq!(total_out, total_in);
-    }
-
-    #[test]
     fn plant_clique_sets_both_directions() {
         let mut g = DiGraph::empty(6);
         g.plant_clique(&[1, 3, 5]);
@@ -344,18 +296,6 @@ mod tests {
         let g = DiGraph::random(&mut rng, n).mutual_graph();
         let density = g.edge_count() as f64 / (n * (n - 1) / 2) as f64;
         assert!((density - 0.25).abs() < 0.05, "density {density}");
-    }
-
-    #[test]
-    fn induced_subgraph_preserves_edges() {
-        let mut g = DiGraph::empty(5);
-        g.set_edge(1, 3, true);
-        g.set_edge(3, 4, true);
-        let (sub, ids) = g.induced_subgraph(&[1, 3, 4]);
-        assert_eq!(ids, vec![1, 3, 4]);
-        assert!(sub.has_edge(0, 1)); // 1 -> 3
-        assert!(sub.has_edge(1, 2)); // 3 -> 4
-        assert!(!sub.has_edge(0, 2)); // 1 -> 4 absent
     }
 
     #[test]

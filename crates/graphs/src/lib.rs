@@ -15,7 +15,8 @@
 //! graph, whose cliques are exactly the directed cliques), clique
 //! verification and maximum-clique search ([`clique`] — Appendix B lets
 //! processors run unbounded local computation, which is Bron–Kerbosch
-//! here), and degree statistics ([`degree`]) for the `k ≳ √n` regime.
+//! here), and the top-`k` degree ranking ([`degree`]) for the `k ≳ √n`
+//! regime.
 
 #![forbid(unsafe_code)]
 

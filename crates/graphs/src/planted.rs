@@ -33,7 +33,7 @@ pub fn sample_rand<R: Rng + ?Sized>(rng: &mut R, n: usize) -> DiGraph {
 /// # Panics
 ///
 /// Panics if `clique` contains repeats or out-of-range vertices.
-pub fn sample_with_clique<R: Rng + ?Sized>(rng: &mut R, n: usize, clique: &[usize]) -> DiGraph {
+fn sample_with_clique<R: Rng + ?Sized>(rng: &mut R, n: usize, clique: &[usize]) -> DiGraph {
     let mut g = DiGraph::random(rng, n);
     g.plant_clique(clique);
     if let Some(obs) = bcc_obs::current() {

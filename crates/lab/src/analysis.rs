@@ -25,7 +25,7 @@ use crate::scenario::Scenario;
 use crate::store::records_fingerprint;
 
 /// The schema tag written into every aggregates table.
-pub const AGGREGATES_SCHEMA: &str = "bcc-aggregates/v1";
+const AGGREGATES_SCHEMA: &str = "bcc-aggregates/v1";
 
 /// One grid point's statistics over its replication seeds.
 #[derive(Debug, Clone, PartialEq)]

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bcc_obs::json::{self, Value};
 
@@ -30,7 +30,6 @@ use crate::scenario::Scenario;
 /// An open run directory with an append handle on its record log.
 #[derive(Debug)]
 pub struct RunStore {
-    dir: PathBuf,
     log: BufWriter<File>,
     healed: usize,
 }
@@ -95,17 +94,11 @@ impl RunStore {
             .unwrap_or_else(|e| panic!("cannot open {} for append: {e}", log_path.display()));
         (
             RunStore {
-                dir: dir.to_path_buf(),
                 log: BufWriter::new(log),
                 healed,
             },
             existing,
         )
-    }
-
-    /// The directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// How many log lines [`RunStore::open`] dropped while compacting:

@@ -345,20 +345,21 @@ fn lex_prefixed_literal(cur: &mut Cursor) -> Option<bool> {
         },
         _ => return None,
     };
-    for _ in 0..prefix_len {
+    // Check the hashes and the quote before consuming anything: `br#x`
+    // is the identifier `br`, and `None` promises nothing was consumed.
+    let mut hashes = 0;
+    if raw {
+        while cur.peek(prefix_len + hashes) == Some('#') {
+            hashes += 1;
+        }
+        if cur.peek(prefix_len + hashes) != Some('"') {
+            return None;
+        }
+    }
+    for _ in 0..prefix_len + hashes {
         cur.bump();
     }
     if raw {
-        let mut hashes = 0;
-        while cur.peek(hashes) == Some('#') {
-            hashes += 1;
-        }
-        if cur.peek(hashes) != Some('"') {
-            return None;
-        }
-        for _ in 0..hashes {
-            cur.bump();
-        }
         lex_raw_string_body(cur, hashes);
     } else {
         // b"…"
@@ -523,6 +524,69 @@ mod tests {
         );
         assert_eq!(idents("let x = 1.5e-9f64; done"), vec!["let", "x", "done"]);
         assert_eq!(idents("let h = 0xFFu64; done"), vec!["let", "h", "done"]);
+    }
+
+    #[test]
+    fn byte_raw_prefix_without_a_quote_is_an_identifier() {
+        let got: Vec<(TokenKind, String)> = lex("br#y")
+            .tokens
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (TokenKind::Ident, "br".to_string()),
+                (TokenKind::Punct, "#".to_string()),
+                (TokenKind::Ident, "y".to_string()),
+            ]
+        );
+    }
+
+    /// Lexes `src` (the lexer must return, not panic) and checks that no
+    /// identifier token came out empty.
+    fn assert_lexes_cleanly(src: &str) {
+        let lexed = lex(src);
+        assert!(
+            lexed
+                .tokens
+                .iter()
+                .all(|t| t.kind != TokenKind::Ident || !t.text.is_empty()),
+            "empty identifier token lexing {src:?}"
+        );
+    }
+
+    #[test]
+    fn lex_is_total_on_random_rust_hostile_strings() {
+        const ALPHABET: [char; 16] = [
+            'r', 'b', '#', '"', '\'', '\\', '/', '*', '\n', '_', '0', '.', 'e', '+', '-', 'é',
+        ];
+        // SplitMix64: a fixed, dependency-free stream, so every run lexes
+        // the same strings.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..5_000 {
+            let len = (next() % 33) as usize;
+            let src: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                .collect();
+            assert_lexes_cleanly(&src);
+        }
+    }
+
+    #[test]
+    fn lex_is_total_on_every_prefix_of_a_source_file() {
+        let src = include_str!("report.rs");
+        for (end, _) in src.char_indices() {
+            assert_lexes_cleanly(&src[..end]);
+        }
+        assert_lexes_cleanly(src);
     }
 
     #[test]

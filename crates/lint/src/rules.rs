@@ -16,12 +16,12 @@ use crate::lexer::{lex, Token, TokenKind};
 
 /// The crates whose results must be bitwise reproducible. Sources of
 /// iteration-order or scheduling nondeterminism are banned here outright.
-pub const DETERMINISTIC_CRATES: &[&str] = &[
+const DETERMINISTIC_CRATES: &[&str] = &[
     "congest", "core", "f2", "graphs", "lab", "planted", "prg", "stats",
 ];
 
 /// The one file allowed to contain `unsafe` (the AVX2 kernel module).
-pub const UNSAFE_KERNEL: &str = "crates/f2/src/kernel.rs";
+const UNSAFE_KERNEL: &str = "crates/f2/src/kernel.rs";
 
 /// Identity and documentation of one rule.
 #[derive(Debug, Clone, Copy)]

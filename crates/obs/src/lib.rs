@@ -141,7 +141,7 @@ pub fn add_keys_merged(n: u64) {
 
 /// Process-wide total of keys submitted to the radix sorter.
 #[inline]
-pub fn keys_sorted_total() -> u64 {
+fn keys_sorted_total() -> u64 {
     KEYS_SORTED.load(Ordering::Relaxed)
 }
 
@@ -160,12 +160,6 @@ pub fn add_kernel_words(family: KernelFamily, words: u64) {
         return;
     }
     KERNEL_WORDS[family as usize].fetch_add(words, Ordering::Relaxed);
-}
-
-/// Process-wide kernel word total for one method family.
-#[inline]
-pub fn kernel_words_total(family: KernelFamily) -> u64 {
-    KERNEL_WORDS[family as usize].load(Ordering::Relaxed)
 }
 
 #[derive(Clone, Copy, Debug)]

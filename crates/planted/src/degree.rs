@@ -24,7 +24,7 @@ pub struct DegreeOutcome {
 
 impl DegreeOutcome {
     /// The fraction of `clique` contained in the candidate set.
-    pub fn recall(&self, clique: &[usize]) -> f64 {
+    fn recall(&self, clique: &[usize]) -> f64 {
         if clique.is_empty() {
             return 1.0;
         }
@@ -36,7 +36,7 @@ impl DegreeOutcome {
     }
 
     /// Whether the candidates are exactly the clique.
-    pub fn exact(&self, clique: &[usize]) -> bool {
+    fn exact(&self, clique: &[usize]) -> bool {
         self.candidates == clique
     }
 }
@@ -47,7 +47,7 @@ impl DegreeOutcome {
 /// # Panics
 ///
 /// Panics if `k > n`.
-pub fn degree_protocol(graph: &DiGraph, k: usize) -> DegreeOutcome {
+fn degree_protocol(graph: &DiGraph, k: usize) -> DegreeOutcome {
     let n = graph.n();
     assert!(k <= n, "clique size exceeds vertex count");
     let mut net = Network::new(Model::bcast_log(n.max(2)));

@@ -37,8 +37,7 @@ pub fn lemma_1_10_mean(f: &TruthTable) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the number of subsets exceeds 50 000 (use
-/// [`lemma_1_8_sampled`] instead).
+/// Panics if the number of subsets exceeds 50 000.
 pub fn lemma_1_8_exact(f: &TruthTable, k: usize) -> f64 {
     let n = f.arity();
     let subsets = all_subsets(n as usize, k);
@@ -49,25 +48,6 @@ pub fn lemma_1_8_exact(f: &TruthTable, k: usize) -> f64 {
         .map(|c| (f.mean_on_subcube(&ones_cube(n, c)) - base).abs())
         .sum();
     total / subsets.len() as f64
-}
-
-/// **Lemma 1.8** left-hand side estimated over `samples` random cliques.
-pub fn lemma_1_8_sampled<R: Rng + ?Sized>(
-    f: &TruthTable,
-    k: usize,
-    samples: usize,
-    rng: &mut R,
-) -> f64 {
-    assert!(samples > 0, "need at least one sample");
-    let n = f.arity();
-    let base = f.mean();
-    let total: f64 = (0..samples)
-        .map(|_| {
-            let c = sample_subset(rng, n as usize, k);
-            (f.mean_on_subcube(&ones_cube(n, &c)) - base).abs()
-        })
-        .sum();
-    total / samples as f64
 }
 
 /// **Lemma 4.4** left-hand side, exactly, on a restricted domain `D`
@@ -146,16 +126,6 @@ pub fn random_domain<R: Rng + ?Sized>(n: u32, t: u32, rng: &mut R) -> Vec<u64> {
     d
 }
 
-/// A *transcript-like* domain: the set of `x` on which a chain of `t`
-/// Boolean functions takes prescribed values — the shape `D_p^{(t)}`
-/// actually takes during a protocol (Claim 2's object), as opposed to a
-/// random subset.
-pub fn transcript_domain(n: u32, chain: &[(TruthTable, bool)]) -> Vec<u64> {
-    (0..(1u64 << n))
-        .filter(|&x| chain.iter().all(|(f, b)| f.eval(x) == *b))
-        .collect()
-}
-
 fn ones_cube(n: u32, set: &[usize]) -> Subcube64 {
     let mut cube = Subcube64::new(n);
     for &i in set {
@@ -228,15 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma_1_8_exact_vs_sampled() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let f = TruthTable::majority(11);
-        let exact = lemma_1_8_exact(&f, 2);
-        let sampled = lemma_1_8_sampled(&f, 2, 4000, &mut rng);
-        assert!((exact - sampled).abs() < 0.01, "{exact} vs {sampled}");
-    }
-
-    #[test]
     fn lemma_4_4_full_domain_reduces_to_1_10() {
         let f = TruthTable::majority(9);
         let full: Vec<u64> = (0..512).collect();
@@ -289,21 +250,6 @@ mod tests {
         // Lemma 4.3: O(k sqrt(t/n)); generous constant 4.
         let bound = 4.0 * 2.0 * ((t as f64) / (n as f64)).sqrt();
         assert!(got <= bound, "{got} > {bound}");
-    }
-
-    #[test]
-    fn transcript_domain_filters_by_chain() {
-        let n = 6u32;
-        let f0 = TruthTable::parity(n, 0b111);
-        let f1 = TruthTable::dictator(n, 4);
-        let d = transcript_domain(n, &[(f0.clone(), true), (f1.clone(), false)]);
-        assert!(!d.is_empty());
-        for &x in &d {
-            assert!(f0.eval(x));
-            assert!(!f1.eval(x));
-        }
-        // Roughly a quarter of the cube.
-        assert!((d.len() as f64 - 16.0).abs() < 8.0);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bounds;
-pub mod decision;
 pub mod degree;
 pub mod find;
 pub mod inputs;

@@ -18,7 +18,7 @@
 //! * [`random_mask_parity`] — a seeded random linear protocol, the
 //!   "generic" protocol for average-case behaviour.
 
-use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
+use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::exec::{DepthProfile, Estimator, ExactEstimator};
 
 use crate::inputs::{clique_family, rand_input};
@@ -113,35 +113,18 @@ pub fn exact_experiment<P: TurnProtocol + Sync + ?Sized>(
     experiment(protocol, n, k, &ExactEstimator::default())
 }
 
-/// A generic transcript test for sampled experiments: accept iff at least
-/// `threshold` bits of the packed transcript are 1.
-pub fn transcript_ones_acceptor(threshold: u32) -> impl Fn(u64) -> bool {
-    move |transcript: u64| transcript.count_ones() >= threshold
-}
-
-/// Convenience: evaluates a protocol's bit exactly as the engine would —
-/// used by tests to cross-check protocol definitions.
-pub fn eval_bit<P: TurnProtocol + ?Sized>(
-    protocol: &P,
-    proc: usize,
-    input: u64,
-    transcript: &TurnTranscript,
-) -> bool {
-    protocol.bit(proc, input, transcript)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds;
-    use bcc_congest::run_turn_protocol;
+    use bcc_congest::{run_turn_protocol, TurnTranscript};
 
     #[test]
     fn degree_threshold_counts() {
         let p = degree_threshold(4, 1, 2);
         let t = TurnTranscript::empty();
-        assert!(!eval_bit(&p, 0, 0b0010, &t));
-        assert!(eval_bit(&p, 0, 0b0110, &t));
+        assert!(!p.bit(0, 0b0010, &t));
+        assert!(p.bit(0, 0b0110, &t));
     }
 
     #[test]
@@ -149,12 +132,12 @@ mod tests {
         let p = suspect_intersection(3, 1);
         let mut t = TurnTranscript::empty();
         // Processor 0 says 1.
-        assert!(eval_bit(&p, 0, 0, &t)); // vacuous: nobody spoke yet
+        assert!(p.bit(0, 0, &t)); // vacuous: nobody spoke yet
         t.push(true);
         // Processor 1 with no edge to 0 must say 0.
-        assert!(!eval_bit(&p, 1, 0b000, &t));
+        assert!(!p.bit(1, 0b000, &t));
         // With the edge, 1.
-        assert!(eval_bit(&p, 1, 0b001, &t));
+        assert!(p.bit(1, 0b001, &t));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rand::Rng;
 
 /// The number of triangles of the undirected graph (triples with all
 /// three edges).
-pub fn triangle_count(g: &UGraph) -> u64 {
+fn triangle_count(g: &UGraph) -> u64 {
     let n = g.n();
     let mut count = 0u64;
     for u in 0..n {

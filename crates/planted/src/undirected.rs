@@ -28,7 +28,7 @@ pub fn sample_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u64> {
 }
 
 /// Samples the undirected `A_k`: `G(n, ½)` with a planted `k`-clique.
-pub fn sample_rows_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<u64> {
+fn sample_rows_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<u64> {
     let mut g = UGraph::random(rng, n, 0.5);
     let clique = sample_subset(rng, n, k);
     for (a, &u) in clique.iter().enumerate() {

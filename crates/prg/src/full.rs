@@ -114,12 +114,12 @@ impl MatrixPrg {
     }
 
     /// Matrix bits each processor contributes, `⌈k(m−k)/n⌉`.
-    pub fn shared_bits_per_processor(&self) -> usize {
+    fn shared_bits_per_processor(&self) -> usize {
         (self.k as usize * (self.m - self.k) as usize).div_ceil(self.n)
     }
 
     /// Total private random bits per processor, `k + ⌈k(m−k)/n⌉`.
-    pub fn seed_bits_per_processor(&self) -> usize {
+    fn seed_bits_per_processor(&self) -> usize {
         self.k as usize + self.shared_bits_per_processor()
     }
 

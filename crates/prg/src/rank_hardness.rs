@@ -36,7 +36,7 @@ pub fn sample_pseudo_matrix<R: Rng + ?Sized>(rng: &mut R, n: usize) -> BitMatrix
 }
 
 /// The indicator `F_full-rank` of the theorem.
-pub fn full_rank_indicator(m: &BitMatrix) -> bool {
+fn full_rank_indicator(m: &BitMatrix) -> bool {
     gauss::is_full_rank(m)
 }
 

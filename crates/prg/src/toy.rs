@@ -56,17 +56,6 @@ impl ToyPrg {
         ToyPrg { n, k }
     }
 
-    /// Seed bits per processor (`k`; the shared `b` costs `k` more once,
-    /// or `k/n` each when broadcast jointly).
-    pub fn seed_bits(&self) -> u32 {
-        self.k
-    }
-
-    /// Output bits per processor (`k + 1`).
-    pub fn output_bits(&self) -> u32 {
-        self.k + 1
-    }
-
     /// Samples the secret and all processors' outputs.
     pub fn run<R: Rng + ?Sized>(&self, rng: &mut R) -> ToyRun {
         let secret = BitVec::random(rng, self.k as usize);

@@ -33,7 +33,7 @@ impl TruthTable {
     /// # Panics
     ///
     /// Panics if `n > 30` (the table would not fit in memory).
-    pub fn from_fn<F: FnMut(u64) -> bool>(n: u32, mut f: F) -> Self {
+    fn from_fn<F: FnMut(u64) -> bool>(n: u32, mut f: F) -> Self {
         assert!(n <= 30, "truth table too large for n = {n}");
         let size = 1usize << n;
         let mut bits = vec![0u64; size.div_ceil(64)];
@@ -145,16 +145,6 @@ impl TruthTable {
     pub fn to_f64_table(&self) -> Vec<f64> {
         (0..1u64 << self.n)
             .map(|x| if self.eval(x) { 1.0 } else { 0.0 })
-            .collect()
-    }
-
-    /// Restricts to the points inside `cube` that also lie in `domain`
-    /// (a sorted list), returning the subdomain.
-    pub fn restrict_domain(domain: &[u64], cube: &Subcube64) -> Vec<u64> {
-        domain
-            .iter()
-            .copied()
-            .filter(|&x| cube.contains(x))
             .collect()
     }
 }

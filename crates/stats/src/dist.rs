@@ -70,11 +70,6 @@ impl<T: Ord + Clone> Dist<T> {
         self.probs.get(value).copied().unwrap_or(0.0)
     }
 
-    /// The number of support points.
-    pub fn support_len(&self) -> usize {
-        self.probs.len()
-    }
-
     /// Iterates over `(value, probability)` pairs in ascending value order.
     pub fn iter(&self) -> impl Iterator<Item = (&T, f64)> {
         self.probs.iter().map(|(v, &p)| (v, p))
@@ -111,31 +106,6 @@ impl<T: Ord + Clone> Dist<T> {
         Dist::from_weights(weights)
     }
 
-    /// The uniform mixture of a family of distributions.
-    ///
-    /// This is the paper's decomposition step in reverse:
-    /// `A_pseudo = (1/|I|) Σ_I A_I` (§3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the family is empty.
-    pub fn uniform_mixture<'a, I>(dists: I) -> Dist<T>
-    where
-        I: IntoIterator<Item = &'a Dist<T>>,
-        T: 'a,
-    {
-        let mut weights: BTreeMap<T, f64> = BTreeMap::new();
-        let mut count = 0usize;
-        for d in dists {
-            count += 1;
-            for (v, p) in &d.probs {
-                *weights.entry(v.clone()).or_insert(0.0) += p;
-            }
-        }
-        assert!(count > 0, "uniform_mixture of an empty family");
-        Dist::from_weights(weights)
-    }
-
     /// The image distribution `f(D)` (paper notation, §2.1).
     pub fn map<U: Ord + Clone, F: FnMut(&T) -> U>(&self, mut f: F) -> Dist<U> {
         Dist::from_weights(self.probs.iter().map(|(v, &p)| (f(v), p)))
@@ -167,7 +137,7 @@ impl<T: Ord + Clone> Dist<T> {
 
 impl<T: Ord + Clone> Dist<(T, T)> {
     /// The marginal on the first component (`D|_X` in Lemma 1.9).
-    pub fn marginal_first(&self) -> Dist<T> {
+    fn marginal_first(&self) -> Dist<T> {
         Dist::from_weights(self.iter().map(|((a, _), p)| (a.clone(), p)))
     }
 
@@ -176,7 +146,7 @@ impl<T: Ord + Clone> Dist<(T, T)> {
     ///
     /// Returns `None` if `a` has zero marginal probability (the paper sets
     /// this case to an arbitrary fixed distribution; callers decide).
-    pub fn conditional_second(&self, a: &T) -> Option<Dist<T>> {
+    fn conditional_second(&self, a: &T) -> Option<Dist<T>> {
         let mass: f64 = self
             .iter()
             .filter(|((x, _), _)| x == a)
@@ -291,14 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_mixture_is_average() {
-        let a = Dist::point(0u8);
-        let b = Dist::point(1u8);
-        let m = Dist::uniform_mixture([&a, &b]);
-        assert!((m.prob(&0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn mixture_tv_bounded_by_average_tv() {
         // ||avg_I D_I - U|| <= avg_I ||D_I - U||: the framework's
         // L_real-dist <= L_progress inequality (§3).
@@ -307,7 +269,8 @@ mod tests {
         for _ in 0..20 {
             let family: Vec<Dist<u32>> = (0..5).map(|_| random_dist(&mut rng, &support)).collect();
             let target = random_dist(&mut rng, &support);
-            let mixed = Dist::uniform_mixture(family.iter());
+            let mixed =
+                Dist::from_weights(family.iter().flat_map(|d| d.iter().map(|(&v, p)| (v, p))));
             let avg: f64 =
                 family.iter().map(|d| d.tv_distance(&target)).sum::<f64>() / family.len() as f64;
             assert!(mixed.tv_distance(&target) <= avg + 1e-12);

@@ -15,7 +15,7 @@
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn walsh_hadamard(values: &mut [f64]) {
+fn walsh_hadamard(values: &mut [f64]) {
     let n = values.len();
     assert!(n.is_power_of_two(), "length must be a power of two");
     let mut h = 1;
@@ -45,19 +45,6 @@ pub fn fourier_coefficients(table: &[f64]) -> Vec<f64> {
         *x *= scale;
     }
     v
-}
-
-/// A single Fourier coefficient `f̂(S)` computed directly from the
-/// definition (used by tests to validate the transform).
-pub fn fourier_coefficient_naive(table: &[f64], s: u64) -> f64 {
-    let n = table.len();
-    assert!(n.is_power_of_two(), "length must be a power of two");
-    let mut sum = 0.0;
-    for (x, &fx) in table.iter().enumerate() {
-        let parity = ((x as u64) & s).count_ones() % 2;
-        sum += if parity == 1 { -fx } else { fx };
-    }
-    sum / n as f64
 }
 
 /// Parseval's identity residual: `E[f²] − Σ_S f̂(S)²` (should be ≈ 0).
@@ -105,6 +92,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A single Fourier coefficient `f̂(S)` computed directly from the
+    /// definition.
+    fn fourier_coefficient_naive(table: &[f64], s: u64) -> f64 {
+        let n = table.len();
+        assert!(n.is_power_of_two(), "length must be a power of two");
+        let mut sum = 0.0;
+        for (x, &fx) in table.iter().enumerate() {
+            let parity = ((x as u64) & s).count_ones() % 2;
+            sum += if parity == 1 { -fx } else { fx };
+        }
+        sum / n as f64
+    }
 
     fn random_boolean_table(rng: &mut StdRng, n: u32) -> Vec<f64> {
         (0..1usize << n)

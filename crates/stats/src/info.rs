@@ -6,8 +6,6 @@
 //! divergence to statistical distance, and Fact 2.3 relates binary entropy
 //! to bias.
 
-use std::collections::BTreeMap;
-
 use crate::dist::Dist;
 
 /// Binary entropy `H(p) = −p log₂ p − (1−p) log₂(1−p)`, with `H(0)=H(1)=0`.
@@ -19,26 +17,6 @@ pub fn binary_entropy(p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     let term = |x: f64| if x <= 0.0 { 0.0 } else { -x * x.log2() };
     term(p) + term(1.0 - p)
-}
-
-/// The inverse of binary entropy on `[0, 1/2]`: the unique `p ≤ 1/2` with
-/// `H(p) = h`, by bisection.
-///
-/// # Panics
-///
-/// Panics if `h ∉ [0, 1]`.
-pub fn binary_entropy_inverse(h: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&h), "h must be in [0,1]");
-    let (mut lo, mut hi) = (0.0f64, 0.5f64);
-    for _ in 0..80 {
-        let mid = (lo + hi) / 2.0;
-        if binary_entropy(mid) < h {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo + hi) / 2.0
 }
 
 /// **Fact 2.3** of the paper: if `H(p) ≥ 0.9` then `p ∈ [0.3, 0.7]` and
@@ -94,23 +72,18 @@ impl<A: Ord + Clone, B: Ord + Clone> Joint<A, B> {
     }
 
     /// The marginal entropy `H(A)`.
-    pub fn entropy_first(&self) -> f64 {
+    fn entropy_first(&self) -> f64 {
         self.marginal_first().entropy()
     }
 
     /// The marginal entropy `H(B)`.
-    pub fn entropy_second(&self) -> f64 {
+    fn entropy_second(&self) -> f64 {
         self.marginal_second().entropy()
     }
 
     /// The joint entropy `H(A, B)`.
-    pub fn entropy_joint(&self) -> f64 {
+    fn entropy_joint(&self) -> f64 {
         self.dist.entropy()
-    }
-
-    /// The conditional entropy `H(A | B) = H(A,B) − H(B)`.
-    pub fn conditional_entropy_first(&self) -> f64 {
-        (self.entropy_joint() - self.entropy_second()).max(0.0)
     }
 
     /// The mutual information `I(A; B) = H(A) + H(B) − H(A,B)` in bits.
@@ -119,17 +92,17 @@ impl<A: Ord + Clone, B: Ord + Clone> Joint<A, B> {
     }
 
     /// The marginal distribution of the first component.
-    pub fn marginal_first(&self) -> Dist<A> {
+    fn marginal_first(&self) -> Dist<A> {
         Dist::from_weights(self.dist.iter().map(|((a, _), p)| (a.clone(), p)))
     }
 
     /// The marginal distribution of the second component.
-    pub fn marginal_second(&self) -> Dist<B> {
+    fn marginal_second(&self) -> Dist<B> {
         Dist::from_weights(self.dist.iter().map(|((_, b), p)| (b.clone(), p)))
     }
 
     /// The conditional distribution of the second component given the first.
-    pub fn conditional_second(&self, a: &A) -> Option<Dist<B>> {
+    fn conditional_second(&self, a: &A) -> Option<Dist<B>> {
         let entries: Vec<(B, f64)> = self
             .dist
             .iter()
@@ -161,20 +134,6 @@ impl<A: Ord + Clone, B: Ord + Clone> Joint<A, B> {
     }
 }
 
-/// Builds the joint distribution of `(X, f(X))` for `X` drawn from `d`.
-pub fn pushforward_joint<T, U, F>(d: &Dist<T>, mut f: F) -> Joint<T, U>
-where
-    T: Ord + Clone,
-    U: Ord + Clone,
-    F: FnMut(&T) -> U,
-{
-    let mut weights: BTreeMap<(T, U), f64> = BTreeMap::new();
-    for (v, p) in d.iter() {
-        *weights.entry((v.clone(), f(v))).or_insert(0.0) += p;
-    }
-    Joint::from_weights(weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,18 +151,6 @@ mod tests {
     fn binary_entropy_symmetric() {
         for p in [0.1, 0.25, 0.4] {
             assert!((binary_entropy(p) - binary_entropy(1.0 - p)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn entropy_inverse_roundtrip() {
-        for p in [0.05, 0.2, 0.35, 0.5] {
-            let h = binary_entropy(p);
-            let inv = binary_entropy_inverse(h);
-            // Near p = 1/2 the inverse is only sqrt(ulp)-conditioned
-            // (H'(1/2) = 0), so compare through H rather than pointwise.
-            assert!((binary_entropy(inv) - h).abs() < 1e-12);
-            assert!((inv - p).abs() < 1e-6);
         }
     }
 
@@ -312,26 +259,5 @@ mod tests {
             );
             assert!(joint.entropy_joint() <= joint.entropy_first() + joint.entropy_second() + 1e-9);
         }
-    }
-
-    #[test]
-    fn conditional_entropy_chain_rule() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let joint = Joint::from_weights(
-            (0..3u8)
-                .flat_map(|a| (0..3u8).map(move |b| (a, b)))
-                .map(|p| (p, rng.gen::<f64>() + 1e-9))
-                .collect::<Vec<_>>(),
-        );
-        let lhs = joint.conditional_entropy_first() + joint.entropy_second();
-        assert!((lhs - joint.entropy_joint()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pushforward_builds_expected_joint() {
-        let d = Dist::uniform(0u8..4);
-        let joint = pushforward_joint(&d, |&x| x % 2);
-        // I(X; X mod 2) = 1 bit.
-        assert!((joint.mutual_information() - 1.0).abs() < 1e-12);
     }
 }

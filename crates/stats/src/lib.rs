@@ -6,16 +6,16 @@
 //! * [`dist`] — finite discrete distributions and **total-variation
 //!   (statistical) distance** `‖D₁ − D₂‖ = ½ Σ |D₁(x) − D₂(x)|` (§2.1),
 //!   including the chain-rule bound of Lemma 1.9;
-//! * [`info`] — entropy, conditional entropy, mutual information, KL
-//!   divergence, Pinsker's inequality (Lemma 2.2), binary entropy and
-//!   Fact 2.3;
+//! * [`info`] — entropy, mutual information (with the KL form of
+//!   Fact 2.1), KL divergence, Pinsker's inequality (Lemma 2.2), binary
+//!   entropy and Fact 2.3;
 //! * [`fourier`] — the Walsh–Hadamard transform on the Boolean cube and
 //!   Parseval's identity (§2.2), which power the PRG analysis (Lemma 5.2);
 //! * [`boolfn`] — truth-table Boolean functions `f : {0,1}^w → {0,1}` with
 //!   the function families the lemma experiments evaluate (majority,
 //!   threshold, parity, dictator, random);
-//! * [`sampling`] — empirical estimation with Hoeffding confidence bounds
-//!   for the Monte-Carlo side of the experiments;
+//! * [`sampling`] — a running mean with its Hoeffding confidence radius,
+//!   and value histograms, for the Monte-Carlo side of the experiments;
 //! * [`smoothing`] — Good–Turing missing-mass correction for plug-in TV
 //!   estimates: singleton counts identify the unresolved mass, and the
 //!   smoothed estimator subtracts exactly the inflation it causes.

@@ -6,8 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::dist::Dist;
-
 /// A running mean of a `[0, 1]`-bounded statistic with Hoeffding bounds.
 ///
 /// # Example
@@ -44,11 +42,6 @@ impl MeanEstimator {
         self.count += 1;
     }
 
-    /// The number of observations.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// The sample mean.
     ///
     /// # Panics
@@ -72,22 +65,6 @@ impl MeanEstimator {
     }
 }
 
-/// Builds the empirical distribution of `samples`.
-pub fn empirical_dist<T: Ord + Clone>(samples: &[T]) -> Dist<T> {
-    assert!(!samples.is_empty(), "no samples");
-    Dist::from_weights(samples.iter().map(|s| (s.clone(), 1.0)))
-}
-
-/// Estimates total-variation distance between two sampled distributions via
-/// their empirical histograms.
-///
-/// This estimator is *upward* biased by sampling noise (≈ `sqrt(K/N)` for
-/// support size `K`); use only when the support is small relative to the
-/// sample count, which all our transcript experiments respect.
-pub fn empirical_tv<T: Ord + Clone>(a: &[T], b: &[T]) -> f64 {
-    empirical_dist(a).tv_distance(&empirical_dist(b))
-}
-
 /// Counts occurrences of each value.
 pub fn histogram<T: Ord + Clone, I: IntoIterator<Item = T>>(samples: I) -> BTreeMap<T, usize> {
     let mut h = BTreeMap::new();
@@ -95,24 +72,6 @@ pub fn histogram<T: Ord + Clone, I: IntoIterator<Item = T>>(samples: I) -> BTree
         *h.entry(s).or_insert(0) += 1;
     }
     h
-}
-
-/// The number of samples needed so Hoeffding's radius at confidence
-/// `1 − delta` is at most `eps`.
-pub fn hoeffding_sample_size(eps: f64, delta: f64) -> usize {
-    assert!(eps > 0.0, "eps must be positive");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as usize
-}
-
-/// The advantage of a binary distinguisher from empirical acceptance rates:
-/// `|Pr[accept | D₁] − Pr[accept | D₂]| / 2`.
-///
-/// Matches the paper's footnote 5: an algorithm distinguishing with
-/// advantage `ε` guesses the source with probability `1/2 + ε`; for an
-/// accept/reject test that ε is half the acceptance-rate gap.
-pub fn distinguisher_advantage(accept_rate_d1: f64, accept_rate_d2: f64) -> f64 {
-    (accept_rate_d1 - accept_rate_d2).abs() / 2.0
 }
 
 #[cfg(test)]
@@ -126,7 +85,6 @@ mod tests {
         let mut e = MeanEstimator::new();
         e.push(0.0);
         e.push(1.0);
-        assert_eq!(e.count(), 2);
         assert!((e.mean() - 0.5).abs() < 1e-12);
     }
 
@@ -166,40 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn empirical_tv_of_identical_sets_is_zero() {
-        let a = vec![1u8, 2, 2, 3];
-        assert_eq!(empirical_tv(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn empirical_tv_converges() {
-        let mut rng = StdRng::seed_from_u64(2);
-        // D1 = Bernoulli(0.5), D2 = Bernoulli(0.8): TV = 0.3.
-        let a: Vec<bool> = (0..50_000).map(|_| rng.gen::<f64>() < 0.5).collect();
-        let b: Vec<bool> = (0..50_000).map(|_| rng.gen::<f64>() < 0.8).collect();
-        assert!((empirical_tv(&a, &b) - 0.3).abs() < 0.02);
-    }
-
-    #[test]
     fn histogram_counts() {
         let h = histogram(vec![1u8, 1, 2]);
         assert_eq!(h[&1], 2);
         assert_eq!(h[&2], 1);
-    }
-
-    #[test]
-    fn sample_size_matches_radius() {
-        let n = hoeffding_sample_size(0.01, 0.05);
-        let mut e = MeanEstimator::new();
-        for _ in 0..n {
-            e.push(0.0);
-        }
-        assert!(e.hoeffding_radius(0.05) <= 0.01 + 1e-9);
-    }
-
-    #[test]
-    fn advantage_halves_gap() {
-        assert!((distinguisher_advantage(0.9, 0.1) - 0.4).abs() < 1e-12);
-        assert_eq!(distinguisher_advantage(0.5, 0.5), 0.0);
     }
 }

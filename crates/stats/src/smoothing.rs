@@ -26,17 +26,6 @@ pub enum TvEstimator {
     Smoothed,
 }
 
-/// The Good–Turing missing-mass estimate `n₁ / N`: the probability that
-/// the next draw lands on a never-seen outcome, estimated from the
-/// fraction of singletons. Clamped to `[0, 1]`; zero draws mean total
-/// ignorance, reported as the full mass 1.
-pub fn missing_mass(singletons: usize, draws: usize) -> f64 {
-    if draws == 0 {
-        return 1.0;
-    }
-    (singletons as f64 / draws as f64).min(1.0)
-}
-
 /// The exact plug-in inflation contributed by combined singletons: a key
 /// seen once in side `a` (and never in `b`) adds `w_a / 2 = 1/(2·len_a)`
 /// to the plug-in TV, and symmetrically for `b`. Subtracting this is the
@@ -82,14 +71,6 @@ pub fn smoothed_floor(resolved_support: usize, samples_per_side: usize, correcti
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn missing_mass_is_the_singleton_fraction_clamped() {
-        assert_eq!(missing_mass(0, 100), 0.0);
-        assert_eq!(missing_mass(25, 100), 0.25);
-        assert_eq!(missing_mass(200, 100), 1.0, "clamped");
-        assert_eq!(missing_mass(0, 0), 1.0, "no draws: total ignorance");
-    }
 
     #[test]
     fn correction_is_half_the_singleton_weight_per_side() {
