@@ -16,11 +16,9 @@
 //! * **huge-support**: the 2^18-support/16-live-point walk only the
 //!   sparse path can price sanely (the seed walk is not run here — its
 //!   projected cost is reported instead);
-//! * **kernel lanes**: the F2 word-kernel hot loops (dense intersect,
-//!   label-plane partition, radix passes) timed once per kernel —
-//!   scalar rows always, AVX2 rows when the host supports it — so the
-//!   lanes-vs-scalar ratio is tracked from PR to PR (schema
-//!   `bcc-bench-walk/v2`);
+//! * **kernel loops**: the F2 word-kernel hot loops (dense intersect,
+//!   label-plane partition, radix passes) timed on their own, so their
+//!   cost is tracked from PR to PR (schema `bcc-bench-walk/v2`);
 //!
 //! — and persists everything to `BENCH_walk.json` (override the path
 //! with `BCC_BENCH_WALK_OUT`), so the perf trajectory of the walk has
@@ -34,10 +32,10 @@ use bcc_bench::{banner, f, print_table};
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    exact_mixture_comparison_reference, radix_sort_u64_with, Estimator, ExactEstimator, ExecMode,
+    exact_mixture_comparison_reference, radix_sort_u64, Estimator, ExactEstimator, ExecMode,
     ProductInput, RowSupport,
 };
-use bcc_f2::kernel::{Kernel, WordKernel};
+use bcc_f2::kernel::{self, WordKernel};
 use bcc_f2::ConsistentSet;
 use bcc_obs::json::Value;
 
@@ -241,11 +239,7 @@ fn main() {
     });
     let intersect_speedup = dense_time.ns_per_iter / sparse_time.ns_per_iter;
 
-    // -- kernel lanes vs scalar: the same word loops, per F2 kernel -----
-    // Scalar rows are always recorded (so non-AVX2 hosts still produce a
-    // comparable file); AVX2 rows appear whenever the host supports it.
-    let scalar = Kernel::scalar();
-    let avx2 = Kernel::avx2();
+    // -- the F2 word-kernel loops on their own -------------------------
     let full_parent = ConsistentSet::full(universe);
     let mut kernel_out = ConsistentSet::empty(universe);
     let mask_words: Vec<u64> = mask.as_words().to_vec();
@@ -262,43 +256,17 @@ fn main() {
             .collect()
     };
     let k_int_scalar = measure("kernel_intersect/scalar", 64, budget, || {
-        scalar.filter_count(&mask_words, &plane, true)
+        kernel::active().filter_count(&mask_words, &plane, true)
     });
     let k_part_scalar = measure("kernel_partition/scalar", 16, budget, || {
-        kernel_out.assign_filtered_with(&full_parent, &plane, true, &scalar);
+        kernel_out.assign_filtered(&full_parent, &plane, true);
         kernel_out.count()
     });
     let k_radix_scalar = measure("kernel_radix/scalar", 8, budget, || {
         let mut keys = radix_keys.clone();
-        radix_sort_u64_with(&scalar, &mut keys);
+        radix_sort_u64(&mut keys);
         keys.len()
     });
-    let mut kernel_out2 = ConsistentSet::empty(universe);
-    let k_avx2_rows = avx2.map(|k| {
-        (
-            measure("kernel_intersect/avx2", 64, budget, || {
-                k.filter_count(&mask_words, &plane, true)
-            }),
-            measure("kernel_partition/avx2", 16, budget, || {
-                kernel_out2.assign_filtered_with(&full_parent, &plane, true, &k);
-                kernel_out2.count()
-            }),
-            measure("kernel_radix/avx2", 8, budget, || {
-                let mut keys = radix_keys.clone();
-                radix_sort_u64_with(&k, &mut keys);
-                keys.len()
-            }),
-        )
-    });
-    let kernel_intersect_speedup = k_avx2_rows
-        .as_ref()
-        .map(|(i, _, _)| k_int_scalar.ns_per_iter / i.ns_per_iter);
-    let kernel_partition_speedup = k_avx2_rows
-        .as_ref()
-        .map(|(_, p, _)| k_part_scalar.ns_per_iter / p.ns_per_iter);
-    let kernel_radix_speedup = k_avx2_rows
-        .as_ref()
-        .map(|(_, _, r)| k_radix_scalar.ns_per_iter / r.ns_per_iter);
 
     // -- huge support, tiny alive: only the sparse path is priced sanely
     let hbits: u32 = if smoke { 14 } else { 18 };
@@ -330,11 +298,6 @@ fn main() {
     ] {
         measurements.push(m);
     }
-    if let Some((i, p, r)) = k_avx2_rows {
-        measurements.push(i);
-        measurements.push(p);
-        measurements.push(r);
-    }
 
     println!();
     print_table(
@@ -351,27 +314,12 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!();
-    let mut speedup_rows = vec![
+    let speedup_rows = vec![
         vec!["partition (w = 1 view)".into(), f(partition_speedup)],
         vec!["partition (w = 2)".into(), f(wide_speedup)],
         vec!["view vs native (w = 1)".into(), f(view_vs_native)],
         vec!["intersect (dense vs sparse)".into(), f(intersect_speedup)],
     ];
-    for (label, x) in [
-        (
-            "kernel intersect (avx2 vs scalar)",
-            kernel_intersect_speedup,
-        ),
-        (
-            "kernel partition (avx2 vs scalar)",
-            kernel_partition_speedup,
-        ),
-        ("kernel radix (avx2 vs scalar)", kernel_radix_speedup),
-    ] {
-        if let Some(x) = x {
-            speedup_rows.push(vec![label.into(), f(x)]);
-        }
-    }
     print_table(&["speedup", "x"], &speedup_rows);
 
     // -- headline work counters of one representative run ---------------
@@ -384,7 +332,7 @@ fn main() {
         let _scope = work_registry.install();
         let _ = ExactEstimator::sequential().estimate_full(&view, &members, &baseline);
         let mut keys = radix_keys.clone();
-        radix_sort_u64_with(&scalar, &mut keys);
+        radix_sort_u64(&mut keys);
         std::hint::black_box(keys);
     }
     let work = work_registry.snapshot();
@@ -399,20 +347,11 @@ fn main() {
     // so the committed baseline is where readers look for it.
     let path = std::env::var("BCC_BENCH_WALK_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_walk.json").into());
-    let mut speedups = vec![
+    let speedups = [
         ("partition_bit", partition_speedup),
         ("partition_wide", wide_speedup),
         ("intersect", intersect_speedup),
     ];
-    for (name, x) in [
-        ("kernel_intersect", kernel_intersect_speedup),
-        ("kernel_partition", kernel_partition_speedup),
-        ("kernel_radix", kernel_radix_speedup),
-    ] {
-        if let Some(x) = x {
-            speedups.push((name, x));
-        }
-    }
     write_json(
         &path,
         smoke,
@@ -432,18 +371,8 @@ fn main() {
                 ),
             ),
             (
-                "kernels",
-                if avx2.is_some() {
-                    "scalar,avx2".into()
-                } else {
-                    "scalar (host lacks AVX2; lane rows omitted)".into()
-                },
-            ),
-            (
                 "acceptance",
-                "partition/intersect >= 2.0; partition_wide >= 2.0; \
-                 kernel_intersect and kernel_partition >= 1.5 where AVX2 exists"
-                    .into(),
+                "partition/intersect >= 2.0; partition_wide >= 2.0".into(),
             ),
             // One representative bit walk + one radix pass, from bcc_obs.
             (
@@ -471,11 +400,4 @@ fn main() {
         smoke || wide_speedup >= 2.0,
         "wide partition speedup regressed below 2x: {wide_speedup:.2}"
     );
-    if let (Some(ki), Some(kp)) = (kernel_intersect_speedup, kernel_partition_speedup) {
-        assert!(
-            smoke || (ki >= 1.5 && kp >= 1.5),
-            "AVX2 kernel lanes regressed below 1.5x over scalar: \
-             intersect {ki:.2}, partition {kp:.2}"
-        );
-    }
 }

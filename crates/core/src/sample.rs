@@ -167,15 +167,7 @@ const RADIX_MAX_VARYING_BYTES: u32 = 4;
 /// arrays, or more than four varying bytes, where scattered writes
 /// outweigh the comparison sort) fall back to `sort_unstable`.
 pub fn radix_sort_u64(keys: &mut Vec<u64>) {
-    radix_sort_u64_with(&kernel::active(), keys);
-}
-
-/// [`radix_sort_u64`] under an explicit [`WordKernel`] — the entry point
-/// differential tests and benches use to pin and price one kernel
-/// against another. The output order is bitwise independent of the
-/// kernel: the pre-scan and the counting passes are exact folds, and the
-/// scatter is the same stable serial permutation in every kernel.
-pub fn radix_sort_u64_with<K: WordKernel>(kernel: &K, keys: &mut Vec<u64>) {
+    let kernel = kernel::active();
     let n = keys.len();
     bcc_obs::add_keys_sorted(n as u64);
     if n < RADIX_CUTOFF {
@@ -579,32 +571,6 @@ mod tests {
                 expected.len() as u64,
                 "k-way merge counts each output key once, lens {lens:?}"
             );
-        }
-    }
-
-    #[test]
-    fn radix_sort_is_kernel_invariant() {
-        use bcc_f2::kernel::Kernel;
-        let mut rng = StdRng::seed_from_u64(31);
-        let Some(avx2) = Kernel::avx2() else {
-            eprintln!("notice: no AVX2 on this host, skipping");
-            return;
-        };
-        for &len in &[300usize, 5_000] {
-            for shape in 0..3u32 {
-                let keys: Vec<u64> = (0..len)
-                    .map(|_| match shape {
-                        0 => (rng.gen::<u64>() & 0xFFF).reverse_bits(),
-                        1 => rng.gen::<u64>() & 0xFF_FFFF,
-                        _ => rng.gen::<u64>() % 7,
-                    })
-                    .collect();
-                let mut scalar_sorted = keys.clone();
-                radix_sort_u64_with(&Kernel::scalar(), &mut scalar_sorted);
-                let mut avx2_sorted = keys;
-                radix_sort_u64_with(&avx2, &mut avx2_sorted);
-                assert_eq!(scalar_sorted, avx2_sorted, "len {len} shape {shape}");
-            }
         }
     }
 

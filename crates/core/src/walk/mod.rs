@@ -329,7 +329,6 @@ pub fn exact_walk<B: Branching + ?Sized>(
             bcc_obs::Class::Work,
             frontier.len() as u64,
         );
-        o.note("kernel.dispatch", kernel::active().name());
     }
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order
@@ -608,7 +607,7 @@ impl DepthScratch {
 /// [`bcc_obs::Registry`] — if any — once per workspace use (per chunk
 /// in parallel mode), never per node. Every count is a pure function of
 /// the tree and the frontier depth, so totals agree across execution
-/// modes, kernels, and thread counts at equal split depth.
+/// modes and thread counts at equal split depth.
 #[derive(Default)]
 struct WalkTally {
     /// Nodes whose depth-`t` contribution this workspace accumulated.

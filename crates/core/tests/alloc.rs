@@ -23,25 +23,25 @@ struct CountingAlloc;
 // bcc-lint: allow(no-global-mutable-state, reason = "the counting allocator's tally; read only via relaxed before/after deltas in this test")
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// bcc-lint: allow(no-unsafe-outside-kernel, reason = "GlobalAlloc is an unsafe trait; this impl only counts and delegates to System")
+// bcc-lint: allow(no-unsafe, reason = "GlobalAlloc is an unsafe trait; this impl only counts and delegates to System")
 unsafe impl GlobalAlloc for CountingAlloc {
-    // bcc-lint: allow(no-unsafe-outside-kernel, reason = "signature required by GlobalAlloc")
+    // bcc-lint: allow(no-unsafe, reason = "signature required by GlobalAlloc")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // bcc-lint: allow(no-unsafe-outside-kernel, reason = "forwards the caller's contract to the System allocator verbatim")
+        // bcc-lint: allow(no-unsafe, reason = "forwards the caller's contract to the System allocator verbatim")
         unsafe { System.alloc(layout) }
     }
 
-    // bcc-lint: allow(no-unsafe-outside-kernel, reason = "signature required by GlobalAlloc")
+    // bcc-lint: allow(no-unsafe, reason = "signature required by GlobalAlloc")
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // bcc-lint: allow(no-unsafe-outside-kernel, reason = "forwards the caller's contract to the System allocator verbatim")
+        // bcc-lint: allow(no-unsafe, reason = "forwards the caller's contract to the System allocator verbatim")
         unsafe { System.dealloc(ptr, layout) }
     }
 
-    // bcc-lint: allow(no-unsafe-outside-kernel, reason = "signature required by GlobalAlloc")
+    // bcc-lint: allow(no-unsafe, reason = "signature required by GlobalAlloc")
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // bcc-lint: allow(no-unsafe-outside-kernel, reason = "forwards the caller's contract to the System allocator verbatim")
+        // bcc-lint: allow(no-unsafe, reason = "forwards the caller's contract to the System allocator verbatim")
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

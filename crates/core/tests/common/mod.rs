@@ -1,5 +1,5 @@
 //! Helpers shared by the differential-style integration suites
-//! (`differential.rs`, `kernel_matrix.rs`): the seeded protocol
+//! (`differential.rs`, `obs_differential.rs`): the seeded protocol
 //! constructions and the bitwise profile comparison they pin against.
 
 // Each integration-test binary compiles its own copy of this module and
@@ -88,24 +88,4 @@ pub fn assert_profile_bitwise_eq(a: &DepthProfile, b: &DepthProfile, what: &str)
         );
     }
     assert_eq!(a.provenance, b.provenance, "{what}: provenance");
-}
-
-/// Folds a depth profile's every number into an order-sensitive 64-bit
-/// fingerprint (FNV-1a over the raw `f64` bit patterns): two profiles
-/// fingerprint equal iff [`assert_profile_bitwise_eq`] would pass on the
-/// numeric fields.
-pub fn fold_profile(h: &mut u64, profile: &DepthProfile) {
-    let mut mix = |x: u64| {
-        *h ^= x;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(u64::from(profile.horizon));
-    for &v in profile
-        .mixture_tv_by_depth
-        .iter()
-        .chain(&profile.progress_by_depth)
-        .chain(&profile.per_member_tv)
-    {
-        mix(v.to_bits());
-    }
 }

@@ -8,16 +8,14 @@
 //!    the bare run. Counters only observe; they never steer.
 //! 2. **Determinism**: the *work-class* counters (nodes, live points,
 //!    sorted/merged keys, kernel words, …) are pure functions of the
-//!    task — equal across thread counts (at equal frontier split depth)
-//!    and across F2 kernels. The kernel choice and the rayon pool are
-//!    process-wide, so the matrix re-executes this binary as one worker
-//!    subprocess per cell (the same pattern as `kernel_matrix.rs`) and
-//!    compares fingerprints of the full sorted counter set.
+//!    task — equal across thread counts (at equal frontier split depth).
+//!    The rayon pool is process-wide, so the runner re-executes this
+//!    binary as one worker subprocess per thread count and compares
+//!    fingerprints of the full sorted counter set.
 
 use bcc_congest::TurnProtocol;
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::DepthProfile;
-use bcc_f2::kernel::{self, WordKernel};
 
 mod common;
 use common::{assert_profile_bitwise_eq, decision_bit, small_family, wide_protocol};
@@ -115,10 +113,10 @@ fn fingerprint_hash(fp: &[(String, u64)]) -> u64 {
     h
 }
 
-/// Worker half of the matrix: runs the suite under an installed registry
+/// Worker half: runs the suite under an installed registry
 /// and prints the work-counter fingerprint for the runner to compare.
 #[test]
-#[ignore = "worker spawned by work_counters_are_thread_and_kernel_invariant"]
+#[ignore = "worker spawned by work_counters_are_thread_invariant"]
 fn obs_fingerprint_worker() {
     let registry = bcc_obs::Registry::new();
     let scope = registry.install();
@@ -131,8 +129,7 @@ fn obs_fingerprint_worker() {
         "worker must observe walk work"
     );
     println!(
-        "OBS_WORK_FINGERPRINT {} {} {} {:016x}",
-        kernel::active().name(),
+        "OBS_WORK_FINGERPRINT {} {} {:016x}",
         rayon::current_num_threads(),
         fp.len(),
         fingerprint_hash(&fp)
@@ -140,57 +137,43 @@ fn obs_fingerprint_worker() {
 }
 
 /// Runner half: `RAYON_NUM_THREADS ∈ {1, 4}` (both map to the same
-/// frontier split depth, see `split_depth_for_threads`) crossed with
-/// every available `BCC_KERNEL`; every cell's deterministic work
-/// fingerprint must be identical.
+/// frontier split depth, see `split_depth_for_threads`); both workers'
+/// deterministic work fingerprints must be identical.
 #[test]
-fn work_counters_are_thread_and_kernel_invariant() {
-    let mut kernels = vec!["scalar"];
-    #[cfg(target_arch = "x86_64")]
-    if kernel::Kernel::avx2().is_some() {
-        kernels.push("avx2");
-    } else {
-        eprintln!("NOTE obs matrix: host has no AVX2, kernel axis has one column");
-    }
-
+fn work_counters_are_thread_invariant() {
     let exe = std::env::current_exe().expect("test binary path");
     let mut rows: Vec<(String, u64)> = Vec::new();
-    for want_kernel in &kernels {
-        for threads in ["1", "4"] {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "obs_fingerprint_worker",
-                    "--ignored",
-                    "--nocapture",
-                ])
-                .env("BCC_KERNEL", want_kernel)
-                .env("RAYON_NUM_THREADS", threads)
-                .output()
-                .expect("spawn fingerprint worker");
-            assert!(
-                out.status.success(),
-                "worker under BCC_KERNEL={want_kernel} RAYON_NUM_THREADS={threads} failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let at = stdout
-                .find("OBS_WORK_FINGERPRINT")
-                .unwrap_or_else(|| panic!("no fingerprint line in worker output:\n{stdout}"));
-            let mut parts = stdout[at..].split_whitespace().skip(1);
-            let name = parts.next().expect("kernel name").to_string();
-            let got_threads = parts.next().expect("thread count").to_string();
-            let entries: usize = parts.next().expect("entry count").parse().expect("count");
-            let fp = u64::from_str_radix(parts.next().expect("fingerprint"), 16).expect("hex");
-            assert_eq!(&name, want_kernel, "worker ran under the requested kernel");
-            assert_eq!(got_threads, threads, "worker saw the requested pool size");
-            assert!(entries > 0, "fingerprint must cover counters");
-            rows.push((format!("{name}/{got_threads}t"), fp));
-        }
+    for threads in ["1", "4"] {
+        let out = std::process::Command::new(&exe)
+            .args([
+                "--exact",
+                "obs_fingerprint_worker",
+                "--ignored",
+                "--nocapture",
+            ])
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("spawn fingerprint worker");
+        assert!(
+            out.status.success(),
+            "worker under RAYON_NUM_THREADS={threads} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let at = stdout
+            .find("OBS_WORK_FINGERPRINT")
+            .unwrap_or_else(|| panic!("no fingerprint line in worker output:\n{stdout}"));
+        let mut parts = stdout[at..].split_whitespace().skip(1);
+        let got_threads = parts.next().expect("thread count").to_string();
+        let entries: usize = parts.next().expect("entry count").parse().expect("count");
+        let fp = u64::from_str_radix(parts.next().expect("fingerprint"), 16).expect("hex");
+        assert_eq!(got_threads, threads, "worker saw the requested pool size");
+        assert!(entries > 0, "fingerprint must cover counters");
+        rows.push((format!("{got_threads}t"), fp));
     }
     let first = rows[0].1;
     assert!(
         rows.iter().all(|(_, fp)| *fp == first),
-        "work fingerprints must agree across the whole matrix: {rows:?}"
+        "work fingerprints must agree across thread counts: {rows:?}"
     );
 }

@@ -255,20 +255,6 @@ impl ConsistentSet {
     /// Panics if `plane` holds fewer words than the parent's universe
     /// needs.
     pub fn assign_filtered(&mut self, parent: &ConsistentSet, plane: &[u64], keep: bool) {
-        self.assign_filtered_with(parent, plane, keep, &kernel::active());
-    }
-
-    /// [`assign_filtered`](ConsistentSet::assign_filtered) under an
-    /// explicit [`WordKernel`] — the entry point differential tests and
-    /// benches use to pin and price one kernel against another. The
-    /// result is bitwise independent of the kernel choice.
-    pub fn assign_filtered_with<K: WordKernel>(
-        &mut self,
-        parent: &ConsistentSet,
-        plane: &[u64],
-        keep: bool,
-        kernel: &K,
-    ) {
         let universe = parent.universe;
         let words = sparse_budget(universe);
         assert!(plane.len() >= words, "plane narrower than the universe");
@@ -296,17 +282,17 @@ impl ConsistentSet {
             SetRepr::Dense => {
                 // Pass 1: count, to choose the result regime without
                 // materializing twice.
-                let count = kernel.filter_count(&parent.words, plane, keep);
+                let count = kernel::active().filter_count(&parent.words, plane, keep);
                 self.count = count;
                 if count <= sparse_budget(universe) {
                     self.repr = SetRepr::Sparse;
                     self.indices.clear();
-                    kernel.filter_indices(&parent.words, plane, keep, &mut self.indices);
+                    kernel::active().filter_indices(&parent.words, plane, keep, &mut self.indices);
                 } else {
                     self.repr = SetRepr::Dense;
                     self.words.clear();
                     self.words.resize(parent.words.len(), 0);
-                    kernel.filter_into(&parent.words, plane, keep, &mut self.words);
+                    kernel::active().filter_into(&parent.words, plane, keep, &mut self.words);
                 }
             }
         }

@@ -21,9 +21,8 @@
 //!   consistent-set representation of the exact transcript walks (dense
 //!   word masks that demote to sorted index lists at low occupancy);
 //! * [`kernel`] — the word-loop kernel layer: every `u64` hot loop
-//!   behind the [`kernel::WordKernel`] trait, with a scalar oracle and
-//!   an AVX2 lane implementation selected once at startup
-//!   (`BCC_KERNEL=scalar|avx2` overrides).
+//!   named by the [`kernel::WordKernel`] trait and implemented once, in
+//!   safe scalar code.
 //!
 //! # Example
 //!
@@ -36,10 +35,7 @@
 //! assert_eq!(bcc_f2::gauss::rank(&m), 4);
 //! ```
 
-// `deny` rather than `forbid`: the kernel module carries the crate's
-// only `unsafe` (stable `std::arch` AVX2 intrinsics behind a
-// feature-detection proof) under a scoped `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod bitvec;
 mod consistent;

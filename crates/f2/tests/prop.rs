@@ -1,6 +1,6 @@
 //! Property-based tests for the F₂ substrate.
 
-use bcc_f2::kernel::{Kernel, WordKernel};
+use bcc_f2::kernel::{Scalar, WordKernel};
 use bcc_f2::subcube::Subcube64;
 use bcc_f2::{gauss, sparse_budget, BitMatrix, BitVec, ConsistentSet};
 use proptest::prelude::*;
@@ -184,20 +184,45 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The kernel layer: every `WordKernel` method pinned bitwise against the
-// scalar oracle. On hosts without AVX2 (or off x86-64) `lane_kernels()`
-// is empty and these properties degenerate to vacuous truths — the
-// `kernel-matrix` CI leg is what guarantees an AVX2 host runs them.
+// The kernel layer: every `WordKernel` method of `Scalar` pinned bitwise
+// against a plain bit-at-a-time reference, so the one word-loop path
+// keeps an oracle that shares none of its word arithmetic.
 // ---------------------------------------------------------------------
 
-/// Every non-scalar kernel the host can run (to be pinned against
-/// [`Kernel::scalar`]).
-fn lane_kernels() -> Vec<Kernel> {
-    Kernel::avx2().into_iter().collect()
+/// Bit `i` of a packed word slice, reading past the end as zero.
+fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
 }
 
-/// Word slices sized 0..=12 so lane bodies (4 words per step), scalar
-/// tails and the empty case all occur.
+/// Sets bit `i` of a packed word slice to `v`.
+fn put(words: &mut [u64], i: usize, v: bool) {
+    let m = 1u64 << (i % 64);
+    if v {
+        words[i / 64] |= m;
+    } else {
+        words[i / 64] &= !m;
+    }
+}
+
+/// The bit indices `i < 64·a.len()` where `a` is set and `plane` reads
+/// `keep` (every set bit when `plane` is `None`).
+fn ones_reference(a: &[u64], plane: Option<(&[u64], bool)>) -> Vec<u32> {
+    (0..a.len() * 64)
+        .filter(|&i| bit(a, i) && plane.is_none_or(|(p, keep)| bit(p, i) == keep))
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// The byte of `key` at `shift`, assembled one bit at a time.
+fn byte_reference(key: u64, shift: u32) -> usize {
+    (0..8)
+        .filter(|&j| bit(&[key], (shift + j) as usize))
+        .map(|j| 1 << j)
+        .sum()
+}
+
+/// Word slices sized 0..=12, so single words, multi-word runs with
+/// mismatched lengths and the empty case all occur.
 fn arb_words() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(any::<u64>(), 0..=12)
 }
@@ -232,31 +257,41 @@ fn concat_reference(a: &BitVec, b: &BitVec) -> BitVec {
 proptest! {
     #[test]
     fn kernel_bulk_ops_match_scalar(a in arb_words(), b in arb_words()) {
-        let s = Kernel::scalar();
-        for k in lane_kernels() {
-            prop_assert_ne!(k.name(), s.name());
-            for op in 0..4usize {
-                let mut want = a.clone();
-                let mut got = a.clone();
-                match op {
-                    0 => { s.and_in_place(&mut want, &b); k.and_in_place(&mut got, &b) }
-                    1 => { s.or_in_place(&mut want, &b); k.or_in_place(&mut got, &b) }
-                    2 => { s.xor_in_place(&mut want, &b); k.xor_in_place(&mut got, &b) }
-                    _ => { s.and_not_in_place(&mut want, &b); k.and_not_in_place(&mut got, &b) }
-                }
-                prop_assert_eq!(&want, &got, "op {} under {}", op, k.name());
+        let common = a.len().min(b.len()) * 64;
+        for op in 0..4usize {
+            let mut want = a.clone();
+            for i in 0..common {
+                let (x, y) = (bit(&a, i), bit(&b, i));
+                put(&mut want, i, match op {
+                    0 => x & y,
+                    1 => x | y,
+                    2 => x ^ y,
+                    _ => x & !y,
+                });
             }
+            let mut got = a.clone();
+            match op {
+                0 => Scalar.and_in_place(&mut got, &b),
+                1 => Scalar.or_in_place(&mut got, &b),
+                2 => Scalar.xor_in_place(&mut got, &b),
+                _ => Scalar.and_not_in_place(&mut got, &b),
+            }
+            prop_assert_eq!(&want, &got, "op {}", op);
         }
     }
 
     #[test]
     fn kernel_counts_and_folds_match_scalar(a in arb_words(), b in arb_words()) {
-        let s = Kernel::scalar();
-        for k in lane_kernels() {
-            prop_assert_eq!(k.count_ones(&a), s.count_ones(&a));
-            prop_assert_eq!(k.dot(&a, &b), s.dot(&a, &b));
-            prop_assert_eq!(k.or_and_fold(&a), s.or_and_fold(&a));
+        prop_assert_eq!(Scalar.count_ones(&a), (0..a.len() * 64).filter(|&i| bit(&a, i)).count());
+        let common = a.len().min(b.len()) * 64;
+        let parity = (0..common).filter(|&i| bit(&a, i) && bit(&b, i)).count() % 2 == 1;
+        prop_assert_eq!(Scalar.dot(&a, &b), parity);
+        let (mut ones, mut zeros) = (0u64, 0u64);
+        for j in 0..64 {
+            put(std::slice::from_mut(&mut ones), j, a.iter().any(|&k| bit(&[k], j)));
+            put(std::slice::from_mut(&mut zeros), j, a.iter().all(|&k| bit(&[k], j)));
         }
+        prop_assert_eq!(Scalar.or_and_fold(&a), (ones, zeros));
     }
 
     #[test]
@@ -265,28 +300,22 @@ proptest! {
         plane in proptest::collection::vec(any::<u64>(), 12),
         keep in any::<bool>(),
     ) {
-        let s = Kernel::scalar();
-        for k in lane_kernels() {
-            prop_assert_eq!(
-                k.filter_count(&a, &plane, keep),
-                s.filter_count(&a, &plane, keep)
-            );
-            let mut want = vec![0u64; a.len()];
-            let mut got = vec![!0u64; a.len()];
-            s.filter_into(&a, &plane, keep, &mut want);
-            k.filter_into(&a, &plane, keep, &mut got);
-            prop_assert_eq!(&want, &got);
-            let mut want_idx = Vec::new();
-            let mut got_idx = Vec::new();
-            s.filter_indices(&a, &plane, keep, &mut want_idx);
-            k.filter_indices(&a, &plane, keep, &mut got_idx);
-            prop_assert_eq!(&want_idx, &got_idx);
-            want_idx.clear();
-            got_idx.clear();
-            s.ones_indices(&a, &mut want_idx);
-            k.ones_indices(&a, &mut got_idx);
-            prop_assert_eq!(&want_idx, &got_idx);
+        let want_idx = ones_reference(&a, Some((&plane, keep)));
+        prop_assert_eq!(Scalar.filter_count(&a, &plane, keep), want_idx.len());
+        let mut want = vec![0u64; a.len()];
+        for &i in &want_idx {
+            put(&mut want, i as usize, true);
         }
+        let mut got = vec![!0u64; a.len()];
+        Scalar.filter_into(&a, &plane, keep, &mut got);
+        prop_assert_eq!(&want, &got);
+        let mut got_idx = vec![7u32];
+        Scalar.filter_indices(&a, &plane, keep, &mut got_idx);
+        prop_assert_eq!(got_idx.remove(0), 7, "appends, keeping existing content");
+        prop_assert_eq!(&want_idx, &got_idx);
+        got_idx.clear();
+        Scalar.ones_indices(&a, &mut got_idx);
+        prop_assert_eq!(&ones_reference(&a, None), &got_idx);
     }
 
     #[test]
@@ -295,28 +324,32 @@ proptest! {
         byte in 0u32..8,
     ) {
         let shift = byte * 8;
-        let s = Kernel::scalar();
-        for k in lane_kernels() {
-            let mut want_hist = [0usize; 256];
-            let mut got_hist = [0usize; 256];
-            s.byte_histogram(&keys, shift, &mut want_hist);
-            k.byte_histogram(&keys, shift, &mut got_hist);
-            prop_assert!(want_hist == got_hist, "histogram under {}", k.name());
-            // Scatter with the offsets a radix pass would derive.
-            let mut offsets = [0usize; 256];
-            let mut sum = 0usize;
-            for (b, o) in offsets.iter_mut().enumerate() {
-                *o = sum;
-                sum += want_hist[b];
-            }
-            let mut want_out = vec![0u64; keys.len()];
-            let mut got_out = vec![!0u64; keys.len()];
-            let mut off2 = offsets;
-            s.byte_scatter(&keys, shift, &mut offsets, &mut want_out);
-            k.byte_scatter(&keys, shift, &mut off2, &mut got_out);
-            prop_assert_eq!(&want_out, &got_out);
-            prop_assert!(offsets == off2, "advanced offsets under {}", k.name());
+        let mut want_hist = [0usize; 256];
+        for &k in &keys {
+            want_hist[byte_reference(k, shift)] += 1;
         }
+        let mut got_hist = [0usize; 256];
+        Scalar.byte_histogram(&keys, shift, &mut got_hist);
+        prop_assert!(want_hist == got_hist, "histogram");
+        // Scatter with the offsets a radix pass would derive: the result
+        // is the stable sort by that byte, and each offset advances by
+        // its bucket's count.
+        let mut offsets = [0usize; 256];
+        let mut sum = 0usize;
+        for (b, o) in offsets.iter_mut().enumerate() {
+            *o = sum;
+            sum += want_hist[b];
+        }
+        let mut want_out = keys.clone();
+        want_out.sort_by_key(|&k| byte_reference(k, shift));
+        let mut want_offsets = offsets;
+        for (o, &h) in want_offsets.iter_mut().zip(&want_hist) {
+            *o += h;
+        }
+        let mut got_out = vec![!0u64; keys.len()];
+        Scalar.byte_scatter(&keys, shift, &mut offsets, &mut got_out);
+        prop_assert_eq!(&want_out, &got_out);
+        prop_assert!(offsets == want_offsets, "advanced offsets");
     }
 
     #[test]
@@ -326,24 +359,27 @@ proptest! {
         out_len in 0usize..12,
         base in arb_words(),
     ) {
-        let s = Kernel::scalar();
-        for k in lane_kernels() {
-            let mut want = vec![!0u64; out_len];
-            let mut got = vec![0u64; out_len];
-            s.extract_shifted(&src, lo_bit, &mut want);
-            k.extract_shifted(&src, lo_bit, &mut got);
-            prop_assert_eq!(&want, &got, "extract at {} under {}", lo_bit, k.name());
-            // or_shifted_into: size the output so every bit fits (its
-            // contract for out-of-range bits requires them to be zero).
-            let bit_offset = lo_bit % 130;
-            let words = src.len() + bit_offset / 64 + 2;
-            let mut want = base.clone();
-            want.resize(words, 0);
-            let mut got = want.clone();
-            s.or_shifted_into(&src, bit_offset, &mut want);
-            k.or_shifted_into(&src, bit_offset, &mut got);
-            prop_assert_eq!(&want, &got, "or-shift at {} under {}", bit_offset, k.name());
+        let mut want = vec![0u64; out_len];
+        for i in 0..out_len * 64 {
+            put(&mut want, i, bit(&src, lo_bit + i));
         }
+        let mut got = vec![!0u64; out_len];
+        Scalar.extract_shifted(&src, lo_bit, &mut got);
+        prop_assert_eq!(&want, &got, "extract at {}", lo_bit);
+        // or_shifted_into: size the output so every bit fits (its
+        // contract for out-of-range bits requires them to be zero).
+        let bit_offset = lo_bit % 130;
+        let words = src.len() + bit_offset / 64 + 2;
+        let mut want = base.clone();
+        want.resize(words, 0);
+        let mut got = want.clone();
+        for i in 0..src.len() * 64 {
+            if bit(&src, i) {
+                put(&mut want, bit_offset + i, true);
+            }
+        }
+        Scalar.or_shifted_into(&src, bit_offset, &mut got);
+        prop_assert_eq!(&want, &got, "or-shift at {}", bit_offset);
     }
 
     #[test]
@@ -357,16 +393,19 @@ proptest! {
     ) {
         let sorted: Vec<u32> = indices.into_iter().collect();
         let parent = ConsistentSet::from_indices(300, &sorted);
-        let scalar = Kernel::scalar();
-        let mut want = ConsistentSet::empty(0);
-        want.assign_filtered_with(&parent, plane_mask.as_words(), keep, &scalar);
-        for k in lane_kernels() {
-            let mut got = ConsistentSet::empty(0);
-            got.assign_filtered_with(&parent, plane_mask.as_words(), keep, &k);
-            prop_assert_eq!(got.repr(), want.repr());
-            prop_assert_eq!(got.count(), want.count());
-            prop_assert!(got.iter().eq(want.iter()), "points differ under {}", k.name());
-        }
+        let want: Vec<usize> = sorted
+            .iter()
+            .map(|&i| i as usize)
+            .filter(|&i| plane_mask.get(i) == keep)
+            .collect();
+        let mut got = ConsistentSet::empty(0);
+        got.assign_filtered(&parent, plane_mask.as_words(), keep);
+        // A sparse parent stays sparse; a dense one demotes exactly when
+        // the child fits the budget.
+        let sparse = parent.is_sparse() || want.len() <= sparse_budget(300);
+        prop_assert_eq!(got.is_sparse(), sparse);
+        prop_assert_eq!(got.count(), want.len());
+        prop_assert!(got.iter().eq(want.iter().copied()), "points differ");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! # bcc-lint — the workspace determinism linter
 //!
 //! Every guarantee this reproduction rests on — parallel == sequential
-//! bitwise, scalar == AVX2 bitwise, obs-on == obs-off, resume == one-shot
-//! — is enforced *dynamically* by differential tests that sample the
-//! behavior space. The hazards behind those guarantees are visible
-//! *statically*: a `HashMap` iterated in a deterministic crate, an
-//! `unsafe` block outside the kernel module, a wall-clock read in a work
-//! path. This crate makes the invariants structural instead of
+//! bitwise, obs-on == obs-off, resume == one-shot — is enforced
+//! *dynamically* by differential tests that sample the behavior space.
+//! The hazards behind those guarantees are visible *statically*: a
+//! `HashMap` iterated in a deterministic crate, an `unsafe` block, a
+//! wall-clock read in a work path. This crate makes the invariants structural instead of
 //! statistical: a purpose-built lexer ([`lexer`]) feeds a rule engine
 //! ([`rules`]) that walks every workspace `.rs` file and reports named
 //! findings ([`report`]). A sibling pass ([`manifests`]) walks every

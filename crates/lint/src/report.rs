@@ -90,8 +90,8 @@ mod tests {
 
     /// `report_json_bytes_are_pinned`'s document.
     const GOLDEN_REPORT: &str = "{\"schema\":\"bcc-lint/v1\",\"root\":\"C:\\\\ws\\\\\\\"q\\\"\",\"files_scanned\":2,\
-     \"findings_total\":1,\"rules\":[{\"name\":\"no-unsafe-outside-kernel\",\
-     \"summary\":\"unsafe code only in crates/f2/src/kernel.rs; every crate root must carry forbid(unsafe_code) (f2: deny + the kernel's scoped allow)\"},\
+     \"findings_total\":1,\"rules\":[{\"name\":\"no-unsafe\",\
+     \"summary\":\"no unsafe code and no allow(unsafe_code) anywhere; every crate root must carry #![forbid(unsafe_code)]\"},\
      {\"name\":\"no-unordered-iteration\",\"summary\":\"HashMap/HashSet (nondeterministic iteration order) banned in the deterministic crates; use BTreeMap/BTreeSet or sorted vecs\"},\
      {\"name\":\"no-wall-clock-in-work-paths\",\"summary\":\"Instant/SystemTime only in bcc-obs wall metrics and bench/example timing code\"},\
      {\"name\":\"no-global-mutable-state\",\"summary\":\"static mut is banned everywhere; interior-mutable statics (Atomic*/Mutex/RwLock/Cell/RefCell/UnsafeCell) only in bcc-obs\"},\

@@ -20,9 +20,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "congest", "core", "f2", "graphs", "lab", "planted", "prg", "stats",
 ];
 
-/// The one file allowed to contain `unsafe` (the AVX2 kernel module).
-const UNSAFE_KERNEL: &str = "crates/f2/src/kernel.rs";
-
 /// Identity and documentation of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
@@ -35,8 +32,8 @@ pub struct RuleInfo {
 /// All determinism rules, in report order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "no-unsafe-outside-kernel",
-        summary: "unsafe code only in crates/f2/src/kernel.rs; every crate root must carry forbid(unsafe_code) (f2: deny + the kernel's scoped allow)",
+        name: "no-unsafe",
+        summary: "no unsafe code and no allow(unsafe_code) anywhere; every crate root must carry #![forbid(unsafe_code)]",
     },
     RuleInfo {
         name: "no-unordered-iteration",
@@ -338,52 +335,31 @@ fn idents(ctx: &FileContext) -> impl Iterator<Item = (usize, &Token)> {
         .filter(|(_, t)| t.kind == TokenKind::Ident)
 }
 
-/// `no-unsafe-outside-kernel`.
+/// `no-unsafe`.
 fn rule_unsafe(ctx: &FileContext, out: &mut Vec<Finding>) {
-    const RULE: &str = "no-unsafe-outside-kernel";
-    if ctx.rel != UNSAFE_KERNEL {
-        for (i, t) in idents(ctx) {
-            if t.text == "unsafe" {
-                out.push(ctx.finding(
-                    RULE,
-                    t,
-                    format!("`unsafe` outside {UNSAFE_KERNEL}; the kernel module owns all of it"),
-                ));
-            }
-            // A scoped allow(unsafe_code) re-opens the door the crate
-            // roots close; only the kernel module may carry one.
-            if t.text == "allow" && attr_args_contain(ctx, i, "unsafe_code") {
-                out.push(ctx.finding(
-                    RULE,
-                    t,
-                    format!("allow(unsafe_code) outside {UNSAFE_KERNEL}"),
-                ));
-            }
+    const RULE: &str = "no-unsafe";
+    for (i, t) in idents(ctx) {
+        if t.text == "unsafe" {
+            out.push(ctx.finding(RULE, t, "`unsafe` code".to_string()));
+        }
+        // A scoped allow(unsafe_code) re-opens the door the crate roots
+        // close.
+        if t.text == "allow" && attr_args_contain(ctx, i, "unsafe_code") {
+            out.push(ctx.finding(RULE, t, "allow(unsafe_code)".to_string()));
         }
     }
-    if ctx.is_crate_root {
-        let lvl = crate_root_unsafe_level(ctx);
-        let ok = match lvl {
-            Some("forbid") => true,
-            // The documented exception: f2 must use deny so kernel.rs can
-            // scope-allow; anywhere else deny is a drift from forbid.
-            Some("deny") => ctx.rel == "crates/f2/src/lib.rs",
-            _ => false,
+    if ctx.is_crate_root && !crate_root_forbids_unsafe(ctx) {
+        let anchor = Token {
+            kind: TokenKind::Punct,
+            text: String::new(),
+            line: 1,
+            col: 1,
         };
-        if !ok {
-            let anchor = Token {
-                kind: TokenKind::Punct,
-                text: String::new(),
-                line: 1,
-                col: 1,
-            };
-            let want = if ctx.rel == "crates/f2/src/lib.rs" {
-                "#![deny(unsafe_code)]"
-            } else {
-                "#![forbid(unsafe_code)]"
-            };
-            out.push(ctx.finding(RULE, &anchor, format!("crate root missing {want}")));
-        }
+        out.push(ctx.finding(
+            RULE,
+            &anchor,
+            "crate root missing #![forbid(unsafe_code)]".to_string(),
+        ));
     }
 }
 
@@ -411,22 +387,17 @@ fn attr_args_contain(ctx: &FileContext, i: usize, needle: &str) -> bool {
     false
 }
 
-/// The level of the crate root's `#![…(unsafe_code)]` inner attribute,
-/// if present: `Some("forbid")`, `Some("deny")`, etc.
-fn crate_root_unsafe_level(ctx: &FileContext) -> Option<&'static str> {
+/// Whether the crate root carries the inner attribute
+/// `#![forbid(unsafe_code)]`.
+fn crate_root_forbids_unsafe(ctx: &FileContext) -> bool {
     let toks = &ctx.tokens;
-    for i in 0..toks.len().saturating_sub(2) {
-        if toks[i].text == "#" && toks[i + 1].text == "!" && toks[i + 2].text == "[" {
-            if let Some(lvl) = toks.get(i + 3) {
-                for level in ["forbid", "deny"] {
-                    if lvl.text == level && attr_args_contain(ctx, i + 3, "unsafe_code") {
-                        return Some(level);
-                    }
-                }
-            }
-        }
-    }
-    None
+    (0..toks.len().saturating_sub(3)).any(|i| {
+        toks[i].text == "#"
+            && toks[i + 1].text == "!"
+            && toks[i + 2].text == "["
+            && toks[i + 3].text == "forbid"
+            && attr_args_contain(ctx, i + 3, "unsafe_code")
+    })
 }
 
 /// `no-unordered-iteration`.
@@ -728,7 +699,7 @@ mod tests {
             "#![forbid(unsafe_code)]\npub mod x;"
         )
         .is_empty());
-        // deny is reserved for f2's documented kernel carve-out.
+        // deny is a drift from forbid in every crate root.
         assert_eq!(
             run(
                 "crates/graphs/src/lib.rs",
@@ -737,16 +708,32 @@ mod tests {
             .len(),
             1
         );
-        assert!(run("crates/f2/src/lib.rs", "#![deny(unsafe_code)]\npub mod x;").is_empty());
     }
 
     #[test]
-    fn scoped_allow_unsafe_only_in_kernel() {
+    fn deny_unsafe_in_the_f2_root_is_a_finding() {
+        let fs = run("crates/f2/src/lib.rs", "#![deny(unsafe_code)]\npub mod x;");
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].rule, "no-unsafe");
+        assert!(fs[0].message.contains("forbid(unsafe_code)"));
+    }
+
+    #[test]
+    fn unsafe_in_the_f2_kernel_is_a_finding() {
+        let src = "pub fn f(xs: &[u64]) -> u64 { unsafe { *xs.get_unchecked(0) } }";
+        let fs = run("crates/f2/src/kernel.rs", src);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].rule, "no-unsafe");
+    }
+
+    #[test]
+    fn scoped_allow_unsafe_is_a_finding() {
         let src = "#![allow(unsafe_code)]\npub fn f() {}";
-        let fs = run("crates/core/src/word.rs", src);
-        assert_eq!(fs.len(), 1);
-        assert!(fs[0].message.contains("allow(unsafe_code)"));
-        assert!(run("crates/f2/src/kernel.rs", src).is_empty());
+        for path in ["crates/core/src/word.rs", "crates/f2/src/kernel.rs"] {
+            let fs = run(path, src);
+            assert_eq!(fs.len(), 1, "{path}: {fs:?}");
+            assert!(fs[0].message.contains("allow(unsafe_code)"));
+        }
     }
 
     #[test]

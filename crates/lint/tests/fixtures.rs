@@ -22,7 +22,7 @@ use bcc_lint::{lint_manifest, lint_source, Finding, MANIFEST_RULES, RULES};
 /// lives exactly where the real hazard would: library source of a
 /// deterministic crate.
 const FIXTURES: &[(&str, &str)] = &[
-    ("no-unsafe-outside-kernel", "crates/graphs/src/scratch.rs"),
+    ("no-unsafe", "crates/graphs/src/scratch.rs"),
     ("no-unordered-iteration", "crates/core/src/scratch.rs"),
     ("no-wall-clock-in-work-paths", "crates/lab/src/scratch.rs"),
     ("no-global-mutable-state", "crates/core/src/scratch.rs"),

@@ -13,8 +13,8 @@
 //!    loops (exact-walk nodes, live points priced, keys radix-sorted
 //!    and merged, kernel words processed, samples drawn) are counted as
 //!    integer totals that commute under any schedule, so the totals are
-//!    identical across `RAYON_NUM_THREADS` and `BCC_KERNEL` values —
-//!    which makes them a correctness oracle, not just a dashboard.
+//!    identical across `RAYON_NUM_THREADS` values — which makes them a
+//!    correctness oracle, not just a dashboard.
 //!
 //! The layer has three parts:
 //!
@@ -501,7 +501,7 @@ pub struct Snapshot {
     pub series: Vec<(String, Class, Vec<u64>)>,
     /// Span duration histograms (µs).
     pub spans: Vec<(String, HistSummary)>,
-    /// Free-form notes (kernel dispatch choice, ...).
+    /// Free-form string notes (`Registry::note`).
     pub notes: Vec<(String, String)>,
 }
 
