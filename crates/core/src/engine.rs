@@ -35,8 +35,9 @@
 //! zero-allocation workspace, the frontier cut at the adaptive
 //! [`crate::walk::adaptive_split_depth`], the deterministic
 //! in-frontier-order reduction that makes [`ExecMode::Parallel`] bitwise
-//! identical to [`ExecMode::Sequential`] — lives in [`crate::walk`]; the
-//! `2^w`-message alphabet it branches over lives in [`crate::wide`].
+//! identical to [`ExecMode::Sequential`] — lives in [`crate::walk`],
+//! which queries the protocol's [`WideTurnProtocol::message`] directly;
+//! the node budget it is priced against lives in [`crate::wide`].
 //! The walk's front door is [`crate::exec::ExactEstimator`], which runs
 //! it in the chosen [`ExecMode`] and returns a [`DepthProfile`] tagged
 //! [`Provenance::Exact`] — built by this module's `assemble`, the one
@@ -49,7 +50,7 @@ use bcc_congest::wide::WideTurnProtocol;
 use crate::exec::{DepthProfile, Provenance};
 use crate::input::ProductInput;
 use crate::walk::{reference, WalkOutcome};
-use crate::wide::{validate_budget, WideBranching};
+use crate::wide::validate_budget;
 
 pub use crate::walk::{ExecMode, FRACTION_THRESHOLDS, SPLIT_DEPTH};
 
@@ -66,12 +67,14 @@ pub struct SpeakerStats {
 }
 
 /// The exact walk of a decomposition family `{A_I}` against a baseline,
-/// computed by the retained **seed** walk ([`crate::walk::reference`]):
-/// per-node protocol evaluation for every distribution, per-node mask
-/// allocation, no hybrid sets. Exists as the differential-testing oracle
-/// and the before-side of the hot-path benchmarks; results are bitwise
-/// identical to [`ExactEstimator`](crate::exec::ExactEstimator)'s
-/// optimized walk (property-tested).
+/// computed by the retained **seed** walk (the crate-private
+/// `walk::reference` module, which queries
+/// [`WideTurnProtocol::message`] directly): per-node protocol evaluation
+/// for every distribution, per-node mask allocation, no hybrid sets.
+/// Exists as the differential-testing oracle and the before-side of the
+/// hot-path benchmarks; results are bitwise identical to
+/// [`ExactEstimator`](crate::exec::ExactEstimator)'s optimized walk
+/// (property-tested).
 ///
 /// # Panics
 ///
@@ -87,7 +90,7 @@ pub fn exact_mixture_comparison_reference<P: WideTurnProtocol + Sync + ?Sized>(
     mode: ExecMode,
 ) -> DepthProfile {
     validate_budget(protocol);
-    let acc = reference::exact_walk(&WideBranching { protocol }, members, baseline, mode);
+    let acc = reference::exact_walk(protocol, members, baseline, mode);
     assemble(protocol, acc)
 }
 

@@ -51,10 +51,10 @@ use crate::engine::{assemble, SpeakerStats};
 use crate::input::ProductInput;
 use crate::sample::{
     check_key_packing, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
-    radix_sort_u64, sorted_depth_stats, sorted_support_union, sorted_tv_at_depth,
+    radix_sort_u64, sorted_depth_stats, sorted_tv_at_depth,
 };
 use crate::walk::exact_walk;
-use crate::wide::{validate_budget, WideBranching};
+use crate::wide::validate_budget;
 
 pub use crate::engine::ExecMode;
 pub use bcc_stats::smoothing::TvEstimator;
@@ -420,12 +420,9 @@ impl Estimator for ExactEstimator {
             horizon,
         };
         validate_budget(&truncated);
-        let branching = WideBranching {
-            protocol: &truncated,
-        };
         assemble(
             &truncated,
-            exact_walk(&branching, members, baseline, self.mode),
+            exact_walk(&truncated, members, baseline, self.mode),
         )
     }
 }
@@ -630,11 +627,10 @@ pub(crate) fn profile_from_sorted_sides(
             )
         })
         .collect();
-    let support_seen = sorted_support_union(mixture_keys, base_keys);
     // Unused low key bits are zero, so the deepest entry of the
-    // per-depth walk equals the full-key union above.
+    // per-depth walk is the full-key union support.
     let depth_stats = sorted_depth_stats(mixture_keys, base_keys, horizon, bits_per_turn);
-    debug_assert_eq!(*depth_stats.support.last().expect("depth 0"), support_seen);
+    let support_seen = *depth_stats.support.last().expect("depth 0");
 
     DepthProfile {
         horizon,

@@ -244,29 +244,6 @@ pub(crate) fn sorted_tv_at_depth(
     total / 2.0
 }
 
-/// The number of distinct full-depth keys in the union of two sorted
-/// arrays.
-pub(crate) fn sorted_support_union(a: &[u64], b: &[u64]) -> usize {
-    let mut count = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let key = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => unreachable!("loop condition"),
-        };
-        count += 1;
-        while i < a.len() && a[i] == key {
-            i += 1;
-        }
-        while j < b.len() && b[j] == key {
-            j += 1;
-        }
-    }
-    count
-}
-
 /// Per-depth resolution statistics over the union of two sorted key
 /// arrays: one entry per prefix depth `0..=horizon`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -284,8 +261,8 @@ pub(crate) struct DepthStats {
 /// for `t in 0..=horizon`, collecting the union support and the combined
 /// singleton counts that drive the depth-resolved noise floors and the
 /// Good–Turing smoothing correction. At depth 0 every key falls in one
-/// group; unused low key bits are zero, so the deepest entry equals the
-/// full-key [`sorted_support_union`].
+/// group; unused low key bits are zero, so the deepest entry is the
+/// number of distinct full keys in the union.
 pub(crate) fn sorted_depth_stats(
     a: &[u64],
     b: &[u64],
@@ -417,6 +394,14 @@ mod tests {
         }
     }
 
+    /// The number of distinct keys in `a ∪ b`, counted the obvious way.
+    fn naive_union_support(a: &[u64], b: &[u64]) -> usize {
+        a.iter()
+            .chain(b)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+    }
+
     #[test]
     fn sampled_matches_exact_on_small_instance() {
         let p = FnProtocol::new(2, 3, 4, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
@@ -468,7 +453,7 @@ mod tests {
         assert_eq!(stats.singletons_a, vec![0, 0, 1]);
         assert_eq!(stats.singletons_b, vec![0, 0, 1]);
         // The deepest support equals the full-key union.
-        assert_eq!(stats.support[2], sorted_support_union(&a, &b));
+        assert_eq!(stats.support[2], naive_union_support(&a, &b));
     }
 
     #[test]
@@ -520,8 +505,12 @@ mod tests {
         assert!((sorted_tv_at_depth(&a, &b, w, w, 2) - 1.0).abs() < 1e-12);
         assert!(sorted_tv_at_depth(&a, &b, w, w, 0).abs() < 1e-12);
         assert!(sorted_tv_at_depth(&a, &a, w, w, 2).abs() < 1e-12);
-        assert_eq!(sorted_support_union(&a, &b), 4);
-        assert_eq!(sorted_support_union(&a, &a), 2);
+        // The deepest support (what `support_seen` reports) is the
+        // full-key union.
+        let deepest =
+            |x: &[u64], y: &[u64]| *sorted_depth_stats(x, y, 2, 1).support.last().unwrap();
+        assert_eq!(deepest(&a, &b), naive_union_support(&a, &b));
+        assert_eq!(deepest(&a, &a), naive_union_support(&a, &a));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! that row's support points, splits the speaker's set on the broadcast
 //! label at each node, and weights each child by the surviving fraction.
 //! The only protocol-specific ingredient is how a support point maps to
-//! the label it broadcasts — the [`Branching`] trait — and
-//! [`exact_walk`] is the walk itself, written once.
+//! the message it broadcasts — [`WideTurnProtocol::message`] — and
+//! `exact_walk` is the walk itself, written once.
 //!
 //! # The hot path, layer by layer
 //!
@@ -19,12 +19,14 @@
 //!    `(speaker, support row)` — not once per distribution. Rows are
 //!    grouped by `Arc` identity (see [`crate::input::ProductInput`]'s
 //!    shared rows), the protocol is queried over the *union* of the
-//!    group's live points via [`Branching::eval_labels`], and the
+//!    group's live points via [`WideTurnProtocol::message`], and the
 //!    resulting label table is shared by every distribution in the
-//!    group. At width 1 ([`Branching::binary`]) the table becomes a
-//!    packed bit plane and each distribution's split is two
-//!    word-parallel `AND`s; at wider widths it is a per-point message
-//!    table and each split is one bucketing pass over the live set.
+//!    group. At width 1 the table becomes a packed bit plane and each
+//!    distribution's split is two word-parallel `AND`s; at wider widths
+//!    it is a per-point message table and each split is one bucketing
+//!    pass over the live set. The walk checks each message against the
+//!    width, so a protocol that answers wider than it declares panics
+//!    instead of being silently misread.
 //! 2. **Pooled mask workspace.** Child sets live in per-depth slot
 //!    pools that are reused across sibling nodes, the walk swaps them
 //!    into the alive state for the duration of a subtree (one
@@ -40,14 +42,16 @@
 //!    what is alive.
 //!
 //! The walk is bitwise identical to the seed implementation, which is
-//! retained verbatim in [`mod@reference`] as the differential-testing
-//! oracle (see `crates/core/tests/prop.rs`).
+//! retained in the crate-private `reference` module as the
+//! differential-testing oracle, reachable through
+//! [`exact_mixture_comparison_reference`](crate::engine::exact_mixture_comparison_reference)
+//! (see `crates/core/tests/prop.rs`).
 //!
 //! # Execution strategy
 //!
 //! For parallelism the tree is cut at a frontier depth
-//! ([`Branching::split_depth`]): the prefix above the frontier is walked
-//! sequentially, every live frontier node becomes an independent subtree
+//! ([`adaptive_split_depth`] at the protocol's width): the prefix above
+//! the frontier is walked sequentially, every live frontier node becomes an independent subtree
 //! task (the mixture distance needs all members' probabilities *per
 //! node*, so fanning out over subtrees — not just over family members —
 //! is what parallelizes the whole computation), and task results are
@@ -67,13 +71,14 @@
 //! machines at equal thread counts (pin `RAYON_NUM_THREADS` to compare
 //! across different hardware).
 
+use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 use bcc_f2::kernel::{self, WordKernel};
 use bcc_f2::ConsistentSet;
 use rayon::prelude::*;
 
 use crate::input::{ProductInput, RowSupport};
 
-pub mod reference;
+pub(crate) mod reference;
 
 /// Consistent-set-size thresholds tracked per turn: entry `j` is the
 /// baseline probability that the speaker's surviving support fraction is
@@ -119,11 +124,10 @@ pub fn split_depth_for_threads(threads: usize, width: u32) -> u32 {
 /// The frontier depth adapted to the current rayon pool:
 /// [`split_depth_for_threads`] at [`rayon::current_num_threads`].
 ///
-/// The engine derives its [`Branching::split_depth`] from this at the
-/// protocol's width. Parallel and
-/// sequential runs inside one process always agree bitwise; to compare
-/// exact outputs across machines with different core counts, pin
-/// `RAYON_NUM_THREADS`.
+/// The exact walk cuts its frontier at this depth for the protocol's
+/// width. Parallel and sequential runs inside one process always agree
+/// bitwise; to compare exact outputs across machines with different core
+/// counts, pin `RAYON_NUM_THREADS`.
 pub fn adaptive_split_depth(width: u32) -> u32 {
     split_depth_for_threads(rayon::current_num_threads(), width)
 }
@@ -140,70 +144,10 @@ pub enum ExecMode {
     Sequential,
 }
 
-/// A turn protocol viewed as a branching process over transcript
-/// prefixes: the per-model half of an exact walk.
-///
-/// The model's entire job is [`Branching::eval_labels`]: mapping support
-/// points to the labels they broadcast after a prefix. The walk core
-/// owns everything else — alive-set state, label planes, partitioning,
-/// the frontier cut — so the per-point protocol query is issued exactly
-/// once per `(speaker row, live union point)` per node, deduplicated
-/// across distributions that share the row.
-pub trait Branching: Sync {
-    /// The transcript-prefix state threaded down the walk.
-    type Prefix: Clone + Send + Sync;
-
-    /// The number of processors.
-    fn n(&self) -> usize;
-
-    /// Input bits per processor.
-    fn input_bits(&self) -> u32;
-
-    /// The number of turns.
-    fn horizon(&self) -> u32;
-
-    /// The processor speaking at turn `t`.
-    fn speaker(&self, t: u32) -> usize;
-
-    /// The depth of the frontier cut. Must not depend on thread
-    /// scheduling (both execution modes of one walk must cut the same
-    /// frontier); deriving it from the pool size via
-    /// [`adaptive_split_depth`] is the expected implementation.
-    fn split_depth(&self) -> u32;
-
-    /// Whether every label is `0` or `1`. Binary branchings get the
-    /// packed-bit-plane fast path (word-parallel dense splits).
-    fn binary(&self) -> bool {
-        false
-    }
-
-    /// The empty prefix.
-    fn root(&self) -> Self::Prefix;
-
-    /// `prefix` extended by the branch label `label`.
-    fn extend(&self, prefix: &Self::Prefix, label: u64) -> Self::Prefix;
-
-    /// Appends to `out`, for each listed live point (`live` holds
-    /// ascending indices into `points`), the label the speaker
-    /// broadcasts after `prefix` — one `u64` per index, in order.
-    ///
-    /// This is the only protocol query the walk makes, and it is made
-    /// once per shared support row per node; implementations should be
-    /// a straight table-building scan.
-    fn eval_labels(
-        &self,
-        speaker: usize,
-        points: &[u64],
-        live: &[u32],
-        prefix: &Self::Prefix,
-        out: &mut Vec<u64>,
-    );
-}
-
 /// The raw accumulators of one exact walk, before the engine assembles
 /// them into an exact [`DepthProfile`](crate::exec::DepthProfile).
 #[derive(Debug, Clone)]
-pub struct WalkOutcome {
+pub(crate) struct WalkOutcome {
     /// `‖ avg_I P_I^{(t)} − P_base^{(t)} ‖` for `t = 0 ..= horizon`.
     pub mixture_tv_by_depth: Vec<f64>,
     /// `L_progress^{(t)} = E_I ‖P_I^{(t)} − P_base^{(t)}‖`.
@@ -247,47 +191,49 @@ impl WalkOutcome {
     }
 }
 
-/// Exact mixture-vs-baseline walk of `branching`: the full §3 framework
+/// Exact mixture-vs-baseline walk of `protocol`: the full §3 framework
 /// computation.
 ///
 /// # Panics
 ///
-/// Panics if `members` is empty or the processor counts / input widths
-/// disagree with the protocol. Node-budget limits are the caller's to
-/// enforce (the walk itself visits only live nodes).
-pub fn exact_walk<B: Branching + ?Sized>(
-    branching: &B,
+/// Panics if `members` is empty, the processor counts / input widths
+/// disagree with the protocol, or the protocol broadcasts a message
+/// wider than its width. Node-budget limits are the caller's to enforce
+/// (the walk itself visits only live nodes).
+pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
+    protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
     mode: ExecMode,
 ) -> WalkOutcome {
     assert!(!members.is_empty(), "need at least one family member");
-    let n = branching.n();
+    let n = protocol.n();
     for input in members.iter().chain(std::iter::once(baseline)) {
         assert_eq!(input.n(), n, "processor count mismatch");
         for row in input.iter_rows() {
-            assert_eq!(row.bits(), branching.input_bits(), "input width mismatch");
+            assert_eq!(row.bits(), protocol.input_bits(), "input width mismatch");
         }
     }
 
     let m = members.len();
-    let horizon = branching.horizon();
-    let split = branching.split_depth().min(horizon);
+    let horizon = protocol.horizon();
+    let width = protocol.width();
+    let split = adaptive_split_depth(width).min(horizon);
     // Rows that can differ from full at the frontier: exactly the
     // speakers of the turns above it. Frontier snapshots clone only
     // these; tasks reconstruct the rest as full sets.
-    let mut touched: Vec<usize> = (0..split).map(|t| branching.speaker(t)).collect();
+    let mut touched: Vec<usize> = (0..split).map(|t| protocol.speaker(t)).collect();
     touched.sort_unstable();
     touched.dedup();
     let ctx = Ctx {
-        branching,
+        protocol,
         members,
         baseline,
         horizon,
         split,
         n,
         m,
-        binary: branching.binary(),
+        width,
         groups: row_groups(members, baseline),
         touched,
     };
@@ -314,7 +260,7 @@ pub fn exact_walk<B: Branching + ?Sized>(
     walk(
         &ctx,
         0,
-        branching.root(),
+        WideTranscript::empty(width),
         &mut state,
         &probs,
         1.0,
@@ -342,7 +288,7 @@ pub fn exact_walk<B: Branching + ?Sized>(
         ExecMode::Parallel => {
             let workers = rayon::current_num_threads().max(1);
             let chunk_len = frontier.len().div_ceil(workers * 4).max(1);
-            let chunks: Vec<Vec<SubtreeTask<B::Prefix>>> = {
+            let chunks: Vec<Vec<SubtreeTask>> = {
                 let mut chunks = Vec::with_capacity(frontier.len().div_ceil(chunk_len));
                 let mut it = frontier.into_iter();
                 loop {
@@ -422,15 +368,17 @@ fn row_groups(members: &[ProductInput], baseline: &ProductInput) -> Vec<Vec<RowG
 }
 
 /// Shared read-only context of one exact walk.
-struct Ctx<'a, B: ?Sized> {
-    branching: &'a B,
+struct Ctx<'a, P: ?Sized> {
+    protocol: &'a P,
     members: &'a [ProductInput],
     baseline: &'a ProductInput,
     horizon: u32,
     split: u32,
     n: usize,
     m: usize,
-    binary: bool,
+    /// The message width: every label is below `2^width`, and a width-1
+    /// alphabet `{0, 1}` splits on a packed bit plane.
+    width: u32,
     /// Per row: distributions grouped by shared support allocation.
     groups: Vec<Vec<RowGroup>>,
     /// Rows spoken above the frontier, ascending: the only rows whose
@@ -438,7 +386,7 @@ struct Ctx<'a, B: ?Sized> {
     touched: Vec<usize>,
 }
 
-impl<B: ?Sized> Ctx<'_, B> {
+impl<P: ?Sized> Ctx<'_, P> {
     /// Distribution `d`'s support of processor `row` (`d` dist-major:
     /// 0 = baseline).
     fn row(&self, d: usize, row: usize) -> &RowSupport {
@@ -460,8 +408,8 @@ impl<B: ?Sized> Ctx<'_, B> {
 /// (`Ctx::touched`) are cloned — every other row is still full and is
 /// reconstructed by [`run_task`] — and sparse rows copy only their live
 /// indices.
-struct SubtreeTask<Pfx> {
-    prefix: Pfx,
+struct SubtreeTask {
+    prefix: WideTranscript,
     /// `touched.len()` sets per distribution, dist-major, rows in
     /// `Ctx::touched` order.
     touched_state: Vec<ConsistentSet>,
@@ -469,9 +417,9 @@ struct SubtreeTask<Pfx> {
     prob_base: f64,
 }
 
-fn run_task<B: Branching + ?Sized>(
-    ctx: &Ctx<'_, B>,
-    task: SubtreeTask<B::Prefix>,
+fn run_task<P: WideTurnProtocol + ?Sized>(
+    ctx: &Ctx<'_, P>,
+    task: SubtreeTask,
     ws: &mut Workspace,
 ) -> WalkOutcome {
     let mut acc = WalkOutcome::zeros(ctx.horizon as usize, ctx.m);
@@ -515,13 +463,13 @@ struct NodeScratch {
     union_idx: Vec<u32>,
     /// Word buffer for dense unions.
     union_words: Vec<u64>,
-    /// Labels parallel to `union_idx` (via [`Branching::eval_labels`]).
+    /// Labels parallel to `union_idx` (the speaker's messages).
     labels: Vec<u64>,
-    /// Packed bit plane (binary branchings, dense groups).
+    /// Packed bit plane (width 1, dense groups).
     plane: Vec<u64>,
     /// Per-point label table indexed by absolute point index; only
     /// entries at the current group's union-live points are valid.
-    /// (Binary all-sparse groups only; non-binary groups use
+    /// (Width-1 all-sparse groups only; wider groups use
     /// `point_rank`.)
     point_label: Vec<u64>,
     /// Per-point label *rank* (index into `group_labels`) by absolute
@@ -532,16 +480,15 @@ struct NodeScratch {
     /// Distinct labels of the current group, ascending: the bucket keys
     /// of the non-binary split.
     group_labels: Vec<u64>,
-    /// Epoch-marked presence table over label values below
-    /// [`RANK_DIRECT_MAX`]: `mark[label] == epoch` iff the label was
-    /// seen in the current group (never cleared — the epoch bump
-    /// invalidates the whole table in O(1)).
+    /// Epoch-marked presence table over label values: `mark[label] ==
+    /// epoch` iff the label was seen in the current group (never cleared
+    /// — the epoch bump invalidates the whole table in O(1)).
     mark: Vec<u64>,
     /// The current `mark` epoch.
     epoch: u64,
-    /// `rank[label] = index into group_labels`, for labels below
-    /// [`RANK_DIRECT_MAX`]; only entries at the current group's distinct
-    /// labels are valid (never cleared — stale slots are never read).
+    /// `rank[label] = index into group_labels`; only entries at the
+    /// current group's distinct labels are valid (never cleared — stale
+    /// slots are never read).
     rank: Vec<u32>,
     /// Per-rank live count of the distribution being split.
     counts: Vec<u32>,
@@ -549,23 +496,6 @@ struct NodeScratch {
     slot_of_rank: Vec<u32>,
     /// Label-union scratch.
     all_labels: Vec<u64>,
-}
-
-/// Labels below this get a direct-indexed rank table; wider labels fall
-/// back to binary search over the group's distinct list. `BCAST(w)`
-/// messages have `w <= 16`, so the engine always takes the direct path.
-const RANK_DIRECT_MAX: u64 = 1 << 16;
-
-/// The rank of `label` among the group's distinct labels.
-#[inline]
-fn label_rank(direct: bool, rank: &[u32], group_labels: &[u64], label: u64) -> usize {
-    if direct {
-        rank[label as usize] as usize
-    } else {
-        group_labels
-            .binary_search(&label)
-            .expect("every live point's label is in the group's distinct set")
-    }
 }
 
 /// Per-depth pooled scratch: child-set slots and the per-node tables
@@ -674,10 +604,10 @@ impl Workspace {
 /// Builds the node's children — the per-label, per-distribution child
 /// sets of the speaker's alive sets — into `scratch`, evaluating the
 /// protocol once per shared support row over the union of live points.
-fn build_children<B: Branching + ?Sized>(
-    ctx: &Ctx<'_, B>,
+fn build_children<P: WideTurnProtocol + ?Sized>(
+    ctx: &Ctx<'_, P>,
     speaker: usize,
-    prefix: &B::Prefix,
+    prefix: &WideTranscript,
     state: &[ConsistentSet],
     node: &mut NodeScratch,
     scratch: &mut DepthScratch,
@@ -732,13 +662,21 @@ fn build_children<B: Branching + ?Sized>(
             continue;
         }
 
-        // One protocol evaluation pass for the whole group.
+        // One protocol evaluation pass for the whole group. The width
+        // check keeps every label inside the alphabet the splits below
+        // index by: the bit plane at width 1, the direct label tables
+        // (below 2^16) at wider widths.
         node.labels.clear();
-        ctx.branching
-            .eval_labels(speaker, points, &node.union_idx, prefix, &mut node.labels);
-        debug_assert_eq!(node.labels.len(), node.union_idx.len());
+        let mut seen = 0u64;
+        node.labels.extend(node.union_idx.iter().map(|&i| {
+            let label = ctx.protocol.message(speaker, points[i as usize], prefix);
+            seen |= label;
+            label
+        }));
+        let width = ctx.width;
+        assert!(seen >> width == 0, "message exceeds {width} bits");
 
-        if ctx.binary && !all_sparse {
+        if width == 1 && !all_sparse {
             // Bit-plane fast path: dense splits are word-parallel ANDs.
             node.plane.clear();
             node.plane.resize(words, 0);
@@ -766,7 +704,7 @@ fn build_children<B: Branching + ?Sized>(
                     }
                 }
             }
-        } else if ctx.binary {
+        } else if width == 1 {
             // All-sparse binary group: fill the 0/1 label table and run
             // two cheap filter passes per distribution.
             if node.point_label.len() < points.len() {
@@ -800,43 +738,36 @@ fn build_children<B: Branching + ?Sized>(
             // Non-binary split: rank every union point's label among
             // the group's distinct labels once, then each
             // distribution's split is two O(live) counting passes over
-            // direct array reads — no per-node sort anywhere.
+            // direct array reads — no per-node sort anywhere. Distinct
+            // labels come from the epoch-marked presence table: O(union)
+            // to collect, then only the (tiny) distinct list is sorted.
+            // Labels are below 2^width <= 2^16, so both tables index
+            // them directly.
             node.group_labels.clear();
-            let small = node.labels.iter().all(|&l| l < RANK_DIRECT_MAX);
-            if small {
-                // Distinct labels via the epoch-marked presence table:
-                // O(union) to collect, then only the (tiny) distinct
-                // list is sorted.
-                node.epoch += 1;
-                for &label in &node.labels {
-                    let li = label as usize;
-                    if node.mark.len() <= li {
-                        node.mark.resize(li + 1, 0);
-                    }
-                    if node.mark[li] != node.epoch {
-                        node.mark[li] = node.epoch;
-                        node.group_labels.push(label);
-                    }
+            node.epoch += 1;
+            for &label in &node.labels {
+                let li = label as usize;
+                if node.mark.len() <= li {
+                    node.mark.resize(li + 1, 0);
                 }
-                node.group_labels.sort_unstable();
-                let max_label = *node.group_labels.last().expect("union is non-empty");
-                if node.rank.len() <= max_label as usize {
-                    node.rank.resize(max_label as usize + 1, 0);
+                if node.mark[li] != node.epoch {
+                    node.mark[li] = node.epoch;
+                    node.group_labels.push(label);
                 }
-                for (r, &label) in node.group_labels.iter().enumerate() {
-                    node.rank[label as usize] = r as u32;
-                }
-            } else {
-                node.group_labels.extend_from_slice(&node.labels);
-                node.group_labels.sort_unstable();
-                node.group_labels.dedup();
+            }
+            node.group_labels.sort_unstable();
+            let max_label = *node.group_labels.last().expect("union is non-empty");
+            if node.rank.len() <= max_label as usize {
+                node.rank.resize(max_label as usize + 1, 0);
+            }
+            for (r, &label) in node.group_labels.iter().enumerate() {
+                node.rank[label as usize] = r as u32;
             }
             if node.point_rank.len() < points.len() {
                 node.point_rank.resize(points.len(), 0);
             }
             for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-                node.point_rank[i as usize] =
-                    label_rank(small, &node.rank, &node.group_labels, label) as u32;
+                node.point_rank[i as usize] = node.rank[label as usize];
             }
             for &d in &group.dists {
                 let parent = &state[ctx.state_idx(d, speaker)];
@@ -921,15 +852,15 @@ fn build_children<B: Branching + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn walk<B: Branching + ?Sized>(
-    ctx: &Ctx<'_, B>,
+fn walk<P: WideTurnProtocol + ?Sized>(
+    ctx: &Ctx<'_, P>,
     depth: u32,
-    prefix: B::Prefix,
+    prefix: WideTranscript,
     state: &mut Vec<ConsistentSet>,
     probs: &[f64],
     prob_base: f64,
     acc: &mut WalkOutcome,
-    mut frontier: Option<&mut Vec<SubtreeTask<B::Prefix>>>,
+    mut frontier: Option<&mut Vec<SubtreeTask>>,
     ws: &mut Workspace,
 ) {
     let t = depth as usize;
@@ -976,7 +907,7 @@ fn walk<B: Branching + ?Sized>(
         return;
     }
 
-    let speaker = ctx.branching.speaker(depth);
+    let speaker = ctx.protocol.speaker(depth);
 
     // Consistent-set statistics of the speaker, weighted by the baseline.
     if prob_base > 0.0 {
@@ -1046,11 +977,10 @@ fn walk<B: Branching + ?Sized>(
             }
         }
 
-        let child_prefix = ctx.branching.extend(&prefix, label);
         walk(
             ctx,
             depth + 1,
-            child_prefix,
+            prefix.child(label),
             state,
             &scratch.child_probs,
             child_prob_base,

@@ -13,45 +13,46 @@
 //! families, at width 1 and above and in both execution modes.
 //!
 //! The only change from the seed source is mechanical: the per-model
-//! `partition` method was folded into [`Branching::eval_labels`], so
-//! this oracle reconstructs the old per-distribution partition from the
-//! label query (same sets, same ascending label order, same float
-//! arithmetic).
+//! `partition` method is gone, so this oracle queries
+//! [`WideTurnProtocol::message`] for every live point directly and
+//! rebuilds the old per-distribution partition from the answers (same
+//! sets, same ascending label order, same float arithmetic).
 
+use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 use bcc_f2::BitVec;
 use rayon::prelude::*;
 
-use super::{Branching, ExecMode, WalkOutcome};
+use super::{adaptive_split_depth, ExecMode, WalkOutcome};
 use crate::input::ProductInput;
 
-/// Exact mixture-vs-baseline walk of `branching` — the seed algorithm.
+/// Exact mixture-vs-baseline walk of `protocol` — the seed algorithm.
 ///
 /// # Panics
 ///
 /// As [`super::exact_walk`].
-pub fn exact_walk<B: Branching + ?Sized>(
-    branching: &B,
+pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
+    protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
     mode: ExecMode,
 ) -> WalkOutcome {
     assert!(!members.is_empty(), "need at least one family member");
-    let n = branching.n();
+    let n = protocol.n();
     for input in members.iter().chain(std::iter::once(baseline)) {
         assert_eq!(input.n(), n, "processor count mismatch");
         for row in input.iter_rows() {
-            assert_eq!(row.bits(), branching.input_bits(), "input width mismatch");
+            assert_eq!(row.bits(), protocol.input_bits(), "input width mismatch");
         }
     }
 
     let m = members.len();
-    let horizon = branching.horizon();
+    let horizon = protocol.horizon();
     let ctx = Ctx {
-        branching,
+        protocol,
         members,
         baseline,
         horizon,
-        split: branching.split_depth().min(horizon),
+        split: adaptive_split_depth(protocol.width()).min(horizon),
     };
 
     let mut acc = WalkOutcome::zeros(horizon as usize, m);
@@ -72,7 +73,7 @@ pub fn exact_walk<B: Branching + ?Sized>(
     walk(
         &ctx,
         0,
-        branching.root(),
+        WideTranscript::empty(protocol.width()),
         &mut state,
         &probs,
         1.0,
@@ -100,8 +101,8 @@ pub fn exact_walk<B: Branching + ?Sized>(
 }
 
 /// Shared read-only context of one exact walk.
-struct Ctx<'a, B: ?Sized> {
-    branching: &'a B,
+struct Ctx<'a, P: ?Sized> {
+    protocol: &'a P,
     members: &'a [ProductInput],
     baseline: &'a ProductInput,
     horizon: u32,
@@ -117,17 +118,14 @@ struct AliveState {
 }
 
 /// A live frontier node: everything a subtree walk needs.
-struct SubtreeTask<Pfx> {
-    prefix: Pfx,
+struct SubtreeTask {
+    prefix: WideTranscript,
     state: AliveState,
     probs: Vec<f64>,
     prob_base: f64,
 }
 
-fn run_task<B: Branching + ?Sized>(
-    ctx: &Ctx<'_, B>,
-    mut task: SubtreeTask<B::Prefix>,
-) -> WalkOutcome {
+fn run_task<P: WideTurnProtocol + ?Sized>(ctx: &Ctx<'_, P>, mut task: SubtreeTask) -> WalkOutcome {
     let mut acc = WalkOutcome::zeros(ctx.horizon as usize, ctx.members.len());
     walk(
         ctx,
@@ -147,17 +145,17 @@ fn run_task<B: Branching + ?Sized>(
 /// by label, omitting labels with no live point. One protocol query per
 /// live point per distribution — the cost the label planes of
 /// [`super::exact_walk`] eliminate.
-fn partition<B: Branching + ?Sized>(
-    branching: &B,
+fn partition<P: WideTurnProtocol + ?Sized>(
+    protocol: &P,
     speaker: usize,
     points: &[u64],
     alive: &BitVec,
-    prefix: &B::Prefix,
+    prefix: &WideTranscript,
 ) -> Vec<(u64, BitVec)> {
-    let live: Vec<u32> = alive.iter_ones().map(|i| i as u32).collect();
-    let mut labels = Vec::with_capacity(live.len());
-    branching.eval_labels(speaker, points, &live, prefix, &mut labels);
-    let mut pairs: Vec<(u64, u32)> = labels.into_iter().zip(live).collect();
+    let mut pairs: Vec<(u64, u32)> = alive
+        .iter_ones()
+        .map(|i| (protocol.message(speaker, points[i], prefix), i as u32))
+        .collect();
     pairs.sort_unstable();
     let mut parts: Vec<(u64, BitVec)> = Vec::new();
     for (label, idx) in pairs {
@@ -180,15 +178,15 @@ fn part_of(parts: &[(u64, BitVec)], label: u64) -> Option<&BitVec> {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn walk<B: Branching + ?Sized>(
-    ctx: &Ctx<'_, B>,
+fn walk<P: WideTurnProtocol + ?Sized>(
+    ctx: &Ctx<'_, P>,
     depth: u32,
-    prefix: B::Prefix,
+    prefix: WideTranscript,
     state: &mut AliveState,
     probs: &[f64],
     prob_base: f64,
     acc: &mut WalkOutcome,
-    mut frontier: Option<&mut Vec<SubtreeTask<B::Prefix>>>,
+    mut frontier: Option<&mut Vec<SubtreeTask>>,
 ) {
     let t = depth as usize;
     let m = ctx.members.len();
@@ -223,7 +221,7 @@ fn walk<B: Branching + ?Sized>(
         return;
     }
 
-    let speaker = ctx.branching.speaker(depth);
+    let speaker = ctx.protocol.speaker(depth);
 
     // Consistent-set statistics of the speaker, weighted by the baseline.
     if prob_base > 0.0 {
@@ -238,7 +236,7 @@ fn walk<B: Branching + ?Sized>(
     }
 
     let base_parts = partition(
-        ctx.branching,
+        ctx.protocol,
         speaker,
         ctx.baseline.row(speaker).points(),
         &state.base[speaker],
@@ -247,7 +245,7 @@ fn walk<B: Branching + ?Sized>(
     let member_parts: Vec<Vec<(u64, BitVec)>> = (0..m)
         .map(|i| {
             partition(
-                ctx.branching,
+                ctx.protocol,
                 speaker,
                 ctx.members[i].row(speaker).points(),
                 &state.members[i][speaker],
@@ -321,7 +319,7 @@ fn walk<B: Branching + ?Sized>(
         walk(
             ctx,
             depth + 1,
-            ctx.branching.extend(&prefix, label),
+            prefix.child(label),
             state,
             &child_probs,
             child_prob_base,

@@ -4,10 +4,10 @@
 //! the `2^w`-message alphabet of a [`WideTurnProtocol`], so footnote 2 of
 //! the paper ("all of our results generalize to the setting of
 //! logarithmic sized messages") is checked *exactly*, and `BCAST(1)` is
-//! the width-1 case. This module holds the two width-dependent pieces:
-//! the node budget every exact walk is priced against
-//! ([`wide_walk_nodes`] ≤ [`MAX_WIDE_NODES`]) and the
-//! [`Branching`] process the shared walk core in [`crate::walk`] runs.
+//! the width-1 case. This module holds the node budget every exact walk
+//! is priced against ([`wide_walk_nodes`] ≤ [`MAX_WIDE_NODES`]); the walk
+//! itself, in [`crate::walk`], queries the protocol's
+//! [`message`](WideTurnProtocol::message) directly.
 //!
 //! The per-turn split buckets the speaker's *live* points by the message
 //! they broadcast — evaluated once per shared support row per node into
@@ -20,9 +20,7 @@
 //! ([`crate::walk::adaptive_split_depth`]`(w)` turns), keeping the
 //! fan-out comparable across message widths.
 
-use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
-
-use crate::walk::{adaptive_split_depth, Branching};
+use bcc_congest::wide::WideTurnProtocol;
 
 /// The node-budget cap of the exact wide walk: a walk whose *complete*
 /// turn tree could exceed this many nodes is refused up front.
@@ -61,75 +59,12 @@ pub(crate) fn validate_budget<P: WideTurnProtocol + ?Sized>(protocol: &P) {
     );
 }
 
-/// The wide model as a [`Branching`] process: the speaker's live points
-/// bucket by the `w`-bit message they broadcast.
-pub(crate) struct WideBranching<'a, P: ?Sized> {
-    pub(crate) protocol: &'a P,
-}
-
-impl<P: WideTurnProtocol + Sync + ?Sized> Branching for WideBranching<'_, P> {
-    type Prefix = WideTranscript;
-
-    fn n(&self) -> usize {
-        self.protocol.n()
-    }
-
-    fn input_bits(&self) -> u32 {
-        self.protocol.input_bits()
-    }
-
-    fn horizon(&self) -> u32 {
-        self.protocol.horizon()
-    }
-
-    fn speaker(&self, t: u32) -> usize {
-        self.protocol.speaker(t)
-    }
-
-    fn split_depth(&self) -> u32 {
-        // A width-w turn is worth w bit-depths of fan-out: cutting after
-        // adaptive_split_depth(w) turns keeps the frontier task count
-        // comparable across widths. At least one turn, so wide protocols
-        // still parallelize.
-        adaptive_split_depth(self.protocol.width())
-    }
-
-    fn binary(&self) -> bool {
-        // A width-1 alphabet is {0, 1}: split on a packed bit plane
-        // instead of a message table (the sets and counts are identical
-        // either way).
-        self.protocol.width() == 1
-    }
-
-    fn root(&self) -> WideTranscript {
-        WideTranscript::empty(self.protocol.width())
-    }
-
-    fn extend(&self, prefix: &WideTranscript, label: u64) -> WideTranscript {
-        prefix.child(label)
-    }
-
-    fn eval_labels(
-        &self,
-        speaker: usize,
-        points: &[u64],
-        live: &[u32],
-        prefix: &WideTranscript,
-        out: &mut Vec<u64>,
-    ) {
-        out.extend(
-            live.iter()
-                .map(|&idx| self.protocol.message(speaker, points[idx as usize], prefix)),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{Estimator, ExactEstimator};
     use crate::input::{ProductInput, RowSupport};
-    use bcc_congest::wide::{FnWideProtocol, PackedAdapter};
+    use bcc_congest::wide::{FnWideProtocol, PackedAdapter, WideTranscript};
     use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
 
     #[test]
@@ -317,5 +252,33 @@ mod tests {
         }
         let a = ProductInput::uniform(1, 1);
         let _ = ExactEstimator::default().estimate_pair(&Absurd, &a, &a);
+    }
+
+    #[test]
+    #[should_panic(expected = "message exceeds 1 bits")]
+    fn over_wide_message_is_refused_by_the_walk() {
+        // A width-1 protocol answering two bits: the dense bit-plane
+        // split would read labels 2 and 3 as 0 and report tv 0, so the
+        // walk must check every message against the width itself.
+        struct TwoBitsAtWidthOne;
+        impl WideTurnProtocol for TwoBitsAtWidthOne {
+            fn n(&self) -> usize {
+                1
+            }
+            fn input_bits(&self) -> u32 {
+                2
+            }
+            fn width(&self) -> u32 {
+                1
+            }
+            fn horizon(&self) -> u32 {
+                1
+            }
+            fn message(&self, _: usize, input: u64, _: &WideTranscript) -> u64 {
+                input & 3
+            }
+        }
+        let a = ProductInput::uniform(1, 2);
+        let _ = ExactEstimator::default().estimate_pair(&TwoBitsAtWidthOne, &a, &a);
     }
 }

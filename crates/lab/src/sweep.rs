@@ -40,7 +40,7 @@ pub struct SweepResult {
     /// duplicates. Zero for ephemeral sweeps and clean directories.
     pub healed: usize,
     /// The sweep's observability snapshot: deterministic work counters
-    /// (walk/exec/kernel/lab), wall-clock span histograms, and notes.
+    /// (walk/exec/kernel/lab) and wall-clock span histograms.
     /// Also written as `metrics.json` next to `records.jsonl` when the
     /// sweep persists.
     pub metrics: bcc_obs::Snapshot,

@@ -217,7 +217,6 @@ struct Inner {
     counters: BTreeMap<&'static str, (Class, u64)>,
     series: BTreeMap<&'static str, (Class, Vec<u64>)>,
     hists: BTreeMap<&'static str, (Class, HistData)>,
-    notes: BTreeMap<&'static str, String>,
 }
 
 /// A per-run metrics registry: a cheap, cloneable `Arc` handle.
@@ -280,12 +279,6 @@ impl Registry {
             .or_insert((class, HistData::default()));
         debug_assert_eq!(slot.0, class, "metric class mismatch for {name}");
         slot.1.record(value);
-    }
-
-    /// Attach a free-form string note (e.g. the active kernel name).
-    /// Later writes to the same name win.
-    pub fn note(&self, name: &'static str, value: &str) {
-        self.lock().notes.insert(name, value.to_string());
     }
 
     /// Install this registry as the current scope on this thread; the
@@ -369,11 +362,6 @@ impl Registry {
                         },
                     )
                 })
-                .collect(),
-            notes: inner
-                .notes
-                .iter()
-                .map(|(name, value)| (name.to_string(), value.clone()))
                 .collect(),
         }
     }
@@ -501,8 +489,6 @@ pub struct Snapshot {
     pub series: Vec<(String, Class, Vec<u64>)>,
     /// Span duration histograms (µs).
     pub spans: Vec<(String, HistSummary)>,
-    /// Free-form string notes (`Registry::note`).
-    pub notes: Vec<(String, String)>,
 }
 
 impl Snapshot {
@@ -569,17 +555,12 @@ impl Snapshot {
                 ]),
             )
         });
-        let notes = self
-            .notes
-            .iter()
-            .map(|(name, value)| (name.as_str(), value.as_str().into()));
         Value::object([
             ("schema", METRICS_SCHEMA.into()),
             ("work", counters(&self.work)),
             ("wall", counters(&self.wall)),
             ("series", Value::object(series)),
             ("spans", Value::object(spans)),
-            ("notes", Value::object(notes)),
         ])
         .to_string()
     }
@@ -593,7 +574,6 @@ impl Snapshot {
             .map(|(n, _)| n.len())
             .chain(self.wall.iter().map(|(n, _)| n.len()))
             .chain(self.spans.iter().map(|(n, _)| n.len()))
-            .chain(self.notes.iter().map(|(n, _)| n.len()))
             .max()
             .unwrap_or(0);
         if !self.work.is_empty() {
@@ -622,12 +602,6 @@ impl Snapshot {
         for (name, class, values) in &self.series {
             out.push_str(&format!("series {name} ({}): {values:?}\n", class.label()));
         }
-        if !self.notes.is_empty() {
-            out.push_str("notes:\n");
-            for (name, value) in &self.notes {
-                out.push_str(&format!("  {name:<width$}  {value}\n"));
-            }
-        }
         out
     }
 }
@@ -639,14 +613,13 @@ mod tests {
     /// `metrics_json_bytes_are_pinned`'s document.
     const GOLDEN_METRICS: &str =
         "{\"schema\":\"bcc-metrics/v1\",\"work\":{\"global.keys_sorted\":18446744073709551615,\
-     \"walk.nodes\":12},\"wall\":{\"walk.chunks\":3},\"series\":{\"walk.nodes_by_depth\":\
+     \"odd \\\"name\\\"\":12},\"wall\":{\"walk.chunks\":3},\"series\":{\"walk.nodes_by_depth\":\
      {\"class\":\"work\",\"values\":[1,0,4]},\"lab.busy\":{\"class\":\"wall\",\"values\":[]}},\
      \"spans\":{\"lab.point\":{\"count\":2,\"total_us\":900,\"max_us\":900,\
-     \"buckets\":[[0,1],[10,1]]}},\"notes\":{\"kernel.dispatch\":\"avx2|scalar\",\
-     \"odd \\\"name\\\"\":\"tab\\there\\nback\\\\slash\\u0001\"}}";
+     \"buckets\":[[0,1],[10,1]]}}}";
 
     #[test]
-    fn counters_series_hists_and_notes_round_trip() {
+    fn counters_series_and_hists_round_trip() {
         let r = Registry::new();
         r.add("walk.nodes", Class::Work, 5);
         r.add("walk.nodes", Class::Work, 7);
@@ -655,7 +628,6 @@ mod tests {
         r.add_at("walk.nodes_by_depth", Class::Work, 0, 1);
         r.record("lab.point", Class::Wall, 900);
         r.record("lab.point", Class::Wall, 0);
-        r.note("kernel.dispatch", "scalar");
         let s = r.snapshot();
         assert_eq!(s.work_counter("walk.nodes"), 12);
         assert_eq!(s.series_values("walk.nodes_by_depth"), &[1, 0, 4]);
@@ -664,14 +636,13 @@ mod tests {
         assert_eq!((hist.count, hist.total, hist.max), (2, 900, 900));
         // 900 has bit length 10 (512..1024); the zero lands in bucket 0.
         assert_eq!(hist.buckets, vec![(0, 1), (10, 1)]);
-        assert_eq!(s.notes, vec![("kernel.dispatch".into(), "scalar".into())]);
         let json = s.to_json();
         assert!(json.starts_with("{\"schema\":\"bcc-metrics/v1\""));
         assert!(json.contains("\"walk.nodes\":12"));
         assert!(json.contains("\"values\":[1,0,4]"));
         let text = s.render_text();
         assert!(text.contains("walk.nodes"));
-        assert!(text.contains("kernel.dispatch"));
+        assert!(text.contains("lab.point"));
     }
 
     #[test]
@@ -679,7 +650,7 @@ mod tests {
         let s = Snapshot {
             work: vec![
                 ("global.keys_sorted".into(), u64::MAX),
-                ("walk.nodes".into(), 12),
+                ("odd \"name\"".into(), 12),
             ],
             wall: vec![("walk.chunks".into(), 3)],
             series: vec![
@@ -695,10 +666,6 @@ mod tests {
                     buckets: vec![(0, 1), (10, 1)],
                 },
             )],
-            notes: vec![
-                ("kernel.dispatch".into(), "avx2|scalar".into()),
-                ("odd \"name\"".into(), "tab\there\nback\\slash\u{1}".into()),
-            ],
         };
         assert_eq!(s.to_json(), GOLDEN_METRICS);
     }

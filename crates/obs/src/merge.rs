@@ -35,7 +35,6 @@ impl Snapshot {
             wall: Vec::new(),
             series: Vec::new(),
             spans: Vec::new(),
-            notes: Vec::new(),
         };
         for (key, value) in doc.as_object()? {
             match key.as_str() {
@@ -47,7 +46,6 @@ impl Snapshot {
                     snapshot.series = entries.map(|(name, (c, v))| (name, c, v)).collect();
                 }
                 "spans" => snapshot.spans = named(value, hist)?,
-                "notes" => snapshot.notes = named(value, |v| v.as_str().map(str::to_string))?,
                 _ => {}
             }
         }
@@ -99,18 +97,14 @@ fn hist(entry: &Value) -> Option<HistSummary> {
 }
 
 /// Folds snapshots into one: counters and series sum name-wise (work
-/// and wall alike), histograms merge their counts/totals/buckets and
-/// take the max of maxes, and notes keep the common value — or, when
-/// shards disagree, the distinct values sorted and `|`-joined, so a
-/// mixed-kernel merge is visible instead of silently picking a winner.
-/// The fold is commutative and associative, so shard order cannot
-/// change a byte of the merged report.
+/// and wall alike), and histograms merge their counts/totals/buckets and
+/// take the max of maxes. The fold is commutative and associative, so
+/// shard order cannot change a byte of the merged report.
 pub fn merge_snapshots(parts: &[Snapshot]) -> Snapshot {
     let mut work: BTreeMap<String, u64> = BTreeMap::new();
     let mut wall: BTreeMap<String, u64> = BTreeMap::new();
     let mut series: BTreeMap<String, (Class, Vec<u64>)> = BTreeMap::new();
     let mut spans: BTreeMap<String, HistSummary> = BTreeMap::new();
-    let mut notes: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for part in parts {
         for (name, value) in &part.work {
             *work.entry(name.clone()).or_insert(0) += value;
@@ -146,12 +140,6 @@ pub fn merge_snapshots(parts: &[Snapshot]) -> Snapshot {
             }
             slot.buckets = buckets.into_iter().collect();
         }
-        for (name, value) in &part.notes {
-            let seen = notes.entry(name.clone()).or_default();
-            if !seen.contains(value) {
-                seen.push(value.clone());
-            }
-        }
     }
     Snapshot {
         work: work.into_iter().collect(),
@@ -161,13 +149,6 @@ pub fn merge_snapshots(parts: &[Snapshot]) -> Snapshot {
             .map(|(name, (class, values))| (name, class, values))
             .collect(),
         spans: spans.into_iter().collect(),
-        notes: notes
-            .into_iter()
-            .map(|(name, mut values)| {
-                values.sort();
-                (name, values.join("|"))
-            })
-            .collect(),
     }
 }
 
@@ -183,7 +164,6 @@ mod tests {
         r.add_at("walk.nodes_by_depth", Class::Work, 2, 4);
         r.record("lab.point", Class::Wall, 900);
         r.record("lab.point", Class::Wall, 0);
-        r.note("kernel.dispatch", "scalar");
         r.snapshot()
     }
 
@@ -212,16 +192,18 @@ mod tests {
         // not comparable.
         let s = sample();
         let json = s.to_json();
-        for future in [
-            "{\"nested\":[1,2,{\"x\":\"y\"}]}",
-            "1.5",
-            "-1",
-            "true",
-            "null",
+        for (key, future) in [
+            ("future", "{\"nested\":[1,2,{\"x\":\"y\"}]}"),
+            ("future", "1.5"),
+            ("future", "-1"),
+            ("future", "true"),
+            ("future", "null"),
+            // The retired string notes of older metrics.json files.
+            ("notes", "{\"kernel.dispatch\":\"scalar\"}"),
         ] {
-            let extended = format!("{},\"future\":{future}}}", &json[..json.len() - 1]);
+            let extended = format!("{},\"{key}\":{future}}}", &json[..json.len() - 1]);
             let parsed = Snapshot::from_json(&extended)
-                .unwrap_or_else(|| panic!("document extended by {future} parses"));
+                .unwrap_or_else(|| panic!("document extended by {key}: {future} parses"));
             assert_eq!(parsed, s);
         }
     }
@@ -253,16 +235,14 @@ mod tests {
     #[test]
     fn merge_is_commutative() {
         let a = sample();
-        let mut b = sample();
-        b.notes = vec![("kernel.dispatch".into(), "avx2".into())];
+        let b = Registry::new();
+        b.add("lab.points_computed", Class::Work, 2);
+        b.add("y", Class::Work, 1);
+        b.record("lab.point", Class::Wall, 70);
+        let b = b.snapshot();
         let ab = merge_snapshots(&[a.clone(), b.clone()]);
         let ba = merge_snapshots(&[b, a]);
         assert_eq!(ab, ba);
-        // Disagreeing notes surface both values, sorted.
-        assert_eq!(
-            ab.notes,
-            vec![("kernel.dispatch".into(), "avx2|scalar".into())]
-        );
     }
 
     #[test]
