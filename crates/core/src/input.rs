@@ -253,6 +253,68 @@ mod tests {
         }
     }
 
+    /// A toy-PRG coset row `U_[b]` at `k = 4`: `x` in the low 4 bits and
+    /// `⟨x, b⟩` in bit 4, so `2^4` points (a power-of-two row).
+    fn coset_row(b: u64) -> RowSupport {
+        let points = (0..16u64)
+            .map(|x| x | (u64::from((x & b).count_ones() & 1) << 4))
+            .collect();
+        RowSupport::explicit(5, points)
+    }
+
+    #[test]
+    fn product_draws_are_pinned() {
+        // Golden: the first 32 input vectors of a seeded ChaCha12 stream,
+        // over two power-of-two coset rows, a 3-point and a 5-point row.
+        // Any change to how a row index is drawn must keep these.
+        use rand_chacha::ChaCha12Rng;
+        let input = ProductInput::new(vec![
+            coset_row(0b1011),
+            coset_row(0b0110),
+            RowSupport::explicit(3, vec![1, 2, 5]),
+            RowSupport::explicit(4, vec![0, 3, 6, 9, 12]),
+        ]);
+        let mut rng = ChaCha12Rng::seed_from_u64(0xD7A3);
+        let drawn: Vec<Vec<u64>> = (0..32).map(|_| input.sample(&mut rng)).collect();
+        let expected: [[u64; 4]; 32] = [
+            [13, 7, 2, 3],
+            [10, 8, 2, 3],
+            [17, 6, 2, 0],
+            [27, 18, 1, 6],
+            [27, 15, 5, 12],
+            [22, 14, 1, 9],
+            [28, 9, 2, 6],
+            [10, 20, 2, 0],
+            [3, 21, 2, 0],
+            [13, 14, 5, 9],
+            [17, 28, 5, 3],
+            [0, 0, 1, 6],
+            [4, 15, 5, 12],
+            [9, 0, 5, 12],
+            [7, 21, 5, 9],
+            [7, 27, 1, 0],
+            [24, 20, 5, 6],
+            [31, 9, 2, 9],
+            [13, 0, 1, 9],
+            [24, 20, 2, 9],
+            [13, 14, 2, 12],
+            [14, 28, 2, 12],
+            [9, 26, 5, 6],
+            [10, 0, 5, 3],
+            [7, 19, 2, 9],
+            [24, 7, 5, 9],
+            [18, 29, 2, 9],
+            [18, 14, 1, 0],
+            [27, 14, 1, 0],
+            [17, 27, 2, 12],
+            [13, 20, 5, 12],
+            [3, 9, 5, 3],
+        ];
+        for (i, (got, want)) in drawn.iter().zip(&expected).enumerate() {
+            assert_eq!(got.as_slice(), want.as_slice(), "draw {i}");
+        }
+    }
+
     #[test]
     fn repeated_rows_share_one_allocation() {
         let input = ProductInput::repeated(RowSupport::uniform(4), 1000);
