@@ -65,11 +65,6 @@ impl WideTranscript {
         self.len == 0
     }
 
-    /// The maximum number of messages, `⌊64/width⌋`.
-    fn capacity(&self) -> u32 {
-        64 / self.width
-    }
-
     /// The message broadcast on turn `t`.
     ///
     /// # Panics
@@ -85,8 +80,11 @@ impl WideTranscript {
     /// # Panics
     ///
     /// Panics if full or if `message` exceeds the width.
+    // Inlined across crates: the samplers push once per drawn turn.
+    #[inline]
     pub fn push(&mut self, message: u64) {
-        assert!(self.len < self.capacity(), "wide transcript full");
+        // The capacity `⌊64/width⌋` without a division.
+        assert!((self.len + 1) * self.width <= 64, "wide transcript full");
         assert!(
             message < (1u64 << self.width),
             "message exceeds {} bits",
@@ -391,9 +389,20 @@ mod tests {
 
     #[test]
     fn capacity_by_width() {
-        assert_eq!(WideTranscript::empty(1).capacity(), 64);
-        assert_eq!(WideTranscript::empty(3).capacity(), 21);
-        assert_eq!(WideTranscript::empty(16).capacity(), 4);
+        // `⌊64/width⌋` messages fit and the next one does not.
+        for (width, capacity) in [(1, 64), (3, 21), (16, 4)] {
+            let mut t = WideTranscript::empty(width);
+            for _ in 0..capacity {
+                t.push(0);
+            }
+            assert_eq!(t.len(), capacity);
+            let overflow = std::panic::catch_unwind(move || t.child(0));
+            assert!(
+                overflow.is_err(),
+                "width {width} took message {}",
+                capacity + 1
+            );
+        }
     }
 
     #[test]

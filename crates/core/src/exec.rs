@@ -51,7 +51,7 @@ use crate::engine::{assemble, SpeakerStats};
 use crate::input::ProductInput;
 use crate::sample::{
     check_key_packing, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
-    radix_sort_u64, sorted_depth_stats, sorted_tv_at_depth,
+    radix_sort_u64, sorted_depth_profile,
 };
 use crate::walk::exact_walk;
 use crate::wide::validate_budget;
@@ -527,7 +527,7 @@ impl Estimator for SampledEstimator {
             let mut keys = Vec::new();
             collect_sorted_wide_keys(
                 &truncated,
-                |r| input.sample(r),
+                |r, inputs| input.sample_into(r, inputs),
                 samples,
                 &mut rng,
                 &mut keys,
@@ -585,6 +585,13 @@ fn flush_sampled_work(side_keys: &[Vec<u64>], mixture_len: usize) {
 /// both routes produce bitwise-identical profiles; the pair sampler
 /// [`crate::sample::sampled_comparison_with`] passes its one side as the
 /// single member and as the mixture.
+///
+/// Each (side, baseline) pair is read in one merge pass that yields every
+/// depth at once (`sample::sorted_depth_profile`): one pass per member
+/// for the progress function, and one for the mixture that also counts
+/// the union's support and singletons. Every depth sums its groups in
+/// ascending order, as one merge per depth would, so the floats keep
+/// their bits.
 pub(crate) fn profile_from_sorted_sides(
     horizon: u32,
     bits_per_turn: u32,
@@ -600,37 +607,30 @@ pub(crate) fn profile_from_sorted_sides(
     let mut progress_by_depth = vec![0.0; depths];
     let mut per_member_tv = Vec::with_capacity(m);
     for keys in member_keys {
-        let mut member_final_tv = 0.0;
-        for (t, slot) in progress_by_depth.iter_mut().enumerate() {
-            let tv = sorted_tv_at_depth(
-                keys,
-                base_keys,
-                side_weight,
-                side_weight,
-                t as u32 * bits_per_turn,
-            );
+        let (tv_by_depth, _) = sorted_depth_profile(
+            keys,
+            base_keys,
+            side_weight,
+            side_weight,
+            horizon,
+            bits_per_turn,
+        );
+        for (slot, tv) in progress_by_depth.iter_mut().zip(&tv_by_depth) {
             *slot += tv / m as f64;
-            member_final_tv = tv;
         }
-        per_member_tv.push(member_final_tv);
+        per_member_tv.push(tv_by_depth[horizon as usize]);
     }
 
     let mixture_weight = 1.0 / (m * samples) as f64;
-    let mixture_tv_by_depth: Vec<f64> = (0..depths)
-        .map(|t| {
-            sorted_tv_at_depth(
-                mixture_keys,
-                base_keys,
-                mixture_weight,
-                side_weight,
-                t as u32 * bits_per_turn,
-            )
-        })
-        .collect();
-    // Unused low key bits are zero, so the deepest entry of the
-    // per-depth walk is the full-key union support.
-    let depth_stats = sorted_depth_stats(mixture_keys, base_keys, horizon, bits_per_turn);
-    let support_seen = *depth_stats.support.last().expect("depth 0");
+    let (mixture_tv_by_depth, depth_stats) = sorted_depth_profile(
+        mixture_keys,
+        base_keys,
+        mixture_weight,
+        side_weight,
+        horizon,
+        bits_per_turn,
+    );
+    let support_seen = depth_stats.support[horizon as usize];
 
     DepthProfile {
         horizon,
@@ -826,7 +826,13 @@ impl AdaptiveEstimator {
                 &members[side - 1]
             };
             sampler.extend_with(delta, |rng, delta, chunk| {
-                collect_sorted_wide_keys(&truncated, |r| input.sample(r), delta, rng, chunk);
+                collect_sorted_wide_keys(
+                    &truncated,
+                    |r, inputs| input.sample_into(r, inputs),
+                    delta,
+                    rng,
+                    chunk,
+                );
             });
         })
     }

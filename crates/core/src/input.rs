@@ -95,9 +95,18 @@ impl RowSupport {
         &self.points
     }
 
-    /// Samples a uniform point.
+    /// Samples a uniform point. A power-of-two support (every toy-PRG
+    /// coset row) masks one `next_u64` instead of dividing: `gen_range`
+    /// draws `next_u64() % len`, which is the same value.
+    #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.points[rng.gen_range(0..self.points.len())]
+        let len = self.points.len();
+        let index = if len.is_power_of_two() {
+            (rng.next_u64() & (len as u64 - 1)) as usize
+        } else {
+            rng.gen_range(0..len)
+        };
+        self.points[index]
     }
 }
 
@@ -193,7 +202,17 @@ impl ProductInput {
 
     /// Samples a full input vector (one packed input per processor).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
-        self.rows.iter().map(|r| r.sample(rng)).collect()
+        let mut inputs = Vec::with_capacity(self.rows.len());
+        self.sample_into(rng, &mut inputs);
+        inputs
+    }
+
+    /// Refills `inputs` with a full input vector: the same RNG calls and
+    /// values as [`ProductInput::sample`], into a caller-owned buffer, so
+    /// a sampler that reuses one buffer allocates nothing per transcript.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, inputs: &mut Vec<u64>) {
+        inputs.clear();
+        inputs.extend(self.rows.iter().map(|r| r.sample(rng)));
     }
 }
 

@@ -18,13 +18,21 @@
 //! merge at turn depth `t` is a merge at *bit* depth `t·w`: one sort pays
 //! for TV merges at every depth, which is what
 //! [`crate::exec::SampledEstimator`] exploits for whole depth profiles.
-//! At `w = 1` the key is the transcript's bit reversal (turn `t` at bit
+//! The merges themselves are one pass per side pair: consecutive keys'
+//! common prefix says which depths' groups close, so every depth's TV,
+//! support and singleton counts come out of a single walk over the two
+//! sorted arrays, summed in the same order a per-depth merge would sum
+//! them. At `w = 1` the key is the transcript's bit reversal (turn `t` at bit
 //! `63 − t`), so a bit protocol's width-1 view
 //! ([`as_wide`](bcc_congest::TurnProtocol::as_wide)) samples exactly as
 //! the bit model would. The sort itself is [`radix_sort_u64`], an LSD
 //! radix sort that skips the constant low bytes this packing produces.
+//!
+//! Keys are drawn by a fused loop that refills one input buffer, runs the
+//! protocol and packs each message into the key as it is produced, so a
+//! transcript costs its RNG words and its messages and no allocation.
 
-use bcc_congest::wide::{run_wide_protocol, WideTranscript, WideTurnProtocol};
+use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 use bcc_f2::kernel::{self, WordKernel};
 use rand::Rng;
 
@@ -46,24 +54,55 @@ pub fn wide_prefix_key(transcript: &WideTranscript) -> u64 {
 }
 
 /// Fills `out` with `samples` sorted [`wide_prefix_key`]s of `protocol`
-/// run on inputs drawn from `sampler` — the one key collector of every
+/// run on inputs drawn by `fill` — the one key collector of every
 /// sampler, including the per-batch chunks of the adaptive estimator.
 /// The caller checks the key packing ([`check_key_packing`]).
+///
+/// The draw is fused: `fill` refills one reused input buffer (the
+/// estimators pass [`ProductInput::sample_into`]), the speaker schedule
+/// is read once per call, and each message is ORed into the key as it is
+/// produced. Every key equals
+/// `wide_prefix_key(&run_wide_protocol(protocol, &inputs))`, with the
+/// same input and message checks, and nothing is allocated per
+/// transcript.
+///
+/// [`ProductInput::sample_into`]: crate::input::ProductInput::sample_into
 pub(crate) fn collect_sorted_wide_keys<P, R, F>(
     protocol: &P,
-    mut sampler: F,
+    mut fill: F,
     samples: usize,
     rng: &mut R,
     out: &mut Vec<u64>,
 ) where
     P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
-    F: FnMut(&mut R) -> Vec<u64>,
+    F: FnMut(&mut R, &mut Vec<u64>),
 {
+    let (n, width) = (protocol.n(), protocol.width());
+    let input_bits = protocol.input_bits();
+    let limit = 1u64 << input_bits;
+    let speakers: Vec<usize> = (0..protocol.horizon())
+        .map(|t| protocol.speaker(t))
+        .collect();
+    let mut inputs = Vec::with_capacity(n);
     out.clear();
     out.reserve(samples);
     for _ in 0..samples {
-        out.push(wide_prefix_key(&run_wide_protocol(protocol, &sampler(rng))));
+        fill(rng, &mut inputs);
+        assert_eq!(inputs.len(), n, "one input per processor");
+        for &x in &inputs {
+            assert!(x < limit, "input exceeds {input_bits} bits");
+        }
+        let mut transcript = WideTranscript::empty(width);
+        let mut key = 0u64;
+        let mut shift = 64;
+        for &s in &speakers {
+            let message = protocol.message(s, inputs[s], &transcript);
+            transcript.push(message);
+            shift -= width;
+            key |= message << shift;
+        }
+        out.push(key);
     }
     radix_sort_u64(out);
 }
@@ -202,48 +241,6 @@ pub fn radix_sort_u64(keys: &mut Vec<u64>) {
     }
 }
 
-/// Empirical TV between two sorted key arrays at prefix depth `depth`,
-/// with per-sample weights `weight_a` / `weight_b` (normally `1/len`; the
-/// mixture side of [`crate::exec::SampledEstimator`] passes `1/(m·len)`).
-pub(crate) fn sorted_tv_at_depth(
-    a: &[u64],
-    b: &[u64],
-    weight_a: f64,
-    weight_b: f64,
-    depth: u32,
-) -> f64 {
-    if depth == 0 {
-        // A single group holding all mass on both sides.
-        return (a.len() as f64 * weight_a - b.len() as f64 * weight_b).abs() / 2.0;
-    }
-    let shift = 64 - depth;
-    let group = |key: u64| key >> shift;
-    let mut total = 0.0;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let ga = a.get(i).map(|&k| group(k));
-        let gb = b.get(j).map(|&k| group(k));
-        let g = match (ga, gb) {
-            (Some(x), Some(y)) => x.min(y),
-            (Some(x), None) => x,
-            (None, Some(y)) => y,
-            (None, None) => unreachable!("loop condition"),
-        };
-        let mut count_a = 0usize;
-        while i < a.len() && group(a[i]) == g {
-            count_a += 1;
-            i += 1;
-        }
-        let mut count_b = 0usize;
-        while j < b.len() && group(b[j]) == g {
-            count_b += 1;
-            j += 1;
-        }
-        total += (count_a as f64 * weight_a - count_b as f64 * weight_b).abs();
-    }
-    total / 2.0
-}
-
 /// Per-depth resolution statistics over the union of two sorted key
 /// arrays: one entry per prefix depth `0..=horizon`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -257,69 +254,120 @@ pub(crate) struct DepthStats {
     pub singletons_b: Vec<usize>,
 }
 
-/// Walks the two sorted arrays once per prefix depth `t·bits_per_turn`
-/// for `t in 0..=horizon`, collecting the union support and the combined
-/// singleton counts that drive the depth-resolved noise floors and the
-/// Good–Turing smoothing correction. At depth 0 every key falls in one
-/// group; unused low key bits are zero, so the deepest entry is the
+/// The per-depth TV and [`DepthStats`] of two sorted key arrays, read
+/// in **one** merge pass: entry `t` of each is taken at prefix depth
+/// `t·bits_per_turn`, for `t in 0..=horizon`, with per-sample weights
+/// `weight_a` / `weight_b` (normally `1/len`; the mixture side of
+/// [`crate::exec::SampledEstimator`] passes `1/(m·len)`).
+///
+/// Consecutive keys of the merged order share
+/// `leading_zeros(prev ^ key) / bits_per_turn` whole turns, so each new
+/// key closes the open group of every deeper depth, deepest first, and a
+/// closed group's counts fold into its parent depth's open group. Each
+/// depth therefore closes its groups in ascending order and adds
+/// `|count_a·weight_a − count_b·weight_b|` in the order a per-depth merge
+/// would: every sum keeps its bits. At depth 0 every key falls in one
+/// group; unused low key bits are zero, so the deepest support is the
 /// number of distinct full keys in the union.
-pub(crate) fn sorted_depth_stats(
+pub(crate) fn sorted_depth_profile(
     a: &[u64],
     b: &[u64],
+    weight_a: f64,
+    weight_b: f64,
     horizon: u32,
     bits_per_turn: u32,
-) -> DepthStats {
+) -> (Vec<f64>, DepthStats) {
     let depths = horizon as usize + 1;
-    let mut stats = DepthStats {
-        support: Vec::with_capacity(depths),
-        singletons_a: Vec::with_capacity(depths),
-        singletons_b: Vec::with_capacity(depths),
+    let mut acc = DepthAccumulator {
+        weight_a,
+        weight_b,
+        tv: vec![0.0; depths],
+        stats: DepthStats {
+            support: vec![0; depths],
+            singletons_a: vec![0; depths],
+            singletons_b: vec![0; depths],
+        },
+        open_a: vec![0; depths],
+        open_b: vec![0; depths],
     };
-    for t in 0..=horizon {
-        let bits = t * bits_per_turn;
-        if bits == 0 {
-            let total = a.len() + b.len();
-            stats.support.push(usize::from(total > 0));
-            stats
-                .singletons_a
-                .push(usize::from(total == 1 && a.len() == 1));
-            stats
-                .singletons_b
-                .push(usize::from(total == 1 && b.len() == 1));
-            continue;
-        }
-        let shift = 64 - bits;
-        let group = |key: u64| key >> shift;
-        let (mut support, mut n1_a, mut n1_b) = (0usize, 0usize, 0usize);
+    // Depth 0 is one group holding all mass on both sides, written out
+    // so that an empty side at infinite weight reads as it always has.
+    let total = a.len() + b.len();
+    acc.tv[0] = (a.len() as f64 * weight_a - b.len() as f64 * weight_b).abs();
+    acc.stats.support[0] = usize::from(total > 0);
+    acc.stats.singletons_a[0] = usize::from(total == 1 && a.len() == 1);
+    acc.stats.singletons_b[0] = usize::from(total == 1 && b.len() == 1);
+    if horizon > 0 && total > 0 {
+        // Whole turns (capped at the horizon) shared by two keys whose
+        // XOR has `z` leading zeros.
+        let shared: [usize; 65] =
+            std::array::from_fn(|z| (z as u32 / bits_per_turn).min(horizon) as usize);
+        let deepest = horizon as usize;
         let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() || j < b.len() {
-            let g = match (a.get(i).map(|&k| group(k)), b.get(j).map(|&k| group(k))) {
-                (Some(x), Some(y)) => x.min(y),
-                (Some(x), None) => x,
-                (None, Some(y)) => y,
-                (None, None) => unreachable!("loop condition"),
+        let mut prev = a
+            .first()
+            .into_iter()
+            .chain(b.first())
+            .copied()
+            .min()
+            .expect("total > 0");
+        loop {
+            let (key, from_a) = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x <= y => (x, true),
+                (_, Some(&y)) => (y, false),
+                (Some(&x), None) => (x, true),
+                (None, None) => break,
             };
-            let mut count_a = 0usize;
-            while i < a.len() && group(a[i]) == g {
-                count_a += 1;
+            acc.close_deeper_than(shared[(prev ^ key).leading_zeros() as usize]);
+            prev = key;
+            if from_a {
+                acc.open_a[deepest] += 1;
                 i += 1;
-            }
-            let mut count_b = 0usize;
-            while j < b.len() && group(b[j]) == g {
-                count_b += 1;
+            } else {
+                acc.open_b[deepest] += 1;
                 j += 1;
             }
-            support += 1;
-            if count_a + count_b == 1 {
-                n1_a += count_a;
-                n1_b += count_b;
-            }
         }
-        stats.support.push(support);
-        stats.singletons_a.push(n1_a);
-        stats.singletons_b.push(n1_b);
+        acc.close_deeper_than(0);
     }
-    stats
+    for tv in &mut acc.tv {
+        *tv /= 2.0;
+    }
+    (acc.tv, acc.stats)
+}
+
+/// The running state of [`sorted_depth_profile`]: per depth, the TV sum
+/// and statistics of the closed groups, and the counts of the open one.
+struct DepthAccumulator {
+    weight_a: f64,
+    weight_b: f64,
+    tv: Vec<f64>,
+    stats: DepthStats,
+    open_a: Vec<usize>,
+    open_b: Vec<usize>,
+}
+
+impl DepthAccumulator {
+    /// Closes the open groups at every depth below `depth`, deepest
+    /// first, folding each one's counts into its parent depth (depth 0's
+    /// slot only collects the fold: its one group is read off the array
+    /// lengths).
+    #[inline]
+    fn close_deeper_than(&mut self, depth: usize) {
+        for d in (depth + 1..self.open_a.len()).rev() {
+            let (count_a, count_b) = (self.open_a[d], self.open_b[d]);
+            self.tv[d] += (count_a as f64 * self.weight_a - count_b as f64 * self.weight_b).abs();
+            self.stats.support[d] += 1;
+            if count_a + count_b == 1 {
+                self.stats.singletons_a[d] += count_a;
+                self.stats.singletons_b[d] += count_b;
+            }
+            self.open_a[d - 1] += count_a;
+            self.open_b[d - 1] += count_b;
+            self.open_a[d] = 0;
+            self.open_b[d] = 0;
+        }
+    }
 }
 
 /// Estimates `‖P(Π, A) − P(Π, B)‖` by running the protocol `samples`
@@ -340,8 +388,8 @@ pub(crate) fn sorted_depth_stats(
 /// exceeds the 64-bit key packing.
 pub fn sampled_comparison_with<P, R, FA, FB>(
     protocol: &P,
-    sample_a: FA,
-    sample_b: FB,
+    mut sample_a: FA,
+    mut sample_b: FB,
     samples: usize,
     rng: &mut R,
 ) -> DepthProfile
@@ -355,8 +403,12 @@ where
     let (width, horizon) = (protocol.width(), protocol.horizon());
     check_key_packing(horizon, width);
     let (mut side_a, mut side_b) = (Vec::new(), Vec::new());
-    collect_sorted_wide_keys(protocol, sample_a, samples, rng, &mut side_a);
-    collect_sorted_wide_keys(protocol, sample_b, samples, rng, &mut side_b);
+    let (fill_a, fill_b) = (
+        |r: &mut R, inputs: &mut Vec<u64>| *inputs = sample_a(r),
+        |r: &mut R, inputs: &mut Vec<u64>| *inputs = sample_b(r),
+    );
+    collect_sorted_wide_keys(protocol, fill_a, samples, rng, &mut side_a);
+    collect_sorted_wide_keys(protocol, fill_b, samples, rng, &mut side_b);
     profile_from_sorted_sides(horizon, width, samples, &side_b, &[&side_a], &side_a)
 }
 
@@ -365,9 +417,109 @@ mod tests {
     use super::*;
     use crate::exec::{Estimator, ExactEstimator, Provenance};
     use crate::input::{ProductInput, RowSupport};
+    use bcc_congest::wide::FnWideProtocol;
     use bcc_congest::{FnProtocol, TurnProtocol};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    // The per-depth oracles of `sorted_depth_profile`: one merge per
+    // depth.
+
+    /// Empirical TV between two sorted key arrays at prefix depth `depth`,
+    /// with per-sample weights `weight_a` / `weight_b` (normally `1/len`; the
+    /// mixture side of [`crate::exec::SampledEstimator`] passes `1/(m·len)`).
+    fn sorted_tv_at_depth(a: &[u64], b: &[u64], weight_a: f64, weight_b: f64, depth: u32) -> f64 {
+        if depth == 0 {
+            // A single group holding all mass on both sides.
+            return (a.len() as f64 * weight_a - b.len() as f64 * weight_b).abs() / 2.0;
+        }
+        let shift = 64 - depth;
+        let group = |key: u64| key >> shift;
+        let mut total = 0.0;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() || j < b.len() {
+            let ga = a.get(i).map(|&k| group(k));
+            let gb = b.get(j).map(|&k| group(k));
+            let g = match (ga, gb) {
+                (Some(x), Some(y)) => x.min(y),
+                (Some(x), None) => x,
+                (None, Some(y)) => y,
+                (None, None) => unreachable!("loop condition"),
+            };
+            let mut count_a = 0usize;
+            while i < a.len() && group(a[i]) == g {
+                count_a += 1;
+                i += 1;
+            }
+            let mut count_b = 0usize;
+            while j < b.len() && group(b[j]) == g {
+                count_b += 1;
+                j += 1;
+            }
+            total += (count_a as f64 * weight_a - count_b as f64 * weight_b).abs();
+        }
+        total / 2.0
+    }
+
+    /// Walks the two sorted arrays once per prefix depth `t·bits_per_turn`
+    /// for `t in 0..=horizon`, collecting the union support and the combined
+    /// singleton counts that drive the depth-resolved noise floors and the
+    /// Good–Turing smoothing correction. At depth 0 every key falls in one
+    /// group; unused low key bits are zero, so the deepest entry is the
+    /// number of distinct full keys in the union.
+    fn sorted_depth_stats(a: &[u64], b: &[u64], horizon: u32, bits_per_turn: u32) -> DepthStats {
+        let depths = horizon as usize + 1;
+        let mut stats = DepthStats {
+            support: Vec::with_capacity(depths),
+            singletons_a: Vec::with_capacity(depths),
+            singletons_b: Vec::with_capacity(depths),
+        };
+        for t in 0..=horizon {
+            let bits = t * bits_per_turn;
+            if bits == 0 {
+                let total = a.len() + b.len();
+                stats.support.push(usize::from(total > 0));
+                stats
+                    .singletons_a
+                    .push(usize::from(total == 1 && a.len() == 1));
+                stats
+                    .singletons_b
+                    .push(usize::from(total == 1 && b.len() == 1));
+                continue;
+            }
+            let shift = 64 - bits;
+            let group = |key: u64| key >> shift;
+            let (mut support, mut n1_a, mut n1_b) = (0usize, 0usize, 0usize);
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < a.len() || j < b.len() {
+                let g = match (a.get(i).map(|&k| group(k)), b.get(j).map(|&k| group(k))) {
+                    (Some(x), Some(y)) => x.min(y),
+                    (Some(x), None) => x,
+                    (None, Some(y)) => y,
+                    (None, None) => unreachable!("loop condition"),
+                };
+                let mut count_a = 0usize;
+                while i < a.len() && group(a[i]) == g {
+                    count_a += 1;
+                    i += 1;
+                }
+                let mut count_b = 0usize;
+                while j < b.len() && group(b[j]) == g {
+                    count_b += 1;
+                    j += 1;
+                }
+                support += 1;
+                if count_a + count_b == 1 {
+                    n1_a += count_a;
+                    n1_b += count_b;
+                }
+            }
+            stats.support.push(support);
+            stats.singletons_a.push(n1_a);
+            stats.singletons_b.push(n1_b);
+        }
+        stats
+    }
 
     /// Runs [`sampled_comparison_with`] on two product inputs.
     fn sampled_pair<P: WideTurnProtocol + ?Sized>(
@@ -445,6 +597,7 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         let stats = sorted_depth_stats(&a, &b, 2, 2);
+        assert_eq!(sorted_depth_profile(&a, &b, 1.0, 1.0, 2, 2).1, stats);
         // Depth 0: one group, everything in it.
         assert_eq!(stats.support, vec![1, 2, 3]);
         // Depth 1 groups: 0 (count 2+1) and 2 (count 1+1) — no
@@ -459,9 +612,14 @@ mod tests {
     #[test]
     fn depth_stats_handle_empty_and_single_key_inputs() {
         let empty = sorted_depth_stats(&[], &[], 3, 1);
+        assert_eq!(sorted_depth_profile(&[], &[], 1.0, 1.0, 3, 1).1, empty);
         assert_eq!(empty.support, vec![0, 0, 0, 0]);
         assert_eq!(empty.singletons_a, vec![0, 0, 0, 0]);
         let lone = sorted_depth_stats(&[1u64 << 63], &[], 1, 1);
+        assert_eq!(
+            sorted_depth_profile(&[1u64 << 63], &[], 1.0, 1.0, 1, 1).1,
+            lone
+        );
         assert_eq!(lone.support, vec![1, 1]);
         assert_eq!(
             lone.singletons_a,
@@ -505,10 +663,19 @@ mod tests {
         assert!((sorted_tv_at_depth(&a, &b, w, w, 2) - 1.0).abs() < 1e-12);
         assert!(sorted_tv_at_depth(&a, &b, w, w, 0).abs() < 1e-12);
         assert!(sorted_tv_at_depth(&a, &a, w, w, 2).abs() < 1e-12);
+        // The one pass reads the same distances at every depth.
+        let (tv, _) = sorted_depth_profile(&a, &b, w, w, 2, 1);
+        assert_eq!(tv, vec![0.0, 0.0, 1.0]);
+        assert_eq!(sorted_depth_profile(&a, &a, w, w, 2, 1).0, vec![0.0; 3]);
         // The deepest support (what `support_seen` reports) is the
         // full-key union.
-        let deepest =
-            |x: &[u64], y: &[u64]| *sorted_depth_stats(x, y, 2, 1).support.last().unwrap();
+        let deepest = |x: &[u64], y: &[u64]| {
+            *sorted_depth_profile(x, y, w, w, 2, 1)
+                .1
+                .support
+                .last()
+                .unwrap()
+        };
         assert_eq!(deepest(&a, &b), naive_union_support(&a, &b));
         assert_eq!(deepest(&a, &a), naive_union_support(&a, &a));
     }
@@ -712,5 +879,218 @@ mod tests {
         }
         let a = ProductInput::uniform(1, 1);
         let _ = sampled_pair(&Overflowing, &a, &a, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wide transcript full")]
+    fn twenty_second_push_at_width_three_overflows() {
+        // ⌊64/3⌋ = 21 messages fit; the boundary check has no division.
+        let mut t = WideTranscript::empty(3);
+        for _ in 0..21 {
+            t.push(0b111);
+        }
+        assert_eq!(t.len(), 21);
+        t.push(0);
+    }
+
+    /// `len` sorted keys for a `horizon`-turn, `width`-bit packing, heavy
+    /// in duplicates and in prefixes shared at every depth: each key is
+    /// one of a few bases with one of a few tweaks below a random turn.
+    /// Masked keys zero the bits below the packing, as drawn keys do.
+    fn prefix_keys(
+        rng: &mut StdRng,
+        len: usize,
+        width: u32,
+        horizon: u32,
+        masked: bool,
+    ) -> Vec<u64> {
+        let bases: [u64; 3] = [rng.gen(), rng.gen(), rng.gen()];
+        let tweaks: [u64; 3] = [rng.gen(), rng.gen(), u64::MAX];
+        let used = horizon * width;
+        let top = u64::MAX.checked_shl(64 - used).unwrap_or(0);
+        let mut keys: Vec<u64> = (0..len)
+            .map(|_| {
+                let kept = rng.gen_range(0..=horizon) * width;
+                let tweak = tweaks[rng.gen_range(0..3usize)]
+                    .checked_shr(kept)
+                    .unwrap_or(0);
+                let key = bases[rng.gen_range(0..3usize)] ^ tweak;
+                if masked {
+                    key & top
+                } else {
+                    key
+                }
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// A mixing hash of a speaker's view (its input and the transcript's
+    /// length and packed bits), for random protocols' messages.
+    fn mix(salt: u64, proc: usize, input: u64, len: u32, bits: u64) -> u64 {
+        let mut h = salt
+            ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ input.rotate_left(17)
+            ^ bits.rotate_left(31)
+            ^ u64::from(len).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 31;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 29)
+    }
+
+    /// One random explicit support per processor, of random size (powers
+    /// of two and not).
+    fn random_input(rng: &mut StdRng, n: usize, bits: u32) -> ProductInput {
+        ProductInput::new(
+            (0..n)
+                .map(|_| {
+                    let space = 1usize << bits;
+                    let size = rng.gen_range(1..=space);
+                    let points = rand::seq::index::sample(rng, space, size)
+                        .iter()
+                        .map(|p| p as u64)
+                        .collect();
+                    RowSupport::explicit(bits, points)
+                })
+                .collect(),
+        )
+    }
+
+    /// The fused draw's sorted keys, and the oracle's: each input drawn by
+    /// `ProductInput::sample`, run by `run_wide_protocol` and packed by
+    /// `wide_prefix_key`. Both RNGs must also end in the same state.
+    fn fused_and_oracle_keys<P: WideTurnProtocol + ?Sized>(
+        protocol: &P,
+        input: &ProductInput,
+        samples: usize,
+        seed: u64,
+    ) -> (Vec<u64>, Vec<u64>, bool) {
+        use bcc_congest::wide::run_wide_protocol;
+        let mut fused_rng = StdRng::seed_from_u64(seed);
+        let mut fused = vec![u64::MAX]; // stale content must be cleared
+        collect_sorted_wide_keys(
+            protocol,
+            |r, inputs| input.sample_into(r, inputs),
+            samples,
+            &mut fused_rng,
+            &mut fused,
+        );
+        let mut oracle_rng = StdRng::seed_from_u64(seed);
+        let mut oracle: Vec<u64> = (0..samples)
+            .map(|_| wide_prefix_key(&run_wide_protocol(protocol, &input.sample(&mut oracle_rng))))
+            .collect();
+        oracle.sort_unstable();
+        let same_stream = fused_rng.gen::<u64>() == oracle_rng.gen::<u64>();
+        (fused, oracle, same_stream)
+    }
+
+    /// A bit protocol with a non-round-robin speaker schedule.
+    struct Scrambled {
+        n: usize,
+        bits: u32,
+        horizon: u32,
+        salt: u64,
+    }
+
+    impl TurnProtocol for Scrambled {
+        fn n(&self) -> usize {
+            self.n
+        }
+        fn input_bits(&self) -> u32 {
+            self.bits
+        }
+        fn horizon(&self) -> u32 {
+            self.horizon
+        }
+        fn speaker(&self, t: u32) -> usize {
+            (t as usize * t as usize + 3 * (t as usize / 2)) % self.n
+        }
+        fn bit(&self, proc: usize, input: u64, tr: &bcc_congest::TurnTranscript) -> bool {
+            mix(self.salt, proc, input, tr.len(), tr.as_u64()) & 1 == 1
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn one_pass_depth_profile_is_bitwise_the_per_depth_oracle(
+                width in prop_oneof![Just(1u32), Just(2), Just(3), Just(7), Just(16)],
+                horizon in 0u32..=64,
+                len_a in 0usize..48,
+                len_b in 0usize..48,
+                members in 1usize..5,
+                seed in any::<u64>(),
+            ) {
+                let horizon = horizon.min(64 / width);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let masked = seed & 1 == 0;
+                let a = prefix_keys(&mut rng, len_a, width, horizon, masked);
+                let b = prefix_keys(&mut rng, len_b, width, horizon, masked);
+                let weight_a = 1.0 / (members * len_a.max(1)) as f64;
+                let weight_b = 1.0 / len_b.max(1) as f64;
+                let (tv, stats) = sorted_depth_profile(&a, &b, weight_a, weight_b, horizon, width);
+                prop_assert_eq!(tv.len(), horizon as usize + 1);
+                for (t, &got) in tv.iter().enumerate() {
+                    let want = sorted_tv_at_depth(&a, &b, weight_a, weight_b, t as u32 * width);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "tv at depth {}", t);
+                }
+                prop_assert_eq!(stats, sorted_depth_stats(&a, &b, horizon, width));
+                if masked {
+                    prop_assert_eq!(
+                        stats.support[horizon as usize],
+                        naive_union_support(&a, &b)
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn fused_draw_keys_are_the_run_and_pack_oracle(
+                n in 1usize..5,
+                bits in 1u32..7,
+                width in prop_oneof![Just(1u32), Just(2), Just(3), Just(5), Just(16)],
+                horizon in 0u32..=24,
+                samples in 0usize..40,
+                seed in any::<u64>(),
+            ) {
+                let horizon = horizon.min(64 / width);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let input = random_input(&mut rng, n, bits);
+                let mask = (1u64 << width) - 1;
+                let p = FnWideProtocol::new(n, bits, width, horizon, |proc, x, tr| {
+                    mix(seed, proc, x, tr.len(), tr.as_u64()) & mask
+                });
+                let (fused, oracle, same_stream) =
+                    fused_and_oracle_keys(&p, &input, samples, seed ^ 1);
+                prop_assert_eq!(fused, oracle);
+                prop_assert!(same_stream, "the draws consumed different RNG output");
+            }
+
+            #[test]
+            fn fused_draw_keys_match_on_a_scrambled_width_one_view(
+                n in 1usize..6,
+                bits in 1u32..7,
+                horizon in 0u32..=64,
+                samples in 0usize..40,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let input = random_input(&mut rng, n, bits);
+                let p = Scrambled { n, bits, horizon, salt: seed };
+                let (fused, oracle, same_stream) =
+                    fused_and_oracle_keys(&p.as_wide(), &input, samples, seed ^ 1);
+                prop_assert_eq!(fused, oracle);
+                prop_assert!(same_stream, "the draws consumed different RNG output");
+            }
+        }
     }
 }

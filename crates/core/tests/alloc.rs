@@ -1,4 +1,4 @@
-//! Allocation accounting for the exact-walk hot path.
+//! Allocation accounting for the exact-walk and sampler hot paths.
 //!
 //! The overhauled walk promises **zero per-node heap allocations in the
 //! steady-state recursion**: all child sets live in pooled per-depth
@@ -8,14 +8,19 @@
 //! 16× (two extra full binary levels per distribution pair) must leave
 //! the allocation count essentially unchanged, while the retained seed
 //! walk — which allocates fresh masks at every node — scales its count
-//! with the node total.
+//! with the node total. The sampler makes the same promise per
+//! transcript: drawing 16× more samples per side must not add
+//! allocations beyond the per-side key arrays.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
+use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
     exact_mixture_comparison_reference, Estimator, ExactEstimator, ExecMode, ProductInput,
+    RowSupport, SampledEstimator,
 };
 
 struct CountingAlloc;
@@ -49,6 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+// bcc-lint: allow(no-global-mutable-state, reason = "serializes this binary's tests so one test's allocations never land in another's before/after delta")
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
@@ -80,6 +88,7 @@ fn steady_state_recursion_does_not_allocate_per_node() {
     // depth-12 walk 256 tasks and the depth-8 walk none). The vendored
     // rayon reads this on every call, and this test owns its process.
     std::env::set_var("RAYON_NUM_THREADS", "1");
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
     // Warm up once so lazily initialized runtime structures don't count.
     let _ = full_tree_walk(8, false);
@@ -106,5 +115,38 @@ fn steady_state_recursion_does_not_allocate_per_node() {
     assert!(
         large * 10 < seed_large,
         "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
+    );
+}
+
+/// A sequential sampled estimate of a width-2, 6-turn protocol over a
+/// two-member family (three sides), at `samples` per side.
+fn sampled_estimate(samples: usize) -> f64 {
+    let p = FnWideProtocol::new(3, 4, 2, 6, |proc, input, tr| {
+        ((input >> (tr.len() % 3)) ^ proc as u64 ^ tr.as_u64()) & 0b11
+    });
+    let baseline = ProductInput::uniform(3, 4);
+    let members = [
+        baseline.with_row(0, RowSupport::explicit(4, vec![1, 4, 7, 10, 13])),
+        baseline.with_row(2, RowSupport::explicit(4, vec![0, 3, 5, 6, 9, 10, 12, 15])),
+    ];
+    SampledEstimator::sequential(samples, 7)
+        .estimate_full(&p, &members, &baseline)
+        .tv()
+}
+
+#[test]
+fn steady_state_sampler_does_not_allocate_per_transcript() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = sampled_estimate(1 << 10);
+
+    let (_, small) = allocations(|| sampled_estimate(1 << 10));
+    let (_, large) = allocations(|| sampled_estimate(1 << 14));
+    // 15,360 more transcripts on each of three sides: one allocation per
+    // transcript would add 46,080. The per-side key arrays, the radix
+    // scratch and the mixture are allocated once per sort, whatever the
+    // sample count.
+    assert!(
+        large < small + 64,
+        "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"
     );
 }
