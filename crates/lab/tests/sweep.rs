@@ -563,3 +563,110 @@ mod placement {
         let _ = cut_grid(0, 2);
     }
 }
+
+/// The distance workloads' records and routing counters, pinned: the
+/// frontier-independent records (every `RankDistance` point, every
+/// past-budget `WideMessagesSampled` point) by fingerprint literal, and
+/// the in-budget routed points bitwise against the exact
+/// `WideMessages` records of the same cells (whose low-order bits follow
+/// the host's frontier depth, so they cannot be literals).
+mod distance_pins {
+    use bcc_lab::{
+        records_fingerprint, PointRecord, Scenario, ScenarioBuilder, SweepResult, Workload,
+    };
+
+    /// The three counters of a sweep that say how its points were routed:
+    /// `(lab.points_computed, lab.route_exact, lab.route_sampled)`.
+    fn routing(result: &SweepResult) -> (u64, u64, u64) {
+        let m = &result.metrics;
+        (
+            m.work_counter("lab.points_computed"),
+            m.work_counter("lab.route_exact"),
+            m.work_counter("lab.route_sampled"),
+        )
+    }
+
+    fn wide_scenario(name: &str, workload: Workload, rounds: &[u32]) -> ScenarioBuilder {
+        Scenario::builder(name)
+            .workload(workload)
+            .n(&[1024])
+            .k(&[4])
+            .rounds(rounds)
+            .bandwidth(&[2])
+            .seeds(&[1, 2])
+            .tolerance(0.25)
+            .initial_samples(128)
+            .max_samples(1 << 10)
+    }
+
+    #[test]
+    fn rank_distance_records_are_pinned() {
+        let result = Scenario::builder("pin-rank")
+            .workload(Workload::RankDistance { members: 2 })
+            .n(&[1024])
+            .k(&[4])
+            .rounds(&[6, 8])
+            .seeds(&[1, 2])
+            .tolerance(0.35)
+            .initial_samples(128)
+            .max_samples(1 << 11)
+            .build()
+            .sweep_ephemeral();
+        assert_eq!(records_fingerprint(&result.records), 0x052d_3fc3_3350_3d56);
+        assert_eq!(routing(&result), (4, 0, 0));
+    }
+
+    #[test]
+    fn routed_wide_records_are_pinned_and_replay_the_exact_workload() {
+        // Rounds 4 fits the exact node budget at w = 2; rounds 13 does
+        // not, so those points take the sampler under the truncated
+        // target (per-depth floors and resolved horizon recorded).
+        let routed = wide_scenario(
+            "pin-wide-routed",
+            Workload::WideMessagesSampled { members: 2 },
+            &[4, 13],
+        )
+        .truncated_target(true)
+        .build()
+        .sweep_ephemeral();
+        let exact = wide_scenario(
+            "pin-wide-exact",
+            Workload::WideMessages { members: 2 },
+            &[4],
+        )
+        .build()
+        .sweep_ephemeral();
+        assert_eq!(routing(&routed), (4, 2, 2));
+        assert_eq!(
+            routing(&exact),
+            (2, 0, 0),
+            "only the routed workload counts routes"
+        );
+
+        let (in_budget, past_budget): (Vec<&PointRecord>, Vec<&PointRecord>) =
+            routed.records.iter().partition(|r| r.rounds == 4);
+        assert_eq!(
+            records_fingerprint(past_budget.iter().copied()),
+            0xffde_53ac_9776_77df
+        );
+        assert!(past_budget
+            .iter()
+            .all(|r| r.noise_floor > 0.0 && r.resolved_horizon > 0));
+
+        assert_eq!(in_budget.len(), exact.records.len());
+        for (r, e) in in_budget.iter().zip(&exact.records) {
+            assert_eq!(
+                (r.n, r.k, r.bandwidth, r.seed),
+                (e.n, e.k, e.bandwidth, e.seed)
+            );
+            assert_eq!(r.estimate.to_bits(), e.estimate.to_bits());
+            assert_eq!(r.noise_floor.to_bits(), e.noise_floor.to_bits());
+            assert_eq!(r.samples, e.samples);
+            assert_eq!(r.met_tolerance, e.met_tolerance);
+            assert_eq!(r.depth_floors, e.depth_floors);
+            // The exact walk resolves every depth; the exact-only
+            // workload records no truncated target.
+            assert_eq!((r.resolved_horizon, e.resolved_horizon), (4, 0));
+        }
+    }
+}
