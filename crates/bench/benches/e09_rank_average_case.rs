@@ -18,7 +18,6 @@ use bcc_f2::rank_dist::{empirical_rank_pmf, limit_q, rank_probability};
 use bcc_lab::{Scenario, Workload};
 use bcc_prg::rank_hardness::{constant_guess_accuracy, theorem_1_4_error_bound};
 use bcc_prg::toy;
-use criterion::Throughput;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -129,7 +128,7 @@ fn main() {
             f(r.noise_floor),
             r.samples.to_string(),
             format!("{:.0}", r.wall_ms),
-            rate(Throughput::Elements(transcripts), r.wall_ms / 1e3),
+            rate(transcripts, r.wall_ms / 1e3),
         ]);
     }
     print_table(

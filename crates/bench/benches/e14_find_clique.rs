@@ -11,7 +11,6 @@ use bcc_graphs::planted::sample_rand;
 use bcc_lab::{Scenario, Workload};
 use bcc_planted::bounds;
 use bcc_planted::find::{activation_probability, find_planted_clique, measure_find};
-use criterion::Throughput;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,7 +118,7 @@ fn main() {
             f(r.noise_floor),
             r.samples.to_string(),
             format!("{:.0}", r.wall_ms),
-            rate(Throughput::Elements(r.samples), r.wall_ms / 1e3),
+            rate(r.samples, r.wall_ms / 1e3),
         ]);
     }
     print_table(

@@ -8,7 +8,6 @@ use bcc_bench::{banner, f, print_table, rate};
 use bcc_f2::{BitMatrix, BitVec};
 use bcc_lab::{Scenario, Workload};
 use bcc_prg::MatrixPrg;
-use criterion::Throughput;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -90,7 +89,7 @@ fn main() {
             format!("{:.1}", r.estimate),
             f(r.noise_floor),
             r.samples.to_string(),
-            rate(Throughput::Elements(r.samples * bits_out), r.wall_ms / 1e3),
+            rate(r.samples * bits_out, r.wall_ms / 1e3),
         ]);
     }
     print_table(

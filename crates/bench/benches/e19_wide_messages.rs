@@ -15,7 +15,6 @@ use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
 use bcc_core::{Estimator, ExactEstimator};
 use bcc_lab::{Scenario, Workload};
 use bcc_prg::toy;
-use criterion::Throughput;
 
 /// A BCAST(1) protocol whose speaker is contiguous for `w`-turn blocks.
 struct Contig<F> {
@@ -175,7 +174,7 @@ fn main() {
             f(r.estimate),
             r.samples.to_string(),
             format!("{:.0}", r.wall_ms),
-            rate(Throughput::Elements(r.samples), r.wall_ms / 1e3),
+            rate(r.samples, r.wall_ms / 1e3),
         ]);
     }
     print_table(

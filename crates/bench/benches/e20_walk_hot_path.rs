@@ -18,16 +18,21 @@
 //!   projected cost is reported instead);
 //! * **kernel loops**: the F2 word-kernel hot loops (dense intersect,
 //!   label-plane partition, radix passes) timed on their own, so their
-//!   cost is tracked from PR to PR (schema `bcc-bench-walk/v2`);
+//!   cost is tracked from change to change;
+//! * **transcript sort**: the sampled estimator's key sort, comparison
+//!   sort vs the hybrid radix sort on packed prefix keys at 12 and 32
+//!   transcript bits — 32 bits is four varying bytes, the widest shape
+//!   the hybrid still radix-sorts (`RADIX_MAX_VARYING_BYTES` in
+//!   `bcc_core::sample`);
 //!
 //! — and persists everything to `BENCH_walk.json` (override the path
 //! with `BCC_BENCH_WALK_OUT`), so the perf trajectory of the walk has
-//! machine-readable data from PR to PR. `--smoke` shrinks the workloads
-//! for CI but still exercises every scenario and writes the file.
+//! machine-readable data from change to change (schema
+//! `bcc-bench-walk/v3`). `--smoke` shrinks the workloads for CI but
+//! still exercises every scenario and writes the file.
 
 use std::time::Instant;
 
-use bcc_bench::walk_fixtures::{intersect_fixture, shared_family};
 use bcc_bench::{banner, f, print_table};
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::{FnProtocol, TurnProtocol};
@@ -36,8 +41,58 @@ use bcc_core::{
     ProductInput, RowSupport,
 };
 use bcc_f2::kernel::{self, WordKernel};
-use bcc_f2::ConsistentSet;
+use bcc_f2::{BitVec, ConsistentSet};
 use bcc_obs::json::Value;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A decomposition family in the shape the paper produces: `members`
+/// inputs that differ from the uniform baseline in one planted row and
+/// share every other row's `Arc` with it ([`ProductInput::with_row`]) —
+/// the shape whose per-node protocol evaluations the walk's label planes
+/// deduplicate.
+fn shared_family(n: usize, bits: u32, members: usize) -> (Vec<ProductInput>, ProductInput) {
+    let baseline = ProductInput::uniform(n, bits);
+    let size = 1u64 << bits;
+    let members = (0..members as u64)
+        .map(|i| {
+            baseline.with_row(
+                0,
+                RowSupport::explicit(bits, (0..size).filter(|x| (x ^ i) % 3 != 0).collect()),
+            )
+        })
+        .collect();
+    (members, baseline)
+}
+
+/// The dense-vs-sparse intersect scenario: a random label plane over a
+/// `universe`-point support, plus one consistent set of `live` evenly
+/// strided points, both as the sparse hybrid set and as the dense mask
+/// the seed representation would have kept.
+fn intersect_fixture(universe: usize, live: usize) -> (Vec<u64>, ConsistentSet, BitVec) {
+    let mut rng = StdRng::seed_from_u64(bcc_bench::SEED);
+    let plane: Vec<u64> = (0..universe.div_ceil(64)).map(|_| rng.gen()).collect();
+    let idxs: Vec<u32> = (0..live as u32)
+        .map(|i| i * (universe / live) as u32)
+        .collect();
+    let sparse = ConsistentSet::from_indices(universe, &idxs);
+    assert!(sparse.is_sparse(), "fixture must exercise the sparse path");
+    let mut mask = BitVec::zeros(universe);
+    for &i in &idxs {
+        mask.set(i as usize, true);
+    }
+    (plane, sparse, mask)
+}
+
+/// `len` packed prefix keys of a `bits`-bit transcript, as the sampler
+/// sorts them: random low bits, bit-reversed so the transcript fills the
+/// top `bits` and the low `64 − bits` stay zero.
+fn transcript_keys(len: usize, bits: u32, seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| (rng.gen::<u64>() & ((1u64 << bits) - 1)).reverse_bits())
+        .collect()
+}
 
 /// One measured scenario: mean wall-clock nanoseconds per iteration.
 struct Measurement {
@@ -135,7 +190,7 @@ fn write_json(
         })
         .collect();
     let doc = Value::object([
-        ("schema", "bcc-bench-walk/v2".into()),
+        ("schema", "bcc-bench-walk/v3".into()),
         ("smoke", smoke.into()),
         ("scenarios", scenarios),
         (
@@ -163,7 +218,6 @@ fn main() {
         "label planes + pooled workspace + hybrid sets vs the seed walk, measured",
     );
 
-    let mut measurements: Vec<Measurement> = Vec::new();
     let budget: u64 = if smoke { 40 } else { 400 };
 
     // -- partition: width 1, Arc-sharing decomposition family -----------
@@ -222,8 +276,7 @@ fn main() {
     // -- intersect: dense mask vs sparse index list --------------------
     let universe = 1usize << 17;
     let live = 512usize;
-    let fx = intersect_fixture(universe, live, bcc_bench::SEED);
-    let (plane, sparse, mask) = (fx.plane, fx.sparse, fx.mask);
+    let (plane, sparse, mask) = intersect_fixture(universe, live);
     let dense_time = measure("intersect/dense_mask", 64, budget, || {
         let out = mask.clone();
         let mut count = 0usize;
@@ -243,18 +296,9 @@ fn main() {
     let full_parent = ConsistentSet::full(universe);
     let mut kernel_out = ConsistentSet::empty(universe);
     let mask_words: Vec<u64> = mask.as_words().to_vec();
-    let radix_keys: Vec<u64> = {
-        let len = if smoke { 1usize << 12 } else { 1 << 16 };
-        let mut state = bcc_bench::SEED;
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state
-            })
-            .collect()
-    };
+    // Transcript-shaped, so the hybrid takes its counting passes: full
+    // 64-bit keys vary in all eight bytes and would time its fallback.
+    let radix_keys = transcript_keys(if smoke { 1 << 12 } else { 1 << 16 }, 12, bcc_bench::SEED);
     let k_int_scalar = measure("kernel_intersect/scalar", 64, budget, || {
         kernel::active().filter_count(&mask_words, &plane, true)
     });
@@ -267,6 +311,50 @@ fn main() {
         radix_sort_u64(&mut keys);
         keys.len()
     });
+
+    // -- transcript sort: comparison sort vs the hybrid radix sort ------
+    // The sampled estimator's key sort at two depths: two varying bytes,
+    // and four, the widest shape the hybrid still radix-sorts.
+    let sort_len = if smoke { 1usize << 12 } else { 1 << 17 };
+    let mut sort_rows = Vec::new();
+    let mut sort_speedups = Vec::new();
+    for (bits, names, speedup) in [
+        (
+            12,
+            (
+                "transcript_sort/std_unstable_h12",
+                "transcript_sort/radix_h12",
+            ),
+            "transcript_sort_h12",
+        ),
+        (
+            32,
+            (
+                "transcript_sort/std_unstable_h32",
+                "transcript_sort/radix_h32",
+            ),
+            "transcript_sort_h32",
+        ),
+    ] {
+        let keys = transcript_keys(sort_len, bits, u64::from(bits));
+        let (std_row, radix_row, ratio) = measure_paired(
+            names,
+            5,
+            budget,
+            || {
+                let mut v = keys.clone();
+                v.sort_unstable();
+                v
+            },
+            || {
+                let mut v = keys.clone();
+                radix_sort_u64(&mut v);
+                v
+            },
+        );
+        sort_rows.extend([std_row, radix_row]);
+        sort_speedups.push((speedup, ratio));
+    }
 
     // -- huge support, tiny alive: only the sparse path is priced sanely
     let hbits: u32 = if smoke { 14 } else { 18 };
@@ -283,7 +371,7 @@ fn main() {
     // occupancy: words touched across the full live tree.
     let dense_words_projected = (1u64 << (hhorizon + 1)) * (1u64 << hbits) / 64 * 2;
 
-    for m in [
+    let mut measurements = vec![
         seed_bit,
         new_bit,
         native_bit,
@@ -295,9 +383,8 @@ fn main() {
         k_int_scalar,
         k_part_scalar,
         k_radix_scalar,
-    ] {
-        measurements.push(m);
-    }
+    ];
+    measurements.extend(sort_rows);
 
     println!();
     print_table(
@@ -314,12 +401,15 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!();
-    let speedup_rows = vec![
+    let mut speedup_rows = vec![
         vec!["partition (w = 1 view)".into(), f(partition_speedup)],
         vec!["partition (w = 2)".into(), f(wide_speedup)],
         vec!["view vs native (w = 1)".into(), f(view_vs_native)],
         vec!["intersect (dense vs sparse)".into(), f(intersect_speedup)],
     ];
+    for &(name, ratio) in &sort_speedups {
+        speedup_rows.push(vec![format!("{name} (std vs radix)"), f(ratio)]);
+    }
     print_table(&["speedup", "x"], &speedup_rows);
 
     // -- headline work counters of one representative run ---------------
@@ -336,6 +426,10 @@ fn main() {
         std::hint::black_box(keys);
     }
     let work = work_registry.snapshot();
+    assert!(
+        work.work_counter("kernel.words.bytes") > 0,
+        "kernel_radix keys took the comparison-sort fallback, not the radix passes"
+    );
     let kernel_words: u64 = work
         .work
         .iter()
@@ -347,11 +441,12 @@ fn main() {
     // so the committed baseline is where readers look for it.
     let path = std::env::var("BCC_BENCH_WALK_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_walk.json").into());
-    let speedups = [
+    let mut speedups = vec![
         ("partition_bit", partition_speedup),
         ("partition_wide", wide_speedup),
         ("intersect", intersect_speedup),
     ];
+    speedups.extend(sort_speedups);
     write_json(
         &path,
         smoke,

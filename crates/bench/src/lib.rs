@@ -1,4 +1,4 @@
-//! Shared harness utilities for the experiment benches (E1–E16).
+//! Shared harness utilities for the experiment benches (e01–e20).
 //!
 //! Every bench target regenerates one quantitative result of the paper and
 //! prints a table with a "paper" column (the closed-form bound or constant)
@@ -64,77 +64,21 @@ pub fn check(ok: bool) -> String {
     }
 }
 
-/// Formats the rate a [`criterion::Throughput`] implies over `secs`
-/// seconds of wall clock — the elements/sec column of the scaled
-/// experiment tables (e.g. transcripts simulated or trials run per
-/// second).
-pub fn rate(throughput: criterion::Throughput, secs: f64) -> String {
-    // rate_string takes ns per "iteration"; the whole measured stretch is
-    // one iteration here.
-    throughput.rate_string(secs.max(1e-12) * 1e9)
-}
-
-/// Shared fixtures of the exact-walk hot-path benchmarks, used by both
-/// `criterion_micro` (walk_partition / consistent_intersect groups) and
-/// `e20_walk_hot_path` so the two measurement sites always time the
-/// same scenario shapes.
-pub mod walk_fixtures {
-    use bcc_core::{ProductInput, RowSupport};
-    use bcc_f2::{BitVec, ConsistentSet};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// A decomposition family in the shape the paper produces: `members`
-    /// inputs that differ from the uniform baseline in one planted row
-    /// and share every other row's `Arc` with it
-    /// ([`ProductInput::with_row`]) — the shape whose per-node protocol
-    /// evaluations the walk's label planes deduplicate.
-    pub fn shared_family(n: usize, bits: u32, members: usize) -> (Vec<ProductInput>, ProductInput) {
-        let baseline = ProductInput::uniform(n, bits);
-        let size = 1u64 << bits;
-        let members = (0..members as u64)
-            .map(|i| {
-                baseline.with_row(
-                    0,
-                    RowSupport::explicit(bits, (0..size).filter(|x| (x ^ i) % 3 != 0).collect()),
-                )
-            })
-            .collect();
-        (members, baseline)
-    }
-
-    /// The dense-vs-sparse intersect scenario: one consistent set of
-    /// `live` evenly strided points in a `universe`-point support, both
-    /// as the sparse hybrid set and as the dense mask the seed
-    /// representation would have kept, plus a random label plane.
-    pub struct IntersectFixture {
-        /// Packed random label plane over the universe.
-        pub plane: Vec<u64>,
-        /// The live set as a (sparse) [`ConsistentSet`].
-        pub sparse: ConsistentSet,
-        /// The same live set as a dense [`BitVec`] mask.
-        pub mask: BitVec,
-    }
-
-    /// Builds the [`IntersectFixture`] (seeded; deterministic).
-    pub fn intersect_fixture(universe: usize, live: usize, seed: u64) -> IntersectFixture {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let plane: Vec<u64> = (0..universe.div_ceil(64)).map(|_| rng.gen()).collect();
-        let idxs: Vec<u32> = (0..live as u32)
-            .map(|i| i * (universe / live) as u32)
-            .collect();
-        let sparse = ConsistentSet::from_indices(universe, &idxs);
-        assert!(sparse.is_sparse(), "fixture must exercise the sparse path");
-        let mut mask = BitVec::zeros(universe);
-        for &i in &idxs {
-            mask.set(i as usize, true);
-        }
-        IntersectFixture {
-            plane,
-            sparse,
-            mask,
-        }
-    }
+/// Formats `elements` processed over `secs` seconds of wall clock as an
+/// SI-scaled rate — the elements/sec column of the scaled experiment
+/// tables (e.g. transcripts simulated or trials run per second).
+pub fn rate(elements: u64, secs: f64) -> String {
+    let per_second = elements as f64 / secs.max(1e-12);
+    let (scaled, unit) = if per_second >= 1e9 {
+        (per_second / 1e9, "G")
+    } else if per_second >= 1e6 {
+        (per_second / 1e6, "M")
+    } else if per_second >= 1e3 {
+        (per_second / 1e3, "K")
+    } else {
+        (per_second, "")
+    };
+    format!("{scaled:.1} {unit}elem/s")
 }
 
 #[cfg(test)]
@@ -159,13 +103,7 @@ mod tests {
 
     #[test]
     fn rate_column_formats_elements_per_second() {
-        assert_eq!(
-            rate(criterion::Throughput::Elements(2_000_000), 1.0),
-            "2.0 Melem/s"
-        );
-        assert_eq!(
-            rate(criterion::Throughput::Elements(500), 2.0),
-            "250.0 elem/s"
-        );
+        assert_eq!(rate(2_000_000, 1.0), "2.0 Melem/s");
+        assert_eq!(rate(500, 2.0), "250.0 elem/s");
     }
 }

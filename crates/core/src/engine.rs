@@ -71,10 +71,15 @@ pub struct SpeakerStats {
 /// `walk::reference` module, which queries
 /// [`WideTurnProtocol::message`] directly): per-node protocol evaluation
 /// for every distribution, per-node mask allocation, no hybrid sets.
-/// Exists as the differential-testing oracle and the before-side of the
-/// hot-path benchmarks; results are bitwise identical to
-/// [`ExactEstimator`](crate::exec::ExactEstimator)'s optimized walk
-/// (property-tested).
+/// Results are bitwise identical to
+/// [`ExactEstimator`](crate::exec::ExactEstimator)'s optimized walk.
+///
+/// It is public because its users live outside this crate: the oracle
+/// suites `crates/core/tests/prop.rs` (optimized walk == seed walk,
+/// property-tested) and `crates/core/tests/alloc.rs` (the seed walk
+/// allocates per node, the optimized one does not) are integration-test
+/// crates, and the hot-path benchmark `e20_walk_hot_path` times it as
+/// the before-side of its `bit_walk/seed` and `wide_walk/seed` rows.
 ///
 /// # Panics
 ///

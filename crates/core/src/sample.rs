@@ -188,8 +188,10 @@ pub(crate) fn merge_sorted_k_u64(lists: &[&[u64]], out: &mut Vec<u64>) {
 const RADIX_CUTOFF: usize = 256;
 
 /// Beyond this many varying bytes the counting passes' scattered writes
-/// cost more than a comparison sort (measured in
-/// `criterion_micro/transcript_sort`), so the hybrid falls back.
+/// cost more than a comparison sort, so the hybrid falls back. Four
+/// bytes (32 transcript bits) is the widest shape it still radix-sorts;
+/// the `transcript_sort/*_h32` rows of the `e20_walk_hot_path` benchmark
+/// time it against `sort_unstable`.
 const RADIX_MAX_VARYING_BYTES: u32 = 4;
 
 /// Sorts packed transcript keys ascending with an LSD radix sort (byte

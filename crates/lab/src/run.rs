@@ -20,10 +20,11 @@
 // bcc-lint: allow(no-wall-clock-in-work-paths, reason = "wall_ms is a reporting-only record field; estimates never depend on it")
 use std::time::Instant;
 
-use bcc_congest::wide::FnWideProtocol;
+use bcc_congest::wide::{FnWideProtocol, WideTurnProtocol};
 use bcc_congest::{FnProtocol, TurnProtocol};
 use bcc_core::{
-    derive_seed, wide_walk_nodes, AdaptiveEstimator, Estimator, ExactEstimator, MAX_WIDE_NODES,
+    derive_seed, wide_walk_nodes, AdaptiveEstimator, Estimator, ExactEstimator, ProductInput,
+    MAX_WIDE_NODES,
 };
 use bcc_f2::{BitMatrix, BitVec};
 use bcc_planted::find::{activation_probability, FindTally};
@@ -172,21 +173,74 @@ pub fn run_point(scenario: &Scenario, point_id: usize, point: &ScenarioPoint) ->
     }
 }
 
-/// The depth-resolved half of a sampled outcome: the resolved horizon at
-/// the scenario tolerance plus the encoded per-depth floors. Only
-/// attached when the truncated-depth target is on — legacy scenarios
-/// must keep producing byte-identical records.
-fn depth_stats(profile: &bcc_core::DepthProfile, precision: &Precision) -> (u32, String) {
-    if !precision.truncated_target {
-        return (0, String::new());
+/// The toy-PRG coset family against uniform on `n_speak` rows: up to
+/// `members` distinct `k`-bit secrets (clamped to the `2^k` possible)
+/// drawn from the point's own stream `stream`, one
+/// `toy::pseudo_input` per secret, and the uniform baseline.
+fn coset_family(
+    point: &ScenarioPoint,
+    members: usize,
+    n_speak: usize,
+    stream: u64,
+) -> (Vec<ProductInput>, ProductInput) {
+    let k = point.k;
+    let mut rng = StdRng::seed_from_u64(derive_seed(point.stream_root(), stream));
+    let secret_space = 1u64 << k;
+    let want = members.min(secret_space as usize);
+    let mut secrets: Vec<u64> = Vec::with_capacity(want);
+    while secrets.len() < want {
+        let b = rng.gen::<u64>() & (secret_space - 1);
+        if !secrets.contains(&b) {
+            secrets.push(b);
+        }
     }
-    let floors: Vec<f64> = (0..=profile.horizon)
-        .map(|t| profile.noise_floor_at(t))
+    let family = secrets
+        .iter()
+        .map(|&b| toy::pseudo_input(n_speak, k, b))
         .collect();
-    (
-        profile.resolved_horizon(precision.tolerance),
-        encode_depth_floors(&floors),
-    )
+    (family, toy::uniform_input(n_speak, k))
+}
+
+/// The family's transcript distance to the baseline over the protocol's
+/// full horizon, from the adaptive sampler seeded with `seed`, under the
+/// scenario's precision.
+///
+/// The depth-resolved half of the outcome — the resolved horizon at the
+/// scenario tolerance plus the encoded per-depth floors — is attached
+/// only when the truncated-depth target is on: legacy scenarios must
+/// keep producing byte-identical records.
+fn sampled_distance<P: WideTurnProtocol + Sync + ?Sized>(
+    protocol: &P,
+    family: &[ProductInput],
+    baseline: &ProductInput,
+    seed: u64,
+    precision: &Precision,
+) -> Outcome {
+    let mut estimator = AdaptiveEstimator::new(
+        precision.tolerance,
+        precision.initial_samples,
+        precision.max_samples,
+        seed,
+    );
+    if precision.truncated_target {
+        estimator = estimator.with_truncated_target();
+    }
+    let (profile, report) =
+        estimator.estimate_with_report(protocol, family, baseline, protocol.horizon());
+    let mut outcome = Outcome::flat(
+        profile.tv(),
+        profile.noise_floor(),
+        report.samples_per_side as u64,
+        report.met_tolerance,
+    );
+    if precision.truncated_target {
+        let floors: Vec<f64> = (0..=profile.horizon)
+            .map(|t| profile.noise_floor_at(t))
+            .collect();
+        outcome.resolved_horizon = profile.resolved_horizon(precision.tolerance);
+        outcome.depth_floors = encode_depth_floors(&floors);
+    }
+    outcome
 }
 
 /// The toy-PRG coset family vs uniform under a transcript-dependent
@@ -208,52 +262,9 @@ fn rank_distance(point: &ScenarioPoint, members: usize, precision: &Precision) -
             (0x9D ^ n_logical ^ tr.as_u64() ^ ((proc as u64) << 1)) & ((1u64 << (k + 1)) - 1);
         (input & mask).count_ones() % 2 == 1
     });
-
-    // The family: `members` distinct secrets from the point's own stream.
-    let root = point.stream_root();
-    let mut rng = StdRng::seed_from_u64(derive_seed(root, 1));
-    let secrets = draw_secrets(&mut rng, members, k);
-    let family: Vec<_> = secrets
-        .iter()
-        .map(|&b| toy::pseudo_input(n_speak, k, b))
-        .collect();
-    let baseline = toy::uniform_input(n_speak, k);
-
-    let mut estimator = AdaptiveEstimator::new(
-        precision.tolerance,
-        precision.initial_samples,
-        precision.max_samples,
-        derive_seed(root, 2),
-    );
-    if precision.truncated_target {
-        estimator = estimator.with_truncated_target();
-    }
-    let (profile, report) =
-        estimator.estimate_with_report(&protocol.as_wide(), &family, &baseline, turns);
-    let (resolved_horizon, depth_floors) = depth_stats(&profile, precision);
-    Outcome {
-        estimate: profile.tv(),
-        noise_floor: profile.noise_floor(),
-        samples: report.samples_per_side as u64,
-        met_tolerance: report.met_tolerance,
-        resolved_horizon,
-        depth_floors,
-    }
-}
-
-/// Draws up to `members` distinct `k`-bit secrets from `rng` (clamped to
-/// the `2^k` possible).
-fn draw_secrets(rng: &mut StdRng, members: usize, k: u32) -> Vec<u64> {
-    let secret_space = 1u64 << k;
-    let want = members.min(secret_space as usize);
-    let mut secrets: Vec<u64> = Vec::with_capacity(want);
-    while secrets.len() < want {
-        let b = rng.gen::<u64>() & (secret_space - 1);
-        if !secrets.contains(&b) {
-            secrets.push(b);
-        }
-    }
-    secrets
+    let (family, baseline) = coset_family(point, members, n_speak, 1);
+    let seed = derive_seed(point.stream_root(), 2);
+    sampled_distance(&protocol.as_wide(), &family, &baseline, seed, precision)
 }
 
 /// The toy-PRG coset family vs uniform under a `w`-bit masked-parity
@@ -294,8 +305,8 @@ fn wide_setup(
     members: usize,
 ) -> (
     FnWideProtocol<impl Fn(usize, u64, &bcc_congest::wide::WideTranscript) -> u64>,
-    Vec<bcc_core::ProductInput>,
-    bcc_core::ProductInput,
+    Vec<ProductInput>,
+    ProductInput,
 ) {
     let w = point.bandwidth;
     let rounds = point.rounds;
@@ -322,23 +333,16 @@ fn wide_setup(
         }
         message
     });
-
-    let root = point.stream_root();
-    let mut rng = StdRng::seed_from_u64(derive_seed(root, 5));
-    let secrets = draw_secrets(&mut rng, members, k);
-    let family: Vec<_> = secrets
-        .iter()
-        .map(|&b| toy::pseudo_input(n_speak, k, b))
-        .collect();
-    let baseline = toy::uniform_input(n_speak, k);
+    let (family, baseline) = coset_family(point, members, n_speak, 5);
     (protocol, family, baseline)
 }
 
 /// [`wide_messages`] past the exact cliff: the identical protocol family,
 /// with the backend routed per point — the exact wide walk when the
 /// complete tree fits [`bcc_core::MAX_WIDE_NODES`], the adaptive wide
-/// sampler ([`AdaptiveEstimator::estimate_with_report`], per-side
-/// derived ChaCha streams, incremental batches) exactly when it does not.
+/// sampler ([`sampled_distance`]: per-side derived ChaCha streams,
+/// incremental batches) exactly when it does not. The sweep's
+/// `lab.route_exact` / `lab.route_sampled` counters say which.
 ///
 /// Sampled records report the estimator's honest `noise_floor()` —
 /// clamped to the TV bound 1 — for deep wide horizons the transcript
@@ -351,10 +355,16 @@ fn wide_setup(
 /// floor. Both routes are bitwise-deterministic from the point's
 /// coordinates, so resume semantics are unchanged.
 fn wide_messages_sampled(point: &ScenarioPoint, members: usize, precision: &Precision) -> Outcome {
-    if wide_walk_nodes(point.bandwidth, point.rounds) <= MAX_WIDE_NODES {
-        if let Some(obs) = bcc_obs::current() {
-            obs.add("lab.route_exact", bcc_obs::Class::Work, 1);
-        }
+    let exact = wide_walk_nodes(point.bandwidth, point.rounds) <= MAX_WIDE_NODES;
+    if let Some(obs) = bcc_obs::current() {
+        let route = if exact {
+            "lab.route_exact"
+        } else {
+            "lab.route_sampled"
+        };
+        obs.add(route, bcc_obs::Class::Work, 1);
+    }
+    if exact {
         let mut outcome = wide_messages(point, members, precision);
         if precision.truncated_target {
             // The exact walk resolves every depth (floor 0 everywhere);
@@ -363,30 +373,9 @@ fn wide_messages_sampled(point: &ScenarioPoint, members: usize, precision: &Prec
         }
         return outcome;
     }
-    if let Some(obs) = bcc_obs::current() {
-        obs.add("lab.route_sampled", bcc_obs::Class::Work, 1);
-    }
     let (protocol, family, baseline) = wide_setup(point, members);
-    let mut estimator = AdaptiveEstimator::new(
-        precision.tolerance,
-        precision.initial_samples,
-        precision.max_samples,
-        derive_seed(point.stream_root(), 6),
-    );
-    if precision.truncated_target {
-        estimator = estimator.with_truncated_target();
-    }
-    let (profile, report) =
-        estimator.estimate_with_report(&protocol, &family, &baseline, point.rounds);
-    let (resolved_horizon, depth_floors) = depth_stats(&profile, precision);
-    Outcome {
-        estimate: profile.tv(),
-        noise_floor: profile.noise_floor(),
-        samples: report.samples_per_side as u64,
-        met_tolerance: report.met_tolerance,
-        resolved_horizon,
-        depth_floors,
-    }
+    let seed = derive_seed(point.stream_root(), 6);
+    sampled_distance(&protocol, &family, &baseline, seed, precision)
 }
 
 /// Success rate of the Appendix B finder, with trials grown until the

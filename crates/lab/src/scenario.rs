@@ -252,6 +252,17 @@ impl Workload {
     pub fn times_wall_clock(&self) -> bool {
         matches!(self, Workload::PrgThroughput)
     }
+
+    /// The family members per point of a transcript-distance workload;
+    /// `None` for the others.
+    fn members(&self) -> Option<usize> {
+        match *self {
+            Workload::RankDistance { members }
+            | Workload::WideMessages { members }
+            | Workload::WideMessagesSampled { members } => Some(members),
+            Workload::FindClique | Workload::PrgThroughput => None,
+        }
+    }
 }
 
 /// A complete, validated scenario specification.
@@ -333,17 +344,11 @@ impl Scenario {
         fn axis<T: Copy + Into<Value>>(cells: &[T]) -> Value {
             cells.iter().map(|&x| x.into()).collect()
         }
-        let members = match self.workload {
-            Workload::RankDistance { members }
-            | Workload::WideMessages { members }
-            | Workload::WideMessagesSampled { members } => members,
-            _ => 0,
-        };
         let mut fields = vec![
             ("format", 1u32.into()),
             ("name", self.name.as_str().into()),
             ("workload", self.workload.tag().into()),
-            ("members", members.into()),
+            ("members", self.workload.members().unwrap_or(0).into()),
             ("grid_n", axis(&self.grid.n)),
             ("grid_k", axis(&self.grid.k)),
             ("grid_rounds", axis(&self.grid.rounds)),
@@ -372,23 +377,23 @@ impl Scenario {
 
     /// Whether this scenario's records can depend on the exact walk's
     /// adaptive frontier depth (and its fingerprint must therefore pin
-    /// the effective depths): every [`Workload::WideMessages`] scenario,
-    /// and a [`Workload::WideMessagesSampled`] scenario whose grid has at
+    /// the effective depths): a wide-message scenario whose grid has at
     /// least one `(rounds, bandwidth)` cell inside the exact node budget
-    /// (those cells route to the exact walk). An all-sampled grid is
-    /// frontier-independent, and pinning would only refuse legitimate
-    /// cross-machine resumes.
+    /// (those cells take the exact walk). That is every
+    /// [`Workload::WideMessages`] scenario, since the builder refuses its
+    /// past-budget cells. An all-sampled [`Workload::WideMessagesSampled`]
+    /// grid is frontier-independent, and pinning would only refuse
+    /// legitimate cross-machine resumes.
     fn pins_walk_depths(&self) -> bool {
-        match self.workload {
-            Workload::WideMessages { .. } => true,
-            Workload::WideMessagesSampled { .. } => self.grid.rounds.iter().any(|&rounds| {
-                self.grid
-                    .bandwidth
-                    .iter()
-                    .any(|&b| wide_walk_nodes(b, rounds) <= MAX_WIDE_NODES)
-            }),
-            _ => false,
-        }
+        matches!(
+            self.workload,
+            Workload::WideMessages { .. } | Workload::WideMessagesSampled { .. }
+        ) && self.grid.rounds.iter().any(|&rounds| {
+            self.grid
+                .bandwidth
+                .iter()
+                .any(|&b| wide_walk_nodes(b, rounds) <= MAX_WIDE_NODES)
+        })
     }
 }
 
@@ -515,11 +520,19 @@ impl ScenarioBuilder {
             workload.tag()
         );
 
+        // Every grid combination must be executable, so each axis value
+        // is checked, not just the extremes.
+        if let Some(members) = workload.members() {
+            assert!(members > 0, "need at least one family member");
+            for &k in &grid.k {
+                assert!(
+                    (1..=12).contains(&k),
+                    "k = {k} outside 1..=12 (coset supports are enumerated)"
+                );
+            }
+        }
         match workload {
-            Workload::RankDistance { members } => {
-                assert!(members > 0, "need at least one family member");
-                // Every grid combination must be executable, so each axis
-                // value is checked, not just the extremes.
+            Workload::RankDistance { .. } => {
                 for &rounds in &grid.rounds {
                     for &bandwidth in &grid.bandwidth {
                         let turns = rounds * bandwidth;
@@ -529,12 +542,6 @@ impl ScenarioBuilder {
                              1..={MAX_TRANSCRIPT_TURNS} (transcripts pack into a u64)"
                         );
                     }
-                }
-                for &k in &grid.k {
-                    assert!(
-                        (1..=12).contains(&k),
-                        "k = {k} outside 1..=12 (coset supports are enumerated)"
-                    );
                 }
             }
             Workload::FindClique => {
@@ -556,14 +563,7 @@ impl ScenarioBuilder {
                     );
                 }
             }
-            Workload::WideMessages { members } | Workload::WideMessagesSampled { members } => {
-                assert!(members > 0, "need at least one family member");
-                for &k in &grid.k {
-                    assert!(
-                        (1..=12).contains(&k),
-                        "k = {k} outside 1..=12 (coset supports are enumerated)"
-                    );
-                }
+            Workload::WideMessages { .. } | Workload::WideMessagesSampled { .. } => {
                 let exact_only = matches!(workload, Workload::WideMessages { .. });
                 for &rounds in &grid.rounds {
                     for &bandwidth in &grid.bandwidth {
