@@ -8,7 +8,7 @@
 //! `Σ_b ‖f(U) − f(U_[b])‖² ≤ E[f]`, exactly for the function families.
 
 use bcc_bench::{banner, check, f, print_table, sci};
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{Estimator, ExactEstimator};
 use bcc_planted::bounds;
 use bcc_prg::toy::{family, uniform_input};
@@ -32,8 +32,7 @@ fn main() {
             });
             let members = family(n, k);
             let baseline = uniform_input(n, k);
-            let cmp =
-                ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
+            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
             let bound = bounds::theorem_5_1(n, k);
             rows.push(vec![
                 n.to_string(),

@@ -8,7 +8,7 @@
 //! the full matrix family (`2^{k(m−k)}` members).
 
 use bcc_bench::{banner, check, f, print_table, sci};
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{Estimator, ExactEstimator};
 use bcc_prg::full::{family, uniform_input};
 use bcc_prg::MatrixPrg;
@@ -69,8 +69,7 @@ fn main() {
             });
             let members = family(n, k, m);
             let baseline = uniform_input(n, m);
-            let cmp =
-                ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
+            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
             rows.push(vec![
                 n.to_string(),
                 k.to_string(),

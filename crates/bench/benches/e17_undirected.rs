@@ -9,7 +9,6 @@
 //! predicts the same smallness, which is what we see.
 
 use bcc_bench::{banner, f, print_table};
-use bcc_congest::TurnProtocol;
 use bcc_core::sample::sampled_comparison_with;
 use bcc_planted::protocols::{degree_threshold, suspect_intersection};
 use bcc_planted::undirected::{row_dependence, sample_rows_rand, sampled_experiment};
@@ -58,14 +57,14 @@ fn main() {
         let p1 = suspect_intersection(n as u32, 1);
         let und = sampled_experiment(&p1, n, k, samples, &mut rng);
         let dir = sampled_comparison_with(
-            &p1.as_wide(),
-            |r| {
+            &p1,
+            |r, v| {
                 let g = bcc_graphs::planted::sample_rand(r, n);
-                rows_of_digraph(&g)
+                *v = rows_of_digraph(&g);
             },
-            |r| {
+            |r, v| {
                 let inst = bcc_graphs::planted::sample_planted(r, n, k);
-                rows_of_digraph(&inst.graph)
+                *v = rows_of_digraph(&inst.graph);
             },
             samples,
             &mut rng,

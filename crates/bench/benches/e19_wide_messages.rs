@@ -10,8 +10,8 @@
 //! shrinks by exactly the predicted `w` factor, no more.
 
 use bcc_bench::{banner, check, f, print_table, rate, sci};
-use bcc_congest::wide::{FnWideProtocol, PackedAdapter};
-use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
+use bcc_congest::wide::{FnWideProtocol, PackedAdapter, WideTranscript, WideTurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{Estimator, ExactEstimator};
 use bcc_lab::{Scenario, Workload};
 use bcc_prg::toy;
@@ -22,12 +22,15 @@ struct Contig<F> {
     block: u32,
 }
 
-impl<F: Fn(usize, u64, &TurnTranscript) -> bool> TurnProtocol for Contig<F> {
+impl<F: Fn(usize, u64, &WideTranscript) -> bool> WideTurnProtocol for Contig<F> {
     fn n(&self) -> usize {
         self.inner.n()
     }
     fn input_bits(&self) -> u32 {
         self.inner.input_bits()
+    }
+    fn width(&self) -> u32 {
+        1
     }
     fn horizon(&self) -> u32 {
         self.inner.horizon()
@@ -35,8 +38,8 @@ impl<F: Fn(usize, u64, &TurnTranscript) -> bool> TurnProtocol for Contig<F> {
     fn speaker(&self, t: u32) -> usize {
         (t / self.block) as usize % self.n()
     }
-    fn bit(&self, proc: usize, input: u64, tr: &TurnTranscript) -> bool {
-        self.inner.bit(proc, input, tr)
+    fn message(&self, proc: usize, input: u64, tr: &WideTranscript) -> u64 {
+        self.inner.message(proc, input, tr)
     }
 }
 
@@ -59,7 +62,7 @@ fn main() {
             bcc_core::RowSupport::uniform(4),
         ])];
         let baseline = bcc_core::ProductInput::uniform(2, 4);
-        let bit = ExactEstimator::default().estimate_full(&make(w).as_wide(), &members, &baseline);
+        let bit = ExactEstimator::default().estimate_full(&make(w), &members, &baseline);
         let wide = ExactEstimator::default().estimate_full(
             &PackedAdapter::new(make(w), w),
             &members,

@@ -6,11 +6,7 @@
 //!
 //! * **partition**: a decomposition-family walk whose members share
 //!   every unplanted row's `Arc` with the baseline, seed walk vs label
-//!   planes (a bit protocol through its width-1 view, and a width-2
-//!   protocol);
-//! * **view cost**: the same bit walk with its decision written natively
-//!   at `w = 1` (`bit_walk/native_w1`), so the width-1 view's overhead
-//!   is on record (`view_vs_native_w1` in the notes);
+//!   planes (a bit protocol, and a width-2 protocol);
 //! * **intersect**: one consistent-set split at 2^17-point support with
 //!   512 live points, dense mask vs sparse index list;
 //! * **huge-support**: the 2^18-support/16-live-point walk only the
@@ -28,14 +24,14 @@
 //! — and persists everything to `BENCH_walk.json` (override the path
 //! with `BCC_BENCH_WALK_OUT`), so the perf trajectory of the walk has
 //! machine-readable data from change to change (schema
-//! `bcc-bench-walk/v3`). `--smoke` shrinks the workloads for CI but
+//! `bcc-bench-walk/v4`). `--smoke` shrinks the workloads for CI but
 //! still exercises every scenario and writes the file.
 
 use std::time::Instant;
 
 use bcc_bench::{banner, f, print_table};
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{
     exact_mixture_comparison_reference, radix_sort_u64, Estimator, ExactEstimator, ExecMode,
     ProductInput, RowSupport,
@@ -190,7 +186,7 @@ fn write_json(
         })
         .collect();
     let doc = Value::object([
-        ("schema", "bcc-bench-walk/v3".into()),
+        ("schema", "bcc-bench-walk/v4".into()),
         ("smoke", smoke.into()),
         ("scenarios", scenarios),
         (
@@ -227,35 +223,19 @@ fn main() {
         let mask = 0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2);
         (input & mask).count_ones() % 2 == 1
     });
-    // The same decision written natively at w = 1: what the view costs.
-    let native = FnWideProtocol::new(4, 8, 1, horizon, |proc, input, tr| {
-        let mask = 0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2);
-        u64::from((input & mask).count_ones() % 2 == 1)
-    });
-    let view = proto.as_wide();
     let seed_bit = measure("bit_walk/seed", 3, budget, || {
-        exact_mixture_comparison_reference(&view, &members, &baseline, ExecMode::Sequential)
+        exact_mixture_comparison_reference(&proto, &members, &baseline, ExecMode::Sequential)
     });
-    let (new_bit, native_bit, view_vs_native) = measure_paired(
-        ("bit_walk/overhauled", "bit_walk/native_w1"),
-        5,
-        budget,
-        || ExactEstimator::sequential().estimate_full(&view, &members, &baseline),
-        || ExactEstimator::sequential().estimate_full(&native, &members, &baseline),
-    );
+    let new_bit = measure("bit_walk/overhauled", 3, budget, || {
+        ExactEstimator::sequential().estimate_full(&proto, &members, &baseline)
+    });
     // Sanity: the walks must agree exactly before their times mean
     // anything.
     {
         let a =
-            exact_mixture_comparison_reference(&view, &members, &baseline, ExecMode::Sequential);
-        let b = ExactEstimator::sequential().estimate_full(&view, &members, &baseline);
-        let c = ExactEstimator::sequential().estimate_full(&native, &members, &baseline);
+            exact_mixture_comparison_reference(&proto, &members, &baseline, ExecMode::Sequential);
+        let b = ExactEstimator::sequential().estimate_full(&proto, &members, &baseline);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
-        assert_eq!(
-            b.tv().to_bits(),
-            c.tv().to_bits(),
-            "view and native disagree"
-        );
     }
     let partition_speedup = seed_bit.ns_per_iter / new_bit.ns_per_iter;
 
@@ -365,7 +345,7 @@ fn main() {
     let ha = ProductInput::new(vec![RowSupport::explicit(hbits, (0..16).collect())]);
     let hbase = ProductInput::uniform(1, hbits);
     let huge = measure("huge_support/overhauled_only", 1, budget, || {
-        ExactEstimator::sequential().estimate_pair(&hproto.as_wide(), &ha, &hbase)
+        ExactEstimator::sequential().estimate_pair(&hproto, &ha, &hbase)
     });
     // What the dense representation would pay per node regardless of
     // occupancy: words touched across the full live tree.
@@ -374,7 +354,6 @@ fn main() {
     let mut measurements = vec![
         seed_bit,
         new_bit,
-        native_bit,
         seed_wide,
         new_wide,
         dense_time,
@@ -402,9 +381,8 @@ fn main() {
     );
     println!();
     let mut speedup_rows = vec![
-        vec!["partition (w = 1 view)".into(), f(partition_speedup)],
+        vec!["partition (w = 1)".into(), f(partition_speedup)],
         vec!["partition (w = 2)".into(), f(wide_speedup)],
-        vec!["view vs native (w = 1)".into(), f(view_vs_native)],
         vec!["intersect (dense vs sparse)".into(), f(intersect_speedup)],
     ];
     for &(name, ratio) in &sort_speedups {
@@ -420,7 +398,7 @@ fn main() {
     let work_registry = bcc_obs::Registry::new();
     {
         let _scope = work_registry.install();
-        let _ = ExactEstimator::sequential().estimate_full(&view, &members, &baseline);
+        let _ = ExactEstimator::sequential().estimate_full(&proto, &members, &baseline);
         let mut keys = radix_keys.clone();
         radix_sort_u64(&mut keys);
         std::hint::black_box(keys);
@@ -453,12 +431,6 @@ fn main() {
         &measurements,
         &speedups,
         &[
-            (
-                "view_vs_native_w1",
-                format!(
-                    "{view_vs_native:.3} (median of 5 alternating rounds of bit_walk/overhauled over bit_walk/native_w1; 1.0 = free view)"
-                ),
-            ),
             (
                 "huge_support_case",
                 format!(

@@ -1,128 +1,13 @@
-//! Transcript types: the history of everything broadcast so far.
+//! The log of a synchronous-round execution: every message broadcast so
+//! far, by round and processor.
 //!
 //! The paper (§1.3): "the 'transcript' is a list of all messages sent so
-//! far as well as who sent which message and when". With a fixed speaker
-//! schedule the who/when are implicit, so a turn transcript is just the bit
-//! string of messages — packed here into a `u64` for the exact engine's
-//! benefit.
+//! far as well as who sent which message and when". Turn protocols fix the
+//! speaker schedule, so their transcripts are just the packed messages
+//! ([`crate::wide::WideTranscript`]); this module holds the round log that
+//! [`crate::network::Network`] keeps for algorithm protocols.
 
 use bcc_f2::BitVec;
-
-/// A prefix of a turn-based `BCAST(1)` execution: one bit per turn,
-/// packed, at most 64 turns.
-///
-/// Turn `t`'s bit is bit `t` of `bits`. The speaker schedule lives in the
-/// protocol ([`crate::turn::TurnProtocol::speaker`]), not here.
-///
-/// # Example
-///
-/// ```
-/// use bcc_congest::TurnTranscript;
-///
-/// let mut p = TurnTranscript::empty();
-/// p.push(true);
-/// p.push(false);
-/// assert_eq!(p.len(), 2);
-/// assert!(p.bit(0) && !p.bit(1));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct TurnTranscript {
-    bits: u64,
-    len: u32,
-}
-
-impl TurnTranscript {
-    /// The empty transcript.
-    pub fn empty() -> Self {
-        TurnTranscript::default()
-    }
-
-    /// Reconstructs a transcript from packed bits and a length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > 64` or if `bits` has set bits at or above `len`.
-    pub fn from_bits(bits: u64, len: u32) -> Self {
-        assert!(len <= 64, "turn transcripts hold at most 64 turns");
-        if len < 64 {
-            assert_eq!(bits >> len, 0, "bits beyond the length must be zero");
-        }
-        TurnTranscript { bits, len }
-    }
-
-    /// [`TurnTranscript::from_bits`] for callers that already hold its
-    /// invariant (checked in debug builds only).
-    #[inline]
-    pub(crate) fn from_bits_unchecked(bits: u64, len: u32) -> Self {
-        debug_assert!(len <= 64 && (len == 64 || bits >> len == 0));
-        TurnTranscript { bits, len }
-    }
-
-    /// The number of turns recorded.
-    pub fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// Whether no turn has happened yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The bit broadcast on turn `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= len`.
-    pub fn bit(&self, t: u32) -> bool {
-        assert!(t < self.len, "turn {t} not yet recorded (len {})", self.len);
-        (self.bits >> t) & 1 == 1
-    }
-
-    /// Appends the next turn's bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics at 64 turns.
-    pub fn push(&mut self, bit: bool) {
-        assert!(self.len < 64, "turn transcript full");
-        if bit {
-            self.bits |= 1u64 << self.len;
-        }
-        self.len += 1;
-    }
-
-    /// This transcript extended by one bit (functional form of
-    /// [`TurnTranscript::push`]).
-    pub fn child(&self, bit: bool) -> Self {
-        let mut c = *self;
-        c.push(bit);
-        c
-    }
-
-    /// The first `t` turns (the paper's `p^{(t)}` prefix notation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t > len`.
-    pub fn prefix(&self, t: u32) -> Self {
-        assert!(t <= self.len, "prefix longer than transcript");
-        let mask = if t == 64 { !0u64 } else { (1u64 << t) - 1 };
-        TurnTranscript {
-            bits: self.bits & mask,
-            len: t,
-        }
-    }
-
-    /// The packed bits (bit `t` = turn `t`).
-    pub fn as_u64(&self) -> u64 {
-        self.bits
-    }
-
-    /// Iterates over the recorded bits in turn order.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |t| self.bit(t))
-    }
-}
 
 /// The full log of a synchronous-round execution, packed: one bit stream
 /// per processor, `width` bits per round. Round `r`'s message from
@@ -256,69 +141,6 @@ impl RoundLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_and_read() {
-        let mut t = TurnTranscript::empty();
-        assert!(t.is_empty());
-        t.push(true);
-        t.push(false);
-        t.push(true);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![true, false, true]);
-        assert_eq!(t.as_u64(), 0b101);
-    }
-
-    #[test]
-    fn child_does_not_mutate() {
-        let t = TurnTranscript::empty();
-        let c = t.child(true);
-        assert_eq!(t.len(), 0);
-        assert_eq!(c.len(), 1);
-        assert!(c.bit(0));
-    }
-
-    #[test]
-    fn prefix_truncates() {
-        let mut t = TurnTranscript::empty();
-        for b in [true, true, false, true] {
-            t.push(b);
-        }
-        let p = t.prefix(2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.as_u64(), 0b11);
-    }
-
-    #[test]
-    fn from_bits_validates() {
-        let t = TurnTranscript::from_bits(0b101, 3);
-        assert!(t.bit(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be zero")]
-    fn from_bits_rejects_stray_bits() {
-        TurnTranscript::from_bits(0b1000, 3);
-    }
-
-    #[test]
-    fn capacity_is_64() {
-        let mut t = TurnTranscript::empty();
-        for i in 0..64 {
-            t.push(i % 2 == 0);
-        }
-        assert_eq!(t.len(), 64);
-        assert_eq!(t.prefix(64), t);
-    }
-
-    #[test]
-    #[should_panic(expected = "full")]
-    fn push_past_capacity_panics() {
-        let mut t = TurnTranscript::empty();
-        for _ in 0..65 {
-            t.push(false);
-        }
-    }
 
     #[test]
     fn round_log_accessors() {

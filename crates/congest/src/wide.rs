@@ -1,18 +1,13 @@
-//! Wide-message turn protocols: the `BCAST(w)` generalization.
+//! Turn protocols of the `BCAST(w)` model: the one protocol trait and the
+//! one transcript type.
 //!
 //! Footnotes 1–2 of the paper: lower bounds proven for `BCAST(1)` extend
 //! to `BCAST(log n)` with a `log n` factor in the round count, and all
 //! results generalize to logarithmic message sizes; `BCAST(1)` is simply
 //! `BCAST(w)` at `w = 1`. This module is the one transcript model the
-//! exact engine and the samplers in `bcc-core` analyze. Bit protocols are
-//! still written as [`TurnProtocol`]s and enter through
-//! [`TurnProtocol::as_wide`], a zero-cost width-1 view ([`AsWide`]): at
-//! `w = 1` a [`WideTranscript`] and a [`TurnTranscript`] share one
-//! packing (bit `t` = turn `t`), so [`WideTranscript::as_bits`] converts
-//! in `O(1)`.
-
-use crate::transcript::TurnTranscript;
-use crate::turn::TurnProtocol;
+//! exact engine and the samplers in `bcc-core` analyze. A bit protocol is
+//! a [`WideTurnProtocol`] of width 1 ([`crate::FnProtocol`]), whose
+//! [`WideTranscript`] holds turn `t`'s bit at bit `t`.
 
 /// A prefix of a turn-based `BCAST(w)` execution: one `w`-bit message per
 /// turn, packed into a `u64` (capacity `⌊64/w⌋` turns).
@@ -105,26 +100,6 @@ impl WideTranscript {
     pub fn as_u64(&self) -> u64 {
         self.bits
     }
-
-    /// This width-1 transcript as a [`TurnTranscript`], in `O(1)`: at
-    /// `w = 1` both packings put turn `t` at bit `t`, and [`push`] has
-    /// already enforced the zero bits beyond the length.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `width == 1`.
-    ///
-    /// [`push`]: WideTranscript::push
-    // Inlined across crates: the exact walk calls this once per live
-    // point per node (through `AsWide::message`).
-    #[inline]
-    pub fn as_bits(&self) -> TurnTranscript {
-        assert_eq!(
-            self.width, 1,
-            "only width-1 transcripts are bit transcripts"
-        );
-        TurnTranscript::from_bits_unchecked(self.bits, self.len)
-    }
 }
 
 /// A deterministic turn-based `BCAST(w)` protocol on packed inputs.
@@ -216,39 +191,6 @@ where
     }
 }
 
-/// A [`TurnProtocol`] seen as a width-1 [`WideTurnProtocol`] (built by
-/// [`TurnProtocol::as_wide`]): each message is the bit the protocol
-/// broadcasts, read against the transcript's [`WideTranscript::as_bits`]
-/// view. Runs, walks and samples of the view are bitwise those of the bit
-/// protocol.
-pub struct AsWide<'a, P: ?Sized>(pub(crate) &'a P);
-
-impl<P: TurnProtocol + ?Sized> WideTurnProtocol for AsWide<'_, P> {
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-
-    fn input_bits(&self) -> u32 {
-        self.0.input_bits()
-    }
-
-    fn width(&self) -> u32 {
-        1
-    }
-
-    fn horizon(&self) -> u32 {
-        self.0.horizon()
-    }
-
-    fn speaker(&self, t: u32) -> usize {
-        self.0.speaker(t)
-    }
-
-    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
-        u64::from(self.0.bit(proc, input, &transcript.as_bits()))
-    }
-}
-
 /// Runs a wide protocol on concrete inputs.
 ///
 /// # Panics
@@ -286,13 +228,19 @@ pub struct PackedAdapter<P> {
     width: u32,
 }
 
-impl<P: TurnProtocol> PackedAdapter<P> {
+impl<P: WideTurnProtocol> PackedAdapter<P> {
     /// Wraps a single-speaker-contiguous `BCAST(1)` protocol.
     ///
     /// # Panics
     ///
-    /// Panics if the inner horizon is not a multiple of `width`.
+    /// Panics if the inner protocol is not of width 1 or its horizon is not
+    /// a multiple of `width`.
     pub fn new(inner: P, width: u32) -> Self {
+        assert_eq!(
+            inner.width(),
+            1,
+            "PackedAdapter packs width-1 protocols only"
+        );
         assert!((1..=16).contains(&width), "width must be in 1..=16");
         assert_eq!(
             inner.horizon() % width,
@@ -303,19 +251,19 @@ impl<P: TurnProtocol> PackedAdapter<P> {
     }
 
     /// Expands a wide transcript back into the inner single-bit form.
-    fn unpack(&self, transcript: &WideTranscript) -> TurnTranscript {
-        let mut t = TurnTranscript::empty();
+    fn unpack(&self, transcript: &WideTranscript) -> WideTranscript {
+        let mut t = WideTranscript::empty(1);
         for i in 0..transcript.len() {
             let m = transcript.message(i);
             for b in 0..self.width {
-                t.push((m >> b) & 1 == 1);
+                t.push((m >> b) & 1);
             }
         }
         t
     }
 }
 
-impl<P: TurnProtocol> WideTurnProtocol for PackedAdapter<P> {
+impl<P: WideTurnProtocol> WideTurnProtocol for PackedAdapter<P> {
     fn n(&self) -> usize {
         self.inner.n()
     }
@@ -346,10 +294,8 @@ impl<P: TurnProtocol> WideTurnProtocol for PackedAdapter<P> {
                 proc,
                 "inner speaker must stay fixed across one packed message"
             );
-            let bit = self.inner.bit(proc, input, &bits);
-            if bit {
-                message |= 1 << b;
-            }
+            let bit = self.inner.message(proc, input, &bits);
+            message |= bit << b;
             bits.push(bit);
         }
         message
@@ -420,12 +366,15 @@ mod tests {
         // Inner BCAST(1): 2 processors, each speaks 2 contiguous turns
         // (speaker schedule: t/2), broadcasting input bits adaptively.
         struct Contig<F>(FnProtocol<F>);
-        impl<F: Fn(usize, u64, &TurnTranscript) -> bool> TurnProtocol for Contig<F> {
+        impl<F: Fn(usize, u64, &WideTranscript) -> bool> WideTurnProtocol for Contig<F> {
             fn n(&self) -> usize {
                 self.0.n()
             }
             fn input_bits(&self) -> u32 {
                 self.0.input_bits()
+            }
+            fn width(&self) -> u32 {
+                1
             }
             fn horizon(&self) -> u32 {
                 self.0.horizon()
@@ -433,8 +382,8 @@ mod tests {
             fn speaker(&self, t: u32) -> usize {
                 (t / 2) as usize % self.n()
             }
-            fn bit(&self, proc: usize, input: u64, tr: &TurnTranscript) -> bool {
-                self.0.bit(proc, input, tr)
+            fn message(&self, proc: usize, input: u64, tr: &WideTranscript) -> u64 {
+                self.0.message(proc, input, tr)
             }
         }
         let inner = Contig(FnProtocol::new(2, 3, 4, |_, input, tr| {
@@ -442,12 +391,7 @@ mod tests {
         }));
         let inputs = [0b101u64, 0b010];
         // Direct single-bit run with the contiguous schedule.
-        let mut bits = TurnTranscript::empty();
-        for t in 0..4 {
-            let s = inner.speaker(t);
-            let b = inner.bit(s, inputs[s], &bits);
-            bits.push(b);
-        }
+        let bits = run_wide_protocol(&inner, &inputs);
         // Packed run.
         let wide = PackedAdapter::new(inner, 2);
         assert_eq!(wide.horizon(), 2);
@@ -455,7 +399,14 @@ mod tests {
         // Unpacked messages must equal the single-bit transcript.
         for t in 0..4u32 {
             let msg = wt.message(t / 2);
-            assert_eq!((msg >> (t % 2)) & 1 == 1, bits.bit(t), "turn {t}");
+            assert_eq!((msg >> (t % 2)) & 1, bits.message(t), "turn {t}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "PackedAdapter packs width-1 protocols only")]
+    fn adapter_refuses_a_wide_inner_protocol() {
+        let inner = FnWideProtocol::new(2, 2, 2, 4, |_, input, _| input);
+        let _ = PackedAdapter::new(inner, 2);
     }
 }

@@ -1,69 +1,25 @@
 //! Property-based tests for the congested-clique model.
 
-use bcc_congest::wide::run_wide_protocol;
-use bcc_congest::{
-    is_consistent, run_turn_protocol, FnProtocol, Model, Network, TurnProtocol, TurnTranscript,
-};
-use bcc_core::wide_prefix_key;
+use bcc_congest::wide::{run_wide_protocol, WideTranscript};
+use bcc_congest::{is_consistent, FnProtocol, Model, Network};
 use bcc_f2::BitVec;
 use proptest::prelude::*;
 
 proptest! {
     #[test]
-    fn width_one_view_runs_bitwise_as_the_bit_protocol(
-        n in 1usize..5,
-        bits in 1u32..8,
-        horizon in 0u32..=64,
-        seed in any::<u64>(),
-        raw in proptest::collection::vec(any::<u64>(), 4),
-    ) {
-        // A random bit protocol: each turn's bit hashes everything the
-        // speaker may look at.
-        let p = FnProtocol::new(n, bits, horizon, move |proc, input, tr| {
-            let h = (seed
-                ^ input
-                ^ ((proc as u64) << 32)
-                ^ (u64::from(tr.len()) << 40)
-                ^ tr.as_u64().rotate_left(7))
-            .wrapping_mul(0x9E3779B97F4A7C15);
-            (h >> 40) & 1 == 1
-        });
-        let inputs: Vec<u64> = raw[..n].iter().map(|x| x & ((1 << bits) - 1)).collect();
-        let bit = run_turn_protocol(&p, &inputs);
-        let wide = run_wide_protocol(&p.as_wide(), &inputs);
-        prop_assert_eq!(wide.as_u64(), bit.as_u64());
-        prop_assert_eq!(wide.len(), bit.len());
-        prop_assert_eq!(wide.as_bits(), bit);
-        // The samplers' key of the view is the bit model's bit reversal.
-        prop_assert_eq!(wide_prefix_key(&wide), bit.as_u64().reverse_bits());
-    }
-
-    #[test]
     fn transcript_push_then_read(bits in proptest::collection::vec(any::<bool>(), 0..64)) {
-        let mut t = TurnTranscript::empty();
+        // A width-1 transcript is the bit transcript: turn t at bit t.
+        let mut t = WideTranscript::empty(1);
         for &b in &bits {
-            t.push(b);
+            t.push(u64::from(b));
         }
         prop_assert_eq!(t.len() as usize, bits.len());
         for (i, &b) in bits.iter().enumerate() {
-            prop_assert_eq!(t.bit(i as u32), b);
+            prop_assert_eq!(t.message(i as u32), u64::from(b));
+            prop_assert_eq!((t.as_u64() >> i) & 1, u64::from(b));
         }
-        // Round-trip through the packed form.
-        let back = TurnTranscript::from_bits(t.as_u64(), t.len());
-        prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn prefix_is_idempotent(bits in proptest::collection::vec(any::<bool>(), 0..40), cut in 0u32..40) {
-        let mut t = TurnTranscript::empty();
-        for &b in &bits {
-            t.push(b);
-        }
-        let cut = cut.min(t.len());
-        let p = t.prefix(cut);
-        prop_assert_eq!(p.prefix(cut), p);
-        for i in 0..cut {
-            prop_assert_eq!(p.bit(i), t.bit(i));
+        if bits.len() < 64 {
+            prop_assert_eq!(t.as_u64() >> bits.len(), 0);
         }
     }
 
@@ -83,7 +39,7 @@ proptest! {
                 .wrapping_add(tr.as_u64());
             (h >> 17) & 1 == 1
         });
-        let t = run_turn_protocol(&p, &inputs);
+        let t = run_wide_protocol(&p, &inputs);
         for (proc, &input) in inputs.iter().enumerate() {
             prop_assert!(is_consistent(&p, proc, input, &t));
         }
@@ -99,9 +55,9 @@ proptest! {
         let p = FnProtocol::new(2, 3, 6, |_, input, tr| {
             (input >> (tr.len() / 2).min(2)) & 1 == 1
         });
-        let t = run_turn_protocol(&p, &inputs);
+        let t = run_wide_protocol(&p, &inputs);
         if is_consistent(&p, 0, alt, &t) {
-            let t2 = run_turn_protocol(&p, &[alt, inputs[1]]);
+            let t2 = run_wide_protocol(&p, &[alt, inputs[1]]);
             prop_assert_eq!(t2, t);
         }
     }

@@ -13,9 +13,8 @@
 //!   `2^{-j}·|support|` after `j` of the speaker's turns).
 //!
 //! There is one engine, over `BCAST(w)` turn protocols
-//! ([`WideTurnProtocol`]); `BCAST(1)` is its width-1 case, and a bit
-//! protocol enters as its zero-cost view
-//! [`as_wide`](bcc_congest::TurnProtocol::as_wide). Cost is
+//! ([`WideTurnProtocol`]); `BCAST(1)` is its width-1 case, which a bit
+//! protocol ([`bcc_congest::FnProtocol`]) is. Cost is
 //! `O(2^{wT} · Σ_I Σ_i |support|)` for horizon `T` — exponential by
 //! nature, so exact runs are for small trees: a walk whose complete turn
 //! tree could exceed [`crate::wide::MAX_WIDE_NODES`] nodes is refused up
@@ -128,7 +127,7 @@ mod tests {
     use super::*;
     use crate::exec::{Estimator, ExactEstimator};
     use crate::input::RowSupport;
-    use bcc_congest::{FnProtocol, TurnProtocol};
+    use bcc_congest::FnProtocol;
 
     fn uniform(n: usize, bits: u32) -> ProductInput {
         ProductInput::uniform(n, bits)
@@ -145,7 +144,7 @@ mod tests {
             RowSupport::explicit(4, vec![1, 2]),
             RowSupport::explicit(4, vec![3, 7, 11]),
         ]);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
         for (t, tv) in cmp.mixture_tv_by_depth.iter().enumerate() {
             assert!(tv.abs() < 1e-12, "depth {t}: tv {tv}");
         }
@@ -158,7 +157,7 @@ mod tests {
         let p = FnProtocol::new(1, 1, 1, |_, input, _| input == 1);
         let a = uniform(1, 1);
         let b = ProductInput::new(vec![RowSupport::explicit(1, vec![1])]);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
         assert!(cmp.mixture_tv_by_depth[0].abs() < 1e-12);
     }
@@ -175,7 +174,7 @@ mod tests {
             RowSupport::explicit(1, vec![1]),
             RowSupport::explicit(1, vec![0, 1]),
         ]);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
         // Input TV: first coordinate differs (1/2 vs 1), second identical:
         // product TV = 1/2.
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
@@ -192,7 +191,7 @@ mod tests {
             RowSupport::explicit(3, vec![0, 3, 5]),
             RowSupport::explicit(3, vec![1, 2, 6, 7]),
         ]);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
         for w in cmp.mixture_tv_by_depth.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
@@ -206,8 +205,7 @@ mod tests {
         let member0 = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let member1 = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
         let baseline = uniform(1, 2);
-        let cmp =
-            ExactEstimator::default().estimate_full(&p.as_wide(), &[member0, member1], &baseline);
+        let cmp = ExactEstimator::default().estimate_full(&p, &[member0, member1], &baseline);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(
                 cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12,
@@ -234,9 +232,9 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 2);
-        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let mix = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         for (i, member) in members.iter().enumerate() {
-            let single = ExactEstimator::default().estimate_pair(&p.as_wide(), member, &baseline);
+            let single = ExactEstimator::default().estimate_pair(&p, member, &baseline);
             assert!(
                 (mix.per_member_tv[i] - single.tv()).abs() < 1e-12,
                 "member {i}"
@@ -250,7 +248,7 @@ mod tests {
         // turns: before its (j+1)-th turn the consistent fraction is 2^-j.
         let p = FnProtocol::new(2, 4, 8, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let a = uniform(2, 4);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
         // Turns 0,2,4,6 are processor 0's; before turn 2t it has spoken t
         // bits.
         for (idx, turn) in [0usize, 2, 4, 6].iter().enumerate() {
@@ -271,7 +269,7 @@ mod tests {
         // 2^0 and 2^-1 but not below 2^-2.
         let p = FnProtocol::new(1, 3, 3, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = uniform(1, 3);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
         let s = &cmp.speaker_stats[2];
         assert!((s.mass_below[0] - 1.0).abs() < 1e-12);
         assert!((s.mass_below[1] - 1.0).abs() < 1e-12);
@@ -283,7 +281,7 @@ mod tests {
         let p = FnProtocol::new(1, 2, 2, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let b = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
         assert!((cmp.tv() - 1.0).abs() < 1e-12);
     }
 
@@ -303,7 +301,7 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 3);
-        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let mix = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         for (t, inc) in mix.progress_increments().iter().enumerate() {
             assert!(*inc >= -1e-12, "turn {t}: negative increment {inc}");
         }
@@ -318,7 +316,7 @@ mod tests {
         ]);
         let b = uniform(2, 2);
         let seed = exact_mixture_comparison_reference(
-            &p.as_wide(),
+            &p,
             std::slice::from_ref(&a),
             &b,
             ExecMode::Sequential,
@@ -334,6 +332,6 @@ mod tests {
         let p = FnProtocol::new(1, 2, 1, |_, _, _| false);
         let a = uniform(1, 3);
         let b = uniform(1, 3);
-        let _ = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let _ = ExactEstimator::default().estimate_pair(&p, &a, &b);
     }
 }

@@ -22,11 +22,11 @@
 //! ([`WideTurnProtocol`]), and return a [`DepthProfile`] over turns that
 //! carries its [`Provenance`], so downstream code can ask for the
 //! [`DepthProfile::noise_floor`] without knowing how the numbers were
-//! produced. A `BCAST(1)` protocol is the width-1 case and enters through
-//! its zero-cost view [`as_wide`](bcc_congest::TurnProtocol::as_wide):
+//! produced. A `BCAST(1)` protocol is the width-1 case, such as a
+//! [`FnProtocol`](bcc_congest::FnProtocol):
 //!
 //! ```
-//! use bcc_congest::{FnProtocol, TurnProtocol};
+//! use bcc_congest::FnProtocol;
 //! use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
 //! use bcc_core::ProductInput;
 //!
@@ -34,8 +34,8 @@
 //! let family = vec![ProductInput::uniform(2, 3)];
 //! let baseline = ProductInput::uniform(2, 3);
 //!
-//! let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &family, &baseline);
-//! let sampled = SampledEstimator::new(4_000, 1).estimate_full(&p.as_wide(), &family, &baseline);
+//! let exact = ExactEstimator::default().estimate_full(&p, &family, &baseline);
+//! let sampled = SampledEstimator::new(4_000, 1).estimate_full(&p, &family, &baseline);
 //! assert!((exact.tv() - sampled.tv()).abs() <= sampled.noise_floor());
 //! ```
 
@@ -1084,9 +1084,9 @@ impl Estimator for AdaptiveEstimator {
 mod tests {
     use super::*;
     use crate::input::RowSupport;
-    use bcc_congest::{FnProtocol, TurnProtocol};
+    use bcc_congest::FnProtocol;
 
-    fn reveal_protocol(n: usize, bits: u32, horizon: u32) -> impl TurnProtocol {
+    fn reveal_protocol(n: usize, bits: u32, horizon: u32) -> impl WideTurnProtocol {
         FnProtocol::new(n, bits, horizon, |_, input, tr| {
             (input >> (tr.len() as usize / 2)) & 1 == 1
         })
@@ -1110,11 +1110,11 @@ mod tests {
     fn truncated_horizon_prefixes_the_full_profile() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let full = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let full = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         assert!(full.is_exact());
         assert_eq!(full.noise_floor(), 0.0);
         assert_eq!(full.speaker_stats.len(), 6, "one speaker entry per turn");
-        let half = ExactEstimator::default().estimate(&p.as_wide(), &members, &baseline, 3);
+        let half = ExactEstimator::default().estimate(&p, &members, &baseline, 3);
         assert_eq!(half.horizon, 3);
         assert_eq!(half.mixture_tv_by_depth.len(), 4);
         for t in 0..=3 {
@@ -1129,10 +1129,10 @@ mod tests {
     fn sampled_estimator_is_reproducible_and_close_to_exact() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         let est = SampledEstimator::new(20_000, 0x5EED);
-        let a = est.estimate_full(&p.as_wide(), &members, &baseline);
-        let b = est.estimate_full(&p.as_wide(), &members, &baseline);
+        let a = est.estimate_full(&p, &members, &baseline);
+        let b = est.estimate_full(&p, &members, &baseline);
         assert_eq!(
             a.tv().to_bits(),
             b.tv().to_bits(),
@@ -1158,8 +1158,7 @@ mod tests {
     fn sampled_profile_shape_matches_request() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile =
-            SampledEstimator::new(2_000, 1).estimate(&p.as_wide(), &members, &baseline, 4);
+        let profile = SampledEstimator::new(2_000, 1).estimate(&p, &members, &baseline, 4);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -1187,16 +1186,15 @@ mod tests {
             seed: 1,
             mode: ExecMode::Parallel,
         };
-        let _ = est.estimate_full(&p.as_wide(), &members, &baseline);
+        let _ = est.estimate_full(&p, &members, &baseline);
     }
 
     #[test]
     fn sampled_parallel_matches_sequential_bitwise() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let par = SampledEstimator::new(4_000, 9).estimate_full(&p.as_wide(), &members, &baseline);
-        let seq =
-            SampledEstimator::sequential(4_000, 9).estimate_full(&p.as_wide(), &members, &baseline);
+        let par = SampledEstimator::new(4_000, 9).estimate_full(&p, &members, &baseline);
+        let seq = SampledEstimator::sequential(4_000, 9).estimate_full(&p, &members, &baseline);
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1233,17 +1231,14 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.2, 100, 1 << 20, 0x5EED);
-        let (profile, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
         assert!(report.met_tolerance, "report: {report:?}");
         assert!(profile.noise_floor() <= 0.2);
         assert!(report.samples_per_side < 1 << 20, "cap should not bind");
         // The adaptive result is bitwise the one-shot estimate at the
         // final budget — the property sweep resumption relies on.
-        let one_shot = SampledEstimator::new(report.samples_per_side, 0x5EED).estimate_full(
-            &p.as_wide(),
-            &members,
-            &baseline,
-        );
+        let one_shot = SampledEstimator::new(report.samples_per_side, 0x5EED)
+            .estimate_full(&p, &members, &baseline);
         assert_eq!(profile.tv().to_bits(), one_shot.tv().to_bits());
         assert_eq!(profile.progress().to_bits(), one_shot.progress().to_bits());
     }
@@ -1253,8 +1248,8 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.15, 64, 1 << 18, 42);
-        let (a, ra) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
-        let (b, rb) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (a, ra) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (b, rb) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
         assert_eq!(ra, rb);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits());
     }
@@ -1265,7 +1260,7 @@ mod tests {
         let (members, baseline) = family();
         // Tolerance no sampled run can meet: the cap must stop the growth.
         let adaptive = AdaptiveEstimator::new(1e-6, 50, 400, 3);
-        let (profile, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
         assert!(!report.met_tolerance);
         assert_eq!(report.samples_per_side, 400);
         assert!(profile.noise_floor() > 1e-6);
@@ -1285,8 +1280,7 @@ mod tests {
         // samples each exceeds the per-side budget, so the unclamped
         // plug-in scale sqrt(support / 8) would sit above 1 — vacuous
         // for a distance bounded by 1.
-        let profile =
-            SampledEstimator::new(8, 0xC1A).estimate_full(&p.as_wide(), &members, &baseline);
+        let profile = SampledEstimator::new(8, 0xC1A).estimate_full(&p, &members, &baseline);
         let Provenance::Sampled {
             samples_per_side,
             support_seen,
@@ -1334,8 +1328,7 @@ mod tests {
     fn depth_floors_are_monotone_and_bound_the_headline_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile =
-            SampledEstimator::new(2_000, 0x0DD).estimate_full(&p.as_wide(), &members, &baseline);
+        let profile = SampledEstimator::new(2_000, 0x0DD).estimate_full(&p, &members, &baseline);
         for t in 1..=profile.horizon {
             assert!(
                 profile.noise_floor_at(t) >= profile.noise_floor_at(t - 1),
@@ -1355,8 +1348,7 @@ mod tests {
     fn resolved_horizon_is_the_deepest_depth_meeting_the_tolerance() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile =
-            SampledEstimator::new(64, 0xFAB).estimate_full(&p.as_wide(), &members, &baseline);
+        let profile = SampledEstimator::new(64, 0xFAB).estimate_full(&p, &members, &baseline);
         // Pick a tolerance strictly between the shallowest and deepest
         // floors so the resolved horizon is a proper prefix.
         let tol = (profile.noise_floor_at(0) + profile.noise_floor()) / 2.0;
@@ -1367,7 +1359,7 @@ mod tests {
         }
         assert!(profile.noise_floor_at(resolved + 1) > tol);
         // Exact profiles resolve everything.
-        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         assert_eq!(exact.resolved_horizon(0.0), exact.horizon);
     }
 
@@ -1375,8 +1367,7 @@ mod tests {
     fn smoothed_profiles_subtract_singletons_and_never_raise_the_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let plugin =
-            SampledEstimator::new(64, 0x6007).estimate_full(&p.as_wide(), &members, &baseline);
+        let plugin = SampledEstimator::new(64, 0x6007).estimate_full(&p, &members, &baseline);
         let smoothed = plugin.smoothed();
         let Provenance::Sampled { estimator, .. } = smoothed.provenance else {
             panic!("sampled run");
@@ -1403,7 +1394,7 @@ mod tests {
         // sharper than the plug-in one, not just no worse.
         assert!(smoothed.noise_floor() < plugin.noise_floor());
         // Exact profiles need no smoothing.
-        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &baseline);
+        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         assert_eq!(
             exact.smoothed().mixture_tv_by_depth,
             exact.mixture_tv_by_depth
@@ -1419,8 +1410,8 @@ mod tests {
         // unmet, the truncated rule stops early and met.
         let legacy = AdaptiveEstimator::new(0.3, 32, 512, 0x77);
         let truncated = legacy.with_truncated_target();
-        let (lp, lr) = legacy.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
-        let (tp, tr) = truncated.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (lp, lr) = legacy.estimate_with_report(&p, &members, &baseline, 6);
+        let (tp, tr) = truncated.estimate_with_report(&p, &members, &baseline, 6);
         assert!(!lr.met_tolerance, "full-horizon target is unreachable here");
         assert_eq!(lr.samples_per_side, 512, "legacy spends the whole cap");
         assert!(lp.noise_floor() > 0.3);
@@ -1435,11 +1426,8 @@ mod tests {
         assert!(tp.resolved_horizon(0.3) >= 1, "a nonempty prefix resolved");
         // The truncated run is still bitwise the one-shot at its final
         // budget — truncation changes when to stop, never the numbers.
-        let one_shot = SampledEstimator::new(tr.samples_per_side, 0x77).estimate_full(
-            &p.as_wide(),
-            &members,
-            &baseline,
-        );
+        let one_shot =
+            SampledEstimator::new(tr.samples_per_side, 0x77).estimate_full(&p, &members, &baseline);
         for t in 0..tp.mixture_tv_by_depth.len() {
             assert_eq!(
                 tp.mixture_tv_by_depth[t].to_bits(),
@@ -1466,7 +1454,7 @@ mod tests {
             let growths_of = |est: &AdaptiveEstimator| {
                 let registry = bcc_obs::Registry::new();
                 let scope = registry.install();
-                let (_, report) = est.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+                let (_, report) = est.estimate_with_report(&p, &members, &baseline, 6);
                 drop(scope);
                 (
                     registry
@@ -1499,7 +1487,7 @@ mod tests {
         let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.0, 32, 128, 5);
-        let (_, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 4);
+        let (_, report) = adaptive.estimate_with_report(&p, &members, &baseline, 4);
         assert_eq!(report.samples_per_side, 128);
         assert!(!report.met_tolerance);
         // Growth is geometric (with projection jumps), so the batch count
@@ -1517,15 +1505,14 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
-        let (profile, report) = adaptive.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
         assert!(report.batches > 1, "want a multi-batch run: {report:?}");
         assert_eq!(report.samples_per_side, 2048);
         assert_eq!(
             report.samples_drawn, report.samples_per_side,
             "incremental batches must not re-simulate earlier samples"
         );
-        let one_shot =
-            SampledEstimator::new(2048, 0xFEED).estimate_full(&p.as_wide(), &members, &baseline);
+        let one_shot = SampledEstimator::new(2048, 0xFEED).estimate_full(&p, &members, &baseline);
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
                 profile.mixture_tv_by_depth[t].to_bits(),
@@ -1551,8 +1538,8 @@ mod tests {
             mode: ExecMode::Sequential,
             ..par
         };
-        let (pp, rp) = par.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
-        let (sp, rs) = seq.estimate_with_report(&p.as_wide(), &members, &baseline, 6);
+        let (pp, rp) = par.estimate_with_report(&p, &members, &baseline, 6);
+        let (sp, rs) = seq.estimate_with_report(&p, &members, &baseline, 6);
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -1777,7 +1764,7 @@ mod tests {
     fn over_long_horizon_rejected() {
         let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
-        let _ = ExactEstimator::default().estimate(&p.as_wide(), &members, &baseline, 5);
+        let _ = ExactEstimator::default().estimate(&p, &members, &baseline, 5);
     }
 
     #[test]
@@ -1787,8 +1774,7 @@ mod tests {
         // turn, so the live tree is tiny.
         let p = FnProtocol::new(1, 1, 25, |_, input, _| input == 1);
         let a = ProductInput::uniform(1, 1);
-        let profile =
-            ExactEstimator::default().estimate_full(&p.as_wide(), std::slice::from_ref(&a), &a);
+        let profile = ExactEstimator::default().estimate_full(&p, std::slice::from_ref(&a), &a);
         assert_eq!(profile.horizon, 25);
         assert!(profile.tv().abs() < 1e-12);
     }
@@ -1800,6 +1786,6 @@ mod tests {
         // guard as every width, before any walking.
         let p = FnProtocol::new(1, 1, 26, |_, input, _| input == 1);
         let a = ProductInput::uniform(1, 1);
-        let _ = ExactEstimator::default().estimate_full(&p.as_wide(), std::slice::from_ref(&a), &a);
+        let _ = ExactEstimator::default().estimate_full(&p, std::slice::from_ref(&a), &a);
     }
 }

@@ -27,9 +27,8 @@
 //! There is one transcript model: the engine, the samplers and the
 //! estimators all take `BCAST(w)` turn protocols
 //! ([`bcc_congest::wide::WideTurnProtocol`]), and `BCAST(1)` is the
-//! width-1 case (footnote 2 of the paper). Bit protocols are still
-//! written as [`bcc_congest::TurnProtocol`]s and enter through the
-//! zero-cost width-1 view [`as_wide`](bcc_congest::TurnProtocol::as_wide).
+//! width-1 case (footnote 2 of the paper): a bit protocol is a
+//! [`bcc_congest::FnProtocol`], which is a width-1 `WideTurnProtocol`.
 //!
 //! Input distributions enter as [`input::ProductInput`] — one uniform
 //! support per processor ([`input::RowSupport`]); `bcc-planted` and

@@ -23,10 +23,10 @@
 //! support and singleton counts come out of a single walk over the two
 //! sorted arrays, summed in the same order a per-depth merge would sum
 //! them. At `w = 1` the key is the transcript's bit reversal (turn `t` at bit
-//! `63 − t`), so a bit protocol's width-1 view
-//! ([`as_wide`](bcc_congest::TurnProtocol::as_wide)) samples exactly as
-//! the bit model would. The sort itself is [`radix_sort_u64`], an LSD
-//! radix sort that skips the constant low bytes this packing produces.
+//! `63 − t`), so a bit protocol ([`bcc_congest::FnProtocol`]) samples
+//! exactly as the bit model would. The sort itself is [`radix_sort_u64`],
+//! an LSD radix sort that skips the constant low bytes this packing
+//! produces.
 //!
 //! Keys are drawn by a fused loop that refills one input buffer, runs the
 //! protocol and packs each message into the key as it is produced, so a
@@ -376,7 +376,9 @@ impl DepthAccumulator {
 /// times per side on inputs drawn from arbitrary joint samplers — the
 /// tool for distributions with *dependent* rows, where no product
 /// decomposition exists (e.g. the undirected planted clique of the
-/// paper's §9 discussion). Product inputs pass `|r| a.sample(r)`.
+/// paper's §9 discussion). Each sampler refills the one input buffer it
+/// is handed, reused across the side's transcripts; product inputs pass
+/// `|r, v| a.sample_into(r, v)`.
 ///
 /// Side `a` draws all its samples from `rng` first, then side `b`. The
 /// result is a sampled [`DepthProfile`] with `a` as its single member and
@@ -390,27 +392,23 @@ impl DepthAccumulator {
 /// exceeds the 64-bit key packing.
 pub fn sampled_comparison_with<P, R, FA, FB>(
     protocol: &P,
-    mut sample_a: FA,
-    mut sample_b: FB,
+    sample_a: FA,
+    sample_b: FB,
     samples: usize,
     rng: &mut R,
 ) -> DepthProfile
 where
     P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
-    FA: FnMut(&mut R) -> Vec<u64>,
-    FB: FnMut(&mut R) -> Vec<u64>,
+    FA: FnMut(&mut R, &mut Vec<u64>),
+    FB: FnMut(&mut R, &mut Vec<u64>),
 {
     assert!(samples > 0, "need at least one sample");
     let (width, horizon) = (protocol.width(), protocol.horizon());
     check_key_packing(horizon, width);
     let (mut side_a, mut side_b) = (Vec::new(), Vec::new());
-    let (fill_a, fill_b) = (
-        |r: &mut R, inputs: &mut Vec<u64>| *inputs = sample_a(r),
-        |r: &mut R, inputs: &mut Vec<u64>| *inputs = sample_b(r),
-    );
-    collect_sorted_wide_keys(protocol, fill_a, samples, rng, &mut side_a);
-    collect_sorted_wide_keys(protocol, fill_b, samples, rng, &mut side_b);
+    collect_sorted_wide_keys(protocol, sample_a, samples, rng, &mut side_a);
+    collect_sorted_wide_keys(protocol, sample_b, samples, rng, &mut side_b);
     profile_from_sorted_sides(horizon, width, samples, &side_b, &[&side_a], &side_a)
 }
 
@@ -420,7 +418,7 @@ mod tests {
     use crate::exec::{Estimator, ExactEstimator, Provenance};
     use crate::input::{ProductInput, RowSupport};
     use bcc_congest::wide::FnWideProtocol;
-    use bcc_congest::{FnProtocol, TurnProtocol};
+    use bcc_congest::FnProtocol;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -534,8 +532,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         sampled_comparison_with(
             protocol,
-            |r| a.sample(r),
-            |r| b.sample(r),
+            |r, v| a.sample_into(r, v),
+            |r, v| b.sample_into(r, v),
             samples,
             &mut rng,
         )
@@ -564,10 +562,8 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = ExactEstimator::default()
-            .estimate_pair(&p.as_wide(), &a, &b)
-            .tv();
-        let sampled = sampled_pair(&p.as_wide(), &a, &b, 40_000, 1);
+        let exact = ExactEstimator::default().estimate_pair(&p, &a, &b).tv();
+        let sampled = sampled_pair(&p, &a, &b, 40_000, 1);
         assert!(
             (sampled.tv() - exact).abs() < 0.02,
             "sampled {} vs exact {exact}",
@@ -579,7 +575,7 @@ mod tests {
     fn identical_inputs_fall_below_noise_floor() {
         let p = FnProtocol::new(2, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 1 == 1);
         let a = ProductInput::uniform(2, 2);
-        let s = sampled_pair(&p.as_wide(), &a, &a, 20_000, 2);
+        let s = sampled_pair(&p, &a, &a, 20_000, 2);
         assert!(
             s.tv() <= s.noise_floor(),
             "tv {} floor {}",
@@ -647,7 +643,7 @@ mod tests {
         // the raw scale sqrt(2) would overstate the TV bound.
         let p = FnProtocol::new(1, 16, 16, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::uniform(1, 16);
-        let s = sampled_pair(&p.as_wide(), &a, &a, 8, 5);
+        let s = sampled_pair(&p, &a, &a, 8, 5);
         assert_eq!(support_seen(&s), 16, "draws collided; pick another seed");
         assert_eq!(s.noise_floor(), 1.0);
     }
@@ -827,7 +823,7 @@ mod tests {
             RowSupport::explicit(3, vec![0, 1, 2]),
             RowSupport::uniform(3),
         ]);
-        let s = sampled_pair(&p.as_wide(), &a, &b, 2_000, 9);
+        let s = sampled_pair(&p, &a, &b, 2_000, 9);
         assert!(!s.is_exact());
         assert_eq!(s.horizon, 6);
         assert!(s.speaker_stats.is_empty());
@@ -849,7 +845,13 @@ mod tests {
             RowSupport::uniform(3),
         ]);
         let mut rng = StdRng::seed_from_u64(0x601D);
-        let s = sampled_comparison_with(&p, |r| a.sample(r), |r| b.sample(r), 3_000, &mut rng);
+        let s = sampled_comparison_with(
+            &p,
+            |r, v| a.sample_into(r, v),
+            |r, v| b.sample_into(r, v),
+            3_000,
+            &mut rng,
+        );
         assert_eq!(s.tv().to_bits(), 4602660804774137428);
         assert_eq!(s.noise_floor().to_bits(), 4589926763289047981);
         assert_eq!(support_seen(&s), 16);
@@ -995,12 +997,15 @@ mod tests {
         salt: u64,
     }
 
-    impl TurnProtocol for Scrambled {
+    impl WideTurnProtocol for Scrambled {
         fn n(&self) -> usize {
             self.n
         }
         fn input_bits(&self) -> u32 {
             self.bits
+        }
+        fn width(&self) -> u32 {
+            1
         }
         fn horizon(&self) -> u32 {
             self.horizon
@@ -1008,13 +1013,14 @@ mod tests {
         fn speaker(&self, t: u32) -> usize {
             (t as usize * t as usize + 3 * (t as usize / 2)) % self.n
         }
-        fn bit(&self, proc: usize, input: u64, tr: &bcc_congest::TurnTranscript) -> bool {
-            mix(self.salt, proc, input, tr.len(), tr.as_u64()) & 1 == 1
+        fn message(&self, proc: usize, input: u64, tr: &WideTranscript) -> u64 {
+            mix(self.salt, proc, input, tr.len(), tr.as_u64()) & 1
         }
     }
 
     mod props {
         use super::*;
+        use bcc_congest::wide::run_wide_protocol;
         use proptest::prelude::*;
 
         proptest! {
@@ -1089,9 +1095,29 @@ mod tests {
                 let input = random_input(&mut rng, n, bits);
                 let p = Scrambled { n, bits, horizon, salt: seed };
                 let (fused, oracle, same_stream) =
-                    fused_and_oracle_keys(&p.as_wide(), &input, samples, seed ^ 1);
+                    fused_and_oracle_keys(&p, &input, samples, seed ^ 1);
                 prop_assert_eq!(fused, oracle);
                 prop_assert!(same_stream, "the draws consumed different RNG output");
+            }
+
+            #[test]
+            fn width_one_prefix_key_is_the_bit_reversed_run(
+                n in 1usize..5,
+                bits in 1u32..8,
+                horizon in 0u32..=64,
+                seed in any::<u64>(),
+                raw in proptest::collection::vec(any::<u64>(), 4),
+            ) {
+                // A random bit protocol: each turn's bit hashes everything
+                // the speaker may look at. Its samplers' key is the bit
+                // reversal of the run's packing (turn t at bit t).
+                let p = FnProtocol::new(n, bits, horizon, move |proc, input, tr| {
+                    mix(seed, proc, input, tr.len(), tr.as_u64()) & 1 == 1
+                });
+                let inputs: Vec<u64> = raw[..n].iter().map(|x| x & ((1 << bits) - 1)).collect();
+                let run = run_wide_protocol(&p, &inputs);
+                prop_assert_eq!(run.len(), horizon);
+                prop_assert_eq!(wide_prefix_key(&run), run.as_u64().reverse_bits());
             }
         }
     }

@@ -65,12 +65,12 @@ mod tests {
     use crate::exec::{Estimator, ExactEstimator};
     use crate::input::{ProductInput, RowSupport};
     use bcc_congest::wide::{FnWideProtocol, PackedAdapter, WideTranscript};
-    use bcc_congest::{FnProtocol, TurnProtocol, TurnTranscript};
+    use bcc_congest::FnProtocol;
 
     #[test]
     fn width_one_matches_bit_engine() {
-        // A BCAST(1) protocol seen through its width-1 view and the same
-        // decision written natively at w = 1 give the same distances.
+        // A BCAST(1) protocol and the same decision written as a width-1
+        // FnWideProtocol give the same distances.
         let bitp = FnProtocol::new(2, 3, 4, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let widep = FnWideProtocol::new(2, 3, 1, 4, |_, input, tr| (input >> (tr.len() / 2)) & 1);
         let a = ProductInput::new(vec![
@@ -78,7 +78,7 @@ mod tests {
             RowSupport::uniform(3),
         ]);
         let b = ProductInput::uniform(2, 3);
-        let bit = ExactEstimator::default().estimate_pair(&bitp.as_wide(), &a, &b);
+        let bit = ExactEstimator::default().estimate_pair(&bitp, &a, &b);
         let wide = ExactEstimator::default().estimate_pair(&widep, &a, &b);
         assert!((bit.tv() - wide.tv()).abs() < 1e-12);
         assert_eq!(
@@ -99,12 +99,15 @@ mod tests {
         // Footnote 2, executable: pack 2 single-bit turns per message —
         // same final distance, half the turns.
         struct Contig<F>(FnProtocol<F>);
-        impl<F: Fn(usize, u64, &TurnTranscript) -> bool> TurnProtocol for Contig<F> {
+        impl<F: Fn(usize, u64, &WideTranscript) -> bool> WideTurnProtocol for Contig<F> {
             fn n(&self) -> usize {
                 self.0.n()
             }
             fn input_bits(&self) -> u32 {
                 self.0.input_bits()
+            }
+            fn width(&self) -> u32 {
+                1
             }
             fn horizon(&self) -> u32 {
                 self.0.horizon()
@@ -112,8 +115,8 @@ mod tests {
             fn speaker(&self, t: u32) -> usize {
                 (t / 2) as usize % self.n()
             }
-            fn bit(&self, proc: usize, input: u64, tr: &TurnTranscript) -> bool {
-                self.0.bit(proc, input, tr)
+            fn message(&self, proc: usize, input: u64, tr: &WideTranscript) -> u64 {
+                self.0.message(proc, input, tr)
             }
         }
         let make_inner = || {
@@ -128,7 +131,7 @@ mod tests {
         let b = ProductInput::uniform(2, 4);
 
         let inner = make_inner();
-        let bit = ExactEstimator::default().estimate_pair(&inner.as_wide(), &a, &b);
+        let bit = ExactEstimator::default().estimate_pair(&inner, &a, &b);
         let packed = PackedAdapter::new(make_inner(), 2);
         let wide = ExactEstimator::default().estimate_pair(&packed, &a, &b);
         assert_eq!(wide.horizon * 2, bit.horizon);

@@ -8,20 +8,23 @@
 //! 16× (two extra full binary levels per distribution pair) must leave
 //! the allocation count essentially unchanged, while the retained seed
 //! walk — which allocates fresh masks at every node — scales its count
-//! with the node total. The sampler makes the same promise per
+//! with the node total. The samplers make the same promise per
 //! transcript: drawing 16× more samples per side must not add
-//! allocations beyond the per-side key arrays.
+//! allocations beyond the per-side key arrays, for the estimators and for
+//! the pair sampler fed by buffer-refilling closures alike.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{
-    exact_mixture_comparison_reference, Estimator, ExactEstimator, ExecMode, ProductInput,
-    RowSupport, SampledEstimator,
+    exact_mixture_comparison_reference, sampled_comparison_with, Estimator, ExactEstimator,
+    ExecMode, ProductInput, RowSupport, SampledEstimator,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct CountingAlloc;
 
@@ -72,10 +75,10 @@ fn full_tree_walk(horizon: u32, reference: bool) -> f64 {
     // Sequential mode: thread spawning would blur the per-node count.
     let members = std::slice::from_ref(&a);
     if reference {
-        exact_mixture_comparison_reference(&p.as_wide(), members, &b, ExecMode::Sequential).tv()
+        exact_mixture_comparison_reference(&p, members, &b, ExecMode::Sequential).tv()
     } else {
         ExactEstimator::sequential()
-            .estimate_full(&p.as_wide(), members, &b)
+            .estimate_full(&p, members, &b)
             .tv()
     }
 }
@@ -145,6 +148,40 @@ fn steady_state_sampler_does_not_allocate_per_transcript() {
     // transcript would add 46,080. The per-side key arrays, the radix
     // scratch and the mixture are allocated once per sort, whatever the
     // sample count.
+    assert!(
+        large < small + 64,
+        "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"
+    );
+}
+
+/// The pair sampler on two product inputs of a width-2, 6-turn protocol,
+/// at `samples` per side, each side refilling one input buffer.
+fn sampled_pair(samples: usize) -> f64 {
+    let p = FnWideProtocol::new(3, 4, 2, 6, |proc, input, tr| {
+        ((input >> (tr.len() % 3)) ^ proc as u64 ^ tr.as_u64()) & 0b11
+    });
+    let a = ProductInput::uniform(3, 4).with_row(1, RowSupport::explicit(4, vec![2, 3, 11]));
+    let b = ProductInput::uniform(3, 4);
+    let mut rng = StdRng::seed_from_u64(11);
+    sampled_comparison_with(
+        &p,
+        |r, v| a.sample_into(r, v),
+        |r, v| b.sample_into(r, v),
+        samples,
+        &mut rng,
+    )
+    .tv()
+}
+
+#[test]
+fn pair_sampler_does_not_allocate_per_transcript() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = sampled_pair(1 << 10);
+
+    let (_, small) = allocations(|| sampled_pair(1 << 10));
+    let (_, large) = allocations(|| sampled_pair(1 << 14));
+    // 15,360 more transcripts on each of two sides: one allocation per
+    // transcript would add 30,720.
     assert!(
         large < small + 64,
         "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"

@@ -6,16 +6,16 @@
 //! makes the extrapolated regime trustworthy is this suite: inside the
 //! budget — including *at* the budget boundary for each width — the
 //! sampled estimator must agree with the exact walk within its own
-//! reported `noise_floor()`, and at width 1 a bit protocol's view
-//! (`TurnProtocol::as_wide`) must sample **bit for bit** as the same
-//! decision written natively at `w = 1`. Property tests add the
+//! reported `noise_floor()`, and at width 1 a bit protocol (`FnProtocol`)
+//! must sample **bit for bit** as the same decision written as an
+//! `FnWideProtocol` at `w = 1`. Property tests add the
 //! structural invariants (parallel == sequential bitwise, adaptive ==
 //! one-shot bitwise) over arbitrary supports and `(width, horizon)`
 //! shapes, using the vendored proptest's `prop_filter` to generate
 //! exactly the shapes that pack into a `u64`.
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::{wide_walk_nodes, ProductInput, RowSupport, MAX_WIDE_NODES};
 use proptest::prelude::*;
@@ -150,10 +150,10 @@ fn sampled_wide_continues_past_the_exact_cliff() {
     assert_profile_bitwise_eq(&profile, &again, "past-cliff rerun");
 }
 
-/// A bit protocol's width-1 view and the same decision function written
-/// natively at `w = 1` share the key packing, seed derivation, and RNG
-/// consumption — so they must produce **bit for bit** the same profile,
-/// one-shot and adaptive alike.
+/// A bit protocol (`FnProtocol`) and the same decision function written
+/// as an `FnWideProtocol` at `w = 1` share the key packing, seed
+/// derivation, and RNG consumption — so they must produce **bit for
+/// bit** the same profile, one-shot and adaptive alike.
 #[test]
 fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
     let seed = 0xB17;
@@ -165,13 +165,12 @@ fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
     });
     let (members, baseline) = small_family();
 
-    let bit =
-        SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp.as_wide(), &members, &baseline);
+    let bit = SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline);
     let wide = SampledEstimator::new(6_000, 0xAB).estimate_full(&widep, &members, &baseline);
     assert_profile_bitwise_eq(&bit, &wide, "one-shot w=1");
 
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_a, bit_r) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 9);
+    let (bit_a, bit_r) = est.estimate_with_report(&bitp, &members, &baseline, 9);
     let (wide_a, wide_r) = est.estimate_with_report(&widep, &members, &baseline, 9);
     assert_eq!(bit_r, wide_r, "adaptive reports must coincide at w = 1");
     assert!(bit_r.batches > 1, "want a multi-batch adaptive run");

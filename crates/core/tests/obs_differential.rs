@@ -13,7 +13,6 @@
 //!    binary as one worker subprocess per thread count and compares
 //!    fingerprints of the full sorted counter set.
 
-use bcc_congest::TurnProtocol;
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::DepthProfile;
 
@@ -31,12 +30,12 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
     });
     let widep = wide_protocol(2, 3, 2, 8, 0xA5A5);
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_adaptive, _) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 9);
+    let (bit_adaptive, _) = est.estimate_with_report(&bitp, &members, &baseline, 9);
     let (wide_adaptive, _) = est.estimate_with_report(&widep, &members, &baseline, 8);
     vec![
         (
             "exact bit",
-            ExactEstimator::default().estimate_full(&bitp.as_wide(), &members, &baseline),
+            ExactEstimator::default().estimate_full(&bitp, &members, &baseline),
         ),
         (
             "exact wide",
@@ -44,7 +43,7 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
         ),
         (
             "sampled bit",
-            SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp.as_wide(), &members, &baseline),
+            SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline),
         ),
         (
             "sampled wide",

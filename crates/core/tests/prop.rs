@@ -3,7 +3,7 @@
 //! protocols and input families.
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
 use bcc_core::{
     exact_mixture_comparison_reference, DepthProfile, ExecMode, ProductInput, RowSupport,
@@ -54,11 +54,11 @@ fn assert_mixture_bitwise_eq(a: &DepthProfile, b: &DepthProfile, what: &str) {
 /// The seeded pseudo-random decision every test protocol shares: one bit per
 /// `(proc, input, transcript length, packed transcript)` query.
 ///
-/// [`bcc_congest::TurnTranscript`] and [`bcc_congest::wide::WideTranscript`]
-/// at width 1 pack turn `t` at bit `t` of the same `u64`, so feeding this
-/// function from either transcript type drives *identical* walks — which
-/// is what lets the width-1 view-vs-native property below demand bitwise
-/// equality, not mere closeness.
+/// A [`bcc_congest::FnProtocol`] and a width-1 [`FnWideProtocol`] both read
+/// a [`bcc_congest::wide::WideTranscript`] that packs turn `t` at bit `t`,
+/// so feeding this function from either protocol drives *identical* walks
+/// — which is what lets the width-1 bit-vs-wide property below demand
+/// bitwise equality, not mere closeness.
 fn decision_bit(seed: u64, proc: usize, input: u64, len: u32, packed: u64) -> bool {
     let mut z = seed
         .wrapping_add(input.wrapping_mul(0x9E3779B97F4A7C15))
@@ -76,7 +76,7 @@ fn protocol(
     bits: u32,
     horizon: u32,
     seed: u64,
-) -> FnProtocol<impl Fn(usize, u64, &bcc_congest::TurnTranscript) -> bool> {
+) -> FnProtocol<impl Fn(usize, u64, &bcc_congest::wide::WideTranscript) -> bool> {
     FnProtocol::new(n, bits, horizon, move |proc, input, tr| {
         decision_bit(seed, proc, input, tr.len(), tr.as_u64())
     })
@@ -128,8 +128,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 6, seed);
-        let ab = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
-        let ba = ExactEstimator::default().estimate_pair(&p.as_wide(), &b, &a);
+        let ab = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let ba = ExactEstimator::default().estimate_pair(&p, &b, &a);
         prop_assert!((ab.tv() - ba.tv()).abs() < 1e-12);
         for t in 0..ab.mixture_tv_by_depth.len() {
             prop_assert!((0.0..=1.0 + 1e-12).contains(&ab.mixture_tv_by_depth[t]));
@@ -139,7 +139,7 @@ proptest! {
     #[test]
     fn identical_inputs_have_zero_distance(a in arb_input(2, 3), seed in any::<u64>()) {
         let p = protocol(2, 3, 6, seed);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
         prop_assert!(cmp.tv() < 1e-12);
     }
 
@@ -148,7 +148,7 @@ proptest! {
         // Longer transcripts can only reveal more (data processing in
         // reverse): prefix TV is nondecreasing in t.
         let p = protocol(2, 3, 8, seed);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
         for w in cmp.mixture_tv_by_depth.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
@@ -165,14 +165,14 @@ proptest! {
         // distances <= max member distance.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a.clone(), b.clone()];
-        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &base);
+        let mix = ExactEstimator::default().estimate_full(&p, &members, &base);
         for t in 0..mix.mixture_tv_by_depth.len() {
             prop_assert!(mix.mixture_tv_by_depth[t] <= mix.progress_by_depth[t] + 1e-12);
         }
         let avg = (mix.per_member_tv[0] + mix.per_member_tv[1]) / 2.0;
         prop_assert!((mix.progress() - avg).abs() < 1e-12);
         // Per-member results agree with standalone walks.
-        let solo_a = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &base).tv();
+        let solo_a = ExactEstimator::default().estimate_pair(&p, &a, &base).tv();
         prop_assert!((mix.per_member_tv[0] - solo_a).abs() < 1e-12);
     }
 
@@ -183,7 +183,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 8, seed);
-        let mix = ExactEstimator::default().estimate_full(&p.as_wide(), &[a], &base);
+        let mix = ExactEstimator::default().estimate_full(&p, &[a], &base);
         for inc in mix.progress_increments() {
             prop_assert!(inc >= -1e-12);
         }
@@ -197,7 +197,7 @@ proptest! {
         // Under baseline = a itself, processor 0's expected consistent
         // fraction is nonincreasing over its own turns.
         let p = protocol(2, 4, 8, seed);
-        let cmp = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &a);
+        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
         let own_turns: Vec<f64> = cmp
             .speaker_stats
             .iter()
@@ -218,12 +218,12 @@ proptest! {
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let p = protocol(2, 3, 4, seed);
-        let exact = ExactEstimator::default().estimate_pair(&p.as_wide(), &a, &b).tv();
+        let exact = ExactEstimator::default().estimate_pair(&p, &a, &b).tv();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let sampled = bcc_core::sampled_comparison_with(
-            &p.as_wide(),
-            |r| a.sample(r),
-            |r| b.sample(r),
+            &p,
+            |r, v| a.sample_into(r, v),
+            |r, v| b.sample_into(r, v),
             20_000,
             &mut rng,
         );
@@ -247,8 +247,8 @@ proptest! {
         // floor (plus Hoeffding slack) of the exact estimator's TV.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
-        let exact = ExactEstimator::default().estimate_full(&p.as_wide(), &members, &base);
-        let sampled = SampledEstimator::new(20_000, seed).estimate_full(&p.as_wide(), &members, &base);
+        let exact = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let sampled = SampledEstimator::new(20_000, seed).estimate_full(&p, &members, &base);
         prop_assert!(
             (sampled.tv() - exact.tv()).abs() <= sampled.noise_floor() + 0.05,
             "sampled {} vs exact {} (floor {})",
@@ -286,8 +286,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = SampledEstimator::new(2_000, seed).estimate_full(&p.as_wide(), &members, &base);
-        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p.as_wide(), &members, &base);
+        let par = SampledEstimator::new(2_000, seed).estimate_full(&p, &members, &base);
+        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p, &members, &base);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -321,7 +321,7 @@ proptest! {
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
         let est = AdaptiveEstimator::new(0.25, 64, 1 << 16, seed);
-        let (profile, report) = est.estimate_with_report(&p.as_wide(), &members, &base, 6);
+        let (profile, report) = est.estimate_with_report(&p, &members, &base, 6);
         prop_assert!(report.samples_per_side <= 1 << 16);
         if report.met_tolerance {
             prop_assert!(profile.noise_floor() <= 0.25);
@@ -329,7 +329,7 @@ proptest! {
             prop_assert_eq!(report.samples_per_side, 1 << 16);
         }
         // Deterministic under the fixed seed.
-        let (again, report_again) = est.estimate_with_report(&p.as_wide(), &members, &base, 6);
+        let (again, report_again) = est.estimate_with_report(&p, &members, &base, 6);
         prop_assert_eq!(report, report_again);
         prop_assert_eq!(profile.tv().to_bits(), again.tv().to_bits());
     }
@@ -390,16 +390,16 @@ proptest! {
         base in arb_input(2, 3),
         seed in any::<u64>(),
     ) {
-        // The two transcript types pack identically at width 1, so a bit
-        // protocol's view and the same decision function written natively
-        // at w = 1 must walk to the same profile bit for bit, depth by
-        // depth — not just within tolerance.
+        // A bit protocol and the same decision function written as an
+        // FnWideProtocol at w = 1 read the same transcripts, so they must
+        // walk to the same profile bit for bit, depth by depth — not just
+        // within tolerance.
         let bitp = protocol(2, 3, 8, seed);
         let widep = FnWideProtocol::new(2, 3, 1, 8, move |proc, input, tr| {
             u64::from(decision_bit(seed, proc, input, tr.len(), tr.as_u64()))
         });
         let members = vec![a, b];
-        let bit = ExactEstimator::default().estimate_full(&bitp.as_wide(), &members, &base);
+        let bit = ExactEstimator::default().estimate_full(&bitp, &members, &base);
         let wide = ExactEstimator::parallel().estimate_full(&widep, &members, &base);
         prop_assert_eq!(bit.horizon, wide.horizon);
         for t in 0..bit.mixture_tv_by_depth.len() {
@@ -455,8 +455,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = ExactEstimator::parallel().estimate_full(&p.as_wide(), &members, &base);
-        let seq = ExactEstimator::sequential().estimate_full(&p.as_wide(), &members, &base);
+        let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
+        let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -506,8 +506,8 @@ proptest! {
         let p = protocol(2, 3, 8, seed);
         let members = vec![a, b];
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = ExactEstimator { mode }.estimate_full(&p.as_wide(), &members, &base);
-            let old = exact_mixture_comparison_reference(&p.as_wide(), &members, &base, mode);
+            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
+            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
         }
     }
@@ -543,8 +543,8 @@ proptest! {
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = ExactEstimator { mode }.estimate_full(&p.as_wide(), &members, &base);
-            let old = exact_mixture_comparison_reference(&p.as_wide(), &members, &base, mode);
+            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
+            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
             assert_mixture_bitwise_eq(&new, &old, &format!("shared {mode:?}"));
         }
     }
@@ -603,9 +603,8 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
     )]);
     let base = ProductInput::uniform(1, 10);
     for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-        let new = ExactEstimator { mode }.estimate_pair(&p.as_wide(), &a, &base);
-        let old =
-            exact_mixture_comparison_reference(&p.as_wide(), std::slice::from_ref(&a), &base, mode);
+        let new = ExactEstimator { mode }.estimate_pair(&p, &a, &base);
+        let old = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &base, mode);
         assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
     }
 }
@@ -624,8 +623,8 @@ fn huge_support_tiny_alive_bit_walk_finishes_and_is_exact() {
     let p = FnProtocol::new(1, 18, 14, |_, input, tr| (input >> tr.len()) & 1 == 1);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par = ExactEstimator::parallel().estimate_pair(&p.as_wide(), &a, &base);
-    let seq = ExactEstimator::sequential().estimate_pair(&p.as_wide(), &a, &base);
+    let par = ExactEstimator::parallel().estimate_pair(&p, &a, &base);
+    let seq = ExactEstimator::sequential().estimate_pair(&p, &a, &base);
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,

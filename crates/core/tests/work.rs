@@ -22,7 +22,7 @@
 //! running test that sorts anything would corrupt the global deltas.
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{AdaptiveEstimator, Estimator, ProductInput, RowSupport, SampledEstimator};
 use bcc_obs::{Registry, Snapshot};
 
@@ -71,7 +71,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // The bit path.
     let bitp = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&bitp.as_wide(), &members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&bitp, &members, &baseline, 6);
         report
     });
     let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
@@ -141,7 +141,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
         .collect();
     let m = wide_members.len() as u64;
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&bitp.as_wide(), &wide_members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&bitp, &wide_members, &baseline, 6);
         report
     });
     let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");

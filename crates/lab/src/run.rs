@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use bcc_congest::wide::{FnWideProtocol, WideTurnProtocol};
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::FnProtocol;
 use bcc_core::{
     derive_seed, wide_walk_nodes, AdaptiveEstimator, Estimator, ExactEstimator, ProductInput,
     MAX_WIDE_NODES,
@@ -264,7 +264,7 @@ fn rank_distance(point: &ScenarioPoint, members: usize, precision: &Precision) -
     });
     let (family, baseline) = coset_family(point, members, n_speak, 1);
     let seed = derive_seed(point.stream_root(), 2);
-    sampled_distance(&protocol.as_wide(), &family, &baseline, seed, precision)
+    sampled_distance(&protocol, &family, &baseline, seed, precision)
 }
 
 /// The toy-PRG coset family vs uniform under a `w`-bit masked-parity

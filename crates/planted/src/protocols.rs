@@ -18,13 +18,14 @@
 //! * [`random_mask_parity`] — a seeded random linear protocol, the
 //!   "generic" protocol for average-case behaviour.
 
-use bcc_congest::{FnProtocol, TurnProtocol};
+use bcc_congest::wide::WideTurnProtocol;
+use bcc_congest::FnProtocol;
 use bcc_core::exec::{DepthProfile, Estimator, ExactEstimator};
 
 use crate::inputs::{clique_family, rand_input};
 
 /// Broadcast 1 iff the row weight (out-degree) is at least `threshold`.
-pub fn degree_threshold(n: u32, rounds: u32, threshold: u32) -> impl TurnProtocol {
+pub fn degree_threshold(n: u32, rounds: u32, threshold: u32) -> impl WideTurnProtocol {
     FnProtocol::new(n as usize, n, rounds * n, move |_, input, _| {
         input.count_ones() >= threshold
     })
@@ -32,7 +33,7 @@ pub fn degree_threshold(n: u32, rounds: u32, threshold: u32) -> impl TurnProtoco
 
 /// Broadcast the parity of the row restricted to `mask` (refreshed per
 /// round by rotating the mask with the turn index).
-pub fn row_parity(n: u32, rounds: u32, mask: u64) -> impl TurnProtocol {
+pub fn row_parity(n: u32, rounds: u32, mask: u64) -> impl WideTurnProtocol {
     FnProtocol::new(n as usize, n, rounds * n, move |_, input, tr| {
         let rotated = mask.rotate_left(tr.len() / n) & ((1u64 << n) - 1);
         (input & rotated).count_ones() % 2 == 1
@@ -44,13 +45,13 @@ pub fn row_parity(n: u32, rounds: u32, mask: u64) -> impl TurnProtocol {
 ///
 /// On a planted instance, clique members reinforce each other; on a
 /// random instance the set of 1-broadcasters thins out geometrically.
-pub fn suspect_intersection(n: u32, rounds: u32) -> impl TurnProtocol {
+pub fn suspect_intersection(n: u32, rounds: u32) -> impl WideTurnProtocol {
     FnProtocol::new(n as usize, n, rounds * n, move |_, input, tr| {
         let t = tr.len();
         let round_start = t - (t % n);
         for s in round_start..t {
             let speaker = (s % n) as u64;
-            if tr.bit(s) && (input >> speaker) & 1 == 0 {
+            if tr.message(s) == 1 && (input >> speaker) & 1 == 0 {
                 return false;
             }
         }
@@ -60,7 +61,7 @@ pub fn suspect_intersection(n: u32, rounds: u32) -> impl TurnProtocol {
 
 /// A seeded random linear protocol: each (processor, turn) pair gets a
 /// fixed pseudorandom mask; broadcast the parity of the row under it.
-pub fn random_mask_parity(n: u32, rounds: u32, seed: u64) -> impl TurnProtocol {
+pub fn random_mask_parity(n: u32, rounds: u32, seed: u64) -> impl WideTurnProtocol {
     FnProtocol::new(n as usize, n, rounds * n, move |proc, input, tr| {
         // SplitMix64 over (seed, proc, turn) — deterministic and cheap.
         let mut z = seed
@@ -88,7 +89,7 @@ pub fn random_mask_parity(n: u32, rounds: u32, seed: u64) -> impl TurnProtocol {
 /// walk: a horizon above 25 turns, past the
 /// [`bcc_core::MAX_WIDE_NODES`] node budget) or the family exceeds 5000
 /// cliques.
-pub fn experiment<P: TurnProtocol + Sync + ?Sized, E: Estimator>(
+pub fn experiment<P: WideTurnProtocol + Sync + ?Sized, E: Estimator>(
     protocol: &P,
     n: u32,
     k: usize,
@@ -96,7 +97,7 @@ pub fn experiment<P: TurnProtocol + Sync + ?Sized, E: Estimator>(
 ) -> DepthProfile {
     let members = clique_family(n, k);
     let baseline = rand_input(n);
-    estimator.estimate_full(&protocol.as_wide(), &members, &baseline)
+    estimator.estimate_full(protocol, &members, &baseline)
 }
 
 /// [`experiment`] through the default exact estimator (the parallel exact
@@ -105,7 +106,7 @@ pub fn experiment<P: TurnProtocol + Sync + ?Sized, E: Estimator>(
 /// # Panics
 ///
 /// As [`experiment`].
-pub fn exact_experiment<P: TurnProtocol + Sync + ?Sized>(
+pub fn exact_experiment<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     n: u32,
     k: usize,
@@ -117,27 +118,27 @@ pub fn exact_experiment<P: TurnProtocol + Sync + ?Sized>(
 mod tests {
     use super::*;
     use crate::bounds;
-    use bcc_congest::{run_turn_protocol, TurnTranscript};
+    use bcc_congest::wide::{run_wide_protocol, WideTranscript};
 
     #[test]
     fn degree_threshold_counts() {
         let p = degree_threshold(4, 1, 2);
-        let t = TurnTranscript::empty();
-        assert!(!p.bit(0, 0b0010, &t));
-        assert!(p.bit(0, 0b0110, &t));
+        let t = WideTranscript::empty(1);
+        assert_eq!(p.message(0, 0b0010, &t), 0);
+        assert_eq!(p.message(0, 0b0110, &t), 1);
     }
 
     #[test]
     fn suspect_intersection_reacts_to_transcript() {
         let p = suspect_intersection(3, 1);
-        let mut t = TurnTranscript::empty();
+        let mut t = WideTranscript::empty(1);
         // Processor 0 says 1.
-        assert!(p.bit(0, 0, &t)); // vacuous: nobody spoke yet
-        t.push(true);
+        assert_eq!(p.message(0, 0, &t), 1); // vacuous: nobody spoke yet
+        t.push(1);
         // Processor 1 with no edge to 0 must say 0.
-        assert!(!p.bit(1, 0b000, &t));
+        assert_eq!(p.message(1, 0b000, &t), 0);
         // With the edge, 1.
-        assert!(p.bit(1, 0b001, &t));
+        assert_eq!(p.message(1, 0b001, &t), 1);
     }
 
     #[test]
@@ -145,7 +146,7 @@ mod tests {
         // All-ones rows: everyone keeps saying 1.
         let p = suspect_intersection(3, 2);
         let inputs = [0b110u64, 0b101, 0b011]; // complete digraph rows
-        let tr = run_turn_protocol(&p, &inputs);
+        let tr = run_wide_protocol(&p, &inputs);
         assert_eq!(tr.as_u64(), 0b111111);
     }
 

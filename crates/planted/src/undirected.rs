@@ -13,7 +13,7 @@
 //! protocols behave just as in the directed case — evidence for the
 //! paper's conjecture.
 
-use bcc_congest::TurnProtocol;
+use bcc_congest::wide::WideTurnProtocol;
 use bcc_core::exec::DepthProfile;
 use bcc_core::sample::sampled_comparison_with;
 use bcc_graphs::digraph::UGraph;
@@ -90,13 +90,13 @@ pub fn sampled_experiment<P, R>(
     rng: &mut R,
 ) -> DepthProfile
 where
-    P: TurnProtocol + ?Sized,
+    P: WideTurnProtocol + ?Sized,
     R: Rng + ?Sized,
 {
     sampled_comparison_with(
-        &protocol.as_wide(),
-        |rng| sample_rows_rand(rng, n),
-        |rng| sample_rows_planted(rng, n, k),
+        protocol,
+        |rng, rows| *rows = sample_rows_rand(rng, n),
+        |rng, rows| *rows = sample_rows_planted(rng, n, k),
         samples,
         rng,
     )

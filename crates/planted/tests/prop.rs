@@ -1,6 +1,6 @@
 //! Property-based tests for the planted-clique crate.
 
-use bcc_congest::run_turn_protocol;
+use bcc_congest::wide::run_wide_protocol;
 use bcc_graphs::clique::is_directed_clique;
 use bcc_graphs::planted::{row_subcube, sample_planted};
 use bcc_planted::lemmas::{lemma_1_10_mean, lemma_4_4_mean};
@@ -89,7 +89,7 @@ proptest! {
         let proto = suspect_intersection(n, 2);
         let input = rand_input(n);
         let x = input.sample(&mut rng);
-        let t = run_turn_protocol(&proto, &x);
+        let t = run_wide_protocol(&proto, &x);
         prop_assert_eq!(t.len(), 2 * n);
     }
 

@@ -350,7 +350,7 @@ pub fn lemma_7_2_mean(k: u32, m: u32, table: &[f64], domain: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_congest::{FnProtocol, TurnProtocol};
+    use bcc_congest::FnProtocol;
     use bcc_core::exec::{Estimator, ExactEstimator};
     use bcc_f2::gauss;
     use rand::rngs::StdRng;
@@ -448,7 +448,7 @@ mod tests {
         });
         let members = family(n, k, m);
         let baseline = uniform_input(n, m);
-        let cmp = ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
+        let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
         assert!(cmp.tv() <= cmp.progress() + 1e-12);
         assert!(cmp.tv() < 0.3, "distance {}", cmp.tv());
     }
@@ -529,7 +529,7 @@ mod tests {
             let members = family(n, k, m);
             let baseline = uniform_input(n, m);
             ExactEstimator::default()
-                .estimate_full(&proto.as_wide(), &members, &baseline)
+                .estimate_full(&proto, &members, &baseline)
                 .tv()
         };
         let d2 = distance_at(2);

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use bcc::congest::{FnProtocol, TurnProtocol};
+use bcc::congest::FnProtocol;
 use bcc::core::exec::{Estimator, ExactEstimator};
 use bcc::core::{DepthProfile, ProductInput, RowSupport};
 
@@ -40,7 +40,7 @@ fn main() {
 
     let time = |est: ExactEstimator| -> (DepthProfile, f64) {
         let start = Instant::now();
-        let profile = est.estimate_full(&protocol.as_wide(), &members, &baseline);
+        let profile = est.estimate_full(&protocol, &members, &baseline);
         (profile, start.elapsed().as_secs_f64())
     };
 

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example lower_bound_lab`
 
-use bcc::congest::TurnProtocol;
 use bcc::core::{Estimator, ExactEstimator};
 use bcc::planted::protocols::suspect_intersection;
 use bcc::planted::{bounds, clique_family, rand_input};
@@ -28,7 +27,7 @@ fn main() {
     );
 
     let proto = suspect_intersection(n, rounds);
-    let cmp = ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
+    let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
 
     println!("\nturn-by-turn (exact):");
     println!(

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use bcc::congest::{FnProtocol, Model, Network, TurnProtocol};
+use bcc::congest::{FnProtocol, Model, Network};
 use bcc::core::{Estimator, ExactEstimator, ProductInput, RowSupport};
 use bcc::prg::MatrixPrg;
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ fn main() {
         RowSupport::uniform(5),
         RowSupport::uniform(5),
     ]);
-    let cmp = ExactEstimator::default().estimate_pair(&protocol.as_wide(), &biased, &uniform);
+    let cmp = ExactEstimator::default().estimate_pair(&protocol, &biased, &uniform);
     println!("prefix distance by turn: {:?}", cmp.mixture_tv_by_depth);
     println!(
         "optimal distinguisher advantage after 3 turns: {:.4}",

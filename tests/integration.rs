@@ -2,7 +2,8 @@
 //! graph/seed sampling through the congested-clique model to the exact
 //! engine or a protocol outcome.
 
-use bcc::congest::{run_turn_protocol, FnProtocol, Model, Network, TurnProtocol};
+use bcc::congest::wide::run_wide_protocol;
+use bcc::congest::{FnProtocol, Model, Network};
 use bcc::core::{Estimator, ExactEstimator, ProductInput};
 use bcc::f2::{gauss, BitMatrix, BitVec};
 use bcc::graphs::planted::sample_planted;
@@ -67,7 +68,7 @@ fn prg_fools_protocol_but_attack_breaks_it() {
     });
     let members = bcc::prg::full::family(n, k, m);
     let baseline = bcc::prg::full::uniform_input(n, m);
-    let cmp = ExactEstimator::default().estimate_full(&proto.as_wide(), &members, &baseline);
+    let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
     assert!(cmp.tv() < 0.2, "natural protocol separates: {}", cmp.tv());
 
     let mut rng = StdRng::seed_from_u64(2);
@@ -148,7 +149,7 @@ fn turn_and_network_round_accounting_agree() {
     let j = 3u32;
     let proto = FnProtocol::new(n, 4, j * n as u32, |_, input, _| input & 1 == 1);
     let inputs = vec![1u64; n];
-    let tr = run_turn_protocol(&proto, &inputs);
+    let tr = run_wide_protocol(&proto, &inputs);
     assert_eq!(tr.len(), j * n as u32);
 
     let mut net = Network::new(Model::bcast1(n));
@@ -168,7 +169,7 @@ fn mixture_decomposition_identity() {
     let proto = protocols::degree_threshold(n, 1, 3);
     let family = clique_family(n, k);
     let baseline = rand_input(n);
-    let exact = ExactEstimator::default().estimate_full(&proto.as_wide(), &family, &baseline);
+    let exact = ExactEstimator::default().estimate_full(&proto, &family, &baseline);
 
     // Monte-Carlo A_k: sample a clique, then a member input, run.
     let mut est = MeanEstimator::new();
@@ -177,12 +178,12 @@ fn mixture_decomposition_identity() {
         let c = bcc::graphs::planted::sample_subset(&mut rng, n as usize, k);
         let input = bcc::planted::clique_input(n, &c);
         let x = input.sample(&mut rng);
-        est.push(f64::from(accept(run_turn_protocol(&proto, &x).as_u64())));
+        est.push(f64::from(accept(run_wide_protocol(&proto, &x).as_u64())));
     }
     let mut base_est = MeanEstimator::new();
     for _ in 0..20_000 {
         let x = baseline.sample(&mut rng);
-        base_est.push(f64::from(accept(run_turn_protocol(&proto, &x).as_u64())));
+        base_est.push(f64::from(accept(run_wide_protocol(&proto, &x).as_u64())));
     }
     // The acceptance gap of ANY test is at most the exact TV.
     let gap = (est.mean() - base_est.mean()).abs();
@@ -304,12 +305,8 @@ fn engine_two_sided_symmetry() {
         bcc::core::RowSupport::explicit(3, vec![0, 1, 2]),
         bcc::core::RowSupport::uniform(3),
     ]);
-    let ab = ExactEstimator::default()
-        .estimate_pair(&proto.as_wide(), &a, &b)
-        .tv();
-    let ba = ExactEstimator::default()
-        .estimate_pair(&proto.as_wide(), &b, &a)
-        .tv();
+    let ab = ExactEstimator::default().estimate_pair(&proto, &a, &b).tv();
+    let ba = ExactEstimator::default().estimate_pair(&proto, &b, &a).tv();
     assert!((ab - ba).abs() < 1e-12);
 }
 
