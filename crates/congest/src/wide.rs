@@ -36,6 +36,9 @@ impl WideTranscript {
     /// # Panics
     ///
     /// Panics unless `1 ≤ width ≤ 16`.
+    // Inlined across crates: the samplers start one transcript per draw,
+    // and a width known at the call site lets `push` fold its checks.
+    #[inline]
     pub fn empty(width: u32) -> Self {
         assert!((1..=16).contains(&width), "width must be in 1..=16");
         WideTranscript {
