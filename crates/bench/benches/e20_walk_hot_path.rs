@@ -393,8 +393,8 @@ fn main() {
     // -- headline work counters of one representative run ---------------
     // A timing without its work denominator is hard to compare across
     // machines, so one scoped pass over the overhauled bit walk plus one
-    // radix sort records nodes, kernel words and sorted keys alongside
-    // the nanoseconds.
+    // radix sort records nodes and kernel words, and the note carries the
+    // sort's key count, alongside the nanoseconds.
     let work_registry = bcc_obs::Registry::new();
     {
         let _scope = work_registry.install();
@@ -451,10 +451,7 @@ fn main() {
                 work.work_counter("walk.live_points").to_string(),
             ),
             ("work_kernel_words", kernel_words.to_string()),
-            (
-                "work_keys_sorted",
-                work.work_counter("global.keys_sorted").to_string(),
-            ),
+            ("work_keys_sorted", radix_keys.len().to_string()),
         ],
     );
 

@@ -867,10 +867,10 @@ impl AdaptiveEstimator {
     /// two-pointer-merges that into the accumulated mixture, so across a
     /// whole run the mixture costs merges only — the radix-sort work of
     /// the entire estimator is exactly the per-side chunk sorts, 1× the
-    /// final budget per side (pinned by `crates/core/tests/work.rs`
-    /// against the process-wide `global.keys_sorted` total). The sorted mixture
-    /// is a pure function of the key multiset, so the profile stays
-    /// bitwise the one-shot estimator's, which re-sorts from scratch.
+    /// final budget per side (pinned by `crates/core/tests/work.rs` on the
+    /// run's scoped `exec.keys_sorted`). The sorted mixture is a pure
+    /// function of the key multiset, so the profile stays bitwise the
+    /// one-shot estimator's, which re-sorts from scratch.
     fn run_adaptive<C>(
         &self,
         horizon: u32,
@@ -895,7 +895,6 @@ impl AdaptiveEstimator {
         let mut delta_mix: Vec<u64> = Vec::new();
         let mut merge_scratch: Vec<u64> = Vec::new();
         let mut mixture_merged = 0u64;
-        let mut budget_growths = 0u64;
 
         let mut samples = self.initial_samples.min(self.max_samples_per_side);
         let mut batches = 0usize;
@@ -923,9 +922,9 @@ impl AdaptiveEstimator {
             merge_sorted_k_u64(&chunk_refs, &mut delta_mix);
             merge_sorted_u64(&mixture, &delta_mix, &mut merge_scratch);
             std::mem::swap(&mut mixture, &mut merge_scratch);
-            // Mirrors the counting sites inside the merges just called:
-            // the k-way fold writes delta_mix once, the two-pointer merge
-            // reads old mixture + delta_mix = the new mixture's length.
+            // Merge work: the k-way fold writes delta_mix once, the
+            // two-pointer merge reads old mixture + delta_mix = the new
+            // mixture's length.
             mixture_merged += (delta_mix.len() + mixture.len()) as u64;
 
             let member_refs: Vec<&[u64]> = sides[1..].iter().map(|s| s.keys.as_slice()).collect();
@@ -959,17 +958,16 @@ impl AdaptiveEstimator {
                 if let Some(obs) = &obs {
                     obs.add("exec.runs", Class::Work, 1);
                     obs.add("exec.adaptive.batches", Class::Work, batches as u64);
-                    obs.add("exec.adaptive.budget_growths", Class::Work, budget_growths);
+                    // Every batch but the first follows one budget growth.
                     obs.add(
-                        "exec.samples_drawn",
+                        "exec.adaptive.budget_growths",
                         Class::Work,
-                        sides.iter().map(|s| s.drawn as u64).sum(),
+                        batches as u64 - 1,
                     );
-                    obs.add(
-                        "exec.keys_sorted",
-                        Class::Work,
-                        sides.iter().map(|s| s.sorted).sum(),
-                    );
+                    // Each drawn key is radix-sorted once, in its chunk.
+                    let drawn: u64 = sides.iter().map(|s| s.drawn as u64).sum();
+                    obs.add("exec.samples_drawn", Class::Work, drawn);
+                    obs.add("exec.keys_sorted", Class::Work, drawn);
                     obs.add(
                         "exec.keys_merged",
                         Class::Work,
@@ -1003,7 +1001,6 @@ impl AdaptiveEstimator {
                 .saturating_mul(2)
                 .max(projected)
                 .min(self.max_samples_per_side);
-            budget_growths += 1;
             // A zero-length span doubles as a budget-growth event marker
             // in the trace timeline.
             drop(Span::begin_for("exec.budget_growth", obs.clone()));
@@ -1021,13 +1018,9 @@ struct SideSampler {
     scratch: Vec<u64>,
     /// Transcripts this side has actually simulated, counted at the
     /// draw site ([`AdaptiveReport::samples_drawn`]'s source of truth).
+    /// `collect` sorts each chunk once, so this is also the side's
+    /// radix-sort work (the scoped `exec.keys_sorted`).
     drawn: usize,
-    /// Keys this side fed through the radix sorter (each chunk is
-    /// sorted once by `collect`) — run-local, flushed into the scoped
-    /// `exec.keys_sorted` counter. Mirrors the process-wide site in
-    /// `radix_sort_u64`, but attributes the work to *this* run even
-    /// with concurrent estimators in the process.
-    sorted: u64,
     /// Keys this side's incremental merges wrote (old keys + chunk per
     /// batch) — run-local source of the scoped `exec.keys_merged`.
     merged: u64,
@@ -1041,7 +1034,6 @@ impl SideSampler {
             chunk: Vec::new(),
             scratch: Vec::new(),
             drawn: 0,
-            sorted: 0,
             merged: 0,
         }
     }
@@ -1060,7 +1052,6 @@ impl SideSampler {
         }
         collect(&mut self.rng, delta, &mut self.chunk);
         self.drawn += self.chunk.len();
-        self.sorted += self.chunk.len() as u64;
         merge_sorted_u64(&self.keys, &self.chunk, &mut self.scratch);
         std::mem::swap(&mut self.keys, &mut self.scratch);
         self.merged += self.keys.len() as u64;

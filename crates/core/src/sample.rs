@@ -123,7 +123,6 @@ pub(crate) fn check_key_packing(horizon: u32, width: u32) {
 pub(crate) fn merge_sorted_u64(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     debug_assert!(a.windows(2).all(|w| w[0] <= w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] <= w[1]));
-    bcc_obs::add_keys_merged((a.len() + b.len()) as u64);
     out.clear();
     out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
@@ -146,12 +145,11 @@ pub(crate) fn merge_sorted_u64(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
 /// `O(N log m)` comparisons for `N` output keys — where the pairwise
 /// fold it replaces re-copied early chunks at every step (`Σ i·Δ ≈ m²Δ/2`
 /// merge writes per batch). Delegates to [`merge_sorted_u64`] below
-/// three lists, and counts its output into [`bcc_obs::keys_merged_total`].
+/// three lists.
 pub(crate) fn merge_sorted_k_u64(lists: &[&[u64]], out: &mut Vec<u64>) {
     match lists {
         [] => out.clear(),
         [a] => {
-            bcc_obs::add_keys_merged(a.len() as u64);
             out.clear();
             out.extend_from_slice(a);
         }
@@ -159,7 +157,6 @@ pub(crate) fn merge_sorted_k_u64(lists: &[&[u64]], out: &mut Vec<u64>) {
         _ => {
             debug_assert!(lists.iter().all(|l| l.windows(2).all(|w| w[0] <= w[1])));
             let total: usize = lists.iter().map(|l| l.len()).sum();
-            bcc_obs::add_keys_merged(total as u64);
             out.clear();
             out.reserve(total);
             // Min-heap of (next key, list index); the list index
@@ -210,7 +207,6 @@ const RADIX_MAX_VARYING_BYTES: u32 = 4;
 pub fn radix_sort_u64(keys: &mut Vec<u64>) {
     let kernel = kernel::active();
     let n = keys.len();
-    bcc_obs::add_keys_sorted(n as u64);
     if n < RADIX_CUTOFF {
         keys.sort_unstable();
         return;
@@ -717,14 +713,8 @@ mod tests {
             let mut expected: Vec<u64> = lists.concat();
             expected.sort_unstable();
             let mut out = vec![0xDEAD_BEEFu64]; // stale content must be cleared
-            let merged_before = bcc_obs::keys_merged_total();
             merge_sorted_k_u64(&refs, &mut out);
             assert_eq!(out, expected, "lens {lens:?}");
-            assert_eq!(
-                bcc_obs::keys_merged_total() - merged_before,
-                expected.len() as u64,
-                "k-way merge counts each output key once, lens {lens:?}"
-            );
         }
     }
 

@@ -540,8 +540,6 @@ impl DepthScratch {
 /// modes and thread counts at equal split depth.
 #[derive(Default)]
 struct WalkTally {
-    /// Nodes whose depth-`t` contribution this workspace accumulated.
-    nodes: u64,
     /// Sum over internal nodes of the per-distribution live counts at
     /// the speaker row: the points the node's splits actually price.
     live_points: u64,
@@ -550,7 +548,8 @@ struct WalkTally {
     /// Dense parents that produced a sparse child (hybrid-set
     /// demotions to sorted index lists).
     demotions: u64,
-    /// Nodes per depth, `horizon + 1` entries.
+    /// Nodes whose depth-`t` contribution this workspace accumulated,
+    /// per depth `t` (`horizon + 1` entries); `walk.nodes` is their sum.
     nodes_by_depth: Vec<u64>,
 }
 
@@ -564,7 +563,7 @@ impl WalkTally {
 
     fn flush(&self, obs: &bcc_obs::Registry) {
         use bcc_obs::Class;
-        obs.add("walk.nodes", Class::Work, self.nodes);
+        obs.add("walk.nodes", Class::Work, self.nodes_by_depth.iter().sum());
         obs.add("walk.live_points", Class::Work, self.live_points);
         obs.add("walk.children_built", Class::Work, self.children_built);
         obs.add(
@@ -889,7 +888,6 @@ fn walk<P: WideTurnProtocol + ?Sized>(
     // Depth-t prefix accumulation. Frontier-cut nodes were handed off
     // above, so every accumulated node is tallied exactly once — by
     // phase 1 or by the task that owns its subtree.
-    ws.tally.nodes += 1;
     ws.tally.nodes_by_depth[t] += 1;
 
     let avg: f64 = probs.iter().sum::<f64>() / m as f64;

@@ -12,14 +12,8 @@
 //! producing bitwise-identical profiles — exactly the kind of regression
 //! only a work counter can catch.
 //!
-//! Each estimator run installs a fresh registry, so the pinned deltas are
-//! scoped to that run. Every snapshot also carries the process-global
-//! totals as deltas from registry creation (`global.keys_sorted`,
-//! `global.keys_merged`); this file asserts the scoped counters agree
-//! with them, proving the scoped counters lose no work against the
-//! process-wide key totals. That cross-check
-//! is why this file must stay a **single-test binary**: a concurrently
-//! running test that sorts anything would corrupt the global deltas.
+//! Each estimator run installs a fresh registry, so the pinned counts are
+//! scoped to that run, also while other runs count on other threads.
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
@@ -36,20 +30,8 @@ fn scoped<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     (out, registry.snapshot())
 }
 
-/// The scoped counter, asserted equal to the process-global delta over
-/// the same run (the migration-is-lossless cross-check).
-fn counter_cross_checked(snap: &Snapshot, scoped_name: &str, global_name: &str) -> u64 {
-    let scoped = snap.work_counter(scoped_name);
-    let global = snap.work_counter(global_name);
-    assert_eq!(
-        scoped, global,
-        "{scoped_name} must account for every key {global_name} saw"
-    );
-    scoped
-}
-
-#[test]
-fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
+/// A two-member family over two 3-bit rows, and its uniform baseline.
+fn family() -> (Vec<ProductInput>, ProductInput) {
     let members = vec![
         ProductInput::new(vec![
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
@@ -60,7 +42,24 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
             RowSupport::explicit(3, vec![0, 2]),
         ]),
     ];
-    let baseline = ProductInput::uniform(2, 3);
+    (members, ProductInput::uniform(2, 3))
+}
+
+/// A wide (m = 6) family over the same rows.
+fn wide_family() -> Vec<ProductInput> {
+    (0..6)
+        .map(|i| {
+            ProductInput::new(vec![
+                RowSupport::explicit(3, (0..=i as u64 + 1).collect()),
+                RowSupport::uniform(3),
+            ])
+        })
+        .collect()
+}
+
+#[test]
+fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
+    let (members, baseline) = family();
     let sides = members.len() as u64 + 1;
     let cap = 2048usize;
     // Unreachable tolerance: the cap binds after several doubling
@@ -74,7 +73,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
         let (_, report) = est.estimate_with_report(&bitp, &members, &baseline, 6);
         report
     });
-    let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
+    let sorted = snap.work_counter("exec.keys_sorted");
     assert!(report.batches > 1, "want a multi-batch run: {report:?}");
     assert_eq!(report.samples_per_side, cap);
     assert_eq!(
@@ -103,7 +102,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
         let (_, report) = est.estimate_with_report(&widep, &members, &baseline, 6);
         report
     });
-    let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
+    let sorted = snap.work_counter("exec.keys_sorted");
     assert!(report.batches > 1, "want a multi-batch run: {report:?}");
     assert_eq!(
         sorted,
@@ -117,7 +116,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // adaptive numbers above are not an accounting blind spot).
     let (_, snap) =
         scoped(|| SampledEstimator::new(cap, 0xFEED).estimate_full(&widep, &members, &baseline));
-    let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
+    let sorted = snap.work_counter("exec.keys_sorted");
     assert_eq!(sorted, (sides + members.len() as u64) * cap as u64);
     assert_eq!(
         snap.work_counter("exec.samples_drawn"),
@@ -131,21 +130,14 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // early chunks (Σ_{i≤m} i·Δ = 21Δ here). Total merge work — per-side
     // extends + chunk fold + mixture merge — is pinned exactly, and the
     // combined radix+merge work stays under the pairwise baseline.
-    let wide_members: Vec<ProductInput> = (0..6)
-        .map(|i| {
-            ProductInput::new(vec![
-                RowSupport::explicit(3, (0..=i as u64 + 1).collect()),
-                RowSupport::uniform(3),
-            ])
-        })
-        .collect();
+    let wide_members = wide_family();
     let m = wide_members.len() as u64;
     let (report, snap) = scoped(|| {
         let (_, report) = est.estimate_with_report(&bitp, &wide_members, &baseline, 6);
         report
     });
-    let sorted = counter_cross_checked(&snap, "exec.keys_sorted", "global.keys_sorted");
-    let merged = counter_cross_checked(&snap, "exec.keys_merged", "global.keys_merged");
+    let sorted = snap.work_counter("exec.keys_sorted");
+    let merged = snap.work_counter("exec.keys_merged");
     // The unreachable tolerance makes the budget schedule deterministic:
     // batch 1 draws the initial 64, the support projection then jumps
     // straight to the cap.
@@ -187,4 +179,41 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
         sorted + merged <= sorted + merged_pairwise_baseline,
         "total radix+merge work must stay within the pairwise baseline"
     );
+}
+
+/// Two adaptive runs on two threads, each under its own registry: each
+/// run's work fingerprint is the one the same run records alone, less
+/// the process-global `kernel.words.*`, which count every observed run
+/// in the process.
+#[test]
+fn concurrent_runs_count_only_their_own_work() {
+    let (members, baseline) = family();
+    let wide_members = wide_family();
+    let est = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
+    let bitp = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
+    let widep = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
+    let bit_run = || est.estimate_with_report(&bitp, &members, &baseline, 6);
+    let wide_run = || est.estimate_with_report(&widep, &wide_members, &baseline, 6);
+    let fingerprint = |snap: Snapshot| -> Vec<(String, u64)> {
+        snap.work_fingerprint()
+            .into_iter()
+            .filter(|(name, _)| !name.starts_with("kernel.words."))
+            .collect()
+    };
+    let bit_alone = fingerprint(scoped(bit_run).1);
+    let wide_alone = fingerprint(scoped(wide_run).1);
+    assert!(
+        bit_alone.contains(&("exec.keys_sorted".to_string(), 3 * 2048)),
+        "{bit_alone:?}"
+    );
+    assert_ne!(bit_alone, wide_alone, "the two runs must differ in work");
+    for _ in 0..4 {
+        let (bit, wide) = std::thread::scope(|s| {
+            let bit = s.spawn(|| fingerprint(scoped(bit_run).1));
+            let wide = s.spawn(|| fingerprint(scoped(wide_run).1));
+            (bit.join().unwrap(), wide.join().unwrap())
+        });
+        assert_eq!(bit, bit_alone, "the bit run, beside the wide run");
+        assert_eq!(wide, wide_alone, "the wide run, beside the bit run");
+    }
 }

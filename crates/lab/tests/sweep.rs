@@ -376,9 +376,9 @@ mod placement {
     }
 
     /// The deterministic work a snapshot records: every work counter and
-    /// work-class series, except the process-global deltas (`global.*`,
-    /// `kernel.words.*`), which also count whatever the other tests in
-    /// this binary run at the same time.
+    /// work-class series, except the process-global `kernel.words.*`
+    /// deltas, which also count whatever the other tests in this binary
+    /// run at the same time.
     fn work(snapshot: &Snapshot) -> BTreeMap<String, Vec<u64>> {
         let counters = snapshot
             .work
@@ -391,7 +391,7 @@ mod placement {
             .map(|(name, _, values)| (name.clone(), values.clone()));
         counters
             .chain(series)
-            .filter(|(name, _)| !name.starts_with("global.") && !name.starts_with("kernel.words."))
+            .filter(|(name, _)| !name.starts_with("kernel.words."))
             .collect()
     }
 

