@@ -18,7 +18,7 @@ fn main() {
         "exact mixture distance and progress function across rounds; bound j*k^2*sqrt((j+log n)/n)",
     );
     // One estimator drives the whole table (the parallel exact walk);
-    // swap in SampledEstimator to push past exact reach.
+    // swap in an AdaptiveEstimator to push past exact reach.
     let est = ExactEstimator::default();
 
     let mut rows = Vec::new();

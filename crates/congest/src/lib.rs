@@ -36,4 +36,4 @@ pub mod wide;
 pub use model::Model;
 pub use network::Network;
 pub use transcript::RoundLog;
-pub use turn::{is_consistent, FnProtocol};
+pub use turn::FnProtocol;

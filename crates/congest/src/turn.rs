@@ -84,31 +84,10 @@ where
     }
 }
 
-/// Whether `input` is *consistent* with `transcript` for processor `proc`:
-/// replaying the protocol, every message `proc` actually spoke matches what
-/// it would have spoken with this input (the paper's set `D_p^{(t)}`,
-/// Claim 2 / Claim 4).
-pub fn is_consistent<P: WideTurnProtocol + ?Sized>(
-    protocol: &P,
-    proc: usize,
-    input: u64,
-    transcript: &WideTranscript,
-) -> bool {
-    let mut prefix = WideTranscript::empty(transcript.width());
-    for t in 0..transcript.len() {
-        let spoken = transcript.message(t);
-        if protocol.speaker(t) == proc && protocol.message(proc, input, &prefix) != spoken {
-            return false;
-        }
-        prefix.push(spoken);
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wide::{run_wide_protocol, FnWideProtocol};
+    use crate::wide::run_wide_protocol;
 
     #[test]
     fn round_robin_speaker() {
@@ -141,68 +120,6 @@ mod tests {
         assert_eq!((t.message(0), t.message(1)), (1, 1));
         let t = run_wide_protocol(&p, &[0, 0]);
         assert_eq!((t.message(0), t.message(1)), (0, 0));
-    }
-
-    #[test]
-    fn consistency_accepts_real_input() {
-        let p = FnProtocol::new(2, 3, 6, |_, input, tr| {
-            (input >> (tr.len() / 2) as u64) & 1 == 1
-        });
-        let inputs = [0b101u64, 0b011];
-        let t = run_wide_protocol(&p, &inputs);
-        assert!(is_consistent(&p, 0, inputs[0], &t));
-        assert!(is_consistent(&p, 1, inputs[1], &t));
-    }
-
-    #[test]
-    fn consistency_rejects_contradicting_input() {
-        // Turn 0: processor 0 broadcasts bit 0 of its input.
-        let p = FnProtocol::new(2, 1, 2, |_, input, _| input == 1);
-        let t = run_wide_protocol(&p, &[1, 0]);
-        assert!(!is_consistent(&p, 0, 0, &t));
-        assert!(is_consistent(&p, 0, 1, &t));
-    }
-
-    #[test]
-    fn consistency_of_silent_processor_is_trivial() {
-        // With horizon 1 only processor 0 spoke; any input of processor 1
-        // is consistent.
-        let p = FnProtocol::new(2, 2, 1, |_, input, _| input & 1 == 1);
-        let t = run_wide_protocol(&p, &[0, 3]);
-        for x in 0..4u64 {
-            assert!(is_consistent(&p, 1, x, &t));
-        }
-    }
-
-    #[test]
-    fn consistent_set_size_halves_per_spoken_bit() {
-        // Processor 0 broadcasts input bit t on its t-th turn: after j of
-        // its turns the consistent set has 2^{bits-j} members.
-        let p = FnProtocol::new(2, 4, 6, |_, input, tr| {
-            let my_turns = tr.len() / 2;
-            (input >> my_turns) & 1 == 1
-        });
-        let t = run_wide_protocol(&p, &[0b1010, 0]);
-        let count = (0..16u64).filter(|&x| is_consistent(&p, 0, x, &t)).count();
-        assert_eq!(count, 2); // 3 bits of processor 0 pinned by 3 turns
-    }
-
-    #[test]
-    fn consistency_compares_whole_wide_messages() {
-        // Processor 0 ships its 2-bit input, then processor 1 echoes the
-        // high bit of it: only processor 0's true input is consistent, and
-        // processor 1's input plays no part.
-        let p = FnWideProtocol::new(2, 2, 2, 2, |proc, input, tr| {
-            if proc == 0 {
-                input
-            } else {
-                tr.message(0) >> 1
-            }
-        });
-        let t = run_wide_protocol(&p, &[0b10, 0b01]);
-        let consistent: Vec<u64> = (0..4).filter(|&x| is_consistent(&p, 0, x, &t)).collect();
-        assert_eq!(consistent, vec![0b10]);
-        assert!((0..4).all(|x| is_consistent(&p, 1, x, &t)));
     }
 
     #[test]

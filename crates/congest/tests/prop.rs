@@ -1,7 +1,7 @@
 //! Property-based tests for the congested-clique model.
 
-use bcc_congest::wide::{run_wide_protocol, WideTranscript};
-use bcc_congest::{is_consistent, FnProtocol, Model, Network};
+use bcc_congest::wide::{run_wide_protocol, WideTranscript, WideTurnProtocol};
+use bcc_congest::{FnProtocol, Model, Network};
 use bcc_f2::BitVec;
 use proptest::prelude::*;
 
@@ -29,7 +29,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // For any (seeded, deterministic) protocol, the actual inputs are
-        // consistent with the transcript they generated.
+        // consistent with the transcript they generated: replaying each
+        // turn's speaker on the prefix before it gives the recorded
+        // message.
         let p = FnProtocol::new(3, 4, 9, move |proc, input, tr| {
             let h = seed
                 .wrapping_mul(0x9E3779B97F4A7C15)
@@ -40,8 +42,11 @@ proptest! {
             (h >> 17) & 1 == 1
         });
         let t = run_wide_protocol(&p, &inputs);
-        for (proc, &input) in inputs.iter().enumerate() {
-            prop_assert!(is_consistent(&p, proc, input, &t));
+        let mut prefix = WideTranscript::empty(1);
+        for turn in 0..t.len() {
+            let speaker = p.speaker(turn);
+            prop_assert_eq!(p.message(speaker, inputs[speaker], &prefix), t.message(turn));
+            prefix.push(t.message(turn));
         }
     }
 
@@ -51,14 +56,16 @@ proptest! {
         alt in 0u64..8,
     ) {
         // If `alt` is consistent for processor 0, swapping it in yields
-        // the same transcript (the defining property of D_p).
+        // the same transcript (the defining property of D_p). Put the
+        // other way round: the two transcripts can first differ only on
+        // a turn processor 0 speaks.
         let p = FnProtocol::new(2, 3, 6, |_, input, tr| {
             (input >> (tr.len() / 2).min(2)) & 1 == 1
         });
         let t = run_wide_protocol(&p, &inputs);
-        if is_consistent(&p, 0, alt, &t) {
-            let t2 = run_wide_protocol(&p, &[alt, inputs[1]]);
-            prop_assert_eq!(t2, t);
+        let t2 = run_wide_protocol(&p, &[alt, inputs[1]]);
+        if let Some(first) = (0..t.len()).find(|&turn| t.message(turn) != t2.message(turn)) {
+            prop_assert_eq!(p.speaker(first), 0);
         }
     }
 

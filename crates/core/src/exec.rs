@@ -11,14 +11,14 @@
 //! * [`ExactEstimator`] — the engine's exact walk, parallel by default
 //!   (subtree fan-out over rayon, deterministic reduction), refused past
 //!   the node budget [`crate::wide::MAX_WIDE_NODES`];
-//! * [`SampledEstimator`] — seeded Monte-Carlo over packed-`u64` prefix
-//!   keys (`w` bits per turn), with the whole depth profile from one sort
-//!   per side;
-//! * [`AdaptiveEstimator`] — the sampler with a budget that grows until
-//!   the noise floor meets a tolerance
-//!   ([`AdaptiveEstimator::estimate_with_report`] says how it grew).
+//! * [`AdaptiveEstimator`] — seeded Monte-Carlo over sorted packed-`u64`
+//!   prefix keys (`w` bits per turn), with a budget that grows in batches
+//!   until the noise floor meets a tolerance
+//!   ([`AdaptiveEstimator::estimate_with_report`] says how it grew). A
+//!   fixed budget of `s` samples per side is the one-batch run
+//!   `AdaptiveEstimator::new(tolerance, s, s, seed)`.
 //!
-//! All three speak one transcript model, `BCAST(w)` turn protocols
+//! Both speak one transcript model, `BCAST(w)` turn protocols
 //! ([`WideTurnProtocol`]), and return a [`DepthProfile`] over turns that
 //! carries its [`Provenance`], so downstream code can ask for the
 //! [`DepthProfile::noise_floor`] without knowing how the numbers were
@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use bcc_congest::FnProtocol;
-//! use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
+//! use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
 //! use bcc_core::ProductInput;
 //!
 //! let p = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
@@ -35,7 +35,8 @@
 //! let baseline = ProductInput::uniform(2, 3);
 //!
 //! let exact = ExactEstimator::default().estimate_full(&p, &family, &baseline);
-//! let sampled = SampledEstimator::new(4_000, 1).estimate_full(&p, &family, &baseline);
+//! // A fixed budget: initial = cap, so exactly one batch of 4000 per side.
+//! let sampled = AdaptiveEstimator::new(0.0, 4_000, 4_000, 1).estimate_full(&p, &family, &baseline);
 //! assert!((exact.tv() - sampled.tv()).abs() <= sampled.noise_floor());
 //! ```
 
@@ -51,7 +52,7 @@ use crate::engine::{assemble, SpeakerStats};
 use crate::input::ProductInput;
 use crate::sample::{
     check_key_packing, collect_sorted_wide_keys, merge_sorted_k_u64, merge_sorted_u64,
-    radix_sort_u64, sorted_depth_profile,
+    sorted_depth_profile,
 };
 use crate::walk::exact_walk;
 use crate::wide::validate_budget;
@@ -63,7 +64,7 @@ pub use bcc_stats::smoothing::TvEstimator;
 /// stream index (a SplitMix64 step and finalizer).
 ///
 /// This is how every seeded fan-out in the workspace names its streams:
-/// the [`SampledEstimator`] gives side `i` of a family comparison the
+/// the [`AdaptiveEstimator`] gives side `i` of a family comparison the
 /// stream `derive_seed(seed, i)`, and `bcc-lab` gives every scenario
 /// point its own root the same way. Distinct `(root, stream)` pairs give
 /// statistically independent ChaCha streams, and the derivation is pure,
@@ -427,164 +428,15 @@ impl Estimator for ExactEstimator {
     }
 }
 
-/// Seeded Monte-Carlo estimation as an [`Estimator`].
-///
-/// Draws `samples_per_side` transcripts from every family member and from
-/// the baseline, batches them into sorted packed-`u64` histograms (no
-/// per-sample hashing; keys pack `w` bits per turn,
-/// [`crate::sample::wide_prefix_key`]) and reads the whole depth profile
-/// off the sorted keys. The sampler has no node budget — it is the
-/// backend past the exact walk's — only the key packing limit
-/// `horizon × w ≤ 64`. The profile has `horizon + 1` entries over turns
-/// (depth `t` is the TV after `t` messages, `t·w` bits).
-///
-/// The estimator owns its randomness: side `i` of the comparison (the
-/// baseline is side 0, member `i` is side `i + 1`) draws from the
-/// independent ChaCha stream seeded by [`derive_seed`]`(seed, i)`, so
-/// sides can be sampled in any order — which is what lets
-/// [`ExecMode::Parallel`] fan the family out over rayon while staying
-/// bitwise identical to the sequential run.
-#[derive(Debug, Clone, Copy)]
-pub struct SampledEstimator {
-    /// Samples drawn per family member and for the baseline.
-    pub samples_per_side: usize,
-    /// The root seed of the estimator's private randomness.
-    pub seed: u64,
-    /// How the per-side sampling executes; [`ExecMode::Parallel`] by
-    /// default. Both modes produce bitwise-identical profiles.
-    pub mode: ExecMode,
-}
-
-impl SampledEstimator {
-    /// An estimator drawing `samples_per_side` transcripts per side from
-    /// ChaCha streams derived from `seed`, sampling family members in
-    /// parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples_per_side == 0` (an estimate from nothing: its
-    /// noise floor would be infinite).
-    pub fn new(samples_per_side: usize, seed: u64) -> Self {
-        assert!(samples_per_side > 0, "need at least one sample per side");
-        SampledEstimator {
-            samples_per_side,
-            seed,
-            mode: ExecMode::Parallel,
-        }
-    }
-
-    /// The same estimator forced onto the calling thread. Bitwise equal
-    /// to the parallel results, only slower.
-    pub fn sequential(samples_per_side: usize, seed: u64) -> Self {
-        SampledEstimator {
-            mode: ExecMode::Sequential,
-            ..SampledEstimator::new(samples_per_side, seed)
-        }
-    }
-}
-
-impl Estimator for SampledEstimator {
-    fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-        horizon: u32,
-    ) -> DepthProfile {
-        let _span = bcc_obs::span("exec.sampled");
-        assert!(!members.is_empty(), "need at least one family member");
-        assert!(
-            horizon <= protocol.horizon(),
-            "horizon {horizon} beyond the protocol's {}",
-            protocol.horizon()
-        );
-        // Re-checked here because the fields are public: a zero-sample
-        // estimate would silently poison the profile with NaNs.
-        assert!(
-            self.samples_per_side > 0,
-            "need at least one sample per side"
-        );
-        let width = protocol.width();
-        check_key_packing(horizon, width);
-        let truncated = Truncated {
-            inner: protocol,
-            horizon,
-        };
-        let samples = self.samples_per_side;
-        let m = members.len();
-
-        // Each side owns the stream derive_seed(seed, side): the key
-        // arrays depend only on (side, seed), never on execution order,
-        // so the parallel map is bitwise identical to the sequential one
-        // (the vendored rayon's collect preserves input order).
-        let sample_side = |side: usize| -> Vec<u64> {
-            let input = if side == 0 {
-                baseline
-            } else {
-                &members[side - 1]
-            };
-            let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(self.seed, side as u64));
-            let mut keys = Vec::new();
-            collect_sorted_wide_keys(
-                &truncated,
-                |r, inputs| input.sample_into(r, inputs),
-                samples,
-                &mut rng,
-                &mut keys,
-            );
-            keys
-        };
-        let side_keys: Vec<Vec<u64>> = match self.mode {
-            ExecMode::Parallel => (0..=m)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(sample_side)
-                .collect(),
-            ExecMode::Sequential => (0..=m).map(sample_side).collect(),
-        };
-        let member_refs: Vec<&[u64]> = side_keys[1..].iter().map(Vec::as_slice).collect();
-        let mixture = sorted_mixture(&member_refs);
-        flush_sampled_work(&side_keys, mixture.len());
-        profile_from_sorted_sides(
-            horizon,
-            width,
-            samples,
-            &side_keys[0],
-            &member_refs,
-            &mixture,
-        )
-    }
-}
-
-/// Reports a one-shot sampled run's work into the scope installed on
-/// the calling thread (resolved here, *after* the parallel side
-/// sampling — the counts are slice lengths gathered run-locally, so
-/// they are identical whichever thread drew which side).
-fn flush_sampled_work(side_keys: &[Vec<u64>], mixture_len: usize) {
-    if let Some(obs) = bcc_obs::current() {
-        let side_total: u64 = side_keys.iter().map(|k| k.len() as u64).sum();
-        obs.add("exec.runs", Class::Work, 1);
-        obs.add("exec.samples_drawn", Class::Work, side_total);
-        // Each side's collect sorted its own keys once; the mixture
-        // concatenation is radix-sorted once on top.
-        obs.add(
-            "exec.keys_sorted",
-            Class::Work,
-            side_total + mixture_len as u64,
-        );
-    }
-}
-
 /// Reads a whole [`DepthProfile`] off per-side *sorted* prefix-key
-/// arrays — the shared back half of the sampled estimators (a turn at
-/// width `w` spans `bits_per_turn = w` key bits). The
-/// caller supplies the sorted mixture histogram (the multiset union of
-/// every member's keys): the one-shot estimators sort the concatenation
-/// once, while [`AdaptiveEstimator`] maintains it incrementally across
-/// batches — a sorted `u64` array is a pure function of its multiset, so
-/// both routes produce bitwise-identical profiles; the pair sampler
-/// [`crate::sample::sampled_comparison_with`] passes its one side as the
-/// single member and as the mixture.
+/// arrays — the shared back half of the samplers (a turn at width `w`
+/// spans `bits_per_turn = w` key bits). The caller supplies the sorted
+/// mixture histogram (the multiset union of every member's keys):
+/// [`AdaptiveEstimator`] maintains it by merges across batches — a sorted
+/// `u64` array is a pure function of its multiset, so any batch schedule
+/// reaching the same budget produces a bitwise-identical profile; the
+/// pair sampler [`crate::sample::sampled_comparison_with`] passes its one
+/// side as the single member and as the mixture.
 ///
 /// Each (side, baseline) pair is read in one merge pass that yields every
 /// depth at once (`sample::sorted_depth_profile`): one pass per member
@@ -649,19 +501,6 @@ pub(crate) fn profile_from_sorted_sides(
     }
 }
 
-/// Concatenates and sorts every member side's keys into the mixture
-/// histogram — the one-shot construction of the sorted mixture that
-/// [`profile_from_sorted_sides`] consumes.
-fn sorted_mixture(member_keys: &[&[u64]]) -> Vec<u64> {
-    let total = member_keys.iter().map(|k| k.len()).sum();
-    let mut mixture = Vec::with_capacity(total);
-    for keys in member_keys {
-        mixture.extend_from_slice(keys);
-    }
-    radix_sort_u64(&mut mixture);
-    mixture
-}
-
 /// How an [`AdaptiveEstimator`] run spent its budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveReport {
@@ -681,8 +520,22 @@ pub struct AdaptiveReport {
     pub met_tolerance: bool,
 }
 
-/// Monte-Carlo estimation that grows its sample budget until the noise
-/// floor meets a tolerance, as an [`Estimator`].
+/// Seeded Monte-Carlo estimation that grows its sample budget until the
+/// noise floor meets a tolerance, as an [`Estimator`] — the sampler past
+/// the exact walk's node budget.
+///
+/// Every family member and the baseline draw the same number of
+/// transcripts, batched into sorted packed-`u64` histograms (no
+/// per-sample hashing; keys pack `w` bits per turn,
+/// [`crate::sample::wide_prefix_key`]), and the whole depth profile is
+/// read off the sorted keys. The sampler has no node budget, only the key
+/// packing limit `horizon × w ≤ 64`. The profile has `horizon + 1`
+/// entries over turns (depth `t` is the TV after `t` messages, `t·w`
+/// bits). Side `i` of the comparison (the baseline is side 0, member `i`
+/// is side `i + 1`) draws from the independent ChaCha stream seeded by
+/// [`derive_seed`]`(seed, i)`, so sides can be sampled in any order —
+/// which is what lets [`ExecMode::Parallel`] fan them out over rayon while
+/// staying bitwise identical to the sequential run.
 ///
 /// Samples in seeded batches of geometrically growing budget — starting
 /// at `initial_samples`, at least doubling each batch, and jumping
@@ -691,20 +544,20 @@ pub struct AdaptiveReport {
 /// [truncated target](AdaptiveEstimator::truncated_target)) when that is
 /// larger — until [`DepthProfile::noise_floor`] (or the floor at the
 /// required depth) is at most `tolerance` or the budget reaches
-/// `max_samples_per_side`.
+/// `max_samples_per_side`. A fixed budget of `s` per side is
+/// `AdaptiveEstimator::new(tolerance, s, s, seed)`: the first batch
+/// already reaches the cap, so exactly one runs, whatever the tolerance.
 ///
 /// Batches are **incremental**: every side keeps its ChaCha stream and
 /// its sorted key array alive across batches, a grown budget draws only
 /// the *delta* of new transcripts, sorts that chunk, and merges it into
 /// the side's keys (`O(total)` two-pointer merge). Total simulation work
 /// is therefore exactly one × the final budget — each transcript is
-/// drawn once — where the previous from-scratch re-runs summed every
-/// intermediate budget (≤ 2× final). Because the continued stream draws
-/// the same sample sequence a one-shot run would, the returned profile
-/// is still **bitwise identical** to a one-shot [`SampledEstimator`] at
-/// the final budget: an adaptive run is exactly reproducible from its
-/// recorded sample count, which is what lets `bcc-lab` resume
-/// interrupted sweeps bit-for-bit.
+/// drawn once. Because the continued stream draws the same sample
+/// sequence a single batch would, the returned profile is **bitwise
+/// identical** to the one-batch run at the final budget: an adaptive run
+/// is exactly reproducible from its recorded sample count, which is what
+/// lets `bcc-lab` resume interrupted sweeps bit-for-bit.
 ///
 /// Big sweeps spend samples only where they are needed: a point whose
 /// distances resolve at the first budget stops immediately, while a point
@@ -796,9 +649,8 @@ impl AdaptiveEstimator {
 
     /// [`Estimator::estimate`] plus the [`AdaptiveReport`] saying how the
     /// budget grew and whether the tolerance was met. The profile is
-    /// bitwise a one-shot [`SampledEstimator`]'s at the final budget,
-    /// which is what keeps `bcc-lab`'s sampled sweeps resumable
-    /// bit-for-bit.
+    /// bitwise the one-batch run's at the final budget, which is what
+    /// keeps `bcc-lab`'s sampled sweeps resumable bit-for-bit.
     ///
     /// # Panics
     ///
@@ -812,38 +664,12 @@ impl AdaptiveEstimator {
         baseline: &ProductInput,
         horizon: u32,
     ) -> (DepthProfile, AdaptiveReport) {
-        self.validate(members.len(), horizon, protocol.horizon());
-        let width = protocol.width();
-        check_key_packing(horizon, width);
-        let truncated = Truncated {
-            inner: protocol,
-            horizon,
-        };
-        self.run_adaptive(horizon, width, members.len(), |side, sampler, delta| {
-            let input = if side == 0 {
-                baseline
-            } else {
-                &members[side - 1]
-            };
-            sampler.extend_with(delta, |rng, delta, chunk| {
-                collect_sorted_wide_keys(
-                    &truncated,
-                    |r, inputs| input.sample_into(r, inputs),
-                    delta,
-                    rng,
-                    chunk,
-                );
-            });
-        })
-    }
-
-    /// The shared argument validation (mirrors the constructor's checks —
-    /// the fields are public).
-    fn validate(&self, members: usize, horizon: u32, protocol_horizon: u32) {
-        assert!(members > 0, "need at least one family member");
+        // Mirrors the constructor's checks: the fields are public.
+        assert!(!members.is_empty(), "need at least one family member");
         assert!(
-            horizon <= protocol_horizon,
-            "horizon {horizon} beyond the protocol's {protocol_horizon}"
+            horizon <= protocol.horizon(),
+            "horizon {horizon} beyond the protocol's {}",
+            protocol.horizon()
         );
         assert!(
             self.initial_samples > 0,
@@ -855,12 +681,18 @@ impl AdaptiveEstimator {
             self.max_samples_per_side,
             self.initial_samples
         );
+        check_key_packing(horizon, protocol.width());
+        let truncated = Truncated {
+            inner: protocol,
+            horizon,
+        };
+        self.run_adaptive(&truncated, members, baseline)
     }
 
-    /// The engine-agnostic adaptive loop: grows the budget in seeded
-    /// batches, with `collect(side, sampler, delta)` drawing one side's
-    /// next `delta` keys (sorted into the sampler's chunk and merged into
-    /// its persistent key array).
+    /// The adaptive loop over a protocol already truncated to the
+    /// requested horizon: grows the budget in seeded batches, each side's
+    /// [`SideSampler`] drawing its next `delta` keys (sorted into its
+    /// chunk and merged into its persistent key array).
     ///
     /// The mixture histogram is **also persistent**: each batch merges
     /// the member sides' freshly sorted chunks into one sorted delta and
@@ -869,18 +701,15 @@ impl AdaptiveEstimator {
     /// the entire estimator is exactly the per-side chunk sorts, 1× the
     /// final budget per side (pinned by `crates/core/tests/work.rs` on the
     /// run's scoped `exec.keys_sorted`). The sorted mixture is a pure
-    /// function of the key multiset, so the profile stays bitwise the
-    /// one-shot estimator's, which re-sorts from scratch.
-    fn run_adaptive<C>(
+    /// function of the key multiset, so the profile is bitwise the same
+    /// whichever batch schedule reached the final budget.
+    fn run_adaptive<'a, P: WideTurnProtocol + Sync + ?Sized>(
         &self,
-        horizon: u32,
-        bits_per_turn: u32,
-        m: usize,
-        collect: C,
-    ) -> (DepthProfile, AdaptiveReport)
-    where
-        C: Fn(usize, &mut SideSampler, usize) + Sync,
-    {
+        protocol: &P,
+        members: &'a [ProductInput],
+        baseline: &'a ProductInput,
+    ) -> (DepthProfile, AdaptiveReport) {
+        let (horizon, bits_per_turn) = (protocol.horizon(), protocol.width());
         // The scope is resolved once on the calling thread; side
         // extension below fans out over rayon, so all work counts are
         // gathered run-locally (in the samplers and in this frame) and
@@ -888,8 +717,10 @@ impl AdaptiveEstimator {
         // worker threads.
         let obs = bcc_obs::current();
         let _run_span = Span::begin_for("exec.adaptive", obs.clone());
-        let mut sides: Vec<SideSampler> = (0..=m)
-            .map(|side| SideSampler::new(derive_seed(self.seed, side as u64)))
+        let mut sides: Vec<SideSampler<'a>> = std::iter::once(baseline)
+            .chain(members)
+            .enumerate()
+            .map(|(side, input)| SideSampler::new(input, derive_seed(self.seed, side as u64)))
             .collect();
         let mut mixture: Vec<u64> = Vec::new();
         let mut delta_mix: Vec<u64> = Vec::new();
@@ -903,14 +734,13 @@ impl AdaptiveEstimator {
             batches += 1;
             let batch_span = Span::begin_for("exec.adaptive_batch", obs.clone());
             let delta = samples.saturating_sub(drawn);
-            let extend = |(side, mut sampler): (usize, SideSampler)| -> SideSampler {
-                collect(side, &mut sampler, delta);
+            let extend = |mut sampler: SideSampler<'a>| {
+                sampler.extend(protocol, delta);
                 sampler
             };
-            let indexed: Vec<(usize, SideSampler)> = sides.into_iter().enumerate().collect();
             sides = match self.mode {
-                ExecMode::Parallel => indexed.into_par_iter().map(extend).collect(),
-                ExecMode::Sequential => indexed.into_iter().map(extend).collect(),
+                ExecMode::Parallel => sides.into_par_iter().map(extend).collect(),
+                ExecMode::Sequential => sides.into_iter().map(extend).collect(),
             };
             drawn = samples;
 
@@ -1008,27 +838,29 @@ impl AdaptiveEstimator {
     }
 }
 
-/// One side's persistent sampling state across adaptive batches: its
-/// derived ChaCha stream, its accumulated sorted keys, and reusable
-/// chunk/merge buffers.
-struct SideSampler {
+/// One side's persistent sampling state across adaptive batches: the
+/// input distribution it draws from, its derived ChaCha stream, its
+/// accumulated sorted keys, and reusable chunk/merge buffers.
+struct SideSampler<'a> {
+    input: &'a ProductInput,
     rng: ChaCha12Rng,
     keys: Vec<u64>,
     chunk: Vec<u64>,
     scratch: Vec<u64>,
     /// Transcripts this side has actually simulated, counted at the
     /// draw site ([`AdaptiveReport::samples_drawn`]'s source of truth).
-    /// `collect` sorts each chunk once, so this is also the side's
-    /// radix-sort work (the scoped `exec.keys_sorted`).
+    /// Each chunk is sorted once, so this is also the side's radix-sort
+    /// work (the scoped `exec.keys_sorted`).
     drawn: usize,
     /// Keys this side's incremental merges wrote (old keys + chunk per
     /// batch) — run-local source of the scoped `exec.keys_merged`.
     merged: u64,
 }
 
-impl SideSampler {
-    fn new(seed: u64) -> Self {
+impl<'a> SideSampler<'a> {
+    fn new(input: &'a ProductInput, seed: u64) -> Self {
         SideSampler {
+            input,
             rng: ChaCha12Rng::seed_from_u64(seed),
             keys: Vec::new(),
             chunk: Vec::new(),
@@ -1038,19 +870,23 @@ impl SideSampler {
         }
     }
 
-    /// Draws `delta` more keys from the continued stream via `collect`
-    /// (which must leave the chunk sorted), and merges the chunk into the
-    /// persistent sorted keys. A zero `delta` clears the chunk, so stale
-    /// keys can never leak into the caller's mixture bookkeeping.
-    fn extend_with<C>(&mut self, delta: usize, collect: C)
-    where
-        C: FnOnce(&mut ChaCha12Rng, usize, &mut Vec<u64>),
-    {
+    /// Draws `delta` more sorted keys of `protocol` from the continued
+    /// stream into the chunk, and merges the chunk into the persistent
+    /// sorted keys. A zero `delta` clears the chunk, so stale keys can
+    /// never leak into the caller's mixture bookkeeping.
+    fn extend<P: WideTurnProtocol + ?Sized>(&mut self, protocol: &P, delta: usize) {
         if delta == 0 {
             self.chunk.clear();
             return;
         }
-        collect(&mut self.rng, delta, &mut self.chunk);
+        let input = self.input;
+        collect_sorted_wide_keys(
+            protocol,
+            |r, inputs| input.sample_into(r, inputs),
+            delta,
+            &mut self.rng,
+            &mut self.chunk,
+        );
         self.drawn += self.chunk.len();
         merge_sorted_u64(&self.keys, &self.chunk, &mut self.scratch);
         std::mem::swap(&mut self.keys, &mut self.scratch);
@@ -1081,6 +917,12 @@ mod tests {
         FnProtocol::new(n, bits, horizon, |_, input, tr| {
             (input >> (tr.len() as usize / 2)) & 1 == 1
         })
+    }
+
+    /// A fixed budget of `samples` per side: the first batch is already
+    /// the cap, so exactly one runs.
+    fn fixed(samples: usize, seed: u64) -> AdaptiveEstimator {
+        AdaptiveEstimator::new(0.0, samples, samples, seed)
     }
 
     fn family() -> (Vec<ProductInput>, ProductInput) {
@@ -1121,7 +963,7 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        let est = SampledEstimator::new(20_000, 0x5EED);
+        let est = fixed(20_000, 0x5EED);
         let a = est.estimate_full(&p, &members, &baseline);
         let b = est.estimate_full(&p, &members, &baseline);
         assert_eq!(
@@ -1149,7 +991,7 @@ mod tests {
     fn sampled_profile_shape_matches_request() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(2_000, 1).estimate(&p, &members, &baseline, 4);
+        let profile = fixed(2_000, 1).estimate(&p, &members, &baseline, 4);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -1162,7 +1004,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_sample_estimator_rejected() {
-        let _ = SampledEstimator::new(0, 1);
+        let _ = fixed(0, 1);
     }
 
     #[test]
@@ -1172,10 +1014,10 @@ mod tests {
         // bypassed; estimate() must re-check rather than emit NaNs.
         let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
-        let est = SampledEstimator {
-            samples_per_side: 0,
-            seed: 1,
-            mode: ExecMode::Parallel,
+        let est = AdaptiveEstimator {
+            initial_samples: 0,
+            max_samples_per_side: 0,
+            ..fixed(1, 1)
         };
         let _ = est.estimate_full(&p, &members, &baseline);
     }
@@ -1184,8 +1026,12 @@ mod tests {
     fn sampled_parallel_matches_sequential_bitwise() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let par = SampledEstimator::new(4_000, 9).estimate_full(&p, &members, &baseline);
-        let seq = SampledEstimator::sequential(4_000, 9).estimate_full(&p, &members, &baseline);
+        let par = fixed(4_000, 9).estimate_full(&p, &members, &baseline);
+        let seq = AdaptiveEstimator {
+            mode: ExecMode::Sequential,
+            ..fixed(4_000, 9)
+        }
+        .estimate_full(&p, &members, &baseline);
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1226,12 +1072,11 @@ mod tests {
         assert!(report.met_tolerance, "report: {report:?}");
         assert!(profile.noise_floor() <= 0.2);
         assert!(report.samples_per_side < 1 << 20, "cap should not bind");
-        // The adaptive result is bitwise the one-shot estimate at the
+        // The adaptive result is bitwise the single-batch estimate at the
         // final budget — the property sweep resumption relies on.
-        let one_shot = SampledEstimator::new(report.samples_per_side, 0x5EED)
-            .estimate_full(&p, &members, &baseline);
-        assert_eq!(profile.tv().to_bits(), one_shot.tv().to_bits());
-        assert_eq!(profile.progress().to_bits(), one_shot.progress().to_bits());
+        let single = fixed(report.samples_per_side, 0x5EED).estimate_full(&p, &members, &baseline);
+        assert_eq!(profile.tv().to_bits(), single.tv().to_bits());
+        assert_eq!(profile.progress().to_bits(), single.progress().to_bits());
     }
 
     #[test]
@@ -1271,7 +1116,7 @@ mod tests {
         // samples each exceeds the per-side budget, so the unclamped
         // plug-in scale sqrt(support / 8) would sit above 1 — vacuous
         // for a distance bounded by 1.
-        let profile = SampledEstimator::new(8, 0xC1A).estimate_full(&p, &members, &baseline);
+        let profile = fixed(8, 0xC1A).estimate_full(&p, &members, &baseline);
         let Provenance::Sampled {
             samples_per_side,
             support_seen,
@@ -1319,7 +1164,7 @@ mod tests {
     fn depth_floors_are_monotone_and_bound_the_headline_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(2_000, 0x0DD).estimate_full(&p, &members, &baseline);
+        let profile = fixed(2_000, 0x0DD).estimate_full(&p, &members, &baseline);
         for t in 1..=profile.horizon {
             assert!(
                 profile.noise_floor_at(t) >= profile.noise_floor_at(t - 1),
@@ -1339,7 +1184,7 @@ mod tests {
     fn resolved_horizon_is_the_deepest_depth_meeting_the_tolerance() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(64, 0xFAB).estimate_full(&p, &members, &baseline);
+        let profile = fixed(64, 0xFAB).estimate_full(&p, &members, &baseline);
         // Pick a tolerance strictly between the shallowest and deepest
         // floors so the resolved horizon is a proper prefix.
         let tol = (profile.noise_floor_at(0) + profile.noise_floor()) / 2.0;
@@ -1358,7 +1203,7 @@ mod tests {
     fn smoothed_profiles_subtract_singletons_and_never_raise_the_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let plugin = SampledEstimator::new(64, 0x6007).estimate_full(&p, &members, &baseline);
+        let plugin = fixed(64, 0x6007).estimate_full(&p, &members, &baseline);
         let smoothed = plugin.smoothed();
         let Provenance::Sampled { estimator, .. } = smoothed.provenance else {
             panic!("sampled run");
@@ -1415,18 +1260,17 @@ mod tests {
             "truncated target must stop before the cap: {tr:?} vs {lr:?}"
         );
         assert!(tp.resolved_horizon(0.3) >= 1, "a nonempty prefix resolved");
-        // The truncated run is still bitwise the one-shot at its final
+        // The truncated run is still bitwise the single batch at its final
         // budget — truncation changes when to stop, never the numbers.
-        let one_shot =
-            SampledEstimator::new(tr.samples_per_side, 0x77).estimate_full(&p, &members, &baseline);
+        let single = fixed(tr.samples_per_side, 0x77).estimate_full(&p, &members, &baseline);
         for t in 0..tp.mixture_tv_by_depth.len() {
             assert_eq!(
                 tp.mixture_tv_by_depth[t].to_bits(),
-                one_shot.mixture_tv_by_depth[t].to_bits(),
+                single.mixture_tv_by_depth[t].to_bits(),
                 "depth {t}"
             );
         }
-        assert_eq!(tp.provenance, one_shot.provenance);
+        assert_eq!(tp.provenance, single.provenance);
     }
 
     #[test]
@@ -1492,7 +1336,7 @@ mod tests {
         // incremental merge must have simulated each transcript exactly
         // once — total draws equal the final budget, not the sum of all
         // intermediate budgets — while the profile stays bitwise the
-        // one-shot run at that budget.
+        // single-batch run at that budget.
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
@@ -1503,21 +1347,23 @@ mod tests {
             report.samples_drawn, report.samples_per_side,
             "incremental batches must not re-simulate earlier samples"
         );
-        let one_shot = SampledEstimator::new(2048, 0xFEED).estimate_full(&p, &members, &baseline);
+        let (single, single_report) =
+            fixed(2048, 0xFEED).estimate_with_report(&p, &members, &baseline, 6);
+        assert_eq!(single_report.batches, 1, "initial = cap runs one batch");
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
                 profile.mixture_tv_by_depth[t].to_bits(),
-                one_shot.mixture_tv_by_depth[t].to_bits(),
+                single.mixture_tv_by_depth[t].to_bits(),
                 "depth {t}"
             );
             assert_eq!(
                 profile.progress_by_depth[t].to_bits(),
-                one_shot.progress_by_depth[t].to_bits(),
+                single.progress_by_depth[t].to_bits(),
                 "depth {t}"
             );
         }
-        assert_eq!(profile.per_member_tv, one_shot.per_member_tv);
-        assert_eq!(profile.provenance, one_shot.provenance);
+        assert_eq!(profile.per_member_tv, single.per_member_tv);
+        assert_eq!(profile.provenance, single.provenance);
     }
 
     #[test]
@@ -1554,7 +1400,7 @@ mod tests {
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
         let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        let est = SampledEstimator::new(20_000, 0x5EED);
+        let est = fixed(20_000, 0x5EED);
         let a = est.estimate_full(&p, &members, &baseline);
         let b = est.estimate_full(&p, &members, &baseline);
         assert_eq!(
@@ -1582,7 +1428,7 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let profile = SampledEstimator::new(2_000, 1).estimate(&p, &members, &baseline, 4);
+        let profile = fixed(2_000, 1).estimate(&p, &members, &baseline, 4);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -1597,8 +1443,12 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 3, 5, |_, input, tr| (input >> (tr.len() % 2)) & 0b111);
         let (members, baseline) = family();
-        let par = SampledEstimator::new(4_000, 9).estimate_full(&p, &members, &baseline);
-        let seq = SampledEstimator::sequential(4_000, 9).estimate_full(&p, &members, &baseline);
+        let par = fixed(4_000, 9).estimate_full(&p, &members, &baseline);
+        let seq = AdaptiveEstimator {
+            mode: ExecMode::Sequential,
+            ..fixed(4_000, 9)
+        }
+        .estimate_full(&p, &members, &baseline);
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1624,7 +1474,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_sample_wide_estimator_rejected() {
-        let _ = SampledEstimator::new(0, 1);
+        use bcc_congest::wide::FnWideProtocol;
+        let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, _| input & 0b11);
+        let (members, baseline) = family();
+        let est = AdaptiveEstimator {
+            initial_samples: 0,
+            max_samples_per_side: 0,
+            ..fixed(1, 1)
+        };
+        let _ = est.estimate_full(&p, &members, &baseline);
     }
 
     #[test]
@@ -1633,7 +1491,7 @@ mod tests {
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
         // Unreachable tolerance, cap binds: forces a multi-batch run, the
-        // regime where incremental merging could diverge from one-shot.
+        // regime where incremental merging could diverge from a single batch.
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
         let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
         assert!(report.batches > 1, "want a multi-batch run: {report:?}");
@@ -1642,21 +1500,21 @@ mod tests {
             report.samples_drawn, report.samples_per_side,
             "incremental batches must not re-simulate earlier samples"
         );
-        let one_shot = SampledEstimator::new(2048, 0xFEED).estimate_full(&p, &members, &baseline);
+        let single = fixed(2048, 0xFEED).estimate_full(&p, &members, &baseline);
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
                 profile.mixture_tv_by_depth[t].to_bits(),
-                one_shot.mixture_tv_by_depth[t].to_bits(),
+                single.mixture_tv_by_depth[t].to_bits(),
                 "depth {t}"
             );
             assert_eq!(
                 profile.progress_by_depth[t].to_bits(),
-                one_shot.progress_by_depth[t].to_bits(),
+                single.progress_by_depth[t].to_bits(),
                 "depth {t}"
             );
         }
-        assert_eq!(profile.per_member_tv, one_shot.per_member_tv);
-        assert_eq!(profile.provenance, one_shot.provenance);
+        assert_eq!(profile.per_member_tv, single.per_member_tv);
+        assert_eq!(profile.provenance, single.provenance);
     }
 
     #[test]
@@ -1717,8 +1575,7 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let _ =
-            SampledEstimator::new(10, 1).estimate_full(&Overflowing, std::slice::from_ref(&a), &a);
+        let _ = fixed(10, 1).estimate_full(&Overflowing, std::slice::from_ref(&a), &a);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`engine`]'s, run by [`exec::ExactEstimator`]. It returns the exact
 //! distance, the per-turn progress function, and the consistent-set-size
 //! statistics of Claims 2/4/6, all in one pass. [`sample`] provides the
-//! Monte-Carlo estimators used beyond exact reach.
+//! Monte-Carlo sampling used beyond exact reach.
 //!
 //! There is one transcript model: the engine, the samplers and the
 //! estimators all take `BCAST(w)` turn protocols
@@ -35,7 +35,8 @@
 //! `bcc-prg` build these for the planted-clique and PRG families.
 //!
 //! Callers normally go through the unified execution backend in [`exec`]:
-//! an [`exec::Estimator`] (exact, sampled or adaptive) turns a
+//! an [`exec::Estimator`] (the exact walk or the adaptive sampler, whose
+//! one-batch form is the fixed-budget estimate) turns a
 //! `(protocol, family, baseline, horizon)` query into a
 //! [`exec::DepthProfile`], so experiment code never chooses between the
 //! engine and the sampler by hand. Every transcript distance in the crate
@@ -55,7 +56,7 @@ pub mod wide;
 pub use engine::{exact_mixture_comparison_reference, ExecMode};
 pub use exec::{
     derive_seed, AdaptiveEstimator, AdaptiveReport, DepthProfile, Estimator, ExactEstimator,
-    Provenance, SampledEstimator,
+    Provenance,
 };
 pub use input::{ProductInput, RowSupport};
 pub use sample::{radix_sort_u64, sampled_comparison_with, wide_prefix_key};

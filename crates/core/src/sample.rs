@@ -17,7 +17,7 @@
 //! length group contiguously under the full-key sort order, and a TV
 //! merge at turn depth `t` is a merge at *bit* depth `t·w`: one sort pays
 //! for TV merges at every depth, which is what
-//! [`crate::exec::SampledEstimator`] exploits for whole depth profiles.
+//! [`crate::exec::AdaptiveEstimator`] exploits for whole depth profiles.
 //! The merges themselves are one pass per side pair: consecutive keys'
 //! common prefix says which depths' groups close, so every depth's TV,
 //! support and singleton counts come out of a single walk over the two
@@ -256,7 +256,7 @@ pub(crate) struct DepthStats {
 /// in **one** merge pass: entry `t` of each is taken at prefix depth
 /// `t·bits_per_turn`, for `t in 0..=horizon`, with per-sample weights
 /// `weight_a` / `weight_b` (normally `1/len`; the mixture side of
-/// [`crate::exec::SampledEstimator`] passes `1/(m·len)`).
+/// [`crate::exec::AdaptiveEstimator`] passes `1/(m·len)`).
 ///
 /// Consecutive keys of the merged order share
 /// `leading_zeros(prev ^ key) / bits_per_turn` whole turns, so each new
@@ -423,7 +423,7 @@ mod tests {
 
     /// Empirical TV between two sorted key arrays at prefix depth `depth`,
     /// with per-sample weights `weight_a` / `weight_b` (normally `1/len`; the
-    /// mixture side of [`crate::exec::SampledEstimator`] passes `1/(m·len)`).
+    /// mixture side of [`crate::exec::AdaptiveEstimator`] passes `1/(m·len)`).
     fn sorted_tv_at_depth(a: &[u64], b: &[u64], weight_a: f64, weight_b: f64, depth: u32) -> f64 {
         if depth == 0 {
             // A single group holding all mass on both sides.

@@ -20,8 +20,8 @@ use std::sync::Mutex;
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
 use bcc_core::{
-    exact_mixture_comparison_reference, sampled_comparison_with, Estimator, ExactEstimator,
-    ExecMode, ProductInput, RowSupport, SampledEstimator,
+    exact_mixture_comparison_reference, sampled_comparison_with, AdaptiveEstimator, Estimator,
+    ExactEstimator, ExecMode, ProductInput, RowSupport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,7 +122,8 @@ fn steady_state_recursion_does_not_allocate_per_node() {
 }
 
 /// A sequential sampled estimate of a width-2, 6-turn protocol over a
-/// two-member family (three sides), at `samples` per side.
+/// two-member family (three sides), at a fixed `samples` per side: the
+/// adaptive estimator with initial budget = cap, so one batch.
 fn sampled_estimate(samples: usize) -> f64 {
     let p = FnWideProtocol::new(3, 4, 2, 6, |proc, input, tr| {
         ((input >> (tr.len() % 3)) ^ proc as u64 ^ tr.as_u64()) & 0b11
@@ -132,9 +133,12 @@ fn sampled_estimate(samples: usize) -> f64 {
         baseline.with_row(0, RowSupport::explicit(4, vec![1, 4, 7, 10, 13])),
         baseline.with_row(2, RowSupport::explicit(4, vec![0, 3, 5, 6, 9, 10, 12, 15])),
     ];
-    SampledEstimator::sequential(samples, 7)
-        .estimate_full(&p, &members, &baseline)
-        .tv()
+    AdaptiveEstimator {
+        mode: ExecMode::Sequential,
+        ..AdaptiveEstimator::new(0.0, samples, samples, 7)
+    }
+    .estimate_full(&p, &members, &baseline)
+    .tv()
 }
 
 #[test]
@@ -145,9 +149,9 @@ fn steady_state_sampler_does_not_allocate_per_transcript() {
     let (_, small) = allocations(|| sampled_estimate(1 << 10));
     let (_, large) = allocations(|| sampled_estimate(1 << 14));
     // 15,360 more transcripts on each of three sides: one allocation per
-    // transcript would add 46,080. The per-side key arrays, the radix
-    // scratch and the mixture are allocated once per sort, whatever the
-    // sample count.
+    // transcript would add 46,080. The per-side key, chunk and merge
+    // arrays, the radix scratch and the mixture are allocated once per
+    // batch, whatever the sample count.
     assert!(
         large < small + 64,
         "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"

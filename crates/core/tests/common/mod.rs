@@ -1,13 +1,14 @@
 //! Helpers shared by the differential-style integration suites
-//! (`differential.rs`, `obs_differential.rs`): the seeded protocol
-//! constructions and the bitwise profile comparison they pin against.
+//! (`differential.rs`, `obs_differential.rs`, `prop.rs`): the seeded
+//! protocol constructions, the fixed-budget sampler and the bitwise
+//! profile comparison they pin against.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
 #![allow(dead_code)]
 
 use bcc_congest::wide::FnWideProtocol;
-use bcc_core::{DepthProfile, ProductInput, RowSupport};
+use bcc_core::{AdaptiveEstimator, DepthProfile, ProductInput, RowSupport};
 
 /// The seeded pseudo-random decision shared with `tests/prop.rs`: one bit
 /// per `(proc, input, transcript length, packed transcript)` query, so
@@ -46,6 +47,12 @@ pub fn wide_protocol(
         }
         message
     })
+}
+
+/// A fixed budget of `samples` per side: the adaptive sampler with
+/// initial budget = cap runs exactly one batch.
+pub fn fixed_budget(samples: usize, seed: u64) -> AdaptiveEstimator {
+    AdaptiveEstimator::new(0.0, samples, samples, seed)
 }
 
 /// A two-member family plus baseline over `bits`-bit rows (small supports

@@ -1,4 +1,4 @@
-//! The differential suite pinning the **sampled** estimators to the
+//! The differential suite pinning the **adaptive sampler** to the
 //! **exact** walk everywhere the exact walk can go.
 //!
 //! The sampled path exists to extend `BCAST(w)` coverage past the exact
@@ -9,19 +9,20 @@
 //! reported `noise_floor()`, and at width 1 a bit protocol (`FnProtocol`)
 //! must sample **bit for bit** as the same decision written as an
 //! `FnWideProtocol` at `w = 1`. Property tests add the
-//! structural invariants (parallel == sequential bitwise, adaptive ==
-//! one-shot bitwise) over arbitrary supports and `(width, horizon)`
-//! shapes, using the vendored proptest's `prop_filter` to generate
-//! exactly the shapes that pack into a `u64`.
+//! structural invariants (parallel == sequential bitwise, a multi-batch
+//! run == one batch at its final budget, bitwise) over arbitrary supports
+//! and `(width, horizon)` shapes, using the vendored proptest's
+//! `prop_filter` to generate exactly the shapes that pack into a `u64`.
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
-use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
+use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
+use bcc_core::ExecMode;
 use bcc_core::{wide_walk_nodes, ProductInput, RowSupport, MAX_WIDE_NODES};
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_profile_bitwise_eq, decision_bit, small_family, wide_protocol};
+use common::{assert_profile_bitwise_eq, decision_bit, fixed_budget, small_family, wide_protocol};
 
 /// The convergence contract: on seeded grids **inside** the exact node
 /// budget — up to and including the boundary horizon for each width — the
@@ -43,7 +44,7 @@ fn sampled_wide_agrees_with_exact_up_to_the_node_budget_boundary() {
             let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
             let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
             assert!(exact.is_exact());
-            let sampled = SampledEstimator::new(16_384, 0x5EED ^ u64::from(w * 31 + t))
+            let sampled = fixed_budget(16_384, 0x5EED ^ u64::from(w * 31 + t))
                 .estimate_full(&p, &members, &baseline);
             let floor = sampled.noise_floor();
             assert!(floor.is_finite() && floor > 0.0);
@@ -91,7 +92,7 @@ fn smoothed_and_plugin_estimates_both_agree_with_exact_within_their_own_floors()
             for samples in [16_384usize, 96] {
                 let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
                 let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-                let plugin = SampledEstimator::new(samples, 0x5EED ^ u64::from(w * 31 + t))
+                let plugin = fixed_budget(samples, 0x5EED ^ u64::from(w * 31 + t))
                     .estimate_full(&p, &members, &baseline);
                 let smoothed = plugin.smoothed();
                 for depth in 0..=t {
@@ -139,21 +140,21 @@ fn sampled_wide_continues_past_the_exact_cliff() {
     // budget guard panics here — pinned in crates/core/src/wide.rs).
     assert!(wide_walk_nodes(2, 13) > MAX_WIDE_NODES);
     let p = wide_protocol(2, 3, 2, 13, 0xC11F);
-    let profile = SampledEstimator::new(8_192, 7).estimate_full(&p, &members, &baseline);
+    let profile = fixed_budget(8_192, 7).estimate_full(&p, &members, &baseline);
     assert_eq!(profile.horizon, 13);
     assert!(profile.noise_floor().is_finite());
     for &tv in &profile.mixture_tv_by_depth {
         assert!((0.0..=1.0 + 1e-12).contains(&tv));
     }
     // Seeded rerun is bitwise identical (the property lab resume needs).
-    let again = SampledEstimator::new(8_192, 7).estimate_full(&p, &members, &baseline);
+    let again = fixed_budget(8_192, 7).estimate_full(&p, &members, &baseline);
     assert_profile_bitwise_eq(&profile, &again, "past-cliff rerun");
 }
 
 /// A bit protocol (`FnProtocol`) and the same decision function written
 /// as an `FnWideProtocol` at `w = 1` share the key packing, seed
 /// derivation, and RNG consumption — so they must produce **bit for
-/// bit** the same profile, one-shot and adaptive alike.
+/// bit** the same profile, in one batch and across several alike.
 #[test]
 fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
     let seed = 0xB17;
@@ -165,9 +166,9 @@ fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
     });
     let (members, baseline) = small_family();
 
-    let bit = SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline);
-    let wide = SampledEstimator::new(6_000, 0xAB).estimate_full(&widep, &members, &baseline);
-    assert_profile_bitwise_eq(&bit, &wide, "one-shot w=1");
+    let bit = fixed_budget(6_000, 0xAB).estimate_full(&bitp, &members, &baseline);
+    let wide = fixed_budget(6_000, 0xAB).estimate_full(&widep, &members, &baseline);
+    assert_profile_bitwise_eq(&bit, &wide, "single-batch w=1");
 
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
     let (bit_a, bit_r) = est.estimate_with_report(&bitp, &members, &baseline, 9);
@@ -216,8 +217,10 @@ proptest! {
                 ])
             })
             .collect();
-        let par = SampledEstimator::new(2_000, seed).estimate_full(&p, &members, &base);
-        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p, &members, &base);
+        let est = fixed_budget(2_000, seed);
+        let par = est.estimate_full(&p, &members, &base);
+        let seq = AdaptiveEstimator { mode: ExecMode::Sequential, ..est }
+            .estimate_full(&p, &members, &base);
         for depth in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[depth].to_bits(),
@@ -252,10 +255,10 @@ proptest! {
         let members = vec![a];
         let est = AdaptiveEstimator::new(0.3, 64, 1 << 12, seed);
         let (profile, report) = est.estimate_with_report(&p, &members, &base, t);
-        let one_shot = SampledEstimator::new(report.samples_per_side, seed)
+        let single = fixed_budget(report.samples_per_side, seed)
             .estimate_full(&p, &members, &base);
-        prop_assert_eq!(profile.tv().to_bits(), one_shot.tv().to_bits());
-        prop_assert_eq!(profile.progress().to_bits(), one_shot.progress().to_bits());
+        prop_assert_eq!(profile.tv().to_bits(), single.tv().to_bits());
+        prop_assert_eq!(profile.progress().to_bits(), single.progress().to_bits());
         prop_assert_eq!(report.samples_drawn, report.samples_per_side);
     }
 }

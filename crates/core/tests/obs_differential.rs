@@ -13,14 +13,14 @@
 //!    binary as one worker subprocess per thread count and compares
 //!    fingerprints of the full sorted counter set.
 
-use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator, SampledEstimator};
+use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
 use bcc_core::DepthProfile;
 
 mod common;
-use common::{assert_profile_bitwise_eq, decision_bit, small_family, wide_protocol};
+use common::{assert_profile_bitwise_eq, decision_bit, fixed_budget, small_family, wide_protocol};
 
 /// One run of every estimator family — exact and sampled, bit and wide,
-/// one-shot and adaptive — returning the profiles for bitwise
+/// one batch and several — returning the profiles for bitwise
 /// comparison.
 fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
     let (members, baseline) = small_family();
@@ -42,15 +42,15 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
             ExactEstimator::default().estimate_full(&widep, &members, &baseline),
         ),
         (
-            "sampled bit",
-            SampledEstimator::new(6_000, 0xAB).estimate_full(&bitp, &members, &baseline),
+            "single-batch bit",
+            fixed_budget(6_000, 0xAB).estimate_full(&bitp, &members, &baseline),
         ),
         (
-            "sampled wide",
-            SampledEstimator::new(4_096, 0x5EED).estimate_full(&widep, &members, &baseline),
+            "single-batch wide",
+            fixed_budget(4_096, 0x5EED).estimate_full(&widep, &members, &baseline),
         ),
-        ("adaptive bit", bit_adaptive),
-        ("adaptive wide", wide_adaptive),
+        ("multi-batch bit", bit_adaptive),
+        ("multi-batch wide", wide_adaptive),
     ]
 }
 

@@ -4,11 +4,14 @@
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
-use bcc_core::exec::{Estimator, ExactEstimator, SampledEstimator};
+use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
 use bcc_core::{
     exact_mixture_comparison_reference, DepthProfile, ExecMode, ProductInput, RowSupport,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::fixed_budget;
 
 /// Asserts two exact-walk results are **bitwise** identical — every f64
 /// of the profile, the per-member distances and the speaker statistics.
@@ -248,7 +251,7 @@ proptest! {
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
         let exact = ExactEstimator::default().estimate_full(&p, &members, &base);
-        let sampled = SampledEstimator::new(20_000, seed).estimate_full(&p, &members, &base);
+        let sampled = fixed_budget(20_000, seed).estimate_full(&p, &members, &base);
         prop_assert!(
             (sampled.tv() - exact.tv()).abs() <= sampled.noise_floor() + 0.05,
             "sampled {} vs exact {} (floor {})",
@@ -286,8 +289,10 @@ proptest! {
                 ])
             })
             .collect();
-        let par = SampledEstimator::new(2_000, seed).estimate_full(&p, &members, &base);
-        let seq = SampledEstimator::sequential(2_000, seed).estimate_full(&p, &members, &base);
+        let est = fixed_budget(2_000, seed);
+        let par = est.estimate_full(&p, &members, &base);
+        let seq = AdaptiveEstimator { mode: ExecMode::Sequential, ..est }
+            .estimate_full(&p, &members, &base);
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),

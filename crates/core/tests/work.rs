@@ -1,4 +1,4 @@
-//! Sort-work accounting for the adaptive estimators, pinned against the
+//! Sort-work accounting for the adaptive estimator, pinned against the
 //! scoped [`bcc_obs`] work counters (`exec.keys_sorted`,
 //! `exec.keys_merged`, `exec.samples_drawn`) that an installed
 //! [`bcc_obs::Registry`] collects per run.
@@ -17,7 +17,7 @@
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
-use bcc_core::{AdaptiveEstimator, Estimator, ProductInput, RowSupport, SampledEstimator};
+use bcc_core::{AdaptiveEstimator, ProductInput, RowSupport};
 use bcc_obs::{Registry, Snapshot};
 
 /// Runs `f` under a fresh scoped registry and returns its result plus
@@ -108,20 +108,6 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
         sorted,
         sides * cap as u64,
         "wide adaptive run must sort each side's keys exactly once"
-    );
-
-    // Contrast: the one-shot estimator legitimately sorts the mixture
-    // once on top of the per-side sorts — (sides + members) × budget —
-    // which pins that the counter actually sees mixture sorting (the
-    // adaptive numbers above are not an accounting blind spot).
-    let (_, snap) =
-        scoped(|| SampledEstimator::new(cap, 0xFEED).estimate_full(&widep, &members, &baseline));
-    let sorted = snap.work_counter("exec.keys_sorted");
-    assert_eq!(sorted, (sides + members.len() as u64) * cap as u64);
-    assert_eq!(
-        snap.work_counter("exec.samples_drawn"),
-        sides * cap as u64,
-        "the mixture re-sort is accounting, not extra draws"
     );
 
     // The merge half of the contract, on a wide (m = 6) family: per

@@ -16,41 +16,44 @@
 use bcc_congest::wide::WideTurnProtocol;
 use bcc_core::exec::DepthProfile;
 use bcc_core::sample::sampled_comparison_with;
-use bcc_graphs::digraph::UGraph;
 use bcc_graphs::planted::sample_subset;
 use rand::Rng;
 
 /// Samples the undirected `A_rand`: `G(n, ½)` as packed symmetric rows,
 /// one `u64` per processor (`n ≤ 63`).
 pub fn sample_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u64> {
-    let g = UGraph::random(rng, n, 0.5);
-    rows_of(&g)
+    let mut rows = Vec::with_capacity(n);
+    fill_rows_rand(rng, n, &mut rows);
+    rows
 }
 
-/// Samples the undirected `A_k`: `G(n, ½)` with a planted `k`-clique.
-fn sample_rows_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<u64> {
-    let mut g = UGraph::random(rng, n, 0.5);
+/// Refills `rows` with the undirected `A_rand`, drawing the pairs
+/// `u < v` in the order [`UGraph::random`](bcc_graphs::digraph::UGraph::random)
+/// does, so the stream and the graph are that sampler's.
+fn fill_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize, rows: &mut Vec<u64>) {
+    rows.clear();
+    rows.resize(n, 0);
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.gen::<f64>() < 0.5 {
+                rows[u] |= 1 << v;
+                rows[v] |= 1 << u;
+            }
+        }
+    }
+}
+
+/// Refills `rows` with the undirected `A_k`: `G(n, ½)` with a planted
+/// `k`-clique.
+fn fill_rows_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize, rows: &mut Vec<u64>) {
+    fill_rows_rand(rng, n, rows);
     let clique = sample_subset(rng, n, k);
     for (a, &u) in clique.iter().enumerate() {
         for &v in &clique[a + 1..] {
-            g.set_edge(u, v, true);
+            rows[u] |= 1 << v;
+            rows[v] |= 1 << u;
         }
     }
-    rows_of(&g)
-}
-
-fn rows_of(g: &UGraph) -> Vec<u64> {
-    (0..g.n())
-        .map(|i| {
-            let mut row = 0u64;
-            for j in 0..g.n() {
-                if i != j && g.has_edge(i, j) {
-                    row |= 1 << j;
-                }
-            }
-            row
-        })
-        .collect()
 }
 
 /// The empirical correlation between entry `(i, j)` of row `i` and entry
@@ -95,8 +98,8 @@ where
 {
     sampled_comparison_with(
         protocol,
-        |rng, rows| *rows = sample_rows_rand(rng, n),
-        |rng, rows| *rows = sample_rows_planted(rng, n, k),
+        |rng, rows| fill_rows_rand(rng, n, rows),
+        |rng, rows| fill_rows_planted(rng, n, k, rows),
         samples,
         rng,
     )
@@ -134,13 +137,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let trials = 300;
         let mean_ones = |planted: bool, rng: &mut StdRng| -> f64 {
+            let mut rows = Vec::new();
             (0..trials)
                 .map(|_| {
-                    let rows = if planted {
-                        sample_rows_planted(rng, 12, 5)
+                    if planted {
+                        fill_rows_planted(rng, 12, 5, &mut rows);
                     } else {
-                        sample_rows_rand(rng, 12)
-                    };
+                        fill_rows_rand(rng, 12, &mut rows);
+                    }
                     rows.iter().map(|r| r.count_ones() as f64).sum::<f64>()
                 })
                 .sum::<f64>()

@@ -50,3 +50,9 @@ pub use bcc_obs as obs;
 pub use bcc_planted as planted;
 pub use bcc_prg as prg;
 pub use bcc_stats as stats;
+
+/// README.md's Rust blocks, compiled and run as doctests so the README's
+/// examples cannot go stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
