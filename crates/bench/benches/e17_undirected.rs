@@ -10,8 +10,9 @@
 
 use bcc_bench::{banner, f, print_table};
 use bcc_core::sample::sampled_comparison_with;
+use bcc_graphs::planted::{fill_rows_planted, fill_rows_rand};
 use bcc_planted::protocols::{degree_threshold, suspect_intersection};
-use bcc_planted::undirected::{row_dependence, sample_rows_rand, sampled_experiment};
+use bcc_planted::undirected::{self, row_dependence, sampled_experiment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,23 +26,13 @@ fn main() {
 
     println!("\n-- the obstruction: row dependence (shared-bit agreement) --");
     let n = 12usize;
-    let undirected = row_dependence(|r| sample_rows_rand(r, n), n, 20_000, &mut rng);
-    let directed = row_dependence(
-        |r| {
-            let g = bcc_graphs::planted::sample_rand(r, n);
-            (0..n)
-                .map(|i| {
-                    (0..n)
-                        .filter(|&j| g.has_edge(i, j))
-                        .map(|j| 1u64 << j)
-                        .sum()
-                })
-                .collect()
-        },
+    let undirected = row_dependence(
+        |r, v| undirected::fill_rows_rand(r, n, v),
         n,
         20_000,
         &mut rng,
     );
+    let directed = row_dependence(|r, v| fill_rows_rand(r, n, v), n, 20_000, &mut rng);
     print_table(
         &["model", "dependence score"],
         &[
@@ -58,14 +49,8 @@ fn main() {
         let und = sampled_experiment(&p1, n, k, samples, &mut rng);
         let dir = sampled_comparison_with(
             &p1,
-            |r, v| {
-                let g = bcc_graphs::planted::sample_rand(r, n);
-                *v = rows_of_digraph(&g);
-            },
-            |r, v| {
-                let inst = bcc_graphs::planted::sample_planted(r, n, k);
-                *v = rows_of_digraph(&inst.graph);
-            },
+            |r, v| fill_rows_rand(r, n, v),
+            |r, v| fill_rows_planted(r, n, k, v),
             samples,
             &mut rng,
         );
@@ -101,15 +86,4 @@ fn main() {
          floor (the conjecture's prediction); by k = 8 (~2 sqrt(n)) both\n\
          become clearly visible — dependence does not change the landscape."
     );
-}
-
-fn rows_of_digraph(g: &bcc_graphs::DiGraph) -> Vec<u64> {
-    (0..g.n())
-        .map(|i| {
-            (0..g.n())
-                .filter(|&j| g.has_edge(i, j))
-                .map(|j| 1u64 << j)
-                .sum()
-        })
-        .collect()
 }

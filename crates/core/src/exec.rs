@@ -45,7 +45,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
-use bcc_obs::{Class, Span};
+use bcc_obs::{Class, Registry, Span};
 use bcc_stats::smoothing;
 
 use crate::engine::{assemble, SpeakerStats};
@@ -711,10 +711,9 @@ impl AdaptiveEstimator {
     ) -> (DepthProfile, AdaptiveReport) {
         let (horizon, bits_per_turn) = (protocol.horizon(), protocol.width());
         // The scope is resolved once on the calling thread; side
-        // extension below fans out over rayon, so all work counts are
-        // gathered run-locally (in the samplers and in this frame) and
-        // flushed coarsely at return — never through thread-locals on
-        // worker threads.
+        // extension below fans out over rayon, so work counts are gathered
+        // run-locally and flushed at return. Each side task installs the
+        // handle only so that its thread's kernel words reach this run.
         let obs = bcc_obs::current();
         let _run_span = Span::begin_for("exec.adaptive", obs.clone());
         let mut sides: Vec<SideSampler<'a>> = std::iter::once(baseline)
@@ -735,6 +734,7 @@ impl AdaptiveEstimator {
             let batch_span = Span::begin_for("exec.adaptive_batch", obs.clone());
             let delta = samples.saturating_sub(drawn);
             let extend = |mut sampler: SideSampler<'a>| {
+                let _scope = obs.as_ref().map(Registry::install);
                 sampler.extend(protocol, delta);
                 sampler
             };

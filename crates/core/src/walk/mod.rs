@@ -304,6 +304,8 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
             chunks
                 .into_par_iter()
                 .map(|chunk| {
+                    // The run's scope on this thread takes the chunk's kernel words.
+                    let _scope = obs_ref.as_ref().map(bcc_obs::Registry::install);
                     let _chunk_span = bcc_obs::Span::begin_for("walk.chunk", obs_ref.clone());
                     let mut task_ws = Workspace::new(ctx.horizon);
                     let outcomes = chunk

@@ -83,11 +83,16 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order,
     // so the reduction below adds task results in a schedule-independent
-    // order and the two modes agree bitwise.
+    // order and the two modes agree bitwise. Parallel tasks install the
+    // caller's scope, so their kernel words reach it as sequential ones do.
+    let obs = bcc_obs::current();
     let task_accs: Vec<WalkOutcome> = match mode {
         ExecMode::Parallel => frontier
             .into_par_iter()
-            .map(|task| run_task(&ctx, task))
+            .map(|task| {
+                let _scope = obs.as_ref().map(bcc_obs::Registry::install);
+                run_task(&ctx, task)
+            })
             .collect(),
         ExecMode::Sequential => frontier
             .into_iter()

@@ -17,7 +17,10 @@
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
-use bcc_core::{AdaptiveEstimator, ProductInput, RowSupport};
+use bcc_core::{
+    exact_mixture_comparison_reference, AdaptiveEstimator, Estimator, ExactEstimator, ExecMode,
+    ProductInput, RowSupport,
+};
 use bcc_obs::{Registry, Snapshot};
 
 /// Runs `f` under a fresh scoped registry and returns its result plus
@@ -168,9 +171,8 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
 }
 
 /// Two adaptive runs on two threads, each under its own registry: each
-/// run's work fingerprint is the one the same run records alone, less
-/// the process-global `kernel.words.*`, which count every observed run
-/// in the process.
+/// run's work fingerprint, `kernel.words.*` included, is the one the
+/// same run records alone.
 #[test]
 fn concurrent_runs_count_only_their_own_work() {
     let (members, baseline) = family();
@@ -180,12 +182,7 @@ fn concurrent_runs_count_only_their_own_work() {
     let widep = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
     let bit_run = || est.estimate_with_report(&bitp, &members, &baseline, 6);
     let wide_run = || est.estimate_with_report(&widep, &wide_members, &baseline, 6);
-    let fingerprint = |snap: Snapshot| -> Vec<(String, u64)> {
-        snap.work_fingerprint()
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with("kernel.words."))
-            .collect()
-    };
+    let fingerprint = |snap: Snapshot| snap.work_fingerprint();
     let bit_alone = fingerprint(scoped(bit_run).1);
     let wide_alone = fingerprint(scoped(wide_run).1);
     assert!(
@@ -201,5 +198,45 @@ fn concurrent_runs_count_only_their_own_work() {
         });
         assert_eq!(bit, bit_alone, "the bit run, beside the wide run");
         assert_eq!(wide, wide_alone, "the wide run, beside the bit run");
+    }
+}
+
+/// Both exact walks record the same work, `kernel.words.*` included, in
+/// parallel and sequential mode: a parallel task's kernel words reach
+/// the caller's scope from whichever worker thread ran it. Rows of 8
+/// bits keep the consistent sets dense, so the tasks run word kernels.
+/// With one rayon thread both modes run on the calling thread, so only
+/// a multi-core host exercises the worker path.
+#[test]
+fn exact_walks_count_the_same_work_in_both_modes() {
+    let row =
+        |keep: fn(u64) -> bool| RowSupport::explicit(8, (0..256).filter(|&x| keep(x)).collect());
+    let members = vec![
+        ProductInput::new(vec![row(|x| x % 3 != 0), RowSupport::uniform(8)]),
+        ProductInput::new(vec![RowSupport::uniform(8), row(|x| x % 5 != 1)]),
+    ];
+    let baseline = ProductInput::uniform(2, 8);
+    let p = FnProtocol::new(2, 8, 10, |proc, input, tr| {
+        (input >> ((tr.len() as usize + proc) % 8)) & 1 == (tr.as_u64() & 1)
+    });
+    let optimized = |est: ExactEstimator| scoped(|| est.estimate_full(&p, &members, &baseline)).1;
+    let reference =
+        |mode| scoped(|| exact_mixture_comparison_reference(&p, &members, &baseline, mode)).1;
+    for (parallel, sequential) in [
+        (
+            optimized(ExactEstimator::parallel()),
+            optimized(ExactEstimator::sequential()),
+        ),
+        (
+            reference(ExecMode::Parallel),
+            reference(ExecMode::Sequential),
+        ),
+    ] {
+        let kernel_words = parallel
+            .work
+            .iter()
+            .filter(|(n, _)| n.starts_with("kernel.words."));
+        assert!(kernel_words.map(|(_, words)| words).sum::<u64>() > 0);
+        assert_eq!(parallel.work_fingerprint(), sequential.work_fingerprint());
     }
 }

@@ -17,9 +17,10 @@
 //! Each call also adds the words it reads to the `kernel.words.*`
 //! counter of its family (see [`bcc_obs::KernelFamily`]). The count is
 //! a function of the input lengths only, so it is deterministic work;
-//! outside an observation scope it costs one relaxed load.
+//! it costs one add to a plain per-thread cell, and goes to the registry
+//! installed innermost on the calling thread, or nowhere if none is.
 
-use bcc_obs::KernelFamily;
+use bcc_obs::{add_kernel_words, KernelFamily};
 
 const WORD_BITS: usize = 64;
 
@@ -97,12 +98,6 @@ pub trait WordKernel {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Scalar;
 
-/// Adds `words` to the `kernel.words.*` counter of `family`.
-#[inline]
-fn count_words(family: KernelFamily, words: usize) {
-    bcc_obs::add_kernel_words(family, words as u64);
-}
-
 #[inline]
 fn masked(a: u64, p: u64, keep: bool) -> u64 {
     if keep {
@@ -119,7 +114,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn and_in_place(&self, a: &mut [u64], b: &[u64]) {
-        count_words(KernelFamily::Boolean, a.len().min(b.len()));
+        add_kernel_words(KernelFamily::Boolean, a.len().min(b.len()));
         for (x, y) in a.iter_mut().zip(b) {
             *x &= y;
         }
@@ -127,7 +122,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn and_not_in_place(&self, a: &mut [u64], b: &[u64]) {
-        count_words(KernelFamily::Boolean, a.len().min(b.len()));
+        add_kernel_words(KernelFamily::Boolean, a.len().min(b.len()));
         for (x, y) in a.iter_mut().zip(b) {
             *x &= !y;
         }
@@ -135,7 +130,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn or_in_place(&self, a: &mut [u64], b: &[u64]) {
-        count_words(KernelFamily::Boolean, a.len().min(b.len()));
+        add_kernel_words(KernelFamily::Boolean, a.len().min(b.len()));
         for (x, y) in a.iter_mut().zip(b) {
             *x |= y;
         }
@@ -143,7 +138,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn xor_in_place(&self, a: &mut [u64], b: &[u64]) {
-        count_words(KernelFamily::Boolean, a.len().min(b.len()));
+        add_kernel_words(KernelFamily::Boolean, a.len().min(b.len()));
         for (x, y) in a.iter_mut().zip(b) {
             *x ^= y;
         }
@@ -151,13 +146,13 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn count_ones(&self, a: &[u64]) -> usize {
-        count_words(KernelFamily::Reduce, a.len());
+        add_kernel_words(KernelFamily::Reduce, a.len());
         a.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     #[inline]
     fn dot(&self, a: &[u64], b: &[u64]) -> bool {
-        count_words(KernelFamily::Reduce, a.len().min(b.len()));
+        add_kernel_words(KernelFamily::Reduce, a.len().min(b.len()));
         let mut acc = 0u64;
         for (x, y) in a.iter().zip(b) {
             acc ^= x & y;
@@ -167,7 +162,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn filter_count(&self, a: &[u64], plane: &[u64], keep: bool) -> usize {
-        count_words(KernelFamily::Filter, a.len());
+        add_kernel_words(KernelFamily::Filter, a.len());
         assert!(plane.len() >= a.len(), "plane narrower than the universe");
         let mut count = 0usize;
         for (&x, &p) in a.iter().zip(plane) {
@@ -178,7 +173,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn filter_into(&self, a: &[u64], plane: &[u64], keep: bool, out: &mut [u64]) {
-        count_words(KernelFamily::Filter, a.len());
+        add_kernel_words(KernelFamily::Filter, a.len());
         assert!(plane.len() >= a.len(), "plane narrower than the universe");
         assert_eq!(out.len(), a.len(), "output width mismatch");
         for ((&x, &p), o) in a.iter().zip(plane).zip(out.iter_mut()) {
@@ -188,7 +183,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn filter_indices(&self, a: &[u64], plane: &[u64], keep: bool, out: &mut Vec<u32>) {
-        count_words(KernelFamily::Filter, a.len());
+        add_kernel_words(KernelFamily::Filter, a.len());
         assert!(plane.len() >= a.len(), "plane narrower than the universe");
         for (wi, (&x, &p)) in a.iter().zip(plane).enumerate() {
             let mut w = masked(x, p, keep);
@@ -201,7 +196,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn ones_indices(&self, a: &[u64], out: &mut Vec<u32>) {
-        count_words(KernelFamily::Filter, a.len());
+        add_kernel_words(KernelFamily::Filter, a.len());
         for (wi, &x) in a.iter().enumerate() {
             let mut w = x;
             while w != 0 {
@@ -213,7 +208,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn or_and_fold(&self, keys: &[u64]) -> (u64, u64) {
-        count_words(KernelFamily::Reduce, keys.len());
+        add_kernel_words(KernelFamily::Reduce, keys.len());
         let mut ones = 0u64;
         let mut zeros = !0u64;
         for &k in keys {
@@ -225,7 +220,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn byte_histogram(&self, keys: &[u64], shift: u32, hist: &mut [usize; 256]) {
-        count_words(KernelFamily::Bytes, keys.len());
+        add_kernel_words(KernelFamily::Bytes, keys.len());
         for &k in keys {
             hist[((k >> shift) & 0xFF) as usize] += 1;
         }
@@ -233,7 +228,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn byte_scatter(&self, keys: &[u64], shift: u32, offsets: &mut [usize; 256], out: &mut [u64]) {
-        count_words(KernelFamily::Bytes, keys.len());
+        add_kernel_words(KernelFamily::Bytes, keys.len());
         for &k in keys {
             let b = ((k >> shift) & 0xFF) as usize;
             out[offsets[b]] = k;
@@ -243,7 +238,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn extract_shifted(&self, src: &[u64], lo_bit: usize, out: &mut [u64]) {
-        count_words(KernelFamily::Shift, out.len());
+        add_kernel_words(KernelFamily::Shift, out.len());
         let off = lo_bit / WORD_BITS;
         let s = (lo_bit % WORD_BITS) as u32;
         let word = |i: usize| src.get(i).copied().unwrap_or(0);
@@ -260,7 +255,7 @@ impl WordKernel for Scalar {
 
     #[inline]
     fn or_shifted_into(&self, src: &[u64], bit_offset: usize, out: &mut [u64]) {
-        count_words(KernelFamily::Shift, src.len());
+        add_kernel_words(KernelFamily::Shift, src.len());
         let off = bit_offset / WORD_BITS;
         let s = (bit_offset % WORD_BITS) as u32;
         for (k, &w) in src.iter().enumerate() {

@@ -53,14 +53,33 @@ fn sample_with_clique<R: Rng + ?Sized>(rng: &mut R, n: usize, clique: &[usize]) 
 ///
 /// Panics if `k > n`.
 pub fn sample_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> PlantedInstance {
-    assert!(k <= n, "clique size exceeds vertex count");
-    let mut clique: Vec<usize> = index_sample(rng, n, k).into_iter().collect();
-    clique.sort_unstable();
+    let clique = sample_subset(rng, n, k);
     let graph = sample_with_clique(rng, n, &clique);
     if let Some(obs) = bcc_obs::current() {
         obs.add("graphs.planted.ak_samples", bcc_obs::Class::Work, 1);
     }
     PlantedInstance { graph, clique }
+}
+
+/// Refills `rows` with `A_rand` as packed rows, bit `j` of `rows[i]`
+/// the edge `i → j`, drawing from `rng` exactly as [`sample_rand`]
+/// does (so the same stream gives the same graph); panics if `n > 64`.
+pub fn fill_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize, rows: &mut Vec<u64>) {
+    assert!(n <= 64, "packed rows hold at most 64 vertices");
+    let columns = u64::MAX.checked_shr(64 - n as u32).unwrap_or(0);
+    rows.clear();
+    rows.extend((0..n).map(|i| rng.gen::<u64>() & columns & !(1 << i)));
+}
+
+/// Refills `rows` with `A_k` as packed rows, drawing from `rng` exactly
+/// as [`sample_planted`] does; panics if `k > n` or `n > 64`.
+pub fn fill_rows_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize, rows: &mut Vec<u64>) {
+    let clique = sample_subset(rng, n, k);
+    fill_rows_rand(rng, n, rows);
+    let members: u64 = clique.iter().map(|&v| 1u64 << v).sum();
+    for &v in &clique {
+        rows[v] |= members & !(1 << v);
+    }
 }
 
 /// A uniformly random size-`k` subset of `0..n`, sorted (the paper's
@@ -254,6 +273,40 @@ mod tests {
         );
         // The underlying A_rand draws surface through the digraph counter.
         assert!(work_counter(&snap, "graphs.edges_emitted") > 0);
+    }
+
+    #[test]
+    fn row_fills_draw_the_samplers_graphs_from_the_same_stream() {
+        let rows_of = |g: &DiGraph| -> Vec<u64> {
+            (0..g.n())
+                .map(|i| {
+                    (0..g.n())
+                        .filter(|&j| g.has_edge(i, j))
+                        .map(|j| 1 << j)
+                        .sum()
+                })
+                .collect()
+        };
+        let mut rows = vec![7; 3];
+        for (n, k) in [(0, 0), (1, 1), (12, 4), (63, 9), (64, 64)] {
+            let (mut a, mut b) = (
+                StdRng::seed_from_u64(n as u64),
+                StdRng::seed_from_u64(n as u64),
+            );
+            fill_rows_rand(&mut a, n, &mut rows);
+            assert_eq!(rows, rows_of(&sample_rand(&mut b, n)), "A_rand, n = {n}");
+            fill_rows_planted(&mut a, n, k, &mut rows);
+            assert_eq!(
+                rows,
+                rows_of(&sample_planted(&mut b, n, k).graph),
+                "A_k, n = {n}"
+            );
+            assert_eq!(
+                a.gen::<u64>(),
+                b.gen::<u64>(),
+                "streams end together, n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -253,6 +253,21 @@ fn sampled_distance<P: WideTurnProtocol + Sync + ?Sized>(
 /// functions. That is what makes points at `n` in the thousands cost the
 /// same as points at `n = 64`.
 fn rank_distance(point: &ScenarioPoint, members: usize, precision: &Precision) -> Outcome {
+    let (protocol, family, baseline) = rank_setup(point, members);
+    let seed = derive_seed(point.stream_root(), 2);
+    sampled_distance(&protocol, &family, &baseline, seed, precision)
+}
+
+/// [`rank_distance`]'s parity protocol, coset family and uniform
+/// baseline, all derived from the point's own streams.
+fn rank_setup(
+    point: &ScenarioPoint,
+    members: usize,
+) -> (
+    impl WideTurnProtocol + Sync,
+    Vec<ProductInput>,
+    ProductInput,
+) {
     let turns = point.rounds * point.bandwidth;
     let k = point.k;
     let n_speak = point.n.min(turns as usize).max(1);
@@ -263,8 +278,7 @@ fn rank_distance(point: &ScenarioPoint, members: usize, precision: &Precision) -
         (input & mask).count_ones() % 2 == 1
     });
     let (family, baseline) = coset_family(point, members, n_speak, 1);
-    let seed = derive_seed(point.stream_root(), 2);
-    sampled_distance(&protocol, &family, &baseline, seed, precision)
+    (protocol, family, baseline)
 }
 
 /// The toy-PRG coset family vs uniform under a `w`-bit masked-parity
@@ -299,12 +313,11 @@ fn wide_messages(point: &ScenarioPoint, members: usize, precision: &Precision) -
 /// routes consume identical setups, which is what makes the in-budget
 /// cells of a [`Workload::WideMessagesSampled`] grid directly
 /// cross-checkable against [`Workload::WideMessages`] records.
-#[allow(clippy::type_complexity)]
 fn wide_setup(
     point: &ScenarioPoint,
     members: usize,
 ) -> (
-    FnWideProtocol<impl Fn(usize, u64, &bcc_congest::wide::WideTranscript) -> u64>,
+    impl WideTurnProtocol + Sync,
     Vec<ProductInput>,
     ProductInput,
 ) {
@@ -511,6 +524,36 @@ mod tests {
         );
         assert!(a.noise_floor <= 0.3);
         assert!((0.0..=1.0).contains(&a.estimate));
+    }
+
+    #[test]
+    fn rank_distance_records_lie_within_their_floor_of_the_exact_walk() {
+        // The e2e rank_sampled shape and precision on a smaller grid. The
+        // plug-in estimate's upward bias is largest at k >= 6, where the
+        // transcript support outgrows the sample budget.
+        let scenario = Scenario::builder("t")
+            .workload(Workload::RankDistance { members: 4 })
+            .n(&[1024, 4096])
+            .k(&[4, 6, 8, 10])
+            .rounds(&[8, 10])
+            .seeds(&[1])
+            .tolerance(0.2)
+            .initial_samples(4096)
+            .max_samples(1 << 17)
+            .build();
+        for (id, p) in scenario.grid().points().iter().enumerate() {
+            let record = run_point(&scenario, id, p);
+            let (protocol, family, baseline) = rank_setup(p, 4);
+            let exact = ExactEstimator::default()
+                .estimate_full(&protocol, &family, &baseline)
+                .tv();
+            assert!(
+                (record.estimate - exact).abs() <= record.noise_floor,
+                "{p:?}: sampled {} vs exact {exact}, floor {}",
+                record.estimate,
+                record.noise_floor
+            );
+        }
     }
 
     #[test]

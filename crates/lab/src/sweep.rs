@@ -121,7 +121,7 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
     // point. Work counters are integer adds — commutative — so the
     // totals are independent of scheduling.
     let registry = bcc_obs::Registry::new();
-    let _sweep_span = registry.span("lab.sweep");
+    let _sweep_span = bcc_obs::Span::begin_for("lab.sweep", Some(registry.clone()));
 
     let points = scenario.grid().points();
     let subset: BTreeSet<usize> = ids.iter().copied().collect();
@@ -178,7 +178,7 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
     registry.add("lab.points_computed", bcc_obs::Class::Work, computed as u64);
     let one_point = |&(id, point): &(usize, crate::ScenarioPoint)| {
         let _scope = registry.install();
-        let _span = registry.span("lab.point");
+        let _span = bcc_obs::span("lab.point");
         let record = run_point(scenario, id, &point);
         if let Some(store) = &store {
             store.lock().expect("store mutex poisoned").append(&record);

@@ -376,9 +376,7 @@ mod placement {
     }
 
     /// The deterministic work a snapshot records: every work counter and
-    /// work-class series, except the process-global `kernel.words.*`
-    /// deltas, which also count whatever the other tests in this binary
-    /// run at the same time.
+    /// work-class series.
     fn work(snapshot: &Snapshot) -> BTreeMap<String, Vec<u64>> {
         let counters = snapshot
             .work
@@ -389,10 +387,7 @@ mod placement {
             .iter()
             .filter(|(_, class, _)| *class == Class::Work)
             .map(|(name, _, values)| (name.clone(), values.clone()));
-        counters
-            .chain(series)
-            .filter(|(name, _)| !name.starts_with("kernel.words."))
-            .collect()
+        counters.chain(series).collect()
     }
 
     fn assert_placement_parity(threaded: bool) {

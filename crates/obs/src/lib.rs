@@ -25,19 +25,18 @@
 //!   current thread so library code can attribute work to the active
 //!   run via [`current`], and hot loops instead carry the handle (or a
 //!   local tally flushed coarsely) across rayon spawns.
-//! - [`span`] / [`Registry::span`]: RAII scoped timers that record
+//! - [`span`] / [`Span::begin_for`]: RAII scoped timers that record
 //!   wall-class duration histograms and, when `BCC_TRACE=<path>` (or
 //!   [`trace::install`]) is set, emit Chrome-trace-event JSON viewable
 //!   in `chrome://tracing` / Perfetto. With no registry installed and
 //!   tracing off, a span is two branches and no clock read.
-//! - process-wide kernel-word totals (per F2 method family) kept as
-//!   relaxed atomics here so `bcc-f2` can count without depending on a
-//!   scope being installed on its thread; a [`Snapshot`] reports them
-//!   as deltas from the registry's creation time. Kernel-word counting
-//!   is gated on any scope being active at all, so the per-word-op
-//!   overhead is a single relaxed load when nobody is looking. Every
-//!   other work counter, sort and merge work included, is tallied
-//!   run-locally by its owner and flushed into that run's registry.
+//! - per-thread kernel-word tallies (per F2 method family), so `bcc-f2`
+//!   counts without a handle: [`add_kernel_words`] adds to a plain
+//!   thread-local cell, and the words go to the registry installed
+//!   innermost on that thread (none: nowhere). Fan-outs install their
+//!   run's handle on each worker task. Every other work counter, sort
+//!   and merge work included, is tallied run-locally by its owner and
+//!   flushed into that run's registry.
 //!
 //! Snapshots render as JSON ([`Snapshot::to_json`], the `metrics.json`
 //! files `bcc-lab` writes next to each sweep's `records.jsonl`) or as a
@@ -53,10 +52,9 @@ pub mod trace;
 
 pub use merge::merge_snapshots;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -87,7 +85,7 @@ impl Class {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide kernel-word totals
+// Per-thread kernel-word tallies
 // ---------------------------------------------------------------------------
 
 /// F2 word-kernel method families, for per-family word totals.
@@ -106,47 +104,41 @@ pub enum KernelFamily {
     Shift = 4,
 }
 
-const KERNEL_FAMILIES: usize = 5;
-const KERNEL_FAMILY_NAMES: [&str; KERNEL_FAMILIES] =
-    ["boolean", "reduce", "filter", "bytes", "shift"];
+/// The work counter of each [`KernelFamily`], in discriminant order.
+const KERNEL_WORD_KEYS: [&str; 5] = [
+    "kernel.words.boolean",
+    "kernel.words.reduce",
+    "kernel.words.filter",
+    "kernel.words.bytes",
+    "kernel.words.shift",
+];
 
-/// The per-family totals, alone on their cache line: worker threads add
-/// to them constantly, so [`SCOPES_ACTIVE`], which every count reads
-/// first, misses on a line it shares with them (the e2e `find_clique`
-/// workload ran about 13% fewer points/s on a 2-core Xeon when the
-/// linker put the two on one line).
-#[repr(align(64))]
-struct KernelWords([AtomicU64; KERNEL_FAMILIES]);
-
-static KERNEL_WORDS: KernelWords = KernelWords([
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-]);
-
-/// How many registry scopes are installed process-wide. Non-zero means
-/// some run is observing, so the (hot) kernel-word counters engage.
-static SCOPES_ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// Count words processed by an F2 kernel method family. Gated on a
-/// scope being active anywhere in the process: when nothing observes,
-/// this is a single relaxed load and a predictable branch.
-#[inline]
-pub fn add_kernel_words(family: KernelFamily, words: u64) {
-    if SCOPES_ACTIVE.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    KERNEL_WORDS.0[family as usize].fetch_add(words, Ordering::Relaxed);
+thread_local! {
+    /// Words this thread's kernel calls made since they were last
+    /// credited; only the owning thread touches them, so plain cells.
+    static PENDING_WORDS: [Cell<u64>; 5] = const { [const { Cell::new(0) }; 5] };
 }
 
-/// The process-wide kernel-word totals so far, per family.
-fn kernel_words_now() -> [u64; KERNEL_FAMILIES] {
-    KERNEL_WORDS
-        .0
-        .each_ref()
-        .map(|total| total.load(Ordering::Relaxed))
+/// Count words processed by an F2 kernel method family. They go to the
+/// registry installed innermost on this thread, or nowhere if none is.
+#[inline]
+pub fn add_kernel_words(family: KernelFamily, words: usize) {
+    PENDING_WORDS.with(|pending| {
+        let tally = &pending[family as usize];
+        tally.set(tally.get() + words as u64);
+    });
+}
+
+/// Takes this thread's pending kernel words and credits them to the
+/// registry installed innermost on it, which was innermost for all of
+/// them (its scope stack changes only after a credit), or drops them.
+fn credit_kernel_words() {
+    let words = PENDING_WORDS.with(|pending| pending.each_ref().map(Cell::take));
+    if let Some(registry) = current() {
+        for (key, words) in KERNEL_WORD_KEYS.into_iter().zip(words) {
+            registry.add(key, Class::Work, words);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -193,7 +185,6 @@ struct Inner {
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<Mutex<Inner>>,
-    kernel_words_baseline: [u64; KERNEL_FAMILIES],
 }
 
 impl Default for Registry {
@@ -203,12 +194,14 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Create an empty registry. Process-wide kernel-word totals observed
-    /// so far become the baseline its [`Snapshot`] reports deltas against.
+    /// Create an empty registry; its `kernel.words.*` counters start at 0.
     pub fn new() -> Self {
+        let mut inner = Inner::default();
+        for key in KERNEL_WORD_KEYS {
+            inner.counters.insert(key, (Class::Work, 0));
+        }
         Registry {
-            inner: Arc::new(Mutex::new(Inner::default())),
-            kernel_words_baseline: kernel_words_now(),
+            inner: Arc::new(Mutex::new(inner)),
         }
     }
 
@@ -249,30 +242,22 @@ impl Registry {
 
     /// Install this registry as the current scope on this thread; the
     /// returned guard uninstalls it on drop. Scopes nest (innermost
-    /// wins). The guard is `!Send` — it must drop on the installing
-    /// thread.
+    /// wins, kernel words included). The guard is `!Send` — it must drop
+    /// on the installing thread.
     pub fn install(&self) -> Scope {
+        credit_kernel_words();
         SCOPE_STACK.with(|stack| stack.borrow_mut().push(self.clone()));
-        SCOPES_ACTIVE.fetch_add(1, Ordering::Relaxed);
         Scope {
             _not_send: PhantomData,
         }
     }
 
-    /// Start a wall-clock span recorded into this registry (and into
-    /// the trace sink when enabled), bypassing [`current`] — for code
-    /// that carries a handle across worker threads.
-    pub fn span(&self, name: &'static str) -> Span {
-        Span::begin(name, Some(self.clone()))
-    }
-
-    /// Materialize everything recorded so far, plus the process-global
-    /// kernel-word totals as deltas from this registry's creation.
-    ///
-    /// The `kernel.words.*` deltas are exact per-run attributions only
-    /// while no *other* run observes concurrently; the registry's own
-    /// counters (flushed run-locally by walk/exec/lab) are exact always.
+    /// Materialize everything recorded so far. Kernel words reach a
+    /// registry when the scope that counted them changes on their
+    /// thread; this thread's pending words are credited first, so a
+    /// snapshot taken under this registry's own scope includes them.
     pub fn snapshot(&self) -> Snapshot {
+        credit_kernel_words();
         let inner = self.lock();
         let mut work: Vec<(String, u64)> = Vec::new();
         let mut wall: Vec<(String, u64)> = Vec::new();
@@ -282,15 +267,6 @@ impl Registry {
                 Class::Wall => wall.push((name.to_string(), *value)),
             }
         }
-        let kernel_words = kernel_words_now();
-        for (i, family) in KERNEL_FAMILY_NAMES.iter().enumerate() {
-            work.push((
-                format!("kernel.words.{family}"),
-                kernel_words[i] - self.kernel_words_baseline[i],
-            ));
-        }
-        work.sort();
-        wall.sort();
         Snapshot {
             work,
             wall,
@@ -341,10 +317,8 @@ pub struct Scope {
 
 impl Drop for Scope {
     fn drop(&mut self) {
-        SCOPE_STACK.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        SCOPES_ACTIVE.fetch_sub(1, Ordering::Relaxed);
+        credit_kernel_words();
+        SCOPE_STACK.with(|stack| stack.borrow_mut().pop());
     }
 }
 
@@ -377,10 +351,6 @@ impl Span {
     /// for code that resolved [`current`] once at its entry point and
     /// carries the handle through worker threads itself.
     pub fn begin_for(name: &'static str, registry: Option<Registry>) -> Span {
-        Span::begin(name, registry)
-    }
-
-    fn begin(name: &'static str, registry: Option<Registry>) -> Span {
         let traced = trace::enabled();
         let start = if traced || registry.is_some() {
             Some(Instant::now())
@@ -413,7 +383,7 @@ impl Drop for Span {
 /// Start a span against the scope installed on this thread (no-op
 /// timing-wise if none is installed and tracing is off).
 pub fn span(name: &'static str) -> Span {
-    Span::begin(name, current())
+    Span::begin_for(name, current())
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +408,7 @@ pub struct HistSummary {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Deterministic work counters (sorted by name), including the
-    /// process-global `kernel.words.*` deltas.
+    /// five `kernel.words.*` totals.
     pub work: Vec<(String, u64)>,
     /// Wall-class counters — scheduling artifacts, never asserted on.
     pub wall: Vec<(String, u64)>,
@@ -659,34 +629,64 @@ mod tests {
 
     #[test]
     fn snapshots_list_only_their_own_counters_and_kernel_words() {
+        let mut kernel_words_at_zero = KERNEL_WORD_KEYS.map(|key| (key.to_string(), 0));
+        kernel_words_at_zero.sort();
+        assert_eq!(Registry::new().snapshot().work, kernel_words_at_zero);
         let r = Registry::new();
         r.add("own.mark", Class::Work, 1);
         // Sort work outside any run: sort and merge work is counted only
-        // by the run that owns it, so none of it reaches this registry.
+        // by the run that owns it, and the radix passes' kernel words by
+        // the scope installed on their thread, so none of it reaches
+        // this registry.
         let mut keys: Vec<u64> = (0..1_000u64).rev().map(|k| k << 40).collect();
         bcc_core::radix_sort_u64(&mut keys);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-        let work = r.snapshot().work;
-        let foreign: Vec<&str> = work
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .filter(|name| *name != "own.mark" && !name.starts_with("kernel.words."))
-            .collect();
-        assert!(foreign.is_empty(), "counters from elsewhere: {foreign:?}");
-        assert_eq!(r.snapshot().work_counter("own.mark"), 1);
+        let mut expected = kernel_words_at_zero.to_vec();
+        expected.push(("own.mark".to_string(), 1));
+        expected.sort();
+        assert_eq!(r.snapshot().work, expected);
     }
 
     #[test]
     fn kernel_words_only_count_under_a_scope() {
-        // No scope installed by this thread — but another test may have
-        // one active concurrently, so only assert the scoped direction.
+        add_kernel_words(KernelFamily::Boolean, 100);
         let r = Registry::new();
         let _g = r.install();
         add_kernel_words(KernelFamily::Boolean, 11);
         add_kernel_words(KernelFamily::Bytes, 5);
         let s = r.snapshot();
-        assert!(s.work_counter("kernel.words.boolean") >= 11);
-        assert!(s.work_counter("kernel.words.bytes") >= 5);
+        assert_eq!(s.work_counter("kernel.words.boolean"), 11);
+        assert_eq!(s.work_counter("kernel.words.bytes"), 5);
+    }
+
+    #[test]
+    fn kernel_words_reach_only_the_scope_innermost_on_their_thread() {
+        let first = Registry::new();
+        let _g = first.install();
+        add_kernel_words(KernelFamily::Reduce, 3);
+        std::thread::scope(|s| {
+            s.spawn(|| add_kernel_words(KernelFamily::Reduce, 100));
+            s.spawn(|| {
+                let second = Registry::new();
+                let _g = second.install();
+                add_kernel_words(KernelFamily::Reduce, 40);
+                assert_eq!(second.snapshot().work_counter("kernel.words.reduce"), 40);
+            });
+        });
+        {
+            let nested = Registry::new();
+            let _g = nested.install();
+            add_kernel_words(KernelFamily::Reduce, 7);
+            assert_eq!(nested.snapshot().work_counter("kernel.words.reduce"), 7);
+        }
+        {
+            // A fan-out that runs its task on the calling thread installs
+            // the same handle again; its words still count once.
+            let _again = first.install();
+            add_kernel_words(KernelFamily::Reduce, 10);
+        }
+        add_kernel_words(KernelFamily::Reduce, 2);
+        assert_eq!(first.snapshot().work_counter("kernel.words.reduce"), 15);
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! already rely on): summing per-shard work counters yields exactly the
 //! counters a single-process sweep of the same grid records, so the
 //! merged observability report is as placement-independent as the
-//! records themselves. The process-global `kernel.words.*` deltas are
-//! the exception: they reconcile only when nothing else in the process
-//! runs at the same time. Wall-class values merge by the same rules but
-//! stay scheduling-dependent, as always.
+//! records themselves, `kernel.words.*` included. Wall-class values
+//! merge by the same rules but stay scheduling-dependent, as always.
 //!
 //! [`Snapshot::from_json`] reads the crate's own `bcc-metrics/v1` output
 //! through [`crate::json`]. It accepts keys in any order and ignores
@@ -187,9 +185,6 @@ mod tests {
 
     #[test]
     fn unknown_top_level_keys_are_skipped() {
-        // One snapshot only: the kernel.words.* deltas move when other
-        // tests in this binary count concurrently, so two sample() calls
-        // are not comparable.
         let s = sample();
         let json = s.to_json();
         for (key, future) in [

@@ -19,18 +19,12 @@ use bcc_core::sample::sampled_comparison_with;
 use bcc_graphs::planted::sample_subset;
 use rand::Rng;
 
-/// Samples the undirected `A_rand`: `G(n, ½)` as packed symmetric rows,
-/// one `u64` per processor (`n ≤ 63`).
-pub fn sample_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u64> {
-    let mut rows = Vec::with_capacity(n);
-    fill_rows_rand(rng, n, &mut rows);
-    rows
-}
-
-/// Refills `rows` with the undirected `A_rand`, drawing the pairs
-/// `u < v` in the order [`UGraph::random`](bcc_graphs::digraph::UGraph::random)
-/// does, so the stream and the graph are that sampler's.
-fn fill_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize, rows: &mut Vec<u64>) {
+/// Refills `rows` with the undirected `A_rand`: `G(n, ½)` as packed
+/// symmetric rows, one `u64` per processor (`n ≤ 63`). It draws the
+/// pairs `u < v` in the order
+/// [`UGraph::random`](bcc_graphs::digraph::UGraph::random) does, so the
+/// stream and the graph are that sampler's.
+pub fn fill_rows_rand<R: Rng + ?Sized>(rng: &mut R, n: usize, rows: &mut Vec<u64>) {
     rows.clear();
     rows.resize(n, 0);
     for u in 0..n {
@@ -59,18 +53,20 @@ fn fill_rows_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize, rows: &mu
 /// The empirical correlation between entry `(i, j)` of row `i` and entry
 /// `(j, i)` of row `j` — exactly 1 for undirected inputs (shared bit),
 /// ≈ 0 for directed ones. This is the row-dependence that blocks the §3
-/// decomposition.
+/// decomposition. `sampler` refills the one row buffer it is handed, as
+/// [`sampled_comparison_with`]'s samplers do.
 pub fn row_dependence<R, F>(mut sampler: F, n: usize, trials: usize, rng: &mut R) -> f64
 where
     R: Rng + ?Sized,
-    F: FnMut(&mut R) -> Vec<u64>,
+    F: FnMut(&mut R, &mut Vec<u64>),
 {
     assert!(n >= 2, "need two processors to correlate");
     assert!(trials > 0, "need at least one trial");
     let (i, j) = (0usize, 1usize);
     let mut agree = 0usize;
+    let mut rows = Vec::new();
     for _ in 0..trials {
-        let rows = sampler(rng);
+        sampler(rng, &mut rows);
         let a = (rows[i] >> j) & 1;
         let b = (rows[j] >> i) & 1;
         if a == b {
@@ -110,14 +106,15 @@ mod tests {
     use super::*;
     use crate::protocols::{degree_threshold, suspect_intersection};
     use bcc_core::exec::Provenance;
-    use bcc_graphs::planted::sample_rand as sample_directed;
+    use bcc_graphs::planted::fill_rows_rand as fill_directed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn rows_are_symmetric() {
         let mut rng = StdRng::seed_from_u64(1);
-        let rows = sample_rows_rand(&mut rng, 10);
+        let mut rows = Vec::new();
+        fill_rows_rand(&mut rng, 10, &mut rows);
         for i in 0..10 {
             assert_eq!((rows[i] >> i) & 1, 0, "no self-loop");
             for j in 0..10 {
@@ -161,24 +158,9 @@ mod tests {
     #[test]
     fn undirected_rows_are_dependent_directed_are_not() {
         let mut rng = StdRng::seed_from_u64(3);
-        let undirected = row_dependence(|r| sample_rows_rand(r, 8), 8, 4000, &mut rng);
+        let undirected = row_dependence(|r, v| fill_rows_rand(r, 8, v), 8, 4000, &mut rng);
         assert!(undirected > 0.95, "shared bits: dependence {undirected}");
-        let directed = row_dependence(
-            |r| {
-                let g = sample_directed(r, 8);
-                (0..8)
-                    .map(|i| {
-                        (0..8)
-                            .filter(|&j| g.has_edge(i, j))
-                            .map(|j| 1u64 << j)
-                            .sum()
-                    })
-                    .collect()
-            },
-            8,
-            4000,
-            &mut rng,
-        );
+        let directed = row_dependence(|r, v| fill_directed(r, 8, v), 8, 4000, &mut rng);
         assert!(directed < 0.1, "directed edges independent: {directed}");
     }
 
