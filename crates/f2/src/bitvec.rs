@@ -274,6 +274,16 @@ impl BitVec {
         kernel::active().xor_in_place(&mut self.words, &other.words);
     }
 
+    /// ORs `other` into `self` in place (union of the one sets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn or_in_place(&mut self, other: &BitVec) {
+        assert_eq!(self.len, other.len, "or of mismatched lengths");
+        kernel::active().or_in_place(&mut self.words, &other.words);
+    }
+
     /// Returns the concatenation `self ∥ other`.
     ///
     /// Word-at-a-time: `self`'s words are copied and `other`'s are
@@ -544,6 +554,18 @@ mod tests {
         }
         // Partition identity: (a AND b) + (a AND NOT b) = a.
         assert_eq!((&a & &b).count_ones() + diff.count_ones(), a.count_ones());
+    }
+
+    #[test]
+    fn or_in_place_is_set_union() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let a = BitVec::random(&mut rng, 170);
+        let b = BitVec::random(&mut rng, 170);
+        let mut union = a.clone();
+        union.or_in_place(&b);
+        for i in 0..170 {
+            assert_eq!(union.get(i), a.get(i) || b.get(i), "bit {i}");
+        }
     }
 
     #[test]

@@ -4,9 +4,28 @@
 //! induced subgraph and then *everyone locally computes its largest clique*
 //! — the model allows unbounded local computation. We implement that local
 //! step with Bron–Kerbosch with pivoting over bit-packed candidate sets,
-//! which is comfortably fast at the active-set sizes the protocol produces
-//! (`n·p = Θ(n log²n / k)` vertices of a density-¼ mutual graph plus the
-//! planted part).
+//! on the active mutual graph: `n·p = Θ(n log²n / k)` vertices of density
+//! ¼ plus the planted part.
+//!
+//! Before the search, a greedy pass builds one clique — keep the candidate
+//! with the most candidate neighbours, drop every candidate it is not
+//! adjacent to, repeat until none is left — and its size is a *floor* on
+//! the clique number `ω`. The search then also prunes every subtree whose
+//! clique plus candidates falls short of the floor. On the finder's active
+//! graphs the greedy clique is already maximum (on each of 1,000
+//! lab-scale graphs tried), so the density-¼ subtrees that only hold
+//! cliques of 5–6 vertices are cut at once instead of being explored
+//! against an empty incumbent.
+//!
+//! The floor changes which nodes are visited, never the clique returned.
+//! The search keeps its traversal order, its pivots and its
+//! strict-improvement rule, so it returns the first maximum clique in
+//! traversal order. Every node on the path to that clique can still reach
+//! `ω ≥ floor` vertices, more than any incumbent found before it, so
+//! neither bound prunes it; and pruning elsewhere only skips cliques
+//! smaller than `ω`. Ties between equal maxima therefore resolve exactly as
+//! in the search without a floor, even when the greedy clique is another
+//! maximum clique.
 
 use bcc_f2::BitVec;
 
@@ -25,48 +44,86 @@ pub fn is_directed_clique(g: &DiGraph, set: &[usize]) -> bool {
 }
 
 /// A maximum clique of the undirected graph, via Bron–Kerbosch with
-/// pivoting. Returns the vertices sorted.
+/// pivoting seeded with a greedy clique floor. Returns the vertices sorted.
+///
+/// Among several maximum cliques it returns the one the search without a
+/// floor returns (the first in traversal order), not the greedy clique:
+/// the floor only prunes subtrees that cannot hold a maximum clique (see
+/// the module docs). When a registry is installed it receives the number
+/// of search nodes visited as `graphs.clique.nodes`, one add per call.
 ///
 /// Runs in time exponential in the worst case but fast on the random and
 /// planted-clique graphs the experiments use; intended for the unbounded
 /// local-computation step of Appendix B.
 pub fn max_clique(g: &UGraph) -> Vec<usize> {
     let n = g.n();
-    let mut best: Vec<usize> = Vec::new();
-    let mut r: Vec<usize> = Vec::new();
-    let mut p = BitVec::ones(n);
-    let mut x = BitVec::zeros(n);
-    bron_kerbosch_max(g, &mut r, &mut p, &mut x, &mut best);
+    let mut search = Search {
+        g,
+        floor: greedy_clique(g).len(),
+        best: Vec::new(),
+        nodes: 0,
+    };
+    search.bron_kerbosch_max(&mut Vec::new(), &mut BitVec::ones(n), &mut BitVec::zeros(n));
+    if let Some(obs) = bcc_obs::current() {
+        obs.add("graphs.clique.nodes", bcc_obs::Class::Work, search.nodes);
+    }
+    let mut best = search.best;
     best.sort_unstable();
     best
 }
 
-fn bron_kerbosch_max(
-    g: &UGraph,
-    r: &mut Vec<usize>,
-    p: &mut BitVec,
-    x: &mut BitVec,
-    best: &mut Vec<usize>,
-) {
-    if p.is_zero() && x.is_zero() {
-        if r.len() > best.len() {
-            *best = r.clone();
+/// A clique built greedily: take the candidate with the most candidate
+/// neighbours, keep only its neighbours as candidates, and repeat until
+/// none is left. Its size is a lower bound on the clique number.
+fn greedy_clique(g: &UGraph) -> Vec<usize> {
+    let mut clique = Vec::new();
+    let mut candidates = BitVec::ones(g.n());
+    loop {
+        let Some(v) = candidates
+            .iter_ones()
+            .max_by_key(|&u| g.neighbors(u).and_count(&candidates))
+        else {
+            return clique;
+        };
+        clique.push(v);
+        candidates = &candidates & g.neighbors(v);
+    }
+}
+
+/// One maximum-clique search: the graph, the greedy floor, the incumbent
+/// and the nodes visited so far.
+struct Search<'a> {
+    g: &'a UGraph,
+    floor: usize,
+    best: Vec<usize>,
+    nodes: u64,
+}
+
+impl Search<'_> {
+    fn bron_kerbosch_max(&mut self, r: &mut Vec<usize>, p: &mut BitVec, x: &mut BitVec) {
+        self.nodes += 1;
+        if p.is_zero() && x.is_zero() {
+            if r.len() > self.best.len() {
+                self.best = r.clone();
+            }
+            return;
         }
-        return;
-    }
-    // Prune: even taking all of P cannot beat the best.
-    if r.len() + p.count_ones() <= best.len() {
-        return;
-    }
-    for v in pivot_candidates(g, p, x) {
-        let nv = g.neighbors(v);
-        r.push(v);
-        let mut p2 = &*p & nv;
-        let mut x2 = &*x & nv;
-        bron_kerbosch_max(g, r, &mut p2, &mut x2, best);
-        r.pop();
-        p.set(v, false);
-        x.set(v, true);
+        // Prune: even taking all of P cannot beat the incumbent, or cannot
+        // reach the greedy floor (so cannot hold a maximum clique).
+        let reach = r.len() + p.count_ones();
+        if reach <= self.best.len() || reach < self.floor {
+            return;
+        }
+        for v in pivot_candidates(self.g, p, x) {
+            let nv = self.g.neighbors(v);
+            r.push(v);
+            let mut p2 = &*p & nv;
+            let mut x2 = &*x & nv;
+            self.bron_kerbosch_max(r, &mut p2, &mut x2);
+            r.pop();
+            p.set(v, false);
+            x.set(v, true);
+        }
     }
 }
 
@@ -189,6 +246,93 @@ mod tests {
             let g = planted_ugraph(seed, n, q, cliques, size);
             prop_assert_eq!(max_clique(&g), seed::max_clique(&g));
         }
+    }
+
+    // Toward lab scale: at n = 256 the finder's active mutual graphs have
+    // about 100–170 vertices at q = ¼ and a planted clique of log²n = 64.
+    // There the greedy floor is large and prunes most of the tree, which is
+    // where a wrong tie-break would show.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn max_clique_is_the_seed_search_on_one_planted_clique_at_lab_scale(
+            seed in any::<u64>(),
+            size in 10usize..61,
+            extra in 40usize..161,
+        ) {
+            let g = planted_ugraph(seed, size + extra, 0.25, 1, size);
+            prop_assert_eq!(max_clique(&g), seed::max_clique(&g));
+        }
+
+        #[test]
+        fn max_clique_is_the_seed_search_on_two_tied_planted_cliques(
+            seed in any::<u64>(),
+            size in 10usize..41,
+            extra in 20usize..141,
+        ) {
+            // Equal sizes: the greedy clique may be the other maximum.
+            let g = planted_ugraph(seed, 2 * size + extra, 0.25, 2, size);
+            prop_assert_eq!(max_clique(&g), seed::max_clique(&g));
+        }
+
+        #[test]
+        fn max_clique_is_the_seed_search_on_unplanted_graphs_at_lab_scale(
+            seed in any::<u64>(),
+            n in 20usize..221,
+        ) {
+            let g = UGraph::random(&mut StdRng::seed_from_u64(seed), n, 0.25);
+            prop_assert_eq!(max_clique(&g), seed::max_clique(&g));
+        }
+    }
+
+    #[test]
+    fn the_floor_falls_below_omega_on_some_unplanted_graphs() {
+        // Cases where the greedy clique is not maximum, so the floor alone
+        // cannot stop the search early; the result must not change.
+        let mut short = 0;
+        for seed in 0..24 {
+            let g = UGraph::random(&mut StdRng::seed_from_u64(seed), 120, 0.25);
+            let best = max_clique(&g);
+            assert_eq!(best, seed::max_clique(&g), "seed {seed}");
+            short += usize::from(greedy_clique(&g).len() < best.len());
+        }
+        assert!(short > 0, "the floor reached ω on every graph");
+    }
+
+    #[test]
+    fn the_greedy_clique_can_be_the_maximum_not_returned() {
+        // Two tied planted cliques: sometimes greedy builds the one the
+        // search does not return, and the search still returns its own.
+        let mut other = 0;
+        for seed in 0..24 {
+            let g = planted_ugraph(seed, 150, 0.25, 2, 14);
+            let best = max_clique(&g);
+            assert_eq!(best, seed::max_clique(&g), "seed {seed}");
+            let mut greedy = greedy_clique(&g);
+            greedy.sort_unstable();
+            assert!(is_clique(&g, &greedy));
+            other += usize::from(greedy.len() == best.len() && greedy != best);
+        }
+        assert!(other > 0, "greedy always built the returned clique");
+    }
+
+    #[test]
+    fn node_count_is_deterministic_and_observing_leaves_the_clique_alone() {
+        let g = planted_ugraph(11, 160, 0.25, 1, 20);
+        let observed = || {
+            let registry = bcc_obs::Registry::new();
+            let clique = {
+                let _scope = registry.install();
+                max_clique(&g)
+            };
+            let nodes = registry.snapshot().work_counter("graphs.clique.nodes");
+            (clique, nodes)
+        };
+        let (first, nodes) = observed();
+        assert!(nodes > 0);
+        assert_eq!(observed(), (first.clone(), nodes));
+        assert_eq!(max_clique(&g), first);
     }
 
     fn path_graph(n: usize) -> UGraph {

@@ -83,18 +83,22 @@ impl DiGraph {
     }
 
     /// Forces every ordered pair within `set` to be an edge (plants a
-    /// directed clique).
+    /// directed clique), word by word: the member mask is ORed into each
+    /// member's row and the diagonal cleared again.
     ///
     /// # Panics
     ///
     /// Panics if a vertex repeats or is out of range.
     pub fn plant_clique(&mut self, set: &[usize]) {
-        for (a, &u) in set.iter().enumerate() {
-            for &v in &set[a + 1..] {
-                assert_ne!(u, v, "clique vertices must be distinct");
-                self.set_edge(u, v, true);
-                self.set_edge(v, u, true);
-            }
+        let mut members = BitVec::zeros(self.n());
+        for &u in set {
+            assert!(!members.get(u), "clique vertices must be distinct");
+            members.set(u, true);
+        }
+        for &u in set {
+            let row = self.adj.row_mut(u);
+            row.or_in_place(&members);
+            row.set(u, false);
         }
     }
 
@@ -261,6 +265,41 @@ mod tests {
             }
         }
         assert!(!g.has_edge(0, 1));
+    }
+
+    #[test]
+    fn plant_clique_is_the_per_pair_loop_edge_for_edge() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [1usize, 2, 5, 63, 64, 65, 130] {
+            for _ in 0..8 {
+                let g = DiGraph::random(&mut rng, n);
+                let k = rng.gen_range(0..=n);
+                // `sample` returns the members in random order.
+                let set = rand::seq::index::sample(&mut rng, n, k).into_vec();
+                let mut per_pair = g.clone();
+                for (a, &u) in set.iter().enumerate() {
+                    for &v in &set[a + 1..] {
+                        per_pair.set_edge(u, v, true);
+                        per_pair.set_edge(v, u, true);
+                    }
+                }
+                let mut planted = g;
+                planted.plant_clique(&set);
+                assert_eq!(planted, per_pair, "n = {n}, set = {set:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn plant_clique_rejects_a_repeated_vertex() {
+        DiGraph::empty(6).plant_clique(&[1, 4, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn plant_clique_rejects_an_out_of_range_vertex() {
+        DiGraph::empty(6).plant_clique(&[1, 6]);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! graph, whose cliques are exactly the directed cliques), clique
 //! verification and maximum-clique search ([`clique`] — Appendix B lets
 //! processors run unbounded local computation, which is Bron–Kerbosch
-//! here), and the top-`k` degree ranking ([`degree`]) for the `k ≳ √n`
-//! regime.
+//! here, pruned by a greedy clique's size as a floor on the clique number;
+//! the floor cuts only subtrees without a maximum clique, so ties resolve
+//! as in the unpruned search), and the top-`k` degree ranking
+//! ([`degree`]) for the `k ≳ √n` regime.
 
 #![forbid(unsafe_code)]
 
