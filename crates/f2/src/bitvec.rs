@@ -5,7 +5,7 @@ use std::ops::{BitAnd, BitXor, BitXorAssign};
 
 use rand::Rng;
 
-use crate::kernel::{self, WordKernel};
+use crate::kernel::{self, CompressWord, WordKernel};
 
 const WORD_BITS: usize = 64;
 
@@ -274,6 +274,16 @@ impl BitVec {
         kernel::active().xor_in_place(&mut self.words, &other.words);
     }
 
+    /// ANDs `other` into `self` in place (intersection of the one sets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn and_in_place(&mut self, other: &BitVec) {
+        assert_eq!(self.len, other.len, "and of mismatched lengths");
+        kernel::active().and_in_place(&mut self.words, &other.words);
+    }
+
     /// ORs `other` into `self` in place (union of the one sets).
     ///
     /// # Panics
@@ -308,6 +318,20 @@ impl BitVec {
         let mut out = BitVec::zeros(hi - lo);
         kernel::active().extract_shifted(&self.words, lo, &mut out.words);
         out.mask_tail();
+        out
+    }
+
+    /// The coordinates `mask` selects, in order: coordinate `j` of the
+    /// result is the `j`-th selected coordinate of `self`. Word by word,
+    /// through [`WordKernel::compress_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` and the mask differ in length.
+    pub fn compress(&self, mask: &CompressMask) -> BitVec {
+        assert_eq!(self.len, mask.len, "compress by a mask of another length");
+        let mut out = BitVec::zeros(mask.ones);
+        kernel::active().compress_into(&self.words, &mask.words, &mut out.words);
         out
     }
 
@@ -356,6 +380,33 @@ impl BitVec {
         if self.len == 0 {
             self.words.clear();
         }
+    }
+}
+
+/// A selection mask prepared once for many [`BitVec::compress`] calls:
+/// each word's move masks are precomputed, so a compress costs a fixed
+/// number of word operations per word, whatever the mask.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CompressMask {
+    words: Vec<CompressWord>,
+    len: usize,
+    ones: usize,
+}
+
+impl CompressMask {
+    /// Prepares `mask`: a compress by it keeps the coordinates where
+    /// `mask` is one.
+    pub fn new(mask: &BitVec) -> Self {
+        CompressMask {
+            words: mask.words.iter().map(|&w| CompressWord::new(w)).collect(),
+            len: mask.len,
+            ones: mask.words.iter().map(|w| w.count_ones() as usize).sum(),
+        }
+    }
+
+    /// The number of selected coordinates: the length of a compress.
+    pub fn ones(&self) -> usize {
+        self.ones
     }
 }
 
@@ -566,6 +617,16 @@ mod tests {
         for i in 0..170 {
             assert_eq!(union.get(i), a.get(i) || b.get(i), "bit {i}");
         }
+    }
+
+    #[test]
+    fn and_in_place_is_set_intersection() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let a = BitVec::random(&mut rng, 170);
+        let b = BitVec::random(&mut rng, 170);
+        let mut meet = a.clone();
+        meet.and_in_place(&b);
+        assert_eq!(meet, &a & &b);
     }
 
     #[test]

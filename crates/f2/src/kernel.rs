@@ -9,10 +9,10 @@
 //! them once, as plain safe scalar code ([`Scalar`]).
 //!
 //! Every method is integer arithmetic over `u64` words — AND, XOR,
-//! popcount, funnel shifts, counting — with the sequential semantics
-//! its doc states; `crates/f2/tests/prop.rs` pins each one against a
-//! bit-at-a-time reference on random inputs, including tail words and
-//! demotion-boundary occupancies.
+//! popcount, funnel shifts, fixed-mask compress, counting — with the
+//! sequential semantics its doc states; `crates/f2/tests/prop.rs` pins
+//! each one against a bit-at-a-time reference on random inputs,
+//! including tail words and demotion-boundary occupancies.
 //!
 //! Each call also adds the words it reads to the `kernel.words.*`
 //! counter of its family (see [`bcc_obs::KernelFamily`]). The count is
@@ -92,6 +92,62 @@ pub trait WordKernel {
     /// read-modify-write with cross-word carry; the word-at-a-time walk
     /// is the win over per-bit copying.
     fn or_shifted_into(&self, src: &[u64], bit_offset: usize, out: &mut [u64]);
+
+    /// Fixed-mask compress (software PEXT): gathers the bits of `a`
+    /// selected by `masks` (word `i` of `a` by `masks[i]`), in order, and
+    /// ORs them into `out` from bit 0 — the bits of one word land at the
+    /// running popcount of the masks before it. Reads `masks.len()` words
+    /// of `a` and panics if `a` is narrower; `out` must hold the masks'
+    /// total popcount, and the caller zeroes it.
+    fn compress_into(&self, a: &[u64], masks: &[CompressWord], out: &mut [u64]);
+}
+
+/// One mask word prepared for [`WordKernel::compress_into`]: the mask,
+/// its popcount and the six move masks of the fixed-mask compress of
+/// Hacker's Delight §7-4, so compressing a word by it costs 25
+/// shift/AND/XOR operations and no per-bit loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CompressWord {
+    mask: u64,
+    ones: u32,
+    moves: [u64; 6],
+}
+
+impl CompressWord {
+    /// Precomputes the move masks of `mask`.
+    pub fn new(mask: u64) -> Self {
+        let mut m = mask;
+        // Stage `i` moves right by `2^i` the selected bits whose count of
+        // unselected bits below them has bit `i` set; `mp` is that bit
+        // of the count, as a prefix XOR of the zeros still to cross.
+        let mut mk = !m << 1;
+        let mut moves = [0u64; 6];
+        for (i, mv) in moves.iter_mut().enumerate() {
+            let mut mp = mk ^ (mk << 1);
+            for s in [2, 4, 8, 16, 32] {
+                mp ^= mp << s;
+            }
+            *mv = mp & m;
+            m = (m ^ *mv) | (*mv >> (1u32 << i));
+            mk &= !mp;
+        }
+        CompressWord {
+            mask,
+            ones: mask.count_ones(),
+            moves,
+        }
+    }
+
+    /// The selected bits of `x`, packed at the bottom of the word.
+    #[inline]
+    fn compress(&self, x: u64) -> u64 {
+        let mut x = x & self.mask;
+        for (i, &mv) in self.moves.iter().enumerate() {
+            let t = x & mv;
+            x = (x ^ t) | (t >> (1u32 << i));
+        }
+        x
+    }
 }
 
 /// The scalar kernel: plain safe `u64` word loops.
@@ -273,6 +329,25 @@ impl WordKernel for Scalar {
                     debug_assert_eq!(hi, 0, "shifted bits fall beyond the output");
                 }
             }
+        }
+    }
+
+    #[inline]
+    fn compress_into(&self, a: &[u64], masks: &[CompressWord], out: &mut [u64]) {
+        add_kernel_words(KernelFamily::Filter, masks.len());
+        assert!(a.len() >= masks.len(), "source narrower than the mask");
+        let mut offset = 0usize;
+        for (&x, m) in a.iter().zip(masks) {
+            if m.ones == 0 {
+                continue;
+            }
+            let c = m.compress(x);
+            let (wi, s) = (offset / WORD_BITS, offset % WORD_BITS);
+            out[wi] |= c << s;
+            if s + m.ones as usize > WORD_BITS {
+                out[wi + 1] |= c >> (WORD_BITS - s);
+            }
+            offset += m.ones as usize;
         }
     }
 }

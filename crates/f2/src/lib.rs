@@ -8,7 +8,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`BitVec`] — a bit-packed vector over F₂ with XOR/AND/parity operations;
+//! * [`BitVec`] — a bit-packed vector over F₂ with XOR/AND/parity operations,
+//!   and [`CompressMask`], a fixed selection its coordinates are gathered by;
 //! * [`BitMatrix`] — a row-major bit-packed matrix with multiplication,
 //!   transpose and Gaussian elimination;
 //! * [`gauss`] — rank, row-echelon forms, kernels and linear-system solving;
@@ -46,6 +47,6 @@ pub mod kernel;
 pub mod rank_dist;
 pub mod subcube;
 
-pub use bitvec::BitVec;
+pub use bitvec::{BitVec, CompressMask};
 pub use consistent::{sparse_budget, ConsistentSet, SetIter, SetRepr};
 pub use matrix::BitMatrix;

@@ -129,6 +129,11 @@ impl BitMatrix {
         self.rows.iter()
     }
 
+    /// The rows, by value.
+    pub fn into_rows(self) -> Vec<BitVec> {
+        self.rows
+    }
+
     /// Extracts column `j` as a vector.
     ///
     /// # Panics

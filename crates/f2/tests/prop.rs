@@ -2,7 +2,7 @@
 
 use bcc_f2::kernel::{Scalar, WordKernel};
 use bcc_f2::subcube::Subcube64;
-use bcc_f2::{gauss, sparse_budget, BitMatrix, BitVec, ConsistentSet};
+use bcc_f2::{gauss, sparse_budget, BitMatrix, BitVec, CompressMask, ConsistentSet};
 use proptest::prelude::*;
 
 fn arb_bitvec(len: usize) -> impl Strategy<Value = BitVec> {
@@ -254,6 +254,20 @@ fn concat_reference(a: &BitVec, b: &BitVec) -> BitVec {
     out
 }
 
+/// Reference per-bit gather (the loop `BitVec::compress` replaced): each
+/// selected one of `v` set at its active slot through a slot table.
+fn compress_reference(v: &BitVec, mask: &BitVec) -> BitVec {
+    let mut slot = vec![0usize; mask.len()];
+    for (s, j) in mask.iter_ones().enumerate() {
+        slot[j] = s;
+    }
+    let mut out = BitVec::zeros(mask.count_ones());
+    for j in (v & mask).iter_ones() {
+        out.set(slot[j], true);
+    }
+    out
+}
+
 proptest! {
     #[test]
     fn kernel_bulk_ops_match_scalar(a in arb_words(), b in arb_words()) {
@@ -432,5 +446,64 @@ proptest! {
         let cat = a.concat(&b);
         prop_assert_eq!(cat.len(), a.len() + b.len());
         prop_assert_eq!(cat, concat_reference(&a, &b));
+    }
+
+    #[test]
+    fn compress_is_the_per_bit_gather(
+        bits in proptest::collection::vec(any::<bool>(), 600),
+        mask_bits in proptest::collection::vec(any::<bool>(), 600),
+        thin_bits in proptest::collection::vec(any::<bool>(), 600),
+        len in 0usize..=600,
+        kind in 0usize..6,
+        single in 0usize..600,
+    ) {
+        // Empty, full, single-bit, all-but-one-bit, half-dense and
+        // quarter-dense masks. Past the cleared bit of the all-but-one
+        // mask every word's 64 kept bits straddle two output words, and
+        // the random masks leave runs of every length per word.
+        let v = BitVec::from_bools(&bits[..len]);
+        let mask = match kind {
+            0 => BitVec::zeros(len),
+            1 => BitVec::ones(len),
+            2 => {
+                let mut m = BitVec::zeros(len);
+                if len > 0 {
+                    m.set(single % len, true);
+                }
+                m
+            }
+            3 => {
+                let mut m = BitVec::ones(len);
+                if len > 0 {
+                    m.set(single % len, false);
+                }
+                m
+            }
+            4 => BitVec::from_bools(&mask_bits[..len]),
+            _ => &BitVec::from_bools(&mask_bits[..len]) & &BitVec::from_bools(&thin_bits[..len]),
+        };
+        let prepared = CompressMask::new(&mask);
+        prop_assert_eq!(prepared.ones(), mask.count_ones());
+        prop_assert_eq!(v.compress(&prepared), compress_reference(&v, &mask));
+    }
+}
+
+#[test]
+fn compress_spills_every_width_into_the_next_output_word() {
+    // Word 0 keeps its low `kept` bits and every later word all 64, so
+    // each later word starts at output offset `kept` and spills `kept`
+    // bits into the next output word: every spill width 0..=64 occurs.
+    let ones = BitVec::ones(300);
+    let thirds: BitVec = (0..300).map(|i| i % 3 != 1).collect();
+    for kept in 0..=64 {
+        let mut mask = BitVec::ones(300);
+        for i in kept..64 {
+            mask.set(i, false);
+        }
+        let prepared = CompressMask::new(&mask);
+        for v in [&ones, &thirds] {
+            let want = compress_reference(v, &mask);
+            assert_eq!(v.compress(&prepared), want, "kept {kept}");
+        }
     }
 }

@@ -133,13 +133,10 @@ impl UGraph {
     /// Panics if `adj` is not square.
     pub fn mutual(adj: &BitMatrix) -> Self {
         assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
-        let mut rows: Vec<BitVec> = adj
-            .iter_rows()
-            .zip(adj.transpose().iter_rows())
-            .map(|(row, col)| row & col)
-            .collect();
-        for (u, row) in rows.iter_mut().enumerate() {
-            row.set(u, false);
+        let mut rows = adj.transpose().into_rows();
+        for (u, (col, row)) in rows.iter_mut().zip(adj.iter_rows()).enumerate() {
+            col.and_in_place(row);
+            col.set(u, false);
         }
         UGraph { adj: rows }
     }

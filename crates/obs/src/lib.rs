@@ -96,7 +96,7 @@ pub enum KernelFamily {
     /// Reductions: `count_ones`, `dot`, `or_and_fold`.
     Reduce = 1,
     /// Masked filters: `filter_count`, `filter_into`, `filter_indices`,
-    /// `ones_indices`.
+    /// `ones_indices`, `compress_into`.
     Filter = 2,
     /// Radix byte passes: `byte_histogram`, `byte_scatter` (unit: keys).
     Bytes = 3,

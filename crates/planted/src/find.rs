@@ -19,7 +19,7 @@
 //! derived.
 
 use bcc_congest::{Model, Network};
-use bcc_f2::{BitMatrix, BitVec};
+use bcc_f2::{BitMatrix, BitVec, CompressMask};
 use bcc_graphs::clique::max_clique;
 use bcc_graphs::digraph::{DiGraph, UGraph};
 use rand::Rng;
@@ -124,23 +124,17 @@ pub fn find_planted_clique_in<R: Rng + ?Sized>(
 
     // Step 3: active processors publish their adjacency to the active set
     // (inactive processors pad with zeros — everyone broadcasts each
-    // round in this model). A payload is `row(i) ∧ active`, compacted to
-    // active-slot order through the slot table.
-    let mut active_mask = BitVec::zeros(n);
-    let mut slot = vec![0usize; n];
-    for (s, &j) in active.iter().enumerate() {
-        active_mask.set(j, true);
-        slot[j] = s;
-    }
+    // round in this model). A payload is `row(i) ∧ active` in active-slot
+    // order: the row compressed word by word by the active mask, whose
+    // move masks are built once per trial.
+    let active_mask = CompressMask::new(&heard.iter().map(|&h| h == 1).collect());
     let payloads: Vec<BitVec> = (0..n)
         .map(|i| {
-            let mut v = BitVec::zeros(n_active);
             if heard[i] == 1 {
-                for j in (graph.row(i) & &active_mask).iter_ones() {
-                    v.set(slot[j], true);
-                }
+                graph.row(i).compress(&active_mask)
+            } else {
+                BitVec::zeros(n_active)
             }
-            v
         })
         .collect();
     let rounds = net.broadcast_bits(&payloads);
@@ -421,17 +415,26 @@ mod tests {
 
     #[test]
     fn finder_matches_the_seed_finder_at_the_lab_scale() {
-        // The e2e find_clique cells: claims and recoveries at n = 256.
-        for (s, k) in [(1u64, 96usize), (2, 128), (3, 160)] {
+        // The e2e find_clique cells: claims and recoveries at n = 256 and
+        // n = 512, where the active mask spans 4 and 8 words.
+        for (s, n, k) in [
+            (1u64, 256usize, 96usize),
+            (2, 256, 128),
+            (3, 256, 160),
+            (4, 512, 128),
+            (5, 512, 160),
+        ] {
             let mut rng = StdRng::seed_from_u64(s);
-            let inst = sample_planted(&mut rng, 256, k);
-            let p = activation_probability(256, k);
+            let inst = sample_planted(&mut rng, n, k);
+            let p = activation_probability(n, k);
             let mut seed_rng = rng.clone();
             let new = find_planted_clique(&inst.graph, p, &mut rng);
-            let old =
-                seed::find_planted_clique_in(Model::bcast1(256), &inst.graph, p, &mut seed_rng);
-            assert_eq!(new, old, "k = {k}");
-            assert!(new.abort.is_none(), "k = {k} should reach the claims");
+            let old = seed::find_planted_clique_in(Model::bcast1(n), &inst.graph, p, &mut seed_rng);
+            assert_eq!(new, old, "n = {n}, k = {k}");
+            assert!(
+                new.abort.is_none(),
+                "n = {n}, k = {k} should reach the claims"
+            );
         }
     }
 
