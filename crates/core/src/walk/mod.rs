@@ -15,18 +15,25 @@
 //! Three coordinated layers keep the inner loop priced by *live*
 //! occupancy rather than nominal capacity:
 //!
-//! 1. **Label planes.** At each node the protocol is evaluated once per
-//!    `(speaker, support row)` — not once per distribution. Rows are
-//!    grouped by `Arc` identity (see [`crate::input::ProductInput`]'s
-//!    shared rows), the protocol is queried over the *union* of the
-//!    group's live points via [`WideTurnProtocol::message`], and the
-//!    resulting label table is shared by every distribution in the
-//!    group. At width 1 the table becomes a packed bit plane and each
-//!    distribution's split is two word-parallel `AND`s; at wider widths
-//!    it is a per-point message table and each split is one bucketing
-//!    pass over the live set. The walk checks each message against the
-//!    width, so a protocol that answers wider than it declares panics
-//!    instead of being silently misread.
+//! 1. **Label planes and the counted split.** At each node the protocol
+//!    is evaluated once per `(speaker, support row)` — not once per
+//!    distribution. Rows are grouped by `Arc` identity (see
+//!    [`crate::input::ProductInput`]'s shared rows), the protocol is
+//!    queried over the *union* of the group's live points via
+//!    [`WideTurnProtocol::message`], and the labels are shared by every
+//!    distribution in the group. At width 1 with a dense set in the
+//!    group the labels become a packed bit plane and each
+//!    distribution's split is two word-parallel `AND`s. Every other
+//!    split is *counted*: one pass over the distribution's `(point,
+//!    label)` pairs counts each label in an epoch-marked, label-indexed
+//!    table, child slots are sized from the counts in ascending label
+//!    order, and a second pass writes each point once into its child,
+//!    already dense or sparse ([`ConsistentSet::start_counted`]). A
+//!    one-distribution group reads its pairs straight off the union and
+//!    its labels; a shared group reads them off each distribution's
+//!    live set and a per-point label table. The walk checks each message
+//!    against the width, so a protocol that answers wider than it
+//!    declares panics instead of being silently misread.
 //! 2. **Pooled mask workspace.** Child sets live in per-depth slot
 //!    pools that are reused across sibling nodes, the walk swaps them
 //!    into the alive state for the duration of a subtree (one
@@ -471,33 +478,84 @@ struct NodeScratch {
     plane: Vec<u64>,
     /// Per-point label table indexed by absolute point index; only
     /// entries at the current group's union-live points are valid.
-    /// (Width-1 all-sparse groups only; wider groups use
-    /// `point_rank`.)
+    /// (Shared groups of the counted split only.)
     point_label: Vec<u64>,
-    /// Per-point label *rank* (index into `group_labels`) by absolute
-    /// point index; only entries at the current group's union-live
-    /// points are valid. Makes each distribution's split two direct
-    /// array reads per live point.
-    point_rank: Vec<u32>,
-    /// Distinct labels of the current group, ascending: the bucket keys
-    /// of the non-binary split.
-    group_labels: Vec<u64>,
-    /// Epoch-marked presence table over label values: `mark[label] ==
-    /// epoch` iff the label was seen in the current group (never cleared
-    /// — the epoch bump invalidates the whole table in O(1)).
-    mark: Vec<u64>,
-    /// The current `mark` epoch.
+    /// The label-indexed counts and slots of the counted split.
+    split: LabelSplit,
+}
+
+/// One label's entry in [`LabelSplit::cells`].
+#[derive(Clone, Copy, Default)]
+struct LabelCell {
+    /// The [`LabelSplit::epoch`] that last counted this label: the
+    /// other fields are valid only while it is current.
     epoch: u64,
-    /// `rank[label] = index into group_labels`; only entries at the
-    /// current group's distinct labels are valid (never cleared — stale
-    /// slots are never read).
-    rank: Vec<u32>,
-    /// Per-rank live count of the distribution being split.
-    counts: Vec<u32>,
-    /// Per-rank child slot (or [`NO_SLOT`] where the rank is dead).
-    slot_of_rank: Vec<u32>,
-    /// Label-union scratch.
-    all_labels: Vec<u64>,
+    /// Live points of the distribution being split that carry the label.
+    count: u32,
+    /// The label's child slot in the depth's pool.
+    slot: u32,
+}
+
+/// The counted split of one distribution's live points by label.
+/// Labels are below `2^width <= 2^16`, so the table indexes them
+/// directly; it is never cleared — bumping the epoch invalidates every
+/// cell in O(1).
+#[derive(Default)]
+struct LabelSplit {
+    cells: Vec<LabelCell>,
+    epoch: u64,
+    /// Distinct labels of the current split, ascending once counted:
+    /// the child order.
+    labels: Vec<u64>,
+}
+
+impl LabelSplit {
+    /// Splits distribution `d`'s speaker set `parent` on the labels of
+    /// `pairs` — its live points, ascending, each with its label — into
+    /// one child per live label, appended to `scratch` in ascending label
+    /// order. One pass counts, the slots are sized from the counts, and a
+    /// second pass writes each point once into its child's final
+    /// representation.
+    fn split<I: Iterator<Item = (usize, u64)> + Clone>(
+        &mut self,
+        d: usize,
+        parent: &ConsistentSet,
+        universe: usize,
+        pairs: I,
+        scratch: &mut DepthScratch,
+        tally: &mut WalkTally,
+    ) {
+        self.epoch += 1;
+        self.labels.clear();
+        for (_, label) in pairs.clone() {
+            let cell = &mut self.cells[label as usize];
+            if cell.epoch != self.epoch {
+                *cell = LabelCell {
+                    epoch: self.epoch,
+                    ..LabelCell::default()
+                };
+                self.labels.push(label);
+            }
+            cell.count += 1;
+        }
+        self.labels.sort_unstable();
+        let parent_sparse = parent.is_sparse();
+        for &label in &self.labels {
+            let cell = &mut self.cells[label as usize];
+            let slot = scratch.alloc_slot();
+            cell.slot = slot as u32;
+            let child = &mut scratch.built[slot];
+            child.start_counted(universe, cell.count as usize);
+            if !parent_sparse && child.is_sparse() {
+                tally.demotions += 1;
+            }
+            scratch.runs.push((d as u32, label, slot as u32));
+        }
+        for (i, label) in pairs {
+            let slot = self.cells[label as usize].slot;
+            scratch.built[slot as usize].push_counted(i);
+        }
+    }
 }
 
 /// Per-depth pooled scratch: child-set slots and the per-node tables
@@ -705,111 +763,42 @@ fn build_children<P: WideTurnProtocol + ?Sized>(
                     }
                 }
             }
-        } else if width == 1 {
-            // All-sparse binary group: fill the 0/1 label table and run
-            // two cheap filter passes per distribution.
-            if node.point_label.len() < points.len() {
-                node.point_label.resize(points.len(), 0);
-            }
-            for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-                node.point_label[i as usize] = label;
-            }
-            for &d in &group.dists {
-                let parent = &state[ctx.state_idx(d, speaker)];
-                if parent.is_empty() {
-                    continue;
-                }
-                for label in [0u64, 1] {
-                    let slot = scratch.alloc_slot();
-                    scratch.built[slot].begin(points.len());
-                    for i in parent.iter() {
-                        if node.point_label[i] == label {
-                            scratch.built[slot].push(i);
-                        }
-                    }
-                    scratch.built[slot].finish();
-                    if scratch.built[slot].is_empty() {
-                        scratch.built_len -= 1;
-                    } else {
-                        scratch.runs.push((d as u32, label, slot as u32));
-                    }
-                }
-            }
         } else {
-            // Non-binary split: rank every union point's label among
-            // the group's distinct labels once, then each
-            // distribution's split is two O(live) counting passes over
-            // direct array reads — no per-node sort anywhere. Distinct
-            // labels come from the epoch-marked presence table: O(union)
-            // to collect, then only the (tiny) distinct list is sorted.
-            // Labels are below 2^width <= 2^16, so both tables index
-            // them directly.
-            node.group_labels.clear();
-            node.epoch += 1;
-            for &label in &node.labels {
-                let li = label as usize;
-                if node.mark.len() <= li {
-                    node.mark.resize(li + 1, 0);
+            // Counted split: every label is at most `seen`, so the table
+            // grows once here and never inside the passes. A
+            // one-distribution group's live set *is* the union, so its
+            // pairs are read straight off `union_idx`/`labels`; a shared
+            // group scatters the labels into a per-point table once and
+            // reads each distribution's pairs off its own live set.
+            let cells = &mut node.split.cells;
+            if cells.len() <= seen as usize {
+                cells.resize(seen as usize + 1, LabelCell::default());
+            }
+            if group.dists.len() == 1 {
+                let parent = &state[ctx.state_idx(d0, speaker)];
+                let pairs = node
+                    .union_idx
+                    .iter()
+                    .zip(&node.labels)
+                    .map(|(&i, &label)| (i as usize, label));
+                node.split
+                    .split(d0, parent, points.len(), pairs, scratch, tally);
+            } else {
+                if node.point_label.len() < points.len() {
+                    node.point_label.resize(points.len(), 0);
                 }
-                if node.mark[li] != node.epoch {
-                    node.mark[li] = node.epoch;
-                    node.group_labels.push(label);
+                for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
+                    node.point_label[i as usize] = label;
                 }
-            }
-            node.group_labels.sort_unstable();
-            let max_label = *node.group_labels.last().expect("union is non-empty");
-            if node.rank.len() <= max_label as usize {
-                node.rank.resize(max_label as usize + 1, 0);
-            }
-            for (r, &label) in node.group_labels.iter().enumerate() {
-                node.rank[label as usize] = r as u32;
-            }
-            if node.point_rank.len() < points.len() {
-                node.point_rank.resize(points.len(), 0);
-            }
-            for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-                node.point_rank[i as usize] = node.rank[label as usize];
-            }
-            for &d in &group.dists {
-                let parent = &state[ctx.state_idx(d, speaker)];
-                if parent.is_empty() {
-                    continue;
-                }
-                // Bucket the live points by label rank: one counting
-                // pass sizes the buckets, slots are allocated in
-                // ascending label order (the same child order a sort
-                // would produce), and a second pass pushes each point —
-                // ascending — into its bucket.
-                node.counts.clear();
-                node.counts.resize(node.group_labels.len(), 0);
-                for i in parent.iter() {
-                    node.counts[node.point_rank[i] as usize] += 1;
-                }
-                node.slot_of_rank.clear();
-                for (r, &count) in node.counts.iter().enumerate() {
-                    if count == 0 {
-                        node.slot_of_rank.push(NO_SLOT);
+                for &d in &group.dists {
+                    let parent = &state[ctx.state_idx(d, speaker)];
+                    if parent.is_empty() {
                         continue;
                     }
-                    let slot = scratch.alloc_slot();
-                    scratch.built[slot].begin(points.len());
-                    node.slot_of_rank.push(slot as u32);
-                    scratch
-                        .runs
-                        .push((d as u32, node.group_labels[r], slot as u32));
-                }
-                for i in parent.iter() {
-                    let slot = node.slot_of_rank[node.point_rank[i] as usize];
-                    scratch.built[slot as usize].push(i);
-                }
-                let parent_sparse = parent.is_sparse();
-                for &slot in &node.slot_of_rank {
-                    if slot != NO_SLOT {
-                        scratch.built[slot as usize].finish();
-                        if !parent_sparse && scratch.built[slot as usize].is_sparse() {
-                            tally.demotions += 1;
-                        }
-                    }
+                    let point_label = &node.point_label;
+                    let pairs = parent.iter().map(|i| (i, point_label[i]));
+                    node.split
+                        .split(d, parent, points.len(), pairs, scratch, tally);
                 }
             }
         }
@@ -818,13 +807,12 @@ fn build_children<P: WideTurnProtocol + ?Sized>(
     // The union of live labels, ascending: a label dead in every
     // distribution never appears, so the walk costs what is alive, not
     // what the alphabet could express.
-    node.all_labels.clear();
-    node.all_labels
-        .extend(scratch.runs.iter().map(|&(_, label, _)| label));
-    node.all_labels.sort_unstable();
-    node.all_labels.dedup();
     scratch.labels.clear();
-    scratch.labels.extend_from_slice(&node.all_labels);
+    scratch
+        .labels
+        .extend(scratch.runs.iter().map(|&(_, label, _)| label));
+    scratch.labels.sort_unstable();
+    scratch.labels.dedup();
 
     scratch.matrix.clear();
     scratch

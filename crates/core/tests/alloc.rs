@@ -8,7 +8,9 @@
 //! 16× (two extra full binary levels per distribution pair) must leave
 //! the allocation count essentially unchanged, while the retained seed
 //! walk — which allocates fresh masks at every node — scales its count
-//! with the node total. The samplers make the same promise per
+//! with the node total. A width-2 full-tree walk, whose every node takes
+//! the counted non-binary split, is pinned the same way (two extra 4-ary
+//! levels). The samplers make the same promise per
 //! transcript: drawing 16× more samples per side must not add
 //! allocations beyond the per-side key arrays, for the estimators and for
 //! the pair sampler fed by buffer-refilling closures alike.
@@ -111,6 +113,56 @@ fn steady_state_recursion_does_not_allocate_per_node() {
     // instrumentation actually measures what we think it does).
     let (_, seed_small) = allocations(|| full_tree_walk(8, true));
     let (_, seed_large) = allocations(|| full_tree_walk(12, true));
+    assert!(
+        seed_large > seed_small + 4_000,
+        "seed walk expected to allocate per node: {seed_small} -> {seed_large}"
+    );
+    assert!(
+        large * 10 < seed_large,
+        "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
+    );
+}
+
+/// A full 4-ary tree: every turn broadcasts two fresh input bits of a
+/// 2^12-point row (word budget 64), so all `4^horizon` leaves are live,
+/// every node takes the counted non-binary split, and the sets demote
+/// from dense to sparse at depth 3.
+fn full_wide_tree_walk(horizon: u32, reference: bool) -> f64 {
+    let p = FnWideProtocol::new(1, 12, 2, horizon, |_, input, tr| {
+        (input >> (2 * tr.len())) & 0b11
+    });
+    let a = ProductInput::uniform(1, 12);
+    let b = ProductInput::uniform(1, 12);
+    let members = std::slice::from_ref(&a);
+    if reference {
+        exact_mixture_comparison_reference(&p, members, &b, ExecMode::Sequential).tv()
+    } else {
+        ExactEstimator::sequential()
+            .estimate_full(&p, members, &b)
+            .tv()
+    }
+}
+
+#[test]
+fn steady_state_wide_recursion_does_not_allocate_per_node() {
+    // As above: pin the pool so both horizons cut the same frontier.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    let _ = full_wide_tree_walk(4, false);
+
+    let (_, small) = allocations(|| full_wide_tree_walk(4, false));
+    let (_, large) = allocations(|| full_wide_tree_walk(6, false));
+    // 4^6 vs 4^4 leaves: 5120 extra nodes, each splitting two sets into
+    // four children. The label-indexed tables and the child slots are
+    // pooled, so two more recursion levels cost only their own warm-up.
+    assert!(
+        large < small + 256,
+        "allocation count scaled with the tree: {small} at depth 4, {large} at depth 6"
+    );
+
+    let (_, seed_small) = allocations(|| full_wide_tree_walk(4, true));
+    let (_, seed_large) = allocations(|| full_wide_tree_walk(6, true));
     assert!(
         seed_large > seed_small + 4_000,
         "seed walk expected to allocate per node: {seed_small} -> {seed_large}"

@@ -553,6 +553,29 @@ proptest! {
             assert_mixture_bitwise_eq(&new, &old, &format!("shared {mode:?}"));
         }
     }
+
+    #[test]
+    fn arc_shared_wide_family_walk_is_bitwise_the_seed_walk(
+        planted in proptest::collection::btree_set(0u64..16, 1..=16usize),
+        width in 2u32..=3,
+        seed in any::<u64>(),
+    ) {
+        // The counted split's shared-group source: every member shares
+        // all but one row's Arc with the baseline, so each speaker row
+        // splits a group of several distributions off one label table.
+        let horizon = if width == 2 { 6 } else { 4 };
+        let p = wide_protocol(3, 4, width, horizon, seed);
+        let base = ProductInput::uniform(3, 4);
+        let planted: Vec<u64> = planted.into_iter().collect();
+        let members: Vec<ProductInput> = (0..3)
+            .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
+            .collect();
+        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
+            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
+            assert_mixture_bitwise_eq(&new, &old, &format!("shared w{width} {mode:?}"));
+        }
+    }
 }
 
 /// The acceptance-scale case, deliberately outside the proptest loop: a
@@ -611,6 +634,47 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
         let new = ExactEstimator { mode }.estimate_pair(&p, &a, &base);
         let old = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &base, mode);
         assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
+    }
+}
+
+/// A width-2 walk across the dense→sparse boundary, through both sources
+/// of the counted split: two 2^10-point rows (word budget 16) lose two
+/// bits per spoken turn, so the third split of each row yields 16-point
+/// (and smaller) children of dense parents. Each member replaces one row
+/// and shares the other's Arc with the baseline, so every speaker row
+/// has a one-distribution group and a shared group. The profile is the
+/// seed walk's bit for bit, and the walk's work counts are pinned.
+#[test]
+fn wide_demotion_boundary_walk_is_bitwise_the_seed_walk_and_counts_pinned() {
+    let p = FnWideProtocol::new(2, 10, 2, 6, |_, input, tr| {
+        (input >> (2 * (tr.len() / 2))) & 0b11
+    });
+    let base = ProductInput::uniform(2, 10);
+    let members = vec![
+        base.with_row(
+            0,
+            RowSupport::explicit(10, (0..1024).filter(|x| x % 5 != 0).collect()),
+        ),
+        base.with_row(
+            1,
+            RowSupport::explicit(10, (0..1024).filter(|x| x % 3 != 0).collect()),
+        ),
+    ];
+    for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+        let registry = bcc_obs::Registry::new();
+        let scope = registry.install();
+        let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
+        drop(scope);
+        let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
+        assert_mixture_bitwise_eq(&new, &old, &format!("wide demotion boundary {mode:?}"));
+        let snap = registry.snapshot();
+        assert_eq!(snap.work_counter("walk.children_built"), 16380, "{mode:?}");
+        assert_eq!(
+            snap.work_counter("walk.demotions_dense_to_sparse"),
+            15360,
+            "{mode:?}"
+        );
+        assert_eq!(snap.work_counter("walk.live_points"), 289527, "{mode:?}");
     }
 }
 

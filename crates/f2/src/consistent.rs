@@ -111,22 +111,20 @@ impl ConsistentSet {
             assert!((last as usize) < universe, "index beyond the universe");
         }
         let mut set = ConsistentSet::empty(universe);
-        set.begin(universe);
+        set.start_counted(universe, indices.len());
         for &i in indices {
-            set.push(i as usize);
+            set.push_counted(i as usize);
         }
-        set.finish();
         set
     }
 
     /// Builds from a [`BitVec`] mask (bit `i` set ⇔ point `i` live).
     pub fn from_bitvec(mask: &BitVec) -> Self {
         let mut set = ConsistentSet::empty(mask.len());
-        set.begin(mask.len());
+        set.start_counted(mask.len(), mask.count_ones());
         for i in mask.iter_ones() {
-            set.push(i);
+            set.push_counted(i);
         }
-        set.finish();
         set
     }
 
@@ -298,36 +296,45 @@ impl ConsistentSet {
         }
     }
 
-    /// Starts building the set by ascending index pushes (clears any
-    /// previous content, keeps buffers).
-    pub fn begin(&mut self, universe: usize) {
-        self.make_empty(universe);
-    }
-
-    /// Appends a live point during a [`begin`](ConsistentSet::begin)
-    /// build. Points must arrive in strictly ascending order.
-    pub fn push(&mut self, i: usize) {
-        debug_assert!(i < self.universe, "point beyond universe");
-        debug_assert!(
-            self.indices.last().is_none_or(|&last| (last as usize) < i),
-            "pushes must be strictly ascending"
+    /// Starts a counted build of a set of exactly `count` points over
+    /// `universe`, keeping buffers. The regime follows the budget rule
+    /// up front, so each [`push_counted`](ConsistentSet::push_counted)
+    /// writes its point in its final representation — no promotion pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds the universe.
+    pub fn start_counted(&mut self, universe: usize, count: usize) {
+        assert!(
+            count <= universe,
+            "count {count} beyond universe {universe}"
         );
-        self.indices.push(i as u32);
-    }
-
-    /// Finishes a [`begin`](ConsistentSet::begin) build: caches the
-    /// count and promotes to dense if the occupancy exceeds the sparse
-    /// budget.
-    pub fn finish(&mut self) {
-        self.count = self.indices.len();
-        if self.count > sparse_budget(self.universe) {
+        self.universe = universe;
+        self.count = count;
+        if count <= sparse_budget(universe) {
+            self.repr = SetRepr::Sparse;
+            self.indices.clear();
+            self.indices.reserve(count);
+        } else {
             self.repr = SetRepr::Dense;
             self.words.clear();
-            self.words.resize(sparse_budget(self.universe), 0);
-            for &i in &self.indices {
-                self.words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
+            self.words.resize(sparse_budget(universe), 0);
+        }
+    }
+
+    /// Adds point `i` to a [`start_counted`](ConsistentSet::start_counted)
+    /// build. Points must be distinct and strictly ascending, exactly
+    /// the announced count of them.
+    #[inline]
+    pub fn push_counted(&mut self, i: usize) {
+        debug_assert!(i < self.universe, "point beyond universe");
+        match self.repr {
+            SetRepr::Dense => self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS),
+            SetRepr::Sparse => {
+                debug_assert!(self.indices.len() < self.count, "more pushes than counted");
+                debug_assert!(self.indices.last().is_none_or(|&l| (l as usize) < i));
+                self.indices.push(i as u32);
             }
-            self.indices.clear();
         }
     }
 }
@@ -361,6 +368,7 @@ impl PartialEq for ConsistentSet {
 impl Eq for ConsistentSet {}
 
 /// Iterator over a [`ConsistentSet`]'s live points, ascending.
+#[derive(Clone)]
 pub enum SetIter<'a> {
     /// Word-scanning iteration of a dense mask.
     Dense {
@@ -504,20 +512,19 @@ mod tests {
     }
 
     #[test]
-    fn begin_push_finish_promotes_past_budget() {
+    fn counted_build_picks_the_repr_up_front() {
         let mut set = ConsistentSet::empty(0);
-        set.begin(256);
-        for i in 0..4 {
-            set.push(i * 10);
-        }
-        set.finish();
+        set.start_counted(256, 4);
         assert_eq!(set.repr(), SetRepr::Sparse);
-        set.begin(256);
-        for i in 0..100 {
-            set.push(i * 2);
+        for i in 0..4 {
+            set.push_counted(i * 10);
         }
-        set.finish();
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 10, 20, 30]);
+        set.start_counted(256, 100);
         assert_eq!(set.repr(), SetRepr::Dense);
+        for i in 0..100 {
+            set.push_counted(i * 2);
+        }
         assert_eq!(set.count(), 100);
         assert_eq!(set.iter().count(), 100);
         assert!(set.contains(198) && !set.contains(199));

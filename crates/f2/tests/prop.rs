@@ -165,6 +165,52 @@ proptest! {
     }
 
     #[test]
+    fn counted_build_is_the_per_index_reference(
+        universe in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(300), Just(1024)],
+        size_pick in 0usize..6,
+        seed in any::<u64>(),
+        previous in 0usize..4,
+    ) {
+        // The sizes that matter: empty, one under the word budget, at
+        // it, one past it, full — plus one drawn uniformly.
+        let budget = sparse_budget(universe);
+        let count = match size_pick {
+            0 => 0,
+            1 => budget.saturating_sub(1),
+            2 => budget,
+            3 => (budget + 1).min(universe),
+            4 => universe,
+            _ => (seed % (universe as u64 + 1)) as usize,
+        };
+        let indices = distinct_sorted(universe, count, seed);
+        // Build into a pooled slot that held another set first, so stale
+        // buffers would show.
+        let mut set = ConsistentSet::full(universe);
+        let stale = distinct_sorted(universe, [0, budget, universe / 2, universe][previous], !seed);
+        set.start_counted(universe, stale.len());
+        for &i in &stale {
+            set.push_counted(i as usize);
+        }
+        set.start_counted(universe, count);
+        for &i in &indices {
+            set.push_counted(i as usize);
+        }
+        // The reference: one bit per index, and the index list itself.
+        let mut mask = BitVec::zeros(universe);
+        for &i in &indices {
+            mask.set(i as usize, true);
+        }
+        prop_assert_eq!(set.count(), count);
+        prop_assert!(set.iter().map(|i| i as u32).eq(indices.iter().copied()));
+        prop_assert_eq!(set.to_bitvec(), mask);
+        prop_assert_eq!(set.is_sparse(), count <= budget);
+        for i in 0..universe {
+            prop_assert_eq!(set.contains(i), indices.binary_search(&(i as u32)).is_ok());
+        }
+        prop_assert_eq!(&set, &ConsistentSet::from_indices(universe, &indices));
+    }
+
+    #[test]
     fn demotion_flag_tracks_the_budget_exactly_at_the_boundary(
         // prop_filter concentrates every case within two elements of the
         // dense↔sparse demotion boundary — the sizes where an off-by-one
@@ -181,6 +227,23 @@ proptest! {
         prop_assert_eq!(set.is_sparse(), set.count() <= sparse_budget(300));
         prop_assert!(set.iter().map(|i| i as u32).eq(sorted.iter().copied()));
     }
+}
+
+/// `count` distinct points of `0..universe`, ascending: the head of a
+/// seeded Fisher–Yates shuffle.
+fn distinct_sorted(universe: usize, count: usize, seed: u64) -> Vec<u32> {
+    let mut all: Vec<u32> = (0..universe as u32).collect();
+    let mut state = seed | 1;
+    for i in 0..count {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let j = i + (state % (universe - i) as u64) as usize;
+        all.swap(i, j);
+    }
+    all.truncate(count);
+    all.sort_unstable();
+    all
 }
 
 // ---------------------------------------------------------------------

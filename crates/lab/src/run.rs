@@ -526,16 +526,17 @@ mod tests {
         assert!((0.0..=1.0).contains(&a.estimate));
     }
 
-    #[test]
-    fn rank_distance_records_lie_within_their_floor_of_the_exact_walk() {
-        // The e2e rank_sampled shape and precision on a smaller grid. The
-        // plug-in estimate's upward bias is largest at k >= 6, where the
-        // transcript support outgrows the sample budget.
+    /// Every record of the e2e `rank_sampled` shape and precision at
+    /// seed 1, on the grid's `rounds` cells, lies within its noise floor
+    /// of the exact walk on the same family. The plug-in estimate's
+    /// upward bias is largest at k >= 6, where the transcript support
+    /// outgrows the sample budget.
+    fn assert_rank_records_within_floor_of_exact(rounds: &[u32]) {
         let scenario = Scenario::builder("t")
             .workload(Workload::RankDistance { members: 4 })
             .n(&[1024, 4096])
             .k(&[4, 6, 8, 10])
-            .rounds(&[8, 10])
+            .rounds(rounds)
             .seeds(&[1])
             .tolerance(0.2)
             .initial_samples(4096)
@@ -554,6 +555,18 @@ mod tests {
                 record.noise_floor
             );
         }
+    }
+
+    #[test]
+    fn rank_distance_records_lie_within_their_floor_of_the_exact_walk() {
+        assert_rank_records_within_floor_of_exact(&[8, 10]);
+    }
+
+    #[test]
+    fn twelve_round_rank_distance_records_lie_within_their_floor_of_the_exact_walk() {
+        // The grid's deepest cells, in their own test so the two halves
+        // of the 24-cell grid run side by side.
+        assert_rank_records_within_floor_of_exact(&[12]);
     }
 
     #[test]
