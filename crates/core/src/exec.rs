@@ -46,7 +46,6 @@ use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
 use bcc_obs::{Class, Registry, Span};
-use bcc_stats::smoothing;
 
 use crate::engine::{assemble, SpeakerStats};
 use crate::input::ProductInput;
@@ -58,7 +57,6 @@ use crate::walk::exact_walk;
 use crate::wide::validate_budget;
 
 pub use crate::engine::ExecMode;
-pub use bcc_stats::smoothing::TvEstimator;
 
 /// Derives the seed of an independent child stream from a root seed and a
 /// stream index (a SplitMix64 step and finalizer).
@@ -84,24 +82,14 @@ pub fn derive_seed(root: u64, stream: u64) -> u64 {
 pub enum Provenance {
     /// The exact engine: zero statistical error.
     Exact,
-    /// Monte-Carlo estimation.
+    /// Monte-Carlo estimation: plug-in histogram distances.
     Sampled {
         /// Samples drawn per family member and for the baseline.
         samples_per_side: usize,
-        /// Distinct transcripts observed across all sides.
-        support_seen: usize,
         /// Distinct prefix groups in the mixture ∪ baseline union at
-        /// each depth `0 ..= horizon` — the depth-resolved analogue of
-        /// `support_seen` (whose value it reaches at the full horizon).
+        /// each depth `0 ..= horizon`; the last entry counts the distinct
+        /// transcripts observed across all sides.
         support_by_depth: Vec<usize>,
-        /// Per depth, the number of prefix groups whose **combined**
-        /// multiplicity across both sides is exactly 1, counted on the
-        /// mixture side — the Good–Turing unresolved-mass witnesses.
-        mixture_singletons_by_depth: Vec<usize>,
-        /// As above, counted on the baseline side.
-        baseline_singletons_by_depth: Vec<usize>,
-        /// Which TV estimator produced `mixture_tv_by_depth`.
-        estimator: TvEstimator,
     },
 }
 
@@ -172,12 +160,9 @@ impl DepthProfile {
 
     /// The depth-resolved noise floor at prefix depth `t`: the
     /// statistical resolution of `mixture_tv_by_depth[t]` alone. Exact
-    /// runs resolve every depth perfectly (0). For plug-in sampled runs
-    /// this is `min(1, sqrt(support_t / samples))`; for smoothed
-    /// profiles ([`DepthProfile::smoothed`]) it is the Good–Turing scale
-    /// — the fluctuation of the *resolved* support plus the singleton
-    /// correction — never above the plug-in floor at the same depth.
-    /// [`f64::INFINITY`] only when there are no samples.
+    /// runs resolve every depth perfectly (0); sampled runs read
+    /// `min(1, sqrt(support_t / samples))`. [`f64::INFINITY`] only when
+    /// there are no samples.
     ///
     /// Floors are nondecreasing in `t` (a deeper prefix never has fewer
     /// distinct groups), so shallow depths of a profile whose full
@@ -197,30 +182,12 @@ impl DepthProfile {
             Provenance::Sampled {
                 samples_per_side,
                 support_by_depth,
-                mixture_singletons_by_depth,
-                baseline_singletons_by_depth,
-                estimator,
-                ..
             } => {
                 if *samples_per_side == 0 {
                     return f64::INFINITY;
                 }
                 let support = support_by_depth[t as usize];
-                let plugin = (support as f64 / *samples_per_side as f64).sqrt().min(1.0);
-                match estimator {
-                    TvEstimator::PlugIn => plugin,
-                    TvEstimator::Smoothed => {
-                        let n1 = mixture_singletons_by_depth[t as usize]
-                            + baseline_singletons_by_depth[t as usize];
-                        let resolved = support - n1;
-                        smoothing::smoothed_floor(
-                            resolved,
-                            *samples_per_side,
-                            self.singleton_correction_at(t),
-                        )
-                        .min(plugin)
-                    }
-                }
+                (support as f64 / *samples_per_side as f64).sqrt().min(1.0)
             }
         }
     }
@@ -237,53 +204,6 @@ impl DepthProfile {
                 .find(|&t| self.noise_floor_at(t) <= tolerance)
                 .unwrap_or(0),
         }
-    }
-
-    /// The Good–Turing singleton correction at depth `t`: the exact
-    /// plug-in TV inflation contributed by combined singletons
-    /// ([`smoothing::singleton_correction`] over the mixture's `m·N`
-    /// draws and the baseline's `N`). Zero for exact runs.
-    fn singleton_correction_at(&self, t: u32) -> f64 {
-        match &self.provenance {
-            Provenance::Exact => 0.0,
-            Provenance::Sampled {
-                samples_per_side,
-                mixture_singletons_by_depth,
-                baseline_singletons_by_depth,
-                ..
-            } => {
-                let m = self.per_member_tv.len();
-                smoothing::singleton_correction(
-                    mixture_singletons_by_depth[t as usize],
-                    m * samples_per_side,
-                    baseline_singletons_by_depth[t as usize],
-                    *samples_per_side,
-                )
-            }
-        }
-    }
-
-    /// The Good–Turing smoothed view of this profile: every depth's
-    /// mixture TV is corrected by exactly the plug-in inflation its
-    /// combined singletons cause ([`smoothing::smoothed_tv`]), and the
-    /// provenance is retagged [`TvEstimator::Smoothed`] so
-    /// [`DepthProfile::noise_floor_at`] reports the smoothed scale. The
-    /// progress function and per-member distances stay plug-in — only
-    /// the headline mixture distance has a singleton decomposition.
-    /// Exact profiles need no smoothing and come back unchanged.
-    pub fn smoothed(&self) -> DepthProfile {
-        let mut out = self.clone();
-        if let Provenance::Sampled { estimator, .. } = &mut out.provenance {
-            *estimator = TvEstimator::Smoothed;
-        } else {
-            return out;
-        }
-        for t in 0..=self.horizon {
-            let correction = self.singleton_correction_at(t);
-            out.mixture_tv_by_depth[t as usize] =
-                smoothing::smoothed_tv(self.mixture_tv_by_depth[t as usize], correction);
-        }
-        out
     }
 }
 
@@ -441,9 +361,8 @@ impl Estimator for ExactEstimator {
 /// Each (side, baseline) pair is read in one merge pass that yields every
 /// depth at once (`sample::sorted_depth_profile`): one pass per member
 /// for the progress function, and one for the mixture that also counts
-/// the union's support and singletons. Every depth sums its groups in
-/// ascending order, as one merge per depth would, so the floats keep
-/// their bits.
+/// the union's support. Every depth sums its groups in ascending order,
+/// as one merge per depth would, so the floats keep their bits.
 pub(crate) fn profile_from_sorted_sides(
     horizon: u32,
     bits_per_turn: u32,
@@ -474,7 +393,7 @@ pub(crate) fn profile_from_sorted_sides(
     }
 
     let mixture_weight = 1.0 / (m * samples) as f64;
-    let (mixture_tv_by_depth, depth_stats) = sorted_depth_profile(
+    let (mixture_tv_by_depth, support_by_depth) = sorted_depth_profile(
         mixture_keys,
         base_keys,
         mixture_weight,
@@ -482,7 +401,6 @@ pub(crate) fn profile_from_sorted_sides(
         horizon,
         bits_per_turn,
     );
-    let support_seen = depth_stats.support[horizon as usize];
 
     DepthProfile {
         horizon,
@@ -492,11 +410,7 @@ pub(crate) fn profile_from_sorted_sides(
         speaker_stats: Vec::new(),
         provenance: Provenance::Sampled {
             samples_per_side: samples,
-            support_seen,
-            support_by_depth: depth_stats.support,
-            mixture_singletons_by_depth: depth_stats.singletons_a,
-            baseline_singletons_by_depth: depth_stats.singletons_b,
-            estimator: TvEstimator::PlugIn,
+            support_by_depth,
         },
     }
 }
@@ -539,12 +453,12 @@ pub struct AdaptiveReport {
 ///
 /// Samples in seeded batches of geometrically growing budget — starting
 /// at `initial_samples`, at least doubling each batch, and jumping
-/// straight to the budget the observed support projects
-/// (`support_seen / tolerance²`, or the required depth's support under a
-/// [truncated target](AdaptiveEstimator::truncated_target)) when that is
-/// larger — until [`DepthProfile::noise_floor`] (or the floor at the
-/// required depth) is at most `tolerance` or the budget reaches
-/// `max_samples_per_side`. A fixed budget of `s` per side is
+/// straight to the budget the observed support projects (the
+/// full-horizon support over `tolerance²`, or the required depth's
+/// support under a [truncated target](AdaptiveEstimator::truncated_target))
+/// when that is larger — until [`DepthProfile::noise_floor`] (or the
+/// floor at the required depth) is at most `tolerance` or the budget
+/// reaches `max_samples_per_side`. A fixed budget of `s` per side is
 /// `AdaptiveEstimator::new(tolerance, s, s, seed)`: the first batch
 /// already reaches the cap, so exactly one runs, whatever the tolerance.
 ///
@@ -581,8 +495,8 @@ pub struct AdaptiveEstimator {
     /// tolerance at the deepest depth whose observed support the hard
     /// cap can resolve (`support_t ≤ tolerance² · max_samples_per_side`),
     /// and the support projection uses that depth's support instead of
-    /// the full-horizon `support_seen` — so a saturated deep tail can
-    /// no longer force the budget to the cap. Off by default: the legacy
+    /// the full-horizon support — so a saturated deep tail can no longer
+    /// force the budget to the cap. Off by default: the legacy
     /// full-horizon rule is bitwise untouched.
     pub truncated_target: bool,
 }
@@ -815,14 +729,11 @@ impl AdaptiveEstimator {
             // depths no budget under the cap could ever resolve.
             let projected = match profile.provenance {
                 Provenance::Sampled {
-                    support_seen,
                     ref support_by_depth,
                     ..
                 } if self.tolerance > 0.0 => {
-                    let support = match self.required_depth(&profile) {
-                        Some(t_req) => support_by_depth[t_req as usize],
-                        None => support_seen,
-                    };
+                    let t = self.required_depth(&profile).unwrap_or(profile.horizon);
+                    let support = support_by_depth[t as usize];
                     (support as f64 / (self.tolerance * self.tolerance)).ceil() as usize
                 }
                 _ => usize::MAX,
@@ -1119,12 +1030,12 @@ mod tests {
         let profile = fixed(8, 0xC1A).estimate_full(&p, &members, &baseline);
         let Provenance::Sampled {
             samples_per_side,
-            support_seen,
-            ..
+            ref support_by_depth,
         } = profile.provenance
         else {
             panic!("sampled run");
         };
+        let support_seen = support_by_depth[profile.horizon as usize];
         assert!(
             (support_seen as f64 / samples_per_side as f64).sqrt() > 1.0,
             "want a saturated support for this test: {support_seen} over {samples_per_side}"
@@ -1148,11 +1059,7 @@ mod tests {
             speaker_stats: Vec::new(),
             provenance: Provenance::Sampled {
                 samples_per_side: 0,
-                support_seen: 0,
                 support_by_depth: vec![0, 0],
-                mixture_singletons_by_depth: vec![0, 0],
-                baseline_singletons_by_depth: vec![0, 0],
-                estimator: TvEstimator::PlugIn,
             },
         };
         assert_eq!(profile.noise_floor(), f64::INFINITY);
@@ -1197,44 +1104,6 @@ mod tests {
         // Exact profiles resolve everything.
         let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
         assert_eq!(exact.resolved_horizon(0.0), exact.horizon);
-    }
-
-    #[test]
-    fn smoothed_profiles_subtract_singletons_and_never_raise_the_floor() {
-        let p = reveal_protocol(2, 3, 6);
-        let (members, baseline) = family();
-        let plugin = fixed(64, 0x6007).estimate_full(&p, &members, &baseline);
-        let smoothed = plugin.smoothed();
-        let Provenance::Sampled { estimator, .. } = smoothed.provenance else {
-            panic!("sampled run");
-        };
-        assert_eq!(
-            estimator,
-            TvEstimator::Smoothed,
-            "provenance records the estimator"
-        );
-        for t in 0..=plugin.horizon {
-            let i = t as usize;
-            assert!(
-                smoothed.mixture_tv_by_depth[i] <= plugin.mixture_tv_by_depth[i] + 1e-15,
-                "smoothing only removes singleton inflation"
-            );
-            assert!(smoothed.mixture_tv_by_depth[i] >= 0.0);
-            assert!(
-                smoothed.noise_floor_at(t) <= plugin.noise_floor_at(t) + 1e-15,
-                "the smoothed floor never exceeds the plug-in floor"
-            );
-        }
-        // A partially resolved budget leaves the deepest depths
-        // singleton-inflated: the smoothed floor there must be strictly
-        // sharper than the plug-in one, not just no worse.
-        assert!(smoothed.noise_floor() < plugin.noise_floor());
-        // Exact profiles need no smoothing.
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        assert_eq!(
-            exact.smoothed().mixture_tv_by_depth,
-            exact.mixture_tv_by_depth
-        );
     }
 
     #[test]

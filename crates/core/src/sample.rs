@@ -19,10 +19,10 @@
 //! for TV merges at every depth, which is what
 //! [`crate::exec::AdaptiveEstimator`] exploits for whole depth profiles.
 //! The merges themselves are one pass per side pair: consecutive keys'
-//! common prefix says which depths' groups close, so every depth's TV,
-//! support and singleton counts come out of a single walk over the two
-//! sorted arrays, summed in the same order a per-depth merge would sum
-//! them. At `w = 1` the key is the transcript's bit reversal (turn `t` at bit
+//! common prefix says which depths' groups close, so every depth's TV
+//! and support come out of a single walk over the two sorted arrays,
+//! summed in the same order a per-depth merge would sum them. At
+//! `w = 1` the key is the transcript's bit reversal (turn `t` at bit
 //! `63 − t`), so a bit protocol ([`bcc_congest::FnProtocol`]) samples
 //! exactly as the bit model would. The sort itself is [`radix_sort_u64`],
 //! an LSD radix sort that skips the constant low bytes this packing
@@ -239,22 +239,9 @@ pub fn radix_sort_u64(keys: &mut Vec<u64>) {
     }
 }
 
-/// Per-depth resolution statistics over the union of two sorted key
-/// arrays: one entry per prefix depth `0..=horizon`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct DepthStats {
-    /// Distinct prefix groups in the union at each depth.
-    pub support: Vec<usize>,
-    /// Groups whose **combined** multiplicity across both arrays is
-    /// exactly 1, counted on the `a` side at each depth.
-    pub singletons_a: Vec<usize>,
-    /// As above, counted on the `b` side.
-    pub singletons_b: Vec<usize>,
-}
-
-/// The per-depth TV and [`DepthStats`] of two sorted key arrays, read
-/// in **one** merge pass: entry `t` of each is taken at prefix depth
-/// `t·bits_per_turn`, for `t in 0..=horizon`, with per-sample weights
+/// The per-depth TV and union support (distinct prefix groups) of two
+/// sorted key arrays, read in **one** merge pass: entry `t` of each is
+/// taken at prefix depth `t·bits_per_turn`, for `t in 0..=horizon`, with per-sample weights
 /// `weight_a` / `weight_b` (normally `1/len`; the mixture side of
 /// [`crate::exec::AdaptiveEstimator`] passes `1/(m·len)`).
 ///
@@ -274,17 +261,13 @@ pub(crate) fn sorted_depth_profile(
     weight_b: f64,
     horizon: u32,
     bits_per_turn: u32,
-) -> (Vec<f64>, DepthStats) {
+) -> (Vec<f64>, Vec<usize>) {
     let depths = horizon as usize + 1;
     let mut acc = DepthAccumulator {
         weight_a,
         weight_b,
         tv: vec![0.0; depths],
-        stats: DepthStats {
-            support: vec![0; depths],
-            singletons_a: vec![0; depths],
-            singletons_b: vec![0; depths],
-        },
+        support: vec![0; depths],
         open_a: vec![0; depths],
         open_b: vec![0; depths],
     };
@@ -292,9 +275,7 @@ pub(crate) fn sorted_depth_profile(
     // so that an empty side at infinite weight reads as it always has.
     let total = a.len() + b.len();
     acc.tv[0] = (a.len() as f64 * weight_a - b.len() as f64 * weight_b).abs();
-    acc.stats.support[0] = usize::from(total > 0);
-    acc.stats.singletons_a[0] = usize::from(total == 1 && a.len() == 1);
-    acc.stats.singletons_b[0] = usize::from(total == 1 && b.len() == 1);
+    acc.support[0] = usize::from(total > 0);
     if horizon > 0 && total > 0 {
         // Whole turns (capped at the horizon) shared by two keys whose
         // XOR has `z` leading zeros.
@@ -331,16 +312,16 @@ pub(crate) fn sorted_depth_profile(
     for tv in &mut acc.tv {
         *tv /= 2.0;
     }
-    (acc.tv, acc.stats)
+    (acc.tv, acc.support)
 }
 
 /// The running state of [`sorted_depth_profile`]: per depth, the TV sum
-/// and statistics of the closed groups, and the counts of the open one.
+/// and count of the closed groups, and the counts of the open one.
 struct DepthAccumulator {
     weight_a: f64,
     weight_b: f64,
     tv: Vec<f64>,
-    stats: DepthStats,
+    support: Vec<usize>,
     open_a: Vec<usize>,
     open_b: Vec<usize>,
 }
@@ -355,11 +336,7 @@ impl DepthAccumulator {
         for d in (depth + 1..self.open_a.len()).rev() {
             let (count_a, count_b) = (self.open_a[d], self.open_b[d]);
             self.tv[d] += (count_a as f64 * self.weight_a - count_b as f64 * self.weight_b).abs();
-            self.stats.support[d] += 1;
-            if count_a + count_b == 1 {
-                self.stats.singletons_a[d] += count_a;
-                self.stats.singletons_b[d] += count_b;
-            }
+            self.support[d] += 1;
             self.open_a[d - 1] += count_a;
             self.open_b[d - 1] += count_b;
             self.open_a[d] = 0;
@@ -458,34 +435,21 @@ mod tests {
     }
 
     /// Walks the two sorted arrays once per prefix depth `t·bits_per_turn`
-    /// for `t in 0..=horizon`, collecting the union support and the combined
-    /// singleton counts that drive the depth-resolved noise floors and the
-    /// Good–Turing smoothing correction. At depth 0 every key falls in one
+    /// for `t in 0..=horizon`, counting the union support that drives the
+    /// depth-resolved noise floors. At depth 0 every key falls in one
     /// group; unused low key bits are zero, so the deepest entry is the
     /// number of distinct full keys in the union.
-    fn sorted_depth_stats(a: &[u64], b: &[u64], horizon: u32, bits_per_turn: u32) -> DepthStats {
-        let depths = horizon as usize + 1;
-        let mut stats = DepthStats {
-            support: Vec::with_capacity(depths),
-            singletons_a: Vec::with_capacity(depths),
-            singletons_b: Vec::with_capacity(depths),
-        };
+    fn sorted_depth_stats(a: &[u64], b: &[u64], horizon: u32, bits_per_turn: u32) -> Vec<usize> {
+        let mut support_by_depth = Vec::with_capacity(horizon as usize + 1);
         for t in 0..=horizon {
             let bits = t * bits_per_turn;
             if bits == 0 {
-                let total = a.len() + b.len();
-                stats.support.push(usize::from(total > 0));
-                stats
-                    .singletons_a
-                    .push(usize::from(total == 1 && a.len() == 1));
-                stats
-                    .singletons_b
-                    .push(usize::from(total == 1 && b.len() == 1));
+                support_by_depth.push(usize::from(!a.is_empty() || !b.is_empty()));
                 continue;
             }
             let shift = 64 - bits;
             let group = |key: u64| key >> shift;
-            let (mut support, mut n1_a, mut n1_b) = (0usize, 0usize, 0usize);
+            let mut support = 0usize;
             let (mut i, mut j) = (0usize, 0usize);
             while i < a.len() || j < b.len() {
                 let g = match (a.get(i).map(|&k| group(k)), b.get(j).map(|&k| group(k))) {
@@ -494,27 +458,17 @@ mod tests {
                     (None, Some(y)) => y,
                     (None, None) => unreachable!("loop condition"),
                 };
-                let mut count_a = 0usize;
                 while i < a.len() && group(a[i]) == g {
-                    count_a += 1;
                     i += 1;
                 }
-                let mut count_b = 0usize;
                 while j < b.len() && group(b[j]) == g {
-                    count_b += 1;
                     j += 1;
                 }
                 support += 1;
-                if count_a + count_b == 1 {
-                    n1_a += count_a;
-                    n1_b += count_b;
-                }
             }
-            stats.support.push(support);
-            stats.singletons_a.push(n1_a);
-            stats.singletons_b.push(n1_b);
+            support_by_depth.push(support);
         }
-        stats
+        support_by_depth
     }
 
     /// Runs [`sampled_comparison_with`] on two product inputs.
@@ -536,8 +490,10 @@ mod tests {
     }
 
     fn support_seen(profile: &DepthProfile) -> usize {
-        match profile.provenance {
-            Provenance::Sampled { support_seen, .. } => support_seen,
+        match &profile.provenance {
+            Provenance::Sampled {
+                support_by_depth, ..
+            } => support_by_depth[profile.horizon as usize],
             Provenance::Exact => panic!("sampled run"),
         }
     }
@@ -581,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_stats_count_union_support_and_combined_singletons() {
+    fn depth_stats_count_union_support() {
         // 2-bit turns, horizon 2. Keys place turn t's message at bits
         // [64-2(t+1), 64-2t): build them by hand.
         let key = |t0: u64, t1: u64| (t0 << 62) | (t1 << 60);
@@ -590,37 +546,26 @@ mod tests {
         let mut b = vec![key(0, 1), key(2, 0)];
         a.sort_unstable();
         b.sort_unstable();
-        let stats = sorted_depth_stats(&a, &b, 2, 2);
-        assert_eq!(sorted_depth_profile(&a, &b, 1.0, 1.0, 2, 2).1, stats);
-        // Depth 0: one group, everything in it.
-        assert_eq!(stats.support, vec![1, 2, 3]);
-        // Depth 1 groups: 0 (count 2+1) and 2 (count 1+1) — no
-        // singletons. Depth 2: (0,1) has 2+1, (2,3) has 1+0 (an `a`
-        // singleton), (2,0) has 0+1 (a `b` singleton).
-        assert_eq!(stats.singletons_a, vec![0, 0, 1]);
-        assert_eq!(stats.singletons_b, vec![0, 0, 1]);
+        let support = sorted_depth_stats(&a, &b, 2, 2);
+        assert_eq!(sorted_depth_profile(&a, &b, 1.0, 1.0, 2, 2).1, support);
+        // Depth 0: one group, everything in it. Depth 1: groups 0 and 2.
+        // Depth 2: (0,1), (2,0) and (2,3).
+        assert_eq!(support, vec![1, 2, 3]);
         // The deepest support equals the full-key union.
-        assert_eq!(stats.support[2], naive_union_support(&a, &b));
+        assert_eq!(support[2], naive_union_support(&a, &b));
     }
 
     #[test]
     fn depth_stats_handle_empty_and_single_key_inputs() {
         let empty = sorted_depth_stats(&[], &[], 3, 1);
         assert_eq!(sorted_depth_profile(&[], &[], 1.0, 1.0, 3, 1).1, empty);
-        assert_eq!(empty.support, vec![0, 0, 0, 0]);
-        assert_eq!(empty.singletons_a, vec![0, 0, 0, 0]);
+        assert_eq!(empty, vec![0, 0, 0, 0]);
         let lone = sorted_depth_stats(&[1u64 << 63], &[], 1, 1);
         assert_eq!(
             sorted_depth_profile(&[1u64 << 63], &[], 1.0, 1.0, 1, 1).1,
             lone
         );
-        assert_eq!(lone.support, vec![1, 1]);
-        assert_eq!(
-            lone.singletons_a,
-            vec![1, 1],
-            "a lone key is a singleton even at depth 0"
-        );
-        assert_eq!(lone.singletons_b, vec![0, 0]);
+        assert_eq!(lone, vec![1, 1]);
     }
 
     #[test]
@@ -635,8 +580,9 @@ mod tests {
 
     #[test]
     fn noise_floor_is_clamped_to_the_tv_bound_on_all_distinct_draws() {
-        // Every draw distinct on both sides: support_seen = 2·samples, so
-        // the raw scale sqrt(2) would overstate the TV bound.
+        // Every draw distinct on both sides: the union support is
+        // 2·samples, so the raw scale sqrt(2) would overstate the TV
+        // bound.
         let p = FnProtocol::new(1, 16, 16, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::uniform(1, 16);
         let s = sampled_pair(&p, &a, &a, 8, 5);
@@ -661,15 +607,10 @@ mod tests {
         let (tv, _) = sorted_depth_profile(&a, &b, w, w, 2, 1);
         assert_eq!(tv, vec![0.0, 0.0, 1.0]);
         assert_eq!(sorted_depth_profile(&a, &a, w, w, 2, 1).0, vec![0.0; 3]);
-        // The deepest support (what `support_seen` reports) is the
-        // full-key union.
-        let deepest = |x: &[u64], y: &[u64]| {
-            *sorted_depth_profile(x, y, w, w, 2, 1)
-                .1
-                .support
-                .last()
-                .unwrap()
-        };
+        // The deepest support (the last entry of `support_by_depth`) is
+        // the full-key union.
+        let deepest =
+            |x: &[u64], y: &[u64]| *sorted_depth_profile(x, y, w, w, 2, 1).1.last().unwrap();
         assert_eq!(deepest(&a, &b), naive_union_support(&a, &b));
         assert_eq!(deepest(&a, &a), naive_union_support(&a, &a));
     }
@@ -1032,16 +973,16 @@ mod tests {
                 let b = prefix_keys(&mut rng, len_b, width, horizon, masked);
                 let weight_a = 1.0 / (members * len_a.max(1)) as f64;
                 let weight_b = 1.0 / len_b.max(1) as f64;
-                let (tv, stats) = sorted_depth_profile(&a, &b, weight_a, weight_b, horizon, width);
+                let (tv, support) = sorted_depth_profile(&a, &b, weight_a, weight_b, horizon, width);
                 prop_assert_eq!(tv.len(), horizon as usize + 1);
                 for (t, &got) in tv.iter().enumerate() {
                     let want = sorted_tv_at_depth(&a, &b, weight_a, weight_b, t as u32 * width);
                     prop_assert_eq!(got.to_bits(), want.to_bits(), "tv at depth {}", t);
                 }
-                prop_assert_eq!(stats, sorted_depth_stats(&a, &b, horizon, width));
+                prop_assert_eq!(&support, &sorted_depth_stats(&a, &b, horizon, width));
                 if masked {
                     prop_assert_eq!(
-                        stats.support[horizon as usize],
+                        support[horizon as usize],
                         naive_union_support(&a, &b)
                     );
                 }

@@ -72,21 +72,16 @@ fn sampled_wide_agrees_with_exact_up_to_the_node_budget_boundary() {
     }
 }
 
-/// The estimator matrix over the same boundary grid: the plug-in and the
-/// Good–Turing smoothed views of one sampled run must **each** land
-/// within their **own** depth-resolved noise floor of the exact walk, at
-/// every depth up to and including each width's boundary horizon — and
-/// the smoothed floor must never exceed the plug-in floor (it subtracts
-/// the singleton mass the plug-in floor charges for, and is clamped by
-/// the plug-in floor on saturated depths).
+/// The depth-resolved floors over the same boundary grid: the plug-in
+/// estimate must land within its **own** noise floor at each depth
+/// (`noise_floor_at`, not just the headline floor) of the exact walk, at
+/// every depth up to and including each width's boundary horizon — at a
+/// generous budget and at a starved one, where the deep floors saturate
+/// while shallow depths stay resolved.
 #[test]
-fn smoothed_and_plugin_estimates_both_agree_with_exact_within_their_own_floors() {
+fn plugin_estimates_agree_with_exact_within_their_depth_floors() {
     let grid: &[(u32, &[u32])] = &[(1, &[6, 12, 25]), (2, &[4, 8, 12]), (3, &[3, 5, 8])];
     let (members, baseline) = small_family();
-    let mut strictly_tighter = 0usize;
-    // A generous budget saturates every point (no singletons survive, so
-    // the two floors coincide); the starved budget is where Good–Turing
-    // earns its keep — singletons exist and the smoothed floor tightens.
     for &(w, horizons) in grid {
         for &t in horizons {
             for samples in [16_384usize, 96] {
@@ -94,40 +89,21 @@ fn smoothed_and_plugin_estimates_both_agree_with_exact_within_their_own_floors()
                 let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
                 let plugin = fixed_budget(samples, 0x5EED ^ u64::from(w * 31 + t))
                     .estimate_full(&p, &members, &baseline);
-                let smoothed = plugin.smoothed();
                 for depth in 0..=t {
                     let d = depth as usize;
-                    let plugin_floor = plugin.noise_floor_at(depth);
-                    let smoothed_floor = smoothed.noise_floor_at(depth);
+                    let floor = plugin.noise_floor_at(depth);
                     assert!(
-                    (plugin.mixture_tv_by_depth[d] - exact.mixture_tv_by_depth[d]).abs()
-                        <= plugin_floor,
-                    "(w {w}, T {t}) depth {depth}: plug-in {} vs exact {} beyond its floor {plugin_floor}",
-                    plugin.mixture_tv_by_depth[d],
-                    exact.mixture_tv_by_depth[d],
-                );
-                    assert!(
-                    (smoothed.mixture_tv_by_depth[d] - exact.mixture_tv_by_depth[d]).abs()
-                        <= smoothed_floor,
-                    "(w {w}, T {t}) depth {depth}: smoothed {} vs exact {} beyond its floor {smoothed_floor}",
-                    smoothed.mixture_tv_by_depth[d],
-                    exact.mixture_tv_by_depth[d],
-                );
-                    assert!(
-                    smoothed_floor <= plugin_floor + 1e-15,
-                    "(w {w}, T {t}) depth {depth}: smoothed floor {smoothed_floor} above plug-in {plugin_floor}"
-                );
-                    if smoothed_floor < plugin_floor - 1e-15 {
-                        strictly_tighter += 1;
-                    }
+                        (plugin.mixture_tv_by_depth[d] - exact.mixture_tv_by_depth[d]).abs()
+                            <= floor,
+                        "(w {w}, T {t}, {samples} samples) depth {depth}: plug-in {} vs exact {} \
+                         beyond its floor {floor}",
+                        plugin.mixture_tv_by_depth[d],
+                        exact.mixture_tv_by_depth[d],
+                    );
                 }
             }
         }
     }
-    assert!(
-        strictly_tighter > 0,
-        "somewhere on the matrix singletons must make the smoothed floor strictly tighter"
-    );
 }
 
 /// Past the boundary the exact engine refuses — and the sampled estimator

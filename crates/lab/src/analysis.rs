@@ -4,16 +4,16 @@
 //! fingerprinted. This module is the *derived* layer on top: it collapses
 //! the replication-seed axis per grid point `(n, k, rounds, bandwidth)`
 //! into a mean estimate with a 95% confidence half-width, and persists
-//! the table as `aggregates.json` next to the raw log (after sweeps, and
-//! after [`crate::merge_shards`]). The table carries the records'
+//! the table as `aggregates.json` next to the raw log after every
+//! persisted sweep. The table carries the records'
 //! [`records_fingerprint`], tying
 //! every derived number to the exact raw store it came from — a stale or
 //! hand-edited table is detectable, never authoritative.
 //!
 //! Everything here is deterministic: groups live in a `BTreeMap`, the
 //! seed axis is folded in canonical record order, and floats are written
-//! with Rust's shortest-round-trip `Display`. Merged shard stores hold
-//! byte-identical records, so they derive a byte-identical table.
+//! with Rust's shortest-round-trip `Display`. A resumed sweep holds
+//! byte-identical records, so it derives a byte-identical table.
 
 use std::collections::BTreeMap;
 use std::path::Path;

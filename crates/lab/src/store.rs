@@ -159,18 +159,17 @@ fn encode_record(r: &PointRecord) -> String {
 /// Serializes one record *without* its `wall_ms` field — the record's
 /// deterministic projection. Wall-clock per-point timing is the one
 /// field resume never reproduces, so anything that must compare runs
-/// bit-for-bit (the shard merge's fingerprint check, resume drills)
-/// compares these lines instead of raw log bytes.
+/// bit-for-bit (records fingerprints, resume drills) compares these
+/// lines instead of raw log bytes.
 pub fn encode_record_deterministic(r: &PointRecord) -> String {
     Value::object(deterministic_fields(r)).to_string()
 }
 
 /// FNV-1a (64-bit) over the records' deterministic projections
 /// ([`encode_record_deterministic`], newline-terminated) in the order
-/// given. Two runs of the same grid — one sweep or merged shard stores,
-/// resumed or one-shot — must produce equal fingerprints over their
-/// records in canonical `point_id` order; that equality is what
-/// [`crate::merge_shards`] has to preserve.
+/// given. Two runs of the same grid — resumed or one-shot, on any
+/// thread count — must produce equal fingerprints over their records in
+/// canonical `point_id` order.
 pub fn records_fingerprint<'a, I>(records: I) -> u64
 where
     I: IntoIterator<Item = &'a PointRecord>,
@@ -185,50 +184,6 @@ where
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Reads a run directory without opening it for append: the manifest
-/// fingerprint and every valid record by point id (torn or foreign
-/// lines are skipped, not healed — this is [`crate::merge_shards`]'s
-/// read-only view of a completed shard). `None` if the directory has no
-/// manifest.
-///
-/// # Panics
-///
-/// Panics on IO errors other than the files not existing.
-pub(crate) fn read_run_dir(dir: &Path) -> Option<(String, BTreeMap<usize, PointRecord>)> {
-    let manifest_path = dir.join("manifest.json");
-    if !manifest_path.exists() {
-        return None;
-    }
-    let mut manifest = String::new();
-    File::open(&manifest_path)
-        .and_then(|mut f| f.read_to_string(&mut manifest))
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", manifest_path.display()));
-    let log_path = dir.join("records.jsonl");
-    let records = if log_path.exists() {
-        let mut text = String::new();
-        File::open(&log_path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", log_path.display()));
-        parse_records(&text)
-    } else {
-        BTreeMap::new()
-    };
-    Some((manifest.trim().to_string(), records))
-}
-
-/// Makes `dir` a run directory holding exactly `records`: writes
-/// `manifest.json` and `records.jsonl` in the format [`RunStore`] uses.
-///
-/// # Panics
-///
-/// Panics on IO errors.
-pub(crate) fn write_run_dir(dir: &Path, manifest: &str, records: &[PointRecord]) {
-    let manifest_path = dir.join("manifest.json");
-    std::fs::write(&manifest_path, format!("{manifest}\n"))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", manifest_path.display()));
-    replace_log(dir, encode_log(records));
 }
 
 /// The record log holding `records`, one line each, in the order given.
@@ -389,7 +344,7 @@ mod tests {
         let decoded = decode_record(&line).expect("decodes");
         assert_eq!(decoded, truncated);
         // The deterministic projection carries them too: depth stats are
-        // part of what sharded runs must reproduce bitwise.
+        // part of what resumed runs must reproduce bitwise.
         assert_ne!(
             records_fingerprint([&legacy]),
             records_fingerprint([&truncated])

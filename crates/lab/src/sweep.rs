@@ -16,7 +16,6 @@
 //! a resume on a machine where that depth differs refuses instead of
 //! mixing records.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -99,22 +98,6 @@ impl Scenario {
 /// fingerprint, or if a record on disk carries parameters that disagree
 /// with the grid point of the same id (a corrupt or hand-edited log).
 pub fn run_sweep(scenario: &Scenario, dir: Option<&Path>) -> SweepResult {
-    let all: Vec<usize> = (0..scenario.grid().len()).collect();
-    run_sweep_subset(scenario, dir, &all)
-}
-
-/// Executes only the grid points whose ids appear in `ids` — how a
-/// shard of [`crate::cut_grid`] runs before [`crate::merge_shards`]. The
-/// full-grid [`run_sweep`] is the `ids = 0..grid.len()` case; everything
-/// else (manifest fingerprint check, torn-line healing, bit-for-bit
-/// resume) is identical, so a shard directory is just an ordinary run
-/// directory that happens to hold a contiguous slice of the grid. Records come back in canonical
-/// `point_id` order restricted to `ids`; duplicate ids collapse.
-///
-/// # Panics
-///
-/// As [`run_sweep`], and if an id is out of grid range.
-pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) -> SweepResult {
     // One registry per sweep. Points run on rayon workers, where the
     // caller's thread-local scope is invisible, so each point installs
     // this registry on its own worker thread for the duration of the
@@ -124,14 +107,6 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
     let _sweep_span = bcc_obs::Span::begin_for("lab.sweep", Some(registry.clone()));
 
     let points = scenario.grid().points();
-    let subset: BTreeSet<usize> = ids.iter().copied().collect();
-    for &id in ids {
-        assert!(
-            id < points.len(),
-            "subset id {id} beyond the {}-point grid",
-            points.len()
-        );
-    }
     let (store, existing, healed) = match dir {
         Some(dir) => {
             let (store, existing) = RunStore::open(dir, scenario);
@@ -145,11 +120,7 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
         bcc_obs::Class::Work,
         healed as u64,
     );
-    // Resumed = records already on disk for points this invocation was
-    // asked to run. A directory can legitimately hold records outside
-    // the subset (e.g. a canonical store reopened for one slice); those
-    // are validated below but neither counted nor returned.
-    let resumed = subset.iter().filter(|id| existing.contains_key(id)).count();
+    let resumed = existing.len();
     registry.add(
         "lab.store.resumed_records",
         bcc_obs::Class::Work,
@@ -171,7 +142,7 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
     let pending: Vec<(usize, crate::ScenarioPoint)> = points
         .iter()
         .enumerate()
-        .filter(|(id, _)| subset.contains(id) && !existing.contains_key(id))
+        .filter(|(id, _)| !existing.contains_key(id))
         .map(|(id, point)| (id, *point))
         .collect();
     let computed = pending.len();
@@ -193,15 +164,12 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
         pending.par_iter().map(one_point).collect()
     };
 
-    let mut by_id: std::collections::BTreeMap<usize, PointRecord> = existing
-        .into_iter()
-        .filter(|(id, _)| subset.contains(id))
-        .collect();
+    let mut by_id = existing;
     for record in fresh {
         by_id.insert(record.point_id, record);
     }
     let records: Vec<PointRecord> = by_id.into_values().collect();
-    debug_assert_eq!(records.len(), subset.len());
+    debug_assert_eq!(records.len(), points.len());
 
     drop(_sweep_span);
     let metrics = registry.snapshot();
@@ -209,9 +177,7 @@ pub fn run_sweep_subset(scenario: &Scenario, dir: Option<&Path>, ids: &[usize]) 
         let path = dir.join("metrics.json");
         std::fs::write(&path, metrics.to_json())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        // The derived layer rides next to the raw log. A shard directory
-        // gets a partial-grid table (its own slice); the canonical table
-        // is rewritten by the merge over the full record set.
+        // The derived layer rides next to the raw log.
         crate::analysis::write_aggregates(dir, scenario, &records);
     }
     // Persist any trace events this sweep contributed (no-op unless

@@ -1,10 +1,12 @@
 //! End-to-end tests of the sweep scheduler and the persisted-run
 //! lifecycle: spec → scheduler → JSONL → interruption → resume.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bcc_lab::{run_sweep, Scenario, Workload};
+use bcc_lab::{records_fingerprint, run_sweep, PointRecord, Scenario, Workload};
+use bcc_obs::{Class, Snapshot};
 
 /// A fresh directory under the system temp dir (no tempfile crate in the
 /// hermetic workspace); removed by the returned guard.
@@ -307,255 +309,115 @@ fn find_clique_and_throughput_sweeps_run_end_to_end() {
     assert!(throughput.records[0].estimate > 0.0);
 }
 
-/// Placement parity: a grid cut into shards, each run as a subset store,
-/// merges into a run directory bitwise equal to the single-process
-/// sweep's — whether the shards ran one after another or on threads, and
-/// after one of them was torn mid-line and healed.
-mod placement {
-    use std::collections::BTreeMap;
-    use std::ops::Range;
-    use std::path::Path;
-
-    use bcc_lab::{
-        cut_grid, merge_shards, records_fingerprint, run_sweep_subset, shard_dir, PointRecord,
-        Scenario,
-    };
-    use bcc_obs::{Class, Snapshot};
-
-    use super::{distance_scenario, scratch_dir, tear_into};
-
-    /// Runs shard `id` of `ranges` into its store under `base` and returns
-    /// the fingerprint the merge checks the store against.
-    fn run_shard(s: &Scenario, base: &Path, ranges: &[Range<usize>], id: usize) -> u64 {
-        let ids: Vec<usize> = ranges[id].clone().collect();
-        let result = run_sweep_subset(s, Some(&shard_dir(base, id)), &ids);
-        records_fingerprint(&result.records)
+/// Per-record bitwise comparison (sharper than the fingerprint alone
+/// when it fails): every field except the honest wall-clock one.
+fn assert_records_bitwise_equal(got: &[PointRecord], reference: &[PointRecord]) {
+    assert_eq!(records_fingerprint(got), records_fingerprint(reference));
+    assert_eq!(got.len(), reference.len());
+    for (g, r) in got.iter().zip(reference) {
+        assert_eq!(g.point_id, r.point_id);
+        assert_eq!(
+            g.estimate.to_bits(),
+            r.estimate.to_bits(),
+            "point {} estimate differs from the sweep run alone",
+            g.point_id
+        );
+        assert_eq!(g.noise_floor.to_bits(), r.noise_floor.to_bits());
+        assert_eq!(g.samples, r.samples);
+        assert_eq!(g.met_tolerance, r.met_tolerance);
+        assert_eq!(g.resolved_horizon, r.resolved_horizon);
+        assert_eq!(g.depth_floors, r.depth_floors);
+        assert_eq!(
+            (g.n, g.k, g.rounds, g.bandwidth, g.seed),
+            (r.n, r.k, r.rounds, r.bandwidth, r.seed)
+        );
     }
+}
 
-    /// Runs every shard, one after another or each on its own thread.
-    fn run_shards(s: &Scenario, base: &Path, ranges: &[Range<usize>], threaded: bool) -> Vec<u64> {
-        if !threaded {
-            return (0..ranges.len())
-                .map(|id| run_shard(s, base, ranges, id))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ranges.len())
-                .map(|id| scope.spawn(move || run_shard(s, base, ranges, id)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
+/// The deterministic work a snapshot records: every work counter and
+/// work-class series.
+fn work(snapshot: &Snapshot) -> BTreeMap<String, Vec<u64>> {
+    let counters = snapshot
+        .work
+        .iter()
+        .map(|(name, value)| (name.clone(), vec![*value]));
+    let series = snapshot
+        .series
+        .iter()
+        .filter(|(_, class, _)| *class == Class::Work)
+        .map(|(name, _, values)| (name.clone(), values.clone()));
+    counters.chain(series).collect()
+}
+
+/// The work vector a persisted sweep's `metrics.json` carries on disk.
+fn work_on_disk(dir: &Path) -> BTreeMap<String, Vec<u64>> {
+    let text = std::fs::read_to_string(dir.join("metrics.json")).expect("sweeps write metrics");
+    work(&Snapshot::from_json(&text).expect("metrics.json parses"))
+}
+
+#[test]
+fn concurrent_sweeps_each_count_their_own_work() {
+    // Two different distance scenarios: sampled rank points, and wide
+    // points routed to the exact walk (rounds 4) and to the sampler
+    // (rounds 13). Each sweep owns its registry, so running both at once
+    // must neither move a record bit nor credit one sweep's work to the
+    // other.
+    let rank = distance_scenario("concurrent-rank");
+    let wide = Scenario::builder("concurrent-wide")
+        .workload(Workload::WideMessagesSampled { members: 2 })
+        .n(&[1024])
+        .k(&[4])
+        .rounds(&[4, 13])
+        .bandwidth(&[2])
+        .seeds(&[1, 2])
+        .tolerance(0.25)
+        .initial_samples(128)
+        .max_samples(1 << 10)
+        .build();
+    let scenarios = [&rank, &wide];
+
+    let alone: Vec<_> = scenarios
+        .iter()
+        .map(|s| {
+            let (dir, guard) = scratch_dir("alone");
+            (s.sweep_in(&dir), dir, guard)
         })
-    }
-
-    /// Per-record bitwise comparison (sharper than the fingerprint alone
-    /// when it fails): every field except the honest wall-clock one.
-    fn assert_records_bitwise_equal(merged: &[PointRecord], reference: &[PointRecord]) {
-        assert_eq!(records_fingerprint(merged), records_fingerprint(reference));
-        assert_eq!(merged.len(), reference.len());
-        for (m, r) in merged.iter().zip(reference) {
-            assert_eq!(m.point_id, r.point_id);
-            assert_eq!(
-                m.estimate.to_bits(),
-                r.estimate.to_bits(),
-                "point {} estimate differs from the single-process run",
-                m.point_id
-            );
-            assert_eq!(m.noise_floor.to_bits(), r.noise_floor.to_bits());
-            assert_eq!(m.samples, r.samples);
-            assert_eq!(m.met_tolerance, r.met_tolerance);
-            assert_eq!(m.resolved_horizon, r.resolved_horizon);
-            assert_eq!(m.depth_floors, r.depth_floors);
-            assert_eq!(
-                (m.n, m.k, m.rounds, m.bandwidth, m.seed),
-                (r.n, r.k, r.rounds, r.bandwidth, r.seed)
-            );
-        }
-    }
-
-    /// The deterministic work a snapshot records: every work counter and
-    /// work-class series.
-    fn work(snapshot: &Snapshot) -> BTreeMap<String, Vec<u64>> {
-        let counters = snapshot
-            .work
+        .collect();
+    // Both sweeps leave the barrier together, so their points overlap.
+    let start = std::sync::Barrier::new(scenarios.len());
+    let together: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = scenarios
             .iter()
-            .map(|(name, value)| (name.clone(), vec![*value]));
-        let series = snapshot
-            .series
-            .iter()
-            .filter(|(_, class, _)| *class == Class::Work)
-            .map(|(name, _, values)| (name.clone(), values.clone()));
-        counters.chain(series).collect()
-    }
+            .map(|&s| {
+                let start = &start;
+                scope.spawn(move || {
+                    let (dir, guard) = scratch_dir("together");
+                    start.wait();
+                    (s.sweep_in(&dir), dir, guard)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep thread panicked"))
+            .collect()
+    });
+    assert_ne!(
+        work(&alone[0].0.metrics),
+        work(&alone[1].0.metrics),
+        "the two scenarios must do different work for the check to bite"
+    );
 
-    fn assert_placement_parity(threaded: bool) {
-        let s = distance_scenario(if threaded {
-            "placement-threads"
-        } else {
-            "placement-serial"
-        });
-        let reference = s.sweep_ephemeral();
-
-        let (base, _guard) = scratch_dir("placement");
-        let ranges = cut_grid(s.grid().len(), 3);
-        let reported = run_shards(&s, &base, &ranges, threaded);
-        let merged = merge_shards(&s, &base, &ranges, &reported);
-        assert_records_bitwise_equal(&merged, &reference.records);
-
-        // The merged metrics.json, read back from disk, reconciles with
-        // the single sweep's: every point's work was counted exactly once.
-        let text =
-            std::fs::read_to_string(base.join("metrics.json")).expect("merge writes metrics");
-        let metrics = Snapshot::from_json(&text).expect("merged metrics parse");
-        let merged_work = work(&metrics);
+    for ((reference, reference_dir, _), (result, dir, _)) in alone.iter().zip(&together) {
+        assert_records_bitwise_equal(&result.records, &reference.records);
+        let expected = work(&reference.metrics);
         assert!(
-            merged_work.contains_key("lab.points_computed")
-                && merged_work.contains_key("exec.runs"),
-            "the reconciliation must cover the sweep's own work counters"
+            expected.contains_key("lab.points_computed") && expected.contains_key("exec.runs"),
+            "the comparison must cover the sweep's own work counters"
         );
-        assert_eq!(merged_work, work(&reference.metrics));
-
-        // The merged directory is an ordinary run directory: re-running
-        // the scenario over it resumes every point and computes none.
-        let rerun = s.sweep_in(&base);
-        assert_eq!(rerun.resumed, s.grid().len());
-        assert_eq!(rerun.computed, 0);
-        assert_records_bitwise_equal(&rerun.records, &reference.records);
-    }
-
-    #[test]
-    fn shards_run_in_sequence_merge_to_the_single_process_sweep() {
-        assert_placement_parity(false);
-    }
-
-    #[test]
-    fn shards_run_on_threads_merge_to_the_single_process_sweep() {
-        assert_placement_parity(true);
-    }
-
-    #[test]
-    fn merged_aggregates_table_is_bitwise_the_single_process_sweeps() {
-        let s = distance_scenario("placement-aggregates");
-        let (single, _single_guard) = scratch_dir("placement-single");
-        let _ = s.sweep_in(&single);
-        let reference = std::fs::read_to_string(single.join("aggregates.json"))
-            .expect("sweep writes aggregates");
-
-        let (base, _guard) = scratch_dir("placement-merged");
-        let ranges = cut_grid(s.grid().len(), 3);
-        let reported = run_shards(&s, &base, &ranges, false);
-        for id in 0..ranges.len() {
-            // Each shard directory carries its own partial-grid table.
-            assert!(shard_dir(&base, id).join("aggregates.json").exists());
-        }
-        let merged_records = merge_shards(&s, &base, &ranges, &reported);
-        let merged =
-            std::fs::read_to_string(base.join("aggregates.json")).expect("merge writes aggregates");
-        assert_eq!(merged, reference, "derived tables must match byte for byte");
-        assert!(
-            merged.contains(&format!("{:016x}", records_fingerprint(&merged_records))),
-            "the table is tied to the canonical records fingerprint"
-        );
-    }
-
-    #[test]
-    fn a_torn_shard_store_heals_and_still_merges_bitwise() {
-        let s = distance_scenario("placement-heal");
-        let reference = s.sweep_ephemeral();
-
-        let (base, _guard) = scratch_dir("placement-heal");
-        let ranges = cut_grid(s.grid().len(), 3);
-        let mut reported = run_shards(&s, &base, &ranges, false);
-
-        // Shard 0 dies mid-append: one record flushed, the next torn.
-        let (intact, _intact_guard) = scratch_dir("placement-intact");
-        std::fs::rename(shard_dir(&base, 0), &intact).unwrap();
-        tear_into(&intact, &shard_dir(&base, 0), 1);
-
-        let ids: Vec<usize> = ranges[0].clone().collect();
-        let rerun = run_sweep_subset(&s, Some(&shard_dir(&base, 0)), &ids);
-        assert!(rerun.healed >= 1, "the torn line must be healed");
-        assert!(
-            rerun.resumed >= 1,
-            "the flushed record must resume, not recompute"
-        );
-        reported[0] = records_fingerprint(&rerun.records);
-
-        let merged = merge_shards(&s, &base, &ranges, &reported);
-        assert_records_bitwise_equal(&merged, &reference.records);
-    }
-
-    #[test]
-    #[should_panic(expected = "belongs to a different scenario")]
-    fn merge_refuses_a_shard_store_from_a_different_scenario() {
-        let ours = distance_scenario("merge-ours");
-        let foreign = distance_scenario("merge-foreign");
-        let (base, _guard) = scratch_dir("merge-foreign");
-        let ranges = cut_grid(ours.grid().len(), 2);
-        let reported = run_shards(&foreign, &base, &ranges, false);
-        let _ = merge_shards(&ours, &base, &ranges, &reported);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not cover exactly")]
-    fn merge_refuses_an_incomplete_shard_store() {
-        let s = distance_scenario("merge-short");
-        let (base, _guard) = scratch_dir("merge-short");
-        let ranges = cut_grid(s.grid().len(), 2);
-        // Shard 1 is one point short of its range.
-        let short = [ranges[0].clone(), ranges[1].start..ranges[1].end - 1];
-        let reported = run_shards(&s, &base, &short, false);
-        let _ = merge_shards(&s, &base, &ranges, &reported);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker reported")]
-    fn merge_refuses_a_store_that_disagrees_with_the_reported_fingerprint() {
-        let s = distance_scenario("merge-tamper");
-        let (base, _guard) = scratch_dir("merge-tamper");
-        let ranges = cut_grid(s.grid().len(), 2);
-        let mut reported = run_shards(&s, &base, &ranges, false);
-        reported[1] ^= 1;
-        let _ = merge_shards(&s, &base, &ranges, &reported);
-    }
-
-    #[test]
-    fn cut_covers_exactly_and_balances() {
-        for grid_len in 1..40 {
-            for shards in 1..10 {
-                let ranges = cut_grid(grid_len, shards);
-                assert_eq!(ranges.len(), shards.min(grid_len));
-                let mut expect = 0;
-                for range in &ranges {
-                    assert_eq!(range.start, expect, "gap or overlap at shard start");
-                    assert!(!range.is_empty(), "empty shard");
-                    expect = range.end;
-                }
-                assert_eq!(expect, grid_len, "the cut does not cover the grid");
-                let lens = ranges.iter().map(Range::len);
-                let (min, max) = (lens.clone().min().unwrap(), lens.max().unwrap());
-                assert!(max - min <= 1, "unbalanced: {ranges:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn larger_shards_come_first() {
-        assert_eq!(cut_grid(10, 4), vec![0..3, 3..6, 6..8, 8..10]);
-    }
-
-    #[test]
-    fn shard_dirs_are_stable_names() {
-        let base = Path::new("target/lab/run");
-        assert_eq!(shard_dir(base, 3), Path::new("target/lab/run/shard-3"));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty grid")]
-    fn empty_grids_rejected() {
-        let _ = cut_grid(0, 2);
+        assert_eq!(work(&result.metrics), expected);
+        assert_eq!(work_on_disk(dir), expected);
+        assert_eq!(work_on_disk(reference_dir), expected);
     }
 }
 

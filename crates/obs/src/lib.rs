@@ -47,10 +47,8 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod merge;
+pub mod read;
 pub mod trace;
-
-pub use merge::merge_snapshots;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

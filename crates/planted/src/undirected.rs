@@ -199,11 +199,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x601D);
         let proto = degree_threshold(8, 1, 4);
         let cmp = sampled_experiment(&proto, 8, 6, 4_000, &mut rng);
-        let Provenance::Sampled { support_seen, .. } = cmp.provenance else {
+        let Provenance::Sampled {
+            ref support_by_depth,
+            ..
+        } = cmp.provenance
+        else {
             panic!("sampled run");
         };
         assert_eq!(cmp.tv().to_bits(), 4605209842163229122);
         assert_eq!(cmp.noise_floor().to_bits(), 4598228942315338354);
-        assert_eq!(support_seen, 256);
+        assert_eq!(support_by_depth.last(), Some(&256));
     }
 }

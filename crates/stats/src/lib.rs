@@ -15,10 +15,7 @@
 //!   the function families the lemma experiments evaluate (majority,
 //!   threshold, parity, dictator, random);
 //! * [`sampling`] — a running mean with its Hoeffding confidence radius,
-//!   and value histograms, for the Monte-Carlo side of the experiments;
-//! * [`smoothing`] — Good–Turing missing-mass correction for plug-in TV
-//!   estimates: singleton counts identify the unresolved mass, and the
-//!   smoothed estimator subtracts exactly the inflation it causes.
+//!   and value histograms, for the Monte-Carlo side of the experiments.
 
 #![forbid(unsafe_code)]
 
@@ -28,8 +25,6 @@ pub mod dist;
 pub mod fourier;
 pub mod info;
 pub mod sampling;
-pub mod smoothing;
 
 pub use boolfn::TruthTable;
 pub use dist::{tv_bernoulli, Dist};
-pub use smoothing::TvEstimator;
