@@ -25,7 +25,8 @@
 //! with `BCC_BENCH_WALK_OUT`), so the perf trajectory of the walk has
 //! machine-readable data from change to change (schema
 //! `bcc-bench-walk/v4`). `--smoke` shrinks the workloads for CI but
-//! still exercises every scenario and writes the file.
+//! still exercises every scenario and writes the file. Every row runs on
+//! a one-thread rayon pool, so the walk timings are single-thread costs.
 
 use std::time::Instant;
 
@@ -33,8 +34,8 @@ use bcc_bench::{banner, f, print_table};
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
 use bcc_core::{
-    exact_mixture_comparison_reference, radix_sort_u64, Estimator, ExactEstimator, ExecMode,
-    ProductInput, RowSupport,
+    exact_mixture_comparison_reference, radix_sort_u64, Estimator, ExactEstimator, ProductInput,
+    RowSupport,
 };
 use bcc_f2::kernel::{self, WordKernel};
 use bcc_f2::{BitVec, ConsistentSet};
@@ -207,6 +208,14 @@ fn write_json(
 }
 
 fn main() {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build the one-thread pool")
+        .install(run);
+}
+
+fn run() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--test");
     banner(
         "E20 (extension): exact-walk hot path",
@@ -224,17 +233,16 @@ fn main() {
         (input & mask).count_ones() % 2 == 1
     });
     let seed_bit = measure("bit_walk/seed", 3, budget, || {
-        exact_mixture_comparison_reference(&proto, &members, &baseline, ExecMode::Sequential)
+        exact_mixture_comparison_reference(&proto, &members, &baseline)
     });
     let new_bit = measure("bit_walk/overhauled", 3, budget, || {
-        ExactEstimator::sequential().estimate_full(&proto, &members, &baseline)
+        ExactEstimator::default().estimate_full(&proto, &members, &baseline)
     });
     // Sanity: the walks must agree exactly before their times mean
     // anything.
     {
-        let a =
-            exact_mixture_comparison_reference(&proto, &members, &baseline, ExecMode::Sequential);
-        let b = ExactEstimator::sequential().estimate_full(&proto, &members, &baseline);
+        let a = exact_mixture_comparison_reference(&proto, &members, &baseline);
+        let b = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
     }
     let partition_speedup = seed_bit.ns_per_iter / new_bit.ns_per_iter;
@@ -246,10 +254,10 @@ fn main() {
         ((input & mask).count_ones() % 2) as u64 * 2 + ((input >> tr.len()) & 1)
     });
     let seed_wide = measure("wide_walk/seed", 3, budget, || {
-        exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline, ExecMode::Sequential)
+        exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline)
     });
     let new_wide = measure("wide_walk/overhauled", 3, budget, || {
-        ExactEstimator::sequential().estimate_full(&wproto, &wmembers, &wbaseline)
+        ExactEstimator::default().estimate_full(&wproto, &wmembers, &wbaseline)
     });
     let wide_speedup = seed_wide.ns_per_iter / new_wide.ns_per_iter;
 
@@ -345,7 +353,7 @@ fn main() {
     let ha = ProductInput::new(vec![RowSupport::explicit(hbits, (0..16).collect())]);
     let hbase = ProductInput::uniform(1, hbits);
     let huge = measure("huge_support/overhauled_only", 1, budget, || {
-        ExactEstimator::sequential().estimate_pair(&hproto, &ha, &hbase)
+        ExactEstimator::default().estimate_pair(&hproto, &ha, &hbase)
     });
     // What the dense representation would pay per node regardless of
     // occupancy: words touched across the full live tree.
@@ -398,7 +406,7 @@ fn main() {
     let work_registry = bcc_obs::Registry::new();
     {
         let _scope = work_registry.install();
-        let _ = ExactEstimator::sequential().estimate_full(&proto, &members, &baseline);
+        let _ = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
         let mut keys = radix_keys.clone();
         radix_sort_u64(&mut keys);
         std::hint::black_box(keys);

@@ -33,12 +33,12 @@
 //! The walk itself — alive-set state, label planes, the pooled
 //! zero-allocation workspace, the frontier cut at the adaptive
 //! [`crate::walk::adaptive_split_depth`], the deterministic
-//! in-frontier-order reduction that makes [`ExecMode::Parallel`] bitwise
-//! identical to [`ExecMode::Sequential`] — lives in [`crate::walk`],
+//! in-frontier-order reduction that makes every pool size cutting the
+//! same frontier bitwise identical — lives in [`crate::walk`],
 //! which queries the protocol's [`WideTurnProtocol::message`] directly;
 //! the node budget it is priced against lives in [`crate::wide`].
 //! The walk's front door is [`crate::exec::ExactEstimator`], which runs
-//! it in the chosen [`ExecMode`] and returns a [`DepthProfile`] tagged
+//! it on the current rayon pool and returns a [`DepthProfile`] tagged
 //! [`Provenance::Exact`] — built by this module's `assemble`, the one
 //! place a walk becomes a result. The seed implementation is retained
 //! behind [`exact_mixture_comparison_reference`] as a
@@ -51,7 +51,7 @@ use crate::input::ProductInput;
 use crate::walk::{reference, WalkOutcome};
 use crate::wide::validate_budget;
 
-pub use crate::walk::{ExecMode, FRACTION_THRESHOLDS, SPLIT_DEPTH};
+pub use crate::walk::{FRACTION_THRESHOLDS, SPLIT_DEPTH};
 
 /// Per-turn statistics of the speaker's consistent input set `D_p^{(t)}`,
 /// measured under the *baseline* transcript distribution.
@@ -91,10 +91,9 @@ pub fn exact_mixture_comparison_reference<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
-    mode: ExecMode,
 ) -> DepthProfile {
     validate_budget(protocol);
-    let acc = reference::exact_walk(protocol, members, baseline, mode);
+    let acc = reference::exact_walk(protocol, members, baseline);
     assemble(protocol, acc)
 }
 
@@ -315,12 +314,7 @@ mod tests {
             RowSupport::uniform(2),
         ]);
         let b = uniform(2, 2);
-        let seed = exact_mixture_comparison_reference(
-            &p,
-            std::slice::from_ref(&a),
-            &b,
-            ExecMode::Sequential,
-        );
+        let seed = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &b);
         assert!(seed.is_exact());
         assert_eq!(seed.noise_floor(), 0.0);
         assert_eq!(seed.speaker_stats.len(), 4);

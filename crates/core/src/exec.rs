@@ -8,8 +8,8 @@
 //! ([`crate::engine`]), the Monte-Carlo sampler ([`crate::sample`]) and
 //! ad-hoc replay loops by hand:
 //!
-//! * [`ExactEstimator`] — the engine's exact walk, parallel by default
-//!   (subtree fan-out over rayon, deterministic reduction), refused past
+//! * [`ExactEstimator`] — the engine's exact walk (subtree fan-out over
+//!   the rayon pool, deterministic reduction), refused past
 //!   the node budget [`crate::wide::MAX_WIDE_NODES`];
 //! * [`AdaptiveEstimator`] — seeded Monte-Carlo over sorted packed-`u64`
 //!   prefix keys (`w` bits per turn), with a budget that grows in batches
@@ -55,8 +55,6 @@ use crate::sample::{
 };
 use crate::walk::exact_walk;
 use crate::wide::validate_budget;
-
-pub use crate::engine::ExecMode;
 
 /// Derives the seed of an independent child stream from a root seed and a
 /// stream index (a SplitMix64 step and finalizer).
@@ -294,6 +292,11 @@ impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for Truncated<'_, P> {
 /// per-turn progress increments that Lemma-format inequalities bound.
 /// [`Estimator::estimate_pair`] covers the two-distribution case.
 ///
+/// The estimator has no fields; build it with
+/// `ExactEstimator::default()`. The walk fans out over the current rayon
+/// pool, and every pool size that cuts the same frontier
+/// ([`crate::walk::adaptive_split_depth`]) returns the same bits.
+///
 /// # Panics
 ///
 /// Besides the [`Estimator::estimate`] conditions, panics if the
@@ -301,27 +304,7 @@ impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for Truncated<'_, P> {
 /// tree to `horizon` could exceed [`crate::wide::MAX_WIDE_NODES`]
 /// (`2^26`) nodes — at width 1, a horizon above 25 turns.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ExactEstimator {
-    /// How subtree tasks execute; [`ExecMode::Parallel`] by default.
-    pub mode: ExecMode,
-}
-
-impl ExactEstimator {
-    /// An estimator running subtree tasks on the rayon pool.
-    pub fn parallel() -> Self {
-        ExactEstimator {
-            mode: ExecMode::Parallel,
-        }
-    }
-
-    /// An estimator running everything on the calling thread. Bitwise
-    /// equal to [`ExactEstimator::parallel`] results, only slower.
-    pub fn sequential() -> Self {
-        ExactEstimator {
-            mode: ExecMode::Sequential,
-        }
-    }
-}
+pub struct ExactEstimator {}
 
 impl Estimator for ExactEstimator {
     fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
@@ -341,10 +324,7 @@ impl Estimator for ExactEstimator {
             horizon,
         };
         validate_budget(&truncated);
-        assemble(
-            &truncated,
-            exact_walk(&truncated, members, baseline, self.mode),
-        )
+        assemble(&truncated, exact_walk(&truncated, members, baseline))
     }
 }
 
@@ -448,8 +428,8 @@ pub struct AdaptiveReport {
 /// bits). Side `i` of the comparison (the baseline is side 0, member `i`
 /// is side `i + 1`) draws from the independent ChaCha stream seeded by
 /// [`derive_seed`]`(seed, i)`, so sides can be sampled in any order —
-/// which is what lets [`ExecMode::Parallel`] fan them out over rayon while
-/// staying bitwise identical to the sequential run.
+/// which is what lets them fan out over the rayon pool while staying
+/// bitwise identical at every pool size.
 ///
 /// Samples in seeded batches of geometrically growing budget — starting
 /// at `initial_samples`, at least doubling each batch, and jumping
@@ -487,8 +467,6 @@ pub struct AdaptiveEstimator {
     pub max_samples_per_side: usize,
     /// The root seed shared by every batch.
     pub seed: u64,
-    /// How per-side sampling executes within each batch.
-    pub mode: ExecMode,
     /// When set, the stopping rule and budget projection target the
     /// deepest **resolvable** prefix instead of the full horizon: the
     /// run stops once [`DepthProfile::noise_floor_at`] meets the
@@ -527,7 +505,6 @@ impl AdaptiveEstimator {
             initial_samples,
             max_samples_per_side,
             seed,
-            mode: ExecMode::Parallel,
             truncated_target: false,
         }
     }
@@ -652,10 +629,7 @@ impl AdaptiveEstimator {
                 sampler.extend(protocol, delta);
                 sampler
             };
-            sides = match self.mode {
-                ExecMode::Parallel => sides.into_par_iter().map(extend).collect(),
-                ExecMode::Sequential => sides.into_iter().map(extend).collect(),
-            };
+            sides = sides.into_par_iter().map(extend).collect();
             drawn = samples;
 
             // Fold this batch's member chunks (already sorted by the side
@@ -836,6 +810,15 @@ mod tests {
         AdaptiveEstimator::new(0.0, samples, samples, seed)
     }
 
+    /// Runs `f` on a rayon pool of `threads` workers.
+    fn pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build the rayon pool")
+            .install(f)
+    }
+
     fn family() -> (Vec<ProductInput>, ProductInput) {
         let members = vec![
             ProductInput::new(vec![
@@ -937,12 +920,8 @@ mod tests {
     fn sampled_parallel_matches_sequential_bitwise() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let par = fixed(4_000, 9).estimate_full(&p, &members, &baseline);
-        let seq = AdaptiveEstimator {
-            mode: ExecMode::Sequential,
-            ..fixed(4_000, 9)
-        }
-        .estimate_full(&p, &members, &baseline);
+        let run = || fixed(4_000, 9).estimate_full(&p, &members, &baseline);
+        let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1239,13 +1218,9 @@ mod tests {
     fn adaptive_incremental_parallel_matches_sequential_bitwise() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let par = AdaptiveEstimator::new(1e-9, 50, 1600, 21);
-        let seq = AdaptiveEstimator {
-            mode: ExecMode::Sequential,
-            ..par
-        };
-        let (pp, rp) = par.estimate_with_report(&p, &members, &baseline, 6);
-        let (sp, rs) = seq.estimate_with_report(&p, &members, &baseline, 6);
+        let est = AdaptiveEstimator::new(1e-9, 50, 1600, 21);
+        let run = || est.estimate_with_report(&p, &members, &baseline, 6);
+        let ((pp, rp), (sp, rs)) = (pool(4, run), pool(1, run));
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -1312,12 +1287,8 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 3, 5, |_, input, tr| (input >> (tr.len() % 2)) & 0b111);
         let (members, baseline) = family();
-        let par = fixed(4_000, 9).estimate_full(&p, &members, &baseline);
-        let seq = AdaptiveEstimator {
-            mode: ExecMode::Sequential,
-            ..fixed(4_000, 9)
-        }
-        .estimate_full(&p, &members, &baseline);
+        let run = || fixed(4_000, 9).estimate_full(&p, &members, &baseline);
+        let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -1403,13 +1374,9 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let par = AdaptiveEstimator::new(1e-9, 50, 1600, 21);
-        let seq = AdaptiveEstimator {
-            mode: ExecMode::Sequential,
-            ..par
-        };
-        let (pp, rp) = par.estimate_with_report(&p, &members, &baseline, 6);
-        let (sp, rs) = seq.estimate_with_report(&p, &members, &baseline, 6);
+        let est = AdaptiveEstimator::new(1e-9, 50, 1600, 21);
+        let run = || est.estimate_with_report(&p, &members, &baseline, 6);
+        let ((pp, rp), (sp, rs)) = (pool(4, run), pool(1, run));
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
             assert_eq!(

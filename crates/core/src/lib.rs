@@ -53,7 +53,7 @@ pub mod sample;
 pub mod walk;
 pub mod wide;
 
-pub use engine::{exact_mixture_comparison_reference, ExecMode};
+pub use engine::exact_mixture_comparison_reference;
 pub use exec::{
     derive_seed, AdaptiveEstimator, AdaptiveReport, DepthProfile, Estimator, ExactEstimator,
     Provenance,

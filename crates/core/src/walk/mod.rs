@@ -66,10 +66,10 @@
 //! spoken above the cut can differ from full, so only those are cloned
 //! per frontier node and each task reconstructs the rest. Floating-point accumulation order is
 //! therefore a function of the tree and the frontier depth alone, never
-//! of thread scheduling: [`ExecMode::Parallel`] and
-//! [`ExecMode::Sequential`] runs of the same walk return
-//! bitwise-identical results, a property pinned by the workspace's
-//! property tests at width 1 and above.
+//! of thread scheduling: runs of the same walk on pools of 1 and 4
+//! threads (which cut the same frontier) return bitwise-identical
+//! results, a property pinned by the workspace's property tests at
+//! width 1 and above.
 //!
 //! The frontier depth itself adapts to the rayon pool (see
 //! [`adaptive_split_depth`]): on a single-core machine it is exactly the
@@ -132,23 +132,11 @@ pub fn split_depth_for_threads(threads: usize, width: u32) -> u32 {
 /// [`split_depth_for_threads`] at [`rayon::current_num_threads`].
 ///
 /// The exact walk cuts its frontier at this depth for the protocol's
-/// width. Parallel and sequential runs inside one process always agree
-/// bitwise; to compare exact outputs across machines with different core
-/// counts, pin `RAYON_NUM_THREADS`.
+/// width. Runs on pools that map to the same depth always agree bitwise;
+/// to compare exact outputs across machines with different core counts,
+/// pin `RAYON_NUM_THREADS`.
 pub fn adaptive_split_depth(width: u32) -> u32 {
     split_depth_for_threads(rayon::current_num_threads(), width)
-}
-
-/// How an exact walk executes its subtree tasks. Both modes produce
-/// bitwise-identical results (see the module docs); `Sequential` exists
-/// for measuring parallel speedup and for pinning determinism in tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Fan subtree tasks out over the rayon thread pool.
-    #[default]
-    Parallel,
-    /// Run every subtree task on the calling thread, in frontier order.
-    Sequential,
 }
 
 /// The raw accumulators of one exact walk, before the engine assembles
@@ -211,7 +199,6 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
-    mode: ExecMode,
 ) -> WalkOutcome {
     assert!(!members.is_empty(), "need at least one family member");
     let n = protocol.n();
@@ -286,58 +273,51 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order
     // (and chunks are contiguous), so the reduction below adds task
-    // results in a schedule-independent order and the two modes agree
-    // bitwise. Parallel tasks are grouped into small contiguous chunks
-    // sharing one workspace each: pooled buffers warm once per chunk
-    // instead of once per task, while ~4 chunks per worker keep dynamic
-    // scheduling granular enough to absorb unbalanced subtrees.
-    let task_accs: Vec<WalkOutcome> = match mode {
-        ExecMode::Parallel => {
-            let workers = rayon::current_num_threads().max(1);
-            let chunk_len = frontier.len().div_ceil(workers * 4).max(1);
-            let chunks: Vec<Vec<SubtreeTask>> = {
-                let mut chunks = Vec::with_capacity(frontier.len().div_ceil(chunk_len));
-                let mut it = frontier.into_iter();
-                loop {
-                    let chunk: Vec<_> = it.by_ref().take(chunk_len).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    chunks.push(chunk);
-                }
-                chunks
-            };
-            let obs_ref = &obs;
-            chunks
-                .into_par_iter()
-                .map(|chunk| {
-                    // The run's scope on this thread takes the chunk's kernel words.
-                    let _scope = obs_ref.as_ref().map(bcc_obs::Registry::install);
-                    let _chunk_span = bcc_obs::Span::begin_for("walk.chunk", obs_ref.clone());
-                    let mut task_ws = Workspace::new(ctx.horizon);
-                    let outcomes = chunk
-                        .into_iter()
-                        .map(|task| run_task(&ctx, task, &mut task_ws))
-                        .collect::<Vec<_>>();
-                    if let Some(o) = obs_ref {
-                        task_ws.tally.flush(o);
-                    }
-                    outcomes
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
+    // results in a schedule-independent order and every pool size that
+    // cuts the same frontier agrees bitwise. Tasks are grouped into small
+    // contiguous chunks sharing one workspace each: pooled buffers warm
+    // once per chunk instead of once per task, while ~4 chunks per worker
+    // keep dynamic scheduling granular enough to absorb unbalanced
+    // subtrees.
+    let workers = rayon::current_num_threads().max(1);
+    let chunk_len = frontier.len().div_ceil(workers * 4).max(1);
+    let chunks: Vec<Vec<SubtreeTask>> = {
+        let mut chunks = Vec::with_capacity(frontier.len().div_ceil(chunk_len));
+        let mut it = frontier.into_iter();
+        loop {
+            let chunk: Vec<_> = it.by_ref().take(chunk_len).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            chunks.push(chunk);
         }
-        ExecMode::Sequential => frontier
-            .into_iter()
-            .map(|task| run_task(&ctx, task, &mut ws))
-            .collect(),
+        chunks
     };
+    let obs_ref = &obs;
+    let task_accs: Vec<WalkOutcome> = chunks
+        .into_par_iter()
+        .map(|chunk| {
+            // The run's scope on this thread takes the chunk's kernel words.
+            let _scope = obs_ref.as_ref().map(bcc_obs::Registry::install);
+            let _chunk_span = bcc_obs::Span::begin_for("walk.chunk", obs_ref.clone());
+            let mut task_ws = Workspace::new(ctx.horizon);
+            let outcomes = chunk
+                .into_iter()
+                .map(|task| run_task(&ctx, task, &mut task_ws))
+                .collect::<Vec<_>>();
+            if let Some(o) = obs_ref {
+                task_ws.tally.flush(o);
+            }
+            outcomes
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
+        .collect();
     for task_acc in &task_accs {
         acc.add(task_acc);
     }
-    // Phase-1 work, plus the sequential tasks' (which shared `ws`).
+    // Phase-1 work.
     if let Some(o) = &obs {
         ws.tally.flush(o);
     }
@@ -594,10 +574,10 @@ impl DepthScratch {
 /// Run-local deterministic work tally. Preallocated with the workspace
 /// so the steady-state recursion stays allocation-free (the
 /// `crates/core/tests/alloc.rs` pin), and flushed into the installed
-/// [`bcc_obs::Registry`] — if any — once per workspace use (per chunk
-/// in parallel mode), never per node. Every count is a pure function of
-/// the tree and the frontier depth, so totals agree across execution
-/// modes and thread counts at equal split depth.
+/// [`bcc_obs::Registry`] — if any — once per workspace use (the prefix
+/// walk's, then one per chunk), never per node. Every count is a pure
+/// function of the tree and the frontier depth, so totals agree across
+/// pool sizes at equal split depth.
 #[derive(Default)]
 struct WalkTally {
     /// Sum over internal nodes of the per-distribution live counts at

@@ -10,7 +10,7 @@
 //! allocation. It is deliberately kept simple and obviously correct;
 //! `crates/core/tests/prop.rs` pins [`super::exact_walk`] to be
 //! **bitwise identical** to [`exact_walk`] on random protocols and
-//! families, at width 1 and above and in both execution modes.
+//! families, at width 1 and above.
 //!
 //! The only change from the seed source is mechanical: the per-model
 //! `partition` method is gone, so this oracle queries
@@ -22,7 +22,7 @@ use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 use bcc_f2::BitVec;
 use rayon::prelude::*;
 
-use super::{adaptive_split_depth, ExecMode, WalkOutcome};
+use super::{adaptive_split_depth, WalkOutcome};
 use crate::input::ProductInput;
 
 /// Exact mixture-vs-baseline walk of `protocol` — the seed algorithm.
@@ -34,7 +34,6 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     members: &[ProductInput],
     baseline: &ProductInput,
-    mode: ExecMode,
 ) -> WalkOutcome {
     assert!(!members.is_empty(), "need at least one family member");
     let n = protocol.n();
@@ -83,22 +82,17 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order,
     // so the reduction below adds task results in a schedule-independent
-    // order and the two modes agree bitwise. Parallel tasks install the
-    // caller's scope, so their kernel words reach it as sequential ones do.
+    // order and every pool size that cuts the same frontier agrees
+    // bitwise. Tasks install the caller's scope, so their kernel words
+    // reach it from whichever worker ran them.
     let obs = bcc_obs::current();
-    let task_accs: Vec<WalkOutcome> = match mode {
-        ExecMode::Parallel => frontier
-            .into_par_iter()
-            .map(|task| {
-                let _scope = obs.as_ref().map(bcc_obs::Registry::install);
-                run_task(&ctx, task)
-            })
-            .collect(),
-        ExecMode::Sequential => frontier
-            .into_iter()
-            .map(|task| run_task(&ctx, task))
-            .collect(),
-    };
+    let task_accs: Vec<WalkOutcome> = frontier
+        .into_par_iter()
+        .map(|task| {
+            let _scope = obs.as_ref().map(bcc_obs::Registry::install);
+            run_task(&ctx, task)
+        })
+        .collect();
     for task_acc in &task_accs {
         acc.add(task_acc);
     }

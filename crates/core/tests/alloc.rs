@@ -22,11 +22,14 @@ use std::sync::Mutex;
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
 use bcc_core::{
-    exact_mixture_comparison_reference, sampled_comparison_with, AdaptiveEstimator, Estimator,
-    ExactEstimator, ExecMode, ProductInput, RowSupport,
+    exact_mixture_comparison_reference, sampled_comparison_with, Estimator, ExactEstimator,
+    ProductInput, RowSupport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
+use common::{fixed_budget, pool};
 
 struct CountingAlloc;
 
@@ -74,53 +77,57 @@ fn full_tree_walk(horizon: u32, reference: bool) -> f64 {
     let p = FnProtocol::new(1, 12, horizon, |_, input, tr| (input >> tr.len()) & 1 == 1);
     let a = ProductInput::uniform(1, 12);
     let b = ProductInput::uniform(1, 12);
-    // Sequential mode: thread spawning would blur the per-node count.
     let members = std::slice::from_ref(&a);
     if reference {
-        exact_mixture_comparison_reference(&p, members, &b, ExecMode::Sequential).tv()
+        exact_mixture_comparison_reference(&p, members, &b).tv()
     } else {
-        ExactEstimator::sequential()
+        ExactEstimator::default()
             .estimate_full(&p, members, &b)
             .tv()
     }
 }
 
+/// Runs one pin on a one-thread pool, serialized with the other pins of
+/// this binary. One thread keeps worker-thread spawns out of the count
+/// and pins the adaptive split depth — and with it the number of
+/// frontier-task snapshots — for both horizons whatever machine runs the
+/// test (a 33+-core host would otherwise give the depth-12 walk 256
+/// tasks and the depth-8 walk none).
+fn pinned(pin: impl FnOnce() + Send) {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    pool(1, pin);
+}
+
 #[test]
 fn steady_state_recursion_does_not_allocate_per_node() {
-    // Pin the pool so the adaptive split depth — and with it the number
-    // of frontier-task snapshots — is identical for both walks whatever
-    // machine runs the test (a 33+-core host would otherwise give the
-    // depth-12 walk 256 tasks and the depth-8 walk none). The vendored
-    // rayon reads this on every call, and this test owns its process.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    pinned(|| {
+        // Warm up once so lazily initialized runtime structures don't count.
+        let _ = full_tree_walk(8, false);
 
-    // Warm up once so lazily initialized runtime structures don't count.
-    let _ = full_tree_walk(8, false);
+        let (_, small) = allocations(|| full_tree_walk(8, false));
+        let (_, large) = allocations(|| full_tree_walk(12, false));
+        // 2^12 vs 2^8 leaves: 3840 extra internal+leaf nodes. A per-node
+        // allocation habit would show up thousands of times over; the
+        // pooled workspace only pays for four more recursion levels.
+        assert!(
+            large < small + 256,
+            "allocation count scaled with the tree: {small} at depth 8, {large} at depth 12"
+        );
 
-    let (_, small) = allocations(|| full_tree_walk(8, false));
-    let (_, large) = allocations(|| full_tree_walk(12, false));
-    // 2^12 vs 2^8 leaves: 3840 extra internal+leaf nodes. A per-node
-    // allocation habit would show up thousands of times over; the pooled
-    // workspace only pays for four more recursion levels.
-    assert!(
-        large < small + 256,
-        "allocation count scaled with the tree: {small} at depth 8, {large} at depth 12"
-    );
-
-    // The seed walk allocates fresh masks per node: the same growth
-    // must cost it thousands of allocations (sanity check that the
-    // instrumentation actually measures what we think it does).
-    let (_, seed_small) = allocations(|| full_tree_walk(8, true));
-    let (_, seed_large) = allocations(|| full_tree_walk(12, true));
-    assert!(
-        seed_large > seed_small + 4_000,
-        "seed walk expected to allocate per node: {seed_small} -> {seed_large}"
-    );
-    assert!(
-        large * 10 < seed_large,
-        "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
-    );
+        // The seed walk allocates fresh masks per node: the same growth
+        // must cost it thousands of allocations (sanity check that the
+        // instrumentation actually measures what we think it does).
+        let (_, seed_small) = allocations(|| full_tree_walk(8, true));
+        let (_, seed_large) = allocations(|| full_tree_walk(12, true));
+        assert!(
+            seed_large > seed_small + 4_000,
+            "seed walk expected to allocate per node: {seed_small} -> {seed_large}"
+        );
+        assert!(
+            large * 10 < seed_large,
+            "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
+        );
+    });
 }
 
 /// A full 4-ary tree: every turn broadcasts two fresh input bits of a
@@ -135,9 +142,9 @@ fn full_wide_tree_walk(horizon: u32, reference: bool) -> f64 {
     let b = ProductInput::uniform(1, 12);
     let members = std::slice::from_ref(&a);
     if reference {
-        exact_mixture_comparison_reference(&p, members, &b, ExecMode::Sequential).tv()
+        exact_mixture_comparison_reference(&p, members, &b).tv()
     } else {
-        ExactEstimator::sequential()
+        ExactEstimator::default()
             .estimate_full(&p, members, &b)
             .tv()
     }
@@ -145,37 +152,36 @@ fn full_wide_tree_walk(horizon: u32, reference: bool) -> f64 {
 
 #[test]
 fn steady_state_wide_recursion_does_not_allocate_per_node() {
-    // As above: pin the pool so both horizons cut the same frontier.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    pinned(|| {
+        let _ = full_wide_tree_walk(4, false);
 
-    let _ = full_wide_tree_walk(4, false);
+        let (_, small) = allocations(|| full_wide_tree_walk(4, false));
+        let (_, large) = allocations(|| full_wide_tree_walk(6, false));
+        // 4^6 vs 4^4 leaves: 5120 extra nodes, each splitting two sets
+        // into four children. The label-indexed tables and the child
+        // slots are pooled, so two more recursion levels cost only their
+        // own warm-up.
+        assert!(
+            large < small + 256,
+            "allocation count scaled with the tree: {small} at depth 4, {large} at depth 6"
+        );
 
-    let (_, small) = allocations(|| full_wide_tree_walk(4, false));
-    let (_, large) = allocations(|| full_wide_tree_walk(6, false));
-    // 4^6 vs 4^4 leaves: 5120 extra nodes, each splitting two sets into
-    // four children. The label-indexed tables and the child slots are
-    // pooled, so two more recursion levels cost only their own warm-up.
-    assert!(
-        large < small + 256,
-        "allocation count scaled with the tree: {small} at depth 4, {large} at depth 6"
-    );
-
-    let (_, seed_small) = allocations(|| full_wide_tree_walk(4, true));
-    let (_, seed_large) = allocations(|| full_wide_tree_walk(6, true));
-    assert!(
-        seed_large > seed_small + 4_000,
-        "seed walk expected to allocate per node: {seed_small} -> {seed_large}"
-    );
-    assert!(
-        large * 10 < seed_large,
-        "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
-    );
+        let (_, seed_small) = allocations(|| full_wide_tree_walk(4, true));
+        let (_, seed_large) = allocations(|| full_wide_tree_walk(6, true));
+        assert!(
+            seed_large > seed_small + 4_000,
+            "seed walk expected to allocate per node: {seed_small} -> {seed_large}"
+        );
+        assert!(
+            large * 10 < seed_large,
+            "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
+        );
+    });
 }
 
-/// A sequential sampled estimate of a width-2, 6-turn protocol over a
-/// two-member family (three sides), at a fixed `samples` per side: the
-/// adaptive estimator with initial budget = cap, so one batch.
+/// A sampled estimate of a width-2, 6-turn protocol over a two-member
+/// family (three sides), at a fixed `samples` per side: the adaptive
+/// estimator with initial budget = cap, so one batch.
 fn sampled_estimate(samples: usize) -> f64 {
     let p = FnWideProtocol::new(3, 4, 2, 6, |proc, input, tr| {
         ((input >> (tr.len() % 3)) ^ proc as u64 ^ tr.as_u64()) & 0b11
@@ -185,29 +191,27 @@ fn sampled_estimate(samples: usize) -> f64 {
         baseline.with_row(0, RowSupport::explicit(4, vec![1, 4, 7, 10, 13])),
         baseline.with_row(2, RowSupport::explicit(4, vec![0, 3, 5, 6, 9, 10, 12, 15])),
     ];
-    AdaptiveEstimator {
-        mode: ExecMode::Sequential,
-        ..AdaptiveEstimator::new(0.0, samples, samples, 7)
-    }
-    .estimate_full(&p, &members, &baseline)
-    .tv()
+    fixed_budget(samples, 7)
+        .estimate_full(&p, &members, &baseline)
+        .tv()
 }
 
 #[test]
 fn steady_state_sampler_does_not_allocate_per_transcript() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = sampled_estimate(1 << 10);
+    pinned(|| {
+        let _ = sampled_estimate(1 << 10);
 
-    let (_, small) = allocations(|| sampled_estimate(1 << 10));
-    let (_, large) = allocations(|| sampled_estimate(1 << 14));
-    // 15,360 more transcripts on each of three sides: one allocation per
-    // transcript would add 46,080. The per-side key, chunk and merge
-    // arrays, the radix scratch and the mixture are allocated once per
-    // batch, whatever the sample count.
-    assert!(
-        large < small + 64,
-        "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"
-    );
+        let (_, small) = allocations(|| sampled_estimate(1 << 10));
+        let (_, large) = allocations(|| sampled_estimate(1 << 14));
+        // 15,360 more transcripts on each of three sides: one allocation
+        // per transcript would add 46,080. The per-side key, chunk and
+        // merge arrays, the radix scratch and the mixture are allocated
+        // once per batch, whatever the sample count.
+        assert!(
+            large < small + 64,
+            "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"
+        );
+    });
 }
 
 /// The pair sampler on two product inputs of a width-2, 6-turn protocol,
@@ -231,15 +235,16 @@ fn sampled_pair(samples: usize) -> f64 {
 
 #[test]
 fn pair_sampler_does_not_allocate_per_transcript() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = sampled_pair(1 << 10);
+    pinned(|| {
+        let _ = sampled_pair(1 << 10);
 
-    let (_, small) = allocations(|| sampled_pair(1 << 10));
-    let (_, large) = allocations(|| sampled_pair(1 << 14));
-    // 15,360 more transcripts on each of two sides: one allocation per
-    // transcript would add 30,720.
-    assert!(
-        large < small + 64,
-        "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"
-    );
+        let (_, small) = allocations(|| sampled_pair(1 << 10));
+        let (_, large) = allocations(|| sampled_pair(1 << 14));
+        // 15,360 more transcripts on each of two sides: one allocation
+        // per transcript would add 30,720.
+        assert!(
+            large < small + 64,
+            "allocation count scaled with the samples: {small} at 2^10, {large} at 2^14"
+        );
+    });
 }

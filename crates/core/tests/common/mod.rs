@@ -1,7 +1,8 @@
 //! Helpers shared by the differential-style integration suites
-//! (`differential.rs`, `obs_differential.rs`, `prop.rs`): the seeded
-//! protocol constructions, the fixed-budget sampler and the bitwise
-//! profile comparison they pin against.
+//! (`differential.rs`, `obs_differential.rs`, `prop.rs`, `work.rs`,
+//! `alloc.rs`): the seeded protocol constructions, the fixed-budget
+//! sampler, the pool-size runner and the bitwise profile comparison they
+//! pin against.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
@@ -47,6 +48,17 @@ pub fn wide_protocol(
         }
         message
     })
+}
+
+/// Runs `f` on a rayon pool of `threads` workers. Pools of 1 and 4 cut
+/// the exact walk's frontier at the same depth
+/// (`split_depth_for_threads`), so their results must agree bitwise.
+pub fn pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("build the rayon pool")
+        .install(f)
 }
 
 /// A fixed budget of `samples` per side: the adaptive sampler with

@@ -8,21 +8,22 @@
 //! sampled estimator must agree with the exact walk within its own
 //! reported `noise_floor()`, and at width 1 a bit protocol (`FnProtocol`)
 //! must sample **bit for bit** as the same decision written as an
-//! `FnWideProtocol` at `w = 1`. Property tests add the
-//! structural invariants (parallel == sequential bitwise, a multi-batch
-//! run == one batch at its final budget, bitwise) over arbitrary supports
+//! `FnWideProtocol` at `w = 1`. Property tests add the structural
+//! invariants (a run on 4 threads == the run on 1, a multi-batch run ==
+//! one batch at its final budget, both bitwise) over arbitrary supports
 //! and `(width, horizon)` shapes, using the vendored proptest's
 //! `prop_filter` to generate exactly the shapes that pack into a `u64`.
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
-use bcc_core::ExecMode;
 use bcc_core::{wide_walk_nodes, ProductInput, RowSupport, MAX_WIDE_NODES};
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_profile_bitwise_eq, decision_bit, fixed_budget, small_family, wide_protocol};
+use common::{
+    assert_profile_bitwise_eq, decision_bit, fixed_budget, pool, small_family, wide_protocol,
+};
 
 /// The convergence contract: on seeded grids **inside** the exact node
 /// budget — up to and including the boundary horizon for each width — the
@@ -193,10 +194,8 @@ proptest! {
                 ])
             })
             .collect();
-        let est = fixed_budget(2_000, seed);
-        let par = est.estimate_full(&p, &members, &base);
-        let seq = AdaptiveEstimator { mode: ExecMode::Sequential, ..est }
-            .estimate_full(&p, &members, &base);
+        let run = || fixed_budget(2_000, seed).estimate_full(&p, &members, &base);
+        let (par, seq) = (pool(4, run), pool(1, run));
         for depth in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[depth].to_bits(),

@@ -8,16 +8,18 @@
 //!    the bare run. Counters only observe; they never steer.
 //! 2. **Determinism**: the *work-class* counters (nodes, live points,
 //!    sorted/merged keys, kernel words, …) are pure functions of the
-//!    task — equal across thread counts (at equal frontier split depth).
-//!    The rayon pool is process-wide, so the runner re-executes this
-//!    binary as one worker subprocess per thread count and compares
-//!    fingerprints of the full sorted counter set.
+//!    task — equal across pool sizes (at equal frontier split depth).
+//!    The suite runs in this process on rayon pools of 1 and 4 threads,
+//!    and both runs must give bitwise-identical profiles and equal full
+//!    sorted work-counter sets.
 
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
 use bcc_core::DepthProfile;
 
 mod common;
-use common::{assert_profile_bitwise_eq, decision_bit, fixed_budget, small_family, wide_protocol};
+use common::{
+    assert_profile_bitwise_eq, decision_bit, fixed_budget, pool, small_family, wide_protocol,
+};
 
 /// One run of every estimator family — exact and sampled, bit and wide,
 /// one batch and several — returning the profiles for bitwise
@@ -96,83 +98,31 @@ fn observability_is_bitwise_invisible() {
     let _ = std::fs::remove_file(&trace_path);
 }
 
-/// FNV-1a over the sorted `(name, value)` work-counter set.
-fn fingerprint_hash(fp: &[(String, u64)]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for (name, value) in fp {
-        for &b in name.as_bytes() {
-            mix(u64::from(b));
-        }
-        mix(*value);
-    }
-    h
-}
-
-/// Worker half: runs the suite under an installed registry
-/// and prints the work-counter fingerprint for the runner to compare.
-#[test]
-#[ignore = "worker spawned by work_counters_are_thread_invariant"]
-fn obs_fingerprint_worker() {
-    let registry = bcc_obs::Registry::new();
-    let scope = registry.install();
-    let _ = suite_profiles();
-    drop(scope);
-    let snap = registry.snapshot();
-    let fp = snap.work_fingerprint();
-    assert!(
-        snap.work_counter("walk.nodes") > 0,
-        "worker must observe walk work"
-    );
-    println!(
-        "OBS_WORK_FINGERPRINT {} {} {:016x}",
-        rayon::current_num_threads(),
-        fp.len(),
-        fingerprint_hash(&fp)
-    );
-}
-
-/// Runner half: `RAYON_NUM_THREADS ∈ {1, 4}` (both map to the same
-/// frontier split depth, see `split_depth_for_threads`); both workers'
-/// deterministic work fingerprints must be identical.
+/// Pools of 1 and 4 threads (both map to the same frontier split depth,
+/// see `split_depth_for_threads`) must give bitwise-identical profiles
+/// and equal sorted work-counter sets. The pool of 4 runs its fan-outs on
+/// worker threads whatever the host's core count.
 #[test]
 fn work_counters_are_thread_invariant() {
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut rows: Vec<(String, u64)> = Vec::new();
-    for threads in ["1", "4"] {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "obs_fingerprint_worker",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn fingerprint worker");
-        assert!(
-            out.status.success(),
-            "worker under RAYON_NUM_THREADS={threads} failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let at = stdout
-            .find("OBS_WORK_FINGERPRINT")
-            .unwrap_or_else(|| panic!("no fingerprint line in worker output:\n{stdout}"));
-        let mut parts = stdout[at..].split_whitespace().skip(1);
-        let got_threads = parts.next().expect("thread count").to_string();
-        let entries: usize = parts.next().expect("entry count").parse().expect("count");
-        let fp = u64::from_str_radix(parts.next().expect("fingerprint"), 16).expect("hex");
-        assert_eq!(got_threads, threads, "worker saw the requested pool size");
-        assert!(entries > 0, "fingerprint must cover counters");
-        rows.push((format!("{got_threads}t"), fp));
+    let observed = || {
+        let registry = bcc_obs::Registry::new();
+        let scope = registry.install();
+        let profiles = suite_profiles();
+        drop(scope);
+        (profiles, registry.snapshot())
+    };
+    let (one, one_snap) = pool(1, observed);
+    let (four, four_snap) = pool(4, observed);
+    for ((what, a), (_, b)) in one.iter().zip(&four) {
+        assert_profile_bitwise_eq(a, b, what);
     }
-    let first = rows[0].1;
     assert!(
-        rows.iter().all(|(_, fp)| *fp == first),
-        "work fingerprints must agree across thread counts: {rows:?}"
+        one_snap.work_counter("walk.nodes") > 0,
+        "the suite must observe walk work"
+    );
+    assert_eq!(
+        one_snap.work_fingerprint(),
+        four_snap.work_fingerprint(),
+        "work counters differ between 1 and 4 threads"
     );
 }

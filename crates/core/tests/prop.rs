@@ -4,14 +4,12 @@
 
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
-use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
-use bcc_core::{
-    exact_mixture_comparison_reference, DepthProfile, ExecMode, ProductInput, RowSupport,
-};
+use bcc_core::exec::{Estimator, ExactEstimator};
+use bcc_core::{exact_mixture_comparison_reference, DepthProfile, ProductInput, RowSupport};
 use proptest::prelude::*;
 
 mod common;
-use common::fixed_budget;
+use common::{fixed_budget, pool};
 
 /// Asserts two exact-walk results are **bitwise** identical — every f64
 /// of the profile, the per-member distances and the speaker statistics.
@@ -277,8 +275,8 @@ proptest! {
     ) {
         // The sampler's analogue of the exact-walk property below: with
         // every side on its own derived ChaCha stream, fanning family
-        // members out over rayon must be bitwise identical to the forced
-        // single-thread run — profile, members, provenance and all.
+        // members out over four threads must be bitwise identical to the
+        // one-thread run — profile, members, provenance and all.
         let p = protocol(2, 3, 8, seed);
         let members: Vec<ProductInput> = (0..6u64)
             .map(|i| {
@@ -289,10 +287,8 @@ proptest! {
                 ])
             })
             .collect();
-        let est = fixed_budget(2_000, seed);
-        let par = est.estimate_full(&p, &members, &base);
-        let seq = AdaptiveEstimator { mode: ExecMode::Sequential, ..est }
-            .estimate_full(&p, &members, &base);
+        let run = || fixed_budget(2_000, seed).estimate_full(&p, &members, &base);
+        let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -346,8 +342,8 @@ proptest! {
     ) {
         // The width-2 analogue of the width-1 property below: a
         // width-2, 8-turn walk cuts its frontier at depth 3 (SPLIT_DEPTH
-        // / w), so subtree tasks genuinely fan out, and the parallel run
-        // must be bitwise identical to the forced single-thread run.
+        // / w) on pools of 1 and 4 threads, so subtree tasks genuinely
+        // fan out, and the two runs must be bitwise identical.
         let p = wide_protocol(2, 4, 2, 8, seed);
         let members: Vec<ProductInput> = (0..6u64)
             .map(|i| {
@@ -358,8 +354,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
-        let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
+        let run = || ExactEstimator::default().estimate_full(&p, &members, &base);
+        let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -405,7 +401,7 @@ proptest! {
         });
         let members = vec![a, b];
         let bit = ExactEstimator::default().estimate_full(&bitp, &members, &base);
-        let wide = ExactEstimator::parallel().estimate_full(&widep, &members, &base);
+        let wide = ExactEstimator::default().estimate_full(&widep, &members, &base);
         prop_assert_eq!(bit.horizon, wide.horizon);
         for t in 0..bit.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -448,8 +444,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // An 8-member family over a 12-turn horizon: deep enough that the
-        // walk actually fans subtree tasks out over rayon. The parallel
-        // run must be bitwise identical to the forced single-thread run.
+        // walk actually fans subtree tasks out over rayon. The run on four
+        // threads must be bitwise identical to the run on one.
         let p = protocol(2, 4, 12, seed);
         let members: Vec<ProductInput> = (0..8u64)
             .map(|i| {
@@ -460,8 +456,8 @@ proptest! {
                 ])
             })
             .collect();
-        let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
-        let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
+        let run = || ExactEstimator::default().estimate_full(&p, &members, &base);
+        let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
                 par.mixture_tv_by_depth[t].to_bits(),
@@ -506,15 +502,12 @@ proptest! {
     ) {
         // The hot-path overhaul (label planes + pooled workspace + hybrid
         // sets) against the retained seed implementation, on arbitrary
-        // protocols and supports: every f64 must agree bit for bit, in
-        // both execution modes.
+        // protocols and supports: every f64 must agree bit for bit.
         let p = protocol(2, 3, 8, seed);
         let members = vec![a, b];
-        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
-            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
-            assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
-        }
+        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let old = exact_mixture_comparison_reference(&p, &members, &base);
+        assert_mixture_bitwise_eq(&new, &old, "walk vs seed");
     }
 
     #[test]
@@ -525,11 +518,9 @@ proptest! {
     ) {
         let p = wide_protocol(2, 4, 2, 6, seed);
         let members = vec![a];
-        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
-            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
-            assert_mixture_bitwise_eq(&new, &old, &format!("{mode:?}"));
-        }
+        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let old = exact_mixture_comparison_reference(&p, &members, &base);
+        assert_mixture_bitwise_eq(&new, &old, "wide walk vs seed");
     }
 
     #[test]
@@ -547,11 +538,9 @@ proptest! {
         let members: Vec<ProductInput> = (0..3)
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
-        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
-            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
-            assert_mixture_bitwise_eq(&new, &old, &format!("shared {mode:?}"));
-        }
+        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let old = exact_mixture_comparison_reference(&p, &members, &base);
+        assert_mixture_bitwise_eq(&new, &old, "shared");
     }
 
     #[test]
@@ -570,18 +559,16 @@ proptest! {
         let members: Vec<ProductInput> = (0..3)
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
-        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
-            let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
-            assert_mixture_bitwise_eq(&new, &old, &format!("shared w{width} {mode:?}"));
-        }
+        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let old = exact_mixture_comparison_reference(&p, &members, &base);
+        assert_mixture_bitwise_eq(&new, &old, &format!("shared w{width}"));
     }
 }
 
 /// The acceptance-scale case, deliberately outside the proptest loop: a
 /// `BCAST(2)` walk over 2048 processors (every row materialized, sharing
 /// one support allocation) must cut its frontier, fan subtree tasks out,
-/// and agree bitwise across execution modes.
+/// and agree bitwise on pools of 1 and 4 threads.
 #[test]
 fn wide_walk_with_thousands_of_processors_is_bitwise_deterministic() {
     let n = 2048;
@@ -591,8 +578,8 @@ fn wide_walk_with_thousands_of_processors_is_bitwise_deterministic() {
         ProductInput::repeated(RowSupport::explicit(3, vec![1, 3, 4, 6, 7]), n),
     ];
     let base = ProductInput::uniform(n, 3);
-    let par = ExactEstimator::parallel().estimate_full(&p, &members, &base);
-    let seq = ExactEstimator::sequential().estimate_full(&p, &members, &base);
+    let run = || ExactEstimator::default().estimate_full(&p, &members, &base);
+    let (par, seq) = (pool(4, run), pool(1, run));
     assert_eq!(par.horizon, 8);
     for t in 0..par.mixture_tv_by_depth.len() {
         assert_eq!(
@@ -630,11 +617,9 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
         (0..1024).filter(|x| x % 5 != 0).collect(),
     )]);
     let base = ProductInput::uniform(1, 10);
-    for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-        let new = ExactEstimator { mode }.estimate_pair(&p, &a, &base);
-        let old = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &base, mode);
-        assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
-    }
+    let new = ExactEstimator::default().estimate_pair(&p, &a, &base);
+    let old = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &base);
+    assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
 }
 
 /// A width-2 walk across the dense→sparse boundary, through both sources
@@ -660,22 +645,16 @@ fn wide_demotion_boundary_walk_is_bitwise_the_seed_walk_and_counts_pinned() {
             RowSupport::explicit(10, (0..1024).filter(|x| x % 3 != 0).collect()),
         ),
     ];
-    for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-        let registry = bcc_obs::Registry::new();
-        let scope = registry.install();
-        let new = ExactEstimator { mode }.estimate_full(&p, &members, &base);
-        drop(scope);
-        let old = exact_mixture_comparison_reference(&p, &members, &base, mode);
-        assert_mixture_bitwise_eq(&new, &old, &format!("wide demotion boundary {mode:?}"));
-        let snap = registry.snapshot();
-        assert_eq!(snap.work_counter("walk.children_built"), 16380, "{mode:?}");
-        assert_eq!(
-            snap.work_counter("walk.demotions_dense_to_sparse"),
-            15360,
-            "{mode:?}"
-        );
-        assert_eq!(snap.work_counter("walk.live_points"), 289527, "{mode:?}");
-    }
+    let registry = bcc_obs::Registry::new();
+    let scope = registry.install();
+    let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+    drop(scope);
+    let old = exact_mixture_comparison_reference(&p, &members, &base);
+    assert_mixture_bitwise_eq(&new, &old, "wide demotion boundary");
+    let snap = registry.snapshot();
+    assert_eq!(snap.work_counter("walk.children_built"), 16380);
+    assert_eq!(snap.work_counter("walk.demotions_dense_to_sparse"), 15360);
+    assert_eq!(snap.work_counter("walk.live_points"), 289527);
 }
 
 /// The workload the hybrid representation exists for: a 2^18-point
@@ -692,15 +671,15 @@ fn huge_support_tiny_alive_bit_walk_finishes_and_is_exact() {
     let p = FnProtocol::new(1, 18, 14, |_, input, tr| (input >> tr.len()) & 1 == 1);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par = ExactEstimator::parallel().estimate_pair(&p, &a, &base);
-    let seq = ExactEstimator::sequential().estimate_pair(&p, &a, &base);
+    let run = || ExactEstimator::default().estimate_pair(&p, &a, &base);
+    let (par, seq) = (pool(4, run), pool(1, run));
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,
         "tv {} vs {expected}",
         par.tv()
     );
-    assert_mixture_bitwise_eq(&par, &seq, "huge support par vs seq");
+    assert_mixture_bitwise_eq(&par, &seq, "huge support, 4 vs 1 threads");
     // The baseline's consistent fraction before turn t is exactly 2^-t.
     for (t, stats) in par.speaker_stats.iter().enumerate() {
         assert!(
@@ -720,13 +699,13 @@ fn huge_support_tiny_alive_wide_walk_finishes_and_is_exact() {
     let p = FnWideProtocol::new(1, 18, 2, 7, |_, input, tr| (input >> (2 * tr.len())) & 0b11);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let par = ExactEstimator::parallel().estimate_pair(&p, &a, &base);
-    let seq = ExactEstimator::sequential().estimate_pair(&p, &a, &base);
+    let run = || ExactEstimator::default().estimate_pair(&p, &a, &base);
+    let (par, seq) = (pool(4, run), pool(1, run));
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
         (par.tv() - expected).abs() < 1e-12,
         "tv {} vs {expected}",
         par.tv()
     );
-    assert_mixture_bitwise_eq(&par, &seq, "huge wide par vs seq");
+    assert_mixture_bitwise_eq(&par, &seq, "huge wide, 4 vs 1 threads");
 }

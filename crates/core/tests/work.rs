@@ -18,10 +18,13 @@
 use bcc_congest::wide::FnWideProtocol;
 use bcc_congest::FnProtocol;
 use bcc_core::{
-    exact_mixture_comparison_reference, AdaptiveEstimator, Estimator, ExactEstimator, ExecMode,
-    ProductInput, RowSupport,
+    exact_mixture_comparison_reference, AdaptiveEstimator, Estimator, ExactEstimator, ProductInput,
+    RowSupport,
 };
 use bcc_obs::{Registry, Snapshot};
+
+mod common;
+use common::pool;
 
 /// Runs `f` under a fresh scoped registry and returns its result plus
 /// the run's work snapshot.
@@ -201,12 +204,11 @@ fn concurrent_runs_count_only_their_own_work() {
     }
 }
 
-/// Both exact walks record the same work, `kernel.words.*` included, in
-/// parallel and sequential mode: a parallel task's kernel words reach
-/// the caller's scope from whichever worker thread ran it. Rows of 8
-/// bits keep the consistent sets dense, so the tasks run word kernels.
-/// With one rayon thread both modes run on the calling thread, so only
-/// a multi-core host exercises the worker path.
+/// Both exact walks record the same work, `kernel.words.*` included, on
+/// pools of 4 threads and of 1: a task's kernel words reach the caller's
+/// scope from whichever worker thread ran it. Rows of 8 bits keep the
+/// consistent sets dense, so the tasks run word kernels. The pool of 4
+/// runs its tasks on worker threads whatever the host's core count.
 #[test]
 fn exact_walks_count_the_same_work_in_both_modes() {
     let row =
@@ -219,24 +221,18 @@ fn exact_walks_count_the_same_work_in_both_modes() {
     let p = FnProtocol::new(2, 8, 10, |proc, input, tr| {
         (input >> ((tr.len() as usize + proc) % 8)) & 1 == (tr.as_u64() & 1)
     });
-    let optimized = |est: ExactEstimator| scoped(|| est.estimate_full(&p, &members, &baseline)).1;
-    let reference =
-        |mode| scoped(|| exact_mixture_comparison_reference(&p, &members, &baseline, mode)).1;
-    for (parallel, sequential) in [
-        (
-            optimized(ExactEstimator::parallel()),
-            optimized(ExactEstimator::sequential()),
-        ),
-        (
-            reference(ExecMode::Parallel),
-            reference(ExecMode::Sequential),
-        ),
+    let optimized =
+        || scoped(|| ExactEstimator::default().estimate_full(&p, &members, &baseline)).1;
+    let reference = || scoped(|| exact_mixture_comparison_reference(&p, &members, &baseline)).1;
+    for (four, one) in [
+        (pool(4, optimized), pool(1, optimized)),
+        (pool(4, reference), pool(1, reference)),
     ] {
-        let kernel_words = parallel
+        let kernel_words = four
             .work
             .iter()
             .filter(|(n, _)| n.starts_with("kernel.words."));
         assert!(kernel_words.map(|(_, words)| words).sum::<u64>() > 0);
-        assert_eq!(parallel.work_fingerprint(), sequential.work_fingerprint());
+        assert_eq!(four.work_fingerprint(), one.work_fingerprint());
     }
 }

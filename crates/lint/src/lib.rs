@@ -1,7 +1,7 @@
 //! # bcc-lint — the workspace determinism linter
 //!
-//! Every guarantee this reproduction rests on — parallel == sequential
-//! bitwise, obs-on == obs-off, resume == one-shot — is enforced
+//! Every guarantee this reproduction rests on — one thread == four
+//! threads bitwise, obs-on == obs-off, resume == one-shot — is enforced
 //! *dynamically* by differential tests that sample the behavior space.
 //! The hazards behind those guarantees are visible *statically*: a
 //! `HashMap` iterated in a deterministic crate, an `unsafe` block, a

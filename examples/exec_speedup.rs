@@ -1,5 +1,6 @@
-//! Measures the parallel exact walk against the forced-sequential walk on
-//! an 8-member family, and checks the two are bitwise identical.
+//! Measures the exact walk on a one-thread rayon pool against the same
+//! walk on a pool of the machine's threads (at most 16), on an 8-member
+//! family, and checks the two are bitwise identical.
 //!
 //! ```text
 //! cargo run --release --example exec_speedup
@@ -9,7 +10,7 @@ use std::time::Instant;
 
 use bcc::congest::FnProtocol;
 use bcc::core::exec::{Estimator, ExactEstimator};
-use bcc::core::{DepthProfile, ProductInput, RowSupport};
+use bcc::core::{split_depth_for_threads, DepthProfile, ProductInput, RowSupport};
 
 fn main() {
     let (n, bits, horizon) = (4usize, 8u32, 18u32);
@@ -38,14 +39,28 @@ fn main() {
         println!("fans out up to 64 subtree tasks and scales with real cores.");
     }
 
-    let time = |est: ExactEstimator| -> (DepthProfile, f64) {
+    let time = || -> (DepthProfile, f64) {
         let start = Instant::now();
-        let profile = est.estimate_full(&protocol, &members, &baseline);
+        let profile = ExactEstimator::default().estimate_full(&protocol, &members, &baseline);
         (profile, start.elapsed().as_secs_f64())
     };
 
-    let (seq, t_seq) = time(ExactEstimator::sequential());
-    let (par, t_par) = time(ExactEstimator::parallel());
+    // Pools of up to 16 threads cut the frontier at the one-thread depth,
+    // so their walks must agree bit for bit.
+    let threads = rayon::current_num_threads().min(16);
+    assert_eq!(
+        split_depth_for_threads(threads, 1),
+        split_depth_for_threads(1, 1)
+    );
+    let on_pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build the rayon pool")
+            .install(time)
+    };
+    let (seq, t_seq) = on_pool(1);
+    let (par, t_par) = on_pool(threads);
 
     let identical = seq
         .mixture_tv_by_depth
@@ -58,10 +73,10 @@ fn main() {
             .zip(&par.per_member_tv)
             .all(|(a, b)| a.to_bits() == b.to_bits());
 
-    println!("sequential: {t_seq:.3} s");
-    println!("parallel:   {t_par:.3} s");
+    println!("1 thread:    {t_seq:.3} s");
+    println!("{threads} threads:   {t_par:.3} s");
     println!("speedup:    {:.2}x", t_seq / t_par);
     println!("bitwise identical profiles: {identical}");
     println!("mixture TV at horizon: {:.6}", par.tv());
-    assert!(identical, "parallel and sequential walks diverged");
+    assert!(identical, "the walks on 1 and {threads} threads diverged");
 }
