@@ -19,7 +19,7 @@ fn main() {
     );
     // One estimator drives the whole table (the parallel exact walk);
     // swap in an AdaptiveEstimator to push past exact reach.
-    let est = ExactEstimator::default();
+    let est = ExactEstimator;
 
     let mut rows = Vec::new();
     for &(n, k, jmax) in &[(6u32, 2usize, 3u32), (8, 2, 2), (7, 3, 2)] {

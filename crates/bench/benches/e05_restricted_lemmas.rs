@@ -84,7 +84,7 @@ fn main() {
         ((input >> bit) ^ twist) & 1 == 1
     });
     let baseline = rand_input(n);
-    let cmp = ExactEstimator::default().estimate_pair(&proto, &baseline, &baseline);
+    let cmp = ExactEstimator.estimate(&proto, std::slice::from_ref(&baseline), &baseline);
     let mut rows = Vec::new();
     for round in 0..j {
         // Processor 0's turn at the start of each round: it has spoken

@@ -32,7 +32,7 @@ fn main() {
             });
             let members = family(n, k);
             let baseline = uniform_input(n, k);
-            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+            let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
             let bound = bounds::theorem_5_1(n, k);
             rows.push(vec![
                 n.to_string(),

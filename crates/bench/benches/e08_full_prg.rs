@@ -69,7 +69,7 @@ fn main() {
             });
             let members = family(n, k, m);
             let baseline = uniform_input(n, m);
-            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+            let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
             rows.push(vec![
                 n.to_string(),
                 k.to_string(),

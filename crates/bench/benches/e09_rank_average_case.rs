@@ -60,7 +60,7 @@ fn main() {
             });
             let members = toy::family(n, k);
             let baseline = toy::uniform_input(n, k);
-            let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+            let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
             rows.push(vec![
                 n.to_string(),
                 j.to_string(),

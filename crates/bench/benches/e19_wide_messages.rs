@@ -62,12 +62,8 @@ fn main() {
             bcc_core::RowSupport::uniform(4),
         ])];
         let baseline = bcc_core::ProductInput::uniform(2, 4);
-        let bit = ExactEstimator::default().estimate_full(&make(w), &members, &baseline);
-        let wide = ExactEstimator::default().estimate_full(
-            &PackedAdapter::new(make(w), w),
-            &members,
-            &baseline,
-        );
+        let bit = ExactEstimator.estimate(&make(w), &members, &baseline);
+        let wide = ExactEstimator.estimate(&PackedAdapter::new(make(w), w), &members, &baseline);
         rows.push(vec![
             w.to_string(),
             bit.horizon.to_string(),
@@ -114,7 +110,7 @@ fn main() {
             }
             msg
         });
-        let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+        let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
         let p = cmp.progress();
         let factor = base_progress.map_or(1.0, |b: f64| p / b);
         if w == 1 {

@@ -236,13 +236,13 @@ fn run() {
         exact_mixture_comparison_reference(&proto, &members, &baseline)
     });
     let new_bit = measure("bit_walk/overhauled", 3, budget, || {
-        ExactEstimator::default().estimate_full(&proto, &members, &baseline)
+        ExactEstimator.estimate(&proto, &members, &baseline)
     });
     // Sanity: the walks must agree exactly before their times mean
     // anything.
     {
         let a = exact_mixture_comparison_reference(&proto, &members, &baseline);
-        let b = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+        let b = ExactEstimator.estimate(&proto, &members, &baseline);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
     }
     let partition_speedup = seed_bit.ns_per_iter / new_bit.ns_per_iter;
@@ -257,7 +257,7 @@ fn run() {
         exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline)
     });
     let new_wide = measure("wide_walk/overhauled", 3, budget, || {
-        ExactEstimator::default().estimate_full(&wproto, &wmembers, &wbaseline)
+        ExactEstimator.estimate(&wproto, &wmembers, &wbaseline)
     });
     let wide_speedup = seed_wide.ns_per_iter / new_wide.ns_per_iter;
 
@@ -353,7 +353,7 @@ fn run() {
     let ha = ProductInput::new(vec![RowSupport::explicit(hbits, (0..16).collect())]);
     let hbase = ProductInput::uniform(1, hbits);
     let huge = measure("huge_support/overhauled_only", 1, budget, || {
-        ExactEstimator::default().estimate_pair(&hproto, &ha, &hbase)
+        ExactEstimator.estimate(&hproto, std::slice::from_ref(&ha), &hbase)
     });
     // What the dense representation would pay per node regardless of
     // occupancy: words touched across the full live tree.
@@ -406,7 +406,7 @@ fn run() {
     let work_registry = bcc_obs::Registry::new();
     {
         let _scope = work_registry.install();
-        let _ = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+        let _ = ExactEstimator.estimate(&proto, &members, &baseline);
         let mut keys = radix_keys.clone();
         radix_sort_u64(&mut keys);
         std::hint::black_box(keys);

@@ -143,7 +143,7 @@ mod tests {
             RowSupport::explicit(4, vec![1, 2]),
             RowSupport::explicit(4, vec![3, 7, 11]),
         ]);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
         for (t, tv) in cmp.mixture_tv_by_depth.iter().enumerate() {
             assert!(tv.abs() < 1e-12, "depth {t}: tv {tv}");
         }
@@ -156,7 +156,7 @@ mod tests {
         let p = FnProtocol::new(1, 1, 1, |_, input, _| input == 1);
         let a = uniform(1, 1);
         let b = ProductInput::new(vec![RowSupport::explicit(1, vec![1])]);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
         assert!(cmp.mixture_tv_by_depth[0].abs() < 1e-12);
     }
@@ -173,7 +173,7 @@ mod tests {
             RowSupport::explicit(1, vec![1]),
             RowSupport::explicit(1, vec![0, 1]),
         ]);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
         // Input TV: first coordinate differs (1/2 vs 1), second identical:
         // product TV = 1/2.
         assert!((cmp.tv() - 0.5).abs() < 1e-12);
@@ -190,7 +190,7 @@ mod tests {
             RowSupport::explicit(3, vec![0, 3, 5]),
             RowSupport::explicit(3, vec![1, 2, 6, 7]),
         ]);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
         for w in cmp.mixture_tv_by_depth.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
@@ -204,7 +204,7 @@ mod tests {
         let member0 = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let member1 = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
         let baseline = uniform(1, 2);
-        let cmp = ExactEstimator::default().estimate_full(&p, &[member0, member1], &baseline);
+        let cmp = ExactEstimator.estimate(&p, &[member0, member1], &baseline);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(
                 cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12,
@@ -231,9 +231,9 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 2);
-        let mix = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let mix = ExactEstimator.estimate(&p, &members, &baseline);
         for (i, member) in members.iter().enumerate() {
-            let single = ExactEstimator::default().estimate_pair(&p, member, &baseline);
+            let single = ExactEstimator.estimate(&p, std::slice::from_ref(member), &baseline);
             assert!(
                 (mix.per_member_tv[i] - single.tv()).abs() < 1e-12,
                 "member {i}"
@@ -247,7 +247,7 @@ mod tests {
         // turns: before its (j+1)-th turn the consistent fraction is 2^-j.
         let p = FnProtocol::new(2, 4, 8, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
         let a = uniform(2, 4);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
         // Turns 0,2,4,6 are processor 0's; before turn 2t it has spoken t
         // bits.
         for (idx, turn) in [0usize, 2, 4, 6].iter().enumerate() {
@@ -268,7 +268,7 @@ mod tests {
         // 2^0 and 2^-1 but not below 2^-2.
         let p = FnProtocol::new(1, 3, 3, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = uniform(1, 3);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
         let s = &cmp.speaker_stats[2];
         assert!((s.mass_below[0] - 1.0).abs() < 1e-12);
         assert!((s.mass_below[1] - 1.0).abs() < 1e-12);
@@ -280,7 +280,7 @@ mod tests {
         let p = FnProtocol::new(1, 2, 2, |_, input, tr| (input >> tr.len()) & 1 == 1);
         let a = ProductInput::new(vec![RowSupport::explicit(2, vec![0, 1])]);
         let b = ProductInput::new(vec![RowSupport::explicit(2, vec![2, 3])]);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
         assert!((cmp.tv() - 1.0).abs() < 1e-12);
     }
 
@@ -300,7 +300,7 @@ mod tests {
             ]),
         ];
         let baseline = uniform(2, 3);
-        let mix = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let mix = ExactEstimator.estimate(&p, &members, &baseline);
         for (t, inc) in mix.progress_increments().iter().enumerate() {
             assert!(*inc >= -1e-12, "turn {t}: negative increment {inc}");
         }
@@ -326,6 +326,6 @@ mod tests {
         let p = FnProtocol::new(1, 2, 1, |_, _, _| false);
         let a = uniform(1, 3);
         let b = uniform(1, 3);
-        let _ = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let _ = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
     }
 }

@@ -34,13 +34,13 @@
 //! let family = vec![ProductInput::uniform(2, 3)];
 //! let baseline = ProductInput::uniform(2, 3);
 //!
-//! let exact = ExactEstimator::default().estimate_full(&p, &family, &baseline);
+//! let exact = ExactEstimator.estimate(&p, &family, &baseline);
 //! // A fixed budget: initial = cap, so exactly one batch of 4000 per side.
-//! let sampled = AdaptiveEstimator::new(0.0, 4_000, 4_000, 1).estimate_full(&p, &family, &baseline);
+//! let sampled = AdaptiveEstimator::new(0.0, 4_000, 4_000, 1).estimate(&p, &family, &baseline);
 //! assert!((exact.tv() - sampled.tv()).abs() <= sampled.noise_floor());
 //! ```
 
-use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
+use bcc_congest::wide::WideTurnProtocol;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
@@ -206,79 +206,26 @@ impl DepthProfile {
 }
 
 /// A strategy for estimating the depth profile of a family-vs-baseline
-/// comparison. Implementations must honour `horizon` exactly: the profile
-/// has `horizon + 1` entries for the prefix lengths `0 ..= horizon`.
+/// comparison over the protocol's horizon: the profile has
+/// `protocol.horizon() + 1` entries, for the prefix lengths
+/// `0 ..= horizon`.
 pub trait Estimator {
     /// Estimates `‖ avg_I P_I^{(t)} − P_baseline^{(t)} ‖` for
-    /// `t = 0 ..= horizon`, with the progress function and per-member
-    /// distances.
+    /// `t = 0 ..= protocol.horizon()`, with the progress function and
+    /// per-member distances. The two-distribution case `{A}` vs `B` is
+    /// `members = std::slice::from_ref(&a)`.
     ///
     /// # Panics
     ///
-    /// Panics if `members` is empty, dimensions disagree with the
-    /// protocol, or `horizon > protocol.horizon()`, plus each
-    /// implementation's own limits (the exact walk's node budget, the
-    /// samplers' 64-bit key packing).
+    /// Panics if `members` is empty or dimensions disagree with the
+    /// protocol, plus each implementation's own limits (the exact walk's
+    /// node budget, the sampler's 64-bit key packing).
     fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &[ProductInput],
         baseline: &ProductInput,
-        horizon: u32,
     ) -> DepthProfile;
-
-    /// [`estimate`](Estimator::estimate) over the protocol's full horizon.
-    fn estimate_full<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-    ) -> DepthProfile {
-        self.estimate(protocol, members, baseline, protocol.horizon())
-    }
-
-    /// Convenience for the two-distribution case (`{A}` vs `B`).
-    fn estimate_pair<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        a: &ProductInput,
-        b: &ProductInput,
-    ) -> DepthProfile {
-        self.estimate_full(protocol, std::slice::from_ref(a), b)
-    }
-}
-
-/// A protocol truncated to a shorter horizon (prefixes are protocols too:
-/// message functions never look past the transcript they are given).
-struct Truncated<'a, P: ?Sized> {
-    inner: &'a P,
-    horizon: u32,
-}
-
-impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for Truncated<'_, P> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn input_bits(&self) -> u32 {
-        self.inner.input_bits()
-    }
-
-    fn width(&self) -> u32 {
-        self.inner.width()
-    }
-
-    fn horizon(&self) -> u32 {
-        self.horizon
-    }
-
-    fn speaker(&self, t: u32) -> usize {
-        self.inner.speaker(t)
-    }
-
-    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
-        self.inner.message(proc, input, transcript)
-    }
 }
 
 /// The exact engine ([`crate::engine`]) as an [`Estimator`] — the one
@@ -290,21 +237,20 @@ impl<P: WideTurnProtocol + ?Sized> WideTurnProtocol for Truncated<'_, P> {
 /// This is the §3 framework as a computation. In particular the result
 /// exhibits `L_real ≤ L_progress` (the triangle-inequality step) and the
 /// per-turn progress increments that Lemma-format inequalities bound.
-/// [`Estimator::estimate_pair`] covers the two-distribution case.
 ///
-/// The estimator has no fields; build it with
-/// `ExactEstimator::default()`. The walk fans out over the current rayon
-/// pool, and every pool size that cuts the same frontier
-/// ([`crate::walk::adaptive_split_depth`]) returns the same bits.
+/// A unit struct: call it as `ExactEstimator.estimate(…)`. The walk fans
+/// out over the current rayon pool, and every pool size that cuts the
+/// same frontier ([`crate::walk::adaptive_split_depth`]) returns the same
+/// bits.
 ///
 /// # Panics
 ///
 /// Besides the [`Estimator::estimate`] conditions, panics if the
 /// protocol's width is outside `1..=16` or the complete `2^w`-ary turn
-/// tree to `horizon` could exceed [`crate::wide::MAX_WIDE_NODES`]
+/// tree to its horizon could exceed [`crate::wide::MAX_WIDE_NODES`]
 /// (`2^26`) nodes — at width 1, a horizon above 25 turns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactEstimator {}
+#[derive(Debug, Clone, Copy)]
+pub struct ExactEstimator;
 
 impl Estimator for ExactEstimator {
     fn estimate<P: WideTurnProtocol + Sync + ?Sized>(
@@ -312,19 +258,9 @@ impl Estimator for ExactEstimator {
         protocol: &P,
         members: &[ProductInput],
         baseline: &ProductInput,
-        horizon: u32,
     ) -> DepthProfile {
-        assert!(
-            horizon <= protocol.horizon(),
-            "horizon {horizon} beyond the protocol's {}",
-            protocol.horizon()
-        );
-        let truncated = Truncated {
-            inner: protocol,
-            horizon,
-        };
-        validate_budget(&truncated);
-        assemble(&truncated, exact_walk(&truncated, members, baseline))
+        validate_budget(protocol);
+        assemble(protocol, exact_walk(protocol, members, baseline))
     }
 }
 
@@ -435,7 +371,7 @@ pub struct AdaptiveReport {
 /// at `initial_samples`, at least doubling each batch, and jumping
 /// straight to the budget the observed support projects (the
 /// full-horizon support over `tolerance²`, or the required depth's
-/// support under a [truncated target](AdaptiveEstimator::truncated_target))
+/// support under a [truncated target](AdaptiveEstimator::with_truncated_target))
 /// when that is larger — until [`DepthProfile::noise_floor`] (or the
 /// floor at the required depth) is at most `tolerance` or the budget
 /// reaches `max_samples_per_side`. A fixed budget of `s` per side is
@@ -458,31 +394,18 @@ pub struct AdaptiveReport {
 /// near the noise floor escalates toward the cap.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveEstimator {
-    /// The target noise-floor half-width. Non-positive tolerances are
-    /// allowed and simply spend the whole cap.
-    pub tolerance: f64,
-    /// The first batch's per-side budget.
-    pub initial_samples: usize,
-    /// The hard cap on the per-side budget.
-    pub max_samples_per_side: usize,
-    /// The root seed shared by every batch.
-    pub seed: u64,
-    /// When set, the stopping rule and budget projection target the
-    /// deepest **resolvable** prefix instead of the full horizon: the
-    /// run stops once [`DepthProfile::noise_floor_at`] meets the
-    /// tolerance at the deepest depth whose observed support the hard
-    /// cap can resolve (`support_t ≤ tolerance² · max_samples_per_side`),
-    /// and the support projection uses that depth's support instead of
-    /// the full-horizon support — so a saturated deep tail can no longer
-    /// force the budget to the cap. Off by default: the legacy
-    /// full-horizon rule is bitwise untouched.
-    pub truncated_target: bool,
+    tolerance: f64,
+    initial_samples: usize,
+    max_samples_per_side: usize,
+    seed: u64,
+    truncated_target: bool,
 }
 
 impl AdaptiveEstimator {
     /// An adaptive estimator growing from `initial_samples` per side
     /// toward `max_samples_per_side` until the noise floor is at most
-    /// `tolerance`.
+    /// `tolerance`, every batch drawing from streams derived from `seed`.
+    /// Non-positive tolerances are allowed and simply spend the whole cap.
     ///
     /// # Panics
     ///
@@ -510,7 +433,15 @@ impl AdaptiveEstimator {
     }
 
     /// Returns this estimator with the truncated-depth target switched
-    /// on (see [`AdaptiveEstimator::truncated_target`]).
+    /// on: the stopping rule and budget projection target the deepest
+    /// **resolvable** prefix instead of the full horizon. The run stops
+    /// once [`DepthProfile::noise_floor_at`] meets the tolerance at the
+    /// deepest depth whose observed support the hard cap can resolve
+    /// (`support_t ≤ tolerance² · max_samples_per_side`), and the support
+    /// projection uses that depth's support instead of the full-horizon
+    /// support — so a saturated deep tail can no longer force the budget
+    /// to the cap. Off by default: the legacy full-horizon rule is
+    /// bitwise untouched.
     pub fn with_truncated_target(mut self) -> Self {
         self.truncated_target = true;
         self
@@ -543,46 +474,8 @@ impl AdaptiveEstimator {
     /// bitwise the one-batch run's at the final budget, which is what
     /// keeps `bcc-lab`'s sampled sweeps resumable bit-for-bit.
     ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty, `horizon > protocol.horizon()`, the
-    /// budget fields are inconsistent, or `horizon × width` exceeds the
-    /// 64-bit key packing.
-    pub fn estimate_with_report<P: WideTurnProtocol + Sync + ?Sized>(
-        &self,
-        protocol: &P,
-        members: &[ProductInput],
-        baseline: &ProductInput,
-        horizon: u32,
-    ) -> (DepthProfile, AdaptiveReport) {
-        // Mirrors the constructor's checks: the fields are public.
-        assert!(!members.is_empty(), "need at least one family member");
-        assert!(
-            horizon <= protocol.horizon(),
-            "horizon {horizon} beyond the protocol's {}",
-            protocol.horizon()
-        );
-        assert!(
-            self.initial_samples > 0,
-            "need at least one sample per side"
-        );
-        assert!(
-            self.max_samples_per_side >= self.initial_samples,
-            "cap {} below the initial budget {}",
-            self.max_samples_per_side,
-            self.initial_samples
-        );
-        check_key_packing(horizon, protocol.width());
-        let truncated = Truncated {
-            inner: protocol,
-            horizon,
-        };
-        self.run_adaptive(&truncated, members, baseline)
-    }
-
-    /// The adaptive loop over a protocol already truncated to the
-    /// requested horizon: grows the budget in seeded batches, each side's
-    /// [`SideSampler`] drawing its next `delta` keys (sorted into its
+    /// The adaptive loop grows the budget in seeded batches, each side's
+    /// `SideSampler` drawing its next `delta` keys (sorted into its
     /// chunk and merged into its persistent key array).
     ///
     /// The mixture histogram is **also persistent**: each batch merges
@@ -594,13 +487,20 @@ impl AdaptiveEstimator {
     /// run's scoped `exec.keys_sorted`). The sorted mixture is a pure
     /// function of the key multiset, so the profile is bitwise the same
     /// whichever batch schedule reached the final budget.
-    fn run_adaptive<'a, P: WideTurnProtocol + Sync + ?Sized>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty or `horizon × width` exceeds the
+    /// 64-bit key packing.
+    pub fn estimate_with_report<'a, P: WideTurnProtocol + Sync + ?Sized>(
         &self,
         protocol: &P,
         members: &'a [ProductInput],
         baseline: &'a ProductInput,
     ) -> (DepthProfile, AdaptiveReport) {
+        assert!(!members.is_empty(), "need at least one family member");
         let (horizon, bits_per_turn) = (protocol.horizon(), protocol.width());
+        check_key_packing(horizon, bits_per_turn);
         // The scope is resolved once on the calling thread; side
         // extension below fans out over rayon, so work counts are gathered
         // run-locally and flushed at return. Each side task installs the
@@ -617,7 +517,7 @@ impl AdaptiveEstimator {
         let mut merge_scratch: Vec<u64> = Vec::new();
         let mut mixture_merged = 0u64;
 
-        let mut samples = self.initial_samples.min(self.max_samples_per_side);
+        let mut samples = self.initial_samples;
         let mut batches = 0usize;
         let mut drawn = 0usize;
         loop {
@@ -785,10 +685,8 @@ impl Estimator for AdaptiveEstimator {
         protocol: &P,
         members: &[ProductInput],
         baseline: &ProductInput,
-        horizon: u32,
     ) -> DepthProfile {
-        self.estimate_with_report(protocol, members, baseline, horizon)
-            .0
+        self.estimate_with_report(protocol, members, baseline).0
     }
 }
 
@@ -833,22 +731,56 @@ mod tests {
         (members, ProductInput::uniform(2, 3))
     }
 
+    /// A protocol is its own longest horizon: the same closure at
+    /// horizon 3 gives, bit for bit, the first 4 depths of its profile at
+    /// horizon 6, exactly and under a fixed sampled budget (inputs are
+    /// drawn before the protocol runs, and the short keys are the top
+    /// bits of the long ones).
     #[test]
-    fn truncated_horizon_prefixes_the_full_profile() {
-        let p = reveal_protocol(2, 3, 6);
+    fn shorter_horizon_profile_is_a_prefix_of_the_longer() {
+        use bcc_congest::wide::FnWideProtocol;
         let (members, baseline) = family();
-        let full = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        assert!(full.is_exact());
-        assert_eq!(full.noise_floor(), 0.0);
-        assert_eq!(full.speaker_stats.len(), 6, "one speaker entry per turn");
-        let half = ExactEstimator::default().estimate(&p, &members, &baseline, 3);
-        assert_eq!(half.horizon, 3);
-        assert_eq!(half.mixture_tv_by_depth.len(), 4);
-        for t in 0..=3 {
-            assert!(
-                (half.mixture_tv_by_depth[t] - full.mixture_tv_by_depth[t]).abs() < 1e-12,
-                "depth {t}"
-            );
+        for width in [1, 2] {
+            let mask = (1u64 << width) - 1;
+            let at = |horizon| {
+                FnWideProtocol::new(2, 3, width, horizon, move |_, input, tr| {
+                    (input >> (tr.len() % 3)) & mask
+                })
+            };
+            let (short, long) = (at(3), at(6));
+            let exact = |p: &_| ExactEstimator.estimate(p, &members, &baseline);
+            let sampled = |p: &_| fixed(3_000, 0x9F).estimate(p, &members, &baseline);
+            for (name, s, l) in [
+                ("exact", exact(&short), exact(&long)),
+                ("sampled", sampled(&short), sampled(&long)),
+            ] {
+                assert_eq!((s.horizon, l.horizon), (3, 6));
+                for t in 0..=3 {
+                    assert_eq!(
+                        s.mixture_tv_by_depth[t].to_bits(),
+                        l.mixture_tv_by_depth[t].to_bits(),
+                        "{name} w={width}: mixture tv at depth {t}"
+                    );
+                    assert_eq!(
+                        s.progress_by_depth[t].to_bits(),
+                        l.progress_by_depth[t].to_bits(),
+                        "{name} w={width}: progress at depth {t}"
+                    );
+                }
+                if let (
+                    Provenance::Sampled {
+                        support_by_depth: ss,
+                        ..
+                    },
+                    Provenance::Sampled {
+                        support_by_depth: ls,
+                        ..
+                    },
+                ) = (&s.provenance, &l.provenance)
+                {
+                    assert_eq!(ss[..], ls[..4], "{name} w={width}: support by depth");
+                }
+            }
         }
     }
 
@@ -856,10 +788,10 @@ mod tests {
     fn sampled_estimator_is_reproducible_and_close_to_exact() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let exact = ExactEstimator.estimate(&p, &members, &baseline);
         let est = fixed(20_000, 0x5EED);
-        let a = est.estimate_full(&p, &members, &baseline);
-        let b = est.estimate_full(&p, &members, &baseline);
+        let a = est.estimate(&p, &members, &baseline);
+        let b = est.estimate(&p, &members, &baseline);
         assert_eq!(
             a.tv().to_bits(),
             b.tv().to_bits(),
@@ -883,9 +815,9 @@ mod tests {
 
     #[test]
     fn sampled_profile_shape_matches_request() {
-        let p = reveal_protocol(2, 3, 6);
+        let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
-        let profile = fixed(2_000, 1).estimate(&p, &members, &baseline, 4);
+        let profile = fixed(2_000, 1).estimate(&p, &members, &baseline);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -902,25 +834,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn zero_sample_struct_literal_rejected_at_estimate() {
-        // The fields are public, so the constructor check can be
-        // bypassed; estimate() must re-check rather than emit NaNs.
-        let p = reveal_protocol(2, 3, 4);
-        let (members, baseline) = family();
-        let est = AdaptiveEstimator {
-            initial_samples: 0,
-            max_samples_per_side: 0,
-            ..fixed(1, 1)
-        };
-        let _ = est.estimate_full(&p, &members, &baseline);
-    }
-
-    #[test]
     fn sampled_parallel_matches_sequential_bitwise() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let run = || fixed(4_000, 9).estimate_full(&p, &members, &baseline);
+        let run = || fixed(4_000, 9).estimate(&p, &members, &baseline);
         let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -958,13 +875,13 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.2, 100, 1 << 20, 0x5EED);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert!(report.met_tolerance, "report: {report:?}");
         assert!(profile.noise_floor() <= 0.2);
         assert!(report.samples_per_side < 1 << 20, "cap should not bind");
         // The adaptive result is bitwise the single-batch estimate at the
         // final budget — the property sweep resumption relies on.
-        let single = fixed(report.samples_per_side, 0x5EED).estimate_full(&p, &members, &baseline);
+        let single = fixed(report.samples_per_side, 0x5EED).estimate(&p, &members, &baseline);
         assert_eq!(profile.tv().to_bits(), single.tv().to_bits());
         assert_eq!(profile.progress().to_bits(), single.progress().to_bits());
     }
@@ -974,8 +891,8 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.15, 64, 1 << 18, 42);
-        let (a, ra) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
-        let (b, rb) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (a, ra) = adaptive.estimate_with_report(&p, &members, &baseline);
+        let (b, rb) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert_eq!(ra, rb);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits());
     }
@@ -986,7 +903,7 @@ mod tests {
         let (members, baseline) = family();
         // Tolerance no sampled run can meet: the cap must stop the growth.
         let adaptive = AdaptiveEstimator::new(1e-6, 50, 400, 3);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert!(!report.met_tolerance);
         assert_eq!(report.samples_per_side, 400);
         assert!(profile.noise_floor() > 1e-6);
@@ -1006,7 +923,7 @@ mod tests {
         // samples each exceeds the per-side budget, so the unclamped
         // plug-in scale sqrt(support / 8) would sit above 1 — vacuous
         // for a distance bounded by 1.
-        let profile = fixed(8, 0xC1A).estimate_full(&p, &members, &baseline);
+        let profile = fixed(8, 0xC1A).estimate(&p, &members, &baseline);
         let Provenance::Sampled {
             samples_per_side,
             ref support_by_depth,
@@ -1050,7 +967,7 @@ mod tests {
     fn depth_floors_are_monotone_and_bound_the_headline_floor() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = fixed(2_000, 0x0DD).estimate_full(&p, &members, &baseline);
+        let profile = fixed(2_000, 0x0DD).estimate(&p, &members, &baseline);
         for t in 1..=profile.horizon {
             assert!(
                 profile.noise_floor_at(t) >= profile.noise_floor_at(t - 1),
@@ -1070,7 +987,7 @@ mod tests {
     fn resolved_horizon_is_the_deepest_depth_meeting_the_tolerance() {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
-        let profile = fixed(64, 0xFAB).estimate_full(&p, &members, &baseline);
+        let profile = fixed(64, 0xFAB).estimate(&p, &members, &baseline);
         // Pick a tolerance strictly between the shallowest and deepest
         // floors so the resolved horizon is a proper prefix.
         let tol = (profile.noise_floor_at(0) + profile.noise_floor()) / 2.0;
@@ -1081,7 +998,7 @@ mod tests {
         }
         assert!(profile.noise_floor_at(resolved + 1) > tol);
         // Exact profiles resolve everything.
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let exact = ExactEstimator.estimate(&p, &members, &baseline);
         assert_eq!(exact.resolved_horizon(0.0), exact.horizon);
     }
 
@@ -1094,8 +1011,8 @@ mod tests {
         // unmet, the truncated rule stops early and met.
         let legacy = AdaptiveEstimator::new(0.3, 32, 512, 0x77);
         let truncated = legacy.with_truncated_target();
-        let (lp, lr) = legacy.estimate_with_report(&p, &members, &baseline, 6);
-        let (tp, tr) = truncated.estimate_with_report(&p, &members, &baseline, 6);
+        let (lp, lr) = legacy.estimate_with_report(&p, &members, &baseline);
+        let (tp, tr) = truncated.estimate_with_report(&p, &members, &baseline);
         assert!(!lr.met_tolerance, "full-horizon target is unreachable here");
         assert_eq!(lr.samples_per_side, 512, "legacy spends the whole cap");
         assert!(lp.noise_floor() > 0.3);
@@ -1110,7 +1027,7 @@ mod tests {
         assert!(tp.resolved_horizon(0.3) >= 1, "a nonempty prefix resolved");
         // The truncated run is still bitwise the single batch at its final
         // budget — truncation changes when to stop, never the numbers.
-        let single = fixed(tr.samples_per_side, 0x77).estimate_full(&p, &members, &baseline);
+        let single = fixed(tr.samples_per_side, 0x77).estimate(&p, &members, &baseline);
         for t in 0..tp.mixture_tv_by_depth.len() {
             assert_eq!(
                 tp.mixture_tv_by_depth[t].to_bits(),
@@ -1137,7 +1054,7 @@ mod tests {
             let growths_of = |est: &AdaptiveEstimator| {
                 let registry = bcc_obs::Registry::new();
                 let scope = registry.install();
-                let (_, report) = est.estimate_with_report(&p, &members, &baseline, 6);
+                let (_, report) = est.estimate_with_report(&p, &members, &baseline);
                 drop(scope);
                 (
                     registry
@@ -1170,7 +1087,7 @@ mod tests {
         let p = reveal_protocol(2, 3, 4);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.0, 32, 128, 5);
-        let (_, report) = adaptive.estimate_with_report(&p, &members, &baseline, 4);
+        let (_, report) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert_eq!(report.samples_per_side, 128);
         assert!(!report.met_tolerance);
         // Growth is geometric (with projection jumps), so the batch count
@@ -1188,7 +1105,7 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert!(report.batches > 1, "want a multi-batch run: {report:?}");
         assert_eq!(report.samples_per_side, 2048);
         assert_eq!(
@@ -1196,7 +1113,7 @@ mod tests {
             "incremental batches must not re-simulate earlier samples"
         );
         let (single, single_report) =
-            fixed(2048, 0xFEED).estimate_with_report(&p, &members, &baseline, 6);
+            fixed(2048, 0xFEED).estimate_with_report(&p, &members, &baseline);
         assert_eq!(single_report.batches, 1, "initial = cap runs one batch");
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -1219,7 +1136,7 @@ mod tests {
         let p = reveal_protocol(2, 3, 6);
         let (members, baseline) = family();
         let est = AdaptiveEstimator::new(1e-9, 50, 1600, 21);
-        let run = || est.estimate_with_report(&p, &members, &baseline, 6);
+        let run = || est.estimate_with_report(&p, &members, &baseline);
         let ((pp, rp), (sp, rs)) = (pool(4, run), pool(1, run));
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
@@ -1243,10 +1160,10 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+        let exact = ExactEstimator.estimate(&p, &members, &baseline);
         let est = fixed(20_000, 0x5EED);
-        let a = est.estimate_full(&p, &members, &baseline);
-        let b = est.estimate_full(&p, &members, &baseline);
+        let a = est.estimate(&p, &members, &baseline);
+        let b = est.estimate(&p, &members, &baseline);
         assert_eq!(
             a.tv().to_bits(),
             b.tv().to_bits(),
@@ -1270,9 +1187,9 @@ mod tests {
     #[test]
     fn wide_sampled_profile_shape_matches_request() {
         use bcc_congest::wide::FnWideProtocol;
-        let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
+        let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
-        let profile = fixed(2_000, 1).estimate(&p, &members, &baseline, 4);
+        let profile = fixed(2_000, 1).estimate(&p, &members, &baseline);
         assert_eq!(profile.horizon, 4);
         assert_eq!(profile.mixture_tv_by_depth.len(), 5);
         assert_eq!(profile.progress_by_depth.len(), 5);
@@ -1287,7 +1204,7 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 3, 5, |_, input, tr| (input >> (tr.len() % 2)) & 0b111);
         let (members, baseline) = family();
-        let run = || fixed(4_000, 9).estimate_full(&p, &members, &baseline);
+        let run = || fixed(4_000, 9).estimate(&p, &members, &baseline);
         let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             assert_eq!(
@@ -1317,12 +1234,7 @@ mod tests {
         use bcc_congest::wide::FnWideProtocol;
         let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, _| input & 0b11);
         let (members, baseline) = family();
-        let est = AdaptiveEstimator {
-            initial_samples: 0,
-            max_samples_per_side: 0,
-            ..fixed(1, 1)
-        };
-        let _ = est.estimate_full(&p, &members, &baseline);
+        let _ = fixed(0, 1).estimate(&p, &members, &baseline);
     }
 
     #[test]
@@ -1333,14 +1245,14 @@ mod tests {
         // Unreachable tolerance, cap binds: forces a multi-batch run, the
         // regime where incremental merging could diverge from a single batch.
         let adaptive = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 6);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert!(report.batches > 1, "want a multi-batch run: {report:?}");
         assert_eq!(report.samples_per_side, 2048);
         assert_eq!(
             report.samples_drawn, report.samples_per_side,
             "incremental batches must not re-simulate earlier samples"
         );
-        let single = fixed(2048, 0xFEED).estimate_full(&p, &members, &baseline);
+        let single = fixed(2048, 0xFEED).estimate(&p, &members, &baseline);
         for t in 0..profile.mixture_tv_by_depth.len() {
             assert_eq!(
                 profile.mixture_tv_by_depth[t].to_bits(),
@@ -1363,7 +1275,7 @@ mod tests {
         let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
         let adaptive = AdaptiveEstimator::new(0.2, 100, 1 << 20, 0x5EED);
-        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline, 4);
+        let (profile, report) = adaptive.estimate_with_report(&p, &members, &baseline);
         assert!(report.met_tolerance, "report: {report:?}");
         assert!(profile.noise_floor() <= 0.2);
         assert!(report.samples_per_side < 1 << 20, "cap should not bind");
@@ -1375,7 +1287,7 @@ mod tests {
         let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
         let (members, baseline) = family();
         let est = AdaptiveEstimator::new(1e-9, 50, 1600, 21);
-        let run = || est.estimate_with_report(&p, &members, &baseline, 6);
+        let run = || est.estimate_with_report(&p, &members, &baseline);
         let ((pp, rp), (sp, rs)) = (pool(4, run), pool(1, run));
         assert_eq!(rp, rs);
         for t in 0..pp.mixture_tv_by_depth.len() {
@@ -1411,44 +1323,7 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let _ = fixed(10, 1).estimate_full(&Overflowing, std::slice::from_ref(&a), &a);
-    }
-
-    #[test]
-    fn wide_truncated_horizon_prefixes_the_full_profile() {
-        use bcc_congest::wide::FnWideProtocol;
-        let p = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
-        let (members, baseline) = family();
-        let full = ExactEstimator::default().estimate_full(&p, &members, &baseline);
-        assert!(full.is_exact());
-        assert_eq!(full.noise_floor(), 0.0);
-        assert_eq!(full.speaker_stats.len(), 6, "one speaker entry per turn");
-        let half = ExactEstimator::default().estimate(&p, &members, &baseline, 3);
-        assert_eq!(half.horizon, 3);
-        assert_eq!(half.mixture_tv_by_depth.len(), 4);
-        for t in 0..=3 {
-            assert!(
-                (half.mixture_tv_by_depth[t] - full.mixture_tv_by_depth[t]).abs() < 1e-12,
-                "depth {t}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the protocol")]
-    fn wide_over_long_horizon_rejected() {
-        use bcc_congest::wide::FnWideProtocol;
-        let p = FnWideProtocol::new(2, 3, 2, 4, |_, input, _| input & 0b11);
-        let (members, baseline) = family();
-        let _ = ExactEstimator::default().estimate(&p, &members, &baseline, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the protocol")]
-    fn over_long_horizon_rejected() {
-        let p = reveal_protocol(2, 3, 4);
-        let (members, baseline) = family();
-        let _ = ExactEstimator::default().estimate(&p, &members, &baseline, 5);
+        let _ = fixed(10, 1).estimate(&Overflowing, std::slice::from_ref(&a), &a);
     }
 
     #[test]
@@ -1458,7 +1333,7 @@ mod tests {
         // turn, so the live tree is tiny.
         let p = FnProtocol::new(1, 1, 25, |_, input, _| input == 1);
         let a = ProductInput::uniform(1, 1);
-        let profile = ExactEstimator::default().estimate_full(&p, std::slice::from_ref(&a), &a);
+        let profile = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
         assert_eq!(profile.horizon, 25);
         assert!(profile.tv().abs() < 1e-12);
     }
@@ -1470,6 +1345,6 @@ mod tests {
         // guard as every width, before any walking.
         let p = FnProtocol::new(1, 1, 26, |_, input, _| input == 1);
         let a = ProductInput::uniform(1, 1);
-        let _ = ExactEstimator::default().estimate_full(&p, std::slice::from_ref(&a), &a);
+        let _ = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
     }
 }

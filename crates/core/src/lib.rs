@@ -37,8 +37,8 @@
 //! Callers normally go through the unified execution backend in [`exec`]:
 //! an [`exec::Estimator`] (the exact walk or the adaptive sampler, whose
 //! one-batch form is the fixed-budget estimate) turns a
-//! `(protocol, family, baseline, horizon)` query into a
-//! [`exec::DepthProfile`], so experiment code never chooses between the
+//! `(protocol, family, baseline)` query into a [`exec::DepthProfile`] over
+//! the protocol's own horizon, so experiment code never chooses between the
 //! engine and the sampler by hand. Every transcript distance in the crate
 //! is a `DepthProfile` — the pair sampler for dependent-row inputs
 //! ([`sample::sampled_comparison_with`]) and the seed-walk oracle

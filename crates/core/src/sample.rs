@@ -514,7 +514,9 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = ExactEstimator::default().estimate_pair(&p, &a, &b).tv();
+        let exact = ExactEstimator
+            .estimate(&p, std::slice::from_ref(&a), &b)
+            .tv();
         let sampled = sampled_pair(&p, &a, &b, 40_000, 1);
         assert!(
             (sampled.tv() - exact).abs() < 0.02,
@@ -720,7 +722,9 @@ mod tests {
             RowSupport::explicit(3, vec![1, 3, 5, 7]),
             RowSupport::uniform(3),
         ]);
-        let exact = ExactEstimator::default().estimate_pair(&p, &a, &b).tv();
+        let exact = ExactEstimator
+            .estimate(&p, std::slice::from_ref(&a), &b)
+            .tv();
         let sampled = sampled_pair(&p, &a, &b, 40_000, 17);
         assert!(
             (sampled.tv() - exact).abs() < sampled.noise_floor() + 0.02,

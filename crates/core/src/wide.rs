@@ -78,8 +78,8 @@ mod tests {
             RowSupport::uniform(3),
         ]);
         let b = ProductInput::uniform(2, 3);
-        let bit = ExactEstimator::default().estimate_pair(&bitp, &a, &b);
-        let wide = ExactEstimator::default().estimate_pair(&widep, &a, &b);
+        let bit = ExactEstimator.estimate(&bitp, std::slice::from_ref(&a), &b);
+        let wide = ExactEstimator.estimate(&widep, std::slice::from_ref(&a), &b);
         assert!((bit.tv() - wide.tv()).abs() < 1e-12);
         assert_eq!(
             bit.mixture_tv_by_depth.len(),
@@ -131,9 +131,9 @@ mod tests {
         let b = ProductInput::uniform(2, 4);
 
         let inner = make_inner();
-        let bit = ExactEstimator::default().estimate_pair(&inner, &a, &b);
+        let bit = ExactEstimator.estimate(&inner, std::slice::from_ref(&a), &b);
         let packed = PackedAdapter::new(make_inner(), 2);
-        let wide = ExactEstimator::default().estimate_pair(&packed, &a, &b);
+        let wide = ExactEstimator.estimate(&packed, std::slice::from_ref(&a), &b);
         assert_eq!(wide.horizon * 2, bit.horizon);
         assert!(
             (bit.tv() - wide.tv()).abs() < 1e-12,
@@ -150,7 +150,7 @@ mod tests {
         let wide = FnWideProtocol::new(1, 4, 4, 1, |_, input, _| input & 0xF);
         let a = ProductInput::new(vec![RowSupport::explicit(4, vec![0, 1, 2, 3])]);
         let b = ProductInput::uniform(1, 4);
-        let cmp = ExactEstimator::default().estimate_pair(&wide, &a, &b);
+        let cmp = ExactEstimator.estimate(&wide, std::slice::from_ref(&a), &b);
         assert!((cmp.tv() - 0.75).abs() < 1e-12);
         assert_eq!(cmp.horizon, 1);
     }
@@ -161,7 +161,7 @@ mod tests {
         let m0 = ProductInput::new(vec![RowSupport::explicit(3, vec![0, 1])]);
         let m1 = ProductInput::new(vec![RowSupport::explicit(3, vec![6, 7])]);
         let base = ProductInput::uniform(1, 3);
-        let cmp = ExactEstimator::default().estimate_full(&wide, &[m0, m1], &base);
+        let cmp = ExactEstimator.estimate(&wide, &[m0, m1], &base);
         for t in 0..cmp.mixture_tv_by_depth.len() {
             assert!(cmp.mixture_tv_by_depth[t] <= cmp.progress_by_depth[t] + 1e-12);
         }
@@ -174,7 +174,7 @@ mod tests {
         // expectation (4 equal parts of the uniform 4-point support).
         let wide = FnWideProtocol::new(1, 2, 2, 2, |_, input, _| input & 0b11);
         let a = ProductInput::uniform(1, 2);
-        let cmp = ExactEstimator::default().estimate_pair(&wide, &a, &a);
+        let cmp = ExactEstimator.estimate(&wide, std::slice::from_ref(&a), &a);
         assert_eq!(cmp.speaker_stats.len(), 2);
         assert!((cmp.speaker_stats[0].mean_fraction - 1.0).abs() < 1e-12);
         assert!((cmp.speaker_stats[1].mean_fraction - 0.25).abs() < 1e-12);
@@ -205,7 +205,7 @@ mod tests {
         // bit pins after one turn), so the walk itself is cheap.
         let p = FnWideProtocol::new(1, 1, 1, 25, |_, input, _| input & 1);
         let a = ProductInput::uniform(1, 1);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
         assert_eq!(cmp.horizon, 25);
         assert!(cmp.tv().abs() < 1e-12);
     }
@@ -217,7 +217,7 @@ mod tests {
         // deep. The guard must fire before any walking happens.
         let p = FnWideProtocol::new(1, 1, 1, 26, |_, input, _| input & 1);
         let a = ProductInput::uniform(1, 1);
-        let _ = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let _ = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
     }
 
     #[test]
@@ -227,7 +227,7 @@ mod tests {
         // width-2 tree to depth 13 reaches ~2^26.4 nodes and must refuse.
         let p = FnWideProtocol::new(1, 2, 2, 13, |_, input, _| input & 0b11);
         let a = ProductInput::uniform(1, 2);
-        let _ = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let _ = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 1);
-        let _ = ExactEstimator::default().estimate_pair(&Absurd, &a, &a);
+        let _ = ExactEstimator.estimate(&Absurd, std::slice::from_ref(&a), &a);
     }
 
     #[test]
@@ -282,6 +282,38 @@ mod tests {
             }
         }
         let a = ProductInput::uniform(1, 2);
-        let _ = ExactEstimator::default().estimate_pair(&TwoBitsAtWidthOne, &a, &a);
+        let _ = ExactEstimator.estimate(&TwoBitsAtWidthOne, std::slice::from_ref(&a), &a);
+    }
+
+    /// A width-1 closure answering two bits: `FnWideProtocol` does not
+    /// check its closure, so the consumer must.
+    fn two_bits_at_width_one() -> impl WideTurnProtocol + Sync {
+        FnWideProtocol::new(1, 2, 1, 1, |_, input, _| input & 3)
+    }
+
+    #[test]
+    #[should_panic(expected = "message exceeds")]
+    fn over_wide_message_is_refused_by_the_sampler() {
+        // On a one-thread pool the sides are sampled on the calling
+        // thread, so the refusal's own message reaches the harness (the
+        // vendored rayon's scoped workers re-panic with a generic one).
+        let a = ProductInput::uniform(1, 2);
+        let est = crate::exec::AdaptiveEstimator::new(0.0, 64, 64, 1);
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("build the rayon pool");
+        one_thread.install(|| est.estimate(&two_bits_at_width_one(), std::slice::from_ref(&a), &a));
+    }
+
+    #[test]
+    #[should_panic(expected = "message exceeds")]
+    fn over_wide_message_is_refused_by_the_seed_walk() {
+        let a = ProductInput::uniform(1, 2);
+        let _ = crate::engine::exact_mixture_comparison_reference(
+            &two_bits_at_width_one(),
+            std::slice::from_ref(&a),
+            &a,
+        );
     }
 }

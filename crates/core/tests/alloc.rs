@@ -81,9 +81,7 @@ fn full_tree_walk(horizon: u32, reference: bool) -> f64 {
     if reference {
         exact_mixture_comparison_reference(&p, members, &b).tv()
     } else {
-        ExactEstimator::default()
-            .estimate_full(&p, members, &b)
-            .tv()
+        ExactEstimator.estimate(&p, members, &b).tv()
     }
 }
 
@@ -144,9 +142,7 @@ fn full_wide_tree_walk(horizon: u32, reference: bool) -> f64 {
     if reference {
         exact_mixture_comparison_reference(&p, members, &b).tv()
     } else {
-        ExactEstimator::default()
-            .estimate_full(&p, members, &b)
-            .tv()
+        ExactEstimator.estimate(&p, members, &b).tv()
     }
 }
 
@@ -192,7 +188,7 @@ fn sampled_estimate(samples: usize) -> f64 {
         baseline.with_row(2, RowSupport::explicit(4, vec![0, 3, 5, 6, 9, 10, 12, 15])),
     ];
     fixed_budget(samples, 7)
-        .estimate_full(&p, &members, &baseline)
+        .estimate(&p, &members, &baseline)
         .tv()
 }
 

@@ -43,10 +43,10 @@ fn sampled_wide_agrees_with_exact_up_to_the_node_budget_boundary() {
                 "grid point (w {w}, T {t}) must be inside the exact budget"
             );
             let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
-            let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+            let exact = ExactEstimator.estimate(&p, &members, &baseline);
             assert!(exact.is_exact());
             let sampled = fixed_budget(16_384, 0x5EED ^ u64::from(w * 31 + t))
-                .estimate_full(&p, &members, &baseline);
+                .estimate(&p, &members, &baseline);
             let floor = sampled.noise_floor();
             assert!(floor.is_finite() && floor > 0.0);
             for depth in 0..exact.mixture_tv_by_depth.len() {
@@ -87,9 +87,9 @@ fn plugin_estimates_agree_with_exact_within_their_depth_floors() {
         for &t in horizons {
             for samples in [16_384usize, 96] {
                 let p = wide_protocol(2, 3, w, t, 0xD1FF ^ (u64::from(w) << 8) ^ u64::from(t));
-                let exact = ExactEstimator::default().estimate_full(&p, &members, &baseline);
+                let exact = ExactEstimator.estimate(&p, &members, &baseline);
                 let plugin = fixed_budget(samples, 0x5EED ^ u64::from(w * 31 + t))
-                    .estimate_full(&p, &members, &baseline);
+                    .estimate(&p, &members, &baseline);
                 for depth in 0..=t {
                     let d = depth as usize;
                     let floor = plugin.noise_floor_at(depth);
@@ -117,14 +117,14 @@ fn sampled_wide_continues_past_the_exact_cliff() {
     // budget guard panics here — pinned in crates/core/src/wide.rs).
     assert!(wide_walk_nodes(2, 13) > MAX_WIDE_NODES);
     let p = wide_protocol(2, 3, 2, 13, 0xC11F);
-    let profile = fixed_budget(8_192, 7).estimate_full(&p, &members, &baseline);
+    let profile = fixed_budget(8_192, 7).estimate(&p, &members, &baseline);
     assert_eq!(profile.horizon, 13);
     assert!(profile.noise_floor().is_finite());
     for &tv in &profile.mixture_tv_by_depth {
         assert!((0.0..=1.0 + 1e-12).contains(&tv));
     }
     // Seeded rerun is bitwise identical (the property lab resume needs).
-    let again = fixed_budget(8_192, 7).estimate_full(&p, &members, &baseline);
+    let again = fixed_budget(8_192, 7).estimate(&p, &members, &baseline);
     assert_profile_bitwise_eq(&profile, &again, "past-cliff rerun");
 }
 
@@ -143,13 +143,13 @@ fn width_one_sampled_path_is_bitwise_the_bit_sampler() {
     });
     let (members, baseline) = small_family();
 
-    let bit = fixed_budget(6_000, 0xAB).estimate_full(&bitp, &members, &baseline);
-    let wide = fixed_budget(6_000, 0xAB).estimate_full(&widep, &members, &baseline);
+    let bit = fixed_budget(6_000, 0xAB).estimate(&bitp, &members, &baseline);
+    let wide = fixed_budget(6_000, 0xAB).estimate(&widep, &members, &baseline);
     assert_profile_bitwise_eq(&bit, &wide, "single-batch w=1");
 
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_a, bit_r) = est.estimate_with_report(&bitp, &members, &baseline, 9);
-    let (wide_a, wide_r) = est.estimate_with_report(&widep, &members, &baseline, 9);
+    let (bit_a, bit_r) = est.estimate_with_report(&bitp, &members, &baseline);
+    let (wide_a, wide_r) = est.estimate_with_report(&widep, &members, &baseline);
     assert_eq!(bit_r, wide_r, "adaptive reports must coincide at w = 1");
     assert!(bit_r.batches > 1, "want a multi-batch adaptive run");
     assert_profile_bitwise_eq(&bit_a, &wide_a, "adaptive w=1");
@@ -194,7 +194,7 @@ proptest! {
                 ])
             })
             .collect();
-        let run = || fixed_budget(2_000, seed).estimate_full(&p, &members, &base);
+        let run = || fixed_budget(2_000, seed).estimate(&p, &members, &base);
         let (par, seq) = (pool(4, run), pool(1, run));
         for depth in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -229,9 +229,9 @@ proptest! {
         let p = wide_protocol(2, 3, w, t, seed);
         let members = vec![a];
         let est = AdaptiveEstimator::new(0.3, 64, 1 << 12, seed);
-        let (profile, report) = est.estimate_with_report(&p, &members, &base, t);
+        let (profile, report) = est.estimate_with_report(&p, &members, &base);
         let single = fixed_budget(report.samples_per_side, seed)
-            .estimate_full(&p, &members, &base);
+            .estimate(&p, &members, &base);
         prop_assert_eq!(profile.tv().to_bits(), single.tv().to_bits());
         prop_assert_eq!(profile.progress().to_bits(), single.progress().to_bits());
         prop_assert_eq!(report.samples_drawn, report.samples_per_side);

@@ -32,24 +32,24 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
     });
     let widep = wide_protocol(2, 3, 2, 8, 0xA5A5);
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
-    let (bit_adaptive, _) = est.estimate_with_report(&bitp, &members, &baseline, 9);
-    let (wide_adaptive, _) = est.estimate_with_report(&widep, &members, &baseline, 8);
+    let (bit_adaptive, _) = est.estimate_with_report(&bitp, &members, &baseline);
+    let (wide_adaptive, _) = est.estimate_with_report(&widep, &members, &baseline);
     vec![
         (
             "exact bit",
-            ExactEstimator::default().estimate_full(&bitp, &members, &baseline),
+            ExactEstimator.estimate(&bitp, &members, &baseline),
         ),
         (
             "exact wide",
-            ExactEstimator::default().estimate_full(&widep, &members, &baseline),
+            ExactEstimator.estimate(&widep, &members, &baseline),
         ),
         (
             "single-batch bit",
-            fixed_budget(6_000, 0xAB).estimate_full(&bitp, &members, &baseline),
+            fixed_budget(6_000, 0xAB).estimate(&bitp, &members, &baseline),
         ),
         (
             "single-batch wide",
-            fixed_budget(4_096, 0x5EED).estimate_full(&widep, &members, &baseline),
+            fixed_budget(4_096, 0x5EED).estimate(&widep, &members, &baseline),
         ),
         ("multi-batch bit", bit_adaptive),
         ("multi-batch wide", wide_adaptive),

@@ -129,8 +129,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 6, seed);
-        let ab = ExactEstimator::default().estimate_pair(&p, &a, &b);
-        let ba = ExactEstimator::default().estimate_pair(&p, &b, &a);
+        let ab = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
+        let ba = ExactEstimator.estimate(&p, std::slice::from_ref(&b), &a);
         prop_assert!((ab.tv() - ba.tv()).abs() < 1e-12);
         for t in 0..ab.mixture_tv_by_depth.len() {
             prop_assert!((0.0..=1.0 + 1e-12).contains(&ab.mixture_tv_by_depth[t]));
@@ -140,7 +140,7 @@ proptest! {
     #[test]
     fn identical_inputs_have_zero_distance(a in arb_input(2, 3), seed in any::<u64>()) {
         let p = protocol(2, 3, 6, seed);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
         prop_assert!(cmp.tv() < 1e-12);
     }
 
@@ -149,7 +149,7 @@ proptest! {
         // Longer transcripts can only reveal more (data processing in
         // reverse): prefix TV is nondecreasing in t.
         let p = protocol(2, 3, 8, seed);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &b);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b);
         for w in cmp.mixture_tv_by_depth.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-12, "prefix TV decreased: {w:?}");
         }
@@ -166,14 +166,14 @@ proptest! {
         // distances <= max member distance.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a.clone(), b.clone()];
-        let mix = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let mix = ExactEstimator.estimate(&p, &members, &base);
         for t in 0..mix.mixture_tv_by_depth.len() {
             prop_assert!(mix.mixture_tv_by_depth[t] <= mix.progress_by_depth[t] + 1e-12);
         }
         let avg = (mix.per_member_tv[0] + mix.per_member_tv[1]) / 2.0;
         prop_assert!((mix.progress() - avg).abs() < 1e-12);
         // Per-member results agree with standalone walks.
-        let solo_a = ExactEstimator::default().estimate_pair(&p, &a, &base).tv();
+        let solo_a = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &base).tv();
         prop_assert!((mix.per_member_tv[0] - solo_a).abs() < 1e-12);
     }
 
@@ -184,7 +184,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = protocol(2, 3, 8, seed);
-        let mix = ExactEstimator::default().estimate_full(&p, &[a], &base);
+        let mix = ExactEstimator.estimate(&p, &[a], &base);
         for inc in mix.progress_increments() {
             prop_assert!(inc >= -1e-12);
         }
@@ -198,7 +198,7 @@ proptest! {
         // Under baseline = a itself, processor 0's expected consistent
         // fraction is nonincreasing over its own turns.
         let p = protocol(2, 4, 8, seed);
-        let cmp = ExactEstimator::default().estimate_pair(&p, &a, &a);
+        let cmp = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &a);
         let own_turns: Vec<f64> = cmp
             .speaker_stats
             .iter()
@@ -219,7 +219,7 @@ proptest! {
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let p = protocol(2, 3, 4, seed);
-        let exact = ExactEstimator::default().estimate_pair(&p, &a, &b).tv();
+        let exact = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &b).tv();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let sampled = bcc_core::sampled_comparison_with(
             &p,
@@ -248,8 +248,8 @@ proptest! {
         // floor (plus Hoeffding slack) of the exact estimator's TV.
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
-        let exact = ExactEstimator::default().estimate_full(&p, &members, &base);
-        let sampled = fixed_budget(20_000, seed).estimate_full(&p, &members, &base);
+        let exact = ExactEstimator.estimate(&p, &members, &base);
+        let sampled = fixed_budget(20_000, seed).estimate(&p, &members, &base);
         prop_assert!(
             (sampled.tv() - exact.tv()).abs() <= sampled.noise_floor() + 0.05,
             "sampled {} vs exact {} (floor {})",
@@ -287,7 +287,7 @@ proptest! {
                 ])
             })
             .collect();
-        let run = || fixed_budget(2_000, seed).estimate_full(&p, &members, &base);
+        let run = || fixed_budget(2_000, seed).estimate(&p, &members, &base);
         let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -322,7 +322,7 @@ proptest! {
         let p = protocol(2, 3, 6, seed);
         let members = vec![a, b];
         let est = AdaptiveEstimator::new(0.25, 64, 1 << 16, seed);
-        let (profile, report) = est.estimate_with_report(&p, &members, &base, 6);
+        let (profile, report) = est.estimate_with_report(&p, &members, &base);
         prop_assert!(report.samples_per_side <= 1 << 16);
         if report.met_tolerance {
             prop_assert!(profile.noise_floor() <= 0.25);
@@ -330,7 +330,7 @@ proptest! {
             prop_assert_eq!(report.samples_per_side, 1 << 16);
         }
         // Deterministic under the fixed seed.
-        let (again, report_again) = est.estimate_with_report(&p, &members, &base, 6);
+        let (again, report_again) = est.estimate_with_report(&p, &members, &base);
         prop_assert_eq!(report, report_again);
         prop_assert_eq!(profile.tv().to_bits(), again.tv().to_bits());
     }
@@ -354,7 +354,7 @@ proptest! {
                 ])
             })
             .collect();
-        let run = || ExactEstimator::default().estimate_full(&p, &members, &base);
+        let run = || ExactEstimator.estimate(&p, &members, &base);
         let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -400,8 +400,8 @@ proptest! {
             u64::from(decision_bit(seed, proc, input, tr.len(), tr.as_u64()))
         });
         let members = vec![a, b];
-        let bit = ExactEstimator::default().estimate_full(&bitp, &members, &base);
-        let wide = ExactEstimator::default().estimate_full(&widep, &members, &base);
+        let bit = ExactEstimator.estimate(&bitp, &members, &base);
+        let wide = ExactEstimator.estimate(&widep, &members, &base);
         prop_assert_eq!(bit.horizon, wide.horizon);
         for t in 0..bit.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -456,7 +456,7 @@ proptest! {
                 ])
             })
             .collect();
-        let run = || ExactEstimator::default().estimate_full(&p, &members, &base);
+        let run = || ExactEstimator.estimate(&p, &members, &base);
         let (par, seq) = (pool(4, run), pool(1, run));
         for t in 0..par.mixture_tv_by_depth.len() {
             prop_assert_eq!(
@@ -505,7 +505,7 @@ proptest! {
         // protocols and supports: every f64 must agree bit for bit.
         let p = protocol(2, 3, 8, seed);
         let members = vec![a, b];
-        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let new = ExactEstimator.estimate(&p, &members, &base);
         let old = exact_mixture_comparison_reference(&p, &members, &base);
         assert_mixture_bitwise_eq(&new, &old, "walk vs seed");
     }
@@ -518,7 +518,7 @@ proptest! {
     ) {
         let p = wide_protocol(2, 4, 2, 6, seed);
         let members = vec![a];
-        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let new = ExactEstimator.estimate(&p, &members, &base);
         let old = exact_mixture_comparison_reference(&p, &members, &base);
         assert_mixture_bitwise_eq(&new, &old, "wide walk vs seed");
     }
@@ -538,7 +538,7 @@ proptest! {
         let members: Vec<ProductInput> = (0..3)
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
-        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let new = ExactEstimator.estimate(&p, &members, &base);
         let old = exact_mixture_comparison_reference(&p, &members, &base);
         assert_mixture_bitwise_eq(&new, &old, "shared");
     }
@@ -559,7 +559,7 @@ proptest! {
         let members: Vec<ProductInput> = (0..3)
             .map(|i| base.with_row(i, RowSupport::explicit(4, planted.clone())))
             .collect();
-        let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+        let new = ExactEstimator.estimate(&p, &members, &base);
         let old = exact_mixture_comparison_reference(&p, &members, &base);
         assert_mixture_bitwise_eq(&new, &old, &format!("shared w{width}"));
     }
@@ -578,7 +578,7 @@ fn wide_walk_with_thousands_of_processors_is_bitwise_deterministic() {
         ProductInput::repeated(RowSupport::explicit(3, vec![1, 3, 4, 6, 7]), n),
     ];
     let base = ProductInput::uniform(n, 3);
-    let run = || ExactEstimator::default().estimate_full(&p, &members, &base);
+    let run = || ExactEstimator.estimate(&p, &members, &base);
     let (par, seq) = (pool(4, run), pool(1, run));
     assert_eq!(par.horizon, 8);
     for t in 0..par.mixture_tv_by_depth.len() {
@@ -617,7 +617,7 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
         (0..1024).filter(|x| x % 5 != 0).collect(),
     )]);
     let base = ProductInput::uniform(1, 10);
-    let new = ExactEstimator::default().estimate_pair(&p, &a, &base);
+    let new = ExactEstimator.estimate(&p, std::slice::from_ref(&a), &base);
     let old = exact_mixture_comparison_reference(&p, std::slice::from_ref(&a), &base);
     assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
 }
@@ -647,7 +647,7 @@ fn wide_demotion_boundary_walk_is_bitwise_the_seed_walk_and_counts_pinned() {
     ];
     let registry = bcc_obs::Registry::new();
     let scope = registry.install();
-    let new = ExactEstimator::default().estimate_full(&p, &members, &base);
+    let new = ExactEstimator.estimate(&p, &members, &base);
     drop(scope);
     let old = exact_mixture_comparison_reference(&p, &members, &base);
     assert_mixture_bitwise_eq(&new, &old, "wide demotion boundary");
@@ -671,7 +671,7 @@ fn huge_support_tiny_alive_bit_walk_finishes_and_is_exact() {
     let p = FnProtocol::new(1, 18, 14, |_, input, tr| (input >> tr.len()) & 1 == 1);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let run = || ExactEstimator::default().estimate_pair(&p, &a, &base);
+    let run = || ExactEstimator.estimate(&p, std::slice::from_ref(&a), &base);
     let (par, seq) = (pool(4, run), pool(1, run));
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(
@@ -699,7 +699,7 @@ fn huge_support_tiny_alive_wide_walk_finishes_and_is_exact() {
     let p = FnWideProtocol::new(1, 18, 2, 7, |_, input, tr| (input >> (2 * tr.len())) & 0b11);
     let a = ProductInput::new(vec![RowSupport::explicit(18, (0..16).collect())]);
     let base = ProductInput::uniform(1, 18);
-    let run = || ExactEstimator::default().estimate_pair(&p, &a, &base);
+    let run = || ExactEstimator.estimate(&p, std::slice::from_ref(&a), &base);
     let (par, seq) = (pool(4, run), pool(1, run));
     let expected = 1.0 - (16.0 / (1u64 << 14) as f64);
     assert!(

@@ -76,7 +76,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // The bit path.
     let bitp = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&bitp, &members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&bitp, &members, &baseline);
         report
     });
     let sorted = snap.work_counter("exec.keys_sorted");
@@ -105,7 +105,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     // The wide path, same contract.
     let widep = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&widep, &members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&widep, &members, &baseline);
         report
     });
     let sorted = snap.work_counter("exec.keys_sorted");
@@ -125,7 +125,7 @@ fn adaptive_runs_sort_exactly_one_final_budget_per_side() {
     let wide_members = wide_family();
     let m = wide_members.len() as u64;
     let (report, snap) = scoped(|| {
-        let (_, report) = est.estimate_with_report(&bitp, &wide_members, &baseline, 6);
+        let (_, report) = est.estimate_with_report(&bitp, &wide_members, &baseline);
         report
     });
     let sorted = snap.work_counter("exec.keys_sorted");
@@ -183,8 +183,8 @@ fn concurrent_runs_count_only_their_own_work() {
     let est = AdaptiveEstimator::new(1e-9, 64, 2048, 0xFEED);
     let bitp = FnProtocol::new(2, 3, 6, |_, input, tr| (input >> (tr.len() / 2)) & 1 == 1);
     let widep = FnWideProtocol::new(2, 3, 2, 6, |_, input, tr| (input >> (tr.len() % 2)) & 0b11);
-    let bit_run = || est.estimate_with_report(&bitp, &members, &baseline, 6);
-    let wide_run = || est.estimate_with_report(&widep, &wide_members, &baseline, 6);
+    let bit_run = || est.estimate_with_report(&bitp, &members, &baseline);
+    let wide_run = || est.estimate_with_report(&widep, &wide_members, &baseline);
     let fingerprint = |snap: Snapshot| snap.work_fingerprint();
     let bit_alone = fingerprint(scoped(bit_run).1);
     let wide_alone = fingerprint(scoped(wide_run).1);
@@ -221,8 +221,7 @@ fn exact_walks_count_the_same_work_in_both_modes() {
     let p = FnProtocol::new(2, 8, 10, |proc, input, tr| {
         (input >> ((tr.len() as usize + proc) % 8)) & 1 == (tr.as_u64() & 1)
     });
-    let optimized =
-        || scoped(|| ExactEstimator::default().estimate_full(&p, &members, &baseline)).1;
+    let optimized = || scoped(|| ExactEstimator.estimate(&p, &members, &baseline)).1;
     let reference = || scoped(|| exact_mixture_comparison_reference(&p, &members, &baseline)).1;
     for (four, one) in [
         (pool(4, optimized), pool(1, optimized)),

@@ -225,8 +225,7 @@ fn sampled_distance<P: WideTurnProtocol + Sync + ?Sized>(
     if precision.truncated_target {
         estimator = estimator.with_truncated_target();
     }
-    let (profile, report) =
-        estimator.estimate_with_report(protocol, family, baseline, protocol.horizon());
+    let (profile, report) = estimator.estimate_with_report(protocol, family, baseline);
     let mut outcome = Outcome::flat(
         profile.tv(),
         profile.noise_floor(),
@@ -298,7 +297,7 @@ fn rank_setup(
 /// message masks.
 fn wide_messages(point: &ScenarioPoint, members: usize, precision: &Precision) -> Outcome {
     let (protocol, family, baseline) = wide_setup(point, members);
-    let profile = ExactEstimator::default().estimate_full(&protocol, &family, &baseline);
+    let profile = ExactEstimator.estimate(&protocol, &family, &baseline);
     Outcome::flat(
         profile.tv(),
         profile.noise_floor(),
@@ -545,9 +544,7 @@ mod tests {
         for (id, p) in scenario.grid().points().iter().enumerate() {
             let record = run_point(&scenario, id, p);
             let (protocol, family, baseline) = rank_setup(p, 4);
-            let exact = ExactEstimator::default()
-                .estimate_full(&protocol, &family, &baseline)
-                .tv();
+            let exact = ExactEstimator.estimate(&protocol, &family, &baseline).tv();
             assert!(
                 (record.estimate - exact).abs() <= record.noise_floor,
                 "{p:?}: sampled {} vs exact {exact}, floor {}",

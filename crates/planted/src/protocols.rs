@@ -97,7 +97,7 @@ pub fn experiment<P: WideTurnProtocol + Sync + ?Sized, E: Estimator>(
 ) -> DepthProfile {
     let members = clique_family(n, k);
     let baseline = rand_input(n);
-    estimator.estimate_full(protocol, &members, &baseline)
+    estimator.estimate(protocol, &members, &baseline)
 }
 
 /// [`experiment`] through the default exact estimator (the parallel exact
@@ -111,7 +111,7 @@ pub fn exact_experiment<P: WideTurnProtocol + Sync + ?Sized>(
     n: u32,
     k: usize,
 ) -> DepthProfile {
-    experiment(protocol, n, k, &ExactEstimator::default())
+    experiment(protocol, n, k, &ExactEstimator)
 }
 
 #[cfg(test)]

@@ -448,7 +448,7 @@ mod tests {
         });
         let members = family(n, k, m);
         let baseline = uniform_input(n, m);
-        let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+        let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
         assert!(cmp.tv() <= cmp.progress() + 1e-12);
         assert!(cmp.tv() < 0.3, "distance {}", cmp.tv());
     }
@@ -528,9 +528,7 @@ mod tests {
             });
             let members = family(n, k, m);
             let baseline = uniform_input(n, m);
-            ExactEstimator::default()
-                .estimate_full(&proto, &members, &baseline)
-                .tv()
+            ExactEstimator.estimate(&proto, &members, &baseline).tv()
         };
         let d2 = distance_at(2);
         let d5 = distance_at(5);

@@ -230,7 +230,7 @@ mod tests {
         });
         let members = family(n, k);
         let baseline = uniform_input(n, k);
-        let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+        let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
         let bound = n as f64 / 2f64.powf(k as f64 / 2.0);
         assert!(
             cmp.tv() <= bound,
@@ -255,7 +255,7 @@ mod tests {
         let proto = FnProtocol::new(1, k + 1, 1, move |_, input, _| on_coset(input, bstar, k));
         let pseudo = pseudo_input(1, k, bstar);
         let baseline = uniform_input(1, k);
-        let cmp = ExactEstimator::default().estimate_pair(&proto, &pseudo, &baseline);
+        let cmp = ExactEstimator.estimate(&proto, std::slice::from_ref(&pseudo), &baseline);
         assert!((cmp.tv() - 0.5).abs() < 1e-12, "tv = {}", cmp.tv());
     }
 
@@ -335,8 +335,11 @@ mod tests {
         let trials = 16;
         for _ in 0..trials {
             let b = rng.gen::<u64>() & ((1 << k) - 1);
-            let cmp =
-                ExactEstimator::default().estimate_pair(&proto, &pseudo_input(n, k, b), &baseline);
+            let cmp = ExactEstimator.estimate(
+                &proto,
+                std::slice::from_ref(&pseudo_input(n, k, b)),
+                &baseline,
+            );
             total += cmp.tv();
         }
         let avg = total / trials as f64;

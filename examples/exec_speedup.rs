@@ -41,7 +41,7 @@ fn main() {
 
     let time = || -> (DepthProfile, f64) {
         let start = Instant::now();
-        let profile = ExactEstimator::default().estimate_full(&protocol, &members, &baseline);
+        let profile = ExactEstimator.estimate(&protocol, &members, &baseline);
         (profile, start.elapsed().as_secs_f64())
     };
 

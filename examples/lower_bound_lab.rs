@@ -27,7 +27,7 @@ fn main() {
     );
 
     let proto = suspect_intersection(n, rounds);
-    let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+    let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
 
     println!("\nturn-by-turn (exact):");
     println!(

@@ -37,7 +37,7 @@ fn main() {
         RowSupport::uniform(5),
         RowSupport::uniform(5),
     ]);
-    let cmp = ExactEstimator::default().estimate_pair(&protocol, &biased, &uniform);
+    let cmp = ExactEstimator.estimate(&protocol, std::slice::from_ref(&biased), &uniform);
     println!("prefix distance by turn: {:?}", cmp.mixture_tv_by_depth);
     println!(
         "optimal distinguisher advantage after 3 turns: {:.4}",

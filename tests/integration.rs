@@ -68,7 +68,7 @@ fn prg_fools_protocol_but_attack_breaks_it() {
     });
     let members = bcc::prg::full::family(n, k, m);
     let baseline = bcc::prg::full::uniform_input(n, m);
-    let cmp = ExactEstimator::default().estimate_full(&proto, &members, &baseline);
+    let cmp = ExactEstimator.estimate(&proto, &members, &baseline);
     assert!(cmp.tv() < 0.2, "natural protocol separates: {}", cmp.tv());
 
     let mut rng = StdRng::seed_from_u64(2);
@@ -169,7 +169,7 @@ fn mixture_decomposition_identity() {
     let proto = protocols::degree_threshold(n, 1, 3);
     let family = clique_family(n, k);
     let baseline = rand_input(n);
-    let exact = ExactEstimator::default().estimate_full(&proto, &family, &baseline);
+    let exact = ExactEstimator.estimate(&proto, &family, &baseline);
 
     // Monte-Carlo A_k: sample a clique, then a member input, run.
     let mut est = MeanEstimator::new();
@@ -305,8 +305,12 @@ fn engine_two_sided_symmetry() {
         bcc::core::RowSupport::explicit(3, vec![0, 1, 2]),
         bcc::core::RowSupport::uniform(3),
     ]);
-    let ab = ExactEstimator::default().estimate_pair(&proto, &a, &b).tv();
-    let ba = ExactEstimator::default().estimate_pair(&proto, &b, &a).tv();
+    let ab = ExactEstimator
+        .estimate(&proto, std::slice::from_ref(&a), &b)
+        .tv();
+    let ba = ExactEstimator
+        .estimate(&proto, std::slice::from_ref(&b), &a)
+        .tv();
     assert!((ab - ba).abs() < 1e-12);
 }
 
