@@ -736,52 +736,59 @@ mod tests {
     /// horizon 6, exactly and under a fixed sampled budget (inputs are
     /// drawn before the protocol runs, and the short keys are the top
     /// bits of the long ones).
-    #[test]
-    fn shorter_horizon_profile_is_a_prefix_of_the_longer() {
+    fn assert_shorter_horizon_is_a_prefix(width: u32) {
         use bcc_congest::wide::FnWideProtocol;
         let (members, baseline) = family();
-        for width in [1, 2] {
-            let mask = (1u64 << width) - 1;
-            let at = |horizon| {
-                FnWideProtocol::new(2, 3, width, horizon, move |_, input, tr| {
-                    (input >> (tr.len() % 3)) & mask
-                })
-            };
-            let (short, long) = (at(3), at(6));
-            let exact = |p: &_| ExactEstimator.estimate(p, &members, &baseline);
-            let sampled = |p: &_| fixed(3_000, 0x9F).estimate(p, &members, &baseline);
-            for (name, s, l) in [
-                ("exact", exact(&short), exact(&long)),
-                ("sampled", sampled(&short), sampled(&long)),
-            ] {
-                assert_eq!((s.horizon, l.horizon), (3, 6));
-                for t in 0..=3 {
-                    assert_eq!(
-                        s.mixture_tv_by_depth[t].to_bits(),
-                        l.mixture_tv_by_depth[t].to_bits(),
-                        "{name} w={width}: mixture tv at depth {t}"
-                    );
-                    assert_eq!(
-                        s.progress_by_depth[t].to_bits(),
-                        l.progress_by_depth[t].to_bits(),
-                        "{name} w={width}: progress at depth {t}"
-                    );
-                }
-                if let (
-                    Provenance::Sampled {
-                        support_by_depth: ss,
-                        ..
-                    },
-                    Provenance::Sampled {
-                        support_by_depth: ls,
-                        ..
-                    },
-                ) = (&s.provenance, &l.provenance)
-                {
-                    assert_eq!(ss[..], ls[..4], "{name} w={width}: support by depth");
-                }
+        let mask = (1u64 << width) - 1;
+        let at = |horizon| {
+            FnWideProtocol::new(2, 3, width, horizon, move |_, input, tr| {
+                (input >> (tr.len() % 3)) & mask
+            })
+        };
+        let (short, long) = (at(3), at(6));
+        let exact = |p: &_| ExactEstimator.estimate(p, &members, &baseline);
+        let sampled = |p: &_| fixed(3_000, 0x9F).estimate(p, &members, &baseline);
+        for (name, s, l) in [
+            ("exact", exact(&short), exact(&long)),
+            ("sampled", sampled(&short), sampled(&long)),
+        ] {
+            assert_eq!((s.horizon, l.horizon), (3, 6));
+            for t in 0..=3 {
+                assert_eq!(
+                    s.mixture_tv_by_depth[t].to_bits(),
+                    l.mixture_tv_by_depth[t].to_bits(),
+                    "{name} w={width}: mixture tv at depth {t}"
+                );
+                assert_eq!(
+                    s.progress_by_depth[t].to_bits(),
+                    l.progress_by_depth[t].to_bits(),
+                    "{name} w={width}: progress at depth {t}"
+                );
+            }
+            if let (
+                Provenance::Sampled {
+                    support_by_depth: ss,
+                    ..
+                },
+                Provenance::Sampled {
+                    support_by_depth: ls,
+                    ..
+                },
+            ) = (&s.provenance, &l.provenance)
+            {
+                assert_eq!(ss[..], ls[..4], "{name} w={width}: support by depth");
             }
         }
+    }
+
+    #[test]
+    fn truncated_horizon_prefixes_the_full_profile() {
+        assert_shorter_horizon_is_a_prefix(1);
+    }
+
+    #[test]
+    fn wide_truncated_horizon_prefixes_the_full_profile() {
+        assert_shorter_horizon_is_a_prefix(2);
     }
 
     #[test]
