@@ -6,7 +6,9 @@
 //!
 //! * **partition**: a decomposition-family walk whose members share
 //!   every unplanted row's `Arc` with the baseline, seed walk vs label
-//!   planes (a bit protocol, and a width-2 protocol);
+//!   planes (a bit protocol, and a width-2 protocol), plus the width-2
+//!   protocol's messages written as masked parities, which the walk
+//!   splits by input bit planes (`wide_walk/parity`);
 //! * **intersect**: one consistent-set split at 2^17-point support with
 //!   512 live points, dense mask vs sparse index list;
 //! * **huge-support**: the 2^18-support/16-live-point walk only the
@@ -31,7 +33,7 @@
 use std::time::Instant;
 
 use bcc_bench::{banner, f, print_table};
-use bcc_congest::wide::FnWideProtocol;
+use bcc_congest::wide::{FnWideProtocol, ParityProtocol};
 use bcc_congest::FnProtocol;
 use bcc_core::{
     exact_mixture_comparison_reference, radix_sort_u64, Estimator, ExactEstimator, ProductInput,
@@ -260,6 +262,24 @@ fn run() {
         ExactEstimator.estimate(&wproto, &wmembers, &wbaseline)
     });
     let wide_speedup = seed_wide.ns_per_iter / new_wide.ns_per_iter;
+    // The same messages as masked parities: bit 0 is input bit `len`,
+    // bit 1 the masked parity above, so the walk splits by label planes.
+    let pproto = ParityProtocol::new(3, 8, 2, if smoke { 4 } else { 5 }, |proc, tr, b| {
+        if b == 0 {
+            1 << tr.len()
+        } else {
+            0x6Du64 ^ tr.as_u64() ^ (proc as u64)
+        }
+    });
+    let parity_wide = measure("wide_walk/parity", 3, budget, || {
+        ExactEstimator.estimate(&pproto, &wmembers, &wbaseline)
+    });
+    {
+        let a = ExactEstimator.estimate(&wproto, &wmembers, &wbaseline);
+        let b = ExactEstimator.estimate(&pproto, &wmembers, &wbaseline);
+        assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "parity walk disagrees");
+    }
+    let parity_speedup = new_wide.ns_per_iter / parity_wide.ns_per_iter;
 
     // -- intersect: dense mask vs sparse index list --------------------
     let universe = 1usize << 17;
@@ -364,6 +384,7 @@ fn run() {
         new_bit,
         seed_wide,
         new_wide,
+        parity_wide,
         dense_time,
         sparse_time,
         huge,
@@ -391,6 +412,10 @@ fn run() {
     let mut speedup_rows = vec![
         vec!["partition (w = 1)".into(), f(partition_speedup)],
         vec!["partition (w = 2)".into(), f(wide_speedup)],
+        vec![
+            "parity planes vs messages (w = 2)".into(),
+            f(parity_speedup),
+        ],
         vec!["intersect (dense vs sparse)".into(), f(intersect_speedup)],
     ];
     for &(name, ratio) in &sort_speedups {
@@ -430,6 +455,7 @@ fn run() {
     let mut speedups = vec![
         ("partition_bit", partition_speedup),
         ("partition_wide", wide_speedup),
+        ("parity_wide", parity_speedup),
         ("intersect", intersect_speedup),
     ];
     speedups.extend(sort_speedups);

@@ -8,6 +8,16 @@
 //! exact engine and the samplers in `bcc-core` analyze. A bit protocol is
 //! a [`WideTurnProtocol`] of width 1 ([`crate::FnProtocol`]), whose
 //! [`WideTranscript`] holds turn `t`'s bit at bit `t`.
+//!
+//! A protocol is any function of `(proc, input, transcript)`
+//! ([`FnWideProtocol`]). The paper's lower-bound protocols against the
+//! PRG are masked parities: message bit `b` is `⟨input, mask_b⟩` over F2
+//! for masks chosen from `(proc, transcript)`. [`ParityProtocol`] states
+//! that structure through [`WideTurnProtocol::parity_mask`]. Every
+//! consumer still runs its [`message`](WideTurnProtocol::message), but the
+//! exact walk in `bcc-core` reads the masks instead: it labels a dense
+//! consistent set with XORs of the support's input bit planes and splits
+//! it in word operations, with the same children bit for bit.
 
 /// A prefix of a turn-based `BCAST(w)` execution: one `w`-bit message per
 /// turn, packed into a `u64` (capacity `⌊64/w⌋` turns).
@@ -126,6 +136,31 @@ pub trait WideTurnProtocol {
 
     /// The message processor `proc` broadcasts (must be `< 2^width`).
     fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64;
+
+    /// The mask of message bit `bit` when the protocol is a masked
+    /// parity at this node: `Some(mask)` promises that bit `bit` of
+    /// [`message`](WideTurnProtocol::message)`(proc, input, transcript)`
+    /// is the parity of `input & mask` for every input. The exact walk
+    /// then splits dense sets in word operations instead of asking for
+    /// one message per point. The default, `None`, promises nothing.
+    fn parity_mask(&self, proc: usize, transcript: &WideTranscript, bit: u32) -> Option<u64> {
+        let _ = (proc, transcript, bit);
+        None
+    }
+}
+
+/// Refuses zero processors, inputs wider than 63 bits, a width outside
+/// `1..=16`, or a horizon beyond the packed transcript capacity.
+fn check_dimensions(n: usize, input_bits: u32, width: u32, horizon: u32) {
+    assert!(n > 0, "need at least one processor");
+    assert!(input_bits <= 63, "packed inputs hold at most 63 bits");
+    assert!((1..=16).contains(&width), "width must be in 1..=16");
+    // Widened before multiplying: an absurd horizon must hit this
+    // assert, not a u32 overflow.
+    assert!(
+        u64::from(horizon) * u64::from(width) <= 64,
+        "horizon exceeds packed capacity"
+    );
 }
 
 /// A [`WideTurnProtocol`] built from a closure.
@@ -148,15 +183,7 @@ where
     /// Panics on invalid dimensions (zero processors, width outside
     /// `1..=16`, or a horizon beyond the packed capacity).
     pub fn new(n: usize, input_bits: u32, width: u32, horizon: u32, f: F) -> Self {
-        assert!(n > 0, "need at least one processor");
-        assert!(input_bits <= 63, "packed inputs hold at most 63 bits");
-        assert!((1..=16).contains(&width), "width must be in 1..=16");
-        // Widened before multiplying: an absurd horizon must hit this
-        // assert, not a u32 overflow.
-        assert!(
-            u64::from(horizon) * u64::from(width) <= 64,
-            "horizon exceeds packed capacity"
-        );
+        check_dimensions(n, input_bits, width, horizon);
         FnWideProtocol {
             n,
             input_bits,
@@ -192,6 +219,88 @@ where
     /// walk once per split, [`WideTranscript::push`] on every other path).
     fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
         (self.f)(proc, input, transcript)
+    }
+}
+
+/// A masked-parity [`WideTurnProtocol`]: message bit `b` of processor
+/// `proc` after `transcript` is the parity of `input & mask(proc,
+/// transcript, b)`.
+///
+/// It runs everywhere a [`FnWideProtocol`] does, and it also answers
+/// [`parity_mask`](WideTurnProtocol::parity_mask), so the exact walk
+/// labels a whole dense consistent set with a few word-parallel XORs of
+/// input bit planes instead of one message per point.
+///
+/// # Example
+///
+/// ```
+/// use bcc_congest::wide::{ParityProtocol, WideTranscript, WideTurnProtocol};
+///
+/// // Bit 0 is the parity of input bits 0 and 1, bit 1 is input bit 2.
+/// let p = ParityProtocol::new(1, 3, 2, 1, |_, _, b| if b == 0 { 0b011 } else { 0b100 });
+/// assert_eq!(p.message(0, 0b101, &WideTranscript::empty(2)), 0b11);
+/// assert_eq!(p.parity_mask(0, &WideTranscript::empty(2), 1), Some(0b100));
+/// ```
+pub struct ParityProtocol<F> {
+    n: usize,
+    input_bits: u32,
+    width: u32,
+    horizon: u32,
+    mask: F,
+}
+
+impl<F> ParityProtocol<F>
+where
+    F: Fn(usize, &WideTranscript, u32) -> u64,
+{
+    /// Wraps `mask(proc, transcript, bit) → mask`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the dimensions [`FnWideProtocol::new`] refuses.
+    pub fn new(n: usize, input_bits: u32, width: u32, horizon: u32, mask: F) -> Self {
+        check_dimensions(n, input_bits, width, horizon);
+        ParityProtocol {
+            n,
+            input_bits,
+            width,
+            horizon,
+            mask,
+        }
+    }
+}
+
+impl<F> WideTurnProtocol for ParityProtocol<F>
+where
+    F: Fn(usize, &WideTranscript, u32) -> u64,
+{
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn input_bits(&self) -> u32 {
+        self.input_bits
+    }
+
+    fn width(&self) -> u32 {
+        self.width
+    }
+
+    fn horizon(&self) -> u32 {
+        self.horizon
+    }
+
+    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
+        let mut message = 0u64;
+        for b in 0..self.width {
+            let parity = (input & (self.mask)(proc, transcript, b)).count_ones() & 1;
+            message |= u64::from(parity) << b;
+        }
+        message
+    }
+
+    fn parity_mask(&self, proc: usize, transcript: &WideTranscript, bit: u32) -> Option<u64> {
+        Some((self.mask)(proc, transcript, bit))
     }
 }
 

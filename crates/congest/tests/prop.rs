@@ -1,6 +1,6 @@
 //! Property-based tests for the congested-clique model.
 
-use bcc_congest::wide::{run_wide_protocol, WideTranscript, WideTurnProtocol};
+use bcc_congest::wide::{run_wide_protocol, ParityProtocol, WideTranscript, WideTurnProtocol};
 use bcc_congest::{FnProtocol, Model, Network};
 use bcc_f2::BitVec;
 use proptest::prelude::*;
@@ -154,6 +154,35 @@ proptest! {
                     .collect();
                 prop_assert_eq!(net.collect_bits(suffix, bits), expected);
             }
+        }
+    }
+
+    #[test]
+    fn parity_protocol_messages_are_the_parities_of_its_masks(
+        input_bits in 1u32..=63,
+        width in 1u32..=16,
+        raw_input in any::<u64>(),
+        messages in proptest::collection::vec(any::<u64>(), 0..4),
+        proc in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        // Masks may set bits above the input width: they select nothing.
+        let mask = move |proc: usize, tr: &WideTranscript, b: u32| {
+            let z = seed ^ tr.as_u64().rotate_left(17) ^ ((proc as u64) << 40) ^ u64::from(b);
+            z.wrapping_mul(0x9E3779B97F4A7C15)
+        };
+        let p = ParityProtocol::new(5, input_bits, width, 4, mask);
+        let input = raw_input & ((1u64 << input_bits) - 1);
+        let mut tr = WideTranscript::empty(width);
+        for m in messages {
+            tr.push(m & ((1u64 << width) - 1));
+        }
+        let message = p.message(proc, input, &tr);
+        prop_assert!(message >> width == 0);
+        for b in 0..width {
+            let m = mask(proc, &tr, b);
+            prop_assert_eq!(p.parity_mask(proc, &tr, b), Some(m));
+            prop_assert_eq!((message >> b) & 1, u64::from((input & m).count_ones() & 1));
         }
     }
 

@@ -15,25 +15,41 @@
 //! Three coordinated layers keep the inner loop priced by *live*
 //! occupancy rather than nominal capacity:
 //!
-//! 1. **Label planes and the counted split.** At each node the protocol
-//!    is evaluated once per `(speaker, support row)` — not once per
-//!    distribution. Rows are grouped by `Arc` identity (see
-//!    [`crate::input::ProductInput`]'s shared rows), the protocol is
-//!    queried over the *union* of the group's live points via
-//!    [`WideTurnProtocol::message`], and the labels are shared by every
-//!    distribution in the group. At width 1 with a dense set in the
-//!    group the labels become a packed bit plane and each
-//!    distribution's split is two word-parallel `AND`s. Every other
-//!    split is *counted*: one pass over the distribution's `(point,
-//!    label)` pairs counts each label in an epoch-marked, label-indexed
-//!    table, child slots are sized from the counts in ascending label
-//!    order, and a second pass writes each point once into its child,
-//!    already dense or sparse ([`ConsistentSet::start_counted`]). A
+//! 1. **Label planes and the counted split.** At each node every
+//!    support row is labelled once per `(speaker, support row)` — not
+//!    once per distribution: rows are grouped by `Arc` identity (see
+//!    [`crate::input::ProductInput`]'s shared rows) and the labels are
+//!    shared by every distribution in the group. A protocol that names
+//!    its masks ([`WideTurnProtocol::parity_mask`], e.g.
+//!    [`bcc_congest::wide::ParityProtocol`]) is labelled without
+//!    evaluating a message: the walk builds each spoken support's
+//!    `input_bits` bit planes once per walk, keyed by the same `Arc`
+//!    identity, and label plane `b` is the XOR of the input planes that
+//!    mask `b` selects. A width-1 plane splits every set in two
+//!    word-parallel `AND`s. At wider widths each dense set is split one
+//!    label plane at a time — every partial child `AND`ed with the plane
+//!    and with its complement, counted by popcount, kept only if
+//!    non-empty — and each child is built dense or sparse by its count
+//!    ([`ConsistentSet::assign_words`]); a dense set too sparse for that
+//!    to pay, and every sparse set, reads its labels off the planes into
+//!    the counted split. These plane and child words go through no
+//!    kernel call, so `kernel.words.*` does not count them (nor did it
+//!    count the per-point `message` calls they replace). Any other
+//!    protocol is queried over the *union* of the group's live points
+//!    via [`WideTurnProtocol::message`]; at width 1 with a dense set in
+//!    the group the labels become a packed bit plane. Every other split
+//!    is *counted*: one pass over the distribution's `(point, label)`
+//!    pairs counts each label in an epoch-marked, label-indexed table,
+//!    child slots are sized from the counts in ascending label order,
+//!    and a second pass writes each point once into its child, already
+//!    dense or sparse ([`ConsistentSet::start_counted`]). A
 //!    one-distribution group reads its pairs straight off the union and
-//!    its labels; a shared group reads them off each distribution's
-//!    live set and a per-point label table. The walk checks each message
-//!    against the width, so a protocol that answers wider than it
-//!    declares panics instead of being silently misread.
+//!    its labels; a shared group reads them off each distribution's live
+//!    set and a per-point label table. Both label sources give the same
+//!    children, and a shared group builds its union on both paths, so
+//!    the two walk to the same bits and the same work counts. The walk
+//!    checks each message against the width, so a protocol that answers
+//!    wider than it declares panics instead of being silently misread.
 //! 2. **Pooled mask workspace.** Child sets live in per-depth slot
 //!    pools that are reused across sibling nodes, the walk swaps them
 //!    into the alive state for the duration of a subtree (one
@@ -70,6 +86,12 @@
 //! threads (which cut the same frontier) return bitwise-identical
 //! results, a property pinned by the workspace's property tests at
 //! width 1 and above.
+//!
+//! A pool of one worker runs the whole frontier as one chunk, so its
+//! pooled buffers warm once per walk. A walk called inside another
+//! parallel call's item (a lab sweep's point) runs its tasks on the
+//! calling thread: the vendored rayon never runs more threads than the
+//! pool's size. The chunking, and so every bit, is the same either way.
 //!
 //! The frontier depth itself adapts to the rayon pool (see
 //! [`adaptive_split_depth`]): on a single-core machine it is exactly the
@@ -219,6 +241,19 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
     let mut touched: Vec<usize> = (0..split).map(|t| protocol.speaker(t)).collect();
     touched.sort_unstable();
     touched.dedup();
+    // A protocol that names the parity mask of its first message is
+    // split by input bit planes: build them for every spoken row.
+    let parity = horizon > 0
+        && protocol
+            .parity_mask(protocol.speaker(0), &WideTranscript::empty(width), 0)
+            .is_some();
+    let mut spoken = vec![false; n];
+    if parity {
+        for t in 0..horizon {
+            spoken[protocol.speaker(t)] = true;
+        }
+    }
+    let (groups, planes) = row_groups(members, baseline, &spoken);
     let ctx = Ctx {
         protocol,
         members,
@@ -228,7 +263,8 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
         n,
         m,
         width,
-        groups: row_groups(members, baseline),
+        groups,
+        planes,
         touched,
     };
 
@@ -278,9 +314,14 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
     // contiguous chunks sharing one workspace each: pooled buffers warm
     // once per chunk instead of once per task, while ~4 chunks per worker
     // keep dynamic scheduling granular enough to absorb unbalanced
-    // subtrees.
+    // subtrees. One worker has nothing to balance: it takes the whole
+    // frontier as one chunk, and its workspace warms once.
     let workers = rayon::current_num_threads().max(1);
-    let chunk_len = frontier.len().div_ceil(workers * 4).max(1);
+    let chunk_len = if workers == 1 {
+        frontier.len().max(1)
+    } else {
+        frontier.len().div_ceil(workers * 4).max(1)
+    };
     let chunks: Vec<Vec<SubtreeTask>> = {
         let mut chunks = Vec::with_capacity(frontier.len().div_ceil(chunk_len));
         let mut it = frontier.into_iter();
@@ -329,14 +370,23 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
 struct RowGroup {
     /// Distribution indices (0 = baseline, `i + 1` = member `i`).
     dists: Vec<usize>,
+    /// The group's input bit planes in [`Ctx::planes`], on a parity walk.
+    planes: Option<usize>,
 }
 
 /// Groups the `m + 1` distributions of every row by `Arc` identity of
-/// their [`RowSupport`]s.
-fn row_groups(members: &[ProductInput], baseline: &ProductInput) -> Vec<Vec<RowGroup>> {
+/// their [`RowSupport`]s, and builds the [`input_planes`] of each
+/// distinct support of a row marked in `spoken`, once per `Arc`.
+fn row_groups(
+    members: &[ProductInput],
+    baseline: &ProductInput,
+    spoken: &[bool],
+) -> (Vec<Vec<RowGroup>>, Vec<Vec<u64>>) {
     let n = baseline.n();
     let m = members.len();
-    (0..n)
+    let mut planes = Vec::new();
+    let mut planes_of: Vec<(*const RowSupport, usize)> = Vec::new();
+    let groups = (0..n)
         .map(|row| {
             let mut groups: Vec<(*const RowSupport, RowGroup)> = Vec::new();
             for d in 0..=m {
@@ -348,12 +398,45 @@ fn row_groups(members: &[ProductInput], baseline: &ProductInput) -> Vec<Vec<RowG
                 let ptr = support as *const RowSupport;
                 match groups.iter_mut().find(|(p, _)| *p == ptr) {
                     Some((_, group)) => group.dists.push(d),
-                    None => groups.push((ptr, RowGroup { dists: vec![d] })),
+                    None => {
+                        let planes =
+                            spoken[row].then(|| match planes_of.iter().find(|(p, _)| *p == ptr) {
+                                Some(&(_, id)) => id,
+                                None => {
+                                    planes.push(input_planes(support));
+                                    planes_of.push((ptr, planes.len() - 1));
+                                    planes.len() - 1
+                                }
+                            });
+                        let group = RowGroup {
+                            dists: vec![d],
+                            planes,
+                        };
+                        groups.push((ptr, group));
+                    }
                 }
             }
             groups.into_iter().map(|(_, group)| group).collect()
         })
-        .collect()
+        .collect();
+    (groups, planes)
+}
+
+/// The input bit planes of `support`: plane `j` (words `j·W ..
+/// (j+1)·W`, `W = ⌈len/64⌉`) has bit `i` set iff input bit `j` of point
+/// `i` is set. Tail bits past the support stay zero.
+fn input_planes(support: &RowSupport) -> Vec<u64> {
+    let words = support.len().div_ceil(64);
+    let mut planes = vec![0u64; support.bits() as usize * words];
+    for (i, &point) in support.points().iter().enumerate() {
+        let bit = 1u64 << (i % 64);
+        let mut rest = point;
+        while rest != 0 {
+            planes[rest.trailing_zeros() as usize * words + i / 64] |= bit;
+            rest &= rest - 1;
+        }
+    }
+    planes
 }
 
 /// Shared read-only context of one exact walk.
@@ -370,6 +453,9 @@ struct Ctx<'a, P: ?Sized> {
     width: u32,
     /// Per row: distributions grouped by shared support allocation.
     groups: Vec<Vec<RowGroup>>,
+    /// Input bit planes per distinct spoken support ([`input_planes`]);
+    /// empty unless the protocol names parity masks.
+    planes: Vec<Vec<u64>>,
     /// Rows spoken above the frontier, ascending: the only rows whose
     /// alive sets a [`SubtreeTask`] snapshot has to carry.
     touched: Vec<usize>,
@@ -462,6 +548,36 @@ struct NodeScratch {
     point_label: Vec<u64>,
     /// The label-indexed counts and slots of the counted split.
     split: LabelSplit,
+    /// The node's parity masks, one per message bit (parity walks).
+    masks: Vec<u64>,
+    /// Label planes over the group's support, `width` planes of
+    /// `⌈len/64⌉` words each: plane `b` has bit `i` set iff point `i`'s
+    /// message has bit `b` set (parity walks).
+    label_planes: Vec<u64>,
+    /// The word-parallel split's partial children.
+    partials: WordSplit,
+}
+
+/// The partial children of [`split_words`], one label plane at a time:
+/// `words` holds each partial's packed mask back to back, `meta` its
+/// label so far and its live count. `next_*` is the level being built.
+#[derive(Default)]
+struct WordSplit {
+    words: Vec<u64>,
+    meta: Vec<(u64, usize)>,
+    next_words: Vec<u64>,
+    next_meta: Vec<(u64, usize)>,
+}
+
+impl NodeScratch {
+    /// Grows the counted split's label table to hold every label up to
+    /// `max_label`, outside its passes.
+    fn grow_cells(&mut self, max_label: u64) {
+        let cells = &mut self.split.cells;
+        if cells.len() <= max_label as usize {
+            cells.resize(max_label as usize + 1, LabelCell::default());
+        }
+    }
 }
 
 /// One label's entry in [`LabelSplit::cells`].
@@ -641,8 +757,9 @@ impl Workspace {
 }
 
 /// Builds the node's children — the per-label, per-distribution child
-/// sets of the speaker's alive sets — into `scratch`, evaluating the
-/// protocol once per shared support row over the union of live points.
+/// sets of the speaker's alive sets — into `scratch`, labelling each
+/// shared support row once: from its input bit planes on a parity node,
+/// otherwise by evaluating the protocol over the union of live points.
 fn build_children<P: WideTurnProtocol + ?Sized>(
     ctx: &Ctx<'_, P>,
     speaker: usize,
@@ -656,131 +773,29 @@ fn build_children<P: WideTurnProtocol + ?Sized>(
     scratch.built_len = 0;
     scratch.runs.clear();
 
+    let parity = !ctx.planes.is_empty() && {
+        node.masks.clear();
+        (0..ctx.width).all(|b| match ctx.protocol.parity_mask(speaker, prefix, b) {
+            Some(mask) => {
+                node.masks.push(mask);
+                true
+            }
+            None => false,
+        })
+    };
     for group in &ctx.groups[speaker] {
-        let d0 = group.dists[0];
-        let points = ctx.row(d0, speaker).points();
-        let words = points.len().div_ceil(64);
-
-        // Union of the group's live points, ascending.
-        node.union_idx.clear();
-        let all_sparse = group
-            .dists
-            .iter()
-            .all(|&d| state[ctx.state_idx(d, speaker)].is_sparse());
-        if group.dists.len() == 1 {
-            let set = &state[ctx.state_idx(d0, speaker)];
-            node.union_idx.extend(set.iter().map(|i| i as u32));
-        } else if all_sparse {
-            for &d in &group.dists {
-                node.union_idx.extend_from_slice(
-                    state[ctx.state_idx(d, speaker)]
-                        .sparse_indices()
-                        .expect("all_sparse checked"),
-                );
-            }
-            node.union_idx.sort_unstable();
-            node.union_idx.dedup();
-        } else {
-            node.union_words.clear();
-            node.union_words.resize(words, 0);
-            let k = kernel::active();
-            for &d in &group.dists {
-                let set = &state[ctx.state_idx(d, speaker)];
-                match set.dense_words() {
-                    Some(w) => k.or_in_place(&mut node.union_words, w),
-                    None => {
-                        for &i in set.sparse_indices().expect("not dense") {
-                            node.union_words[i as usize / 64] |= 1u64 << (i % 64);
-                        }
-                    }
-                }
-            }
-            k.ones_indices(&node.union_words, &mut node.union_idx);
-        }
-        if node.union_idx.is_empty() {
-            continue;
-        }
-
-        // One protocol evaluation pass for the whole group. The width
-        // check keeps every label inside the alphabet the splits below
-        // index by: the bit plane at width 1, the direct label tables
-        // (below 2^16) at wider widths.
-        node.labels.clear();
-        let mut seen = 0u64;
-        node.labels.extend(node.union_idx.iter().map(|&i| {
-            let label = ctx.protocol.message(speaker, points[i as usize], prefix);
-            seen |= label;
-            label
-        }));
-        let width = ctx.width;
-        assert!(seen >> width == 0, "message exceeds {width} bits");
-
-        if width == 1 && !all_sparse {
-            // Bit-plane fast path: dense splits are word-parallel ANDs.
-            node.plane.clear();
-            node.plane.resize(words, 0);
-            for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-                if label == 1 {
-                    node.plane[i as usize / 64] |= 1u64 << (i % 64);
-                }
-            }
-            for &d in &group.dists {
-                let parent = &state[ctx.state_idx(d, speaker)];
-                if parent.is_empty() {
-                    continue;
-                }
-                let parent_sparse = parent.is_sparse();
-                for (label, keep) in [(0u64, false), (1u64, true)] {
-                    let slot = scratch.alloc_slot();
-                    scratch.built[slot].assign_filtered(parent, &node.plane, keep);
-                    if scratch.built[slot].is_empty() {
-                        scratch.built_len -= 1;
-                    } else {
-                        if !parent_sparse && scratch.built[slot].is_sparse() {
-                            tally.demotions += 1;
-                        }
-                        scratch.runs.push((d as u32, label, slot as u32));
-                    }
-                }
-            }
-        } else {
-            // Counted split: every label is at most `seen`, so the table
-            // grows once here and never inside the passes. A
-            // one-distribution group's live set *is* the union, so its
-            // pairs are read straight off `union_idx`/`labels`; a shared
-            // group scatters the labels into a per-point table once and
-            // reads each distribution's pairs off its own live set.
-            let cells = &mut node.split.cells;
-            if cells.len() <= seen as usize {
-                cells.resize(seen as usize + 1, LabelCell::default());
-            }
-            if group.dists.len() == 1 {
-                let parent = &state[ctx.state_idx(d0, speaker)];
-                let pairs = node
-                    .union_idx
-                    .iter()
-                    .zip(&node.labels)
-                    .map(|(&i, &label)| (i as usize, label));
-                node.split
-                    .split(d0, parent, points.len(), pairs, scratch, tally);
-            } else {
-                if node.point_label.len() < points.len() {
-                    node.point_label.resize(points.len(), 0);
-                }
-                for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-                    node.point_label[i as usize] = label;
-                }
-                for &d in &group.dists {
-                    let parent = &state[ctx.state_idx(d, speaker)];
-                    if parent.is_empty() {
-                        continue;
-                    }
-                    let point_label = &node.point_label;
-                    let pairs = parent.iter().map(|i| (i, point_label[i]));
-                    node.split
-                        .split(d, parent, points.len(), pairs, scratch, tally);
-                }
-            }
+        match group.planes {
+            Some(planes) if parity => split_parity_group(
+                ctx,
+                group,
+                &ctx.planes[planes],
+                speaker,
+                state,
+                node,
+                scratch,
+                tally,
+            ),
+            _ => split_message_group(ctx, group, speaker, prefix, state, node, scratch, tally),
         }
     }
 
@@ -817,6 +832,355 @@ fn build_children<P: WideTurnProtocol + ?Sized>(
         scratch
             .empties
             .resize_with(dcount, || ConsistentSet::empty(0));
+    }
+}
+
+/// Fills `node.union_idx` with the union of the group's live points at
+/// the speaker row, ascending, and says whether every set is sparse.
+fn group_union<P: ?Sized>(
+    ctx: &Ctx<'_, P>,
+    group: &RowGroup,
+    speaker: usize,
+    state: &[ConsistentSet],
+    node: &mut NodeScratch,
+) -> bool {
+    let d0 = group.dists[0];
+    node.union_idx.clear();
+    let all_sparse = group
+        .dists
+        .iter()
+        .all(|&d| state[ctx.state_idx(d, speaker)].is_sparse());
+    if group.dists.len() == 1 {
+        let set = &state[ctx.state_idx(d0, speaker)];
+        node.union_idx.extend(set.iter().map(|i| i as u32));
+    } else if all_sparse {
+        for &d in &group.dists {
+            node.union_idx.extend_from_slice(
+                state[ctx.state_idx(d, speaker)]
+                    .sparse_indices()
+                    .expect("all_sparse checked"),
+            );
+        }
+        node.union_idx.sort_unstable();
+        node.union_idx.dedup();
+    } else {
+        node.union_words.clear();
+        node.union_words
+            .resize(ctx.row(d0, speaker).len().div_ceil(64), 0);
+        let k = kernel::active();
+        for &d in &group.dists {
+            let set = &state[ctx.state_idx(d, speaker)];
+            match set.dense_words() {
+                Some(w) => k.or_in_place(&mut node.union_words, w),
+                None => {
+                    for &i in set.sparse_indices().expect("not dense") {
+                        node.union_words[i as usize / 64] |= 1u64 << (i % 64);
+                    }
+                }
+            }
+        }
+        k.ones_indices(&node.union_words, &mut node.union_idx);
+    }
+    all_sparse
+}
+
+/// Splits distribution `d`'s non-empty speaker set `parent` on a width-1
+/// label plane: two word-parallel `AND`s for a dense parent.
+fn split_by_plane(
+    d: usize,
+    parent: &ConsistentSet,
+    plane: &[u64],
+    scratch: &mut DepthScratch,
+    tally: &mut WalkTally,
+) {
+    for (label, keep) in [(0u64, false), (1u64, true)] {
+        let slot = scratch.alloc_slot();
+        scratch.built[slot].assign_filtered(parent, plane, keep);
+        if scratch.built[slot].is_empty() {
+            scratch.built_len -= 1;
+        } else {
+            if !parent.is_sparse() && scratch.built[slot].is_sparse() {
+                tally.demotions += 1;
+            }
+            scratch.runs.push((d as u32, label, slot as u32));
+        }
+    }
+}
+
+/// Splits one group's speaker sets on labels the protocol's
+/// [`message`](WideTurnProtocol::message) gives, evaluated once per
+/// point of the group's live union.
+#[allow(clippy::too_many_arguments)]
+fn split_message_group<P: WideTurnProtocol + ?Sized>(
+    ctx: &Ctx<'_, P>,
+    group: &RowGroup,
+    speaker: usize,
+    prefix: &WideTranscript,
+    state: &[ConsistentSet],
+    node: &mut NodeScratch,
+    scratch: &mut DepthScratch,
+    tally: &mut WalkTally,
+) {
+    let d0 = group.dists[0];
+    let points = ctx.row(d0, speaker).points();
+    let all_sparse = group_union(ctx, group, speaker, state, node);
+    if node.union_idx.is_empty() {
+        return;
+    }
+
+    // One protocol evaluation pass for the whole group. The width
+    // check keeps every label inside the alphabet the splits below
+    // index by: the bit plane at width 1, the direct label tables
+    // (below 2^16) at wider widths.
+    node.labels.clear();
+    let mut seen = 0u64;
+    node.labels.extend(node.union_idx.iter().map(|&i| {
+        let label = ctx.protocol.message(speaker, points[i as usize], prefix);
+        seen |= label;
+        label
+    }));
+    let width = ctx.width;
+    assert!(seen >> width == 0, "message exceeds {width} bits");
+
+    if width == 1 && !all_sparse {
+        // Bit-plane fast path: dense splits are word-parallel ANDs.
+        node.plane.clear();
+        node.plane.resize(points.len().div_ceil(64), 0);
+        for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
+            if label == 1 {
+                node.plane[i as usize / 64] |= 1u64 << (i % 64);
+            }
+        }
+        for &d in &group.dists {
+            let parent = &state[ctx.state_idx(d, speaker)];
+            if !parent.is_empty() {
+                split_by_plane(d, parent, &node.plane, scratch, tally);
+            }
+        }
+    } else {
+        // Counted split: every label is at most `seen`, so the table
+        // grows once here and never inside the passes.
+        node.grow_cells(seen);
+        split_counted(ctx, group, speaker, state, node, scratch, tally, |_| true);
+    }
+}
+
+/// The counted split of each non-empty speaker set of the group that
+/// `counted` picks, on the labels `node.labels` holds for the points of
+/// `node.union_idx`. A one-distribution group's live set *is* the union,
+/// so its pairs are read straight off `union_idx`/`labels`; a shared
+/// group scatters the labels into a per-point table once and reads each
+/// distribution's pairs off its own live set.
+#[allow(clippy::too_many_arguments)]
+fn split_counted<P: ?Sized>(
+    ctx: &Ctx<'_, P>,
+    group: &RowGroup,
+    speaker: usize,
+    state: &[ConsistentSet],
+    node: &mut NodeScratch,
+    scratch: &mut DepthScratch,
+    tally: &mut WalkTally,
+    counted: impl Fn(&ConsistentSet) -> bool,
+) {
+    let d0 = group.dists[0];
+    let universe = ctx.row(d0, speaker).len();
+    if group.dists.len() == 1 {
+        let parent = &state[ctx.state_idx(d0, speaker)];
+        if parent.is_empty() || !counted(parent) {
+            return;
+        }
+        let pairs = node
+            .union_idx
+            .iter()
+            .zip(&node.labels)
+            .map(|(&i, &label)| (i as usize, label));
+        node.split
+            .split(d0, parent, universe, pairs, scratch, tally);
+        return;
+    }
+    if node.point_label.len() < universe {
+        node.point_label.resize(universe, 0);
+    }
+    for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
+        node.point_label[i as usize] = label;
+    }
+    for &d in &group.dists {
+        let parent = &state[ctx.state_idx(d, speaker)];
+        if parent.is_empty() || !counted(parent) {
+            continue;
+        }
+        let point_label = &node.point_label;
+        let pairs = parent.iter().map(|i| (i, point_label[i]));
+        node.split.split(d, parent, universe, pairs, scratch, tally);
+    }
+}
+
+/// Whether the word-parallel split prices a dense `parent` at no more
+/// words than it has live points: its widest level holds at most
+/// `min(2^width, count)` partial masks of `words` words each. A sparser
+/// dense set takes the counted split; both give the same children.
+fn words_split_pays(parent: &ConsistentSet, width: u32, words: usize) -> bool {
+    !parent.is_sparse() && (1usize << width).min(parent.count()) * words <= parent.count()
+}
+
+/// Splits one group's speaker sets on a parity node. Label plane `b` is
+/// the XOR of the group's input planes that mask `b` selects, so no
+/// message is evaluated. A width-1 node splits every set on its plane; a
+/// wider node splits each dense set in word operations
+/// ([`split_words`]) when that pays, and every other set by counts, its
+/// labels read off the planes.
+///
+/// A shared group builds its live union as the message path does, so
+/// both paths do the same kernel words. The plane and child words here
+/// go through no kernel call and are not tallied.
+#[allow(clippy::too_many_arguments)]
+fn split_parity_group<P: WideTurnProtocol + ?Sized>(
+    ctx: &Ctx<'_, P>,
+    group: &RowGroup,
+    input_planes: &[u64],
+    speaker: usize,
+    state: &[ConsistentSet],
+    node: &mut NodeScratch,
+    scratch: &mut DepthScratch,
+    tally: &mut WalkTally,
+) {
+    let universe = ctx.row(group.dists[0], speaker).len();
+    let words = universe.div_ceil(64);
+    let width = ctx.width;
+    // Mask bits at or above the input width select no input bit.
+    let input_mask = (1u64 << ctx.protocol.input_bits()) - 1;
+    node.label_planes.clear();
+    node.label_planes.resize(width as usize * words, 0);
+    for (plane, &mask) in node.label_planes.chunks_exact_mut(words).zip(&node.masks) {
+        let mut rest = mask & input_mask;
+        while rest != 0 {
+            let j = rest.trailing_zeros() as usize;
+            for (p, &x) in plane
+                .iter_mut()
+                .zip(&input_planes[j * words..(j + 1) * words])
+            {
+                *p ^= x;
+            }
+            rest &= rest - 1;
+        }
+    }
+
+    let counted = |parent: &ConsistentSet| width > 1 && !words_split_pays(parent, width, words);
+    let any_counted = group.dists.iter().any(|&d| {
+        let parent = &state[ctx.state_idx(d, speaker)];
+        !parent.is_empty() && counted(parent)
+    });
+    if group.dists.len() > 1 || any_counted {
+        group_union(ctx, group, speaker, state, node);
+    }
+    if any_counted {
+        node.labels.clear();
+        let label_planes = &node.label_planes;
+        let mut seen = 0u64;
+        node.labels.extend(node.union_idx.iter().map(|&i| {
+            let (word, bit) = (i as usize / 64, i % 64);
+            let mut label = 0u64;
+            for (b, plane) in label_planes.chunks_exact(words).enumerate() {
+                label |= ((plane[word] >> bit) & 1) << b;
+            }
+            seen |= label;
+            label
+        }));
+        node.grow_cells(seen);
+        split_counted(ctx, group, speaker, state, node, scratch, tally, counted);
+    }
+    for &d in &group.dists {
+        let parent = &state[ctx.state_idx(d, speaker)];
+        if parent.is_empty() || counted(parent) {
+            continue;
+        }
+        if width == 1 {
+            split_by_plane(d, parent, &node.label_planes, scratch, tally);
+        } else {
+            split_words(
+                d,
+                parent,
+                universe,
+                &node.label_planes,
+                &mut node.partials,
+                scratch,
+                tally,
+            );
+        }
+    }
+}
+
+/// Splits distribution `d`'s dense speaker set `parent` by its label
+/// planes (`width` planes of `parent`'s word count, back to back) into
+/// one child per live label. Each level ANDs every partial child with
+/// the next plane and with its complement, counts both halves by
+/// popcount and keeps the non-empty ones, so a wide alphabet costs its
+/// live labels only. Each child is then built dense or sparse by its
+/// count ([`ConsistentSet::assign_words`]).
+fn split_words(
+    d: usize,
+    parent: &ConsistentSet,
+    universe: usize,
+    label_planes: &[u64],
+    partials: &mut WordSplit,
+    scratch: &mut DepthScratch,
+    tally: &mut WalkTally,
+) {
+    let parent_words = parent.dense_words().expect("a dense parent");
+    let words = parent_words.len();
+    let WordSplit {
+        words: cur,
+        meta,
+        next_words: next,
+        next_meta,
+    } = partials;
+    cur.clear();
+    meta.clear();
+    let root = [(0u64, parent.count())];
+    for (b, plane) in label_planes.chunks_exact(words).enumerate() {
+        next.clear();
+        next_meta.clear();
+        let sources: &[(u64, usize)] = if b == 0 { &root } else { meta };
+        for (pi, &(label, count)) in sources.iter().enumerate() {
+            let src = if b == 0 {
+                parent_words
+            } else {
+                &cur[pi * words..(pi + 1) * words]
+            };
+            let start = next.len();
+            next.resize(start + 2 * words, 0);
+            let (zeros, ones) = next[start..].split_at_mut(words);
+            let mut ones_count = 0usize;
+            for (((z, o), &x), &p) in zeros.iter_mut().zip(ones.iter_mut()).zip(src).zip(plane) {
+                *z = x & !p;
+                *o = x & p;
+                ones_count += (x & p).count_ones() as usize;
+            }
+            let zeros_count = count - ones_count;
+            if zeros_count == 0 {
+                next.copy_within(start + words..start + 2 * words, start);
+            }
+            if zeros_count == 0 || ones_count == 0 {
+                next.truncate(start + words);
+            }
+            if zeros_count > 0 {
+                next_meta.push((label, zeros_count));
+            }
+            if ones_count > 0 {
+                next_meta.push((label | 1 << b, ones_count));
+            }
+        }
+        std::mem::swap(cur, next);
+        std::mem::swap(meta, next_meta);
+    }
+    for (pi, &(label, count)) in meta.iter().enumerate() {
+        let slot = scratch.alloc_slot();
+        let child = &mut scratch.built[slot];
+        child.assign_words(universe, &cur[pi * words..(pi + 1) * words], count);
+        if child.is_sparse() {
+            tally.demotions += 1;
+        }
+        scratch.runs.push((d as u32, label, slot as u32));
     }
 }
 

@@ -16,7 +16,10 @@
 //! an alphabet that is mostly dead, and never `O(support)` work for a
 //! support that has mostly died (the sparse regime). At width 1 the
 //! table becomes a packed bit plane and the split two word-parallel
-//! `AND`s. The frontier depth adapts to the width and the rayon pool
+//! `AND`s. A parity protocol's labels need no table: they are XORs of
+//! the support's input bit planes, and dense sets split in word
+//! operations at every width (see [`crate::walk`]). The frontier depth
+//! adapts to the width and the rayon pool
 //! ([`crate::walk::adaptive_split_depth`]`(w)` turns), keeping the
 //! fan-out comparable across message widths.
 
@@ -295,8 +298,7 @@ mod tests {
     #[should_panic(expected = "message exceeds")]
     fn over_wide_message_is_refused_by_the_sampler() {
         // On a one-thread pool the sides are sampled on the calling
-        // thread, so the refusal's own message reaches the harness (the
-        // vendored rayon's scoped workers re-panic with a generic one).
+        // thread.
         let a = ProductInput::uniform(1, 2);
         let est = crate::exec::AdaptiveEstimator::new(0.0, 64, 64, 1);
         let one_thread = rayon::ThreadPoolBuilder::new()
@@ -304,6 +306,16 @@ mod tests {
             .build()
             .expect("build the rayon pool");
         one_thread.install(|| est.estimate(&two_bits_at_width_one(), std::slice::from_ref(&a), &a));
+    }
+
+    #[test]
+    #[should_panic(expected = "message exceeds")]
+    fn over_wide_message_is_refused_by_the_sampler_on_the_default_pool() {
+        // On the default pool the sides may be sampled on scoped workers;
+        // a worker's panic reaches the caller with its own message.
+        let a = ProductInput::uniform(1, 2);
+        let est = crate::exec::AdaptiveEstimator::new(0.0, 64, 64, 1);
+        let _ = est.estimate(&two_bits_at_width_one(), std::slice::from_ref(&a), &a);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! walk — which allocates fresh masks at every node — scales its count
 //! with the node total. A width-2 full-tree walk, whose every node takes
 //! the counted non-binary split, is pinned the same way (two extra 4-ary
-//! levels). The samplers make the same promise per
+//! levels), and so is the same tree under a parity protocol, whose dense
+//! sets split by label planes. The samplers make the same promise per
 //! transcript: drawing 16× more samples per side must not add
 //! allocations beyond the per-side key arrays, for the estimators and for
 //! the pair sampler fed by buffer-refilling closures alike.
@@ -19,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use bcc_congest::wide::FnWideProtocol;
+use bcc_congest::wide::{FnWideProtocol, ParityProtocol};
 use bcc_congest::FnProtocol;
 use bcc_core::{
     exact_mixture_comparison_reference, sampled_comparison_with, Estimator, ExactEstimator,
@@ -171,6 +172,38 @@ fn steady_state_wide_recursion_does_not_allocate_per_node() {
         assert!(
             large * 10 < seed_large,
             "overhauled walk ({large}) should allocate at least 10x less than the seed ({seed_large})"
+        );
+    });
+}
+
+/// The same full 4-ary tree under a [`ParityProtocol`]: turn `t` ships
+/// input bits `2t` and `2t + 1` as two one-bit masks, so every dense set
+/// splits by label planes (and demotes at depth 3, built from words).
+fn full_parity_tree_walk(horizon: u32) -> f64 {
+    let p = ParityProtocol::new(1, 12, 2, horizon, |_, tr, b| 1 << (2 * tr.len() + b));
+    let a = ProductInput::uniform(1, 12);
+    let b = ProductInput::uniform(1, 12);
+    ExactEstimator
+        .estimate(&p, std::slice::from_ref(&a), &b)
+        .tv()
+}
+
+#[test]
+fn steady_state_parity_recursion_does_not_allocate_per_node() {
+    pinned(|| {
+        let _ = full_parity_tree_walk(4);
+
+        let (small_tv, small) = allocations(|| full_parity_tree_walk(4));
+        let (large_tv, large) = allocations(|| full_parity_tree_walk(6));
+        // The same walks as the message protocol's, bit for bit.
+        assert_eq!(small_tv.to_bits(), full_wide_tree_walk(4, false).to_bits());
+        assert_eq!(large_tv.to_bits(), full_wide_tree_walk(6, false).to_bits());
+        // 5120 extra nodes: the label planes and the partial children of
+        // the word split are pooled like every other per-node buffer, so
+        // two more levels cost only their own warm-up.
+        assert!(
+            large < small + 256,
+            "allocation count scaled with the tree: {small} at depth 4, {large} at depth 6"
         );
     });
 }

@@ -2,7 +2,7 @@
 //! structural identities the paper's framework relies on, for *arbitrary*
 //! protocols and input families.
 
-use bcc_congest::wide::FnWideProtocol;
+use bcc_congest::wide::{FnWideProtocol, ParityProtocol, WideTranscript, WideTurnProtocol};
 use bcc_congest::FnProtocol;
 use bcc_core::exec::{Estimator, ExactEstimator};
 use bcc_core::{exact_mixture_comparison_reference, DepthProfile, ProductInput, RowSupport};
@@ -708,4 +708,185 @@ fn huge_support_tiny_alive_wide_walk_finishes_and_is_exact() {
         par.tv()
     );
     assert_mixture_bitwise_eq(&par, &seq, "huge wide, 4 vs 1 threads");
+}
+
+/// A seeded 64-bit parity mask for message bit `b` of `proc` after `tr`.
+/// Bits above the input width are set too; they must select nothing.
+fn parity_mask(seed: u64, proc: usize, tr: &WideTranscript, b: u32) -> u64 {
+    let mut z = seed
+        .wrapping_add(tr.as_u64().wrapping_mul(0x9E3779B97F4A7C15))
+        .wrapping_add(u64::from(tr.len()) << 56)
+        .wrapping_add((proc as u64) << 40)
+        .wrapping_add(u64::from(b).wrapping_mul(0xBF58476D1CE4E5B9));
+    z ^= z >> 31;
+    z = z.wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 29)
+}
+
+/// The exact walk on a pool of `threads`, with its profile and every
+/// `walk.*` and `kernel.words.*` work counter it tallied.
+fn observed_walk<P: WideTurnProtocol + Sync>(
+    p: &P,
+    members: &[ProductInput],
+    base: &ProductInput,
+    threads: usize,
+) -> (DepthProfile, Vec<(String, u64)>) {
+    pool(threads, || {
+        let registry = bcc_obs::Registry::new();
+        let scope = registry.install();
+        let profile = ExactEstimator.estimate(p, members, base);
+        drop(scope);
+        let work = registry
+            .snapshot()
+            .work_fingerprint()
+            .into_iter()
+            .filter(|(key, _)| key.starts_with("walk.") || key.starts_with("kernel.words."))
+            .collect();
+        (profile, work)
+    })
+}
+
+/// A family over `n` rows of `bits`-bit supports: members that replace
+/// one row each and share the rest with the uniform baseline (`shared`),
+/// or members whose every row is a support of its own.
+fn parity_family(
+    n: usize,
+    bits: u32,
+    planted: &[u64],
+    shared: bool,
+) -> (Vec<ProductInput>, ProductInput) {
+    let base = ProductInput::uniform(n, bits);
+    let size = 1u64 << bits;
+    let members = (0..3u64)
+        .map(|i| {
+            let row = |r: u64| {
+                let points = planted.iter().map(|&x| (x + i + r) % size).collect();
+                RowSupport::explicit(bits, points)
+            };
+            if shared {
+                base.with_row(i as usize % n, row(0))
+            } else {
+                ProductInput::new((0..n as u64).map(row).collect())
+            }
+        })
+        .collect();
+    (members, base)
+}
+
+/// Asserts the exact walk of a masked-parity family is the seed walk's
+/// bit for bit, and the walk of the same masks behind a message closure
+/// bit for bit with equal work counters, on pools of 1 and 4 threads.
+fn assert_parity_walk_matches(width: u32, horizon: u32, planted: &[u64], shared: bool, seed: u64) {
+    let (n, bits) = (2, 8);
+    let (members, base) = parity_family(n, bits, planted, shared);
+    let parity = ParityProtocol::new(n, bits, width, horizon, move |proc, tr, b| {
+        parity_mask(seed, proc, tr, b)
+    });
+    let by_message = FnWideProtocol::new(n, bits, width, horizon, move |proc, input, tr| {
+        (0..width).fold(0, |message, b| {
+            let bit = (input & parity_mask(seed, proc, tr, b)).count_ones() & 1;
+            message | u64::from(bit) << b
+        })
+    });
+    let what = format!("w{width} T{horizon} shared {shared}");
+    let seed_walk = exact_mixture_comparison_reference(&parity, &members, &base);
+    for threads in [1, 4] {
+        let (planes, planes_work) = observed_walk(&parity, &members, &base, threads);
+        let (messages, messages_work) = observed_walk(&by_message, &members, &base, threads);
+        assert_mixture_bitwise_eq(&planes, &seed_walk, &format!("{what}: parity vs seed"));
+        assert_mixture_bitwise_eq(&planes, &messages, &format!("{what}: parity vs closure"));
+        assert_eq!(
+            planes_work, messages_work,
+            "{what}, {threads} threads: work"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn parity_walk_is_bitwise_the_seed_walk_and_the_message_walk(
+        width in 1u32..=4,
+        planted in proptest::collection::btree_set(0u64..256, 1..=256usize),
+        shared in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // Horizons past n = 2, so speakers repeat and their sets shrink
+        // from dense to sparse within one walk.
+        let horizon = [12, 5, 4, 3][width as usize - 1];
+        let planted: Vec<u64> = planted.into_iter().collect();
+        assert_parity_walk_matches(width, horizon, &planted, shared, seed);
+    }
+}
+
+/// A [`ParityProtocol`] that counts its `message` calls.
+struct CountingParity<F> {
+    inner: ParityProtocol<F>,
+    messages: std::sync::atomic::AtomicUsize,
+}
+
+impl<F: Fn(usize, &WideTranscript, u32) -> u64> WideTurnProtocol for CountingParity<F> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn input_bits(&self) -> u32 {
+        self.inner.input_bits()
+    }
+    fn width(&self) -> u32 {
+        self.inner.width()
+    }
+    fn horizon(&self) -> u32 {
+        self.inner.horizon()
+    }
+    fn message(&self, proc: usize, input: u64, transcript: &WideTranscript) -> u64 {
+        self.messages
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.message(proc, input, transcript)
+    }
+    fn parity_mask(&self, proc: usize, transcript: &WideTranscript, bit: u32) -> Option<u64> {
+        self.inner.parity_mask(proc, transcript, bit)
+    }
+}
+
+/// The fixed cases behind the property: every width, shared and unshared
+/// rows, a full 256-point planted row and a few-point one. The walks
+/// demote dense sets to sparse, split by words and by counts, and
+/// evaluate no message at all.
+#[test]
+fn parity_walk_splits_by_planes_without_evaluating_a_message() {
+    let wide: Vec<u64> = (0..256).filter(|x| x % 7 != 3).collect();
+    let few: Vec<u64> = vec![3, 90, 91, 200, 201, 255];
+    for width in 1..=4u32 {
+        let horizon = [12, 5, 4, 3][width as usize - 1];
+        for planted in [&wide, &few] {
+            for shared in [false, true] {
+                assert_parity_walk_matches(
+                    width,
+                    horizon,
+                    planted,
+                    shared,
+                    0x5EED + u64::from(width),
+                );
+            }
+        }
+        let (members, base) = parity_family(2, 8, &wide, true);
+        let counting = CountingParity {
+            inner: ParityProtocol::new(2, 8, width, horizon, move |proc, tr, b| {
+                parity_mask(7, proc, tr, b)
+            }),
+            messages: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let (_, work) = observed_walk(&counting, &members, &base, 1);
+        let counter = |name: &str| work.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v);
+        assert!(
+            counter("walk.demotions_dense_to_sparse") > 0,
+            "w{width}: no demotion"
+        );
+        assert_eq!(
+            counting.messages.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "w{width}: the parity walk evaluated messages"
+        );
+    }
 }

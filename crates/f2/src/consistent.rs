@@ -322,6 +322,48 @@ impl ConsistentSet {
         }
     }
 
+    /// Sets `self` to the `count` points of the packed mask `words` over
+    /// `universe` (bit `i` of word `i/64` set ⇔ point `i` live, tail bits
+    /// zero), keeping buffers. The regime follows the budget rule of
+    /// [`start_counted`](ConsistentSet::start_counted): the same set, in
+    /// the same representation, as a counted build of those points. Plain
+    /// word loops, outside the tallied [`kernel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not `⌈universe/64⌉` long or `count` exceeds
+    /// the universe; `count` must be the mask's popcount.
+    pub fn assign_words(&mut self, universe: usize, words: &[u64], count: usize) {
+        assert_eq!(words.len(), sparse_budget(universe), "mask width mismatch");
+        assert!(
+            count <= universe,
+            "count {count} beyond universe {universe}"
+        );
+        debug_assert_eq!(
+            words.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+            count,
+            "count is not the mask's popcount"
+        );
+        self.universe = universe;
+        self.count = count;
+        if count <= sparse_budget(universe) {
+            self.repr = SetRepr::Sparse;
+            self.indices.clear();
+            for (wi, &word) in words.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    self.indices
+                        .push((wi * WORD_BITS) as u32 + rest.trailing_zeros());
+                    rest &= rest - 1;
+                }
+            }
+        } else {
+            self.repr = SetRepr::Dense;
+            self.words.clear();
+            self.words.extend_from_slice(words);
+        }
+    }
+
     /// Adds point `i` to a [`start_counted`](ConsistentSet::start_counted)
     /// build. Points must be distinct and strictly ascending, exactly
     /// the announced count of them.

@@ -211,6 +211,53 @@ proptest! {
     }
 
     #[test]
+    fn word_assignment_is_the_counted_build(
+        universe in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(300), Just(1024)],
+        size_pick in 0usize..6,
+        seed in any::<u64>(),
+        previous in 0usize..4,
+    ) {
+        // The exact walk's word-parallel split builds each child from its
+        // packed mask and popcount: it must be the counted build of the
+        // same points, in the same representation — demoted to sparse
+        // exactly at the word budget — into a slot that held another set.
+        let budget = sparse_budget(universe);
+        let count = match size_pick {
+            0 => 0,
+            1 => budget.saturating_sub(1),
+            2 => budget,
+            3 => (budget + 1).min(universe),
+            4 => universe,
+            _ => (seed % (universe as u64 + 1)) as usize,
+        };
+        let indices = distinct_sorted(universe, count, seed);
+        let mut words = vec![0u64; budget];
+        for &i in &indices {
+            words[i as usize / 64] |= 1 << (i % 64);
+        }
+        let mut counted = ConsistentSet::empty(universe);
+        counted.start_counted(universe, count);
+        for &i in &indices {
+            counted.push_counted(i as usize);
+        }
+        let mut set = ConsistentSet::full(universe);
+        let stale = distinct_sorted(universe, [0, budget, universe / 2, universe][previous], !seed);
+        set.start_counted(universe, stale.len());
+        for &i in &stale {
+            set.push_counted(i as usize);
+        }
+        set.assign_words(universe, &words, count);
+        prop_assert_eq!(&set, &counted);
+        prop_assert_eq!(set.repr(), counted.repr());
+        prop_assert_eq!(set.is_sparse(), count <= budget);
+        prop_assert_eq!(set.count(), count);
+        prop_assert!(set.iter().map(|i| i as u32).eq(indices.iter().copied()));
+        if let Some(dense) = set.dense_words() {
+            prop_assert_eq!(dense, words.as_slice());
+        }
+    }
+
+    #[test]
     fn demotion_flag_tracks_the_budget_exactly_at_the_boundary(
         // prop_filter concentrates every case within two elements of the
         // dense↔sparse demotion boundary — the sizes where an off-by-one

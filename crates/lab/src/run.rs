@@ -20,7 +20,7 @@
 // bcc-lint: allow(no-wall-clock-in-work-paths, reason = "wall_ms is a reporting-only record field; estimates never depend on it")
 use std::time::Instant;
 
-use bcc_congest::wide::{FnWideProtocol, WideTurnProtocol};
+use bcc_congest::wide::{ParityProtocol, WideTurnProtocol};
 use bcc_congest::FnProtocol;
 use bcc_core::{
     derive_seed, wide_walk_nodes, AdaptiveEstimator, Estimator, ExactEstimator, ProductInput,
@@ -325,25 +325,14 @@ fn wide_setup(
     let k = point.k;
     let n_speak = point.n.min(rounds as usize).max(1);
     let n_logical = point.n as u64;
-    let protocol = FnWideProtocol::new(n_speak, k + 1, w, rounds, move |proc, input, tr| {
-        let mut message = 0u64;
-        for b in 0..w {
-            // Each message bit is a transcript-dependent masked parity;
-            // the forced `1 << k` keeps the PRG's correlated output bit in
-            // every parity, so the walk probes the coset structure rather
-            // than the (uniform) seed bits alone.
-            let mask = ((0x9D
-                ^ n_logical
-                ^ (tr.as_u64() << 1)
-                ^ ((proc as u64) << 1)
-                ^ (u64::from(b) << 7))
-                & ((1u64 << (k + 1)) - 1))
-                | (1 << k);
-            if (input & mask).count_ones() % 2 == 1 {
-                message |= 1 << b;
-            }
-        }
-        message
+    // Each message bit is a transcript-dependent masked parity; the
+    // forced `1 << k` keeps the PRG's correlated output bit in every
+    // parity, so the walk probes the coset structure rather than the
+    // (uniform) seed bits alone.
+    let protocol = ParityProtocol::new(n_speak, k + 1, w, rounds, move |proc, tr, b| {
+        ((0x9D ^ n_logical ^ (tr.as_u64() << 1) ^ ((proc as u64) << 1) ^ (u64::from(b) << 7))
+            & ((1u64 << (k + 1)) - 1))
+            | (1 << k)
     });
     let (family, baseline) = coset_family(point, members, n_speak, 5);
     (protocol, family, baseline)

@@ -7,7 +7,7 @@
 //!   reopen, so records from different specs can never mix;
 //! * `records.jsonl` — one JSON object per *completed* point,
 //!   appended (and flushed) the moment the point finishes, in completion
-//!   order.
+//!   order; the first record creates it.
 //!
 //! Resume reads `records.jsonl` back, compacts it to its valid lines (a
 //! torn final line — the signature of a run killed mid-write — fails to
@@ -19,8 +19,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::path::{Path, PathBuf};
 
 use bcc_obs::json::{self, Value};
 
@@ -30,14 +30,19 @@ use crate::scenario::Scenario;
 /// An open run directory with an append handle on its record log.
 #[derive(Debug)]
 pub struct RunStore {
-    log: BufWriter<File>,
+    /// The record log, opened for append by the first record.
+    log: Option<BufWriter<File>>,
+    log_path: PathBuf,
     healed: usize,
 }
 
 impl RunStore {
     /// Opens (creating if needed) the run directory for `scenario`,
     /// returning the store and every valid record already on disk, by
-    /// point id.
+    /// point id. A fresh directory costs no lookups: the manifest is
+    /// created exclusively (an existing one is read and checked), an
+    /// existing log is read from its first open, and the append handle
+    /// waits for the first record.
     ///
     /// # Panics
     ///
@@ -48,53 +53,57 @@ impl RunStore {
             .unwrap_or_else(|e| panic!("cannot create run directory {}: {e}", dir.display()));
         let manifest_path = dir.join("manifest.json");
         let fingerprint = scenario.fingerprint();
-        if manifest_path.exists() {
-            let mut found = String::new();
-            File::open(&manifest_path)
-                .and_then(|mut f| f.read_to_string(&mut found))
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", manifest_path.display()));
-            assert!(
-                found.trim() == fingerprint,
-                "run directory {} belongs to a different scenario:\n  recorded: {}\n  requested: {}",
-                dir.display(),
-                found.trim(),
-                fingerprint
-            );
-        } else {
-            std::fs::write(&manifest_path, format!("{fingerprint}\n"))
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", manifest_path.display()));
+        match OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&manifest_path)
+        {
+            Ok(mut manifest) => manifest
+                .write_all(format!("{fingerprint}\n").as_bytes())
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", manifest_path.display())),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+                let mut found = String::new();
+                File::open(&manifest_path)
+                    .and_then(|mut f| f.read_to_string(&mut found))
+                    .unwrap_or_else(|e| panic!("cannot read {}: {e}", manifest_path.display()));
+                assert!(
+                    found.trim() == fingerprint,
+                    "run directory {} belongs to a different scenario:\n  recorded: {}\n  requested: {}",
+                    dir.display(),
+                    found.trim(),
+                    fingerprint
+                );
+            }
+            Err(e) => panic!("cannot write {}: {e}", manifest_path.display()),
         }
 
         let log_path = dir.join("records.jsonl");
         let mut healed = 0;
-        let existing = if log_path.exists() {
-            let mut text = String::new();
-            File::open(&log_path)
-                .and_then(|mut f| f.read_to_string(&mut text))
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", log_path.display()));
-            let records = parse_records(&text);
-            // Lines the compaction drops: torn tails, foreign garbage and
-            // superseded duplicates alike — the log's healed-line count.
-            healed = text.lines().filter(|l| !l.trim().is_empty()).count() - records.len();
-            // Compact: rewrite exactly the valid records, one per line, in
-            // point order. This heals a torn final line (which would
-            // otherwise glue onto the next append) and drops duplicates.
-            let compacted = encode_log(records.values());
-            if compacted != text {
-                replace_log(dir, compacted);
+        let existing = match File::open(&log_path) {
+            Ok(mut log) => {
+                let mut text = String::new();
+                log.read_to_string(&mut text)
+                    .unwrap_or_else(|e| panic!("cannot read {}: {e}", log_path.display()));
+                let records = parse_records(&text);
+                // Lines the compaction drops: torn tails, foreign garbage and
+                // superseded duplicates alike — the log's healed-line count.
+                healed = text.lines().filter(|l| !l.trim().is_empty()).count() - records.len();
+                // Compact: rewrite exactly the valid records, one per line, in
+                // point order. This heals a torn final line (which would
+                // otherwise glue onto the next append) and drops duplicates.
+                let compacted = encode_log(records.values());
+                if compacted != text {
+                    replace_log(dir, compacted);
+                }
+                records
             }
-            records
-        } else {
-            BTreeMap::new()
+            Err(e) if e.kind() == ErrorKind::NotFound => BTreeMap::new(),
+            Err(e) => panic!("cannot read {}: {e}", log_path.display()),
         };
-        let log = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log_path)
-            .unwrap_or_else(|e| panic!("cannot open {} for append: {e}", log_path.display()));
         (
             RunStore {
-                log: BufWriter::new(log),
+                log: None,
+                log_path,
                 healed,
             },
             existing,
@@ -116,9 +125,22 @@ impl RunStore {
     ///
     /// Panics on IO errors.
     pub fn append(&mut self, record: &PointRecord) {
+        let log = match &mut self.log {
+            Some(log) => log,
+            None => {
+                let file = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.log_path)
+                    .unwrap_or_else(|e| {
+                        panic!("cannot open {} for append: {e}", self.log_path.display())
+                    });
+                self.log.insert(BufWriter::new(file))
+            }
+        };
         let line = encode_record(record);
-        writeln!(self.log, "{line}").expect("cannot append run record");
-        self.log.flush().expect("cannot flush run record");
+        writeln!(log, "{line}").expect("cannot append run record");
+        log.flush().expect("cannot flush run record");
     }
 }
 

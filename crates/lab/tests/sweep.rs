@@ -283,6 +283,23 @@ fn directories_refuse_foreign_scenarios() {
 }
 
 #[test]
+fn a_store_creates_its_log_with_the_first_record() {
+    // Opening writes only the manifest; the first append creates the
+    // log, and reopening checks the manifest and reads the log back.
+    let (dir, _guard) = scratch_dir("lazy-log");
+    let scenario = distance_scenario("lazy-log");
+    let (store, existing) = bcc_lab::RunStore::open(&dir, &scenario);
+    assert!(existing.is_empty());
+    assert!(dir.join("manifest.json").exists());
+    assert!(!dir.join("records.jsonl").exists());
+    drop(store);
+    let records = scenario.sweep_in(&dir).records;
+    let (_, reopened) = bcc_lab::RunStore::open(&dir, &scenario);
+    assert_eq!(reopened.len(), records.len());
+    assert_records_bitwise_equal(&reopened.into_values().collect::<Vec<_>>(), &records);
+}
+
+#[test]
 fn find_clique_and_throughput_sweeps_run_end_to_end() {
     let clique = Scenario::builder("clique-smoke")
         .workload(Workload::FindClique)
@@ -340,12 +357,12 @@ fn work(snapshot: &Snapshot) -> BTreeMap<String, Vec<u64>> {
     let counters = snapshot
         .work
         .iter()
-        .map(|(name, value)| (name.clone(), vec![*value]));
+        .map(|(name, value)| (name.to_string(), vec![*value]));
     let series = snapshot
         .series
         .iter()
         .filter(|(_, class, _)| *class == Class::Work)
-        .map(|(name, _, values)| (name.clone(), values.clone()));
+        .map(|(name, _, values)| (name.to_string(), values.clone()));
     counters.chain(series).collect()
 }
 

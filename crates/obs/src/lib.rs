@@ -50,6 +50,7 @@ pub mod json;
 pub mod read;
 pub mod trace;
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -257,41 +258,35 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         credit_kernel_words();
         let inner = self.lock();
-        let mut work: Vec<(String, u64)> = Vec::new();
-        let mut wall: Vec<(String, u64)> = Vec::new();
-        for (name, (class, value)) in &inner.counters {
-            match class {
-                Class::Work => work.push((name.to_string(), *value)),
-                Class::Wall => wall.push((name.to_string(), *value)),
-            }
-        }
+        // Every vector at its exact length: callers keep snapshots.
+        let of_class = |class| {
+            let pairs = inner.counters.iter().filter(move |(_, (c, _))| *c == class);
+            let mut out = Vec::with_capacity(pairs.clone().count());
+            out.extend(pairs.map(|(&name, &(_, value))| (Cow::Borrowed(name), value)));
+            out
+        };
         Snapshot {
-            work,
-            wall,
+            work: of_class(Class::Work),
+            wall: of_class(Class::Wall),
             series: inner
                 .series
                 .iter()
-                .map(|(name, (class, values))| (name.to_string(), *class, values.clone()))
+                .map(|(&name, (class, values))| (Cow::Borrowed(name), *class, values.clone()))
                 .collect(),
             spans: inner
                 .hists
                 .iter()
-                .map(|(name, (_, h))| {
-                    (
-                        name.to_string(),
-                        HistSummary {
-                            count: h.count,
-                            total: h.total,
-                            max: h.max,
-                            buckets: h
-                                .buckets
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, &c)| c > 0)
-                                .map(|(b, &c)| (b as u32, c))
-                                .collect(),
-                        },
-                    )
+                .map(|(&name, (_, h))| {
+                    let filled = h.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+                    let mut buckets = Vec::with_capacity(filled.clone().count());
+                    buckets.extend(filled.map(|(b, &c)| (b as u32, c)));
+                    let summary = HistSummary {
+                        count: h.count,
+                        total: h.total,
+                        max: h.max,
+                        buckets,
+                    };
+                    (Cow::Borrowed(name), summary)
                 })
                 .collect(),
         }
@@ -402,18 +397,24 @@ pub struct HistSummary {
     pub buckets: Vec<(u32, u64)>,
 }
 
+/// A metric's name in a [`Snapshot`]: the `&'static str` it was
+/// recorded under, borrowed, or owned when parsed back from JSON. A
+/// sweep's snapshot lives as long as its result, so borrowing spares
+/// one allocation per metric.
+pub type MetricName = Cow<'static, str>;
+
 /// A point-in-time materialization of a [`Registry`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Deterministic work counters (sorted by name), including the
     /// five `kernel.words.*` totals.
-    pub work: Vec<(String, u64)>,
+    pub work: Vec<(MetricName, u64)>,
     /// Wall-class counters — scheduling artifacts, never asserted on.
-    pub wall: Vec<(String, u64)>,
+    pub wall: Vec<(MetricName, u64)>,
     /// Indexed series, e.g. per-depth node counts.
-    pub series: Vec<(String, Class, Vec<u64>)>,
+    pub series: Vec<(MetricName, Class, Vec<u64>)>,
     /// Span duration histograms (µs).
-    pub spans: Vec<(String, HistSummary)>,
+    pub spans: Vec<(MetricName, HistSummary)>,
 }
 
 impl Snapshot {
@@ -436,7 +437,11 @@ impl Snapshot {
     /// The deterministic work counters only, as sorted `(name, value)`
     /// pairs — the exact set the thread/kernel invariance tests compare.
     pub fn work_fingerprint(&self) -> Vec<(String, u64)> {
-        let mut out = self.work.clone();
+        let mut out: Vec<(String, u64)> = self
+            .work
+            .iter()
+            .map(|(name, value)| (name.to_string(), *value))
+            .collect();
         for (name, class, values) in &self.series {
             if *class == Class::Work {
                 for (i, v) in values.iter().enumerate() {
@@ -450,17 +455,17 @@ impl Snapshot {
 
     /// Render as a `bcc-metrics/v1` JSON document.
     pub fn to_json(&self) -> String {
-        let counters = |pairs: &[(String, u64)]| {
+        let counters = |pairs: &[(MetricName, u64)]| {
             Value::object(
                 pairs
                     .iter()
-                    .map(|(name, v)| (name.as_str(), Value::from(*v))),
+                    .map(|(name, v)| (name.as_ref(), Value::from(*v))),
             )
         };
         let series = self.series.iter().map(|(name, class, values)| {
             let values = values.iter().map(|&v| Value::from(v)).collect();
             (
-                name.as_str(),
+                name.as_ref(),
                 Value::object([("class", class.label().into()), ("values", values)]),
             )
         });
@@ -471,7 +476,7 @@ impl Snapshot {
                 .map(|&(b, c)| [Value::from(b), Value::from(c)].into_iter().collect())
                 .collect();
             (
-                name.as_str(),
+                name.as_ref(),
                 Value::object([
                     ("count", h.count.into()),
                     ("total_us", h.total.into()),
@@ -556,7 +561,7 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.work_counter("walk.nodes"), 12);
         assert_eq!(s.series_values("walk.nodes_by_depth"), &[1, 0, 4]);
-        assert_eq!(s.wall, vec![("walk.chunks".to_string(), 3)]);
+        assert_eq!(s.wall, vec![("walk.chunks".into(), 3)]);
         let (_, hist) = &s.spans[0];
         assert_eq!((hist.count, hist.total, hist.max), (2, 900, 900));
         // 900 has bit length 10 (512..1024); the zero lands in bucket 0.
@@ -627,7 +632,7 @@ mod tests {
 
     #[test]
     fn snapshots_list_only_their_own_counters_and_kernel_words() {
-        let mut kernel_words_at_zero = KERNEL_WORD_KEYS.map(|key| (key.to_string(), 0));
+        let mut kernel_words_at_zero = KERNEL_WORD_KEYS.map(|key| (MetricName::from(key), 0));
         kernel_words_at_zero.sort();
         assert_eq!(Registry::new().snapshot().work, kernel_words_at_zero);
         let r = Registry::new();
@@ -640,7 +645,7 @@ mod tests {
         bcc_core::radix_sort_u64(&mut keys);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         let mut expected = kernel_words_at_zero.to_vec();
-        expected.push(("own.mark".to_string(), 1));
+        expected.push(("own.mark".into(), 1));
         expected.sort();
         assert_eq!(r.snapshot().work, expected);
     }

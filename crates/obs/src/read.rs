@@ -9,7 +9,7 @@
 //! total: malformed input is a `None`, never a panic.
 
 use crate::json::{self, Value};
-use crate::{Class, HistSummary, Snapshot, METRICS_SCHEMA};
+use crate::{Class, HistSummary, MetricName, Snapshot, METRICS_SCHEMA};
 
 impl Snapshot {
     /// Parses a `bcc-metrics/v1` document produced by
@@ -42,10 +42,10 @@ impl Snapshot {
 }
 
 /// `{"name":V,...}` → `(name, read(V))` pairs in document order.
-fn named<T>(map: &Value, read: impl Fn(&Value) -> Option<T>) -> Option<Vec<(String, T)>> {
+fn named<T>(map: &Value, read: impl Fn(&Value) -> Option<T>) -> Option<Vec<(MetricName, T)>> {
     map.as_object()?
         .iter()
-        .map(|(name, v)| Some((name.clone(), read(v)?)))
+        .map(|(name, v)| Some((MetricName::Owned(name.clone()), read(v)?)))
         .collect()
 }
 
