@@ -10,14 +10,15 @@
 //! [`WideTranscript`] holds turn `t`'s bit at bit `t`.
 //!
 //! A protocol is any function of `(proc, input, transcript)`
-//! ([`FnWideProtocol`]). The paper's lower-bound protocols against the
-//! PRG are masked parities: message bit `b` is `⟨input, mask_b⟩` over F2
-//! for masks chosen from `(proc, transcript)`. [`ParityProtocol`] states
-//! that structure through [`WideTurnProtocol::parity_mask`]. Every
-//! consumer still runs its [`message`](WideTurnProtocol::message), but the
-//! exact walk in `bcc-core` reads the masks instead: it labels a dense
-//! consistent set with XORs of the support's input bit planes and splits
-//! it in word operations, with the same children bit for bit.
+//! ([`FnWideProtocol`]). The natural probes of the paper's linear-code
+//! PRG, whose supports are cosets, are masked parities: message bit `b`
+//! is `⟨input, mask_b⟩` over F2 for masks chosen from `(proc,
+//! transcript)`. [`ParityProtocol`] states that structure through
+//! [`WideTurnProtocol::parity_mask`]. Every consumer still runs its
+//! [`message`](WideTurnProtocol::message), but the exact walk in
+//! `bcc-core` reads the masks instead: it labels a dense consistent set
+//! with XORs of the support's input bit planes and splits it in word
+//! operations, with the same children bit for bit.
 
 /// A prefix of a turn-based `BCAST(w)` execution: one `w`-bit message per
 /// turn, packed into a `u64` (capacity `⌊64/w⌋` turns).
