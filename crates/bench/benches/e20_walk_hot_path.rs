@@ -6,9 +6,9 @@
 //!
 //! * **partition**: a decomposition-family walk whose members share
 //!   every unplanted row's `Arc` with the baseline, seed walk vs label
-//!   planes (a bit protocol, and a width-2 protocol), plus the width-2
-//!   protocol's messages written as masked parities, which the walk
-//!   splits by input bit planes (`wide_walk/parity`);
+//!   planes (a bit protocol, and a width-2 protocol), plus both
+//!   protocols' messages written as masked parities, which the walk
+//!   splits by input bit planes (`bit_walk/parity`, `wide_walk/parity`);
 //! * **intersect**: one consistent-set split at 2^17-point support with
 //!   512 live points, dense mask vs sparse index list;
 //! * **huge-support**: the 2^18-support/16-live-point walk only the
@@ -248,6 +248,23 @@ fn run() {
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
     }
     let partition_speedup = seed_bit.ns_per_iter / new_bit.ns_per_iter;
+    // The same messages as masked parities: one label plane per node.
+    let pbit = ParityProtocol::new(4, 8, 1, horizon, |proc, tr, _| {
+        0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2)
+    });
+    let parity_bit = measure("bit_walk/parity", 3, budget, || {
+        ExactEstimator.estimate(&pbit, &members, &baseline)
+    });
+    {
+        let a = ExactEstimator.estimate(&proto, &members, &baseline);
+        let b = ExactEstimator.estimate(&pbit, &members, &baseline);
+        assert_eq!(
+            a.tv().to_bits(),
+            b.tv().to_bits(),
+            "bit parity walk disagrees"
+        );
+    }
+    let parity_bit_speedup = new_bit.ns_per_iter / parity_bit.ns_per_iter;
 
     // -- partition: width 2 ----------------------------------------------
     let (wmembers, wbaseline) = shared_family(3, 8, if smoke { 2 } else { 4 });
@@ -382,6 +399,7 @@ fn run() {
     let mut measurements = vec![
         seed_bit,
         new_bit,
+        parity_bit,
         seed_wide,
         new_wide,
         parity_wide,
@@ -412,6 +430,10 @@ fn run() {
     let mut speedup_rows = vec![
         vec!["partition (w = 1)".into(), f(partition_speedup)],
         vec!["partition (w = 2)".into(), f(wide_speedup)],
+        vec![
+            "parity planes vs messages (w = 1)".into(),
+            f(parity_bit_speedup),
+        ],
         vec![
             "parity planes vs messages (w = 2)".into(),
             f(parity_speedup),
@@ -455,6 +477,7 @@ fn run() {
     let mut speedups = vec![
         ("partition_bit", partition_speedup),
         ("partition_wide", wide_speedup),
+        ("parity_bit", parity_bit_speedup),
         ("parity_wide", parity_speedup),
         ("intersect", intersect_speedup),
     ];

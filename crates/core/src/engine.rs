@@ -24,19 +24,15 @@
 //!
 //! The walk keeps each processor's *consistent set* `D_p^{(t)}` as a
 //! hybrid dense/sparse [`bcc_f2::ConsistentSet`] over that row's support
-//! points and splits the speaker's set on the broadcast message at each
-//! node — at width 1 by two word-parallel `AND`s against a per-node
-//! label plane. The protocol's message function is evaluated once per
-//! `(speaker, support row)` per node, shared across every distribution
-//! whose row points at the same `Arc` allocation.
+//! points and splits the speaker's set on the broadcast label at each
+//! node, by the one split rule [`crate::walk`] describes.
 //!
-//! The walk itself — alive-set state, label planes, the pooled
+//! The walk itself — alive-set state, the split, the pooled
 //! zero-allocation workspace, the frontier cut at the adaptive
 //! [`crate::walk::adaptive_split_depth`], the deterministic
 //! in-frontier-order reduction that makes every pool size cutting the
-//! same frontier bitwise identical — lives in [`crate::walk`],
-//! which queries the protocol's [`WideTurnProtocol::message`] directly;
-//! the node budget it is priced against lives in [`crate::wide`].
+//! same frontier bitwise identical — lives in [`crate::walk`]; the node
+//! budget it is priced against lives in [`crate::wide`].
 //! The walk's front door is [`crate::exec::ExactEstimator`], which runs
 //! it on the current rayon pool and returns a [`DepthProfile`] tagged
 //! [`Provenance::Exact`] — built by this module's `assemble`, the one

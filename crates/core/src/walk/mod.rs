@@ -6,50 +6,52 @@
 //! `D_p^{(t)}` as a hybrid dense/sparse [`bcc_f2::ConsistentSet`] over
 //! that row's support points, splits the speaker's set on the broadcast
 //! label at each node, and weights each child by the surviving fraction.
-//! The only protocol-specific ingredient is how a support point maps to
-//! the message it broadcasts — [`WideTurnProtocol::message`] — and
-//! `exact_walk` is the walk itself, written once.
+//! A protocol enters only through the labels its speaker broadcasts —
+//! [`WideTurnProtocol::message`] per point, or the masks
+//! [`WideTurnProtocol::parity_mask`] names — and `exact_walk` is the
+//! walk itself, written once.
 //!
 //! # The hot path, layer by layer
 //!
 //! Three coordinated layers keep the inner loop priced by *live*
 //! occupancy rather than nominal capacity:
 //!
-//! 1. **Label planes and the counted split.** At each node every
-//!    support row is labelled once per `(speaker, support row)` — not
-//!    once per distribution: rows are grouped by `Arc` identity (see
-//!    [`crate::input::ProductInput`]'s shared rows) and the labels are
-//!    shared by every distribution in the group. A protocol that names
-//!    its masks ([`WideTurnProtocol::parity_mask`], e.g.
-//!    [`bcc_congest::wide::ParityProtocol`]) is labelled without
-//!    evaluating a message: the walk builds each spoken support's
-//!    `input_bits` bit planes once per walk, keyed by the same `Arc`
-//!    identity, and label plane `b` is the XOR of the input planes that
-//!    mask `b` selects. A width-1 plane splits every set in two
-//!    word-parallel `AND`s. At wider widths each dense set is split one
-//!    label plane at a time — every partial child `AND`ed with the plane
-//!    and with its complement, counted by popcount, kept only if
-//!    non-empty — and each child is built dense or sparse by its count
-//!    ([`ConsistentSet::assign_words`]); a dense set too sparse for that
-//!    to pay, and every sparse set, reads its labels off the planes into
-//!    the counted split. These plane and child words go through no
-//!    kernel call, so `kernel.words.*` does not count them (nor did it
-//!    count the per-point `message` calls they replace). Any other
-//!    protocol is queried over the *union* of the group's live points
-//!    via [`WideTurnProtocol::message`]; at width 1 with a dense set in
-//!    the group the labels become a packed bit plane. Every other split
-//!    is *counted*: one pass over the distribution's `(point, label)`
+//! 1. **One split rule.** At each node the speaker's support rows are
+//!    grouped by `Arc` identity (see [`crate::input::ProductInput`]'s
+//!    shared rows), and each group is labelled once, not once per
+//!    distribution:
+//!    - on a *parity node*, where the protocol names every message bit's
+//!      mask (e.g. [`bcc_congest::wide::ParityProtocol`]), label plane
+//!      `b` is the XOR of the input bit planes that mask `b` selects. The
+//!      walk builds each spoken support's `input_bits` planes once,
+//!      keyed by the same `Arc` identity, and evaluates no message;
+//!    - on any other node `message` is evaluated once per point of the
+//!      union of the group's live points, and the width is checked once,
+//!      so a protocol that answers wider than it declares panics instead
+//!      of being silently misread. At width 1, when the group has a
+//!      dense set, those labels are packed into label plane 0.
+//!
+//!    Then each non-empty set splits by one rule. It splits on the
+//!    planes when the group has planes and either the width is 1 — two
+//!    word-parallel `AND`s ([`ConsistentSet::assign_filtered`]) — or the
+//!    set is dense with `min(2^w, count) · words ≤ count`: every partial
+//!    child is `AND`ed with the next plane and with its complement,
+//!    counted by popcount and kept only if non-empty, and each child is
+//!    built dense or sparse by its count ([`ConsistentSet::assign_words`]).
+//!    Every other set takes the *counted* split, its labels the messages
+//!    or read off the planes: one pass over the set's `(point, label)`
 //!    pairs counts each label in an epoch-marked, label-indexed table,
 //!    child slots are sized from the counts in ascending label order,
 //!    and a second pass writes each point once into its child, already
 //!    dense or sparse ([`ConsistentSet::start_counted`]). A
 //!    one-distribution group reads its pairs straight off the union and
 //!    its labels; a shared group reads them off each distribution's live
-//!    set and a per-point label table. Both label sources give the same
-//!    children, and a shared group builds its union on both paths, so
-//!    the two walk to the same bits and the same work counts. The walk
-//!    checks each message against the width, so a protocol that answers
-//!    wider than it declares panics instead of being silently misread.
+//!    set and a per-point label table. Every route gives the same
+//!    children, and a shared group builds its union on every node, so a
+//!    parity protocol and the same masks behind `message` walk to the
+//!    same bits and the same work counts. Plane and word-split words go
+//!    through no kernel call, so `kernel.words.*` does not count them
+//!    (nor the per-point `message` calls they replace).
 //! 2. **Pooled mask workspace.** Child sets live in per-depth slot
 //!    pools that are reused across sibling nodes, the walk swaps them
 //!    into the alive state for the duration of a subtree (one
@@ -538,21 +540,21 @@ struct NodeScratch {
     union_idx: Vec<u32>,
     /// Word buffer for dense unions.
     union_words: Vec<u64>,
-    /// Labels parallel to `union_idx` (the speaker's messages).
+    /// Labels parallel to `union_idx`: the speaker's messages, or read
+    /// off the label planes for the counted split.
     labels: Vec<u64>,
-    /// Packed bit plane (width 1, dense groups).
-    plane: Vec<u64>,
     /// Per-point label table indexed by absolute point index; only
     /// entries at the current group's union-live points are valid.
     /// (Shared groups of the counted split only.)
     point_label: Vec<u64>,
     /// The label-indexed counts and slots of the counted split.
     split: LabelSplit,
-    /// The node's parity masks, one per message bit (parity walks).
+    /// The node's parity masks, one per message bit (parity nodes).
     masks: Vec<u64>,
-    /// Label planes over the group's support, `width` planes of
-    /// `⌈len/64⌉` words each: plane `b` has bit `i` set iff point `i`'s
-    /// message has bit `b` set (parity walks).
+    /// Label planes over the group's support, `⌈len/64⌉` words each:
+    /// plane `b` has bit `i` set iff point `i`'s message has bit `b` set.
+    /// `width` planes on a parity node; plane 0 alone on a width-1
+    /// message node whose group has a dense set.
     label_planes: Vec<u64>,
     /// The word-parallel split's partial children.
     partials: WordSplit,
@@ -784,19 +786,21 @@ fn build_children<P: WideTurnProtocol + ?Sized>(
         })
     };
     for group in &ctx.groups[speaker] {
-        match group.planes {
-            Some(planes) if parity => split_parity_group(
-                ctx,
-                group,
-                &ctx.planes[planes],
-                speaker,
-                state,
-                node,
-                scratch,
-                tally,
-            ),
-            _ => split_message_group(ctx, group, speaker, prefix, state, node, scratch, tally),
-        }
+        let input_planes = group
+            .planes
+            .filter(|_| parity)
+            .map(|id| ctx.planes[id].as_slice());
+        split_group(
+            ctx,
+            group,
+            input_planes,
+            speaker,
+            prefix,
+            state,
+            node,
+            scratch,
+            tally,
+        );
     }
 
     // The union of live labels, ascending: a label dead in every
@@ -907,114 +911,6 @@ fn split_by_plane(
     }
 }
 
-/// Splits one group's speaker sets on labels the protocol's
-/// [`message`](WideTurnProtocol::message) gives, evaluated once per
-/// point of the group's live union.
-#[allow(clippy::too_many_arguments)]
-fn split_message_group<P: WideTurnProtocol + ?Sized>(
-    ctx: &Ctx<'_, P>,
-    group: &RowGroup,
-    speaker: usize,
-    prefix: &WideTranscript,
-    state: &[ConsistentSet],
-    node: &mut NodeScratch,
-    scratch: &mut DepthScratch,
-    tally: &mut WalkTally,
-) {
-    let d0 = group.dists[0];
-    let points = ctx.row(d0, speaker).points();
-    let all_sparse = group_union(ctx, group, speaker, state, node);
-    if node.union_idx.is_empty() {
-        return;
-    }
-
-    // One protocol evaluation pass for the whole group. The width
-    // check keeps every label inside the alphabet the splits below
-    // index by: the bit plane at width 1, the direct label tables
-    // (below 2^16) at wider widths.
-    node.labels.clear();
-    let mut seen = 0u64;
-    node.labels.extend(node.union_idx.iter().map(|&i| {
-        let label = ctx.protocol.message(speaker, points[i as usize], prefix);
-        seen |= label;
-        label
-    }));
-    let width = ctx.width;
-    assert!(seen >> width == 0, "message exceeds {width} bits");
-
-    if width == 1 && !all_sparse {
-        // Bit-plane fast path: dense splits are word-parallel ANDs.
-        node.plane.clear();
-        node.plane.resize(points.len().div_ceil(64), 0);
-        for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-            if label == 1 {
-                node.plane[i as usize / 64] |= 1u64 << (i % 64);
-            }
-        }
-        for &d in &group.dists {
-            let parent = &state[ctx.state_idx(d, speaker)];
-            if !parent.is_empty() {
-                split_by_plane(d, parent, &node.plane, scratch, tally);
-            }
-        }
-    } else {
-        // Counted split: every label is at most `seen`, so the table
-        // grows once here and never inside the passes.
-        node.grow_cells(seen);
-        split_counted(ctx, group, speaker, state, node, scratch, tally, |_| true);
-    }
-}
-
-/// The counted split of each non-empty speaker set of the group that
-/// `counted` picks, on the labels `node.labels` holds for the points of
-/// `node.union_idx`. A one-distribution group's live set *is* the union,
-/// so its pairs are read straight off `union_idx`/`labels`; a shared
-/// group scatters the labels into a per-point table once and reads each
-/// distribution's pairs off its own live set.
-#[allow(clippy::too_many_arguments)]
-fn split_counted<P: ?Sized>(
-    ctx: &Ctx<'_, P>,
-    group: &RowGroup,
-    speaker: usize,
-    state: &[ConsistentSet],
-    node: &mut NodeScratch,
-    scratch: &mut DepthScratch,
-    tally: &mut WalkTally,
-    counted: impl Fn(&ConsistentSet) -> bool,
-) {
-    let d0 = group.dists[0];
-    let universe = ctx.row(d0, speaker).len();
-    if group.dists.len() == 1 {
-        let parent = &state[ctx.state_idx(d0, speaker)];
-        if parent.is_empty() || !counted(parent) {
-            return;
-        }
-        let pairs = node
-            .union_idx
-            .iter()
-            .zip(&node.labels)
-            .map(|(&i, &label)| (i as usize, label));
-        node.split
-            .split(d0, parent, universe, pairs, scratch, tally);
-        return;
-    }
-    if node.point_label.len() < universe {
-        node.point_label.resize(universe, 0);
-    }
-    for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
-        node.point_label[i as usize] = label;
-    }
-    for &d in &group.dists {
-        let parent = &state[ctx.state_idx(d, speaker)];
-        if parent.is_empty() || !counted(parent) {
-            continue;
-        }
-        let point_label = &node.point_label;
-        let pairs = parent.iter().map(|i| (i, point_label[i]));
-        node.split.split(d, parent, universe, pairs, scratch, tally);
-    }
-}
-
 /// Whether the word-parallel split prices a dense `parent` at no more
 /// words than it has live points: its widest level holds at most
 /// `min(2^width, count)` partial masks of `words` words each. A sparser
@@ -1023,22 +919,20 @@ fn words_split_pays(parent: &ConsistentSet, width: u32, words: usize) -> bool {
     !parent.is_sparse() && (1usize << width).min(parent.count()) * words <= parent.count()
 }
 
-/// Splits one group's speaker sets on a parity node. Label plane `b` is
-/// the XOR of the group's input planes that mask `b` selects, so no
-/// message is evaluated. A width-1 node splits every set on its plane; a
-/// wider node splits each dense set in word operations
-/// ([`split_words`]) when that pays, and every other set by counts, its
-/// labels read off the planes.
-///
-/// A shared group builds its live union as the message path does, so
-/// both paths do the same kernel words. The plane and child words here
-/// go through no kernel call and are not tallied.
+/// Labels one group's speaker sets once — from its input planes on a
+/// parity node (`input_planes` given), otherwise by one
+/// [`message`](WideTurnProtocol::message) per point of its live union —
+/// and splits every non-empty set by the one rule of the module docs:
+/// [`split_by_plane`] or [`split_words`] when the group has label planes
+/// and the width is 1 or [`words_split_pays`], else the counted
+/// [`LabelSplit`].
 #[allow(clippy::too_many_arguments)]
-fn split_parity_group<P: WideTurnProtocol + ?Sized>(
+fn split_group<P: WideTurnProtocol + ?Sized>(
     ctx: &Ctx<'_, P>,
     group: &RowGroup,
-    input_planes: &[u64],
+    input_planes: Option<&[u64]>,
     speaker: usize,
+    prefix: &WideTranscript,
     state: &[ConsistentSet],
     node: &mut NodeScratch,
     scratch: &mut DepthScratch,
@@ -1047,54 +941,115 @@ fn split_parity_group<P: WideTurnProtocol + ?Sized>(
     let universe = ctx.row(group.dists[0], speaker).len();
     let words = universe.div_ceil(64);
     let width = ctx.width;
-    // Mask bits at or above the input width select no input bit.
-    let input_mask = (1u64 << ctx.protocol.input_bits()) - 1;
-    node.label_planes.clear();
-    node.label_planes.resize(width as usize * words, 0);
-    for (plane, &mask) in node.label_planes.chunks_exact_mut(words).zip(&node.masks) {
-        let mut rest = mask & input_mask;
-        while rest != 0 {
-            let j = rest.trailing_zeros() as usize;
-            for (p, &x) in plane
-                .iter_mut()
-                .zip(&input_planes[j * words..(j + 1) * words])
-            {
-                *p ^= x;
-            }
-            rest &= rest - 1;
-        }
-    }
 
-    let counted = |parent: &ConsistentSet| width > 1 && !words_split_pays(parent, width, words);
+    // Label the group once.
+    let mut seen = 0u64;
+    let has_planes = match input_planes {
+        Some(input_planes) => {
+            // Mask bits at or above the input width select no input bit.
+            let input_mask = (1u64 << ctx.protocol.input_bits()) - 1;
+            node.label_planes.clear();
+            node.label_planes.resize(width as usize * words, 0);
+            for (plane, &mask) in node.label_planes.chunks_exact_mut(words).zip(&node.masks) {
+                let mut rest = mask & input_mask;
+                while rest != 0 {
+                    let j = rest.trailing_zeros() as usize;
+                    for (p, &x) in plane
+                        .iter_mut()
+                        .zip(&input_planes[j * words..(j + 1) * words])
+                    {
+                        *p ^= x;
+                    }
+                    rest &= rest - 1;
+                }
+            }
+            true
+        }
+        None => {
+            let all_sparse = group_union(ctx, group, speaker, state, node);
+            if node.union_idx.is_empty() {
+                return;
+            }
+            // The width check keeps every label inside the alphabet the
+            // splits index by: plane 0 at width 1, the direct label
+            // tables (below 2^16) at wider widths.
+            let points = ctx.row(group.dists[0], speaker).points();
+            node.labels.clear();
+            node.labels.extend(node.union_idx.iter().map(|&i| {
+                let label = ctx.protocol.message(speaker, points[i as usize], prefix);
+                seen |= label;
+                label
+            }));
+            assert!(seen >> width == 0, "message exceeds {width} bits");
+            let packed = width == 1 && !all_sparse;
+            if packed {
+                node.label_planes.clear();
+                node.label_planes.resize(words, 0);
+                for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
+                    node.label_planes[i as usize / 64] |= label << (i % 64);
+                }
+            }
+            packed
+        }
+    };
+
+    // Split every non-empty set by one rule. A counted set's pairs come
+    // straight off the union and its labels when the set *is* the union
+    // (a one-distribution group); a shared group scatters the labels into
+    // a per-point table once and reads each set's pairs off the set.
+    let on_planes = |parent: &ConsistentSet| {
+        has_planes && (width == 1 || words_split_pays(parent, width, words))
+    };
     let any_counted = group.dists.iter().any(|&d| {
         let parent = &state[ctx.state_idx(d, speaker)];
-        !parent.is_empty() && counted(parent)
+        !parent.is_empty() && !on_planes(parent)
     });
-    if group.dists.len() > 1 || any_counted {
+    let shared = group.dists.len() > 1;
+    if input_planes.is_some() && (shared || any_counted) {
         group_union(ctx, group, speaker, state, node);
     }
     if any_counted {
-        node.labels.clear();
-        let label_planes = &node.label_planes;
-        let mut seen = 0u64;
-        node.labels.extend(node.union_idx.iter().map(|&i| {
-            let (word, bit) = (i as usize / 64, i % 64);
-            let mut label = 0u64;
-            for (b, plane) in label_planes.chunks_exact(words).enumerate() {
-                label |= ((plane[word] >> bit) & 1) << b;
-            }
-            seen |= label;
-            label
-        }));
+        if input_planes.is_some() {
+            node.labels.clear();
+            let label_planes = &node.label_planes;
+            node.labels.extend(node.union_idx.iter().map(|&i| {
+                let (word, bit) = (i as usize / 64, i % 64);
+                let mut label = 0u64;
+                for (b, plane) in label_planes.chunks_exact(words).enumerate() {
+                    label |= ((plane[word] >> bit) & 1) << b;
+                }
+                seen |= label;
+                label
+            }));
+        }
+        // Every label is at most `seen`, so the table grows once here
+        // and never inside the passes.
         node.grow_cells(seen);
-        split_counted(ctx, group, speaker, state, node, scratch, tally, counted);
+        if shared {
+            if node.point_label.len() < universe {
+                node.point_label.resize(universe, 0);
+            }
+            for (&i, &label) in node.union_idx.iter().zip(&node.labels) {
+                node.point_label[i as usize] = label;
+            }
+        }
     }
     for &d in &group.dists {
         let parent = &state[ctx.state_idx(d, speaker)];
-        if parent.is_empty() || counted(parent) {
+        if parent.is_empty() {
             continue;
         }
-        if width == 1 {
+        if !on_planes(parent) {
+            if shared {
+                let point_label = &node.point_label;
+                let pairs = parent.iter().map(|i| (i, point_label[i]));
+                node.split.split(d, parent, universe, pairs, scratch, tally);
+            } else {
+                let pairs = node.union_idx.iter().zip(&node.labels);
+                let pairs = pairs.map(|(&i, &label)| (i as usize, label));
+                node.split.split(d, parent, universe, pairs, scratch, tally);
+            }
+        } else if width == 1 {
             split_by_plane(d, parent, &node.label_planes, scratch, tally);
         } else {
             split_words(

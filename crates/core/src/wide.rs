@@ -6,22 +6,12 @@
 //! logarithmic sized messages") is checked *exactly*, and `BCAST(1)` is
 //! the width-1 case. This module holds the node budget every exact walk
 //! is priced against ([`wide_walk_nodes`] ≤ [`MAX_WIDE_NODES`]); the walk
-//! itself, in [`crate::walk`], queries the protocol's
-//! [`message`](WideTurnProtocol::message) directly.
-//!
-//! The per-turn split buckets the speaker's *live* points by the message
-//! they broadcast — evaluated once per shared support row per node into
-//! a per-point message table — so a node costs `O(live points)` plus one
-//! pooled set per message that actually occurs: never `O(2^w)` work for
-//! an alphabet that is mostly dead, and never `O(support)` work for a
-//! support that has mostly died (the sparse regime). At width 1 the
-//! table becomes a packed bit plane and the split two word-parallel
-//! `AND`s. A parity protocol's labels need no table: they are XORs of
-//! the support's input bit planes, and dense sets split in word
-//! operations at every width (see [`crate::walk`]). The frontier depth
-//! adapts to the width and the rayon pool
-//! ([`crate::walk::adaptive_split_depth`]`(w)` turns), keeping the
-//! fan-out comparable across message widths.
+//! itself, and the one rule by which it splits the speaker's live points
+//! by label at each node, is [`crate::walk`]. A node builds one pooled
+//! set per label that actually occurs, never `O(2^w)` sets for an
+//! alphabet that is mostly dead. The frontier depth adapts to the width
+//! and the rayon pool ([`crate::walk::adaptive_split_depth`]`(w)`
+//! turns), keeping the fan-out comparable across message widths.
 
 use bcc_congest::wide::WideTurnProtocol;
 

@@ -622,18 +622,18 @@ fn demotion_boundary_walk_is_bitwise_the_seed_walk() {
     assert_mixture_bitwise_eq(&new, &old, "demotion boundary");
 }
 
-/// A width-2 walk across the dense→sparse boundary, through both sources
-/// of the counted split: two 2^10-point rows (word budget 16) lose two
-/// bits per spoken turn, so the third split of each row yields 16-point
-/// (and smaller) children of dense parents. Each member replaces one row
-/// and shares the other's Arc with the baseline, so every speaker row
-/// has a one-distribution group and a shared group. The profile is the
-/// seed walk's bit for bit, and the walk's work counts are pinned.
+/// Message walks across the dense→sparse boundary, through every split
+/// route a message node takes. Two 2^10-point rows (word budget 16) lose
+/// one or two bits per spoken turn, so late splits yield 16-point (and
+/// smaller) children of dense parents. Each member replaces one row and
+/// shares the other's Arc with the baseline, so every speaker row has a
+/// one-distribution group and a shared group. At width 2 every set takes
+/// the counted split, through both of its pair sources; at width 1 a
+/// group with a dense set splits on a packed label plane and an
+/// all-sparse group by counts. Each profile is the seed walk's bit for
+/// bit, and each walk's work counts, kernel words included, are pinned.
 #[test]
 fn wide_demotion_boundary_walk_is_bitwise_the_seed_walk_and_counts_pinned() {
-    let p = FnWideProtocol::new(2, 10, 2, 6, |_, input, tr| {
-        (input >> (2 * (tr.len() / 2))) & 0b11
-    });
     let base = ProductInput::uniform(2, 10);
     let members = vec![
         base.with_row(
@@ -645,16 +645,44 @@ fn wide_demotion_boundary_walk_is_bitwise_the_seed_walk_and_counts_pinned() {
             RowSupport::explicit(10, (0..1024).filter(|x| x % 3 != 0).collect()),
         ),
     ];
+    let wide = FnWideProtocol::new(2, 10, 2, 6, |_, input, tr| {
+        (input >> (2 * (tr.len() / 2))) & 0b11
+    });
+    let bit = FnWideProtocol::new(2, 10, 1, 14, |_, input, tr| (input >> (tr.len() / 2)) & 1);
+    assert_eq!(
+        pinned_walk_counts(&wide, &members, &base, "w2"),
+        [16380, 15360, 289527, 21840, 43680]
+    );
+    assert_eq!(
+        pinned_walk_counts(&bit, &members, &base, "w1"),
+        [98298, 18432, 1057529, 780780, 131040]
+    );
+}
+
+/// Checks the walk of `p` bitwise against the seed walk and returns its
+/// `walk.children_built`, `walk.demotions_dense_to_sparse`,
+/// `walk.live_points`, `kernel.words.filter` and `kernel.words.boolean`.
+fn pinned_walk_counts<P: WideTurnProtocol + Sync>(
+    p: &P,
+    members: &[ProductInput],
+    base: &ProductInput,
+    what: &str,
+) -> [u64; 5] {
     let registry = bcc_obs::Registry::new();
     let scope = registry.install();
-    let new = ExactEstimator.estimate(&p, &members, &base);
+    let new = ExactEstimator.estimate(p, members, base);
     drop(scope);
-    let old = exact_mixture_comparison_reference(&p, &members, &base);
-    assert_mixture_bitwise_eq(&new, &old, "wide demotion boundary");
+    let old = exact_mixture_comparison_reference(p, members, base);
+    assert_mixture_bitwise_eq(&new, &old, &format!("demotion boundary {what}"));
     let snap = registry.snapshot();
-    assert_eq!(snap.work_counter("walk.children_built"), 16380);
-    assert_eq!(snap.work_counter("walk.demotions_dense_to_sparse"), 15360);
-    assert_eq!(snap.work_counter("walk.live_points"), 289527);
+    [
+        "walk.children_built",
+        "walk.demotions_dense_to_sparse",
+        "walk.live_points",
+        "kernel.words.filter",
+        "kernel.words.boolean",
+    ]
+    .map(|key| snap.work_counter(key))
 }
 
 /// The workload the hybrid representation exists for: a 2^18-point

@@ -125,8 +125,9 @@ pub fn encode_depth_floors(floors: &[f64]) -> String {
     cells.join("-")
 }
 
-/// Decodes [`encode_depth_floors`] output. `None` on malformed input;
-/// an empty string is the empty vector (no floors recorded).
+/// Decodes [`encode_depth_floors`] output. `None` on anything the
+/// encoder never writes: every cell must be exactly 16 lowercase hex
+/// digits. An empty string is the empty vector (no floors recorded).
 pub fn decode_depth_floors(encoded: &str) -> Option<Vec<f64>> {
     if encoded.is_empty() {
         return Some(Vec::new());
@@ -134,7 +135,8 @@ pub fn decode_depth_floors(encoded: &str) -> Option<Vec<f64>> {
     encoded
         .split('-')
         .map(|cell| {
-            if cell.len() != 16 {
+            let hex = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+            if cell.len() != 16 || !cell.bytes().all(hex) {
                 return None;
             }
             u64::from_str_radix(cell, 16).ok().map(f64::from_bits)
@@ -715,6 +717,9 @@ mod tests {
         assert_eq!(decode_depth_floors(""), Some(Vec::new()));
         assert_eq!(decode_depth_floors("zz"), None);
         assert_eq!(decode_depth_floors("3fd0-"), None, "short cell");
+        // `from_str_radix` takes both; the encoder writes neither.
+        assert_eq!(decode_depth_floors("+123456789abcdef"), None, "sign");
+        assert_eq!(decode_depth_floors("3FD0000000000000"), None, "uppercase");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 use bcc_obs::json::{self, Value};
 
-use crate::run::PointRecord;
+use crate::run::{decode_depth_floors, PointRecord};
 use crate::scenario::Scenario;
 
 /// An open run directory with an append handle on its record log.
@@ -231,7 +231,8 @@ fn replace_log(dir: &Path, log: String) {
 }
 
 /// Parses one JSONL line back into a record; `None` for torn or foreign
-/// lines, and for lines whose integers do not fit their fields.
+/// lines, for lines whose integers do not fit their fields, and for
+/// lines whose depth floors do not decode.
 pub fn decode_record(line: &str) -> Option<PointRecord> {
     let record = json::parse(line).ok()?;
     let field = |key| record.get(key);
@@ -256,7 +257,10 @@ pub fn decode_record(line: &str) -> Option<PointRecord> {
             None => 0,
         },
         depth_floors: match field("depth_floors") {
-            Some(v) => v.as_str()?.to_string(),
+            Some(v) => v
+                .as_str()
+                .filter(|floors| decode_depth_floors(floors).is_some())?
+                .to_string(),
             None => String::new(),
         },
         wall_ms: float("wall_ms")?,
@@ -455,6 +459,20 @@ mod tests {
                 assert_eq!(kind, json::ErrorKind::UnexpectedEnd, "cut {cut}");
                 assert_eq!(decode_record(&line[..cut]), None);
             }
+        }
+    }
+
+    #[test]
+    fn records_with_malformed_depth_floors_are_refused() {
+        for floors in ["zz", "3fd0-", "+123456789abcdef", "3FD0000000000000"] {
+            let line = GOLDEN_RECORD.replace("0000000000000000-3fd0000000000000", floors);
+            assert_eq!(decode_record(&line), None, "{floors}");
+            // The store drops the line as torn, so resume recomputes it.
+            let log = format!("{}\n{line}\n", encode_record(&record(0)));
+            assert_eq!(parse_records(&log).keys().collect::<Vec<_>>(), [&0]);
+        }
+        for line in [GOLDEN_LEGACY_RECORD, GOLDEN_RECORD] {
+            assert!(decode_record(line).is_some(), "{line}");
         }
     }
 
