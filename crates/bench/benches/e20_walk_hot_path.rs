@@ -29,6 +29,9 @@
 //! `bcc-bench-walk/v4`). `--smoke` shrinks the workloads for CI but
 //! still exercises every scenario and writes the file. Every row runs on
 //! a one-thread rayon pool, so the walk timings are single-thread costs.
+//! The walk rows and the sort rows are timed in alternating rounds, and
+//! each of their speedups is the median per-round ratio, so host drift
+//! between rounds cancels.
 
 use std::time::Instant;
 
@@ -93,6 +96,10 @@ fn transcript_keys(len: usize, bits: u32, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Alternating rounds per walk comparison: a full run's 400 ms budget
+/// per walk in ~40 ms slices, a few seed-walk iterations each.
+const WALK_ROUNDS: u32 = 10;
+
 /// One measured scenario: mean wall-clock nanoseconds per iteration.
 struct Measurement {
     name: &'static str,
@@ -123,46 +130,55 @@ fn measure<T>(
     }
 }
 
-/// Times `a` and `b` in `rounds` alternating rounds of ~`budget_ms / rounds`
-/// each, so host drift hits both alike. Returns both totals and the
-/// median of the per-round `a / b` time ratios.
-fn measure_paired<T, U>(
-    names: (&'static str, &'static str),
+/// Times `routines` in `rounds` alternating rounds of ~`budget_ms / rounds`
+/// each, so host drift hits them all alike. Returns each routine's total
+/// over the rounds and, for each `(a, b)` in `ratios`, the median of the
+/// per-round `a / b` time ratios.
+fn measure_paired<T>(
+    names: &[&'static str],
     rounds: u32,
     budget_ms: u64,
-    mut a: impl FnMut() -> T,
-    mut b: impl FnMut() -> U,
-) -> (Measurement, Measurement, f64) {
+    routines: &mut [&mut dyn FnMut() -> T],
+    ratios: &[(usize, usize)],
+) -> (Vec<Measurement>, Vec<f64>) {
     let slice = budget_ms / u64::from(rounds);
-    let mut rows = Vec::new();
-    for _ in 0..rounds {
-        rows.push((
-            measure(names.0, 1, slice, &mut a),
-            measure(names.1, 1, slice, &mut b),
-        ));
-    }
-    let mut ratios: Vec<f64> = rows
-        .iter()
-        .map(|(x, y)| x.ns_per_iter / y.ns_per_iter)
+    let per_round: Vec<Vec<Measurement>> = (0..rounds)
+        .map(|_| {
+            names
+                .iter()
+                .zip(routines.iter_mut())
+                .map(|(&name, routine)| measure(name, 1, slice, &mut **routine))
+                .collect()
+        })
         .collect();
-    ratios.sort_by(f64::total_cmp);
-    let total = |name, pick: fn(&(Measurement, Measurement)) -> &Measurement| {
-        let iters: u64 = rows.iter().map(|r| pick(r).iters).sum();
-        let ns: f64 = rows
-            .iter()
-            .map(|r| pick(r).ns_per_iter * pick(r).iters as f64)
-            .sum();
-        Measurement {
-            name,
-            ns_per_iter: ns / iters as f64,
-            iters,
-        }
-    };
-    (
-        total(names.0, |r| &r.0),
-        total(names.1, |r| &r.1),
-        ratios[ratios.len() / 2],
-    )
+    let medians = ratios
+        .iter()
+        .map(|&(a, b)| {
+            let mut r: Vec<f64> = per_round
+                .iter()
+                .map(|row| row[a].ns_per_iter / row[b].ns_per_iter)
+                .collect();
+            r.sort_by(f64::total_cmp);
+            r[r.len() / 2]
+        })
+        .collect();
+    let totals = names
+        .iter()
+        .enumerate()
+        .map(|(i, &name)| {
+            let iters: u64 = per_round.iter().map(|row| row[i].iters).sum();
+            let ns: f64 = per_round
+                .iter()
+                .map(|row| row[i].ns_per_iter * row[i].iters as f64)
+                .sum();
+            Measurement {
+                name,
+                ns_per_iter: ns / iters as f64,
+                iters,
+            }
+        })
+        .collect();
+    (totals, medians)
 }
 
 /// A float rounded to `digits` decimals, so the file stays readable.
@@ -234,37 +250,37 @@ fn run() {
         let mask = 0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2);
         (input & mask).count_ones() % 2 == 1
     });
-    let seed_bit = measure("bit_walk/seed", 3, budget, || {
-        exact_mixture_comparison_reference(&proto, &members, &baseline)
-    });
-    let new_bit = measure("bit_walk/overhauled", 3, budget, || {
-        ExactEstimator.estimate(&proto, &members, &baseline)
+    // The same messages as masked parities: one label plane per node.
+    let pbit = ParityProtocol::new(4, 8, 1, horizon, |proc, tr, _| {
+        0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2)
     });
     // Sanity: the walks must agree exactly before their times mean
     // anything.
     {
         let a = exact_mixture_comparison_reference(&proto, &members, &baseline);
         let b = ExactEstimator.estimate(&proto, &members, &baseline);
+        let c = ExactEstimator.estimate(&pbit, &members, &baseline);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "walks disagree");
-    }
-    let partition_speedup = seed_bit.ns_per_iter / new_bit.ns_per_iter;
-    // The same messages as masked parities: one label plane per node.
-    let pbit = ParityProtocol::new(4, 8, 1, horizon, |proc, tr, _| {
-        0xB5u64 ^ tr.as_u64() ^ ((proc as u64) << 2)
-    });
-    let parity_bit = measure("bit_walk/parity", 3, budget, || {
-        ExactEstimator.estimate(&pbit, &members, &baseline)
-    });
-    {
-        let a = ExactEstimator.estimate(&proto, &members, &baseline);
-        let b = ExactEstimator.estimate(&pbit, &members, &baseline);
         assert_eq!(
-            a.tv().to_bits(),
             b.tv().to_bits(),
+            c.tv().to_bits(),
             "bit parity walk disagrees"
         );
     }
-    let parity_bit_speedup = new_bit.ns_per_iter / parity_bit.ns_per_iter;
+    // Seed vs overhauled, and messages vs planes: medians of per-round
+    // ratios, so drift between rounds cancels.
+    let (bit_rows, bit_speedups) = measure_paired(
+        &["bit_walk/seed", "bit_walk/overhauled", "bit_walk/parity"],
+        WALK_ROUNDS,
+        budget,
+        &mut [
+            &mut || exact_mixture_comparison_reference(&proto, &members, &baseline),
+            &mut || ExactEstimator.estimate(&proto, &members, &baseline),
+            &mut || ExactEstimator.estimate(&pbit, &members, &baseline),
+        ],
+        &[(0, 1), (1, 2)],
+    );
+    let (partition_speedup, parity_bit_speedup) = (bit_speedups[0], bit_speedups[1]);
 
     // -- partition: width 2 ----------------------------------------------
     let (wmembers, wbaseline) = shared_family(3, 8, if smoke { 2 } else { 4 });
@@ -272,13 +288,6 @@ fn run() {
         let mask = 0x6Du64 ^ tr.as_u64() ^ (proc as u64);
         ((input & mask).count_ones() % 2) as u64 * 2 + ((input >> tr.len()) & 1)
     });
-    let seed_wide = measure("wide_walk/seed", 3, budget, || {
-        exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline)
-    });
-    let new_wide = measure("wide_walk/overhauled", 3, budget, || {
-        ExactEstimator.estimate(&wproto, &wmembers, &wbaseline)
-    });
-    let wide_speedup = seed_wide.ns_per_iter / new_wide.ns_per_iter;
     // The same messages as masked parities: bit 0 is input bit `len`,
     // bit 1 the masked parity above, so the walk splits by label planes.
     let pproto = ParityProtocol::new(3, 8, 2, if smoke { 4 } else { 5 }, |proc, tr, b| {
@@ -288,15 +297,23 @@ fn run() {
             0x6Du64 ^ tr.as_u64() ^ (proc as u64)
         }
     });
-    let parity_wide = measure("wide_walk/parity", 3, budget, || {
-        ExactEstimator.estimate(&pproto, &wmembers, &wbaseline)
-    });
     {
         let a = ExactEstimator.estimate(&wproto, &wmembers, &wbaseline);
         let b = ExactEstimator.estimate(&pproto, &wmembers, &wbaseline);
         assert_eq!(a.tv().to_bits(), b.tv().to_bits(), "parity walk disagrees");
     }
-    let parity_speedup = new_wide.ns_per_iter / parity_wide.ns_per_iter;
+    let (wide_rows, wide_speedups) = measure_paired(
+        &["wide_walk/seed", "wide_walk/overhauled", "wide_walk/parity"],
+        WALK_ROUNDS,
+        budget,
+        &mut [
+            &mut || exact_mixture_comparison_reference(&wproto, &wmembers, &wbaseline),
+            &mut || ExactEstimator.estimate(&wproto, &wmembers, &wbaseline),
+            &mut || ExactEstimator.estimate(&pproto, &wmembers, &wbaseline),
+        ],
+        &[(0, 1), (1, 2)],
+    );
+    let (wide_speedup, parity_speedup) = (wide_speedups[0], wide_speedups[1]);
 
     // -- intersect: dense mask vs sparse index list --------------------
     let universe = 1usize << 17;
@@ -362,23 +379,26 @@ fn run() {
         ),
     ] {
         let keys = transcript_keys(sort_len, bits, u64::from(bits));
-        let (std_row, radix_row, ratio) = measure_paired(
-            names,
+        let (rows, ratio) = measure_paired(
+            &[names.0, names.1],
             5,
             budget,
-            || {
-                let mut v = keys.clone();
-                v.sort_unstable();
-                v
-            },
-            || {
-                let mut v = keys.clone();
-                radix_sort_u64(&mut v);
-                v
-            },
+            &mut [
+                &mut || {
+                    let mut v = keys.clone();
+                    v.sort_unstable();
+                    v
+                },
+                &mut || {
+                    let mut v = keys.clone();
+                    radix_sort_u64(&mut v);
+                    v
+                },
+            ],
+            &[(0, 1)],
         );
-        sort_rows.extend([std_row, radix_row]);
-        sort_speedups.push((speedup, ratio));
+        sort_rows.extend(rows);
+        sort_speedups.push((speedup, ratio[0]));
     }
 
     // -- huge support, tiny alive: only the sparse path is priced sanely
@@ -396,20 +416,16 @@ fn run() {
     // occupancy: words touched across the full live tree.
     let dense_words_projected = (1u64 << (hhorizon + 1)) * (1u64 << hbits) / 64 * 2;
 
-    let mut measurements = vec![
-        seed_bit,
-        new_bit,
-        parity_bit,
-        seed_wide,
-        new_wide,
-        parity_wide,
+    let mut measurements = bit_rows;
+    measurements.extend(wide_rows);
+    measurements.extend([
         dense_time,
         sparse_time,
         huge,
         k_int_scalar,
         k_part_scalar,
         k_radix_scalar,
-    ];
+    ]);
     measurements.extend(sort_rows);
 
     println!();

@@ -28,10 +28,8 @@
 //! node, by the one split rule [`crate::walk`] describes.
 //!
 //! The walk itself — alive-set state, the split, the pooled
-//! zero-allocation workspace, the frontier cut at the adaptive
-//! [`crate::walk::adaptive_split_depth`], the deterministic
-//! in-frontier-order reduction that makes every pool size cutting the
-//! same frontier bitwise identical — lives in [`crate::walk`]; the node
+//! zero-allocation workspace, the frontier cut and the
+//! in-frontier-order reduction — lives in [`crate::walk`]; the node
 //! budget it is priced against lives in [`crate::wide`].
 //! The walk's front door is [`crate::exec::ExactEstimator`], which runs
 //! it on the current rayon pool and returns a [`DepthProfile`] tagged
@@ -47,7 +45,7 @@ use crate::input::ProductInput;
 use crate::walk::{reference, WalkOutcome};
 use crate::wide::validate_budget;
 
-pub use crate::walk::{FRACTION_THRESHOLDS, SPLIT_DEPTH};
+pub use crate::walk::FRACTION_THRESHOLDS;
 
 /// Per-turn statistics of the speaker's consistent input set `D_p^{(t)}`,
 /// measured under the *baseline* transcript distribution.

@@ -239,8 +239,7 @@ pub trait Estimator {
 /// per-turn progress increments that Lemma-format inequalities bound.
 ///
 /// A unit struct: call it as `ExactEstimator.estimate(…)`. The walk fans
-/// out over the current rayon pool, and every pool size that cuts the
-/// same frontier ([`crate::walk::adaptive_split_depth`]) returns the same
+/// out over the current rayon pool, and every pool size returns the same
 /// bits.
 ///
 /// # Panics

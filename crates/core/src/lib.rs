@@ -60,5 +60,5 @@ pub use exec::{
 };
 pub use input::{ProductInput, RowSupport};
 pub use sample::{radix_sort_u64, sampled_comparison_with, wide_prefix_key};
-pub use walk::{adaptive_split_depth, split_depth_for_threads, MAX_SPLIT_DEPTH, SPLIT_DEPTH};
+pub use walk::adaptive_split_depth;
 pub use wide::{wide_walk_nodes, MAX_WIDE_NODES};

@@ -82,25 +82,22 @@
 //! is what parallelizes the whole computation), and task results are
 //! reduced **in frontier order**. Task snapshots are slim: only the rows
 //! spoken above the cut can differ from full, so only those are cloned
-//! per frontier node and each task reconstructs the rest. Floating-point accumulation order is
-//! therefore a function of the tree and the frontier depth alone, never
-//! of thread scheduling: runs of the same walk on pools of 1 and 4
-//! threads (which cut the same frontier) return bitwise-identical
-//! results, a property pinned by the workspace's property tests at
-//! width 1 and above.
+//! per frontier node and each task reconstructs the rest.
 //!
-//! A pool of one worker runs the whole frontier as one chunk, so its
-//! pooled buffers warm once per walk. A walk called inside another
-//! parallel call's item (a lab sweep's point) runs its tasks on the
-//! calling thread: the vendored rayon never runs more threads than the
-//! pool's size. The chunking, and so every bit, is the same either way.
+//! The frontier depth is one number per message width, `6 / w` turns
+//! (at least 1), and it never reads the pool size. Floating-point
+//! accumulation order is therefore a function of the tree alone, never
+//! of thread scheduling or of the host: every pool size returns
+//! bitwise-identical results and counts the same work, a property the
+//! workspace's tests pin at pools of 1, 4 and 32 threads.
 //!
-//! The frontier depth itself adapts to the rayon pool (see
-//! [`adaptive_split_depth`]): on a single-core machine it is exactly the
-//! historical [`SPLIT_DEPTH`], and it grows with the thread count so
-//! wide machines see enough tasks. Exact results are reproducible across
-//! machines at equal thread counts (pin `RAYON_NUM_THREADS` to compare
-//! across different hardware).
+//! Only the chunking follows the pool. A pool of one worker runs the
+//! whole frontier as one chunk, so its pooled buffers warm once per
+//! walk; larger pools get about four chunks per worker. A walk called
+//! inside another parallel call's item (a lab sweep's point) runs its
+//! tasks on the calling thread: the vendored rayon never runs more
+//! threads than the pool's size. Chunks are reduced in frontier order,
+//! so the chunking never moves a bit.
 
 use bcc_congest::wide::{WideTranscript, WideTurnProtocol};
 use bcc_f2::kernel::{self, WordKernel};
@@ -116,51 +113,19 @@ pub(crate) mod reference;
 /// below `2^{-j}`.
 pub const FRACTION_THRESHOLDS: usize = 20;
 
-/// The baseline bit-depth at which the exact walk cuts the turn tree
-/// into independent subtree tasks — the value used on a single-core
-/// machine, and the floor of the adaptive depth on larger pools (see
-/// [`split_depth_for_threads`]). A branching-factor-`2^w` walk cuts at
+/// The bit-depth at which the exact walk cuts the turn tree into
+/// independent subtree tasks. A branching-factor-`2^w` walk cuts at
 /// depth `SPLIT_DEPTH / w` (at least 1).
-pub const SPLIT_DEPTH: u32 = 6;
+const SPLIT_DEPTH: u32 = 6;
 
-/// The ceiling of the adaptive frontier bit-depth: at most
-/// `2^MAX_SPLIT_DEPTH` subtree tasks fan out however many threads the
-/// pool has, bounding frontier-state memory.
-pub const MAX_SPLIT_DEPTH: u32 = 12;
-
-/// The frontier bit-depth for a pool of `threads` workers, as a pure
-/// function (what [`adaptive_split_depth`] applies to the live pool).
-///
-/// One thread keeps the historical [`SPLIT_DEPTH`] so single-core runs
-/// (CI containers included) are bit-for-bit unchanged from earlier
-/// releases; larger pools get roughly four tasks per worker — enough
-/// slack for dynamic scheduling to absorb unbalanced subtrees — capped
-/// at [`MAX_SPLIT_DEPTH`]. A width-`w` branching divides the bit-depth
-/// by `w` (at least one turn), keeping the task count comparable across
-/// message widths.
-pub fn split_depth_for_threads(threads: usize, width: u32) -> u32 {
-    assert!(width >= 1, "branching width must be at least 1");
-    let bits = if threads <= 1 {
-        SPLIT_DEPTH
-    } else {
-        let want = threads
-            .saturating_mul(4)
-            .next_power_of_two()
-            .trailing_zeros();
-        want.clamp(SPLIT_DEPTH, MAX_SPLIT_DEPTH)
-    };
-    (bits / width).max(1)
-}
-
-/// The frontier depth adapted to the current rayon pool:
-/// [`split_depth_for_threads`] at [`rayon::current_num_threads`].
-///
-/// The exact walk cuts its frontier at this depth for the protocol's
-/// width. Runs on pools that map to the same depth always agree bitwise;
-/// to compare exact outputs across machines with different core counts,
-/// pin `RAYON_NUM_THREADS`.
+/// The frontier depth, in turns, of an exact walk at message width
+/// `width`: `(SPLIT_DEPTH / width).max(1)`, so a `2^w`-ary walk fans
+/// out a comparable number of tasks at every width. It depends on the
+/// width alone, never on the rayon pool, so every pool size cuts the
+/// same frontier and returns the same bits. (The name predates the
+/// constant depth.)
 pub fn adaptive_split_depth(width: u32) -> u32 {
-    split_depth_for_threads(rayon::current_num_threads(), width)
+    (SPLIT_DEPTH / width).max(1)
 }
 
 /// The raw accumulators of one exact walk, before the engine assembles
@@ -311,10 +276,10 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order
     // (and chunks are contiguous), so the reduction below adds task
-    // results in a schedule-independent order and every pool size that
-    // cuts the same frontier agrees bitwise. Tasks are grouped into small
-    // contiguous chunks sharing one workspace each: pooled buffers warm
-    // once per chunk instead of once per task, while ~4 chunks per worker
+    // results in a schedule-independent order and every pool size
+    // agrees bitwise. Tasks are grouped into small contiguous chunks
+    // sharing one workspace each: pooled buffers warm once per chunk
+    // instead of once per task, while ~4 chunks per worker
     // keep dynamic scheduling granular enough to absorb unbalanced
     // subtrees. One worker has nothing to balance: it takes the whole
     // frontier as one chunk, and its workspace warms once.
@@ -694,8 +659,8 @@ impl DepthScratch {
 /// `crates/core/tests/alloc.rs` pin), and flushed into the installed
 /// [`bcc_obs::Registry`] — if any — once per workspace use (the prefix
 /// walk's, then one per chunk), never per node. Every count is a pure
-/// function of the tree and the frontier depth, so totals agree across
-/// pool sizes at equal split depth.
+/// function of the tree and the width's frontier depth, so totals agree
+/// across pool sizes.
 #[derive(Default)]
 struct WalkTally {
     /// Sum over internal nodes of the per-distribution live counts at
@@ -1295,38 +1260,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_depth_clamps_to_historical_value_on_one_thread() {
-        for width in 1..=8 {
-            assert_eq!(
-                split_depth_for_threads(1, width),
-                (SPLIT_DEPTH / width).max(1),
-                "width {width}"
-            );
-        }
-    }
-
-    #[test]
-    fn split_depth_grows_with_threads_and_caps() {
-        // ~4 tasks per worker, floored at SPLIT_DEPTH.
-        assert_eq!(split_depth_for_threads(2, 1), SPLIT_DEPTH);
-        assert_eq!(split_depth_for_threads(16, 1), SPLIT_DEPTH);
-        assert_eq!(split_depth_for_threads(64, 1), 8);
-        assert_eq!(split_depth_for_threads(256, 1), 10);
-        assert_eq!(split_depth_for_threads(1 << 20, 1), MAX_SPLIT_DEPTH);
-        // Width divides the bit-depth, at least one turn.
-        assert_eq!(split_depth_for_threads(64, 2), 4);
-        assert_eq!(split_depth_for_threads(64, 3), 2);
-        assert_eq!(split_depth_for_threads(1, 16), 1);
-    }
-
-    #[test]
-    fn adaptive_split_depth_matches_pure_function() {
-        let threads = rayon::current_num_threads();
-        for width in [1u32, 2, 4] {
-            assert_eq!(
-                adaptive_split_depth(width),
-                split_depth_for_threads(threads, width)
-            );
+    fn split_depth_is_a_constant_of_the_width() {
+        let expected = [6, 3, 2, 1, 1, 1, 1, 1];
+        for threads in [1, 32] {
+            let depths: Vec<u32> = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build the rayon pool")
+                .install(|| (1..=8).map(adaptive_split_depth).collect());
+            assert_eq!(depths, expected, "pool of {threads}");
         }
     }
 }

@@ -82,9 +82,9 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order,
     // so the reduction below adds task results in a schedule-independent
-    // order and every pool size that cuts the same frontier agrees
-    // bitwise. Tasks install the caller's scope, so their kernel words
-    // reach it from whichever worker ran them.
+    // order and every pool size agrees bitwise. Tasks install the
+    // caller's scope, so their kernel words reach it from whichever
+    // worker ran them.
     let obs = bcc_obs::current();
     let task_accs: Vec<WalkOutcome> = frontier
         .into_par_iter()

@@ -9,9 +9,7 @@
 //! itself, and the one rule by which it splits the speaker's live points
 //! by label at each node, is [`crate::walk`]. A node builds one pooled
 //! set per label that actually occurs, never `O(2^w)` sets for an
-//! alphabet that is mostly dead. The frontier depth adapts to the width
-//! and the rayon pool ([`crate::walk::adaptive_split_depth`]`(w)`
-//! turns), keeping the fan-out comparable across message widths.
+//! alphabet that is mostly dead.
 
 use bcc_congest::wide::WideTurnProtocol;
 

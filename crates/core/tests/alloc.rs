@@ -88,10 +88,8 @@ fn full_tree_walk(horizon: u32, reference: bool) -> f64 {
 
 /// Runs one pin on a one-thread pool, serialized with the other pins of
 /// this binary. One thread keeps worker-thread spawns out of the count
-/// and pins the adaptive split depth — and with it the number of
-/// frontier-task snapshots — for both horizons whatever machine runs the
-/// test (a 33+-core host would otherwise give the depth-12 walk 256
-/// tasks and the depth-8 walk none).
+/// and runs the whole frontier as one chunk, so the pooled buffers warm
+/// once whatever machine runs the test.
 fn pinned(pin: impl FnOnce() + Send) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     pool(1, pin);

@@ -50,9 +50,8 @@ pub fn wide_protocol(
     })
 }
 
-/// Runs `f` on a rayon pool of `threads` workers. Pools of 1 and 4 cut
-/// the exact walk's frontier at the same depth
-/// (`split_depth_for_threads`), so their results must agree bitwise.
+/// Runs `f` on a rayon pool of `threads` workers. Every pool size must
+/// give bitwise-identical results.
 pub fn pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)

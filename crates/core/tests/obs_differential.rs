@@ -8,13 +8,12 @@
 //!    the bare run. Counters only observe; they never steer.
 //! 2. **Determinism**: the *work-class* counters (nodes, live points,
 //!    sorted/merged keys, kernel words, …) are pure functions of the
-//!    task — equal across pool sizes (at equal frontier split depth).
-//!    The suite runs in this process on rayon pools of 1 and 4 threads,
-//!    and both runs must give bitwise-identical profiles and equal full
-//!    sorted work-counter sets.
+//!    task — equal across pool sizes. The suite runs in this process on
+//!    rayon pools of 1, 4 and 32 threads, and every run must give
+//!    bitwise-identical profiles and equal full sorted work-counter sets.
 
 use bcc_core::exec::{AdaptiveEstimator, Estimator, ExactEstimator};
-use bcc_core::DepthProfile;
+use bcc_core::{DepthProfile, ProductInput, RowSupport};
 
 mod common;
 use common::{
@@ -34,6 +33,31 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
     let est = AdaptiveEstimator::new(1e-9, 50, 1600, 0xCD);
     let (bit_adaptive, _) = est.estimate_with_report(&bitp, &members, &baseline);
     let (wide_adaptive, _) = est.estimate_with_report(&widep, &members, &baseline);
+    // Three members over explicit 10-bit rows of about 820 points, so the
+    // walk's probabilities are not dyadic and its float sums round, under
+    // a parity whose mask follows the transcript; 16 turns put the
+    // frontier well above the leaves.
+    let rows = |i: u64| {
+        (0..2u64)
+            .map(|row| {
+                RowSupport::explicit(
+                    10,
+                    (0..1024)
+                        .filter(|x| !(x * 7 + i * 3 + row).is_multiple_of(5))
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    let probe_members: Vec<ProductInput> = (0..3).map(|i| ProductInput::new(rows(i))).collect();
+    let probe_baseline = ProductInput::uniform(2, 10);
+    let probe = bcc_congest::FnProtocol::new(2, 10, 16, |proc, input, tr| {
+        let mask = (0..10).fold(0u64, |mask, b| {
+            let bit = decision_bit(0x9A5 ^ (b << 17), proc, 0, tr.len(), tr.as_u64());
+            mask | (u64::from(bit) << b)
+        });
+        (input & mask).count_ones() % 2 == 1
+    });
     vec![
         (
             "exact bit",
@@ -53,6 +77,10 @@ fn suite_profiles() -> Vec<(&'static str, DepthProfile)> {
         ),
         ("multi-batch bit", bit_adaptive),
         ("multi-batch wide", wide_adaptive),
+        (
+            "exact probe",
+            ExactEstimator.estimate(&probe, &probe_members, &probe_baseline),
+        ),
     ]
 }
 
@@ -98,9 +126,8 @@ fn observability_is_bitwise_invisible() {
     let _ = std::fs::remove_file(&trace_path);
 }
 
-/// Pools of 1 and 4 threads (both map to the same frontier split depth,
-/// see `split_depth_for_threads`) must give bitwise-identical profiles
-/// and equal sorted work-counter sets. The pool of 4 runs its fan-outs on
+/// Pools of 1, 4 and 32 threads must give bitwise-identical profiles and
+/// equal sorted work-counter sets. The larger pools run their fan-outs on
 /// worker threads whatever the host's core count.
 #[test]
 fn work_counters_are_thread_invariant() {
@@ -112,17 +139,19 @@ fn work_counters_are_thread_invariant() {
         (profiles, registry.snapshot())
     };
     let (one, one_snap) = pool(1, observed);
-    let (four, four_snap) = pool(4, observed);
-    for ((what, a), (_, b)) in one.iter().zip(&four) {
-        assert_profile_bitwise_eq(a, b, what);
-    }
     assert!(
         one_snap.work_counter("walk.nodes") > 0,
         "the suite must observe walk work"
     );
-    assert_eq!(
-        one_snap.work_fingerprint(),
-        four_snap.work_fingerprint(),
-        "work counters differ between 1 and 4 threads"
-    );
+    for threads in [4, 32] {
+        let (many, many_snap) = pool(threads, observed);
+        for ((what, a), (_, b)) in one.iter().zip(&many) {
+            assert_profile_bitwise_eq(a, b, &format!("{what}, {threads} threads"));
+        }
+        assert_eq!(
+            one_snap.work_fingerprint(),
+            many_snap.work_fingerprint(),
+            "work counters differ between 1 and {threads} threads"
+        );
+    }
 }

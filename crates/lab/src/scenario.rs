@@ -329,17 +329,12 @@ impl Scenario {
     /// fingerprint, which is how the store refuses to mix records from
     /// different specs in one directory.
     ///
-    /// For the exact-walk workload ([`Workload::WideMessages`]) the
-    /// fingerprint also pins the walk's *effective frontier depths*
-    /// (one per bandwidth, [`bcc_core::adaptive_split_depth`]): the
-    /// frontier depth fixes the exact walk's float-summation grouping,
-    /// and it adapts to the machine's rayon pool — so resuming a run on
-    /// a host with a different core count (where the low-order bits
-    /// could differ) refuses with the foreign-spec error instead of
-    /// silently mixing bitwise-inconsistent records. Pin
-    /// `RAYON_NUM_THREADS` to move exact run directories across
-    /// machines. Sampled workloads are frontier-independent and carry
-    /// no such pin.
+    /// A scenario with exact-walk cells also records the walk's frontier
+    /// depth per bandwidth ([`bcc_core::adaptive_split_depth`]) as
+    /// `walk_split_depths`. That depth is a constant of the bandwidth, so
+    /// the field reads the same on every host; it stays so that existing
+    /// fingerprints, and the run directories keyed by them, keep their
+    /// bytes.
     pub fn fingerprint(&self) -> String {
         fn axis<T: Copy + Into<Value>>(cells: &[T]) -> Value {
             cells.iter().map(|&x| x.into()).collect()
@@ -375,15 +370,15 @@ impl Scenario {
         Value::object(fields).to_string()
     }
 
-    /// Whether this scenario's records can depend on the exact walk's
-    /// adaptive frontier depth (and its fingerprint must therefore pin
-    /// the effective depths): a wide-message scenario whose grid has at
-    /// least one `(rounds, bandwidth)` cell inside the exact node budget
-    /// (those cells take the exact walk). That is every
+    /// Whether this scenario's fingerprint records `walk_split_depths`:
+    /// a wide-message scenario whose grid has at least one
+    /// `(rounds, bandwidth)` cell inside the exact node budget (those
+    /// cells take the exact walk). That is every
     /// [`Workload::WideMessages`] scenario, since the builder refuses its
-    /// past-budget cells. An all-sampled [`Workload::WideMessagesSampled`]
-    /// grid is frontier-independent, and pinning would only refuse
-    /// legitimate cross-machine resumes.
+    /// past-budget cells; an all-sampled
+    /// [`Workload::WideMessagesSampled`] grid never recorded them. The
+    /// depths are constants now, so this rule only keeps each
+    /// fingerprint's bytes.
     fn pins_walk_depths(&self) -> bool {
         matches!(
             self.workload,
@@ -606,16 +601,12 @@ mod tests {
     use super::*;
 
     /// The manifest `truncated_target_is_fingerprinted_only_when_set`
-    /// pins. The split depth follows the host's core count.
-    fn golden_fingerprint() -> String {
-        format!(
-            "{{\"format\":1,\"name\":\"ws\",\"workload\":\"wide_messages_sampled\",\"members\":2,\
-             \"grid_n\":[1024,4096],\"grid_k\":[4],\"grid_rounds\":[6,14],\"grid_bandwidth\":[2],\
-             \"grid_seeds\":[1,18446744073709551615],\"tolerance\":0.1,\"initial_samples\":1024,\
-             \"max_samples\":131072,\"truncated_target\":true,\"walk_split_depths\":[{}]}}",
-            bcc_core::adaptive_split_depth(2)
-        )
-    }
+    /// pins.
+    const GOLDEN_FINGERPRINT: &str =
+        "{\"format\":1,\"name\":\"ws\",\"workload\":\"wide_messages_sampled\",\"members\":2,\
+         \"grid_n\":[1024,4096],\"grid_k\":[4],\"grid_rounds\":[6,14],\"grid_bandwidth\":[2],\
+         \"grid_seeds\":[1,18446744073709551615],\"tolerance\":0.1,\"initial_samples\":1024,\
+         \"max_samples\":131072,\"truncated_target\":true,\"walk_split_depths\":[3]}";
 
     fn tiny() -> Scenario {
         Scenario::builder("t")
@@ -772,11 +763,9 @@ mod tests {
 
     #[test]
     fn wide_fingerprint_pins_the_walk_frontier_depth() {
-        // Exact-walk records depend on the adaptive frontier depth (it
-        // fixes the float-summation grouping), so wide fingerprints must
-        // pin the effective depth per bandwidth — a resume on a machine
-        // whose pool implies a different depth then refuses cleanly —
-        // while sampled workloads stay frontier-independent.
+        // Wide fingerprints record the walk's frontier depth per
+        // bandwidth, a constant, so their bytes stay as they were;
+        // sampled workloads record none.
         let wide = Scenario::builder("w")
             .workload(Workload::WideMessages { members: 2 })
             .n(&[1024])
@@ -784,13 +773,9 @@ mod tests {
             .rounds(&[2])
             .bandwidth(&[2, 3])
             .build();
-        let expected: Vec<String> = [2u32, 3]
-            .iter()
-            .map(|&b| bcc_core::adaptive_split_depth(b).to_string())
-            .collect();
-        let pin = format!("\"walk_split_depths\":[{}]", expected.join(","));
+        let pin = "\"walk_split_depths\":[3,2]";
         assert!(
-            wide.fingerprint().contains(&pin),
+            wide.fingerprint().contains(pin),
             "fingerprint {} missing {pin}",
             wide.fingerprint()
         );
@@ -843,12 +828,9 @@ mod tests {
                 .bandwidth(&[2])
                 .build()
         };
-        // A straddling grid has exact-routed cells, whose floats depend
-        // on the walk's adaptive frontier depth: pinned.
+        // A straddling grid has exact-routed cells: recorded.
         assert!(build(&[6, 14]).fingerprint().contains("walk_split_depths"));
-        // An all-sampled grid is frontier-independent: not pinned, so
-        // cross-machine resumes are not refused for a depth that no
-        // record depends on.
+        // An all-sampled grid never recorded them.
         assert!(!build(&[14, 16]).fingerprint().contains("walk_split_depths"));
         // And the two workloads can never share a run directory.
         let exact = Scenario::builder("ws")
@@ -894,12 +876,12 @@ mod tests {
             .tolerance(0.1)
             .truncated_target(true)
             .build();
-        assert_eq!(both.fingerprint(), golden_fingerprint());
+        assert_eq!(both.fingerprint(), GOLDEN_FINGERPRINT);
     }
 
     #[test]
     fn torn_manifests_are_refused() {
-        let doc = golden_fingerprint();
+        let doc = GOLDEN_FINGERPRINT;
         for cut in 0..doc.len() {
             let kind = bcc_obs::json::parse(&doc[..cut]).unwrap_err().kind;
             assert_eq!(kind, bcc_obs::json::ErrorKind::UnexpectedEnd, "cut {cut}");

@@ -9,12 +9,8 @@
 //! derived purely from its own coordinates, scheduling order —
 //! interruption and resume history included — cannot change a single
 //! bit of the estimates; the returned records are always in canonical
-//! `point_id` order regardless of completion order. Sampled workloads
-//! are additionally thread-count independent; the exact-walk workload's
-//! floats depend on the walk's adaptive frontier depth, which the
-//! manifest fingerprint pins (see [`crate::Scenario::fingerprint`]), so
-//! a resume on a machine where that depth differs refuses instead of
-//! mixing records.
+//! `point_id` order regardless of completion order, and no record depends
+//! on the pool size.
 
 use std::path::Path;
 use std::sync::Mutex;

@@ -438,12 +438,9 @@ fn concurrent_sweeps_each_count_their_own_work() {
     }
 }
 
-/// The distance workloads' records and routing counters, pinned: the
-/// frontier-independent records (every `RankDistance` point, every
-/// past-budget `WideMessagesSampled` point) by fingerprint literal, and
-/// the in-budget routed points bitwise against the exact
-/// `WideMessages` records of the same cells (whose low-order bits follow
-/// the host's frontier depth, so they cannot be literals).
+/// The distance workloads' records and routing counters, pinned: every
+/// record by fingerprint literal, and the in-budget routed points bitwise
+/// against the exact `WideMessages` records of the same cells.
 mod distance_pins {
     use bcc_lab::{
         records_fingerprint, PointRecord, Scenario, ScenarioBuilder, SweepResult, Workload,
@@ -527,6 +524,11 @@ mod distance_pins {
             .iter()
             .all(|r| r.noise_floor > 0.0 && r.resolved_horizon > 0));
 
+        assert_eq!(
+            records_fingerprint(in_budget.iter().copied()),
+            0x0c14_22a6_b991_7638
+        );
+        assert_eq!(records_fingerprint(&exact.records), 0x398f_6fdd_31ce_03d6);
         assert_eq!(in_budget.len(), exact.records.len());
         for (r, e) in in_budget.iter().zip(&exact.records) {
             assert_eq!(

@@ -1,8 +1,7 @@
 //! `bcc-obs` — observability for a bitwise-deterministic estimator.
 //!
 //! Every number this workspace produces is required to be bit-identical
-//! across rayon pool sizes (at equal frontier split depth), F2 kernels
-//! and sweep resumes. That constraint shapes the telemetry layer in two
+//! across rayon pool sizes, F2 kernels and sweep resumes. That constraint shapes the telemetry layer in two
 //! ways:
 //!
 //! 1. **Observability must be invisible.** Enabling metrics or tracing

@@ -1,5 +1,5 @@
 //! Measures the exact walk on a one-thread rayon pool against the same
-//! walk on a pool of the machine's threads (at most 16), on an 8-member
+//! walk on a pool of all the machine's threads, on an 8-member
 //! family, and checks the two are bitwise identical.
 //!
 //! ```text
@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use bcc::congest::FnProtocol;
 use bcc::core::exec::{Estimator, ExactEstimator};
-use bcc::core::{split_depth_for_threads, DepthProfile, ProductInput, RowSupport};
+use bcc::core::{DepthProfile, ProductInput, RowSupport};
 
 fn main() {
     let (n, bits, horizon) = (4usize, 8u32, 18u32);
@@ -45,13 +45,9 @@ fn main() {
         (profile, start.elapsed().as_secs_f64())
     };
 
-    // Pools of up to 16 threads cut the frontier at the one-thread depth,
-    // so their walks must agree bit for bit.
-    let threads = rayon::current_num_threads().min(16);
-    assert_eq!(
-        split_depth_for_threads(threads, 1),
-        split_depth_for_threads(1, 1)
-    );
+    // Every pool cuts the same frontier, so the walks must agree bit for
+    // bit.
+    let threads = rayon::current_num_threads();
     let on_pool = |threads: usize| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
