@@ -7,8 +7,7 @@
 //! profile, whose per-turn increments are what Lemma 4.3 bounds.
 
 use bcc_bench::{banner, check, f, print_table};
-use bcc_core::ExactEstimator;
-use bcc_planted::protocols::{experiment, random_mask_parity, suspect_intersection};
+use bcc_planted::protocols::{random_mask_parity, suspect_intersection};
 use bcc_planted::{bounds, exact_experiment};
 
 fn main() {
@@ -17,14 +16,10 @@ fn main() {
         "Theorem 4.1, Section 3 framework",
         "exact mixture distance and progress function across rounds; bound j*k^2*sqrt((j+log n)/n)",
     );
-    // One estimator drives the whole table (the parallel exact walk);
-    // swap in an AdaptiveEstimator to push past exact reach.
-    let est = ExactEstimator;
-
     let mut rows = Vec::new();
     for &(n, k, jmax) in &[(6u32, 2usize, 3u32), (8, 2, 2), (7, 3, 2)] {
         for j in 1..=jmax {
-            let cmp = experiment(&suspect_intersection(n, j), n, k, &est);
+            let cmp = exact_experiment(&suspect_intersection(n, j), n, k);
             let bound = bounds::theorem_4_1(n as usize, k, j as usize);
             rows.push(vec![
                 n.to_string(),
@@ -36,7 +31,7 @@ fn main() {
                 f(bound.min(1.0)),
                 check(cmp.tv() <= bound),
             ]);
-            let cmp = experiment(&random_mask_parity(n, j, bcc_bench::SEED), n, k, &est);
+            let cmp = exact_experiment(&random_mask_parity(n, j, bcc_bench::SEED), n, k);
             rows.push(vec![
                 n.to_string(),
                 k.to_string(),

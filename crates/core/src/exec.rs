@@ -45,7 +45,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 
-use bcc_obs::{Class, Registry, Span};
+use bcc_obs::{Registry, Span};
 
 use crate::engine::{assemble, SpeakerStats};
 use crate::input::ProductInput;
@@ -573,21 +573,16 @@ impl AdaptiveEstimator {
                     met_tolerance: met,
                 };
                 if let Some(obs) = &obs {
-                    obs.add("exec.runs", Class::Work, 1);
-                    obs.add("exec.adaptive.batches", Class::Work, batches as u64);
+                    obs.add("exec.runs", 1);
+                    obs.add("exec.adaptive.batches", batches as u64);
                     // Every batch but the first follows one budget growth.
-                    obs.add(
-                        "exec.adaptive.budget_growths",
-                        Class::Work,
-                        batches as u64 - 1,
-                    );
+                    obs.add("exec.adaptive.budget_growths", batches as u64 - 1);
                     // Each drawn key is radix-sorted once, in its chunk.
                     let drawn: u64 = sides.iter().map(|s| s.drawn as u64).sum();
-                    obs.add("exec.samples_drawn", Class::Work, drawn);
-                    obs.add("exec.keys_sorted", Class::Work, drawn);
+                    obs.add("exec.samples_drawn", drawn);
+                    obs.add("exec.keys_sorted", drawn);
                     obs.add(
                         "exec.keys_merged",
-                        Class::Work,
                         mixture_merged + sides.iter().map(|s| s.merged).sum::<u64>(),
                     );
                 }

@@ -267,11 +267,7 @@ pub(crate) fn exact_walk<P: WideTurnProtocol + Sync + ?Sized>(
     );
 
     if let Some(o) = &obs {
-        o.add(
-            "walk.frontier_tasks",
-            bcc_obs::Class::Work,
-            frontier.len() as u64,
-        );
+        o.add("walk.frontier_tasks", frontier.len() as u64);
     }
 
     // Phase 2: run the subtree tasks. `collect` preserves frontier order
@@ -685,18 +681,13 @@ impl WalkTally {
     }
 
     fn flush(&self, obs: &bcc_obs::Registry) {
-        use bcc_obs::Class;
-        obs.add("walk.nodes", Class::Work, self.nodes_by_depth.iter().sum());
-        obs.add("walk.live_points", Class::Work, self.live_points);
-        obs.add("walk.children_built", Class::Work, self.children_built);
-        obs.add(
-            "walk.demotions_dense_to_sparse",
-            Class::Work,
-            self.demotions,
-        );
+        obs.add("walk.nodes", self.nodes_by_depth.iter().sum());
+        obs.add("walk.live_points", self.live_points);
+        obs.add("walk.children_built", self.children_built);
+        obs.add("walk.demotions_dense_to_sparse", self.demotions);
         for (depth, &count) in self.nodes_by_depth.iter().enumerate() {
             if count > 0 {
-                obs.add_at("walk.nodes_by_depth", Class::Work, depth, count);
+                obs.add_at("walk.nodes_by_depth", depth, count);
             }
         }
     }

@@ -65,7 +65,7 @@ pub fn max_clique(g: &UGraph) -> Vec<usize> {
     };
     search.bron_kerbosch_max(&mut Vec::new(), &mut BitVec::ones(n), &mut BitVec::zeros(n));
     if let Some(obs) = bcc_obs::current() {
-        obs.add("graphs.clique.nodes", bcc_obs::Class::Work, search.nodes);
+        obs.add("graphs.clique.nodes", search.nodes);
     }
     let mut best = search.best;
     best.sort_unstable();

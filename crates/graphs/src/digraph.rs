@@ -43,7 +43,7 @@ impl DiGraph {
         let g = DiGraph { adj };
         if let Some(obs) = bcc_obs::current() {
             let edges: usize = (0..n).map(|u| g.out_degree(u)).sum();
-            obs.add("graphs.edges_emitted", bcc_obs::Class::Work, edges as u64);
+            obs.add("graphs.edges_emitted", edges as u64);
         }
         g
     }
@@ -152,11 +152,7 @@ impl UGraph {
             }
         }
         if let Some(obs) = bcc_obs::current() {
-            obs.add(
-                "graphs.edges_emitted",
-                bcc_obs::Class::Work,
-                g.edge_count() as u64,
-            );
+            obs.add("graphs.edges_emitted", g.edge_count() as u64);
         }
         g
     }

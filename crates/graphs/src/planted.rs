@@ -37,12 +37,8 @@ fn sample_with_clique<R: Rng + ?Sized>(rng: &mut R, n: usize, clique: &[usize]) 
     let mut g = DiGraph::random(rng, n);
     g.plant_clique(clique);
     if let Some(obs) = bcc_obs::current() {
-        obs.add("graphs.planted.ac_samples", bcc_obs::Class::Work, 1);
-        obs.add(
-            "graphs.planted.clique_vertices",
-            bcc_obs::Class::Work,
-            clique.len() as u64,
-        );
+        obs.add("graphs.planted.ac_samples", 1);
+        obs.add("graphs.planted.clique_vertices", clique.len() as u64);
     }
     g
 }
@@ -56,7 +52,7 @@ pub fn sample_planted<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Plant
     let clique = sample_subset(rng, n, k);
     let graph = sample_with_clique(rng, n, &clique);
     if let Some(obs) = bcc_obs::current() {
-        obs.add("graphs.planted.ak_samples", bcc_obs::Class::Work, 1);
+        obs.add("graphs.planted.ak_samples", 1);
     }
     PlantedInstance { graph, clique }
 }

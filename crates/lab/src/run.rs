@@ -365,7 +365,7 @@ fn wide_messages_sampled(point: &ScenarioPoint, members: usize, precision: &Prec
         } else {
             "lab.route_sampled"
         };
-        obs.add(route, bcc_obs::Class::Work, 1);
+        obs.add(route, 1);
     }
     if exact {
         let mut outcome = wide_messages(point, members, precision);

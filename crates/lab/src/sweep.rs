@@ -111,17 +111,9 @@ pub fn run_sweep(scenario: &Scenario, dir: Option<&Path>) -> SweepResult {
         }
         None => (None, std::collections::BTreeMap::new(), 0),
     };
-    registry.add(
-        "lab.store.healed_lines",
-        bcc_obs::Class::Work,
-        healed as u64,
-    );
+    registry.add("lab.store.healed_lines", healed as u64);
     let resumed = existing.len();
-    registry.add(
-        "lab.store.resumed_records",
-        bcc_obs::Class::Work,
-        resumed as u64,
-    );
+    registry.add("lab.store.resumed_records", resumed as u64);
     for (&id, record) in &existing {
         let point = points.get(id).unwrap_or_else(|| {
             panic!(
@@ -142,7 +134,7 @@ pub fn run_sweep(scenario: &Scenario, dir: Option<&Path>) -> SweepResult {
         .map(|(id, point)| (id, *point))
         .collect();
     let computed = pending.len();
-    registry.add("lab.points_computed", bcc_obs::Class::Work, computed as u64);
+    registry.add("lab.points_computed", computed as u64);
     let one_point = |&(id, point): &(usize, crate::ScenarioPoint)| {
         let _scope = registry.install();
         let _span = bcc_obs::span("lab.point");

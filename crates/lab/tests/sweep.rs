@@ -1,12 +1,11 @@
 //! End-to-end tests of the sweep scheduler and the persisted-run
 //! lifecycle: spec → scheduler → JSONL → interruption → resume.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bcc_lab::{records_fingerprint, run_sweep, PointRecord, Scenario, Workload};
-use bcc_obs::{Class, Snapshot};
+use bcc_obs::Snapshot;
 
 /// A fresh directory under the system temp dir (no tempfile crate in the
 /// hermetic workspace); removed by the returned guard.
@@ -351,25 +350,11 @@ fn assert_records_bitwise_equal(got: &[PointRecord], reference: &[PointRecord]) 
     }
 }
 
-/// The deterministic work a snapshot records: every work counter and
-/// work-class series.
-fn work(snapshot: &Snapshot) -> BTreeMap<String, Vec<u64>> {
-    let counters = snapshot
-        .work
-        .iter()
-        .map(|(name, value)| (name.to_string(), vec![*value]));
-    let series = snapshot
-        .series
-        .iter()
-        .filter(|(_, class, _)| *class == Class::Work)
-        .map(|(name, _, values)| (name.to_string(), values.clone()));
-    counters.chain(series).collect()
-}
-
 /// The work vector a persisted sweep's `metrics.json` carries on disk.
-fn work_on_disk(dir: &Path) -> BTreeMap<String, Vec<u64>> {
+fn work_on_disk(dir: &Path) -> Vec<(String, u64)> {
     let text = std::fs::read_to_string(dir.join("metrics.json")).expect("sweeps write metrics");
-    work(&Snapshot::from_json(&text).expect("metrics.json parses"))
+    let snapshot = Snapshot::from_json(&text).expect("metrics.json parses");
+    snapshot.work_fingerprint()
 }
 
 #[test]
@@ -420,19 +405,20 @@ fn concurrent_sweeps_each_count_their_own_work() {
             .collect()
     });
     assert_ne!(
-        work(&alone[0].0.metrics),
-        work(&alone[1].0.metrics),
+        alone[0].0.metrics.work_fingerprint(),
+        alone[1].0.metrics.work_fingerprint(),
         "the two scenarios must do different work for the check to bite"
     );
 
     for ((reference, reference_dir, _), (result, dir, _)) in alone.iter().zip(&together) {
         assert_records_bitwise_equal(&result.records, &reference.records);
-        let expected = work(&reference.metrics);
+        let expected = reference.metrics.work_fingerprint();
+        let covers = |name: &str| expected.iter().any(|(key, _)| key == name);
         assert!(
-            expected.contains_key("lab.points_computed") && expected.contains_key("exec.runs"),
+            covers("lab.points_computed") && covers("exec.runs"),
             "the comparison must cover the sweep's own work counters"
         );
-        assert_eq!(work(&result.metrics), expected);
+        assert_eq!(result.metrics.work_fingerprint(), expected);
         assert_eq!(work_on_disk(dir), expected);
         assert_eq!(work_on_disk(reference_dir), expected);
     }

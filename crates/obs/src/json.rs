@@ -2,9 +2,10 @@
 //! total parser.
 //!
 //! The lab's `records.jsonl`, `manifest.json` and `aggregates.json`, the
-//! `bcc-metrics/v1` snapshots, the Chrome trace and the `bcc-lint/v1`
-//! report are all written and read through this module, so escaping,
-//! nesting and number handling agree across them.
+//! `bcc-metrics/v2` snapshots (work counters and series, the same at
+//! every pool size, beside wall-time span histograms), the Chrome trace
+//! and the `bcc-lint/v1` report are all written and read through this
+//! module, so escaping, nesting and number handling agree across them.
 //!
 //! - A number keeps its text verbatim, so a `u64` seed and a
 //!   shortest-round-trip `f64` both survive write → parse → write bit for

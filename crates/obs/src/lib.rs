@@ -15,17 +15,21 @@
 //!    identical across `RAYON_NUM_THREADS` values — which makes them a
 //!    correctness oracle, not just a dashboard.
 //!
+//! A metric's kind fixes its contract. Counters ([`Registry::add`]) and
+//! series ([`Registry::add_at`]) are work: identical at every pool size,
+//! kernel and resume, and asserted equal in tests. Span histograms are
+//! wall time: recorded only by [`Span`], never asserted equal.
+//!
 //! The layer has three parts:
 //!
-//! - a [`Registry`] of named counters / series / log-bucketed
-//!   histograms, split into [`Class::Work`] (deterministic) and
-//!   [`Class::Wall`] (timings, scheduling artifacts). Registries are
-//!   cheap `Arc` handles; [`Registry::install`] scopes one to the
-//!   current thread so library code can attribute work to the active
-//!   run via [`current`], and hot loops instead carry the handle (or a
-//!   local tally flushed coarsely) across rayon spawns.
+//! - a [`Registry`] of named counters, series and log-bucketed span
+//!   histograms. Registries are cheap `Arc` handles;
+//!   [`Registry::install`] scopes one to the current thread so library
+//!   code can attribute work to the active run via [`current`], and hot
+//!   loops instead carry the handle (or a local tally flushed coarsely)
+//!   across rayon spawns.
 //! - [`span`] / [`Span::begin_for`]: RAII scoped timers that record
-//!   wall-class duration histograms and, when `BCC_TRACE=<path>` (or
+//!   duration histograms and, when `BCC_TRACE=<path>` (or
 //!   [`trace::install`]) is set, emit Chrome-trace-event JSON viewable
 //!   in `chrome://tracing` / Perfetto. With no registry installed and
 //!   tracing off, a span is two branches and no clock read.
@@ -59,28 +63,7 @@ use std::time::Instant;
 use json::Value;
 
 /// The schema tag of [`Snapshot::to_json`] documents.
-const METRICS_SCHEMA: &str = "bcc-metrics/v1";
-
-/// Which determinism contract a metric lives under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Class {
-    /// Deterministic work: integer totals that commute under any
-    /// schedule and are therefore identical across thread counts and
-    /// kernels. Safe to assert on in tests.
-    Work,
-    /// Wall-clock or scheduling-dependent: span timings, chunk counts,
-    /// pool-slot reuse. Useful for profiling, never asserted equal.
-    Wall,
-}
-
-impl Class {
-    fn label(self) -> &'static str {
-        match self {
-            Class::Work => "work",
-            Class::Wall => "wall",
-        }
-    }
-}
+const METRICS_SCHEMA: &str = "bcc-metrics/v2";
 
 // ---------------------------------------------------------------------------
 // Per-thread kernel-word tallies
@@ -134,7 +117,7 @@ fn credit_kernel_words() {
     let words = PENDING_WORDS.with(|pending| pending.each_ref().map(Cell::take));
     if let Some(registry) = current() {
         for (key, words) in KERNEL_WORD_KEYS.into_iter().zip(words) {
-            registry.add(key, Class::Work, words);
+            registry.add(key, words);
         }
     }
 }
@@ -170,9 +153,9 @@ impl HistData {
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<&'static str, (Class, u64)>,
-    series: BTreeMap<&'static str, (Class, Vec<u64>)>,
-    hists: BTreeMap<&'static str, (Class, HistData)>,
+    counters: BTreeMap<&'static str, u64>,
+    series: BTreeMap<&'static str, Vec<u64>>,
+    hists: BTreeMap<&'static str, HistData>,
 }
 
 /// A per-run metrics registry: a cheap, cloneable `Arc` handle.
@@ -196,7 +179,7 @@ impl Registry {
     pub fn new() -> Self {
         let mut inner = Inner::default();
         for key in KERNEL_WORD_KEYS {
-            inner.counters.insert(key, (Class::Work, 0));
+            inner.counters.insert(key, 0);
         }
         Registry {
             inner: Arc::new(Mutex::new(inner)),
@@ -207,35 +190,26 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Add `value` to the named counter.
-    pub fn add(&self, name: &'static str, class: Class, value: u64) {
-        let mut inner = self.lock();
-        let slot = inner.counters.entry(name).or_insert((class, 0));
-        debug_assert_eq!(slot.0, class, "metric class mismatch for {name}");
-        slot.1 += value;
+    /// Add `value` to the named work counter.
+    pub fn add(&self, name: &'static str, value: u64) {
+        *self.lock().counters.entry(name).or_insert(0) += value;
     }
 
-    /// Add `value` at `index` of the named series (e.g. per-depth node
-    /// counts). The series grows as needed.
-    pub fn add_at(&self, name: &'static str, class: Class, index: usize, value: u64) {
+    /// Add `value` at `index` of the named work series (e.g. per-depth
+    /// node counts). The series grows as needed.
+    pub fn add_at(&self, name: &'static str, index: usize, value: u64) {
         let mut inner = self.lock();
-        let slot = inner.series.entry(name).or_insert((class, Vec::new()));
-        debug_assert_eq!(slot.0, class, "metric class mismatch for {name}");
-        if slot.1.len() <= index {
-            slot.1.resize(index + 1, 0);
+        let series = inner.series.entry(name).or_default();
+        if series.len() <= index {
+            series.resize(index + 1, 0);
         }
-        slot.1[index] += value;
+        series[index] += value;
     }
 
-    /// Record one observation into the named log-bucketed histogram.
-    pub fn record(&self, name: &'static str, class: Class, value: u64) {
-        let mut inner = self.lock();
-        let slot = inner
-            .hists
-            .entry(name)
-            .or_insert((class, HistData::default()));
-        debug_assert_eq!(slot.0, class, "metric class mismatch for {name}");
-        slot.1.record(value);
+    /// Record one span duration (µs) into the named log-bucketed
+    /// histogram.
+    pub(crate) fn record(&self, name: &'static str, value: u64) {
+        self.lock().hists.entry(name).or_default().record(value);
     }
 
     /// Install this registry as the current scope on this thread; the
@@ -258,24 +232,21 @@ impl Registry {
         credit_kernel_words();
         let inner = self.lock();
         // Every vector at its exact length: callers keep snapshots.
-        let of_class = |class| {
-            let pairs = inner.counters.iter().filter(move |(_, (c, _))| *c == class);
-            let mut out = Vec::with_capacity(pairs.clone().count());
-            out.extend(pairs.map(|(&name, &(_, value))| (Cow::Borrowed(name), value)));
-            out
-        };
         Snapshot {
-            work: of_class(Class::Work),
-            wall: of_class(Class::Wall),
+            work: inner
+                .counters
+                .iter()
+                .map(|(&name, &value)| (Cow::Borrowed(name), value))
+                .collect(),
             series: inner
                 .series
                 .iter()
-                .map(|(&name, (class, values))| (Cow::Borrowed(name), *class, values.clone()))
+                .map(|(&name, values)| (Cow::Borrowed(name), values.clone()))
                 .collect(),
             spans: inner
                 .hists
                 .iter()
-                .map(|(&name, (_, h))| {
+                .map(|(&name, h)| {
                     let filled = h.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
                     let mut buckets = Vec::with_capacity(filled.clone().count());
                     buckets.extend(filled.map(|(b, &c)| (b as u32, c)));
@@ -364,7 +335,7 @@ impl Drop for Span {
         let end = Instant::now();
         if let Some(registry) = &self.registry {
             let us = end.saturating_duration_since(start).as_micros() as u64;
-            registry.record(self.name, Class::Wall, us);
+            registry.record(self.name, us);
         }
         if self.traced {
             trace::record(self.name, start, end);
@@ -405,14 +376,12 @@ pub type MetricName = Cow<'static, str>;
 /// A point-in-time materialization of a [`Registry`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Deterministic work counters (sorted by name), including the
-    /// five `kernel.words.*` totals.
+    /// Work counters (sorted by name), including the five
+    /// `kernel.words.*` totals.
     pub work: Vec<(MetricName, u64)>,
-    /// Wall-class counters — scheduling artifacts, never asserted on.
-    pub wall: Vec<(MetricName, u64)>,
-    /// Indexed series, e.g. per-depth node counts.
-    pub series: Vec<(MetricName, Class, Vec<u64>)>,
-    /// Span duration histograms (µs).
+    /// Indexed work series, e.g. per-depth node counts.
+    pub series: Vec<(MetricName, Vec<u64>)>,
+    /// Span duration histograms (µs): wall time, never asserted equal.
     pub spans: Vec<(MetricName, HistSummary)>,
 }
 
@@ -429,43 +398,38 @@ impl Snapshot {
     pub fn series_values(&self, name: &str) -> &[u64] {
         self.series
             .iter()
-            .find(|(n, _, _)| n == name)
-            .map_or(&[], |(_, _, v)| v.as_slice())
+            .find(|(n, _)| n == name)
+            .map_or(&[], |(_, v)| v.as_slice())
     }
 
-    /// The deterministic work counters only, as sorted `(name, value)`
-    /// pairs — the exact set the thread/kernel invariance tests compare.
+    /// Every work counter and series element (`name[i]`), as sorted
+    /// `(name, value)` pairs — the exact set the thread/kernel invariance
+    /// tests compare.
     pub fn work_fingerprint(&self) -> Vec<(String, u64)> {
         let mut out: Vec<(String, u64)> = self
             .work
             .iter()
             .map(|(name, value)| (name.to_string(), *value))
             .collect();
-        for (name, class, values) in &self.series {
-            if *class == Class::Work {
-                for (i, v) in values.iter().enumerate() {
-                    out.push((format!("{name}[{i}]"), *v));
-                }
+        for (name, values) in &self.series {
+            for (i, v) in values.iter().enumerate() {
+                out.push((format!("{name}[{i}]"), *v));
             }
         }
         out.sort();
         out
     }
 
-    /// Render as a `bcc-metrics/v1` JSON document.
+    /// Render as a `bcc-metrics/v2` JSON document.
     pub fn to_json(&self) -> String {
-        let counters = |pairs: &[(MetricName, u64)]| {
-            Value::object(
-                pairs
-                    .iter()
-                    .map(|(name, v)| (name.as_ref(), Value::from(*v))),
-            )
-        };
-        let series = self.series.iter().map(|(name, class, values)| {
-            let values = values.iter().map(|&v| Value::from(v)).collect();
+        let work = self
+            .work
+            .iter()
+            .map(|(name, v)| (name.as_ref(), Value::from(*v)));
+        let series = self.series.iter().map(|(name, values)| {
             (
                 name.as_ref(),
-                Value::object([("class", class.label().into()), ("values", values)]),
+                values.iter().map(|&v| Value::from(v)).collect(),
             )
         });
         let spans = self.spans.iter().map(|(name, h)| {
@@ -486,8 +450,7 @@ impl Snapshot {
         });
         Value::object([
             ("schema", METRICS_SCHEMA.into()),
-            ("work", counters(&self.work)),
-            ("wall", counters(&self.wall)),
+            ("work", Value::object(work)),
             ("series", Value::object(series)),
             ("spans", Value::object(spans)),
         ])
@@ -501,7 +464,6 @@ impl Snapshot {
             .work
             .iter()
             .map(|(n, _)| n.len())
-            .chain(self.wall.iter().map(|(n, _)| n.len()))
             .chain(self.spans.iter().map(|(n, _)| n.len()))
             .max()
             .unwrap_or(0);
@@ -511,14 +473,8 @@ impl Snapshot {
                 out.push_str(&format!("  {name:<width$}  {value}\n"));
             }
         }
-        if !self.wall.is_empty() {
-            out.push_str("wall (scheduling-dependent):\n");
-            for (name, value) in &self.wall {
-                out.push_str(&format!("  {name:<width$}  {value}\n"));
-            }
-        }
         if !self.spans.is_empty() {
-            out.push_str("spans:\n");
+            out.push_str("spans (wall time):\n");
             for (name, h) in &self.spans {
                 out.push_str(&format!(
                     "  {name:<width$}  count {:<8} total {:.3}ms  max {:.3}ms\n",
@@ -528,8 +484,8 @@ impl Snapshot {
                 ));
             }
         }
-        for (name, class, values) in &self.series {
-            out.push_str(&format!("series {name} ({}): {values:?}\n", class.label()));
+        for (name, values) in &self.series {
+            out.push_str(&format!("series {name}: {values:?}\n"));
         }
         out
     }
@@ -541,34 +497,31 @@ mod tests {
 
     /// `metrics_json_bytes_are_pinned`'s document.
     const GOLDEN_METRICS: &str =
-        "{\"schema\":\"bcc-metrics/v1\",\"work\":{\"global.keys_sorted\":18446744073709551615,\
-     \"odd \\\"name\\\"\":12},\"wall\":{\"walk.chunks\":3},\"series\":{\"walk.nodes_by_depth\":\
-     {\"class\":\"work\",\"values\":[1,0,4]},\"lab.busy\":{\"class\":\"wall\",\"values\":[]}},\
+        "{\"schema\":\"bcc-metrics/v2\",\"work\":{\"global.keys_sorted\":18446744073709551615,\
+     \"odd \\\"name\\\"\":12},\"series\":{\"walk.nodes_by_depth\":[1,0,4]},\
      \"spans\":{\"lab.point\":{\"count\":2,\"total_us\":900,\"max_us\":900,\
      \"buckets\":[[0,1],[10,1]]}}}";
 
     #[test]
     fn counters_series_and_hists_round_trip() {
         let r = Registry::new();
-        r.add("walk.nodes", Class::Work, 5);
-        r.add("walk.nodes", Class::Work, 7);
-        r.add("walk.chunks", Class::Wall, 3);
-        r.add_at("walk.nodes_by_depth", Class::Work, 2, 4);
-        r.add_at("walk.nodes_by_depth", Class::Work, 0, 1);
-        r.record("lab.point", Class::Wall, 900);
-        r.record("lab.point", Class::Wall, 0);
+        r.add("walk.nodes", 5);
+        r.add("walk.nodes", 7);
+        r.add_at("walk.nodes_by_depth", 2, 4);
+        r.add_at("walk.nodes_by_depth", 0, 1);
+        r.record("lab.point", 900);
+        r.record("lab.point", 0);
         let s = r.snapshot();
         assert_eq!(s.work_counter("walk.nodes"), 12);
         assert_eq!(s.series_values("walk.nodes_by_depth"), &[1, 0, 4]);
-        assert_eq!(s.wall, vec![("walk.chunks".into(), 3)]);
         let (_, hist) = &s.spans[0];
         assert_eq!((hist.count, hist.total, hist.max), (2, 900, 900));
         // 900 has bit length 10 (512..1024); the zero lands in bucket 0.
         assert_eq!(hist.buckets, vec![(0, 1), (10, 1)]);
         let json = s.to_json();
-        assert!(json.starts_with("{\"schema\":\"bcc-metrics/v1\""));
+        assert!(json.starts_with("{\"schema\":\"bcc-metrics/v2\""));
         assert!(json.contains("\"walk.nodes\":12"));
-        assert!(json.contains("\"values\":[1,0,4]"));
+        assert!(json.contains("\"walk.nodes_by_depth\":[1,0,4]"));
         let text = s.render_text();
         assert!(text.contains("walk.nodes"));
         assert!(text.contains("lab.point"));
@@ -581,11 +534,7 @@ mod tests {
                 ("global.keys_sorted".into(), u64::MAX),
                 ("odd \"name\"".into(), 12),
             ],
-            wall: vec![("walk.chunks".into(), 3)],
-            series: vec![
-                ("walk.nodes_by_depth".into(), Class::Work, vec![1, 0, 4]),
-                ("lab.busy".into(), Class::Wall, vec![]),
-            ],
+            series: vec![("walk.nodes_by_depth".into(), vec![1, 0, 4])],
             spans: vec![(
                 "lab.point".into(),
                 HistSummary {
@@ -614,16 +563,14 @@ mod tests {
         assert!(current().is_none());
         let outer = Registry::new();
         let _g0 = outer.install();
-        outer.add("outer.mark", Class::Work, 1);
+        outer.add("outer.mark", 1);
         {
             let inner = Registry::new();
             let _g1 = inner.install();
-            current().expect("inner installed").add("x", Class::Work, 1);
+            current().expect("inner installed").add("x", 1);
             assert_eq!(inner.snapshot().work_counter("x"), 1);
         }
-        current()
-            .expect("outer restored")
-            .add("outer.mark", Class::Work, 1);
+        current().expect("outer restored").add("outer.mark", 1);
         assert_eq!(outer.snapshot().work_counter("outer.mark"), 2);
         drop(_g0);
         assert!(current().is_none());
@@ -635,7 +582,7 @@ mod tests {
         kernel_words_at_zero.sort();
         assert_eq!(Registry::new().snapshot().work, kernel_words_at_zero);
         let r = Registry::new();
-        r.add("own.mark", Class::Work, 1);
+        r.add("own.mark", 1);
         // Sort work outside any run: sort and merge work is counted only
         // by the run that owns it, and the radix passes' kernel words by
         // the scope installed on their thread, so none of it reaches
@@ -694,8 +641,8 @@ mod tests {
     #[test]
     fn work_fingerprint_flattens_series() {
         let r = Registry::new();
-        r.add("a", Class::Work, 1);
-        r.add_at("s", Class::Work, 1, 9);
+        r.add("a", 1);
+        r.add_at("s", 1, 9);
         let fp = r.snapshot().work_fingerprint();
         assert!(fp.contains(&("a".to_string(), 1)));
         assert!(fp.contains(&("s[0]".to_string(), 0)));

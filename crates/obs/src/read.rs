@@ -2,17 +2,18 @@
 //!
 //! Reports render from files on disk, not from a live process, so every
 //! sweep's `metrics.json` must read back into the snapshot that wrote
-//! it. [`Snapshot::from_json`] reads the crate's own `bcc-metrics/v1`
-//! output through [`crate::json`]. It accepts keys in any order and
-//! ignores unknown keys, so files written by a newer or older version of
-//! the format still read. Like every reader in the workspace it is
-//! total: malformed input is a `None`, never a panic.
+//! it. [`Snapshot::from_json`] reads the crate's own `bcc-metrics/v2`
+//! output through [`crate::json`]: work counters and work series, whose
+//! values are identical at every pool size, and span histograms, which
+//! are wall time. It accepts keys in any order and ignores unknown keys.
+//! Like every reader in the workspace it is total: malformed input, a
+//! `bcc-metrics/v1` file included, is a `None`, never a panic.
 
 use crate::json::{self, Value};
-use crate::{Class, HistSummary, MetricName, Snapshot, METRICS_SCHEMA};
+use crate::{HistSummary, MetricName, Snapshot, METRICS_SCHEMA};
 
 impl Snapshot {
-    /// Parses a `bcc-metrics/v1` document produced by
+    /// Parses a `bcc-metrics/v2` document produced by
     /// [`Snapshot::to_json`]. `None` on malformed input, a foreign
     /// schema tag, or a value out of its field's range.
     pub fn from_json(text: &str) -> Option<Snapshot> {
@@ -20,7 +21,6 @@ impl Snapshot {
         let mut schema_ok = false;
         let mut snapshot = Snapshot {
             work: Vec::new(),
-            wall: Vec::new(),
             series: Vec::new(),
             spans: Vec::new(),
         };
@@ -28,11 +28,7 @@ impl Snapshot {
             match key.as_str() {
                 "schema" => schema_ok = value.as_str()? == METRICS_SCHEMA,
                 "work" => snapshot.work = named(value, Value::as_u64)?,
-                "wall" => snapshot.wall = named(value, Value::as_u64)?,
-                "series" => {
-                    let entries = named(value, series)?.into_iter();
-                    snapshot.series = entries.map(|(name, (c, v))| (name, c, v)).collect();
-                }
+                "series" => snapshot.series = named(value, u64s)?,
                 "spans" => snapshot.spans = named(value, hist)?,
                 _ => {}
             }
@@ -51,16 +47,6 @@ fn named<T>(map: &Value, read: impl Fn(&Value) -> Option<T>) -> Option<Vec<(Metr
 
 fn u64s(values: &Value) -> Option<Vec<u64>> {
     values.as_array()?.iter().map(Value::as_u64).collect()
-}
-
-/// `{"class":"work","values":[..]}`.
-fn series(entry: &Value) -> Option<(Class, Vec<u64>)> {
-    let class = match entry.get("class")?.as_str()? {
-        "work" => Class::Work,
-        "wall" => Class::Wall,
-        _ => return None,
-    };
-    Some((class, u64s(entry.get("values")?)?))
 }
 
 /// `{"count":N,"total_us":N,"max_us":N,"buckets":[[b,c],..]}`; a bucket
@@ -91,11 +77,10 @@ mod tests {
 
     fn sample() -> Snapshot {
         let r = Registry::new();
-        r.add("lab.points_computed", Class::Work, 7);
-        r.add("walk.chunks", Class::Wall, 3);
-        r.add_at("walk.nodes_by_depth", Class::Work, 2, 4);
-        r.record("lab.point", Class::Wall, 900);
-        r.record("lab.point", Class::Wall, 0);
+        r.add("lab.points_computed", 7);
+        r.add_at("walk.nodes_by_depth", 2, 4);
+        r.record("lab.point", 900);
+        r.record("lab.point", 0);
         r.snapshot()
     }
 
@@ -114,6 +99,8 @@ mod tests {
         assert!(Snapshot::from_json("{\"schema\":\"other/v1\",\"work\":{}}").is_none());
         assert!(Snapshot::from_json("not json").is_none());
         let json = sample().to_json();
+        let v1 = json.replace("bcc-metrics/v2", "bcc-metrics/v1");
+        assert!(Snapshot::from_json(&v1).is_none());
         assert!(Snapshot::from_json(&json[..json.len() - 2]).is_none());
     }
 

@@ -12,13 +12,15 @@
 //! already reference it from other threads), but a process whose
 //! environment left tracing off can still [`install`] later.
 //!
-//! Timestamps are µs since a process-wide epoch taken at first use;
-//! both `ts` and the span's end are floored to the same µs clock, so
+//! Timestamps are µs since a process-wide epoch taken when tracing turns
+//! on (the `BCC_TRACE` read or the [`install`] call), before any traced
+//! span starts, so every span keeps its whole duration. Both `ts` and
+//! the span's end are floored to the same µs clock, so
 //! per-thread RAII nesting survives integer truncation exactly — the
 //! property `crates/obs/tests/trace_check.rs` validates.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
@@ -32,8 +34,8 @@ struct Event {
 }
 
 static ENV_INIT: Once = Once::new();
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
+/// Set exactly when tracing is on.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -47,11 +49,20 @@ fn ensure_env() {
     ENV_INIT.call_once(|| {
         if let Some(p) = std::env::var_os("BCC_TRACE") {
             if !p.is_empty() {
-                *PATH.lock().unwrap_or_else(|e| e.into_inner()) = Some(PathBuf::from(p));
-                ENABLED.store(true, Ordering::Release);
+                turn_on(
+                    &mut PATH.lock().unwrap_or_else(|e| e.into_inner()),
+                    p.into(),
+                );
             }
         }
     });
+}
+
+/// Sets the sink path, then turns tracing on by taking the epoch: a span
+/// that sees tracing on starts after the epoch.
+fn turn_on(slot: &mut Option<PathBuf>, path: PathBuf) {
+    *slot = Some(path);
+    EPOCH.get_or_init(Instant::now);
 }
 
 fn path() -> Option<PathBuf> {
@@ -69,8 +80,7 @@ pub fn install(path: &Path) -> bool {
     if guard.is_some() {
         return false;
     }
-    *guard = Some(path.to_path_buf());
-    ENABLED.store(true, Ordering::Release);
+    turn_on(&mut guard, path.to_path_buf());
     true
 }
 
@@ -79,17 +89,14 @@ pub fn install(path: &Path) -> bool {
 #[inline]
 pub fn enabled() -> bool {
     ensure_env();
-    ENABLED.load(Ordering::Acquire)
+    EPOCH.get().is_some()
 }
 
 /// Record one complete span event. Called by `Span::drop`; `start` and
 /// `end` are floored against the shared epoch so nesting survives
 /// truncation.
 pub(crate) fn record(name: &'static str, start: Instant, end: Instant) {
-    if !enabled() {
-        return;
-    }
-    let epoch = *EPOCH.get_or_init(Instant::now);
+    let Some(&epoch) = EPOCH.get() else { return };
     let ts_us = start.saturating_duration_since(epoch).as_micros() as u64;
     let end_us = end.saturating_duration_since(epoch).as_micros() as u64;
     let tid = TID.with(|t| *t);

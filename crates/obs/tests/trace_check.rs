@@ -142,7 +142,7 @@ fn emitted_trace_parses_and_nests() {
         let _outer = bcc_obs::span("selftest.outer");
         {
             let _inner = bcc_obs::span("selftest.inner");
-            std::hint::black_box((0..1000).sum::<u64>());
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let _tail = bcc_obs::span("selftest.tail");
     }
@@ -182,6 +182,18 @@ fn emitted_trace_parses_and_nests() {
         .unwrap()
         .tid;
     assert_ne!(main_tid, worker_tid);
+    // The sink's epoch predates the first span, so the first span to end
+    // keeps its whole duration, and the span around it at least as much.
+    let dur = |name: &str| events.iter().find(|e| e.name == name).unwrap().dur;
+    let (inner, outer) = (dur("selftest.inner"), dur("selftest.outer"));
+    assert!(
+        inner >= 2_000,
+        "inner span slept 2 ms but lasted {inner} us"
+    );
+    assert!(
+        outer >= inner,
+        "outer span {outer} us < inner span {inner} us"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -226,8 +238,10 @@ fn validates_external_file() {
 }
 
 /// Checks one persisted sweep directory from its files alone:
-/// `metrics.json` is `bcc-metrics/v1` and re-renders byte-identically
-/// through [`Snapshot::from_json`], and `aggregates.json` is
+/// `metrics.json` is `bcc-metrics/v2` (work counters and series, the
+/// same at every pool size, and wall-time span histograms) and
+/// re-renders byte-identically through [`Snapshot::from_json`], and
+/// `aggregates.json` is
 /// `bcc-aggregates/v1` whose `records_fingerprint` and `points` match
 /// the directory's `records.jsonl`.
 fn check_sweep_dir(dir: &Path) {
@@ -237,7 +251,7 @@ fn check_sweep_dir(dir: &Path) {
         (text, doc)
     };
     let (metrics, doc) = read("metrics.json");
-    assert_eq!(doc.get("schema"), Some(&"bcc-metrics/v1".into()));
+    assert_eq!(doc.get("schema"), Some(&"bcc-metrics/v2".into()));
     let snapshot = Snapshot::from_json(&metrics).expect("metrics.json is a snapshot");
     assert_eq!(snapshot.to_json(), metrics, "{}", dir.display());
 

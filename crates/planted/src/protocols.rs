@@ -75,43 +75,27 @@ pub fn random_mask_parity(n: u32, rounds: u32, seed: u64) -> impl WideTurnProtoc
     })
 }
 
-/// Runs the full Theorem 1.6 / 4.1 experiment for one protocol through an
-/// arbitrary [`Estimator`]: the mixture `A_k = avg_C A_C` against
+/// Runs the full Theorem 1.6 / 4.1 experiment for one protocol through the
+/// parallel exact mixture walk: the mixture `A_k = avg_C A_C` against
 /// `A_rand`.
 ///
 /// The returned [`DepthProfile`] carries the real distance (the theorem's
-/// left-hand side), the progress function, and — for exact estimators —
-/// the consistent-set statistics of Claim 2.
+/// left-hand side), the progress function, and the consistent-set
+/// statistics of Claim 2.
 ///
 /// # Panics
 ///
-/// Panics if the instance is out of the estimator's reach (for the exact
-/// walk: a horizon above 25 turns, past the
-/// [`bcc_core::MAX_WIDE_NODES`] node budget) or the family exceeds 5000
-/// cliques.
-pub fn experiment<P: WideTurnProtocol + Sync + ?Sized, E: Estimator>(
-    protocol: &P,
-    n: u32,
-    k: usize,
-    estimator: &E,
-) -> DepthProfile {
-    let members = clique_family(n, k);
-    let baseline = rand_input(n);
-    estimator.estimate(protocol, &members, &baseline)
-}
-
-/// [`experiment`] through the default exact estimator (the parallel exact
-/// mixture walk).
-///
-/// # Panics
-///
-/// As [`experiment`].
+/// Panics if the instance is out of the exact walk's reach (a horizon
+/// above 25 turns, past the [`bcc_core::MAX_WIDE_NODES`] node budget) or
+/// the family exceeds 5000 cliques.
 pub fn exact_experiment<P: WideTurnProtocol + Sync + ?Sized>(
     protocol: &P,
     n: u32,
     k: usize,
 ) -> DepthProfile {
-    experiment(protocol, n, k, &ExactEstimator)
+    let members = clique_family(n, k);
+    let baseline = rand_input(n);
+    ExactEstimator.estimate(protocol, &members, &baseline)
 }
 
 #[cfg(test)]

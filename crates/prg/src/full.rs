@@ -175,7 +175,7 @@ impl MatrixPrg {
             .collect();
 
         if let Some(obs) = bcc_obs::current() {
-            obs.add("prg.blocks_drawn", bcc_obs::Class::Work, self.n as u64);
+            obs.add("prg.blocks_drawn", self.n as u64);
         }
         PrgRun {
             matrix,
@@ -220,7 +220,7 @@ pub fn row_support(k: u32, m: u32, matrix: &BitMatrix) -> RowSupport {
         })
         .collect();
     if let Some(obs) = bcc_obs::current() {
-        obs.add("prg.support_points", bcc_obs::Class::Work, 1u64 << k);
+        obs.add("prg.support_points", 1u64 << k);
     }
     RowSupport::explicit(m, points)
 }

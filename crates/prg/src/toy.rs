@@ -67,7 +67,7 @@ impl ToyPrg {
             })
             .collect();
         if let Some(obs) = bcc_obs::current() {
-            obs.add("prg.blocks_drawn", bcc_obs::Class::Work, self.n as u64);
+            obs.add("prg.blocks_drawn", self.n as u64);
         }
         ToyRun { secret, outputs }
     }
@@ -83,7 +83,7 @@ pub fn row_support(k: u32, b: u64) -> RowSupport {
     assert!(k <= 24, "support too large to enumerate");
     let points = (0..(1u64 << k)).map(|x| x | (parity(x & b) << k)).collect();
     if let Some(obs) = bcc_obs::current() {
-        obs.add("prg.support_points", bcc_obs::Class::Work, 1u64 << k);
+        obs.add("prg.support_points", 1u64 << k);
     }
     RowSupport::explicit(k + 1, points)
 }
